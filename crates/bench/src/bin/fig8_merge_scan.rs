@@ -1,9 +1,9 @@
 //! Figure 8: single-threaded scan execution time vs the number of tail
 //! records processed per merge (merge-lag sensitivity), with concurrent
 //! update threads (`BENCH_THREADS`, default 4 and 16 as in the paper) —
-//! swept across unified task-pool widths (`BENCH_POOL_THREADS`, alias
-//! `BENCH_SCAN_THREADS`, default 1,4), so the merge-lag curve is visible
-//! both for sequential scans and for pool-parallel scans.
+//! swept across unified task-pool widths (`BENCH_POOL_THREADS`, default
+//! 1,4), so the merge-lag curve is visible both for sequential scans and
+//! for pool-parallel scans.
 //!
 //! Each cell reports two metrics:
 //! * `scan` — mean seconds per full-active-set scan under the churn;

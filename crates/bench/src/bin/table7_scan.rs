@@ -44,7 +44,7 @@ fn main() {
     );
 
     // The pool_threads axis: same workload, L-Store only, task-pool width
-    // swept (BENCH_POOL_THREADS / BENCH_SCAN_THREADS, default 1,4).
+    // swept (BENCH_POOL_THREADS, default 1,4).
     report::header(
         "Table 7 (scan_threads)",
         &format!(
@@ -77,41 +77,23 @@ fn main() {
         );
     }
 
-    // The codec axis: compressed-columnar kernel execution vs the per-row
-    // decode path, per base-page codec (BENCH_CODEC). The table is loaded
-    // with run-structured values (64-long runs, 16 distinct values — the
-    // shape dictionary and run-length coding exist for), merged, and left
-    // quiescent, so the two cells isolate the aggregation path itself:
-    // `kernel` sums runs/packed words/code frequencies in place
-    // (scan_kernels on), `decode` materializes every row (scan_kernels
-    // off). The plain-number kernel_vs_decode ratio is the gated dividend —
-    // it collapsing toward 1.0 means kernels silently stopped engaging.
+    // The codec axis: compressed-columnar kernel execution per base-page
+    // codec (BENCH_CODEC). The table is loaded with run-structured values
+    // (64-long runs, 16 distinct values — the shape dictionary and
+    // run-length coding exist for), merged, and left quiescent, so the
+    // `kernel` cell isolates the aggregation itself: summing runs / packed
+    // words / code frequencies in place.
     report::header(
         "Table 7 (codec)",
         &format!(
-            "SUM over one quiesced column, kernel vs per-row decode; rows={}",
+            "SUM over one quiesced column, per base-page codec; rows={}",
             config.rows
         ),
     );
     let iters = setup::scan_iters();
     for (name, choice) in setup::codec_sweep() {
-        let kernel = time_codec_scan(config.rows, choice, true, iters);
-        let decode = time_codec_scan(config.rows, choice, false, iters);
-        report::row(
-            &format!("codec={name}"),
-            &[
-                ("kernel", secs_fine(kernel)),
-                ("decode", secs_fine(decode)),
-                (
-                    "kernel_vs_decode",
-                    if kernel > 0.0 {
-                        format!("{:.2}", decode / kernel)
-                    } else {
-                        "inf".into()
-                    },
-                ),
-            ],
-        );
+        let kernel = time_codec_scan(config.rows, choice, iters);
+        report::row(&format!("codec={name}"), &[("kernel", secs_fine(kernel))]);
     }
 
     // The pool axis: the same quiesced SUM, but with every sealed base
@@ -202,15 +184,9 @@ fn time_pooled_scan(rows: u64, budget: Option<usize>, tag: &str, iters: usize) -
 }
 
 /// Average seconds per full-column `sum_as_of` over a freshly built,
-/// merged, update-free table whose base pages use `codec`, with kernel
-/// execution toggled by `kernels`.
-fn time_codec_scan(rows: u64, codec: CodecChoice, kernels: bool, iters: usize) -> f64 {
-    let db = Database::new(
-        DbConfig::new()
-            .with_pool_threads(1)
-            .with_shards(1)
-            .with_scan_kernels(kernels),
-    );
+/// merged, update-free table whose base pages use `codec`.
+fn time_codec_scan(rows: u64, codec: CodecChoice, iters: usize) -> f64 {
+    let db = Database::new(DbConfig::new().with_pool_threads(1).with_shards(1));
     let t = db
         .create_table(
             "codec",
@@ -225,8 +201,10 @@ fn time_codec_scan(rows: u64, codec: CodecChoice, kernels: bool, iters: usize) -
     }
     t.merge_all();
     let ts = t.now();
-    // Warm-up pass doubles as a correctness pin: both paths must agree.
-    let expected = t.sum_as_of(0, ts);
+    // Warm-up pass doubles as a correctness pin: the kernel must agree
+    // with the values loaded (sixteen 64-long runs per 1024 keys).
+    let expected = (0..rows).map(|k| (k / 64) % 16).sum::<u64>();
+    assert_eq!(t.sum_as_of(0, ts), expected);
     let start = Instant::now();
     for _ in 0..iters {
         assert_eq!(std::hint::black_box(t.sum_as_of(0, ts)), expected);

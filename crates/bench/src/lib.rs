@@ -12,9 +12,8 @@
 //!   table;
 //! * 40 % of columns updated on average; read/write mix sweepable.
 //!
-//! Every experiment has a standalone binary (`src/bin/`) for full runs and a
-//! Criterion bench (`benches/`) at reduced scale. The `BENCH_SCALE`
-//! environment variable scales row counts (default laptop scale).
+//! Every experiment has a standalone binary (`src/bin/`), sized by the
+//! `BENCH_*` environment knobs in [`setup`] (default laptop scale).
 
 pub mod harness;
 pub mod report;

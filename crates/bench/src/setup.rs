@@ -47,13 +47,10 @@ fn usize_list(name: &str) -> Option<Vec<usize>> {
         .filter(|v: &Vec<usize>| !v.is_empty())
 }
 
-/// Unified task-pool widths to sweep (env `BENCH_POOL_THREADS`, with
-/// `BENCH_SCAN_THREADS` as the pre-unification alias; comma-separated;
-/// default `1,4` — sequential baseline vs a 4-wide pool).
+/// Unified task-pool widths to sweep (env `BENCH_POOL_THREADS`,
+/// comma-separated; default `1,4` — sequential baseline vs a 4-wide pool).
 pub fn pool_thread_sweep() -> Vec<usize> {
-    usize_list("BENCH_POOL_THREADS")
-        .or_else(|| usize_list("BENCH_SCAN_THREADS"))
-        .unwrap_or_else(|| vec![1, 4])
+    usize_list("BENCH_POOL_THREADS").unwrap_or_else(|| vec![1, 4])
 }
 
 /// Tail records per merge trigger to sweep in the fig8 merge-lag

@@ -68,18 +68,6 @@ impl Default for WorkloadConfig {
     }
 }
 
-impl WorkloadConfig {
-    /// Scale rows by the `BENCH_SCALE` env var (a float; default 1.0).
-    pub fn scaled(mut self) -> Self {
-        if let Ok(s) = std::env::var("BENCH_SCALE") {
-            if let Ok(f) = s.parse::<f64>() {
-                self.rows = ((self.rows as f64) * f).max(1_000.0) as u64;
-            }
-        }
-        self
-    }
-}
-
 /// Zipfian key distribution over `0..n` with skew `theta` (Gray et al.,
 /// *Quickly Generating Billion-Record Synthetic Databases*, SIGMOD '94 —
 /// the same generator YCSB uses). Rank 0 is the hottest key and ranks are

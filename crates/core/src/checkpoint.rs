@@ -1,51 +1,34 @@
 //! Table checkpoints: persisting and restoring base pages.
 //!
 //! §2.1: "both base and tail pages are referenced through the database page
-//! directory using RIDs and persisted identically." A checkpoint writes
+//! directory using RIDs and persisted identically." A checkpoint persists
 //! every range's current base version — the merged, compressed, read-only
-//! pages — as page images (see `lstore_storage::disk`), together with a
-//! small manifest of per-range lineage (TPS, length, column count).
+//! pages — as page images in the page store
+//! ([`crate::DbConfig::with_page_store`]), together with a small manifest
+//! of per-range lineage (TPS, length, column count, page ids).
 //!
-//! Restoring a checkpoint re-creates the base side of the table; the WAL
-//! suffix after the checkpoint replays on top (tail records with sequence
-//! numbers ≤ the checkpointed TPS are already reflected in the pages and are
-//! skipped by the TPS watermark during merges). Because base pages are
-//! immutable, checkpointing reads only stable data and never blocks
-//! transactions — the same contention-free argument as the merge.
-//!
-//! With a page store configured ([`crate::DbConfig::with_page_store`]) the
-//! dedicated checkpoint file becomes optional:
 //! [`Table::checkpoint_to_store`] persists the page images into the store
-//! itself (sealed pages are usually already there — persisting is then just
-//! a dirty-frame writeback) plus one manifest page under a reserved id, and
+//! (sealed pages are usually already there — persisting is then just a
+//! dirty-frame writeback) plus one manifest page under a reserved id, and
 //! [`Table::restore_from_store`] rebuilds the table *without loading the
 //! pages* — every restored range holds store-backed page handles that fault
 //! in on first read, so recovery consults the store before replaying the
 //! WAL suffix and a cold restart never materializes more than the pool
-//! budget.
+//! budget. The WAL suffix after the checkpoint replays on top (tail records
+//! with sequence numbers ≤ the checkpointed TPS are already reflected in
+//! the pages and are skipped by the TPS watermark during merges). Because
+//! base pages are immutable, checkpointing reads only stable data and never
+//! blocks transactions — the same contention-free argument as the merge.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use lstore_storage::disk::{load_page_file, PageFile};
 use lstore_storage::page::BasePage;
-use lstore_storage::store::{PagePtr, PageStore, MANIFEST_ID_BASE};
+use lstore_storage::store::{PageStore, MANIFEST_ID_BASE};
 use lstore_storage::{StorageError, NULL_VALUE};
 
 use crate::error::{Error, Result};
 use crate::range::{BaseData, BaseVersion};
 use crate::table::Table;
-
-/// Page-image ids inside a checkpoint file: one file per table, images keyed
-/// by `(range_id << 8) | column_slot`, where column slots 0..N are data
-/// columns and the top three slots are the meta columns.
-const META_START_TIME: u64 = 0xFD;
-const META_LAST_UPDATED: u64 = 0xFE;
-const META_SCHEMA_ENC: u64 = 0xFF;
-
-fn image_id(range_id: u32, column_slot: u64) -> u64 {
-    ((range_id as u64) << 8) | column_slot
-}
 
 /// Layout version of the in-store checkpoint manifest (first manifest cell).
 const STORE_MANIFEST_VERSION: u64 = 1;
@@ -70,161 +53,6 @@ pub struct CheckpointReport {
 }
 
 impl Table {
-    /// Write the current base pages of every merged range to `path`.
-    ///
-    /// Ranges still in their insert phase have no read-only pages yet and
-    /// are skipped — their state is recovered from the WAL. Run
-    /// [`Table::merge_all`] first to checkpoint everything.
-    pub fn checkpoint(&self, path: &Path) -> Result<CheckpointReport> {
-        let mut report = CheckpointReport::default();
-        let mut file = PageFile::create(path)?;
-        // Manifest image at id MAX: [n_ranges, n_data_columns] then per
-        // range [range_id, tps, len, 1-if-persisted].
-        let ranges = self.all_ranges();
-        let mut manifest = vec![ranges.len() as u64, self.schema().column_count() as u64];
-        for range in &ranges {
-            let base = range.base();
-            let persisted = !base.is_insert_phase();
-            manifest.extend_from_slice(&[
-                range.id as u64,
-                base.tps,
-                base.len as u64,
-                persisted as u64,
-            ]);
-            match &base.data {
-                BaseData::Insert(_) => {
-                    report.skipped_insert_phase += 1;
-                }
-                BaseData::Pages {
-                    data,
-                    start_time,
-                    last_updated,
-                    schema_enc,
-                } => {
-                    for (c, page) in data.iter().enumerate() {
-                        file.append(image_id(range.id, c as u64), &page.read())?;
-                        report.pages += 1;
-                    }
-                    file.append(image_id(range.id, META_START_TIME), &start_time.read())?;
-                    file.append(image_id(range.id, META_LAST_UPDATED), &last_updated.read())?;
-                    file.append(image_id(range.id, META_SCHEMA_ENC), &schema_enc.read())?;
-                    report.pages += 3;
-                    report.ranges += 1;
-                }
-            }
-        }
-        file.append(u64::MAX, &BasePage::plain(manifest))?;
-        file.finish()?;
-        Ok(report)
-    }
-
-    /// Restore base pages from a checkpoint written by [`Table::checkpoint`]
-    /// into this freshly created table. Primary-index entries for restored
-    /// records are rebuilt from the key column. Apply the WAL suffix with
-    /// [`Table::replay`] afterwards for updates past the checkpoint.
-    pub fn restore_checkpoint(&self, path: &Path) -> Result<usize> {
-        let images = load_page_file(path)?;
-        let manifest = images
-            .iter()
-            .find(|(id, _)| *id == u64::MAX)
-            .map(|(_, p)| p.decode())
-            .ok_or_else(|| {
-                Error::Storage(lstore_storage::StorageError::Corrupt(
-                    "checkpoint manifest missing".into(),
-                ))
-            })?;
-        let n_ranges = manifest[0] as usize;
-        let ncols = manifest[1] as usize;
-        if ncols != self.schema().column_count() {
-            return Err(Error::ColumnOutOfRange {
-                column: ncols,
-                columns: self.schema().column_count(),
-            });
-        }
-        let lookup = |id: u64| -> Option<&BasePage> {
-            images.iter().find(|(i, _)| *i == id).map(|(_, p)| p)
-        };
-        let mut restored = 0usize;
-        for r in 0..n_ranges {
-            let entry = &manifest[2 + r * 4..2 + r * 4 + 4];
-            let (range_id, tps, len, persisted) =
-                (entry[0] as u32, entry[1], entry[2] as usize, entry[3] != 0);
-            self.ensure_ranges_for_restore(range_id);
-            if !persisted {
-                continue;
-            }
-            // Loaded pages seal through the runtime's page store when one
-            // is configured, so a restored dataset obeys the pool budget
-            // from the first read on (without one they stay heap-resident,
-            // the pre-store behavior).
-            let store = self.runtime.page_store();
-            let mut data = Vec::with_capacity(ncols);
-            for c in 0..ncols {
-                let page = lookup(image_id(range_id, c as u64)).ok_or_else(|| {
-                    Error::Storage(lstore_storage::StorageError::MissingEntry {
-                        id: image_id(range_id, c as u64),
-                    })
-                })?;
-                data.push(PagePtr::seal(store, page.clone()));
-            }
-            let start_time = lookup(image_id(range_id, META_START_TIME))
-                .expect("start-time image")
-                .clone();
-            let last_updated = lookup(image_id(range_id, META_LAST_UPDATED))
-                .expect("last-updated image")
-                .clone();
-            let schema_enc = lookup(image_id(range_id, META_SCHEMA_ENC))
-                .expect("schema-enc image")
-                .clone();
-            let max_start = (0..len)
-                .map(|s| start_time.get(s))
-                .filter(|&v| v != NULL_VALUE)
-                .max()
-                .unwrap_or(0);
-            let max_last_updated = (0..len)
-                .map(|s| last_updated.get(s))
-                .filter(|&v| v != NULL_VALUE)
-                .max()
-                .unwrap_or(0);
-            let has_deletes =
-                (0..len).any(|s| crate::schema::SchemaEncoding(schema_enc.get(s)).is_delete());
-            let version = Arc::new(BaseVersion {
-                tps,
-                column_tps: vec![tps; ncols].into_boxed_slice(),
-                len,
-                max_start,
-                max_last_updated,
-                has_deletes,
-                data: BaseData::Pages {
-                    data: data.into_boxed_slice(),
-                    start_time: PagePtr::seal(store, start_time.clone()),
-                    last_updated: PagePtr::seal(store, last_updated),
-                    schema_enc: PagePtr::seal(store, schema_enc.clone()),
-                },
-            });
-            // Rebuild the primary index and the clock horizon from the
-            // restored pages.
-            let range = self.range_handle(range_id);
-            range.reserve_slots(len as u32);
-            range.tail.ensure_seq(tps as u32);
-            for slot in 0..len as u32 {
-                let start = start_time.get(slot as usize);
-                if start != NULL_VALUE {
-                    self.runtime.clock.advance_to(start + 1);
-                }
-                let deleted =
-                    crate::schema::SchemaEncoding(schema_enc.get(slot as usize)).is_delete();
-                let key = version.value(0, slot);
-                if !deleted && key != NULL_VALUE {
-                    self.pk_insert_raw(key, crate::rid::Rid::base(range_id, slot));
-                }
-            }
-            range.swap_base(version);
-            restored += 1;
-        }
-        Ok(restored)
-    }
-
     fn ensure_ranges_for_restore(&self, range_id: u32) {
         while self.range_count() <= range_id as usize {
             self.grow_for_replay();
@@ -254,8 +82,10 @@ impl Table {
     /// manifest is appended last, so a crash mid-checkpoint leaves the
     /// previous manifest (and every page id it references) intact.
     ///
-    /// Requires [`crate::DbConfig::with_page_store`]; insert-phase ranges
-    /// are skipped exactly as in [`Table::checkpoint`].
+    /// Requires [`crate::DbConfig::with_page_store`]. Ranges still in
+    /// their insert phase have no read-only pages yet and are skipped —
+    /// their state is recovered from the WAL; run [`Table::merge_all`]
+    /// first to checkpoint everything.
     pub fn checkpoint_to_store(&self) -> Result<CheckpointReport> {
         let store = self.require_store()?;
         let mut report = CheckpointReport::default();
@@ -429,71 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrip() {
-        let path = ckpt_path("roundtrip");
-        let db = Database::new(DbConfig::deterministic());
-        let t = db
-            .create_table("c", &["a", "b"], TableConfig::small())
-            .unwrap();
-        for k in 0..600 {
-            t.insert_auto(k, &[k * 2, k * 3]).unwrap();
-        }
-        for k in (0..600).step_by(5) {
-            t.update_auto(k, &[(0, k + 1)]).unwrap();
-        }
-        for k in (0..600).step_by(100) {
-            t.delete_auto(k).unwrap();
-        }
-        t.merge_all();
-        let report = t.checkpoint(&path).unwrap();
-        assert!(report.ranges >= 2);
-        assert!(report.pages > 0);
-
-        // Restore into a fresh table.
-        let db2 = Database::new(DbConfig::deterministic());
-        let t2 = db2
-            .create_table("c", &["a", "b"], TableConfig::small())
-            .unwrap();
-        let restored = t2.restore_checkpoint(&path).unwrap();
-        assert_eq!(restored, report.ranges);
-        assert_eq!(t2.sum_auto(0), t.sum_auto(0));
-        assert_eq!(t2.count_as_of(t2.now()), t.count_as_of(t.now()));
-        for k in [1u64, 5, 250, 599] {
-            assert_eq!(
-                t2.read_latest_auto(k).unwrap(),
-                t.read_latest_auto(k).unwrap(),
-                "key {k}"
-            );
-        }
-        // Deleted keys stay gone: merged deletes null the key column, so a
-        // restored table drops them from the primary index entirely.
-        match t2.read_cols_auto(100, &[0]) {
-            Ok(None) | Err(crate::Error::KeyNotFound(_)) => {}
-            other => panic!("deleted key resurfaced: {other:?}"),
-        }
-        // The restored table accepts new writes and merges.
-        t2.update_auto(1, &[(1, 999)]).unwrap();
-        t2.merge_all();
-        assert_eq!(t2.read_latest_auto(1).unwrap()[1], 999);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn insert_phase_ranges_are_skipped() {
-        let path = ckpt_path("insertphase");
-        let db = Database::new(DbConfig::deterministic());
-        let t = db.create_table("c", &["a"], TableConfig::small()).unwrap();
-        for k in 0..10 {
-            t.insert_auto(k, &[k]).unwrap();
-        }
-        // No merge: the only range is still in its insert phase.
-        let report = t.checkpoint(&path).unwrap();
-        assert_eq!(report.ranges, 0);
-        assert_eq!(report.skipped_insert_phase, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn store_checkpoint_roundtrip_under_a_tiny_pool() {
         let path = ckpt_path("store-roundtrip");
         let config = || {
@@ -572,22 +337,43 @@ mod tests {
     }
 
     #[test]
+    fn insert_phase_ranges_are_skipped() {
+        let path = ckpt_path("insertphase");
+        let db = Database::new(DbConfig::deterministic().with_page_store(path.clone()));
+        let t = db.create_table("c", &["a"], TableConfig::small()).unwrap();
+        for k in 0..10 {
+            t.insert_auto(k, &[k]).unwrap();
+        }
+        // No merge: the only range is still in its insert phase.
+        let report = t.checkpoint_to_store().unwrap();
+        assert_eq!(report.ranges, 0);
+        assert_eq!(report.skipped_insert_phase, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn restore_rejects_schema_mismatch() {
         let path = ckpt_path("mismatch");
-        let db = Database::new(DbConfig::deterministic());
-        let t = db
-            .create_table("c", &["a", "b"], TableConfig::small())
-            .unwrap();
-        for k in 0..300 {
-            t.insert_auto(k, &[k, k]).unwrap();
+        let config = || DbConfig::deterministic().with_page_store(path.clone());
+        {
+            let db = Database::new(config());
+            let t = db
+                .create_table("c", &["a", "b"], TableConfig::small())
+                .unwrap();
+            for k in 0..300 {
+                t.insert_auto(k, &[k, k]).unwrap();
+            }
+            t.merge_all();
+            t.checkpoint_to_store().unwrap();
         }
-        t.merge_all();
-        t.checkpoint(&path).unwrap();
-        let db2 = Database::new(DbConfig::deterministic());
+        let db2 = Database::new(config());
         let t2 = db2
             .create_table("c", &["only_one"], TableConfig::small())
             .unwrap();
-        assert!(t2.restore_checkpoint(&path).is_err());
+        assert!(matches!(
+            t2.restore_from_store(),
+            Err(crate::Error::ColumnOutOfRange { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -171,13 +171,6 @@ pub struct DbConfig {
     /// like `pool_threads`: results are identical on both sides of the
     /// threshold.
     pub batch_read_min: usize,
-    /// Execute scan aggregates with per-codec compressed-column kernels
-    /// (run arithmetic for RLE, block sums for FOR/bit-packing, code
-    /// frequencies for dictionaries) instead of decoding each row. On by
-    /// default; results are byte-identical either way (the
-    /// `kernel_equivalence` property suite pins this) — the switch exists
-    /// so benchmarks can measure the kernel dividend on identical data.
-    pub scan_kernels: bool,
     /// Page-store file path; `None` (the default) keeps every sealed base
     /// page resident in memory, exactly the pre-store behavior. When set,
     /// the merge seals base pages into this file behind the buffer pool,
@@ -220,7 +213,6 @@ impl DbConfig {
             pool_threads: cores,
             shards: cores,
             batch_read_min: DbConfig::DEFAULT_BATCH_READ_MIN,
-            scan_kernels: true,
             page_store_path: None,
             buffer_pool_pages: None,
         }
@@ -238,7 +230,6 @@ impl DbConfig {
             pool_threads: 1,
             shards: 1,
             batch_read_min: DbConfig::DEFAULT_BATCH_READ_MIN,
-            scan_kernels: true,
             page_store_path: None,
             buffer_pool_pages: None,
         }
@@ -250,21 +241,6 @@ impl DbConfig {
     pub fn with_wal_path(mut self, path: PathBuf) -> Self {
         self.wal_path = Some(path);
         self
-    }
-
-    /// Deprecated pre-durability-knob form: enable the WAL at `path` with
-    /// `sync_on_commit` mapped onto the durability policy
-    /// ([`Durability::Wal`] when true, [`Durability::None`] when false). A
-    /// thin wrapper over [`DbConfig::with_wal_path`] +
-    /// [`DbConfig::with_durability`]; the mapping is pinned by
-    /// `wal_builders_set_durability`.
-    #[deprecated(note = "use with_wal_path(path) + with_durability(Durability)")]
-    pub fn with_wal(self, path: PathBuf, sync_on_commit: bool) -> Self {
-        self.with_wal_path(path).with_durability(if sync_on_commit {
-            Durability::Wal
-        } else {
-            Durability::None
-        })
     }
 
     /// Set the commit durability policy (takes effect when
@@ -291,14 +267,6 @@ impl DbConfig {
     /// anything to fan out).
     pub fn with_batch_read_min(mut self, batch_read_min: usize) -> Self {
         self.batch_read_min = batch_read_min.max(2);
-        self
-    }
-
-    /// Enable/disable compressed-column scan kernels (on by default; the
-    /// off position is the decode-then-aggregate baseline benchmarks
-    /// compare against).
-    pub fn with_scan_kernels(mut self, on: bool) -> Self {
-        self.scan_kernels = on;
         self
     }
 
@@ -330,39 +298,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn wal_builders_set_durability() {
-        // The deprecated two-argument form keeps its historical mapping
-        // through the thin wrapper: sync_on_commit true/false ↔ Wal/None.
-        let config = DbConfig::new().with_wal("/tmp/x.wal".into(), true);
-        assert_eq!(config.durability, Durability::Wal);
-        assert!(config.wal_path.is_some());
-        let config = DbConfig::new().with_wal("/tmp/x.wal".into(), false);
-        assert_eq!(config.durability, Durability::None);
-        let config = config.with_durability(Durability::group_commit());
-        assert_eq!(
-            config.durability,
-            Durability::WalGroupCommit {
-                window_us: 200,
-                max_batch: 64
-            }
-        );
-    }
-
-    #[test]
     fn wal_path_builder_leaves_durability_alone() {
         let config = DbConfig::new()
             .with_durability(Durability::group_commit())
             .with_wal_path("/tmp/x.wal".into());
         assert_eq!(config.wal_path, Some(PathBuf::from("/tmp/x.wal")));
         assert_eq!(config.durability, Durability::group_commit());
-    }
-
-    #[test]
-    fn scan_kernels_default_on_and_toggle() {
-        assert!(DbConfig::new().scan_kernels);
-        assert!(DbConfig::deterministic().scan_kernels);
-        assert!(!DbConfig::new().with_scan_kernels(false).scan_kernels);
     }
 
     #[test]

@@ -49,9 +49,6 @@ pub struct Runtime {
     /// Minimum batch size before `multi_read_*` fans out across the pool
     /// (`DbConfig::batch_read_min`).
     batch_read_min: usize,
-    /// Whether scans aggregate through compressed-column kernels
-    /// (`DbConfig::scan_kernels`).
-    scan_kernels: bool,
     /// The unified merge/scan worker pool, spawned lazily on the first
     /// parallel scan or merge enqueue so purely transactional databases
     /// with merging disabled never pay for idle threads.
@@ -143,12 +140,6 @@ impl Runtime {
     /// Minimum batch size before batched point reads dispatch on the pool.
     pub(crate) fn batch_read_min(&self) -> usize {
         self.batch_read_min
-    }
-
-    /// Whether scan aggregates may run per-codec compressed-column kernels
-    /// (false = the decode-then-aggregate baseline).
-    pub(crate) fn scan_kernels(&self) -> bool {
-        self.scan_kernels
     }
 
     /// The buffer-pool page store, when configured — the merge seals new
@@ -243,7 +234,6 @@ impl Database {
             background_merge: config.background_merge,
             shards: config.shards.max(1),
             batch_read_min: config.batch_read_min.max(2),
-            scan_kernels: config.scan_kernels,
             pool: OnceLock::new(),
             merge_tables: RwLock::new(Vec::new()),
             stopped: AtomicBool::new(false),

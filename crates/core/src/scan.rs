@@ -4,20 +4,29 @@
 //! aggregations over columns that are concurrently updated (§6.2 "computing
 //! the SUM aggregation on a column that is continuously been updated").
 //! A scan pins the reclamation epoch (so merged-away base pages survive
-//! until it drains, §4.1.1 step 5), snapshots each range's base version
-//! once, and reads each slot through the TPS fast path, falling back to the
-//! version chain only for records whose updates outrun the merge.
+//! until it drains, §4.1.1 step 5), plans the `(range, lo, hi)` slot
+//! windows it covers, and folds them through **one** driver,
+//! `Table::fold_windows`, into an accumulator (`WindowFold`: sums,
+//! count, group-sum, rows).
 //!
-//! Aggregation over merged ranges executes *on the compressed pages*: per
-//! range the scan builds a row-visibility mask (one indirection load per
-//! slot, or none at all when the range-level lineage proves every slot
-//! clean), hands the clean rows to the page codec's
-//! [`lstore_storage::compress::ColumnKernel`] — run arithmetic for RLE,
-//! word-walk block sums for FOR/bit-packing, code frequencies for
-//! dictionaries — and chain-resolves only the masked holes. Masked-dense
-//! windows (more than ~1/4 holes) fall back to the per-slot walk, and
-//! `DbConfig::scan_kernels = false` pins the decode-then-aggregate
-//! baseline for benchmarking. Results are byte-identical on every path.
+//! Per window the driver snapshots the range's base version once, asks
+//! `Table::visibility_mask` once, and takes one of two strategies:
+//!
+//! * **kernel** — the accumulator's page step aggregates the clean rows
+//!   straight off the compressed pages (the codec's
+//!   [`lstore_storage::compress::ColumnKernel`]: run arithmetic for RLE,
+//!   word-walk block sums for FOR/bit-packing, code frequencies for
+//!   dictionaries), and only the masked holes — rows whose lineage outruns
+//!   the TPS, or whose merged image is newer than the snapshot, or that
+//!   are deleted — resolve through the version chain;
+//! * **per-row** — every slot resolves through the version chain. Three
+//!   observable conditions pick it: the range is still in its insert phase
+//!   (no base pages yet), the snapshot straddles the base records' start
+//!   times, or more than 1/`DENSE_MASK_DENOM` of the window is masked.
+//!
+//! Results are byte-identical on both strategies. Full scans,
+//! [`Table::sum_rid_span`] and [`Table::sum_key_range`] differ only in how
+//! they plan windows.
 //!
 //! Every analytical entry point fans its per-range work out across the
 //! unified merge/scan task pool ([`crate::pool::TaskPool`], sized by
@@ -42,6 +51,7 @@
 //! `property_model` suite pins both).
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use lstore_storage::compress::{Compressed, RowMask};
@@ -52,87 +62,188 @@ use crate::range::{BaseData, BaseVersion, UpdateRange};
 use crate::read::{ReadMode, Resolved};
 use crate::rid::Rid;
 use crate::schema::SchemaEncoding;
+use crate::stats::TableStats;
 use crate::table::Table;
 
-/// Mask-density fallback threshold: once more than `1/DENSE_MASK_DENOM` of
-/// a kernel window is excluded, the encoded-sum-minus-holes arithmetic
-/// loses to plain per-slot resolution and the scan falls back to the chain
-/// walk (decode-then-aggregate) for the whole window.
+/// Mask-density threshold: once more than `1/DENSE_MASK_DENOM` of a window
+/// is excluded, the encoded-sum-minus-holes arithmetic loses to plain
+/// per-slot resolution and the whole window is resolved per row.
 const DENSE_MASK_DENOM: usize = 4;
 
 /// Minimum coalesced slot-span length before `sum_key_range` tries the
-/// kernel path; shorter spans stay on per-key `read_column` (building a
-/// mask costs one atomic load per slot and must amortize).
+/// kernel strategy; shorter spans resolve per row (building a mask costs
+/// one atomic load per slot and must amortize).
 const KERNEL_SPAN_MIN: u32 = 16;
 
-/// Can the whole range be summed straight off its compressed base page?
-/// True when every slot's latest version for `col` is in the base page
-/// (tail fully merged), nothing is deleted, and every start/merge time is
-/// within the snapshot bound — the read-optimized path that makes L-Store
-/// scans behave like a column store (§2.1). With kernels enabled this is
-/// subsumed by the masked planner ([`Table::visibility_mask`] short-cuts
-/// to an empty mask under the same conditions); it survives as the
-/// whole-page shortcut of the kernels-off baseline.
-fn clean_range_page<'a>(
-    range: &UpdateRange,
-    base: &'a BaseVersion,
-    col: usize,
-    ts: u64,
-) -> Option<PageRead<'a>> {
-    if base.has_deletes
-        || base.max_start == u64::MAX
-        || base.max_start > ts
-        || base.max_last_updated > ts && base.max_last_updated != u64::MAX
-    {
-        return None;
+/// One scan window: slots `lo..hi` of one update range (`R` is however
+/// the planner holds it: `&UpdateRange` or `Arc<UpdateRange>`). The driver
+/// clamps `hi` to the range's occupied slots, so `u32::MAX` means "to the
+/// end".
+type Window<R> = (R, u32, u32);
+
+/// What a scan folds its windows into. [`Table::fold_windows`] decides per
+/// window which rows go to which step; `cols` are the internal columns the
+/// scan reads, in the order `fold_row` receives their values.
+trait WindowFold: Sized {
+    /// Kernel step: fold the rows of the window `rows` that `mask` keeps,
+    /// straight off the range's compressed data pages.
+    fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask);
+
+    /// Per-row step: fold one visible record resolved through the version
+    /// chain.
+    fn fold_row(&mut self, values: &[u64]);
+
+    /// Absorb another fan-out chunk's partial (partials combine
+    /// associatively, so the pool width is never observable).
+    fn merge(self, other: Self) -> Self;
+}
+
+/// Wrapping SUM per scanned column.
+struct Sums(Vec<u64>);
+
+impl WindowFold for Sums {
+    fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask) {
+        // One pin per column covers the whole window; an evicted page
+        // faults in here.
+        for (sum, &col) in self.0.iter_mut().zip(cols) {
+            let page = data[col].read();
+            *sum = sum.wrapping_add(page.sum_range_masked(rows.start, rows.end, mask));
+        }
     }
-    if (range.tail.high_seq() as u64) > base.column_tps[col] {
-        return None; // unmerged updates may supersede base values
+
+    fn fold_row(&mut self, values: &[u64]) {
+        for (sum, &v) in self.0.iter_mut().zip(values) {
+            *sum = sum.wrapping_add(v);
+        }
     }
-    match &base.data {
-        BaseData::Pages { data, .. } => Some(data[col].read()),
-        BaseData::Insert(_) => None,
+
+    fn merge(mut self, other: Self) -> Self {
+        self.fold_row(&other.0);
+        self
     }
 }
 
-/// The merged data pages of a range, provided every base record's start
-/// time fits the snapshot (`max_start` tracks raw Start Time cells, so
-/// unresolved transaction ids — bit 63 set — disqualify the range exactly
-/// like they always disqualified [`clean_range_page`]).
-fn eligible_pages(base: &BaseVersion, ts: u64) -> Option<&[PagePtr]> {
-    if base.max_start == u64::MAX || base.max_start > ts {
-        return None;
+/// Visible-record count. Scans the key column only, so visibility is
+/// governed by column 0 on both steps; the kernel step needs nothing but
+/// the mask — clean rows count without touching any page payload.
+#[derive(Default)]
+struct Count(u64);
+
+impl WindowFold for Count {
+    fn fold_pages(&mut self, _: &[PagePtr], _: &[usize], rows: Range<usize>, mask: &RowMask) {
+        self.0 += (rows.len() - mask.excluded_in(rows.start, rows.end)) as u64;
     }
-    match &base.data {
-        BaseData::Pages { data, .. } => Some(data),
-        BaseData::Insert(_) => None,
+
+    fn fold_row(&mut self, _: &[u64]) {
+        self.0 += 1;
+    }
+
+    fn merge(self, other: Self) -> Self {
+        Count(self.0 + other.0)
+    }
+}
+
+/// GROUP BY `cols[0]`, wrapping SUM of `cols[1]`.
+#[derive(Default)]
+struct Groups(BTreeMap<u64, u64>);
+
+impl Groups {
+    fn add(&mut self, group: u64, value: u64) {
+        let sum = self.0.entry(group).or_insert(0);
+        *sum = sum.wrapping_add(value);
+    }
+}
+
+impl WindowFold for Groups {
+    /// When the group column is run-length encoded the accumulation is
+    /// run-granular: each run contributes one masked value-kernel sum to
+    /// its group — no per-row group decoding at all. Other group codecs
+    /// pair O(1) random access on clean rows, which still skips the whole
+    /// version-resolution machinery.
+    fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask) {
+        let (gpage, vpage) = (data[cols[0]].read(), data[cols[1]].read());
+        match gpage.compressed() {
+            Compressed::Rle(runs) => {
+                for (start, end, group) in runs.runs_in(rows.start, rows.end) {
+                    if mask.excluded_in(start, end) == end - start {
+                        continue; // no visible row: the group must not appear
+                    }
+                    self.add(group, vpage.sum_range_masked(start, end, mask));
+                }
+            }
+            _ => {
+                for slot in rows.filter(|&slot| !mask.is_excluded(slot)) {
+                    self.add(gpage.get(slot), vpage.get(slot));
+                }
+            }
+        }
+    }
+
+    fn fold_row(&mut self, values: &[u64]) {
+        self.add(values[0], values[1]);
+    }
+
+    fn merge(mut self, other: Self) -> Self {
+        for (group, sum) in other.0 {
+            self.add(group, sum);
+        }
+        self
+    }
+}
+
+/// Materialized `(key, value-columns)` rows; `cols[0]` is the key column.
+#[derive(Default)]
+struct Rows(Vec<(u64, Vec<u64>)>);
+
+impl WindowFold for Rows {
+    fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask) {
+        let pages: Vec<PageRead<'_>> = cols.iter().map(|&col| data[col].read()).collect();
+        for slot in rows.filter(|&slot| !mask.is_excluded(slot)) {
+            let values = pages[1..].iter().map(|page| page.get(slot)).collect();
+            self.0.push((pages[0].get(slot), values));
+        }
+    }
+
+    fn fold_row(&mut self, values: &[u64]) {
+        self.0.push((values[0], values[1..].to_vec()));
+    }
+
+    fn merge(mut self, other: Self) -> Self {
+        self.0.extend(other.0);
+        self
     }
 }
 
 impl Table {
-    /// Build the row-visibility mask for kernel aggregation of `cols` over
-    /// slots `lo..hi` of one merged range. A row is *clean* (kept in the
-    /// mask) exactly when `read_column` would take its TPS fast path for
-    /// every requested column: no newer-than-TPS tail version, a merged
-    /// image no newer than the snapshot, and no delete marker. Every other
-    /// row is excluded — the kernel skips it and the caller resolves it
-    /// through the version chain. Returns `None` when kernels are disabled,
-    /// the range is ineligible, or the mask would be dense enough
-    /// (> 1/[`DENSE_MASK_DENOM`] of the window) that per-slot resolution
-    /// is cheaper than encoded-sum-minus-holes.
-    fn visibility_mask(
+    /// Plan the kernel strategy for slots `lo..hi` of one range: the
+    /// range's data pages plus the row-visibility mask over `cols`. A row
+    /// is *clean* (kept in the mask) exactly when `read_column` would take
+    /// its TPS fast path for every requested column: no newer-than-TPS
+    /// tail version, a merged image no newer than the snapshot, and no
+    /// delete marker. Every other row is excluded — the kernel skips it
+    /// and the driver resolves it through the version chain.
+    ///
+    /// `None` sends the whole window to the per-row strategy: the range is
+    /// still in its insert phase, some base record's start time is beyond
+    /// the snapshot (`max_start` tracks raw Start Time cells, so unresolved
+    /// transaction ids — bit 63 set — disqualify the range too), or the
+    /// mask would be dense enough (> 1/[`DENSE_MASK_DENOM`] of the window)
+    /// that per-slot resolution is cheaper than encoded-sum-minus-holes.
+    fn visibility_mask<'b>(
         &self,
         range: &UpdateRange,
-        base: &BaseVersion,
+        base: &'b BaseVersion,
         cols: &[usize],
         ts: u64,
         lo: u32,
         hi: u32,
-    ) -> Option<RowMask> {
-        if !self.runtime.scan_kernels() {
-            return None;
+    ) -> Option<(&'b [PagePtr], RowMask)> {
+        let BaseData::Pages { data, .. } = &base.data else {
+            return None; // insert phase
+        };
+        if base.max_start == u64::MAX || base.max_start > ts {
+            return None; // the snapshot straddles the base records
         }
-        eligible_pages(base, ts)?;
         let mut mask = RowMask::new(base.len);
         let min_tps = cols
             .iter()
@@ -142,9 +253,11 @@ impl Table {
         let lu_clean = base.max_last_updated <= ts;
         // Whole-window shortcut: nothing unmerged for these columns, all
         // merged images inside the snapshot, no deletes — the empty mask,
-        // without touching a single indirection cell.
+        // without touching a single indirection cell. This is the
+        // read-optimized path that makes L-Store scans behave like a
+        // column store (§2.1).
         if !base.has_deletes && (range.tail.high_seq() as u64) <= min_tps && lu_clean {
-            return Some(mask);
+            return Some((data, mask));
         }
         for slot in lo..hi {
             let head = range.indirection(slot);
@@ -162,43 +275,104 @@ impl Table {
             }
         }
         if mask.excluded() * DENSE_MASK_DENOM > (hi - lo) as usize {
-            return None; // masked-dense: decode-then-aggregate wins
+            return None; // masked-dense
         }
-        Some(mask)
+        Some((data, mask))
     }
 
-    /// Kernel-sum `col` over slots `lo..hi` of one range: the codec kernel
-    /// aggregates the clean rows straight off the encoding, and each masked
-    /// hole resolves through the version chain at the same snapshot.
-    /// `None` = not eligible, caller takes the legacy path.
-    fn kernel_sum_window(
+    /// The scan driver: fold `windows` of internal columns `cols` at
+    /// snapshot `ts` into `acc`. Windows shorter than `kernel_min` slots go
+    /// per-row without building a mask; every other window asks
+    /// [`Table::visibility_mask`] which strategy it gets. Each range picks
+    /// the codec kernel of its own base pages (pages merged under
+    /// different codec policies coexist).
+    ///
+    /// Accounts the split once per window: rows the kernel step aggregated
+    /// count as `fast_path_reads`, rows resolved per row as `chain_reads`.
+    fn fold_windows<R: Deref<Target = UpdateRange>, A: WindowFold>(
         &self,
-        range: &UpdateRange,
-        base: &BaseVersion,
-        col: usize,
+        windows: impl IntoIterator<Item = Window<R>>,
+        cols: &[usize],
         ts: u64,
-        lo: u32,
-        hi: u32,
-    ) -> Option<u64> {
-        let mask = self.visibility_mask(range, base, &[col], ts, lo, hi)?;
-        let pages = eligible_pages(base, ts).expect("mask implies eligible pages");
-        // One pin covers the whole window; an evicted page faults in here.
-        let page = pages[col].read();
-        let mut sum = page.sum_range_masked(lo as usize, hi as usize, &mask);
-        if !mask.all_visible() {
-            let reader = self.reader(range, base);
-            let mode = ReadMode::as_of(ts);
-            for slot in mask.iter_excluded(lo as usize, hi as usize) {
-                if let Some(v) = reader.read_column(slot as u32, col, mode) {
-                    sum = sum.wrapping_add(v);
+        kernel_min: u32,
+        acc: &mut A,
+    ) {
+        let mode = ReadMode::as_of(ts);
+        for (range, lo, hi) in windows {
+            let range: &UpdateRange = &range;
+            let base = range.base();
+            let hi = hi.min(self.occupied_slots(range, &base));
+            if lo >= hi {
+                continue;
+            }
+            let reader = self.reader(range, &base);
+            // A single column resolves through `read_column`, whose TPS
+            // fast path needs no allocation.
+            let row = |acc: &mut A, slot: u32| match *cols {
+                [col] => {
+                    if let Some(v) = reader.read_column(slot, col, mode) {
+                        acc.fold_row(&[v]);
+                    }
                 }
+                _ => {
+                    if let Resolved::Visible { values, .. } = reader.read_record(slot, cols, mode) {
+                        acc.fold_row(&values);
+                    }
+                }
+            };
+            let plan = if hi - lo >= kernel_min {
+                self.visibility_mask(range, &base, cols, ts, lo, hi)
+            } else {
+                None
+            };
+            let chained = match plan {
+                Some((data, mask)) => {
+                    let (lo, hi) = (lo as usize, hi as usize);
+                    acc.fold_pages(data, cols, lo..hi, &mask);
+                    if !mask.all_visible() {
+                        for slot in mask.iter_excluded(lo, hi) {
+                            row(acc, slot as u32);
+                        }
+                    }
+                    mask.excluded() as u64
+                }
+                None => {
+                    for slot in lo..hi {
+                        row(acc, slot);
+                    }
+                    (hi - lo) as u64
+                }
+            };
+            let stats = self.range_stats(range);
+            let fast = (hi - lo) as u64 - chained;
+            if fast > 0 {
+                TableStats::add(&stats.fast_path_reads, fast);
+            }
+            if chained > 0 {
+                TableStats::add(&stats.chain_reads, chained);
             }
         }
-        Some(sum)
     }
-}
 
-impl Table {
+    /// Full-table fold: every range's occupied slots, fanned out over the
+    /// shard-aligned scan partitions, one accumulator (from `init`) per
+    /// fan-out chunk.
+    fn fold_table<A: WindowFold + Send>(
+        &self,
+        cols: &[usize],
+        ts: u64,
+        init: impl Fn() -> A + Sync,
+    ) -> A {
+        let guard = self.runtime.epoch.pin();
+        let parts = self.scan_partitions();
+        merged(self.scan_fanout(&parts, &guard, |chunk| {
+            let mut acc = init();
+            let windows = chunk.iter().flatten().map(|range| (&**range, 0, u32::MAX));
+            self.fold_windows(windows, cols, ts, 0, &mut acc);
+            acc
+        }))
+    }
+
     /// Current clock value — convenient snapshot timestamp for detached
     /// scans ("now").
     pub fn now(&self) -> u64 {
@@ -209,111 +383,22 @@ impl Table {
     /// deleted/invisible records contribute nothing). Fans out across the
     /// scan pool, one partial sum per contiguous chunk of ranges.
     pub fn sum_as_of(&self, user_col: usize, ts: u64) -> u64 {
-        let col = user_col + 1;
-        let guard = self.runtime.epoch.pin();
-        let parts = self.scan_partitions();
-        self.scan_fanout(&parts, &guard, |chunk| self.sum_ranges(chunk, col, ts))
-            .into_iter()
-            .fold(0u64, u64::wrapping_add)
+        self.sum_cols_as_of(&[user_col], ts)[0]
     }
 
-    /// Sequential partial SUM over one chunk of shard partitions (one
-    /// worker's share). Each range picks the codec kernel of its own base
-    /// page (pages merged under different codec policies coexist); ranges
-    /// the planner rejects — insert phase, snapshot-straddling merges,
-    /// masked-dense — take the per-slot chain walk.
-    fn sum_ranges(&self, parts: &[Vec<Arc<UpdateRange>>], col: usize, ts: u64) -> u64 {
-        let mode = ReadMode::as_of(ts);
-        let mut sum = 0u64;
-        for range in parts.iter().flatten() {
-            let base = range.base();
-            let slots = self.occupied_slots(range, &base);
-            if let Some(s) = self.kernel_sum_window(range, &base, col, ts, 0, slots) {
-                sum = sum.wrapping_add(s);
-                continue;
-            }
-            // Kernels-off baseline: whole-page decode-then-sum when clean.
-            if !self.runtime.scan_kernels() {
-                if let Some(page) = clean_range_page(range, &base, col, ts) {
-                    sum = sum.wrapping_add(page.sum_range_decoded(0, page.len()));
-                    continue;
-                }
-            }
-            let reader = self.reader(range, &base);
-            for slot in 0..slots {
-                if let Some(v) = reader.read_column(slot, col, mode) {
-                    sum = sum.wrapping_add(v);
-                }
-            }
-        }
-        sum
+    /// SUM over a value column at the current snapshot.
+    pub fn sum_auto(&self, user_col: usize) -> u64 {
+        self.sum_as_of(user_col, self.now())
     }
 
     /// SUM over several value columns at once at snapshot `ts`: one table
-    /// pass producing one total per requested column. Columns whose ranges
-    /// are fully merged within the snapshot are folded straight off their
-    /// compressed base pages; the rest resolve through the version chain at
-    /// the same snapshot, so the totals are mutually consistent.
+    /// pass producing one total per requested column, all at the same
+    /// snapshot, so the totals are mutually consistent. The mask is built
+    /// jointly over the columns (a row is clean only when *every* requested
+    /// cell is current).
     pub fn sum_cols_as_of(&self, user_cols: &[usize], ts: u64) -> Vec<u64> {
         let cols: Vec<usize> = user_cols.iter().map(|&c| c + 1).collect();
-        let guard = self.runtime.epoch.pin();
-        let parts = self.scan_partitions();
-        let partials = self.scan_fanout(&parts, &guard, |chunk| {
-            self.sum_cols_ranges(chunk, &cols, ts)
-        });
-        let mut totals = vec![0u64; cols.len()];
-        for partial in partials {
-            for (t, p) in totals.iter_mut().zip(partial) {
-                *t = t.wrapping_add(p);
-            }
-        }
-        totals
-    }
-
-    /// Per-chunk partial sums for `sum_cols_as_of`, in `cols` order.
-    fn sum_cols_ranges(
-        &self,
-        parts: &[Vec<Arc<UpdateRange>>],
-        cols: &[usize],
-        ts: u64,
-    ) -> Vec<u64> {
-        let mode = ReadMode::as_of(ts);
-        let mut sums = vec![0u64; cols.len()];
-        for range in parts.iter().flatten() {
-            let base = range.base();
-            // Split the columns of this range into kernel-summable and
-            // chain-resolved; a single slot walk covers all of the latter.
-            // Masks are per column (per-column TPS means one column can be
-            // fully merged while another still has unmerged tail versions).
-            let slots = self.occupied_slots(range, &base);
-            let mut chain_cols: Vec<(usize, usize)> = Vec::new(); // (output, col)
-            for (out, &col) in cols.iter().enumerate() {
-                if let Some(s) = self.kernel_sum_window(range, &base, col, ts, 0, slots) {
-                    sums[out] = sums[out].wrapping_add(s);
-                } else if !self.runtime.scan_kernels() {
-                    if let Some(page) = clean_range_page(range, &base, col, ts) {
-                        sums[out] = sums[out].wrapping_add(page.sum_range_decoded(0, page.len()));
-                    } else {
-                        chain_cols.push((out, col));
-                    }
-                } else {
-                    chain_cols.push((out, col));
-                }
-            }
-            if chain_cols.is_empty() {
-                continue;
-            }
-            let request: Vec<usize> = chain_cols.iter().map(|&(_, c)| c).collect();
-            let reader = self.reader(range, &base);
-            for slot in 0..slots {
-                if let Resolved::Visible { values, .. } = reader.read_record(slot, &request, mode) {
-                    for ((out, _), v) in chain_cols.iter().zip(values) {
-                        sums[*out] = sums[*out].wrapping_add(v);
-                    }
-                }
-            }
-        }
-        sums
+        self.fold_table(&cols, ts, || Sums(vec![0; cols.len()])).0
     }
 
     /// GROUP BY one value column, SUM another, at snapshot `ts`. Workers
@@ -325,126 +410,41 @@ impl Table {
         value_user_col: usize,
         ts: u64,
     ) -> BTreeMap<u64, u64> {
-        let gcol = group_user_col + 1;
-        let vcol = value_user_col + 1;
-        let guard = self.runtime.epoch.pin();
-        let parts = self.scan_partitions();
-        let partials = self.scan_fanout(&parts, &guard, |chunk| {
-            self.group_ranges(chunk, gcol, vcol, ts)
-        });
-        let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        for partial in partials {
-            for (k, v) in partial {
-                let slot = merged.entry(k).or_insert(0);
-                *slot = slot.wrapping_add(v);
-            }
-        }
-        merged
+        let cols = [group_user_col + 1, value_user_col + 1];
+        self.fold_table(&cols, ts, Groups::default).0
     }
 
-    /// Per-chunk partial GROUP BY/SUM map.
-    fn group_ranges(
-        &self,
-        parts: &[Vec<Arc<UpdateRange>>],
-        gcol: usize,
-        vcol: usize,
-        ts: u64,
-    ) -> BTreeMap<u64, u64> {
-        let mode = ReadMode::as_of(ts);
-        let request = [gcol, vcol];
-        let mut groups: BTreeMap<u64, u64> = BTreeMap::new();
-        for range in parts.iter().flatten() {
-            let base = range.base();
-            let slots = self.occupied_slots(range, &base);
-            if self.kernel_group_window(range, &base, (gcol, vcol), ts, slots, &mut groups) {
-                continue;
-            }
-            let reader = self.reader(range, &base);
-            for slot in 0..slots {
-                if let Resolved::Visible { values, .. } = reader.read_record(slot, &request, mode) {
-                    let slot = groups.entry(values[0]).or_insert(0);
-                    *slot = slot.wrapping_add(values[1]);
-                }
-            }
-        }
-        groups
+    /// Count visible records at snapshot `ts`.
+    pub fn count_as_of(&self, ts: u64) -> u64 {
+        self.fold_table(&[0], ts, Count::default).0
     }
 
-    /// Kernel GROUP BY/SUM over one merged range, accumulating into
-    /// `groups`. The mask is built jointly over both columns (a row is
-    /// clean only when *both* its group and value cells are current). When
-    /// the group column is run-length encoded the accumulation is
-    /// run-granular: each run contributes one masked value-kernel sum to
-    /// its group — no per-row group decoding at all. Other group codecs
-    /// pair O(1) random access on clean rows, which still skips the whole
-    /// version-resolution machinery. Holes resolve through the chain.
-    /// False = not eligible, caller takes the record-walk path.
-    fn kernel_group_window(
-        &self,
-        range: &UpdateRange,
-        base: &BaseVersion,
-        (gcol, vcol): (usize, usize),
-        ts: u64,
-        slots: u32,
-        groups: &mut BTreeMap<u64, u64>,
-    ) -> bool {
-        let Some(mask) = self.visibility_mask(range, base, &[gcol, vcol], ts, 0, slots) else {
-            return false;
-        };
-        let pages = eligible_pages(base, ts).expect("mask implies eligible pages");
-        let (gpage, vpage) = (pages[gcol].read(), pages[vcol].read());
-        match gpage.compressed() {
-            Compressed::Rle(runs) => {
-                for (start, end, gval) in runs.runs_in(0, slots as usize) {
-                    let visible = (end - start) - mask.excluded_in(start, end);
-                    if visible == 0 {
-                        continue; // no visible row: the group must not appear
-                    }
-                    let partial = vpage.sum_range_masked(start, end, &mask);
-                    let entry = groups.entry(gval).or_insert(0);
-                    *entry = entry.wrapping_add(partial);
-                }
-            }
-            _ => {
-                for slot in 0..slots as usize {
-                    if mask.is_excluded(slot) {
-                        continue;
-                    }
-                    let entry = groups.entry(gpage.get(slot)).or_insert(0);
-                    *entry = entry.wrapping_add(vpage.get(slot));
-                }
-            }
-        }
-        if !mask.all_visible() {
-            let reader = self.reader(range, base);
-            let mode = ReadMode::as_of(ts);
-            let request = [gcol, vcol];
-            for slot in mask.iter_excluded(0, slots as usize) {
-                if let Resolved::Visible { values, .. } =
-                    reader.read_record(slot as u32, &request, mode)
-                {
-                    let entry = groups.entry(values[0]).or_insert(0);
-                    *entry = entry.wrapping_add(values[1]);
-                }
-            }
-        }
-        true
-    }
-
-    /// SUM over a value column at the current snapshot.
-    pub fn sum_auto(&self, user_col: usize) -> u64 {
-        self.sum_as_of(user_col, self.now())
+    /// Full scan: visible `(key, value-columns)` rows at snapshot `ts`, in
+    /// ascending key order. Workers materialize rows per shard partition
+    /// and the concatenation is key-sorted at the end, so the row order is
+    /// identical for every shard count and pool width (physical placement
+    /// — which shard's range holds a record — is never observable).
+    pub fn scan_as_of(&self, user_cols: &[usize], ts: u64) -> Vec<(u64, Vec<u64>)> {
+        let mut cols = vec![0usize]; // key first
+        cols.extend(user_cols.iter().map(|&c| c + 1));
+        let mut rows = self.fold_table(&cols, ts, Rows::default).0;
+        rows.sort_by_key(|&(key, _)| key);
+        rows
     }
 
     /// SUM over a value column restricted to keys in `[key_lo, key_hi]` via
     /// the primary index — the paper's partial scans "up to 10% of the data"
     /// (§6.1). The key interval splits into contiguous sub-intervals, one
-    /// per pool thread.
+    /// per pool thread; each worker plans its sub-interval's windows
+    /// (`Table::key_windows`), and spans of at least `KERNEL_SPAN_MIN`
+    /// slots are eligible for the kernel strategy — on merged, densely
+    /// keyed data a 10% partial scan becomes a handful of masked kernel
+    /// sums.
     pub fn sum_key_range(&self, user_col: usize, key_lo: u64, key_hi: u64, ts: u64) -> u64 {
         if key_hi < key_lo {
             return 0;
         }
-        let col = user_col + 1;
+        let cols = [user_col + 1];
         let guard = self.runtime.epoch.pin();
         // One sub-interval per configured width; saturating, so a
         // full-domain interval still partitions correctly (the loop is
@@ -462,224 +462,73 @@ impl Table {
             }
             lo = hi + 1;
         }
-        self.scan_fanout(&bounds, &guard, |chunk| {
-            chunk.iter().fold(0u64, |acc, &(lo, hi)| {
-                acc.wrapping_add(self.sum_keys(col, lo, hi, ts))
-            })
-        })
-        .into_iter()
-        .fold(0u64, u64::wrapping_add)
+        let partials = self.scan_fanout(&bounds, &guard, |chunk| {
+            let mut acc = Sums(vec![0]);
+            for &(lo, hi) in chunk {
+                let windows = self.key_windows(lo, hi);
+                self.fold_windows(windows, &cols, ts, KERNEL_SPAN_MIN, &mut acc);
+            }
+            acc
+        });
+        merged(partials).0[0]
     }
 
-    /// Sequential keyed partial SUM over `[key_lo, key_hi]`. Consecutive
-    /// keys that resolve to consecutive slots of one range coalesce into a
-    /// slot span; spans of at least [`KERNEL_SPAN_MIN`] slots aggregate
-    /// through the codec kernel ([`Table::kernel_sum_window`]) instead of
-    /// per-key version resolution — on merged, densely keyed data a 10%
-    /// partial scan becomes a handful of masked kernel sums.
-    fn sum_keys(&self, col: usize, key_lo: u64, key_hi: u64, ts: u64) -> u64 {
-        let mode = ReadMode::as_of(ts);
-        let mut sum = 0u64;
-        // Keys are usually clustered per range; reuse the last (range, base)
-        // snapshot across consecutive keys instead of re-resolving it.
-        type Cached = (
-            u32,
-            std::sync::Arc<crate::range::UpdateRange>,
-            std::sync::Arc<crate::range::BaseVersion>,
-        );
-        let mut cache: Option<Cached> = None;
-        // Open slot span within the cached range: [span_lo, span_hi).
-        let mut span = (0u32, 0u32);
-        let flush = |cache: &Option<Cached>, span: (u32, u32)| -> u64 {
-            let Some((_, range, base)) = cache else {
-                return 0;
-            };
-            let (lo, hi) = span;
-            if hi - lo >= KERNEL_SPAN_MIN {
-                if let Some(s) = self.kernel_sum_window(range, base, col, ts, lo, hi) {
-                    return s;
-                }
-            }
-            let reader = self.reader(range, base);
-            (lo..hi)
-                .filter_map(|slot| reader.read_column(slot, col, mode))
-                .fold(0u64, u64::wrapping_add)
-        };
+    /// Plan the windows of the keys in `[key_lo, key_hi]`: consecutive
+    /// keys that resolve to consecutive slots of one range coalesce into
+    /// one window (keys are usually clustered per range).
+    fn key_windows(&self, key_lo: u64, key_hi: u64) -> Vec<Window<Arc<UpdateRange>>> {
+        let mut windows: Vec<Window<Arc<UpdateRange>>> = Vec::new();
         for key in key_lo..=key_hi {
-            let Ok(base_rid) = self.locate(key) else {
+            let Ok(rid) = self.locate(key) else {
                 continue;
             };
-            let hit = matches!(&cache, Some((rid, _, _)) if *rid == base_rid.range());
-            if hit && base_rid.slot() == span.1 {
-                span.1 += 1; // extend the open span
-                continue;
-            }
-            sum = sum.wrapping_add(flush(&cache, span));
-            if !hit {
-                let r = self.range(base_rid.range());
-                let b = r.base();
-                cache = Some((base_rid.range(), r, b));
-            }
-            span = (base_rid.slot(), base_rid.slot() + 1);
+            let range = match windows.last_mut() {
+                Some((range, _, hi)) if range.id == rid.range() => {
+                    if *hi == rid.slot() {
+                        *hi += 1; // extend the open window
+                        continue;
+                    }
+                    Arc::clone(range)
+                }
+                _ => self.range(rid.range()),
+            };
+            windows.push((range, rid.slot(), rid.slot() + 1));
         }
-        sum.wrapping_add(flush(&cache, span))
+        windows
     }
 
     /// RID-ordered partial scan: SUM `user_col` over `count` consecutive
     /// record slots starting at `start` (crossing range boundaries). This is
     /// how a columnar engine scans a segment of the table — no per-record
     /// index lookups (§6.1's "scan up to 10% of the data"). The span is
-    /// pre-split at range boundaries and the per-range sub-spans fan out
-    /// across the pool.
-    pub fn sum_rid_span(
-        &self,
-        start: crate::rid::Rid,
-        count: u64,
-        user_col: usize,
-        ts: u64,
-    ) -> u64 {
-        let col = user_col + 1;
+    /// pre-split at range boundaries and the per-range windows — which may
+    /// start or end mid-range; the kernels take `lo..hi` natively — fan
+    /// out across the pool.
+    pub fn sum_rid_span(&self, start: Rid, count: u64, user_col: usize, ts: u64) -> u64 {
+        let cols = [user_col + 1];
         let guard = self.runtime.epoch.pin();
-        // Plan: (range, first slot, records to take) per covered range.
-        let mut spans: Vec<(Arc<UpdateRange>, u32, u64)> = Vec::new();
+        let mut windows: Vec<Window<Arc<UpdateRange>>> = Vec::new();
         let mut remaining = count;
-        let mut range_id = start.range();
         let mut slot = start.slot();
-        let total_ranges = self.range_count() as u32;
-        while remaining > 0 && range_id < total_ranges {
+        for range_id in start.range()..self.range_count() as u32 {
+            if remaining == 0 {
+                break;
+            }
             let range = self.range(range_id);
-            let base = range.base();
-            let slots = self.occupied_slots(&range, &base);
+            let slots = self.occupied_slots(&range, &range.base());
             if slot < slots {
                 let take = remaining.min((slots - slot) as u64);
-                spans.push((range, slot, take));
+                windows.push((range, slot, slot + take as u32));
                 remaining -= take;
             }
-            range_id += 1;
             slot = 0;
         }
-        self.scan_fanout(&spans, &guard, |chunk| self.sum_spans(chunk, col, ts))
-            .into_iter()
-            .fold(0u64, u64::wrapping_add)
-    }
-
-    /// Partial SUM over one chunk of per-range sub-spans. The kernel path
-    /// handles *sub*-range windows natively (`sum_range` over `lo..hi`), so
-    /// unlike the pre-kernel whole-page shortcut it applies to spans that
-    /// start or end mid-range.
-    fn sum_spans(&self, spans: &[(Arc<UpdateRange>, u32, u64)], col: usize, ts: u64) -> u64 {
-        let mode = ReadMode::as_of(ts);
-        let mut sum = 0u64;
-        for (range, first, take) in spans {
-            let base = range.base();
-            let slots = self.occupied_slots(range, &base);
-            let end = ((*first as u64 + take).min(slots as u64)) as u32;
-            if let Some(s) = self.kernel_sum_window(range, &base, col, ts, *first, end) {
-                sum = sum.wrapping_add(s);
-                continue;
-            }
-            // Kernels-off baseline: whole-range coverage sums the page.
-            if !self.runtime.scan_kernels() && *first == 0 && *take >= slots as u64 {
-                if let Some(page) = clean_range_page(range, &base, col, ts) {
-                    sum = sum.wrapping_add(page.sum_range_decoded(0, page.len()));
-                    continue;
-                }
-            }
-            let reader = self.reader(range, &base);
-            for slot in *first..end {
-                if let Some(v) = reader.read_column(slot, col, mode) {
-                    sum = sum.wrapping_add(v);
-                }
-            }
-        }
-        sum
-    }
-
-    /// Count visible records at snapshot `ts`.
-    pub fn count_as_of(&self, ts: u64) -> u64 {
-        let guard = self.runtime.epoch.pin();
-        let parts = self.scan_partitions();
-        self.scan_fanout(&parts, &guard, |chunk| self.count_ranges(chunk, ts))
-            .into_iter()
-            .sum()
-    }
-
-    /// Partial visible-record count over one chunk of shard partitions.
-    /// The kernel path needs *only* the visibility mask — clean rows count
-    /// without touching any page payload at all; only the masked holes run
-    /// version resolution to decide whether a newer visible version exists.
-    fn count_ranges(&self, parts: &[Vec<Arc<UpdateRange>>], ts: u64) -> u64 {
-        let mode = ReadMode::as_of(ts);
-        let mut n = 0u64;
-        for range in parts.iter().flatten() {
-            let base = range.base();
-            let slots = self.occupied_slots(range, &base);
-            // Visibility is governed by the key column (column 0), exactly
-            // like the per-slot loop below.
-            if let Some(mask) = self.visibility_mask(range, &base, &[0], ts, 0, slots) {
-                n += slots as u64 - mask.excluded() as u64;
-                if !mask.all_visible() {
-                    let reader = self.reader(range, &base);
-                    for slot in mask.iter_excluded(0, slots as usize) {
-                        if reader.read_column(slot as u32, 0, mode).is_some() {
-                            n += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-            let reader = self.reader(range, &base);
-            for slot in 0..slots {
-                if reader.read_column(slot, 0, mode).is_some() {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Full scan: visible `(key, value-columns)` rows at snapshot `ts`, in
-    /// ascending key order. Workers materialize rows per shard partition
-    /// and the concatenation is key-sorted at the end, so the row order is
-    /// identical for every shard count and pool width (physical placement
-    /// — which shard's range holds a record — is never observable).
-    pub fn scan_as_of(&self, user_cols: &[usize], ts: u64) -> Vec<(u64, Vec<u64>)> {
-        let cols: Vec<usize> = user_cols.iter().map(|&c| c + 1).collect();
-        let mut request = vec![0usize]; // key first
-        request.extend_from_slice(&cols);
-        let guard = self.runtime.epoch.pin();
-        let parts = self.scan_partitions();
-        let partials = self.scan_fanout(&parts, &guard, |chunk| {
-            self.collect_ranges(chunk, &request, ts)
+        let partials = self.scan_fanout(&windows, &guard, |chunk| {
+            let mut acc = Sums(vec![0]);
+            self.fold_windows(chunk.iter().cloned(), &cols, ts, 0, &mut acc);
+            acc
         });
-        let mut out = Vec::with_capacity(partials.iter().map(Vec::len).sum());
-        for partial in partials {
-            out.extend(partial);
-        }
-        out.sort_by_key(|&(key, _)| key);
-        out
-    }
-
-    /// Partial row materialization over one chunk of shard partitions.
-    fn collect_ranges(
-        &self,
-        parts: &[Vec<Arc<UpdateRange>>],
-        request: &[usize],
-        ts: u64,
-    ) -> Vec<(u64, Vec<u64>)> {
-        let mode = ReadMode::as_of(ts);
-        let mut out = Vec::new();
-        for range in parts.iter().flatten() {
-            let base = range.base();
-            let reader = self.reader(range, &base);
-            let slots = self.occupied_slots(range, &base);
-            for slot in 0..slots {
-                if let Resolved::Visible { values, .. } = reader.read_record(slot, request, mode) {
-                    out.push((values[0], values[1..].to_vec()));
-                }
-            }
-        }
-        out
+        merged(partials).0[0]
     }
 
     /// Multi-column consistency check (Lemma 3 / Theorem 2): read several
@@ -737,56 +586,12 @@ impl Table {
         let request = crate::request::ReadRequest::latest(key).with_columns(cols);
         Ok(self.read_one(&request)?.values)
     }
-
-    /// Version-relative read: `versions_back = 0` is the latest committed
-    /// version, `1` the one before, etc. (the paper's "querying and
-    /// retaining the current and historic data"). `None` when the record has
-    /// fewer versions or is deleted at that version.
-    pub fn read_version_auto(
-        &self,
-        key: u64,
-        user_cols: &[usize],
-        versions_back: usize,
-    ) -> crate::error::Result<Option<Vec<u64>>> {
-        let base_rid = self.locate(key)?;
-        let range = self.range(base_rid.range());
-        let base = range.base();
-        let reader = self.reader(&range, &base);
-        // Collect distinct committed version timestamps, newest first.
-        let mut stamps = Vec::new();
-        let mut cursor = range.indirection(base_rid.slot());
-        let boundary = range.historic_boundary();
-        while cursor.is_tail() && (cursor.seq() as u64) >= boundary {
-            let cell = range.tail.start_cell(cursor.seq());
-            if let Some(ts) = self.runtime.mgr.resolve_start_time(cell, false) {
-                if !range.tail.encoding(cursor.seq()).is_snapshot() && !stamps.contains(&ts) {
-                    stamps.push(ts);
-                }
-            }
-            cursor = range.tail.prev(cursor.seq());
-        }
-        // Base version (original) is the final stamp.
-        if let Some(ts) = self
-            .runtime
-            .mgr
-            .resolve_start_time(base.start_cell(base_rid.slot()), false)
-        {
-            if !stamps.contains(&ts) {
-                stamps.push(ts);
-            }
-        }
-        let _ = reader;
-        match stamps.get(versions_back) {
-            Some(&ts) => self.read_as_of(key, user_cols, ts),
-            None => Ok(None),
-        }
-    }
 }
 
-/// Re-export for callers that want to drive `VersionReader` directly.
-pub use crate::read::VersionReader as RawReader;
-
-#[allow(unused)]
-fn _rid_is_used(r: Rid) -> u64 {
-    r.0
+/// Combine the per-chunk partials of one fanned-out scan.
+fn merged<A: WindowFold>(partials: Vec<A>) -> A {
+    partials
+        .into_iter()
+        .reduce(A::merge)
+        .expect("scan_fanout returns one partial per chunk, at least one")
 }

@@ -24,9 +24,11 @@ pub struct TableStats {
     pub insert_merges: AtomicU64,
     /// Tail records compressed into the historic store.
     pub historic_compressed: AtomicU64,
-    /// Reads served entirely from base pages (⊥ or TPS fast path).
+    /// Scan rows aggregated straight off base pages by the kernel step
+    /// (counted once per scan window, never per row).
     pub fast_path_reads: AtomicU64,
-    /// Reads that walked the version chain.
+    /// Scan rows resolved one by one through the version reader: masked
+    /// holes of kernel windows plus every slot of per-row windows.
     pub chain_reads: AtomicU64,
 }
 
@@ -137,9 +139,9 @@ pub struct StatsSnapshot {
     pub insert_merges: u64,
     /// Tail records compressed into the historic store.
     pub historic_compressed: u64,
-    /// Fast-path reads.
+    /// Scan rows aggregated straight off base pages.
     pub fast_path_reads: u64,
-    /// Chain-walk reads.
+    /// Scan rows resolved per row through the version reader.
     pub chain_reads: u64,
     /// Buffer-pool gauge: base-page frames currently resident in memory
     /// (0 when the database runs without a page store). The eviction

@@ -354,6 +354,11 @@ impl Table {
         }
     }
 
+    /// The statistics block of the shard owning `range`.
+    pub(crate) fn range_stats(&self, range: &UpdateRange) -> &TableStats {
+        &self.shards[range.shard as usize].stats
+    }
+
     pub(crate) fn occupied_slots(
         &self,
         range: &UpdateRange,
@@ -1022,7 +1027,7 @@ impl Table {
             }
         }
         let _claim = ClaimRelease(&range);
-        let stats = &self.shards[range.shard as usize].stats;
+        let stats = self.range_stats(&range);
         let mut report = MergeReport::default();
         if range.base().is_insert_phase() {
             if force_seal {
@@ -1169,7 +1174,7 @@ impl Table {
             .compress_range(&range, tps, oldest_snapshot, &self.runtime.mgr);
         if n > 0 {
             debug_assert!((range.shard as usize) < self.shards.len());
-            let stats = &self.shards[range.shard as usize].stats;
+            let stats = self.range_stats(&range);
             TableStats::add(&stats.historic_compressed, n as u64);
             if let Some(wal) = &self.runtime.wal {
                 let _ = wal.append(&LogRecord::HistoricCompressed {

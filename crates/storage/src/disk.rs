@@ -2,9 +2,9 @@
 //!
 //! The paper stresses that base and tail pages are "persisted identically"
 //! (§2.1): at this layer there is no difference between page kinds, only a
-//! column of `u64` cells (possibly compressed). This module defines a small
-//! self-describing binary format for page images and a [`PageFile`] that
-//! stores many images with an in-file index.
+//! column of `u64` cells (possibly compressed). This module defines the
+//! small self-describing binary format for page images that the page store
+//! ([`crate::store`]) frames into its file.
 //!
 //! Format of one image:
 //! ```text
@@ -16,8 +16,8 @@
 //! the values, so this keeps the wire format independent of in-memory
 //! layout details (bit widths, run indexes, dictionary order) while still
 //! round-tripping the codec choice exactly — [`decode_image`] re-encodes
-//! with the tagged codec and [`BasePage::from_compressed`] wraps the result
-//! without another encode pass.
+//! with the tagged codec and [`crate::page::BasePage::from_compressed`]
+//! wraps the result without another encode pass.
 //!
 //! # Examples
 //!
@@ -32,15 +32,10 @@
 //! assert_eq!(back.decode(), vec![5, 5, 5, 9]);
 //! ```
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::compress::{BitPacked, Compressed, DictColumn, ForColumn, RleColumn};
+use crate::compress::{Compressed, DictColumn, ForColumn, RleColumn};
 use crate::error::{StorageError, StorageResult};
-use crate::page::BasePage;
 
 const MAGIC: &[u8; 4] = b"LSPG";
 
@@ -122,106 +117,11 @@ pub fn decode_image(mut data: &[u8]) -> StorageResult<Compressed> {
     })
 }
 
-/// A file of page images with a trailing index, append-only while open.
-///
-/// Layout: `[image]* | index (u64 count, count * (u64 id, u64 offset, u64
-/// len)) | u64 index_offset | magic`.
-pub struct PageFile {
-    writer: BufWriter<File>,
-    index: Vec<(u64, u64, u64)>,
-    offset: u64,
-}
-
-impl PageFile {
-    /// Create (truncate) a page file at `path`.
-    pub fn create(path: &Path) -> StorageResult<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(PageFile {
-            writer: BufWriter::new(file),
-            index: Vec::new(),
-            offset: 0,
-        })
-    }
-
-    /// Append the image of `page` under logical `id`.
-    pub fn append(&mut self, id: u64, page: &BasePage) -> StorageResult<()> {
-        let image = encode_image(page.compressed());
-        self.writer.write_all(&image)?;
-        self.index.push((id, self.offset, image.len() as u64));
-        self.offset += image.len() as u64;
-        Ok(())
-    }
-
-    /// Write the index and footer, flush, and sync to disk.
-    pub fn finish(mut self) -> StorageResult<()> {
-        let index_offset = self.offset;
-        let mut buf = BytesMut::new();
-        buf.put_u64(self.index.len() as u64);
-        for (id, off, len) in &self.index {
-            buf.put_u64(*id);
-            buf.put_u64(*off);
-            buf.put_u64(*len);
-        }
-        buf.put_u64(index_offset);
-        buf.put_slice(MAGIC);
-        self.writer.write_all(&buf)?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
-        Ok(())
-    }
-}
-
-/// Read back every page image from a file produced by [`PageFile`].
-pub fn load_page_file(path: &Path) -> StorageResult<Vec<(u64, BasePage)>> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let file_len = reader.seek(SeekFrom::End(0))?;
-    if file_len < 12 {
-        return Err(StorageError::Corrupt("file too short".into()));
-    }
-    reader.seek(SeekFrom::End(-12))?;
-    let mut footer = [0u8; 12];
-    reader.read_exact(&mut footer)?;
-    if &footer[8..] != MAGIC {
-        return Err(StorageError::Corrupt("bad footer magic".into()));
-    }
-    let index_offset = u64::from_be_bytes(footer[..8].try_into().unwrap());
-    reader.seek(SeekFrom::Start(index_offset))?;
-    let mut count_buf = [0u8; 8];
-    reader.read_exact(&mut count_buf)?;
-    let count = u64::from_be_bytes(count_buf) as usize;
-    let mut index = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut entry = [0u8; 24];
-        reader.read_exact(&mut entry)?;
-        let id = u64::from_be_bytes(entry[..8].try_into().unwrap());
-        let off = u64::from_be_bytes(entry[8..16].try_into().unwrap());
-        let len = u64::from_be_bytes(entry[16..].try_into().unwrap());
-        index.push((id, off, len));
-    }
-    let mut pages = Vec::with_capacity(count);
-    for (id, off, len) in index {
-        reader.seek(SeekFrom::Start(off))?;
-        let mut data = vec![0u8; len as usize];
-        reader.read_exact(&mut data)?;
-        let col = decode_image(&data)?;
-        pages.push((id, BasePage::from_compressed(col)));
-    }
-    Ok(pages)
-}
-
-/// Mark a type as unused BitPacked import guard (keeps codec internals open
-/// for future zero-copy image formats).
-#[allow(dead_code)]
-fn _bitpack_reexport_guard(_: &BitPacked) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress::CodecChoice;
+    use crate::page::BasePage;
 
     #[test]
     fn image_roundtrip_all_codecs() {
@@ -253,31 +153,5 @@ mod tests {
         let col = Compressed::Plain(vec![1u64, 2, 3].into_boxed_slice());
         let image = encode_image(&col);
         assert!(decode_image(&image[..image.len() - 4]).is_err());
-    }
-
-    #[test]
-    fn page_file_roundtrip() {
-        let dir = std::env::temp_dir().join("lstore-storage-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("pages-{}.lsp", std::process::id()));
-
-        let pages: Vec<BasePage> = (0..5)
-            .map(|p| {
-                let values: Vec<u64> = (0..256).map(|i| p * 1000 + i % 11).collect();
-                BasePage::from_values(&values, CodecChoice::Auto)
-            })
-            .collect();
-        let mut f = PageFile::create(&path).unwrap();
-        for (i, p) in pages.iter().enumerate() {
-            f.append(i as u64, p).unwrap();
-        }
-        f.finish().unwrap();
-
-        let loaded = load_page_file(&path).unwrap();
-        assert_eq!(loaded.len(), 5);
-        for ((id, page), orig) in loaded.iter().zip(&pages) {
-            assert_eq!(page.decode(), orig.decode(), "page {id}");
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -86,14 +86,6 @@ impl BasePage {
         }
     }
 
-    /// Decode slots `lo..hi` per row and sum them — the pre-kernel baseline
-    /// the `BENCH_CODEC` bench axis compares [`BasePage::sum_range`]
-    /// against (and the fallback for masked-dense pages, where per-row
-    /// reads beat encoded-sum-minus-holes).
-    pub fn sum_range_decoded(&self, lo: usize, hi: usize) -> u64 {
-        (lo..hi).fold(0u64, |a, i| a.wrapping_add(self.data.get(i)))
-    }
-
     /// Codec used by this page.
     pub fn codec_name(&self) -> &'static str {
         self.data.codec_name()
@@ -162,7 +154,6 @@ mod tests {
         let page = BasePage::from_values(&values, CodecChoice::Auto);
         let expected: u64 = values[100..700].iter().sum();
         assert_eq!(page.sum_range(100, 700), expected);
-        assert_eq!(page.sum_range_decoded(100, 700), expected);
         let mut mask = RowMask::new(values.len());
         mask.exclude(100);
         mask.exclude(699);

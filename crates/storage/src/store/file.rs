@@ -1,10 +1,8 @@
 //! The page-store file: a crash-tolerant append-only sequence of records.
 //!
-//! Unlike [`crate::disk::PageFile`] — which is append-then-finish and only
-//! readable after its trailing index is written — the store file must be
-//! readable *and* writable for the whole life of the database, and any
-//! prefix of it must be recoverable after a crash. So instead of a footer
-//! index, every record is self-framed:
+//! The store file must be readable *and* writable for the whole life of
+//! the database, and any prefix of it must be recoverable after a crash.
+//! So instead of a footer index, every record is self-framed:
 //!
 //! ```text
 //! magic "LSPR" | u64 page id | u32 payload len | payload (one LSPG image)

@@ -4,9 +4,9 @@
 //! across adversarial value shapes (constant, sorted runs, high-cardinality,
 //! max-width u64) crossed with random visibility masks and random windows.
 //!
-//! This is the invariant that lets the scan layer flip between kernel
-//! execution and the per-row fallback (`scan_kernels = false`, masked-dense
-//! pages) without changing results.
+//! This is the invariant that lets the scan driver pick per window between
+//! kernel execution and per-row resolution (insert-phase, snapshot-straddling
+//! and masked-dense windows) without changing results.
 
 use proptest::prelude::*;
 
