@@ -475,14 +475,19 @@ impl Database {
         }
     }
 
-    /// Reclaim pass: epoch queue + transaction-table GC. Returns objects
-    /// reclaimed from the epoch queue.
+    /// Reclaim pass over the epoch queue: frees the base versions merges
+    /// retired once no pinned scan can still reach them. Returns the
+    /// objects reclaimed.
+    ///
+    /// The transaction table is **not** collected here or anywhere else:
+    /// `TxnManager::gc` has no caller outside tests, so the table grows by
+    /// one entry per transaction for the life of the database. Collecting
+    /// it needs a horizon below which every Start Time cell is known to
+    /// hold a timestamp (commits stamp their own cells and merges the ones
+    /// they consume, but aborted and unmerged records keep transaction
+    /// ids), which nothing tracks yet — see ROADMAP, first open item.
     pub fn reclaim(&self) -> usize {
-        let freed = self.runtime.epoch.try_reclaim();
-        // Transactions older than any live snapshot can be dropped once all
-        // Start Time cells were lazily swapped; merges do that for merged
-        // records, so a conservative horizon is the oldest possible begin.
-        freed
+        self.runtime.epoch.try_reclaim()
     }
 }
 

@@ -273,7 +273,8 @@ impl<'a> VersionReader<'a> {
     }
 
     /// Read a single column of the record at `slot`; `None` when the record
-    /// is invisible or deleted. The scan fast path for merged columns.
+    /// is invisible or deleted. The scans' per-row resolver: no heap
+    /// allocation on any path but the historic crossing.
     pub fn read_column(&self, slot: u32, column: usize, mode: ReadMode) -> Option<u64> {
         self.resolve_base(slot, mode)?;
         let head = self.range.indirection(slot);
@@ -301,9 +302,50 @@ impl<'a> VersionReader<'a> {
                 return Some(self.base.value(column, slot));
             }
         }
-        match self.read_record(slot, &[column], mode) {
-            Resolved::Visible { values, .. } => Some(values[0]),
-            _ => None,
+        // Chain walk, allocation-free: the newest visible version decides
+        // delete vs live, then the walk stops at the first visible version
+        // carrying the column, or at the base record (what `read_record`
+        // returns for `&[column]`, without its vectors).
+        let boundary = self.range.historic_boundary();
+        let mut live = false;
+        let mut cursor = head;
+        loop {
+            if cursor.is_null() || cursor.is_base() {
+                if !live && SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
+                    return None;
+                }
+                return Some(self.base.value(column, slot));
+            }
+            let seq = cursor.seq();
+            if (seq as u64) < boundary {
+                // Crossed into the historic store (rare: only snapshots
+                // older than a compressed merge get here).
+                if !live {
+                    let base_rid = Rid::base(self.range.id, slot);
+                    return match self.read_historic(slot, &[column], mode, base_rid) {
+                        Resolved::Visible { values, .. } => Some(values[0]),
+                        _ => None,
+                    };
+                }
+                let bound = mode.as_of.unwrap_or(u64::MAX);
+                let historic = self
+                    .historic
+                    .and_then(|hist| hist.read_column(self.range.id, slot, column, bound));
+                return Some(historic.unwrap_or_else(|| self.base.value(column, slot)));
+            }
+            if self.resolve_tail(seq, mode).is_some() {
+                let enc = self.range.tail.encoding(seq);
+                if !live {
+                    if enc.is_delete() {
+                        return None;
+                    }
+                    live = true;
+                }
+                if enc.has(column) {
+                    return Some(self.range.tail.value(seq, column));
+                }
+            }
+            cursor = self.range.tail.prev(seq);
         }
     }
 

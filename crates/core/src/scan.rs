@@ -9,22 +9,41 @@
 //! `Table::fold_windows`, into an accumulator (`WindowFold`: sums,
 //! count, group-sum, rows).
 //!
-//! Per window the driver snapshots the range's base version once, asks
-//! `Table::visibility_mask` once, and takes one of two strategies:
+//! Per window the driver snapshots the range's base version once and plans
+//! (`Table::plan_window`) one of two strategies:
 //!
-//! * **kernel** — the accumulator's page step aggregates the clean rows
-//!   straight off the compressed pages (the codec's
+//! * **kernel + patched rows** — the plan for every merged window whose
+//!   base records all predate the snapshot. The window's dirty rows come
+//!   from one backward pass over the range's *unmerged tail suffix*
+//!   (`seq ∈ (min column TPS of the scanned columns, high_seq]`), the way
+//!   the merge itself consumes the tail (§4.1.1, Algorithm 1 step 3):
+//!   newest version wins, everything at or below the TPS is already in the
+//!   base page (§4.2). The pass reads a lock-free snapshot of the covering
+//!   tail pages ([`crate::tailseg::TailSuffix`]), excludes every base slot
+//!   it meets from the window's `RowMask`, lets the first version visible
+//!   at the snapshot decide delete vs live, settles each scanned column
+//!   from the newest visible version that carries it, and fills what is
+//!   left from the base page. The accumulator's page step then aggregates
+//!   the clean rows straight off the compressed pages (the codec's
 //!   [`lstore_storage::compress::ColumnKernel`]: run arithmetic for RLE,
 //!   word-walk block sums for FOR/bit-packing, code frequencies for
-//!   dictionaries), and only the masked holes — rows whose lineage outruns
-//!   the TPS, or whose merged image is newer than the snapshot, or that
-//!   are deleted — resolve through the version chain;
-//! * **per-row** — every slot resolves through the version chain. Three
+//!   dictionaries) and its row step receives one patched row per live
+//!   dirty slot. Rows the pass cannot decide — a merged image newer than
+//!   the snapshot (checked per slot only when the base version's
+//!   `max_last_updated` says one exists), a merged delete marker (only
+//!   under `has_deletes`) — are *chased* through the version chain
+//!   (`VersionReader::read_column`, allocation-free for one column). A
+//!   window with neither unmerged records nor such rows skips all of it:
+//!   the empty mask, no cell touched. A window much narrower than the
+//!   suffix (a short `sum_key_range` span under a long backlog) finds its
+//!   dirty rows from its own indirection cells instead and chases them.
+//! * **per-row** — every slot resolves through the version chain. Two
 //!   observable conditions pick it: the range is still in its insert phase
-//!   (no base pages yet), the snapshot straddles the base records' start
-//!   times, or more than 1/`DENSE_MASK_DENOM` of the window is masked.
+//!   (no base pages yet), or the snapshot straddles the base records'
+//!   start times. (Also the fallback when historic compression retired
+//!   suffix pages under the scan, which takes a race to see.)
 //!
-//! Results are byte-identical on both strategies. Full scans,
+//! Results are byte-identical on every path. Full scans,
 //! [`Table::sum_rid_span`] and [`Table::sum_key_range`] differ only in how
 //! they plan windows.
 //!
@@ -58,21 +77,27 @@ use lstore_storage::compress::{Compressed, RowMask};
 use lstore_storage::store::{PagePtr, PageRead};
 use lstore_storage::NULL_VALUE;
 
+use lstore_txn::TxnManager;
+
 use crate::range::{BaseData, BaseVersion, UpdateRange};
 use crate::read::{ReadMode, Resolved};
 use crate::rid::Rid;
 use crate::schema::SchemaEncoding;
 use crate::stats::TableStats;
 use crate::table::Table;
+use crate::tailseg::TailSuffix;
 
-/// Mask-density threshold: once more than `1/DENSE_MASK_DENOM` of a window
-/// is excluded, the encoded-sum-minus-holes arithmetic loses to plain
-/// per-slot resolution and the whole window is resolved per row.
-const DENSE_MASK_DENOM: usize = 4;
+/// A window shorter than `1/NARROW_WINDOW_DENOM` of its range's unmerged
+/// suffix finds its dirty rows from its own indirection cells and chases
+/// them. The pass costs ≈ 3 ns per suffix record whatever the window
+/// holds; a chase costs 60–190 ns, so at 16 records per slot even a window
+/// whose every slot is dirty loses little to the pass, and the usual
+/// sparse one wins several times over (docs/BENCHMARKS.md has the table).
+const NARROW_WINDOW_DENOM: u64 = 16;
 
 /// Minimum coalesced slot-span length before `sum_key_range` tries the
-/// kernel strategy; shorter spans resolve per row (building a mask costs
-/// one atomic load per slot and must amortize).
+/// kernel strategy; shorter spans resolve per row (planning a window must
+/// amortize).
 const KERNEL_SPAN_MIN: u32 = 16;
 
 /// One scan window: slots `lo..hi` of one update range (`R` is however
@@ -89,8 +114,8 @@ trait WindowFold: Sized {
     /// straight off the range's compressed data pages.
     fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask);
 
-    /// Per-row step: fold one visible record resolved through the version
-    /// chain.
+    /// Per-row step: fold one visible record — a dirty row patched by the
+    /// suffix pass, or one resolved through the version chain.
     fn fold_row(&mut self, values: &[u64]);
 
     /// Absorb another fan-out chunk's partial (partials combine
@@ -214,22 +239,176 @@ impl WindowFold for Rows {
     }
 }
 
+/// `WindowPlan::index` markers; any other value is an index into `rows`.
+const CLEAN: u32 = u32::MAX;
+const CHASED: u32 = u32::MAX - 1;
+
+/// A dirty row the suffix pass is settling.
+struct PatchedRow {
+    slot: u32,
+    /// `None` until the pass meets the row's newest visible version, then
+    /// whether that version is live (not a delete).
+    live: Option<bool>,
+    /// Scanned columns no visible suffix version has carried yet.
+    missing: u32,
+}
+
+/// The plan of one kernel-strategy window, and the scratch it is built in:
+/// one per [`Table::fold_windows`] call, reused across its windows.
+#[derive(Default)]
+struct WindowPlan {
+    /// Rows the kernel step must skip: `rows` and `chased`.
+    mask: RowMask,
+    /// Dirty rows the suffix pass settled, in the order it met them.
+    rows: Vec<PatchedRow>,
+    /// `rows.len() × cols.len()` column values, row-major, and whether a
+    /// suffix version supplied each (the rest come off the base page).
+    values: Vec<u64>,
+    settled: Vec<bool>,
+    /// Rows left to the version chain.
+    chased: Vec<u32>,
+    /// Per window slot: [`CLEAN`], [`CHASED`] or the slot's place in `rows`.
+    index: Vec<u32>,
+    suffix: TailSuffix,
+}
+
+impl WindowPlan {
+    /// Start the plan of a window over base pages of `len` rows: nothing
+    /// excluded.
+    fn reset(&mut self, len: usize) {
+        self.mask.reset(len);
+        self.rows.clear();
+        self.values.clear();
+        self.settled.clear();
+        self.chased.clear();
+    }
+
+    /// Leave `slot` to the version chain.
+    fn chase(&mut self, slot: u32) {
+        if !self.mask.is_excluded(slot as usize) {
+            self.mask.exclude(slot as usize);
+            self.chased.push(slot);
+        }
+    }
+
+    /// The suffix pass over `self.suffix`, for slots `lo..hi`: one walk
+    /// newest → oldest, the merge's reverse scan (§4.1.1) with a snapshot
+    /// bound. Every record's base slot inside the window becomes a
+    /// [`PatchedRow`] (unless already chased) and leaves the mask; the
+    /// first version visible at `ts` decides delete vs live; each scanned
+    /// column settles from the newest visible version that carries it.
+    /// Transaction-id Start Time cells resolve through `mgr` (and are
+    /// swapped for the commit timestamp once committed, §5.1.1), exactly
+    /// as `VersionReader::resolve_tail` does for a detached reader.
+    fn tail_pass(&mut self, mgr: &TxnManager, cols: &[usize], ts: u64, lo: u32, hi: u32) {
+        let WindowPlan {
+            mask,
+            rows,
+            values,
+            settled,
+            chased,
+            index,
+            suffix,
+        } = self;
+        let n = cols.len();
+        index.clear();
+        index.resize((hi - lo) as usize, CLEAN);
+        for &slot in chased.iter() {
+            index[(slot - lo) as usize] = CHASED;
+        }
+        suffix.for_each_newest_first(|rec| {
+            if !rec.base_rid.is_base() {
+                return;
+            }
+            let slot = rec.base_rid.slot();
+            if slot < lo || slot >= hi {
+                return;
+            }
+            let at = &mut index[(slot - lo) as usize];
+            if *at == CHASED {
+                return;
+            }
+            if *at == CLEAN {
+                *at = rows.len() as u32;
+                rows.push(PatchedRow {
+                    slot,
+                    live: None,
+                    missing: n as u32,
+                });
+                values.resize(values.len() + n, 0);
+                settled.resize(settled.len() + n, false);
+                mask.exclude(slot as usize);
+            }
+            let first = *at as usize * n;
+            let row = &mut rows[*at as usize];
+            if row.live == Some(false) || (row.live == Some(true) && row.missing == 0) {
+                return; // nothing older can matter
+            }
+            let cell = rec.start_cell;
+            let Some(commit) = mgr.resolve_start_time(cell, false) else {
+                return; // in flight or aborted
+            };
+            if lstore_txn::is_txn_id(cell) {
+                rec.swap_start_cell(cell, commit);
+            }
+            if commit > ts {
+                return;
+            }
+            let enc = rec.encoding();
+            if row.live.is_none() {
+                row.live = Some(!enc.is_delete());
+            }
+            if enc.is_delete() {
+                return; // carries no values
+            }
+            for (i, &col) in cols.iter().enumerate() {
+                if !settled[first + i] && enc.has(col) {
+                    values[first + i] = rec.value(i);
+                    settled[first + i] = true;
+                    row.missing -= 1;
+                }
+            }
+        });
+    }
+
+    /// Hand the live patched rows to `acc`, after giving their unsettled
+    /// columns the base page's value — the merged image holds everything
+    /// at or below the TPS. One page pin per column that needs any.
+    fn fold_patched<A: WindowFold>(&mut self, data: &[PagePtr], cols: &[usize], acc: &mut A) {
+        let n = cols.len();
+        let deleted = |row: &PatchedRow| row.live == Some(false);
+        for (i, &col) in cols.iter().enumerate() {
+            let mut page = None;
+            for (r, row) in self.rows.iter().enumerate() {
+                if !deleted(row) && !self.settled[r * n + i] {
+                    let page = page.get_or_insert_with(|| data[col].read());
+                    self.values[r * n + i] = page.get(row.slot as usize);
+                }
+            }
+        }
+        for (r, row) in self.rows.iter().enumerate() {
+            if !deleted(row) {
+                acc.fold_row(&self.values[r * n..(r + 1) * n]);
+            }
+        }
+    }
+}
+
 impl Table {
-    /// Plan the kernel strategy for slots `lo..hi` of one range: the
-    /// range's data pages plus the row-visibility mask over `cols`. A row
-    /// is *clean* (kept in the mask) exactly when `read_column` would take
-    /// its TPS fast path for every requested column: no newer-than-TPS
-    /// tail version, a merged image no newer than the snapshot, and no
-    /// delete marker. Every other row is excluded — the kernel skips it
-    /// and the driver resolves it through the version chain.
+    /// Plan the kernel strategy for slots `lo..hi` of one range into
+    /// `plan` and return the range's data pages. A row stays *clean* (kept
+    /// in the mask, folded by the kernel step) exactly when its base cells
+    /// are what a reader at `ts` sees for every column of `cols`: no
+    /// version above the columns' TPS, a merged image no newer than the
+    /// snapshot, no delete marker. Dirty rows are patched by
+    /// [`WindowPlan::tail_pass`] or, where the pass cannot decide, chased.
     ///
     /// `None` sends the whole window to the per-row strategy: the range is
-    /// still in its insert phase, some base record's start time is beyond
-    /// the snapshot (`max_start` tracks raw Start Time cells, so unresolved
-    /// transaction ids — bit 63 set — disqualify the range too), or the
-    /// mask would be dense enough (> 1/[`DENSE_MASK_DENOM`] of the window)
-    /// that per-slot resolution is cheaper than encoded-sum-minus-holes.
-    fn visibility_mask<'b>(
+    /// still in its insert phase, or some base record's start time is
+    /// beyond the snapshot (`max_start` tracks raw Start Time cells, so
+    /// unresolved transaction ids — bit 63 set — disqualify the range too).
+    #[allow(clippy::too_many_arguments)]
+    fn plan_window<'b>(
         &self,
         range: &UpdateRange,
         base: &'b BaseVersion,
@@ -237,58 +416,90 @@ impl Table {
         ts: u64,
         lo: u32,
         hi: u32,
-    ) -> Option<(&'b [PagePtr], RowMask)> {
-        let BaseData::Pages { data, .. } = &base.data else {
+        plan: &mut WindowPlan,
+    ) -> Option<&'b [PagePtr]> {
+        let BaseData::Pages {
+            data,
+            last_updated,
+            schema_enc,
+            ..
+        } = &base.data
+        else {
             return None; // insert phase
         };
         if base.max_start == u64::MAX || base.max_start > ts {
             return None; // the snapshot straddles the base records
         }
-        let mut mask = RowMask::new(base.len);
+        plan.reset(base.len);
         let min_tps = cols
             .iter()
             .map(|&c| base.column_tps[c])
             .min()
             .unwrap_or(base.tps);
+        let high_seq = range.tail.high_seq() as u64;
         let lu_clean = base.max_last_updated <= ts;
         // Whole-window shortcut: nothing unmerged for these columns, all
         // merged images inside the snapshot, no deletes — the empty mask,
-        // without touching a single indirection cell. This is the
-        // read-optimized path that makes L-Store scans behave like a
-        // column store (§2.1).
-        if !base.has_deletes && (range.tail.high_seq() as u64) <= min_tps && lu_clean {
-            return Some((data, mask));
+        // without touching a single cell. This is the read-optimized path
+        // that makes L-Store scans behave like a column store (§2.1).
+        if !base.has_deletes && high_seq <= min_tps && lu_clean {
+            return Some(data);
         }
-        for slot in lo..hi {
-            let head = range.indirection(slot);
-            let clean = if head.is_null() {
-                true
-            } else {
-                min_tps >= head.seq() as u64
-                    && (lu_clean || {
-                        let lu = base.last_updated(slot);
-                        lu == NULL_VALUE || lu <= ts
-                    })
-            };
-            if !clean || base.has_deletes && SchemaEncoding(base.schema_enc(slot)).is_delete() {
-                mask.exclude(slot as usize);
+        // Rows whose merged image is not what the snapshot sees: the
+        // per-slot checks run only under the base-level flags that make
+        // them necessary, one page pin each.
+        if !lu_clean || base.has_deletes {
+            let last_updated = (!lu_clean).then(|| last_updated.read());
+            let schema_enc = base.has_deletes.then(|| schema_enc.read());
+            for slot in lo..hi {
+                let newer = last_updated.as_ref().is_some_and(|page| {
+                    let lu = page.get(slot as usize);
+                    lu != NULL_VALUE && lu > ts
+                });
+                let deleted = schema_enc
+                    .as_ref()
+                    .is_some_and(|page| SchemaEncoding(page.get(slot as usize)).is_delete());
+                if newer || deleted {
+                    plan.chase(slot);
+                }
             }
         }
-        if mask.excluded() * DENSE_MASK_DENOM > (hi - lo) as usize {
-            return None; // masked-dense
+        let suffix_len = high_seq.saturating_sub(min_tps);
+        if suffix_len > (hi - lo) as u64 * NARROW_WINDOW_DENOM {
+            for slot in lo..hi {
+                let head = range.indirection(slot);
+                if !head.is_null() && head.seq() as u64 > min_tps {
+                    plan.chase(slot);
+                }
+            }
+        } else if suffix_len > 0 {
+            range
+                .tail
+                .snapshot_suffix(min_tps as u32, high_seq as u32, cols, &mut plan.suffix);
+            // Historic compression (§4.3) advances the boundary before it
+            // releases pages, so a suffix that lost pages shows here.
+            if range.historic_boundary() > min_tps + 1 {
+                return None;
+            }
+            plan.tail_pass(&self.runtime.mgr, cols, ts, lo, hi);
+            let stats = self.range_stats(range);
+            TableStats::add(&stats.tail_pass_records, plan.suffix.len() as u64);
+            TableStats::add(&stats.tail_pass_rows, plan.rows.len() as u64);
         }
-        Some((data, mask))
+        Some(data)
     }
 
     /// The scan driver: fold `windows` of internal columns `cols` at
     /// snapshot `ts` into `acc`. Windows shorter than `kernel_min` slots go
-    /// per-row without building a mask; every other window asks
-    /// [`Table::visibility_mask`] which strategy it gets. Each range picks
-    /// the codec kernel of its own base pages (pages merged under
-    /// different codec policies coexist).
+    /// per-row without a plan; every other window asks
+    /// [`Table::plan_window`] which strategy it gets. Each range picks the
+    /// codec kernel of its own base pages (pages merged under different
+    /// codec policies coexist).
     ///
     /// Accounts the split once per window: rows the kernel step aggregated
-    /// count as `fast_path_reads`, rows resolved per row as `chain_reads`.
+    /// count as `fast_path_reads`, all others as `chain_reads` (of which
+    /// [`Table::plan_window`] counts the `tail_pass_rows` its suffix pass
+    /// settled rather than left to be chased).
     fn fold_windows<R: Deref<Target = UpdateRange>, A: WindowFold>(
         &self,
         windows: impl IntoIterator<Item = Window<R>>,
@@ -298,6 +509,7 @@ impl Table {
         acc: &mut A,
     ) {
         let mode = ReadMode::as_of(ts);
+        let mut plan = WindowPlan::default();
         for (range, lo, hi) in windows {
             let range: &UpdateRange = &range;
             let base = range.base();
@@ -306,8 +518,8 @@ impl Table {
                 continue;
             }
             let reader = self.reader(range, &base);
-            // A single column resolves through `read_column`, whose TPS
-            // fast path needs no allocation.
+            // A single column resolves through `read_column`, which
+            // allocates nothing.
             let row = |acc: &mut A, slot: u32| match *cols {
                 [col] => {
                     if let Some(v) = reader.read_column(slot, col, mode) {
@@ -320,21 +532,19 @@ impl Table {
                     }
                 }
             };
-            let plan = if hi - lo >= kernel_min {
-                self.visibility_mask(range, &base, cols, ts, lo, hi)
+            let pages = if hi - lo >= kernel_min {
+                self.plan_window(range, &base, cols, ts, lo, hi, &mut plan)
             } else {
                 None
             };
-            let chained = match plan {
-                Some((data, mask)) => {
-                    let (lo, hi) = (lo as usize, hi as usize);
-                    acc.fold_pages(data, cols, lo..hi, &mask);
-                    if !mask.all_visible() {
-                        for slot in mask.iter_excluded(lo, hi) {
-                            row(acc, slot as u32);
-                        }
+            let chained = match pages {
+                Some(data) => {
+                    acc.fold_pages(data, cols, lo as usize..hi as usize, &plan.mask);
+                    plan.fold_patched(data, cols, acc);
+                    for &slot in &plan.chased {
+                        row(acc, slot);
                     }
-                    mask.excluded() as u64
+                    plan.mask.excluded() as u64
                 }
                 None => {
                     for slot in lo..hi {

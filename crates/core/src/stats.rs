@@ -27,9 +27,15 @@ pub struct TableStats {
     /// Scan rows aggregated straight off base pages by the kernel step
     /// (counted once per scan window, never per row).
     pub fast_path_reads: AtomicU64,
-    /// Scan rows resolved one by one through the version reader: masked
-    /// holes of kernel windows plus every slot of per-row windows.
+    /// Scan rows the kernel step did not fold: the dirty rows of kernel
+    /// windows (patched by the suffix pass or chased through the version
+    /// chain) plus every slot of per-row windows.
     pub chain_reads: AtomicU64,
+    /// Tail records the scans' suffix passes covered.
+    pub tail_pass_records: AtomicU64,
+    /// Of `chain_reads`, the dirty rows a suffix pass settled instead of
+    /// a chain walk.
+    pub tail_pass_rows: AtomicU64,
 }
 
 impl TableStats {
@@ -59,6 +65,8 @@ impl TableStats {
             historic_compressed: self.historic_compressed.load(Ordering::Relaxed),
             fast_path_reads: self.fast_path_reads.load(Ordering::Relaxed),
             chain_reads: self.chain_reads.load(Ordering::Relaxed),
+            tail_pass_records: self.tail_pass_records.load(Ordering::Relaxed),
+            tail_pass_rows: self.tail_pass_rows.load(Ordering::Relaxed),
             pool_resident: 0,
             pool_pinned: 0,
             pool_hits: 0,
@@ -87,6 +95,8 @@ impl StatsSnapshot {
             historic_compressed,
             fast_path_reads,
             chain_reads,
+            tail_pass_records,
+            tail_pass_rows,
             pool_resident,
             pool_pinned,
             pool_hits,
@@ -105,6 +115,8 @@ impl StatsSnapshot {
         self.historic_compressed += historic_compressed;
         self.fast_path_reads += fast_path_reads;
         self.chain_reads += chain_reads;
+        self.tail_pass_records += tail_pass_records;
+        self.tail_pass_rows += tail_pass_rows;
         // Buffer-pool fields describe the one database-global pool, not a
         // per-shard block: `max` keeps the stamped value intact whether the
         // other side is an unstamped shard block (zeros) or another table's
@@ -141,8 +153,12 @@ pub struct StatsSnapshot {
     pub historic_compressed: u64,
     /// Scan rows aggregated straight off base pages.
     pub fast_path_reads: u64,
-    /// Scan rows resolved per row through the version reader.
+    /// Scan rows the kernel step did not fold (patched or chased).
     pub chain_reads: u64,
+    /// Tail records covered by scans' suffix passes.
+    pub tail_pass_records: u64,
+    /// Dirty scan rows settled by a suffix pass (a subset of `chain_reads`).
+    pub tail_pass_rows: u64,
     /// Buffer-pool gauge: base-page frames currently resident in memory
     /// (0 when the database runs without a page store). The eviction
     /// invariant `pool_resident <= budget + pool_pinned` holds at every

@@ -523,7 +523,9 @@ impl Table {
         let slot = base_rid.slot();
         let base = range.base();
 
-        // §5.1.1 write: latch via the indirection latch bit.
+        // §5.1.1 write: latch via the indirection latch bit. Every error
+        // exit below restores `prev`, or the slot stays latched forever and
+        // each later writer of the key bounces off it.
         let prev = match range.try_latch(slot) {
             Some(p) => p,
             None => {
@@ -622,7 +624,8 @@ impl Table {
                     prev_rid: chain_prev.0,
                     schema_encoding: snap_enc.0,
                     columns: snap_cols.iter().map(|&(c, v)| (c as u16, v)).collect(),
-                })?;
+                })
+                .inspect_err(|_| range.unlatch_restore(slot, prev))?;
             }
             chain_prev = Rid::tail(range.id, snap_seq);
             range.mark_updated(slot, fresh_bits);
@@ -677,6 +680,12 @@ impl Table {
                 prev_rid: chain_prev.0,
                 schema_encoding: enc.0,
                 columns: columns.iter().map(|&(c, v)| (c as u16, v)).collect(),
+            })
+            // A snapshot record taken above stays in the chain (it is
+            // marked taken, and valid whatever becomes of `txn`).
+            .inspect_err(|_| {
+                let head = if fresh_bits != 0 { chain_prev } else { prev };
+                range.unlatch_restore(slot, head)
             })?;
         }
         let tail_rid = Rid::tail(range.id, seq);

@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use lstore_storage::tail::AppendVec;
+use lstore_storage::tail::{AppendVec, TailPage, TailSpan};
 use lstore_storage::NULL_VALUE;
 
 use crate::rid::Rid;
@@ -138,6 +138,35 @@ impl TailSegment {
         self.data[column].get_or_null((seq - 1) as usize)
     }
 
+    /// Snapshot into `suffix` the pages holding records `after_seq <
+    /// seq ≤ upto_seq` of the Start Time, Base RID and Schema Encoding
+    /// columns and of the data columns `columns` (replacing what `suffix`
+    /// held, reusing its allocations). Start Time is snapshotted first: a
+    /// page it holds was allocated after the same page of the other meta
+    /// columns (see [`Self::write_record`]), so they hold it too. Each
+    /// directory lock is taken once and none is held on return.
+    pub fn snapshot_suffix(
+        &self,
+        after_seq: u32,
+        upto_seq: u32,
+        columns: &[usize],
+        suffix: &mut TailSuffix,
+    ) {
+        let idxs = after_seq as usize..(upto_seq as usize).max(after_seq as usize);
+        suffix.page_slots = self.start_time.page_slots();
+        self.start_time
+            .snapshot_pages(idxs.clone(), &mut suffix.start_time);
+        self.base_rid
+            .snapshot_pages(idxs.clone(), &mut suffix.base_rid);
+        self.schema_enc
+            .snapshot_pages(idxs.clone(), &mut suffix.schema_enc);
+        suffix.data.resize_with(columns.len(), TailSpan::default);
+        for (span, &column) in suffix.data.iter_mut().zip(columns) {
+            self.data[column].snapshot_pages(idxs.clone(), span);
+        }
+        suffix.idxs = idxs;
+    }
+
     /// Number of data columns whose tail pages have been materialized.
     pub fn materialized_columns(&self) -> usize {
         self.data.iter().filter(|c| c.page_count() > 0).count()
@@ -174,6 +203,109 @@ impl TailSegment {
     /// used by recovery scans.
     pub fn is_written(&self, seq: u32) -> bool {
         self.start_time.get_or_null((seq - 1) as usize) != NULL_VALUE
+    }
+}
+
+/// A lock-free view of a run of consecutive tail records — the unmerged
+/// suffix a scan window patches its dirty rows from — filled by
+/// [`TailSegment::snapshot_suffix`] and reusable across calls.
+#[derive(Debug, Default)]
+pub struct TailSuffix {
+    /// Cell indices (`seq - 1`) of the records covered.
+    idxs: std::ops::Range<usize>,
+    page_slots: usize,
+    start_time: TailSpan,
+    base_rid: TailSpan,
+    schema_enc: TailSpan,
+    /// One span per requested data column, in request order.
+    data: Vec<TailSpan>,
+}
+
+impl TailSuffix {
+    /// Number of records covered (written or not).
+    pub fn len(&self) -> usize {
+        self.idxs.len()
+    }
+
+    /// True when the suffix covers no record.
+    pub fn is_empty(&self) -> bool {
+        self.idxs.is_empty()
+    }
+
+    /// Visit the *written* records newest → oldest. Start Time is read
+    /// first (Acquire): ∅ means the record is not published yet and it is
+    /// skipped; anything else guarantees its other cells are in place.
+    pub fn for_each_newest_first(&self, mut visit: impl FnMut(SuffixRecord<'_>)) {
+        if self.idxs.is_empty() {
+            return;
+        }
+        let first_page = self.idxs.start / self.page_slots;
+        let last_page = (self.idxs.end - 1) / self.page_slots;
+        for page_no in (first_page..=last_page).rev() {
+            let Some(start_time) = self.start_time.page(page_no) else {
+                continue; // nothing published on this page
+            };
+            // Allocated before the Start Time page, snapshotted after it.
+            let (Some(base_rid), Some(schema_enc)) =
+                (self.base_rid.page(page_no), self.schema_enc.page(page_no))
+            else {
+                continue;
+            };
+            let page_lo = page_no * self.page_slots;
+            let lo = self.idxs.start.max(page_lo) - page_lo;
+            let hi = self.idxs.end.min(page_lo + self.page_slots) - page_lo;
+            for at in (lo..hi).rev() {
+                let start_cell = start_time.get(at);
+                if start_cell == NULL_VALUE {
+                    continue;
+                }
+                visit(SuffixRecord {
+                    start_cell,
+                    base_rid: Rid(base_rid.get(at)),
+                    start_time,
+                    schema_enc,
+                    data: &self.data,
+                    page_no,
+                    at,
+                });
+            }
+        }
+    }
+}
+
+/// One published record of a [`TailSuffix`].
+pub struct SuffixRecord<'a> {
+    /// Raw Start Time cell: a commit timestamp or a transaction id, never ∅.
+    pub start_cell: u64,
+    /// Base RID of the record this is a version of.
+    pub base_rid: Rid,
+    start_time: &'a TailPage,
+    schema_enc: &'a TailPage,
+    data: &'a [TailSpan],
+    page_no: usize,
+    at: usize,
+}
+
+impl SuffixRecord<'_> {
+    /// Schema Encoding of the record.
+    #[inline]
+    pub fn encoding(&self) -> SchemaEncoding {
+        SchemaEncoding(self.schema_enc.get(self.at))
+    }
+
+    /// Explicit value of the `i`-th snapshotted data column; ∅ when the
+    /// column's covering page was not materialized.
+    #[inline]
+    pub fn value(&self, i: usize) -> u64 {
+        self.data[i]
+            .page(self.page_no)
+            .map_or(NULL_VALUE, |page| page.get(self.at))
+    }
+
+    /// [`TailSegment::swap_start_cell`] on this record.
+    #[inline]
+    pub fn swap_start_cell(&self, txn_id: u64, commit_ts: u64) {
+        let _ = self.start_time.cas(self.at, txn_id, commit_ts);
     }
 }
 
@@ -264,5 +396,58 @@ mod tests {
         let released = seg.release_below(9); // records 1..8 span two full pages
         assert!(released >= 2);
         assert_eq!(seg.value(9, 0), 9);
+    }
+
+    #[test]
+    fn suffix_view_reads_null_for_unmaterialized_columns() {
+        let seg = TailSegment::new(0, 4, 4);
+        let txn_id = (1 << 63) | 9u64;
+        // Ten records over three pages; only column 1 is ever written, and
+        // record 7 is allocated but not published.
+        for slot in 0..10u32 {
+            let seq = seg.allocate_seq();
+            if seq == 7 {
+                continue;
+            }
+            seg.write_record(
+                seq,
+                Rid::base(0, slot),
+                SchemaEncoding::from_columns([1]),
+                Rid::base(0, slot),
+                &[(1, 100 + seq as u64)],
+                if seq == 9 { txn_id } else { seq as u64 },
+            );
+        }
+        let mut suffix = TailSuffix::default();
+        // Records 3..=10, columns requested as [2, 1, 0].
+        seg.snapshot_suffix(2, seg.high_seq(), &[2, 1, 0], &mut suffix);
+        assert_eq!(suffix.len(), 8);
+        let mut seen = Vec::new();
+        suffix.for_each_newest_first(|rec| {
+            assert!(rec.encoding().has(1));
+            assert_eq!(rec.value(0), NULL_VALUE, "column 2 has no pages");
+            assert_eq!(rec.value(2), NULL_VALUE, "column 0 has no pages");
+            seen.push((rec.base_rid.slot(), rec.start_cell, rec.value(1)));
+            if rec.start_cell == txn_id {
+                rec.swap_start_cell(txn_id, 1234);
+            }
+        });
+        let expected: Vec<(u32, u64, u64)> = [10u64, 9, 8, 6, 5, 4, 3]
+            .iter()
+            .map(|&seq| {
+                let start = if seq == 9 { txn_id } else { seq };
+                (seq as u32 - 1, start, 100 + seq)
+            })
+            .collect();
+        assert_eq!(
+            seen, expected,
+            "newest first, the unpublished record skipped"
+        );
+        assert_eq!(seg.start_cell(9), 1234, "the swap reaches the segment");
+
+        // Reuse: an empty suffix visits nothing.
+        seg.snapshot_suffix(10, 10, &[1], &mut suffix);
+        assert!(suffix.is_empty());
+        suffix.for_each_newest_first(|_| panic!("nothing to visit"));
     }
 }

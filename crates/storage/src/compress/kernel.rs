@@ -59,9 +59,9 @@
 ///
 /// Bit set = the row's visible version is **not** the base cell (a newer
 /// tail version exists within the snapshot, or the record is deleted); the
-/// scan resolves such rows through the version chain instead. Rows outside
-/// any mask are *clean* and aggregate straight off the encoding.
-#[derive(Debug, Clone)]
+/// scan supplies such rows itself, from the tail. Rows outside any mask
+/// are *clean* and aggregate straight off the encoding.
+#[derive(Debug, Clone, Default)]
 pub struct RowMask {
     /// One bit per row, LSB-first within each word.
     words: Box<[u64]>,
@@ -79,6 +79,20 @@ impl RowMask {
             len,
             excluded: 0,
         }
+    }
+
+    /// Make this an all-visible mask over `len` rows, keeping the word
+    /// buffer when the length allows (scans reuse one mask across the
+    /// windows of a call).
+    pub fn reset(&mut self, len: usize) {
+        let words = len.div_ceil(64);
+        if self.words.len() == words {
+            self.words.fill(0);
+        } else {
+            self.words = vec![0u64; words].into_boxed_slice();
+        }
+        self.len = len;
+        self.excluded = 0;
     }
 
     /// Number of rows covered by the mask.
@@ -203,8 +217,8 @@ pub trait ColumnKernel {
     ///
     /// The default computes the unmasked encoded sum and subtracts the
     /// excluded rows — O(encoded range) + O(holes), exact under wrapping
-    /// arithmetic. Callers should fall back to decode-then-aggregate when
-    /// the mask is dense (the subtraction walk stops paying).
+    /// arithmetic. A hole costs one random access, so the walk pays at
+    /// any mask density the scan driver produces.
     fn sum_range_masked(&self, lo: usize, hi: usize, mask: &RowMask) -> u64 {
         let mut sum = self.sum_range(lo, hi);
         for idx in mask.iter_excluded(lo, hi) {

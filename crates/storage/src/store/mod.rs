@@ -354,7 +354,7 @@ impl PagePtr {
     pub fn read(&self) -> PageRead<'_> {
         match self {
             PagePtr::Resident(page) => PageRead::Resident(page),
-            PagePtr::Stored(h) => PageRead::Pinned(h.store.pin(&h.frame)),
+            PagePtr::Stored(h) => PageRead::Pinned(h.store.pin(&h.frame), Unpinned(&h.store)),
         }
     }
 
@@ -386,8 +386,27 @@ impl PagePtr {
 pub enum PageRead<'a> {
     /// Borrow of a heap-resident page.
     Resident(&'a BasePage),
-    /// Pin guard keeping a stored frame resident.
-    Pinned(PinnedPage),
+    /// Pin guard keeping a stored frame resident. The fields drop in
+    /// order: the pin first, then the budget sweep it may have held up.
+    Pinned(PinnedPage, Unpinned<'a>),
+}
+
+/// Runs the budget sweep when a reader's pin is gone. A fault admits its
+/// page over the budget while every other frame is pinned; without this
+/// the excess would outlive the pins until the next fault swept it, and
+/// `resident ≤ budget + pinned` would not hold in between.
+pub struct Unpinned<'a>(&'a PageStore);
+
+impl Drop for Unpinned<'_> {
+    fn drop(&mut self) {
+        let pool = &self.0.pool;
+        if pool
+            .budget()
+            .is_some_and(|budget| pool.stats().resident.load(Ordering::SeqCst) > budget as u64)
+        {
+            self.0.enforce_budget();
+        }
+    }
 }
 
 impl Deref for PageRead<'_> {
@@ -397,7 +416,7 @@ impl Deref for PageRead<'_> {
     fn deref(&self) -> &BasePage {
         match self {
             PageRead::Resident(page) => page,
-            PageRead::Pinned(pinned) => pinned,
+            PageRead::Pinned(pinned, _) => pinned,
         }
     }
 }
@@ -406,7 +425,7 @@ impl fmt::Debug for PageRead<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PageRead::Resident(_) => write!(f, "PageRead::Resident"),
-            PageRead::Pinned(p) => write!(f, "PageRead::{p:?}"),
+            PageRead::Pinned(p, _) => write!(f, "PageRead::{p:?}"),
         }
     }
 }

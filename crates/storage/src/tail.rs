@@ -14,6 +14,7 @@
 //! table layer's per-range sequence counter, so no per-page latch is needed
 //! for appends.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -168,6 +169,28 @@ impl AppendVec {
         released
     }
 
+    /// Snapshot the pages covering logical indices `idxs` into `span`
+    /// (replacing what it held, reusing its allocation): the directory lock
+    /// is taken once, the covering page handles are cloned, and the lock is
+    /// released before this returns — whoever reads the span afterwards
+    /// holds no lock and stalls no page-growing writer. The cells stay
+    /// live: a value `set` after the snapshot into a page the span holds is
+    /// readable through it; a page allocated after the snapshot is not, and
+    /// reads ∅ like every unallocated or released page.
+    pub fn snapshot_pages(&self, idxs: Range<usize>, span: &mut TailSpan) {
+        span.pages.clear();
+        span.first_page = idxs.start / self.page_slots;
+        if idxs.is_empty() {
+            return;
+        }
+        let last_page = (idxs.end - 1) / self.page_slots;
+        let pages = self.pages.read();
+        let upto = pages.len().min(last_page + 1);
+        if span.first_page < upto {
+            span.pages.extend_from_slice(&pages[span.first_page..upto]);
+        }
+    }
+
     /// Snapshot the values in `[0, len)` as a plain vector (∅ for holes).
     pub fn snapshot(&self, len: usize) -> Vec<u64> {
         (0..len).map(|i| self.get_or_null(i)).collect()
@@ -183,6 +206,28 @@ impl AppendVec {
             Some(p) if !p.is_empty() => p.get(idx % self.page_slots),
             _ => NULL_VALUE,
         }
+    }
+}
+
+/// The pages of one [`AppendVec`] covering a run of logical indices, as
+/// [`AppendVec::snapshot_pages`] found them: the batch-read primitive of
+/// scans, which walk thousands of consecutive tail cells per window and
+/// cannot afford one directory lock per cell.
+#[derive(Debug, Default)]
+pub struct TailSpan {
+    /// Directory number of `pages[0]`.
+    first_page: usize,
+    pages: Vec<Arc<TailPage>>,
+}
+
+impl TailSpan {
+    /// The snapshot's page number `page_no` of the column; `None` when the
+    /// page lies outside the span, was not allocated when the snapshot was
+    /// taken, or had been released — every cell of such a page reads ∅.
+    #[inline]
+    pub fn page(&self, page_no: usize) -> Option<&TailPage> {
+        let page = self.pages.get(page_no.checked_sub(self.first_page)?)?;
+        (!page.is_empty()).then_some(page)
     }
 }
 
@@ -252,5 +297,106 @@ mod tests {
         assert!(!v.cas(2, 7, 9));
         assert_eq!(v.get(2), 8);
         assert!(!v.cas(100, NULL_VALUE, 1), "missing page cannot CAS");
+    }
+
+    /// Read cell `idx` of the column through `span`, the way scans do.
+    fn span_get(v: &AppendVec, span: &TailSpan, idx: usize) -> u64 {
+        span.page(idx / v.page_slots())
+            .map_or(NULL_VALUE, |page| page.get(idx % v.page_slots()))
+    }
+
+    #[test]
+    fn page_snapshot_reads_null_for_unallocated_and_released_pages() {
+        let v = AppendVec::new(4);
+        let mut span = TailSpan::default();
+        // Nothing allocated: every covered page is missing.
+        v.snapshot_pages(0..12, &mut span);
+        assert!((0..3).all(|p| span.page(p).is_none()));
+        for i in 0..10 {
+            v.set(i, 100 + i as u64); // pages 0, 1, 2 (page 2 half full)
+        }
+        assert_eq!(v.release_pages_below(4), 1);
+        // Mid-page bounds: the span covers whole pages 0..=3.
+        v.snapshot_pages(2..14, &mut span);
+        assert!(span.page(0).is_none(), "released");
+        assert!(span.page(3).is_none(), "never allocated");
+        assert!(span.page(4).is_none(), "outside the span");
+        for i in 0..16 {
+            let expected = if (4..10).contains(&i) {
+                100 + i as u64
+            } else {
+                NULL_VALUE
+            };
+            assert_eq!(span_get(&v, &span, i), expected, "cell {i}");
+        }
+        // A span that starts past page 0 never reaches below itself.
+        v.snapshot_pages(8..10, &mut span);
+        assert!(span.page(1).is_none());
+        assert_eq!(span_get(&v, &span, 9), 109);
+        // An empty run holds nothing.
+        v.snapshot_pages(5..5, &mut span);
+        assert!(span.page(1).is_none());
+    }
+
+    #[test]
+    fn page_snapshot_shares_live_cells_but_not_later_pages() {
+        let v = AppendVec::new(4);
+        v.set(1, 11);
+        let mut span = TailSpan::default();
+        v.snapshot_pages(0..8, &mut span);
+        assert_eq!(span_get(&v, &span, 1), 11, "set before the snapshot");
+        // Same page, written after the snapshot: the cells are shared.
+        v.set(2, 22);
+        assert_eq!(span_get(&v, &span, 2), 22);
+        assert!(v.cas(2, 22, 23));
+        assert_eq!(span_get(&v, &span, 2), 23);
+        // A page allocated after the snapshot is not in it.
+        v.set(5, 55);
+        assert_eq!(span_get(&v, &span, 5), NULL_VALUE);
+        v.snapshot_pages(0..8, &mut span);
+        assert_eq!(span_get(&v, &span, 5), 55);
+    }
+
+    #[test]
+    fn page_snapshot_stays_readable_under_growth_and_release() {
+        const PAGE: usize = 8;
+        const FILLED: usize = 64 * PAGE;
+        let v = Arc::new(AppendVec::new(PAGE));
+        for i in 0..FILLED {
+            v.set(i, i as u64);
+        }
+        let mut span = TailSpan::default();
+        v.snapshot_pages(0..FILLED, &mut span);
+        let grower = {
+            let v = Arc::clone(&v);
+            thread::spawn(move || {
+                for i in FILLED..FILLED + 4096 * PAGE {
+                    v.set(i, i as u64); // a new directory entry every 8 sets
+                }
+            })
+        };
+        let releaser = {
+            let v = Arc::clone(&v);
+            thread::spawn(move || {
+                (PAGE..=FILLED)
+                    .step_by(PAGE)
+                    .map(|i| v.release_pages_below(i))
+                    .sum::<usize>()
+            })
+        };
+        // The span holds the pages themselves: neither the directory
+        // growing nor its entries being replaced changes what it reads,
+        // and reading takes no lock either of them could wait behind.
+        for round in 0..200 {
+            for i in (round % 7..FILLED).step_by(7) {
+                assert_eq!(span_get(&v, &span, i), i as u64);
+            }
+        }
+        grower.join().unwrap();
+        assert_eq!(releaser.join().unwrap(), FILLED / PAGE);
+        assert_eq!(v.get_or_null(3), NULL_VALUE, "released in the directory");
+        assert_eq!(span_get(&v, &span, 3), 3, "alive in the span");
+        v.snapshot_pages(0..FILLED, &mut span);
+        assert!((0..FILLED / PAGE).all(|p| span.page(p).is_none()));
     }
 }

@@ -663,3 +663,142 @@ fn concurrent_inserts_roll_ranges() {
         assert_eq!(t.read_latest_auto(w * 10_000 + 1_999).unwrap(), vec![1]);
     }
 }
+
+/// Scans patch their dirty rows from page snapshots of the unmerged tail
+/// suffix while writers keep appending to it. With four cells per tail page
+/// every column's page directory grows every few appends, so a scan that
+/// kept any directory lock while reading — or took one twice, with a
+/// growing writer queued in between — would stall or deadlock here: the
+/// whole case must finish under a timeout. Long-lived open transactions
+/// (committed or aborted only between the frozen-ts checks) sit in the
+/// suffix and hold the merges' committed prefix back, so suffixes grow
+/// long; frozen-ts scans must still equal the per-key ground truth.
+#[test]
+fn scans_patch_from_a_growing_tail_under_open_transactions() {
+    const KEYS: u64 = 1024;
+    const WRITERS: u64 = 3; // keys ≡ 0, 1, 2 (mod 4); the holder owns ≡ 3
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let db = Database::new(DbConfig::new().with_pool_threads(4).with_shards(2));
+        let config = TableConfig {
+            tail_page_slots: 4,
+            ..TableConfig::small()
+        };
+        let t = db
+            .create_table("growing", &["count", "bucket"], config)
+            .unwrap();
+        for k in 0..KEYS {
+            t.insert_auto(k, &[0, k % 5]).unwrap();
+        }
+        t.merge_all();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let pause = Arc::new(AtomicBool::new(false));
+        let parked = Arc::new(AtomicU64::new(0));
+        // Park while `pause` is up; whatever the caller holds stays held.
+        let park = |pause: &AtomicBool, parked: &AtomicU64, stop: &AtomicBool| {
+            if pause.load(Ordering::SeqCst) {
+                parked.fetch_add(1, Ordering::SeqCst);
+                while pause.load(Ordering::SeqCst) && !stop.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                parked.fetch_sub(1, Ordering::SeqCst);
+            }
+        };
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (t, stop, pause, parked) = (&t, &stop, &pause, &parked);
+                s.spawn(move || {
+                    let mut i = w;
+                    while !stop.load(Ordering::Relaxed) {
+                        park(pause, parked, stop);
+                        let key = (i * 4 + w) % KEYS;
+                        let cur = t.read_latest_auto(key).unwrap();
+                        t.update_auto(key, &[(0, cur[0] + 1), (1, (cur[1] + 1) % 5)])
+                            .unwrap();
+                        i += 7;
+                    }
+                });
+            }
+            // The holder: a transaction that stays open across freezes,
+            // then commits or aborts, over and over.
+            {
+                let (db, t, stop, pause, parked) = (&db, &t, &stop, &pause, &parked);
+                s.spawn(move || {
+                    let mut round = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let mut txn = db.begin();
+                        for j in 0..8 {
+                            let key = ((round * 8 + j) * 4 + 3) % KEYS;
+                            t.update(&mut txn, key, &[(0, round)]).unwrap();
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        park(pause, parked, stop); // parked with the transaction open
+                        if round.is_multiple_of(3) {
+                            db.abort(&mut txn);
+                        } else {
+                            db.commit(&mut txn).unwrap();
+                        }
+                        round += 1;
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let (t, stop) = (&t, &stop);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let ts = t.now();
+                        std::hint::black_box(t.sum_as_of(0, ts));
+                        std::hint::black_box(t.sum_cols_as_of(&[1, 0], ts));
+                        std::hint::black_box(t.count_as_of(ts));
+                    }
+                });
+            }
+            for _ in 0..10 {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                pause.store(true, Ordering::SeqCst);
+                while parked.load(Ordering::SeqCst) < WRITERS + 1 {
+                    std::thread::yield_now();
+                }
+                let ts = t.now(); // nothing commits at this instant
+                pause.store(false, Ordering::SeqCst);
+                let mut rows = Vec::new();
+                for k in 0..KEYS {
+                    if let Some(row) = t.read_as_of(k, &[0, 1], ts).unwrap() {
+                        rows.push((k, row));
+                    }
+                }
+                let sums = |c: usize| rows.iter().map(|(_, r)| r[c]).sum::<u64>();
+                assert_eq!(t.scan_as_of(&[0, 1], ts), rows, "rows at frozen ts");
+                assert_eq!(t.sum_as_of(0, ts), sums(0), "sum at frozen ts");
+                assert_eq!(t.sum_cols_as_of(&[1, 0], ts), vec![sums(1), sums(0)]);
+                assert_eq!(t.count_as_of(ts), rows.len() as u64);
+                let mut groups = std::collections::BTreeMap::new();
+                for (_, r) in &rows {
+                    *groups.entry(r[1]).or_insert(0u64) += r[0];
+                }
+                assert_eq!(t.group_by_sum(1, 0, ts), groups, "groups at frozen ts");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        let stats = t.stats();
+        assert!(stats.tail_pass_rows > 0, "scans took the suffix pass");
+        db.drain_merges();
+        let per_key: u64 = (0..KEYS).map(|k| t.read_latest_auto(k).unwrap()[0]).sum();
+        assert_eq!(
+            t.sum_auto(0),
+            per_key,
+            "scan equals per-key reads after drain"
+        );
+        done_tx.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(()) => {}
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("scanners and page-growing writers deadlocked")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("the stress body panicked (see its message above)")
+        }
+    }
+}

@@ -140,6 +140,7 @@ fn table4_relaxed_merge() {
     assert_eq!(t.sum_auto(0), 0xA1 + 0xA22 + 0xA3);
     assert_eq!(t.stats().fast_path_reads, stats.fast_path_reads + 3);
     assert_eq!(t.stats().chain_reads, stats.chain_reads);
+    assert_eq!(t.stats().tail_pass_rows, 0, "a clean table has no suffix");
 
     // "the old Start Time column is remained intact": pre-update versions
     // still resolve by timestamp.
@@ -173,6 +174,21 @@ fn table5_tps_interpretation_and_cumulation_reset() {
     // (cumulation was reset, so t12-equivalent does not carry c21).
     assert_eq!(t.read_latest_auto(2).unwrap(), vec![0xA23, 0xB21, 0xC21]);
     assert_eq!(t.read_latest_auto(3).unwrap(), vec![0xA3, 0xB3, 0xC32]);
+
+    // A scan reads the same lineage the other way round: one backward pass
+    // over the post-merge records (two first-update snapshots, three
+    // updates) patches both updated records — c21 again from the merged
+    // base — and the untouched one comes off the base page.
+    let stats = t.stats();
+    assert_eq!(
+        t.sum_cols_as_of(&[0, 2], t.now()),
+        vec![0xA1 + 0xA23 + 0xA3, 0xC1 + 0xC21 + 0xC32]
+    );
+    let after = t.stats();
+    assert_eq!(after.fast_path_reads, stats.fast_path_reads + 1);
+    assert_eq!(after.chain_reads, stats.chain_reads + 2);
+    assert_eq!(after.tail_pass_rows, after.chain_reads, "none is chased");
+    assert_eq!(after.tail_pass_records, stats.tail_pass_records + 5);
 }
 
 /// Table 6: historic compression inlines versions per record in base-RID

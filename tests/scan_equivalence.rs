@@ -4,9 +4,10 @@
 //! point-read planner and never through the scan driver — across merges,
 //! updates, deletes, historic compression, insert-phase ranges and
 //! time-travel snapshots. The window shapes are chosen so both of the
-//! driver's strategies (page kernel + masked holes, per-row) and every
-//! condition that picks between them get exercised; the `fast_path_reads`
-//! / `chain_reads` counters pin which strategy a shape actually took.
+//! driver's strategies (page kernel + patched rows, per-row), every
+//! condition that picks between them and every shape the suffix pass has to
+//! settle (`suffix_pass_shapes`) get exercised; the `fast_path_reads` /
+//! `chain_reads` / `tail_pass_*` counters pin which path a shape took.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -110,9 +111,13 @@ fn check(t: &Table, ts: u64, what: &str) {
 }
 
 fn table() -> (Arc<Database>, Arc<Table>) {
+    table_with(TableConfig::small())
+}
+
+fn table_with(config: TableConfig) -> (Arc<Database>, Arc<Table>) {
     let db = Database::new(DbConfig::deterministic());
     let t = db
-        .create_table("agg", &["grp", "val", "wide"], TableConfig::small())
+        .create_table("agg", &["grp", "val", "wide"], config)
         .unwrap();
     (db, t)
 }
@@ -276,15 +281,187 @@ fn counters_split_rows_by_strategy() {
     // …but a snapshot older than that merge still chases the re-merged rows.
     assert_eq!(path_split(&t, || t.sum_as_of(1, ts)), sparse);
 
-    // Exactly a quarter of a window masked stays on the kernel; one more
-    // hole sends the whole window per-row.
+    // No density cutoff: however much of a window is dirty, the clean
+    // rest stays on the kernel and only the dirty rows are patched.
     let start = t.locate(0).unwrap();
-    for k in 0..64 {
+    for k in 0..65 {
         t.update_auto(k, &[(1, 2)]).unwrap();
     }
     let split = path_split(&t, || t.sum_rid_span(start, 256, 1, t.now()));
-    assert_eq!(split, (192, 64));
-    t.update_auto(64, &[(1, 2)]).unwrap();
+    assert_eq!(split, (191, 65));
+    for k in 65..255 {
+        t.update_auto(k, &[(1, 2)]).unwrap();
+    }
     let split = path_split(&t, || t.sum_rid_span(start, 256, 1, t.now()));
-    assert_eq!(split, (0, 256));
+    assert_eq!(split, (1, 255));
+}
+
+/// (tail_pass_records, tail_pass_rows, chain_reads) added by `scan`.
+fn pass_split<R>(t: &Table, scan: impl FnOnce() -> R) -> (u64, u64, u64) {
+    let before = t.stats();
+    scan();
+    let after = t.stats();
+    (
+        after.tail_pass_records - before.tail_pass_records,
+        after.tail_pass_rows - before.tail_pass_rows,
+        after.chain_reads - before.chain_reads,
+    )
+}
+
+/// The shapes the suffix pass can get wrong, each checked when it is
+/// created and every mark re-checked at the end, when it is older than
+/// later merges.
+fn suffix_pass_shapes(config: TableConfig) {
+    /// Two full 256-slot ranges and a partial one.
+    const N: u64 = 700;
+    let (db, t) = table_with(config);
+    let mut marks: Vec<(u64, &str)> = Vec::new();
+    let mut mark_at = |t: &Table, ts: u64, what: &'static str| {
+        marks.push((ts, what));
+        check(t, ts, what);
+    };
+    macro_rules! mark {
+        ($t:expr, $what:literal) => {
+            mark_at($t, $t.now(), $what)
+        };
+    }
+    for k in 0..N {
+        t.insert_auto(k, &row(k)).unwrap();
+    }
+    t.merge_all();
+    mark!(&t, "merged load");
+
+    // A column whose last value lies at or below the TPS while another
+    // column of the row is in the suffix: column 0 is merged, column 1
+    // updated on top of it (a merge resets cumulation, so the new version
+    // does not carry column 0).
+    for k in (0..N).step_by(5) {
+        t.update_auto(k, &[(0, k % 11)]).unwrap();
+    }
+    mark!(&t, "column 0 updated");
+    t.merge_all();
+    mark!(&t, "column 0 merged");
+    for k in (0..N).step_by(10) {
+        t.update_auto(k, &[(1, k + 5_000)]).unwrap();
+    }
+    // Rows whose suffix versions carry neither column 0 nor column 1.
+    for k in (3..N).step_by(10) {
+        t.update_auto(k, &[(2, k)]).unwrap();
+    }
+    mark!(&t, "columns 1 and 2 in the suffix, column 0 below the TPS");
+
+    // The newest version committed after the snapshot, an older visible
+    // one beneath it.
+    let beneath = t.now();
+    for k in (0..N).step_by(20) {
+        t.update_auto(k, &[(1, k + 9_000)]).unwrap();
+    }
+    mark_at(&t, beneath, "newest version committed after the snapshot");
+
+    // The newest suffix versions uncommitted in an open transaction. Rows
+    // 1, 26, … never had column 2 updated: its only visible carrier is the
+    // first-update snapshot record the open transaction's update wrote.
+    let mut open = db.begin();
+    for k in (1..N).step_by(25) {
+        t.update(&mut open, k, &[(2, 42), (0, 1)]).unwrap();
+    }
+    mark!(&t, "open transaction on top");
+    // …and aborted: tombstones, among them a delete.
+    let mut doomed = db.begin();
+    for k in (2..N).step_by(25) {
+        t.update(&mut doomed, k, &[(1, 13)]).unwrap();
+    }
+    t.delete(&mut doomed, 8).unwrap();
+    db.abort(&mut doomed);
+    mark!(&t, "aborted transaction on top");
+
+    // Per-column merges leave `column_tps` unequal (they stop at the open
+    // transaction's first record), and more versions land on top.
+    assert!(t.merge_columns_now(0, &[1]).unwrap().swapped);
+    assert!(t.merge_columns_now(1, &[0]).unwrap().swapped);
+    let tps = t.range_handle(0).base().column_tps.clone();
+    assert!(
+        tps[2] > tps[1],
+        "column 1 merged ahead of column 0: {tps:?}"
+    );
+    mark!(&t, "per-column merges");
+    for k in (0..N).step_by(15) {
+        t.update_auto(k, &[(0, 3), (2, k + 1)]).unwrap();
+    }
+    mark!(&t, "updates over unequal column TPS");
+
+    db.commit(&mut open).unwrap();
+    mark!(&t, "open transaction committed");
+
+    // Deletes in the suffix, then merged (`has_deletes`), then a suffix on
+    // top of merged deletes.
+    for k in (4..N).step_by(50) {
+        t.delete_auto(k).unwrap();
+    }
+    mark!(&t, "deletes in the suffix");
+    t.merge_all();
+    mark!(&t, "merged deletes");
+    let alive = |k: &u64| k % 50 != 4 && *k != 6;
+    for k in (5..N).step_by(7).filter(alive) {
+        t.update_auto(k, &[(1, k * 3)]).unwrap();
+    }
+    t.delete_auto(6).unwrap();
+    mark!(&t, "suffix over merged deletes");
+
+    // A window narrower than the suffix: range 0 gets a backlog of a few
+    // hundred records, then 20-slot windows find their dirty rows from
+    // their own indirection cells while the whole range takes the pass.
+    for round in 0..3 {
+        for k in (0..256).step_by(2).filter(alive) {
+            t.update_auto(k, &[(1, k + round)]).unwrap();
+        }
+    }
+    mark!(&t, "long backlog");
+    let ts = t.now();
+    let rows = reference(&t, ts);
+    let keyed = |lo: u64, hi: u64| {
+        wrapping_sum(
+            rows.iter()
+                .filter(|(k, _)| (lo..=hi).contains(k))
+                .map(|(_, v)| v[1]),
+        )
+    };
+    let suffix = t.range_handle(0).tail.high_seq() as u64 - t.range_handle(0).base().tps;
+    assert!(suffix > 16 * 20, "the backlog outgrows a 20-slot window");
+    let narrow = pass_split(&t, || {
+        assert_eq!(t.sum_key_range(1, 100, 119, ts), keyed(100, 119));
+    });
+    assert_eq!(narrow.0, 0, "a narrow window does not walk the suffix");
+    assert_eq!(narrow.1, 0);
+    assert!(narrow.2 >= 10, "its dirty rows are chased: {narrow:?}");
+    let start = t.locate(100).unwrap();
+    let narrow = pass_split(&t, || {
+        assert_eq!(t.sum_rid_span(start, 20, 1, ts), keyed(100, 119));
+    });
+    assert_eq!((narrow.0, narrow.1), (0, 0));
+    let wide = pass_split(&t, || {
+        assert_eq!(t.sum_key_range(1, 0, 255, ts), keyed(0, 255));
+    });
+    assert_eq!(wide.0, suffix, "the whole range walks its suffix once");
+    let merged_deletes = (4..256).step_by(50).count() as u64;
+    assert_eq!(
+        wide.1 + merged_deletes,
+        wide.2,
+        "and patches every dirty row from it; only merged deletes are chased"
+    );
+    assert!(wide.1 >= 128);
+
+    for &(ts, what) in &marks {
+        check(&t, ts, what);
+    }
+}
+
+#[test]
+fn suffix_pass_shapes_cumulative() {
+    suffix_pass_shapes(TableConfig::small());
+}
+
+#[test]
+fn suffix_pass_shapes_non_cumulative() {
+    suffix_pass_shapes(TableConfig::small().with_cumulative(false));
 }

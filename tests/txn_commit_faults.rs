@@ -104,3 +104,52 @@ fn wal_commit_failures_do_not_wedge_the_database() {
         );
     }
 }
+
+/// A WAL error while logging an update must release the record's
+/// indirection latch on the way out: `write_tail` returned through `?`
+/// with the latch bit still set, so the slot stayed latched forever and
+/// every later writer of the key got `WriteConflict`. The row is committed
+/// under a working log and replayed into a database logging to `/dev/full`;
+/// one transaction then updates it until the 1 MiB log buffer spills and
+/// the append fails.
+#[test]
+fn wal_append_failure_releases_the_latch() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipping: /dev/full not available on this platform");
+        return;
+    }
+    let path = wal_path("latch-leak");
+    std::fs::remove_file(&path).ok();
+    {
+        let db = Database::new(DbConfig::deterministic().with_wal_path(path.clone()));
+        let t = db.create_table("l", &["a"], TableConfig::small()).unwrap();
+        t.insert_auto(1, &[10]).unwrap();
+        db.runtime().wal.as_ref().unwrap().sync().unwrap();
+    }
+    let state = lstore_wal::recover(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let db = Database::new(DbConfig::deterministic().with_wal_path(PathBuf::from("/dev/full")));
+    let t = db.create_table("l", &["a"], TableConfig::small()).unwrap();
+    t.replay(&state).unwrap();
+
+    let mut txn = db.begin();
+    let err = (0..1_000_000)
+        .find_map(|i| t.update(&mut txn, 1, &[(0, i)]).err())
+        .expect("a full device fails the append once the buffer spills");
+    assert!(
+        matches!(err, Error::Wal(_) | Error::Storage(_)),
+        "the spill must surface the WAL error, got {err:?}"
+    );
+    db.abort(&mut txn);
+
+    let mut fresh = db.begin();
+    let outcome = t.update(&mut fresh, 1, &[(0, 7)]);
+    assert!(
+        !matches!(outcome, Err(Error::WriteConflict { .. })),
+        "the failed append left key 1 latched: {outcome:?}"
+    );
+    outcome.expect("the aborted versions are tombstones, the update goes through");
+    assert_eq!(t.read(&mut fresh, 1, &[0]).unwrap(), Some(vec![7]));
+    db.abort(&mut fresh);
+    assert_eq!(t.read_latest_auto(1).unwrap(), vec![10]);
+}
