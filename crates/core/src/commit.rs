@@ -9,27 +9,26 @@
 //!   into the transaction's read set, byte-identical to a loop of
 //!   [`Table::read`] calls (isolation rules, duplicate tracking,
 //!   read-your-own-writes included).
-//! * `Database::validate_read_set` — the batched commit-time validator:
+//! * `Runtime::validate_read_set` — the batched commit-time validator:
 //!   the read set is grouped per table, sorted by (shard, base RID), cut
 //!   into floor-gated units, and fanned out over the unified task pool the
 //!   same way `multi_read` plans probes (see
 //!   `Table::validate_reads_batch`).
-//! * `Database::apply_committed_writes` — batched write application at
-//!   commit: the write set is grouped per table and walked in (shard,
-//!   range) order, eagerly stamping commit timestamps into the
+//! * `Runtime::apply_committed_writes` — batched write application at
+//!   commit: each table the write set names takes its entries in write
+//!   order, eagerly stamping commit timestamps into the
 //!   transaction's Start Time cells (relieving future readers of the lazy
 //!   CAS of §5.1.1) and enqueueing **deferred secondary-index removals**
 //!   (§3.1 footnote 3) for superseded index entries, with one batched
 //!   pre-image probe per updated record instead of one per index entry.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use lstore_txn::{ReadSetEntry, Transaction, WriteSetEntry};
 
-use crate::db::Database;
+use crate::db::Runtime;
 use crate::error::Result;
-use crate::range::{BaseData, UpdateRange};
+use crate::range::BaseData;
 use crate::read::{ReadMode, Resolved};
 use crate::rid::Rid;
 use crate::table::Table;
@@ -94,7 +93,7 @@ impl TransactionReads for Transaction {
     }
 }
 
-impl Database {
+impl Runtime {
     /// Batched §5.1.1 validate-reads over a committing transaction's whole
     /// read set. Entries group per table (keeping their read-set
     /// positions), each table's slice validates through
@@ -110,7 +109,7 @@ impl Database {
         }
         let mut worst: Option<(usize, u64)> = None;
         for (table_id, entries) in groups {
-            let table = self.table_by_id(table_id).expect("read-set table exists");
+            let table = self.table(table_id).expect("read-set table exists");
             if let Some((pos, base_rid)) = table.validate_reads_batch(&entries, txn_id) {
                 if worst.is_none_or(|(p, _)| pos < p) {
                     worst = Some((pos, base_rid));
@@ -120,31 +119,30 @@ impl Database {
         worst.map(|(_, base_rid)| base_rid)
     }
 
-    /// Batched write application after a successful commit: group the
-    /// write set per table and hand each table its slice (in write order).
-    /// Runs strictly **after** `TxnManager::commit` — stamping a commit
-    /// timestamp into a Start Time cell makes the version unconditionally
-    /// visible, which is only correct once the transaction is durably
-    /// committed.
+    /// Batched write application after a successful commit: every table
+    /// the write set names is handed the set once and takes its own entries
+    /// (in write order). Runs strictly **after** `TxnManager::commit` —
+    /// stamping a commit timestamp into a Start Time cell makes the version
+    /// unconditionally visible, which is only correct once the transaction
+    /// is durably committed — and strictly **before** `TxnManager::retire`,
+    /// which relies on every cell the transaction wrote holding the
+    /// timestamp.
     pub(crate) fn apply_committed_writes(&self, txn: &Transaction, commit_ts: u64) {
-        if txn.write_set.is_empty() {
-            return;
-        }
-        let mut groups: HashMap<u32, Vec<&WriteSetEntry>> = HashMap::new();
-        for entry in &txn.write_set {
-            groups.entry(entry.table_id).or_default().push(entry);
-        }
-        for (table_id, entries) in groups {
-            if let Some(table) = self.table_by_id(table_id) {
-                table.apply_committed_writes(txn.id, commit_ts, &entries);
+        let writes = &txn.write_set;
+        for (at, entry) in writes.iter().enumerate() {
+            // One call per table: at its first entry.
+            if writes[..at].iter().all(|w| w.table_id != entry.table_id) {
+                if let Some(table) = self.table(entry.table_id) {
+                    table.apply_committed_writes(txn.id, commit_ts, writes);
+                }
             }
         }
     }
 }
 
 impl Table {
-    /// Apply one table's slice of a committed transaction's write set
-    /// (`entries` in write order, all belonging to this table):
+    /// Apply this table's share of a committed transaction's write set
+    /// (`writes` in write order; entries of other tables are skipped):
     ///
     /// 1. **Eager commit-timestamp stamping.** Every Start Time cell the
     ///    transaction wrote (tail records of updates/deletes, insert-phase
@@ -170,17 +168,13 @@ impl Table {
         &self,
         txn_id: u64,
         commit_ts: u64,
-        entries: &[&WriteSetEntry],
+        writes: &[WriteSetEntry],
     ) {
-        // --- 1. Eager stamping, reusing the range handle across the run.
-        let mut cached: Option<(u32, Arc<UpdateRange>)> = None;
-        for entry in entries {
+        let entries = || writes.iter().filter(|w| w.table_id == self.id);
+        // --- 1. Eager stamping.
+        for entry in entries() {
             let tail = Rid(entry.tail_rid);
-            let hit = matches!(&cached, Some((r, _)) if *r == tail.range());
-            if !hit {
-                cached = Some((tail.range(), self.range(tail.range())));
-            }
-            let (_, range) = cached.as_ref().expect("cache just filled");
+            let range = self.range(tail.range());
             if entry.insert_key.is_some() {
                 // Insert: the Start Time cell lives base-side in the
                 // insert-phase tail; a merge may already have replaced the
@@ -212,8 +206,16 @@ impl Table {
         // record's versions replay in order against it).
         let mut by_record: HashMap<u64, Vec<&WriteSetEntry>> = HashMap::new();
         let mut record_order: Vec<u64> = Vec::new();
-        for entry in entries {
-            if entry.insert_key.is_some() {
+        for entry in entries() {
+            // Inserts have no pre-image; a first-update snapshot record in
+            // the write set (see `Table::write_tail`) is no update.
+            if entry.insert_key.is_some()
+                || self
+                    .range(Rid(entry.tail_rid).range())
+                    .tail
+                    .encoding(Rid(entry.tail_rid).seq())
+                    .is_snapshot()
+            {
                 continue;
             }
             let run = by_record.entry(entry.base_rid).or_default();
@@ -226,7 +228,7 @@ impl Table {
             let base_rid = Rid(base_rid_raw);
             let range = self.range(base_rid.range());
             let base = range.base();
-            let reader = self.reader(&range, &base);
+            let reader = self.reader(range, &base);
             // One batched probe recovers every indexed column's pre-image.
             let mut current: Vec<Option<u64>> =
                 match reader.read_record(base_rid.slot(), &cols, pre_mode) {

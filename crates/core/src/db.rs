@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 
 use lstore_storage::epoch::EpochManager;
 use lstore_storage::store::{PageStore, PoolStatsSnapshot};
-use lstore_txn::{GlobalClock, IsolationLevel, Transaction, TxnManager, TxnStatus};
+use lstore_txn::{GlobalClock, IsolationLevel, Transaction, TxnManager};
 use lstore_wal::{CommitPolicy, LogRecord, ShardedWal, ShardedWalConfig};
 
 use crate::config::{DbConfig, Durability, TableConfig};
@@ -53,9 +53,10 @@ pub struct Runtime {
     /// parallel scan or merge enqueue so purely transactional databases
     /// with merging disabled never pay for idle threads.
     pool: OnceLock<Option<TaskPool>>,
-    /// Tables by id, for resolving queued merge jobs. Weak: the pool must
-    /// never keep a dropped database's tables alive.
-    merge_tables: RwLock<Vec<Weak<Table>>>,
+    /// Tables by id, for resolving queued merge jobs and the tables a
+    /// committing transaction wrote. Weak: the pool must never keep a
+    /// dropped database's tables alive.
+    tables: RwLock<Vec<Weak<Table>>>,
     /// Set by [`Runtime::shutdown`]: merge enqueues return false from here
     /// on (the enqueue-returns-false-when-stopped contract).
     stopped: AtomicBool,
@@ -94,7 +95,7 @@ impl Runtime {
         if !self.background_merge || self.stopped.load(Ordering::Acquire) {
             return false;
         }
-        let Some(table) = self.merge_tables.read().get(table_id as usize).cloned() else {
+        let Some(table) = self.tables.read().get(table_id as usize).cloned() else {
             return false;
         };
         let Some(pool) = self.pool() else {
@@ -111,9 +112,74 @@ impl Runtime {
         )
     }
 
-    /// Register a table for merge-job resolution (index = table id).
-    pub(crate) fn register_table(&self, table: &Arc<Table>) {
-        self.merge_tables.write().push(Arc::downgrade(table));
+    /// Create and register a table: `make` receives the id the table gets
+    /// (its index here).
+    fn register_table(&self, make: impl FnOnce(u32) -> Result<Arc<Table>>) -> Result<Arc<Table>> {
+        let mut tables = self.tables.write();
+        let table = make(tables.len() as u32)?;
+        tables.push(Arc::downgrade(&table));
+        Ok(table)
+    }
+
+    /// The table with id `id`, while its database is alive.
+    pub(crate) fn table(&self, id: u32) -> Option<Arc<Table>> {
+        self.tables.read().get(id as usize)?.upgrade()
+    }
+
+    /// The one commit sequence, shared by [`Database::commit`] and the
+    /// auto-commit conveniences: pre-commit → validate → WAL commit record
+    /// → finalize → stamp the written cells → retire the id. A failed
+    /// validation or commit record aborts through [`Runtime::abort`].
+    pub(crate) fn commit(&self, txn: &mut Transaction) -> Result<u64> {
+        let Some(commit_ts) = self.mgr.pre_commit(txn.id, &self.clock) else {
+            return Err(Error::TxnFinalized);
+        };
+        txn.commit = commit_ts;
+        if txn.needs_validation() {
+            let read_set = std::mem::take(&mut txn.read_set);
+            if let Some(base_rid) = self.validate_read_set(&read_set, txn.id) {
+                self.abort(txn);
+                return Err(Error::ValidationFailed { base_rid });
+            }
+        }
+        if let Some(wal) = &self.wal {
+            if let Err(e) = wal.commit(
+                &touched_ranges(txn),
+                &LogRecord::Commit {
+                    txn_id: txn.id,
+                    commit_ts,
+                },
+            ) {
+                self.abort(txn);
+                return Err(e.into());
+            }
+        }
+        self.mgr.commit(txn.id);
+        self.apply_committed_writes(txn, commit_ts);
+        self.mgr.retire(txn.id);
+        Ok(commit_ts)
+    }
+
+    /// The one abort sequence: mark aborted, unhook the primary-index
+    /// entries of its inserts, log the abort record, retire the id (the
+    /// cells it wrote keep the id, which from now on reads as aborted
+    /// because the table no longer knows it). A no-op on a finalized
+    /// transaction.
+    pub(crate) fn abort(&self, txn: &mut Transaction) {
+        if !self.mgr.abort(txn.id) {
+            return;
+        }
+        for w in &txn.write_set {
+            if let Some(key) = w.insert_key {
+                if let Some(table) = self.table(w.table_id) {
+                    table.remove_pk_entry(key, w.base_rid);
+                }
+            }
+        }
+        if let Some(wal) = &self.wal {
+            let _ = wal.commit(&touched_ranges(txn), &LogRecord::Abort { txn_id: txn.id });
+        }
+        self.mgr.retire(txn.id);
     }
 
     /// The pool as seen by scans, or `None` when `pool_threads <= 1`
@@ -190,12 +256,19 @@ fn touched_ranges(txn: &Transaction) -> Vec<u32> {
 pub struct Database {
     runtime: Arc<Runtime>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
-    tables_by_id: RwLock<Vec<Arc<Table>>>,
 }
 
 impl Database {
     /// Open a database with `config`.
     pub fn new(config: DbConfig) -> Arc<Database> {
+        Self::with_txn_manager(config, TxnManager::new())
+    }
+
+    /// [`Database::new`] over a given transaction table — for tests, which
+    /// pass one with tiny pages (`TxnManager::with_page_bits`) so that ids
+    /// retire and their pages are reused every few transactions.
+    #[doc(hidden)]
+    pub fn with_txn_manager(config: DbConfig, mgr: TxnManager) -> Arc<Database> {
         let wal = config.wal_path.as_ref().map(|p| {
             let policy = match config.durability {
                 Durability::None => CommitPolicy::Buffered,
@@ -226,7 +299,7 @@ impl Database {
             .map(|p| PageStore::open(p, config.buffer_pool_pages).expect("open page store"));
         let runtime = Arc::new(Runtime {
             clock: GlobalClock::new(),
-            mgr: TxnManager::new(),
+            mgr,
             epoch: EpochManager::new(),
             wal,
             store,
@@ -235,13 +308,12 @@ impl Database {
             shards: config.shards.max(1),
             batch_read_min: config.batch_read_min.max(2),
             pool: OnceLock::new(),
-            merge_tables: RwLock::new(Vec::new()),
+            tables: RwLock::new(Vec::new()),
             stopped: AtomicBool::new(false),
         });
         Arc::new(Database {
             runtime,
             tables: RwLock::new(HashMap::new()),
-            tables_by_id: RwLock::new(Vec::new()),
         })
     }
 
@@ -269,14 +341,11 @@ impl Database {
         value_columns: &[&str],
         config: TableConfig,
     ) -> Result<Arc<Table>> {
-        let mut by_id = self.tables_by_id.write();
-        let id = by_id.len() as u32;
-        let table = Table::create(id, name, value_columns, config, Arc::clone(&self.runtime))?;
-        by_id.push(Arc::clone(&table));
-        self.runtime.register_table(&table);
-        self.tables
-            .write()
-            .insert(name.to_string(), Arc::clone(&table));
+        let mut tables = self.tables.write();
+        let table = self.runtime.register_table(|id| {
+            Table::create(id, name, value_columns, config, Arc::clone(&self.runtime))
+        })?;
+        tables.insert(name.to_string(), Arc::clone(&table));
         Ok(table)
     }
 
@@ -293,10 +362,6 @@ impl Database {
     pub fn table_or_err(&self, name: &str) -> Result<Arc<Table>> {
         self.table(name)
             .ok_or_else(|| Error::TableNotFound(name.to_string()))
-    }
-
-    pub(crate) fn table_by_id(&self, id: u32) -> Option<Arc<Table>> {
-        self.tables_by_id.read().get(id as usize).cloned()
     }
 
     // ------------------------------------------------------------------
@@ -317,49 +382,25 @@ impl Database {
 
     /// Commit: pre-commit (commit timestamp + state change), validate reads
     /// if required (batched over the task pool, see
-    /// `Database::validate_read_set`), write the commit log record,
+    /// `Runtime::validate_read_set`), write the commit log record,
     /// finalize, and apply the write set (eager timestamp stamping +
     /// deferred secondary-index removals, see
-    /// `Database::apply_committed_writes`).
+    /// `Runtime::apply_committed_writes`).
     ///
     /// On validation failure the transaction aborts **through the
     /// WAL-writing abort path** — recovery must classify it as aborted,
     /// not unresolved — and `ValidationFailed` is returned. A WAL error on
     /// the commit record likewise aborts before propagating: a transaction
     /// whose commit never became durable must not linger in pre-commit
-    /// limbo (commit timestamp stamped, GC horizon pinned, recovery
-    /// undecided). Calling `commit` on an already-finalized transaction
-    /// (committed or aborted) returns [`Error::TxnFinalized`] without
-    /// touching the §5.1.1 state machine.
+    /// limbo (commit timestamp stamped, its page of the transaction table
+    /// pinned, recovery undecided). Calling `commit` on an
+    /// already-finalized transaction (committed or aborted) returns
+    /// [`Error::TxnFinalized`] without touching the §5.1.1 state machine.
+    /// The last step retires the transaction's id: every Start Time cell it
+    /// wrote holds the commit timestamp by then, so the transaction table
+    /// need not remember it (see `lstore_txn::manager`).
     pub fn commit(&self, txn: &mut Transaction) -> Result<u64> {
-        match self.runtime.mgr.get(txn.id).map(|info| info.status) {
-            Some(TxnStatus::Active) => {}
-            _ => return Err(Error::TxnFinalized),
-        }
-        let commit_ts = self.runtime.mgr.pre_commit(txn.id, &self.runtime.clock);
-        txn.commit = commit_ts;
-        if txn.needs_validation() {
-            let read_set = std::mem::take(&mut txn.read_set);
-            if let Some(base_rid) = self.validate_read_set(&read_set, txn.id) {
-                self.abort(txn);
-                return Err(Error::ValidationFailed { base_rid });
-            }
-        }
-        if let Some(wal) = &self.runtime.wal {
-            if let Err(e) = wal.commit(
-                &touched_ranges(txn),
-                &LogRecord::Commit {
-                    txn_id: txn.id,
-                    commit_ts,
-                },
-            ) {
-                self.abort(txn);
-                return Err(e.into());
-            }
-        }
-        self.runtime.mgr.commit(txn.id);
-        self.apply_committed_writes(txn, commit_ts);
-        Ok(commit_ts)
+        self.runtime.commit(txn)
     }
 
     /// Abort: mark the transaction aborted (its tail records become
@@ -369,25 +410,7 @@ impl Database {
     /// must not flip a `Committed` entry to `Aborted` (which would
     /// retroactively tombstone durably committed versions).
     pub fn abort(&self, txn: &mut Transaction) {
-        match self.runtime.mgr.get(txn.id).map(|info| info.status) {
-            Some(TxnStatus::Active | TxnStatus::PreCommit) => {}
-            _ => return,
-        }
-        self.abort_inner(txn);
-        if let Some(wal) = &self.runtime.wal {
-            let _ = wal.commit(&touched_ranges(txn), &LogRecord::Abort { txn_id: txn.id });
-        }
-    }
-
-    fn abort_inner(&self, txn: &mut Transaction) {
-        self.runtime.mgr.abort(txn.id);
-        for w in &txn.write_set {
-            if let Some(key) = w.insert_key {
-                if let Some(table) = self.table_by_id(w.table_id) {
-                    table.remove_pk_entry(key, w.base_rid);
-                }
-            }
-        }
+        self.runtime.abort(txn)
     }
 
     // ------------------------------------------------------------------
@@ -477,15 +500,9 @@ impl Database {
 
     /// Reclaim pass over the epoch queue: frees the base versions merges
     /// retired once no pinned scan can still reach them. Returns the
-    /// objects reclaimed.
-    ///
-    /// The transaction table is **not** collected here or anywhere else:
-    /// `TxnManager::gc` has no caller outside tests, so the table grows by
-    /// one entry per transaction for the life of the database. Collecting
-    /// it needs a horizon below which every Start Time cell is known to
-    /// hold a timestamp (commits stamp their own cells and merges the ones
-    /// they consume, but aborted and unmerged records keep transaction
-    /// ids), which nothing tracks yet — see ROADMAP, first open item.
+    /// objects reclaimed. (The transaction table needs no pass of its own:
+    /// every commit and abort retires its id, and pages of retired ids are
+    /// reused as transactions begin.)
     pub fn reclaim(&self) -> usize {
         self.runtime.epoch.try_reclaim()
     }
@@ -529,89 +546,36 @@ impl Table {
 // ----------------------------------------------------------------------
 
 impl Table {
-    fn db_ops(&self) -> (&Arc<Runtime>,) {
-        (&self.runtime,)
+    /// Run `op` in an implicit single-statement transaction: committed
+    /// through the one commit sequence when `op` succeeds — so a failed
+    /// commit record is an `Err` and an aborted transaction, never an
+    /// acknowledged write — and aborted when it fails.
+    fn auto_commit<T>(&self, op: impl FnOnce(&mut Transaction) -> Result<T>) -> Result<T> {
+        let rt = &self.runtime;
+        let (id, begin) = rt.mgr.begin(&rt.clock);
+        let mut txn = Transaction::new(id, begin, IsolationLevel::ReadCommitted);
+        match op(&mut txn) {
+            Ok(done) => rt.commit(&mut txn).map(|_| done),
+            Err(e) => {
+                rt.abort(&mut txn);
+                Err(e)
+            }
+        }
     }
 
     /// Insert with an implicit single-statement transaction.
     pub fn insert_auto(&self, key: u64, values: &[u64]) -> Result<crate::rid::Rid> {
-        let (rt,) = self.db_ops();
-        let (id, begin) = rt.mgr.begin(&rt.clock);
-        let mut txn = Transaction::new(id, begin, IsolationLevel::ReadCommitted);
-        match self.insert(&mut txn, key, values) {
-            Ok(rid) => {
-                let commit_ts = rt.mgr.pre_commit(txn.id, &rt.clock);
-                if let Some(wal) = &rt.wal {
-                    let _ = wal.commit(
-                        &touched_ranges(&txn),
-                        &LogRecord::Commit {
-                            txn_id: txn.id,
-                            commit_ts,
-                        },
-                    );
-                }
-                rt.mgr.commit(txn.id);
-                Ok(rid)
-            }
-            Err(e) => {
-                rt.mgr.abort(txn.id);
-                Err(e)
-            }
-        }
+        self.auto_commit(|txn| self.insert(txn, key, values))
     }
 
     /// Update with an implicit single-statement transaction.
     pub fn update_auto(&self, key: u64, updates: &[(usize, u64)]) -> Result<crate::rid::Rid> {
-        let (rt,) = self.db_ops();
-        let (id, begin) = rt.mgr.begin(&rt.clock);
-        let mut txn = Transaction::new(id, begin, IsolationLevel::ReadCommitted);
-        match self.update(&mut txn, key, updates) {
-            Ok(rid) => {
-                let commit_ts = rt.mgr.pre_commit(txn.id, &rt.clock);
-                if let Some(wal) = &rt.wal {
-                    let _ = wal.commit(
-                        &touched_ranges(&txn),
-                        &LogRecord::Commit {
-                            txn_id: txn.id,
-                            commit_ts,
-                        },
-                    );
-                }
-                rt.mgr.commit(txn.id);
-                Ok(rid)
-            }
-            Err(e) => {
-                rt.mgr.abort(txn.id);
-                Err(e)
-            }
-        }
+        self.auto_commit(|txn| self.update(txn, key, updates))
     }
 
     /// Delete with an implicit single-statement transaction.
     pub fn delete_auto(&self, key: u64) -> Result<()> {
-        let (rt,) = self.db_ops();
-        let (id, begin) = rt.mgr.begin(&rt.clock);
-        let mut txn = Transaction::new(id, begin, IsolationLevel::ReadCommitted);
-        match self.delete(&mut txn, key) {
-            Ok(_) => {
-                let commit_ts = rt.mgr.pre_commit(txn.id, &rt.clock);
-                if let Some(wal) = &rt.wal {
-                    let _ = wal.commit(
-                        &touched_ranges(&txn),
-                        &LogRecord::Commit {
-                            txn_id: txn.id,
-                            commit_ts,
-                        },
-                    );
-                }
-                rt.mgr.commit(txn.id);
-                Ok(())
-            }
-            Err(e) => {
-                rt.mgr.abort(txn.id);
-                Err(e)
-            }
-        }
+        self.auto_commit(|txn| self.delete(txn, key).map(|_| ()))
     }
 
     pub(crate) fn remove_pk(&self, key: u64) -> Result<()> {

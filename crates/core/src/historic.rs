@@ -198,8 +198,7 @@ impl HistoricStore {
         let mut effective_upto = from.saturating_sub(1);
         for seq in from..=upto {
             let seq32 = seq as u32;
-            let cell = range.tail.start_cell(seq32);
-            let ts = match mgr.resolve_start_time(cell, false) {
+            let ts = match range.tail.resolve_start(seq32, mgr).visible(false) {
                 Some(t) => t,
                 None => {
                     // Aborted tombstone: drop it (space reclaimed here, as

@@ -60,6 +60,7 @@ pub mod config;
 pub mod db;
 pub mod error;
 pub mod historic;
+mod inline;
 pub mod merge;
 pub mod multi_read;
 pub mod pool;

@@ -33,7 +33,7 @@ use lstore_storage::epoch::EpochManager;
 use lstore_storage::page::BasePage;
 use lstore_storage::store::{PagePtr, PageStore};
 use lstore_storage::NULL_VALUE;
-use lstore_txn::{TxnManager, TxnStatus};
+use lstore_txn::{StartTime, TxnManager};
 
 use crate::config::TableConfig;
 use crate::range::{BaseData, BaseVersion, UpdateRange};
@@ -65,12 +65,8 @@ pub fn committed_prefix(range: &UpdateRange, from_seq: u64, mgr: &TxnManager) ->
         if !range.tail.is_written(seq32) {
             break; // allocated but not yet fully written
         }
-        let cell = range.tail.start_cell(seq32);
-        if lstore_txn::is_txn_id(cell) {
-            match mgr.get(cell).map(|i| i.status) {
-                Some(TxnStatus::Committed) | Some(TxnStatus::Aborted) => {}
-                _ => break, // active or pre-commit: stop the prefix
-            }
+        if range.tail.resolve_start(seq32, mgr).in_flight() {
+            break; // active or pre-commit: stop the prefix
         }
         upto = seq;
     }
@@ -92,13 +88,9 @@ pub fn committed_prefix_upto_time(
     let upto = committed_prefix(range, from_seq, mgr);
     let mut bounded = from_seq.saturating_sub(1);
     for seq in from_seq..=upto {
-        let cell = range.tail.start_cell(seq as u32);
-        let ts = match mgr.resolve_start_time(cell, false) {
-            Some(t) => t,
-            None => {
-                bounded = seq; // aborted tombstone: consumable at any time
-                continue;
-            }
+        let StartTime::Committed(ts) = range.tail.resolve_start(seq as u32, mgr) else {
+            bounded = seq; // aborted tombstone: consumable at any time
+            continue;
         };
         if ts > upto_time {
             break;
@@ -121,7 +113,7 @@ pub fn earliest_unmerged_ts(range: &UpdateRange, mgr: &TxnManager) -> Option<u64
         if !range.tail.is_written(seq32) {
             break;
         }
-        if let Some(ts) = mgr.resolve_start_time(range.tail.start_cell(seq32), false) {
+        if let StartTime::Committed(ts) = range.tail.resolve_start(seq32, mgr) {
             return Some(ts);
         }
     }
@@ -218,18 +210,8 @@ pub fn merge_range(
     let full_merge = merge_cols.len() == ncols;
     for seq in (from..=upto).rev() {
         let seq32 = seq as u32;
-        let cell = range.tail.start_cell(seq32);
-        let ts = if lstore_txn::is_txn_id(cell) {
-            match mgr.get(cell) {
-                Some(info) if info.status == TxnStatus::Committed => {
-                    // Lazy swap here too — the merge is a reader.
-                    range.tail.swap_start_cell(seq32, cell, info.commit);
-                    info.commit
-                }
-                _ => continue, // aborted tombstone
-            }
-        } else {
-            cell
+        let StartTime::Committed(ts) = range.tail.resolve_start(seq32, mgr) else {
+            continue; // aborted tombstone
         };
         let enc = range.tail.encoding(seq32);
         if enc.is_snapshot() {
@@ -247,23 +229,23 @@ pub fn merge_range(
             continue; // a newer delete supersedes everything older
         }
         let mut contributed = false;
-        if enc.is_delete() && full_merge {
+        if enc.is_delete() {
             // "the deleted record will be included in the consolidated
-            // records": null all data columns, flag the base encoding.
-            for (c, col) in new_cols.iter_mut().enumerate() {
-                if let Some(v) = col {
+            // records": null the data columns and flag the base encoding —
+            // whatever the column set. A column merge advances its columns'
+            // TPS past the delete like a full merge does, and a reader on
+            // the TPS fast path sees only the flag. (Every merged column
+            // that has not consolidated the delete before is materialized:
+            // a delete marks them all changed.)
+            for &c in merge_cols {
+                if let Some(v) = new_cols[c].as_mut() {
                     v[slot] = NULL_VALUE;
-                } else if changed[c] {
-                    // Force materialization for delete nulling.
-                    let mut decoded = old_data[c].read().decode();
-                    decoded[slot] = NULL_VALUE;
-                    *col = Some(decoded);
                 }
             }
             new_enc[slot] = SchemaEncoding(new_enc[slot]).with_delete().0;
             deleted_seen[slot] = true;
             contributed = true;
-        } else if !enc.is_delete() {
+        } else {
             for c in enc.columns() {
                 if !merge_cols.contains(&c) {
                     continue;
@@ -398,16 +380,18 @@ pub fn merge_insert_range(
         if cell == NULL_VALUE {
             return false; // slot allocated but not yet written
         }
-        if lstore_txn::is_txn_id(cell) {
-            match mgr.get(cell).map(|i| i.status) {
-                Some(TxnStatus::Committed) => {
-                    starts.push(mgr.get(cell).unwrap().commit);
+        match mgr.resolve_start_time(cell, || tail.start_time.get_or_null(slot)) {
+            StartTime::Committed(ts) => {
+                // Stamp the insert tail too: a reader still holding it may
+                // resolve the id after the inserter — who finds merged
+                // pages in its place and stamps nothing — has retired.
+                if lstore_txn::is_txn_id(cell) {
+                    let _ = tail.start_time.cas(slot, cell, ts);
                 }
-                Some(TxnStatus::Aborted) => starts.push(NULL_VALUE), // never existed
-                _ => return false, // in-flight insert: try again later
+                starts.push(ts);
             }
-        } else {
-            starts.push(cell);
+            StartTime::Aborted => starts.push(NULL_VALUE), // never existed
+            _ => return false,                             // in-flight insert: try again later
         }
     }
 

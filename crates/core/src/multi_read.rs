@@ -95,7 +95,7 @@ impl Table {
         };
         let range = self.range(base_rid.range());
         let base = range.base();
-        let reader = self.reader(&range, &base);
+        let reader = self.reader(range, &base);
         Self::outcome_of(base_rid, reader.read_record(base_rid.slot(), cols, mode))
     }
 
@@ -151,7 +151,7 @@ impl Table {
                     if !hit {
                         let r = self.range(base_rid.range());
                         let b = r.base();
-                        cache = Some((base_rid.range(), r, b));
+                        cache = Some((base_rid.range(), Arc::clone(r), b));
                     }
                     let (_, range, base) = cache.as_ref().expect("cache just filled");
                     let reader = self.reader(range, base);

@@ -126,6 +126,56 @@ impl BaseVersion {
         }
     }
 
+    /// Pass one of [`Self::gather`]: hint the cache line of the cell each
+    /// of `columns` (those in the bit set `only`) will be decoded from at
+    /// `slot`. Only heap-resident pages take the hint — a store-backed
+    /// page's cost is its pin, not its cell, and an insert-phase column
+    /// sits behind its page directory.
+    #[inline]
+    pub fn prefetch_row(&self, columns: &[usize], slot: u32, only: u64) {
+        if let BaseData::Pages { data, .. } = &self.data {
+            for &c in columns {
+                if let (PagePtr::Resident(page), true) = (&data[c], only & (1 << c) != 0) {
+                    page.prefetch(slot as usize);
+                }
+            }
+        }
+    }
+
+    /// Hint the record's Start Time and Schema Encoding cells, which every
+    /// point operation reads before anything else of the row.
+    #[inline]
+    pub fn prefetch_meta(&self, slot: u32) {
+        if let BaseData::Pages {
+            start_time,
+            schema_enc,
+            ..
+        } = &self.data
+        {
+            for meta in [start_time, schema_enc] {
+                if let PagePtr::Resident(page) = meta {
+                    page.prefetch(slot as usize);
+                }
+            }
+        }
+    }
+
+    /// Gather a row: `out[i]` becomes the base value of `columns[i]` at
+    /// `slot`, for every `i` whose column is in the bit set `only` (all of
+    /// them with `u64::MAX`). A row's cells sit in as many pages as it has
+    /// columns, so pass one ([`Self::prefetch_row`]) starts every miss
+    /// before pass two decodes the first cell — the misses overlap instead
+    /// of each waiting for the decode before it.
+    #[inline]
+    pub fn gather(&self, columns: &[usize], slot: u32, only: u64, out: &mut [u64]) {
+        self.prefetch_row(columns, slot, only);
+        for (value, &c) in out.iter_mut().zip(columns) {
+            if only & (1 << c) != 0 {
+                *value = self.value(c, slot);
+            }
+        }
+    }
+
     /// Raw Start Time cell at `slot` (may hold a transaction id during the
     /// insert phase).
     #[inline]
@@ -282,6 +332,19 @@ impl UpdateRange {
     /// Make sure at least `upto` slots are marked used (WAL replay).
     pub fn reserve_slots(&self, upto: u32) {
         self.next_slot.fetch_max(upto, Ordering::AcqRel);
+    }
+
+    /// Hint the slot's indirection and updated-columns cells — the first
+    /// things an operation on the record reads, issued as soon as its RID
+    /// is known.
+    #[inline]
+    pub fn prefetch_slot(&self, slot: u32) {
+        if let Some(cell) = self.indirection.get(slot as usize) {
+            lstore_storage::prefetch(cell);
+        }
+        if let Some(cell) = self.updated_cols.get(slot as usize) {
+            lstore_storage::prefetch(cell);
+        }
     }
 
     /// Raw indirection cell (with latch bit).

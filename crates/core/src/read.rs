@@ -19,7 +19,7 @@
 //! * **Historic crossing** (§4.3): walks that descend below the range's
 //!   historic boundary continue in the re-organized historic store.
 
-use lstore_txn::TxnManager;
+use lstore_txn::{StartTime, TxnManager};
 
 use crate::historic::HistoricStore;
 use crate::range::{BaseVersion, UpdateRange};
@@ -94,47 +94,51 @@ pub struct VersionReader<'a> {
 impl<'a> VersionReader<'a> {
     /// Resolve a raw Start Time cell under `mode`: `Some(effective_ts)` when
     /// the version is visible, `None` otherwise. Own writes resolve to 0
-    /// (visible under any snapshot bound).
-    fn resolve(&self, cell: u64, mode: ReadMode) -> Option<u64> {
+    /// (visible under any snapshot bound). `reread` loads the same cell
+    /// again, for [`TxnManager::resolve_start_time`]; `swap` receives the
+    /// commit timestamp when the cell holds the id of a *committed* (not
+    /// pre-committed) owner — the lazy swap of §5.1.1.
+    fn resolve(
+        &self,
+        cell: u64,
+        reread: impl FnOnce() -> u64,
+        mode: ReadMode,
+        swap: impl FnOnce(u64),
+    ) -> Option<u64> {
         if cell == lstore_storage::NULL_VALUE {
             return None; // unwritten slot
         }
-        if lstore_txn::is_txn_id(cell) {
+        let ts = if lstore_txn::is_txn_id(cell) {
             if cell == mode.txn_id {
-                if mode.exclude_own {
-                    return None; // validation: own writes don't count
-                }
-                return Some(0); // own write: always visible
+                // Validation: own writes don't count. Otherwise an own
+                // write is always visible.
+                return (!mode.exclude_own).then_some(0);
             }
-            let ts = self.mgr.resolve_start_time(cell, mode.speculative)?;
-            match mode.as_of {
-                Some(bound) if ts > bound => None,
-                _ => Some(ts),
+            let owner = self.mgr.resolve_start_time(cell, reread);
+            if let StartTime::Committed(commit) = owner {
+                swap(commit);
             }
+            owner.visible(mode.speculative)?
         } else {
-            match mode.as_of {
-                Some(bound) if cell > bound => None,
-                _ => Some(cell),
-            }
+            cell
+        };
+        match mode.as_of {
+            Some(bound) if ts > bound => None,
+            _ => Some(ts),
         }
     }
 
     /// Resolve + lazily swap a tail record's Start Time cell when it holds a
     /// committed transaction id.
     fn resolve_tail(&self, seq: u32, mode: ReadMode) -> Option<u64> {
-        let cell = self.range.tail.start_cell(seq);
-        let vis = self.resolve(cell, mode);
-        if let Some(ts) = vis {
-            if ts > 0 && lstore_txn::is_txn_id(cell) {
-                // Lazy swap: only for *committed* (not pre-committed) owners.
-                if let Some(info) = self.mgr.get(cell) {
-                    if info.status == lstore_txn::TxnStatus::Committed {
-                        self.range.tail.swap_start_cell(seq, cell, ts);
-                    }
-                }
-            }
-        }
-        vis
+        let tail = &self.range.tail;
+        let cell = tail.start_cell(seq);
+        self.resolve(
+            cell,
+            || tail.start_cell(seq),
+            mode,
+            |commit| tail.swap_start_cell(seq, cell, commit),
+        )
     }
 
     /// Resolve the base record's visibility, lazily swapping an insert-phase
@@ -142,17 +146,30 @@ impl<'a> VersionReader<'a> {
     /// transaction ID with commit time is done lazily by future readers").
     fn resolve_base(&self, slot: u32, mode: ReadMode) -> Option<u64> {
         let cell = self.base.start_cell(slot);
-        let vis = self.resolve(cell, mode)?;
-        if lstore_txn::is_txn_id(cell) {
-            if let Some(info) = self.mgr.get(cell) {
-                if info.status == lstore_txn::TxnStatus::Committed {
-                    if let crate::range::BaseData::Insert(t) = &self.base.data {
-                        let _ = t.start_time.cas(slot as usize, cell, info.commit);
-                    }
+        self.resolve(
+            cell,
+            || self.base.start_cell(slot),
+            mode,
+            |commit| {
+                if let crate::range::BaseData::Insert(t) = &self.base.data {
+                    let _ = t.start_time.cas(slot as usize, cell, commit);
                 }
-            }
+            },
+        )
+    }
+
+    /// The base record as stored: every requested column gathered from the
+    /// base pages, unless the merged record is a delete marker.
+    fn base_record(&self, slot: u32, columns: &[usize], version_rid: Rid) -> Resolved {
+        if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
+            return Resolved::Deleted;
         }
-        Some(vis)
+        let mut values = vec![0; columns.len()];
+        self.base.gather(columns, slot, u64::MAX, &mut values);
+        Resolved::Visible {
+            version_rid,
+            values,
+        }
     }
 
     /// Read `columns` of the record at `slot`.
@@ -166,13 +183,7 @@ impl<'a> VersionReader<'a> {
 
         // 2. Fast path: ⊥ indirection → the base record is the only version.
         if head.is_null() {
-            if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
-                return Resolved::Deleted;
-            }
-            return Resolved::Visible {
-                version_rid: base_rid,
-                values: columns.iter().map(|&c| self.base.value(c, slot)).collect(),
-            };
+            return self.base_record(slot, columns, base_rid);
         }
 
         // 3. Fast path: TPS interpretation (§4.2). For latest reads, when
@@ -180,31 +191,21 @@ impl<'a> VersionReader<'a> {
         // page is current for those columns — 2 hops, no chain walk.
         if mode.as_of.is_none() && !columns.is_empty() {
             let seq = head.seq() as u64;
-            let covered = columns.iter().all(|&c| self.base.column_tps[c] >= seq);
-            if covered {
-                if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
-                    return Resolved::Deleted;
-                }
-                return Resolved::Visible {
-                    version_rid: head,
-                    values: columns.iter().map(|&c| self.base.value(c, slot)).collect(),
-                };
+            if columns.iter().all(|&c| self.base.column_tps[c] >= seq) {
+                return self.base_record(slot, columns, head);
             }
         }
 
-        // 4. Chain walk: find the newest visible version.
+        // 4. Chain walk: find the newest visible version. The base cells
+        // the walk may fall back on load while it chases tail pointers.
+        self.base.prefetch_row(columns, slot, u64::MAX);
+        let tail = &self.range.tail;
         let boundary = self.range.historic_boundary();
         let mut cursor = head;
         let (version_rid, version_enc) = loop {
             if cursor.is_null() || cursor.is_base() {
                 // No visible tail version: the base record itself.
-                if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
-                    return Resolved::Deleted;
-                }
-                return Resolved::Visible {
-                    version_rid: base_rid,
-                    values: columns.iter().map(|&c| self.base.value(c, slot)).collect(),
-                };
+                return self.base_record(slot, columns, base_rid);
             }
             let seq = cursor.seq();
             if (seq as u64) < boundary {
@@ -212,9 +213,9 @@ impl<'a> VersionReader<'a> {
                 return self.read_historic(slot, columns, mode, base_rid);
             }
             if self.resolve_tail(seq, mode).is_some() {
-                break (cursor, self.range.tail.encoding(seq));
+                break (cursor, tail.encoding(seq));
             }
-            cursor = self.range.tail.prev(seq);
+            cursor = tail.prev(seq);
         };
 
         if version_enc.is_delete() {
@@ -222,48 +223,53 @@ impl<'a> VersionReader<'a> {
         }
 
         // 5. Collect requested columns from the visible version, walking
-        // older visible versions for columns it does not carry.
+        // older visible versions for columns it does not carry. `missing`
+        // is a set of *columns* (a table has at most 48), so a list that
+        // names a column twice settles both places at once.
         let mut values = vec![u64::MAX; columns.len()];
-        let mut missing: Vec<usize> = (0..columns.len()).collect();
-        let mut cursor = version_rid;
-        while !missing.is_empty() {
-            if cursor.is_null() || cursor.is_base() {
-                for &i in &missing {
-                    values[i] = self.base.value(columns[i], slot);
+        let mut missing = columns.iter().fold(0u64, |set, &c| set | 1 << c);
+        let mut take = |seq: u32, enc: SchemaEncoding, missing: &mut u64| {
+            let carried = *missing & enc.column_bits();
+            if carried != 0 {
+                for (value, &c) in values.iter_mut().zip(columns) {
+                    if carried & (1 << c) != 0 {
+                        *value = tail.value(seq, c);
+                    }
                 }
-                break;
+                *missing &= !carried;
             }
+        };
+        take(version_rid.seq(), version_enc, &mut missing);
+        let mut cursor = tail.prev(version_rid.seq());
+        while missing != 0 && !cursor.is_null() && !cursor.is_base() {
             let seq = cursor.seq();
             if (seq as u64) < boundary {
                 // Remaining columns come from the historic store, as of the
-                // effective bound (historic data is strictly older).
-                let bound = mode.as_of.unwrap_or(u64::MAX);
-                for &i in missing.clone().iter() {
-                    if let Some(hist) = self.historic {
-                        if let Some(v) = hist.read_column(self.range.id, slot, columns[i], bound) {
-                            values[i] = v;
-                            missing.retain(|&m| m != i);
-                            continue;
+                // effective bound (historic data is strictly older), or
+                // from the base record where it holds nothing.
+                if let Some(hist) = self.historic {
+                    let bound = mode.as_of.unwrap_or(u64::MAX);
+                    let mut found = 0u64;
+                    for (value, &c) in values.iter_mut().zip(columns) {
+                        if missing & (1 << c) != 0 {
+                            if let Some(v) = hist.read_column(self.range.id, slot, c, bound) {
+                                *value = v;
+                                found |= 1 << c;
+                            }
                         }
                     }
-                    values[i] = self.base.value(columns[i], slot);
-                    missing.retain(|&m| m != i);
+                    missing &= !found;
                 }
                 break;
             }
             // Older versions: must still be committed (skip tombstones).
             if self.resolve_tail(seq, mode).is_some() {
-                let enc = self.range.tail.encoding(seq);
-                missing.retain(|&i| {
-                    if enc.has(columns[i]) {
-                        values[i] = self.range.tail.value(seq, columns[i]);
-                        false
-                    } else {
-                        true
-                    }
-                });
+                take(seq, tail.encoding(seq), &mut missing);
             }
-            cursor = self.range.tail.prev(seq);
+            cursor = tail.prev(seq);
+        }
+        if missing != 0 {
+            self.base.gather(columns, slot, missing, &mut values);
         }
 
         Resolved::Visible {
@@ -361,14 +367,16 @@ impl<'a> VersionReader<'a> {
         let bound = mode.as_of.unwrap_or(u64::MAX);
         if let Some(hist) = self.historic {
             match hist.read_record(self.range.id, slot, columns, bound) {
-                Some(crate::historic::HistoricRead::Visible(values, filled)) => {
+                Some(crate::historic::HistoricRead::Visible(mut values, filled)) => {
                     // Columns without historic coverage fall back to base.
-                    let values = values
-                        .into_iter()
-                        .zip(columns)
+                    let unfilled = columns
+                        .iter()
                         .zip(filled)
-                        .map(|((v, &c), has)| if has { v } else { self.base.value(c, slot) })
-                        .collect();
+                        .filter(|&(_, has)| !has)
+                        .fold(0u64, |set, (&c, _)| set | 1 << c);
+                    if unfilled != 0 {
+                        self.base.gather(columns, slot, unfilled, &mut values);
+                    }
                     return Resolved::Visible {
                         version_rid: base_rid,
                         values,
@@ -379,12 +387,6 @@ impl<'a> VersionReader<'a> {
             }
         }
         // No historic record: the base record as stored.
-        if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
-            return Resolved::Deleted;
-        }
-        Resolved::Visible {
-            version_rid: base_rid,
-            values: columns.iter().map(|&c| self.base.value(c, slot)).collect(),
-        }
+        self.base_record(slot, columns, base_rid)
     }
 }

@@ -345,7 +345,8 @@ impl WindowPlan {
                 return; // nothing older can matter
             }
             let cell = rec.start_cell;
-            let Some(commit) = mgr.resolve_start_time(cell, false) else {
+            let owner = mgr.resolve_start_time(cell, || rec.reread_start_cell());
+            let Some(commit) = owner.visible(false) else {
                 return; // in flight or aborted
             };
             if lstore_txn::is_txn_id(cell) {
@@ -700,7 +701,7 @@ impl Table {
                     }
                     Arc::clone(range)
                 }
-                _ => self.range(rid.range()),
+                _ => Arc::clone(self.range(rid.range())),
             };
             windows.push((range, rid.slot(), rid.slot() + 1));
         }
@@ -725,10 +726,10 @@ impl Table {
                 break;
             }
             let range = self.range(range_id);
-            let slots = self.occupied_slots(&range, &range.base());
+            let slots = self.occupied_slots(range, &range.base());
             if slot < slots {
                 let take = remaining.min((slots - slot) as u64);
-                windows.push((range, slot, slot + take as u32));
+                windows.push((Arc::clone(range), slot, slot + take as u32));
                 remaining -= take;
             }
             slot = 0;
@@ -763,7 +764,7 @@ impl Table {
         let consistent = cols.iter().all(|&c| base.column_tps[c] == tps0);
         // Theorem 2: reconciliation is always possible — the as-of chain
         // walk brings every column to the same snapshot independently.
-        let reader = self.reader(&range, &base);
+        let reader = self.reader(range, &base);
         match reader.read_record(base_rid.slot(), &cols, ReadMode::as_of(ts)) {
             Resolved::Visible { values, .. } => Ok((Some(values), consistent)),
             _ => Ok((None, consistent)),

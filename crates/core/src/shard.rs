@@ -161,23 +161,25 @@ impl RangeRegistry {
         self.len.load(Ordering::Acquire)
     }
 
-    /// Fetch the range with global id `id`. Panics when `id` was never
-    /// registered (a RID can only name a registered range).
+    /// Borrow the range with global id `id` — registered ranges live as
+    /// long as the registry, so an operation needs no refcount of its own.
+    /// Panics when `id` was never registered (a RID can only name a
+    /// registered range).
     #[inline]
-    pub(crate) fn get(&self, id: u32) -> Arc<UpdateRange> {
+    pub(crate) fn get(&self, id: u32) -> &Arc<UpdateRange> {
         let slab = self.slabs[(id >> SLAB_BITS) as usize]
             .get()
             .expect("range slab exists");
-        Arc::clone(
-            slab[(id as usize) & (SLAB_SIZE - 1)]
-                .get()
-                .expect("range registered"),
-        )
+        slab[(id as usize) & (SLAB_SIZE - 1)]
+            .get()
+            .expect("range registered")
     }
 
     /// Snapshot all registered ranges in global-id order.
     pub(crate) fn snapshot(&self) -> Vec<Arc<UpdateRange>> {
-        (0..self.len() as u32).map(|id| self.get(id)).collect()
+        (0..self.len() as u32)
+            .map(|id| Arc::clone(self.get(id)))
+            .collect()
     }
 
     /// Append a new range under the grow lock. `make` receives the id the

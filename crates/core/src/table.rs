@@ -33,19 +33,20 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use lstore_index::SecondaryIndex;
-use lstore_txn::{ReadSetEntry, Transaction, TxnStatus};
+use lstore_txn::{ReadSetEntry, StartTime, Transaction};
 use lstore_wal::LogRecord;
 
 use crate::config::TableConfig;
 use crate::db::Runtime;
 use crate::error::{Error, Result};
 use crate::historic::HistoricStore;
+use crate::inline::{InlineVec, INLINE_COLS};
 use crate::merge::{self, MergeReport};
 use crate::multi_read::PointOutcome;
 use crate::range::UpdateRange;
 use crate::read::{ReadMode, Resolved, VersionReader};
 use crate::rid::Rid;
-use crate::schema::{Schema, SchemaEncoding};
+use crate::schema::{Schema, SchemaEncoding, MAX_COLUMNS};
 use crate::shard::{RangeRegistry, ShardMap, TableShard};
 use crate::stats::{StatsSnapshot, TableStats};
 
@@ -181,11 +182,13 @@ impl Table {
     /// Advanced API: fetch a range handle (used by benches and tests that
     /// drive merges at a fine grain).
     pub fn range_handle(&self, id: u32) -> Arc<UpdateRange> {
-        self.range(id)
+        Arc::clone(self.range(id))
     }
 
-    /// Fetch a range by id (lock-free).
-    pub(crate) fn range(&self, id: u32) -> Arc<UpdateRange> {
+    /// Borrow a range by id (lock-free, and no refcount: ranges live as
+    /// long as the table).
+    #[inline]
+    pub(crate) fn range(&self, id: u32) -> &Arc<UpdateRange> {
         self.ranges.get(id)
     }
 
@@ -434,6 +437,10 @@ impl Table {
             unreachable!("current insert range left insert phase prematurely");
         }
 
+        // Tracked before it is logged: the cell holds the transaction's id
+        // from here on, and whatever the log says next, the commit must
+        // stamp it and the abort unhook the key.
+        txn.track_insert(self.id, rid.0, key);
         if let Some(wal) = &self.runtime.wal {
             let mut row = Vec::with_capacity(values.len() + 1);
             row.push(key);
@@ -446,7 +453,6 @@ impl Table {
                 values: row,
             })?;
         }
-        txn.track_insert(self.id, rid.0, key);
         if self.has_secondary.load(Ordering::Acquire) {
             for (col, idx) in self.secondary.read().iter() {
                 let v = if *col == 0 { key } else { values[*col - 1] };
@@ -457,7 +463,7 @@ impl Table {
 
         // A filled insert range is a candidate for the simplified merge.
         if slot as usize + 1 == range.capacity {
-            self.enqueue_merge(&range);
+            self.enqueue_merge(range);
         }
         Ok(rid)
     }
@@ -495,10 +501,11 @@ impl Table {
 
     /// Update value columns of the record with `key` within `txn`.
     pub fn update(&self, txn: &mut Transaction, key: u64, updates: &[(usize, u64)]) -> Result<Rid> {
-        let mut internal = Vec::with_capacity(updates.len());
-        for &(c, v) in updates {
-            internal.push((self.internal_col(c)?, v));
-        }
+        let internal: InlineVec<(usize, u64), INLINE_COLS> = InlineVec::try_collect(
+            updates
+                .iter()
+                .map(|&(c, v)| self.internal_col(c).map(|c| (c, v))),
+        )?;
         self.write_tail(txn, key, &internal, false)
     }
 
@@ -521,7 +528,10 @@ impl Table {
         let base_rid = self.locate(key)?;
         let range = self.range(base_rid.range());
         let slot = base_rid.slot();
+        range.prefetch_slot(slot);
         let base = range.base();
+        base.prefetch_meta(slot);
+        let mgr = &self.runtime.mgr;
 
         // §5.1.1 write: latch via the indirection latch bit. Every error
         // exit below restores `prev`, or the slot stays latched forever and
@@ -546,15 +556,19 @@ impl Table {
             range.tail.start_cell(prev.seq())
         };
         if lstore_txn::is_txn_id(head_start) && head_start != txn.id {
-            match self.runtime.mgr.get(head_start).map(|i| i.status) {
-                Some(TxnStatus::Active) | Some(TxnStatus::PreCommit) => {
-                    range.unlatch_restore(slot, prev);
-                    TableStats::bump(&shard.stats.write_conflicts);
-                    return Err(Error::WriteConflict {
-                        base_rid: base_rid.0,
-                    });
+            let reread = || {
+                if prev.is_null() {
+                    base.start_cell(slot)
+                } else {
+                    range.tail.start_cell(prev.seq())
                 }
-                _ => {}
+            };
+            if mgr.resolve_start_time(head_start, reread).in_flight() {
+                range.unlatch_restore(slot, prev);
+                TableStats::bump(&shard.stats.write_conflicts);
+                return Err(Error::WriteConflict {
+                    base_rid: base_rid.0,
+                });
             }
         }
 
@@ -562,7 +576,7 @@ impl Table {
         // delete marker is the latest visible version, and SQL-style updates
         // of deleted rows affect nothing.
         if !is_delete {
-            let reader = self.reader(&range, &base);
+            let reader = self.reader(range, &base);
             let mode = ReadMode {
                 as_of: None,
                 txn_id: txn.id,
@@ -601,18 +615,29 @@ impl Table {
         let mut chain_prev = if prev.is_null() { base_rid } else { prev };
         if fresh_bits != 0 {
             let snap_enc = SchemaEncoding(fresh_bits).with_snapshot();
-            let snap_cols: Vec<(usize, u64)> = snap_enc
-                .columns()
-                .map(|c| (c, base.value(c, slot)))
+            let cols: InlineVec<usize, INLINE_COLS> = snap_enc.columns().collect();
+            let mut originals = [0u64; MAX_COLUMNS];
+            let originals = &mut originals[..cols.len()];
+            base.gather(&cols, slot, u64::MAX, originals);
+            let snap_cols: InlineVec<(usize, u64), INLINE_COLS> = cols
+                .iter()
+                .copied()
+                .zip(originals.iter().copied())
                 .collect();
+            // The original start time (t1 in Table 2). A cell that still
+            // holds its inserter's id is resolved to the commit time first:
+            // the inserter stamps the cells it wrote and retires its id,
+            // and nobody would ever stamp this copy. Only an id of this
+            // very transaction (insert and update in one) is copied as is,
+            // and then joins the write set so that its commit stamps it.
+            let original = base.start_cell(slot);
+            let snap_start = match mgr.resolve_start_time(original, || base.start_cell(slot)) {
+                StartTime::Committed(ts) => ts,
+                _ => original,
+            };
             let snap_seq = range.tail.allocate_seq();
             range.tail.write_record(
-                snap_seq,
-                chain_prev,
-                snap_enc,
-                base_rid,
-                &snap_cols,
-                base.start_cell(slot), // original start time (t1 in Table 2)
+                snap_seq, chain_prev, snap_enc, base_rid, &snap_cols, snap_start,
             );
             if let Some(wal) = &self.runtime.wal {
                 wal.append(&LogRecord::TailAppend {
@@ -628,6 +653,9 @@ impl Table {
                 .inspect_err(|_| range.unlatch_restore(slot, prev))?;
             }
             chain_prev = Rid::tail(range.id, snap_seq);
+            if snap_start == txn.id {
+                txn.track_write(self.id, base_rid.0, chain_prev.0);
+            }
             range.mark_updated(slot, fresh_bits);
             range.note_tail_append();
             TableStats::bump(&shard.stats.snapshots_taken);
@@ -636,7 +664,8 @@ impl Table {
         // Cumulative carry (§3.1): repeat the latest values of previously
         // updated columns, unless cumulation was reset by a merge (§4.2).
         let mut enc = SchemaEncoding(upd_bits);
-        let mut columns: Vec<(usize, u64)> = internal_updates.to_vec();
+        let mut columns: InlineVec<(usize, u64), INLINE_COLS> =
+            internal_updates.iter().copied().collect();
         if is_delete {
             enc = SchemaEncoding::empty().with_delete();
         } else if self.config.cumulative_updates
@@ -646,11 +675,10 @@ impl Table {
         {
             let prev_seq = prev.seq();
             let prev_cell = range.tail.start_cell(prev_seq);
-            let carry_ok = !lstore_txn::is_txn_id(prev_cell)
-                || prev_cell == txn.id
+            let carry_ok = prev_cell == txn.id
                 || matches!(
-                    self.runtime.mgr.get(prev_cell).map(|i| i.status),
-                    Some(TxnStatus::Committed)
+                    mgr.resolve_start_time(prev_cell, || range.tail.start_cell(prev_seq)),
+                    StartTime::Committed(_)
                 );
             if carry_ok {
                 let prev_enc = range.tail.encoding(prev_seq);
@@ -711,7 +739,7 @@ impl Table {
 
         let unmerged = range.note_tail_append();
         if unmerged >= self.config.merge_threshold as u64 {
-            self.enqueue_merge(&range);
+            self.enqueue_merge(range);
         }
         Ok(tail_rid)
     }
@@ -768,14 +796,14 @@ impl Table {
         user_cols: &[usize],
         speculative: bool,
     ) -> Result<Option<Vec<u64>>> {
-        let cols: Vec<usize> = user_cols
-            .iter()
-            .map(|&c| self.internal_col(c))
-            .collect::<Result<_>>()?;
+        let cols: InlineVec<usize, INLINE_COLS> =
+            InlineVec::try_collect(user_cols.iter().map(|&c| self.internal_col(c)))?;
         let base_rid = self.locate(key)?;
         let range = self.range(base_rid.range());
+        range.prefetch_slot(base_rid.slot());
         let base = range.base();
-        let reader = self.reader(&range, &base);
+        base.prefetch_meta(base_rid.slot());
+        let reader = self.reader(range, &base);
         let mode = self.mode_for(txn, speculative);
         match reader.read_record(base_rid.slot(), &cols, mode) {
             Resolved::Visible {
@@ -889,7 +917,7 @@ impl Table {
         let base_rid = Rid(entry.base_rid);
         let range = self.range(base_rid.range());
         let base = range.base();
-        let reader = self.reader(&range, &base);
+        let reader = self.reader(range, &base);
         Self::entry_still_visible(&reader, entry, txn_id)
     }
 
@@ -969,7 +997,7 @@ impl Table {
         let sorted = &sorted;
         let partials = self.scan_fanout(&units, &guard, |chunk| {
             let mut worst: Option<(usize, u64)> = None;
-            let mut cache: Option<(u32, Arc<UpdateRange>, Arc<crate::range::BaseVersion>)> = None;
+            let mut cache: Option<(u32, &UpdateRange, Arc<crate::range::BaseVersion>)> = None;
             for &(lo, hi) in chunk {
                 for &(_, pos, entry) in &sorted[lo..hi] {
                     let rid = Rid(entry.base_rid);
@@ -1035,15 +1063,15 @@ impl Table {
                 self.0.merge_done();
             }
         }
-        let _claim = ClaimRelease(&range);
-        let stats = self.range_stats(&range);
+        let _claim = ClaimRelease(range);
+        let stats = self.range_stats(range);
         let mut report = MergeReport::default();
         if range.base().is_insert_phase() {
             if force_seal {
-                self.seal_insert_range(&range);
+                self.seal_insert_range(range);
             }
             if merge::merge_insert_range(
-                &range,
+                range,
                 &self.runtime.mgr,
                 &self.runtime.epoch,
                 &self.config,
@@ -1056,7 +1084,7 @@ impl Table {
             }
         }
         report = merge::merge_range(
-            &range,
+            range,
             &self.runtime.mgr,
             &self.runtime.epoch,
             &self.config,
@@ -1120,7 +1148,7 @@ impl Table {
             .collect::<Result<_>>()?;
         let range = self.range(range_id);
         Ok(merge::merge_range(
-            &range,
+            range,
             &self.runtime.mgr,
             &self.runtime.epoch,
             &self.config,
@@ -1170,7 +1198,7 @@ impl Table {
     /// Per-range temporal lineage (§4.1.3): the earliest commit timestamp
     /// not yet merged, or `None` when the range is fully merged.
     pub fn earliest_unmerged_ts(&self, range_id: u32) -> Option<u64> {
-        merge::earliest_unmerged_ts(&self.range(range_id), &self.runtime.mgr)
+        merge::earliest_unmerged_ts(self.range(range_id), &self.runtime.mgr)
     }
 
     /// Compress merged tail records older than `oldest_snapshot` into the
@@ -1180,10 +1208,10 @@ impl Table {
         let tps = range.base().tps;
         let n = self
             .historic
-            .compress_range(&range, tps, oldest_snapshot, &self.runtime.mgr);
+            .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr);
         if n > 0 {
             debug_assert!((range.shard as usize) < self.shards.len());
-            let stats = self.range_stats(&range);
+            let stats = self.range_stats(range);
             TableStats::add(&stats.historic_compressed, n as u64);
             if let Some(wal) = &self.runtime.wal {
                 let _ = wal.append(&LogRecord::HistoricCompressed {

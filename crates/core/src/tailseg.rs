@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use lstore_storage::tail::{AppendVec, TailPage, TailSpan};
 use lstore_storage::NULL_VALUE;
+use lstore_txn::{StartTime, TxnManager};
 
 use crate::rid::Rid;
 use crate::schema::SchemaEncoding;
@@ -124,6 +125,18 @@ impl TailSegment {
     #[inline]
     pub fn swap_start_cell(&self, seq: u32, txn_id: u64, commit_ts: u64) {
         let _ = self.start_time.cas((seq - 1) as usize, txn_id, commit_ts);
+    }
+
+    /// What the Start Time cell of record `seq` says, through the one
+    /// resolver; a committed owner's id is swapped for its timestamp on the
+    /// way (merges and historic compression are readers too, §5.1.1).
+    pub fn resolve_start(&self, seq: u32, mgr: &TxnManager) -> StartTime {
+        let cell = self.start_cell(seq);
+        let owner = mgr.resolve_start_time(cell, || self.start_cell(seq));
+        if let (StartTime::Committed(ts), true) = (owner, lstore_txn::is_txn_id(cell)) {
+            self.swap_start_cell(seq, cell, ts);
+        }
+        owner
     }
 
     /// Base RID of record `seq`.
@@ -300,6 +313,13 @@ impl SuffixRecord<'_> {
         self.data[i]
             .page(self.page_no)
             .map_or(NULL_VALUE, |page| page.get(self.at))
+    }
+
+    /// The Start Time cell as it is now (Acquire), for the resolver's
+    /// second look at an id that retired meanwhile.
+    #[inline]
+    pub fn reread_start_cell(&self) -> u64 {
+        self.start_time.get(self.at)
     }
 
     /// [`TailSegment::swap_start_cell`] on this record.

@@ -9,11 +9,46 @@
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hashing of one `u64` key, in place of SipHash: the keys
+/// are the table's own primary keys, and a probe is on the path of every
+/// point read and write. The product's high half is folded onto its low
+/// half because the map takes its bucket from the low bits, where a product
+/// only reflects the key's own low bits (keys at a stride of 2²⁰ would
+/// share them all). The multiplier differs from the stripe selector's, or
+/// the keys of one stripe would agree on the bits the fold brings down.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let product = key.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed here; kept total for the trait's sake.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(self.0 ^ u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Stripe = HashMap<u64, u64, BuildHasherDefault<KeyHasher>>;
 
 /// A lock-striped unique index from `u64` key to base RID.
 #[derive(Debug)]
 pub struct PrimaryIndex {
-    shards: Vec<RwLock<HashMap<u64, u64>>>,
+    shards: Vec<RwLock<Stripe>>,
 }
 
 impl Default for PrimaryIndex {
@@ -36,7 +71,7 @@ impl PrimaryIndex {
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         PrimaryIndex {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| RwLock::new(Stripe::default())).collect(),
         }
     }
 
@@ -46,7 +81,7 @@ impl PrimaryIndex {
     }
 
     #[inline]
-    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, u64>> {
+    fn shard(&self, key: u64) -> &RwLock<Stripe> {
         // Fibonacci hashing spreads dense integer keys across stripes.
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(h >> 33) as usize & (self.shards.len() - 1)]
@@ -111,6 +146,35 @@ mod tests {
         }
         assert_eq!(idx.len(), 1000);
         assert_eq!(idx.get(999), Some(1006));
+    }
+
+    /// The hasher is a multiply and a fold, not SipHash: key patterns whose
+    /// low bits never change must still spread over stripes and buckets.
+    #[test]
+    fn strided_keys_stay_usable() {
+        const KEYS: u64 = 1_000_000;
+        let run = |stride: u64| {
+            let idx = PrimaryIndex::new();
+            let start = std::time::Instant::now();
+            for i in 0..KEYS {
+                assert_eq!(idx.insert(i * stride, i), None);
+            }
+            for i in 0..KEYS {
+                assert_eq!(idx.get(i * stride), Some(i), "stride {stride}");
+            }
+            assert_eq!(idx.get(KEYS * stride), None);
+            assert_eq!(idx.len() as u64, KEYS);
+            start.elapsed()
+        };
+        let dense = run(1);
+        for stride in [4096, 1 << 20] {
+            let strided = run(stride);
+            // Generous: a degenerate hash is slower by orders of magnitude.
+            assert!(
+                strided < dense * 10 + std::time::Duration::from_secs(2),
+                "stride {stride}: {strided:?} against {dense:?} dense"
+            );
+        }
     }
 
     #[test]

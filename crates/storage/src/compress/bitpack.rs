@@ -99,6 +99,15 @@ impl BitPacked {
         }
     }
 
+    /// Hint the word value `idx` starts in (see [`crate::prefetch`]); a
+    /// value straddling two words almost always finds both on one line.
+    #[inline]
+    pub fn prefetch(&self, idx: usize) {
+        if let Some(word) = self.words.get(idx * self.width as usize / 64) {
+            crate::prefetch(word);
+        }
+    }
+
     /// Heap bytes used by the packed words.
     pub fn encoded_bytes(&self) -> usize {
         self.words.len() * 8

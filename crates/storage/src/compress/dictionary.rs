@@ -70,6 +70,13 @@ impl DictColumn {
         self.dict[self.codes.get(idx) as usize]
     }
 
+    /// Hint the packed word of code `idx` (the dictionary is small and
+    /// shared by every row of the page).
+    #[inline]
+    pub fn prefetch(&self, idx: usize) {
+        self.codes.prefetch(idx);
+    }
+
     /// Heap bytes used by dictionary plus codes.
     pub fn encoded_bytes(&self) -> usize {
         self.dict.len() * 8 + self.codes.encoded_bytes()

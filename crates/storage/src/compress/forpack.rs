@@ -71,6 +71,12 @@ impl ForColumn {
         self.base + self.deltas.get(idx)
     }
 
+    /// Hint the packed word of value `idx`.
+    #[inline]
+    pub fn prefetch(&self, idx: usize) {
+        self.deltas.prefetch(idx);
+    }
+
     /// Heap bytes used by the packed deltas.
     pub fn encoded_bytes(&self) -> usize {
         8 + self.deltas.encoded_bytes()

@@ -81,12 +81,31 @@ impl Compressed {
 
     /// Random access to the value at `idx`. Panics when out of bounds,
     /// matching slice indexing semantics.
+    #[inline]
     pub fn get(&self, idx: usize) -> u64 {
         match self {
             Compressed::Dict(c) => c.get(idx),
             Compressed::Rle(c) => c.get(idx),
             Compressed::For(c) => c.get(idx),
             Compressed::Plain(v) => v[idx],
+        }
+    }
+
+    /// Hint the cache line [`Self::get`] will decode `idx` from (see
+    /// [`crate::prefetch`]): the plain word, or the packed word of a FOR
+    /// delta or dictionary code. RLE takes none — its run index is a few
+    /// lines that every row of the page shares.
+    #[inline]
+    pub fn prefetch(&self, idx: usize) {
+        match self {
+            Compressed::Dict(c) => c.prefetch(idx),
+            Compressed::For(c) => c.prefetch(idx),
+            Compressed::Plain(v) => {
+                if let Some(cell) = v.get(idx) {
+                    crate::prefetch(cell);
+                }
+            }
+            Compressed::Rle(_) => {}
         }
     }
 

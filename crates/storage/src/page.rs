@@ -57,6 +57,12 @@ impl BasePage {
         self.data.get(slot)
     }
 
+    /// Hint the cache line [`Self::get`] will read `slot` from.
+    #[inline]
+    pub fn prefetch(&self, slot: usize) {
+        self.data.prefetch(slot);
+    }
+
     /// Decode every slot into a vector (used by the merge to load outdated
     /// base pages, §4.1.1 step 2).
     pub fn decode(&self) -> Vec<u64> {

@@ -117,8 +117,12 @@ impl AppendVec {
 
     /// Write the cell at logical index `idx`, allocating pages on demand.
     pub fn set(&self, idx: usize, value: u64) {
-        let page = self.page_for(idx);
-        page.set(idx % self.page_slots, value);
+        if let Some(page) = self.pages.read().get(idx / self.page_slots) {
+            // The common case writes through the directory's read guard:
+            // no page handle is cloned and dropped per cell.
+            return page.set(idx % self.page_slots, value);
+        }
+        self.page_for(idx).set(idx % self.page_slots, value);
     }
 
     /// Compare-and-swap the cell at `idx`; false when the page is missing or

@@ -11,7 +11,8 @@
 //!   before it is returned") issuing begin and commit timestamps.
 //! * [`manager::TxnManager`] — the transaction table mapping transaction ids
 //!   to their state (active → pre-commit → committed / aborted) and
-//!   begin/commit times, consulted by readers to resolve visibility of
+//!   begin/commit times, consulted by readers — through its one resolver,
+//!   [`manager::TxnManager::resolve_start_time`] — to decide visibility of
 //!   records whose Start Time column still holds a transaction id.
 //! * [`txn::Transaction`] — per-transaction context: id, begin time,
 //!   isolation level, read-set for validation, write-set for abort handling.
@@ -25,7 +26,7 @@ pub mod manager;
 pub mod txn;
 
 pub use clock::GlobalClock;
-pub use manager::{TxnManager, TxnStatus};
+pub use manager::{StartTime, TxnManager, TxnStatus};
 pub use txn::{IsolationLevel, ReadSetEntry, Transaction, WriteSetEntry};
 
 /// Bit flagging a `u64` as a transaction id rather than a wall-clock

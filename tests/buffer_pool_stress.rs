@@ -38,7 +38,19 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
     let stop = Arc::new(AtomicBool::new(false));
     let pause = Arc::new(AtomicBool::new(false));
     let parked = Arc::new(AtomicU64::new(0));
+    // A failed assertion unwinds inside the scope, which then joins the
+    // other threads: whoever unwinds raises `stop` on the way out, or the
+    // failure would show as a hang.
+    struct StopOnUnwind<'a>(&'a AtomicBool);
+    impl Drop for StopOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+    }
     std::thread::scope(|s| {
+        let _release = StopOnUnwind(&stop);
         // Writers doing read-modify-write increments: their updates force
         // re-merges, which reseal fresh pages into the starved store.
         for w in 0..WRITERS {
@@ -48,6 +60,7 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
             let pause = Arc::clone(&pause);
             let parked = Arc::clone(&parked);
             s.spawn(move || {
+                let _release = StopOnUnwind(&stop);
                 let mut rng = 0x0dd_ba11u64 ^ (w << 40);
                 while !stop.load(Ordering::Relaxed) {
                     if pause.load(Ordering::SeqCst) {
@@ -82,6 +95,7 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
             s.spawn(move || {
+                let _release = StopOnUnwind(&stop);
                 while !stop.load(Ordering::Relaxed) {
                     let ts = t.now();
                     std::hint::black_box(t.sum_as_of(0, ts));
@@ -94,6 +108,7 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
         for round in 0..12 {
             pause.store(true, Ordering::SeqCst);
             while parked.load(Ordering::SeqCst) < WRITERS {
+                assert!(!stop.load(Ordering::SeqCst), "a worker thread died");
                 std::thread::yield_now();
             }
             let ts = t.now(); // no transaction in flight at this instant

@@ -802,3 +802,163 @@ fn scans_patch_from_a_growing_tail_under_open_transactions() {
         }
     }
 }
+
+/// Readers resolve Start Time cells whose owners commit, retire and have
+/// their page of the transaction table reused underneath them. With four
+/// entries per page an id's entry serves another transaction a handful of
+/// begins after it retired, so a reader that loaded a cell holding an id
+/// and resolves it a moment later meets every case: the owner still
+/// tracked, retired with the cell stamped, aborted (the cell keeps the id
+/// for good), the entry already a stranger's. Each key has one writer,
+/// which publishes a lower bound (after a commit returned) and an upper
+/// bound (before it writes) of the key's committed value; a transaction
+/// that is going to abort writes a poison value. Point reads, as-of reads
+/// and scans must stay inside the bounds and never see poison; background
+/// merges (insert ranges included) run through the same resolver.
+#[test]
+fn readers_resolve_ids_that_retire_and_recycle_underneath() {
+    const KEYS: u64 = 256;
+    const WRITERS: u64 = 3; // keys ≡ w (mod 3)
+    const POISON: u64 = 1 << 40;
+    const INSERT_BASE: u64 = 1 << 20;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let db = Database::with_txn_manager(
+            DbConfig::new().with_pool_threads(2).with_shards(2),
+            lstore_txn::TxnManager::with_page_bits(2),
+        );
+        let t = db
+            .create_table("recycled", &["count"], TableConfig::small())
+            .unwrap();
+        for k in 0..KEYS {
+            t.insert_auto(k, &[0]).unwrap();
+        }
+        let committed: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+        let attempted: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+        let inserted = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        let total =
+            |bound: &[AtomicU64]| -> u64 { bound.iter().map(|b| b.load(Ordering::SeqCst)).sum() };
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (db, t, stop, committed, attempted) = (&db, &t, &stop, &committed, &attempted);
+                s.spawn(move || {
+                    let mut round = w;
+                    while !stop.load(Ordering::Relaxed) {
+                        let key = (round * WRITERS + w) % (KEYS / WRITERS * WRITERS);
+                        let at = key as usize;
+                        let next = committed[at].load(Ordering::SeqCst) + 1;
+                        let aborts = round % 3 == 0;
+                        let mut txn = db.begin();
+                        if aborts {
+                            t.update(&mut txn, key, &[(0, POISON + round)]).unwrap();
+                            db.abort(&mut txn);
+                        } else {
+                            attempted[at].store(next, Ordering::SeqCst);
+                            assert_eq!(t.read(&mut txn, key, &[0]).unwrap(), Some(vec![next - 1]));
+                            t.update(&mut txn, key, &[(0, next)]).unwrap();
+                            db.commit(&mut txn).unwrap();
+                            committed[at].store(next, Ordering::SeqCst);
+                        }
+                        round += 7;
+                    }
+                });
+            }
+            // Inserts, a third of them aborted: insert ranges fill and
+            // graduate while inserters stamp (or abandon) their cells.
+            {
+                let (db, t, stop, inserted) = (&db, &t, &stop, &inserted);
+                s.spawn(move || {
+                    let mut next = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        if next % 3 == 2 {
+                            let mut txn = db.begin();
+                            t.insert(&mut txn, INSERT_BASE - 1 - next, &[POISON])
+                                .unwrap();
+                            db.abort(&mut txn);
+                        }
+                        let mut txn = db.begin();
+                        t.insert(&mut txn, INSERT_BASE + next, &[0]).unwrap();
+                        db.commit(&mut txn).unwrap();
+                        next += 1;
+                        inserted.store(next, Ordering::SeqCst);
+                    }
+                });
+            }
+            for r in 0..2u64 {
+                let (t, stop, committed, attempted, inserted) =
+                    (&t, &stop, &committed, &attempted, &inserted);
+                s.spawn(move || {
+                    let mut i = r;
+                    while !stop.load(Ordering::Relaxed) {
+                        let key = i % KEYS;
+                        let at = key as usize;
+                        let low = committed[at].load(Ordering::SeqCst);
+                        let ts = t.now();
+                        let latest = t.read_latest_auto(key).unwrap()[0];
+                        let as_of = t.read_as_of(key, &[0], ts).unwrap().expect("visible")[0];
+                        let high = attempted[at].load(Ordering::SeqCst);
+                        assert!(
+                            (low..=high).contains(&latest) && (low..=high).contains(&as_of),
+                            "key {key}: latest {latest}, as of {ts} {as_of}, outside {low}..={high}"
+                        );
+                        let rows = inserted.load(Ordering::SeqCst);
+                        if rows > 0 {
+                            let key = INSERT_BASE + i % rows;
+                            assert_eq!(t.read_latest_auto(key).unwrap(), vec![0], "key {key}");
+                        }
+                        if i % 64 == r {
+                            let (low, rows) = (total(committed), inserted.load(Ordering::SeqCst));
+                            let ts = t.now();
+                            let sum = t.sum_as_of(0, ts);
+                            let count = t.count_as_of(ts);
+                            let high = total(attempted);
+                            assert!(
+                                (low..=high).contains(&sum),
+                                "sum {sum} outside {low}..={high}"
+                            );
+                            let most = KEYS + inserted.load(Ordering::SeqCst) + 1;
+                            assert!(
+                                (KEYS + rows..=most).contains(&count),
+                                "count {count} outside {}..={most}",
+                                KEYS + rows
+                            );
+                        }
+                        i += 5;
+                    }
+                });
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1500));
+            stop.store(true, Ordering::Relaxed);
+        });
+        db.drain_merges();
+        let begun = db.begin().id & !(1 << 63);
+        assert!(begun > 1000, "only {begun} transactions ran");
+        assert!(
+            db.runtime().mgr.tracked() <= 64,
+            "{} slots held after {begun} transactions",
+            db.runtime().mgr.tracked()
+        );
+        for k in 0..KEYS {
+            let truth = committed[k as usize].load(Ordering::SeqCst);
+            assert_eq!(t.read_latest_auto(k).unwrap(), vec![truth], "key {k}");
+        }
+        assert_eq!(t.sum_auto(0), total(&committed));
+        t.merge_all();
+        assert_eq!(t.sum_auto(0), total(&committed), "after the merges");
+        assert_eq!(
+            t.count_as_of(t.now()),
+            KEYS + inserted.load(Ordering::SeqCst)
+        );
+        done_tx.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(()) => {}
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("a reader or writer hung on the transaction table")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("the stress body panicked (see its message above)")
+        }
+    }
+}

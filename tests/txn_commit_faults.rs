@@ -153,3 +153,55 @@ fn wal_append_failure_releases_the_latch() {
     db.abort(&mut fresh);
     assert_eq!(t.read_latest_auto(1).unwrap(), vec![10]);
 }
+
+/// Auto-commit goes through the same commit sequence as `Database::commit`:
+/// a commit record that cannot be logged is an `Err` and an aborted
+/// transaction. (Each `*_auto` used to carry its own copy of the sequence
+/// with `let _ = wal.commit(..)`: the failed commit was acknowledged and the
+/// write stayed visible.) The row is committed under a working log and
+/// replayed into a database logging to `/dev/full`, where every commit
+/// record fails to flush.
+#[test]
+fn auto_commit_surfaces_wal_failures() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipping: /dev/full not available on this platform");
+        return;
+    }
+    let path = wal_path("auto-commit");
+    std::fs::remove_file(&path).ok();
+    {
+        let db = Database::new(DbConfig::deterministic().with_wal_path(path.clone()));
+        let t = db.create_table("a", &["a"], TableConfig::small()).unwrap();
+        t.insert_auto(1, &[10]).unwrap();
+        db.runtime().wal.as_ref().unwrap().sync().unwrap();
+    }
+    let state = lstore_wal::recover(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let db = Database::new(DbConfig::deterministic().with_wal_path(PathBuf::from("/dev/full")));
+    let t = db.create_table("a", &["a"], TableConfig::small()).unwrap();
+    t.replay(&state).unwrap();
+
+    let is_log_error = |e: &Error| matches!(e, Error::Wal(_) | Error::Storage(_));
+    let err = t.update_auto(1, &[(0, 99)]).unwrap_err();
+    assert!(
+        is_log_error(&err),
+        "update_auto over a full device: {err:?}"
+    );
+    assert_eq!(t.read_latest_auto(1).unwrap(), vec![10], "old value stands");
+    let err = t.delete_auto(1).unwrap_err();
+    assert!(
+        is_log_error(&err),
+        "delete_auto over a full device: {err:?}"
+    );
+    assert_eq!(t.read_latest_auto(1).unwrap(), vec![10], "row still there");
+    let err = t.insert_auto(2, &[20]).unwrap_err();
+    assert!(
+        is_log_error(&err),
+        "insert_auto over a full device: {err:?}"
+    );
+    assert!(matches!(
+        t.read_latest_auto(2).unwrap_err(),
+        Error::KeyNotFound(2)
+    ));
+    assert_eq!(t.count_as_of(t.now()), 1);
+}
