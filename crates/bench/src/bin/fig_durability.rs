@@ -1,7 +1,7 @@
 //! Durability axis: committed-transaction throughput under the WAL commit
-//! policies — `none` (buffered logging, no fsync), `wal` (fsync every
-//! touched stream per commit, §5.1.3's strict setting), and `group`
-//! (leader-batched cohort fsyncs, the §6.1 group-commit remark) — per
+//! policies — `none` (buffered logging, no fsync), `wal` (fsync the log
+//! per commit, §5.1.3's strict setting), and `group` (leader-batched
+//! cohort fsyncs, the §6.1 group-commit remark) — per
 //! (update threads × table shards) combination. The paper turns logging
 //! off for its headline numbers; this figure measures what each level of
 //! crash durability costs on top, and what group commit buys back.
@@ -16,7 +16,7 @@
 //!
 //! Env: `BENCH_DURABILITY` picks the modes (default `none,wal,group`),
 //! `BENCH_THREADS`/`BENCH_SHARDS` the writer axes; `BENCH_WAL_DIR`
-//! overrides where the log streams are written (default: a temp dir,
+//! overrides where the logs are written (default: a temp dir,
 //! removed afterwards — fsync cost depends on the backing device, so CI
 //! pins this to the runner's real disk).
 

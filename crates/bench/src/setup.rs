@@ -240,7 +240,7 @@ pub fn lstore_sharded_engine(config: &WorkloadConfig, shards: usize) -> Arc<LSto
     e
 }
 
-/// Build one populated L-Store engine logging to the per-shard WAL at
+/// Build one populated L-Store engine logging to the WAL at
 /// `wal_path` under the given commit durability policy (scans stay
 /// sequential, as in [`lstore_sharded_engine`], so the axis isolates the
 /// commit path's fsync cost).

@@ -94,30 +94,34 @@ impl TableConfig {
 /// group-commit remark). The WAL itself is enabled by
 /// [`DbConfig::wal_path`]; `Durability` picks what a commit *waits for*:
 ///
-/// * [`Durability::None`] — commits only flush touched log streams to the
-///   OS, never fsync. Crash durability is best-effort (the benchmark
-///   setting, and the pre-existing `sync_on_commit: false` behavior).
-/// * [`Durability::Wal`] — every commit fsyncs every log stream its
-///   transaction touched before returning (the pre-existing
-///   `sync_on_commit: true` behavior, per-commit fsync).
-/// * [`Durability::WalGroupCommit`] — commits enroll in their streams'
-///   group-commit cohorts: a leader batches pending commit records for up
-///   to `window_us` microseconds (or `max_batch` commits), one fsync
-///   publishes the whole cohort, and followers park until their record is
-///   durable. Same durability guarantee as [`Durability::Wal`], a fraction
-///   of the fsyncs.
+/// * [`Durability::None`] — commits only flush the log to the OS, never
+///   fsync. Crash durability is best-effort (the benchmark setting).
+/// * [`Durability::Wal`] — every commit fsyncs the log before returning
+///   (per-commit fsync).
+/// * [`Durability::WalGroupCommit`] — commits enrol in the log's
+///   group-commit cohort: one leader's fsync publishes every commit record
+///   enrolled by then, and followers park until their record is durable.
+///   There is no timer: a leader waits only for the committers the
+///   previous fsync released to come back, never longer than `window_us`
+///   or one measured fsync, and syncs early once `max_batch` commits are
+///   enrolled. Same durability guarantee as [`Durability::Wal`], a
+///   fraction of the fsyncs.
+///
+/// A transaction that logged nothing (read-only, empty) waits for nothing
+/// under any policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// No fsync on commit (OS-buffered logging).
     #[default]
     None,
-    /// fsync every touched log stream on every commit.
+    /// fsync the log on every commit.
     Wal,
-    /// Leader-batched cohort fsync per log stream.
+    /// Leader-batched cohort fsync.
     WalGroupCommit {
-        /// Group-commit window in microseconds.
+        /// Upper bound, in microseconds, of a leader's wait for returning
+        /// committers.
         window_us: u64,
-        /// fsync early once this many commits are pending in a stream.
+        /// fsync early once this many commits are enrolled.
         max_batch: usize,
     },
 }
@@ -135,10 +139,10 @@ impl Durability {
 /// Database-wide configuration.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
-    /// Write-ahead log base path; `None` disables logging (the evaluation
-    /// setting: "logging has been turned off for all systems", §6.1). With
-    /// `shards > 1` the log splits into per-shard segment streams: shard
-    /// stream 0 is this path itself, stream `i` adds an `.s<i>` suffix.
+    /// Write-ahead log path; `None` disables logging (the evaluation
+    /// setting: "logging has been turned off for all systems", §6.1). One
+    /// file, whatever `shards` is; `.s<i>` siblings left beside it by an
+    /// older build are removed when the log is created.
     pub wal_path: Option<PathBuf>,
     /// What a commit waits for when the WAL is enabled.
     pub durability: Durability,

@@ -18,12 +18,11 @@ use parking_lot::RwLock;
 use lstore_storage::epoch::EpochManager;
 use lstore_storage::store::{PageStore, PoolStatsSnapshot};
 use lstore_txn::{GlobalClock, IsolationLevel, Transaction, TxnManager};
-use lstore_wal::{CommitPolicy, LogRecord, ShardedWal, ShardedWalConfig};
+use lstore_wal::{CommitPolicy, LogRecord, ShardedWal, ShardedWalConfig, WalStats};
 
 use crate::config::{DbConfig, Durability, TableConfig};
 use crate::error::{Error, Result};
 use crate::pool::TaskPool;
-use crate::rid::Rid;
 use crate::table::Table;
 
 /// Shared engine runtime handed to every table.
@@ -34,8 +33,8 @@ pub struct Runtime {
     pub mgr: TxnManager,
     /// Epoch-based reclamation of outdated pages.
     pub epoch: EpochManager,
-    /// Optional redo-only WAL: one append-only segment stream per table
-    /// shard, with the configured [`Durability`] policy on commits.
+    /// Optional redo-only WAL: one append-only stream for every shard,
+    /// with the configured [`Durability`] policy on commits.
     pub wal: Option<Arc<ShardedWal>>,
     /// Optional buffer-pool page store: merges seal base pages into it,
     /// evicted pages fault back in on demand (`DbConfig::page_store_path`).
@@ -129,7 +128,9 @@ impl Runtime {
     /// The one commit sequence, shared by [`Database::commit`] and the
     /// auto-commit conveniences: pre-commit → validate → WAL commit record
     /// → finalize → stamp the written cells → retire the id. A failed
-    /// validation or commit record aborts through [`Runtime::abort`].
+    /// validation or commit record aborts through [`Runtime::abort`]. A
+    /// transaction that logged nothing (read-only, empty) has nothing to
+    /// make durable: it writes no record and never enrols in a cohort.
     pub(crate) fn commit(&self, txn: &mut Transaction) -> Result<u64> {
         let Some(commit_ts) = self.mgr.pre_commit(txn.id, &self.clock) else {
             return Err(Error::TxnFinalized);
@@ -142,14 +143,11 @@ impl Runtime {
                 return Err(Error::ValidationFailed { base_rid });
             }
         }
-        if let Some(wal) = &self.wal {
-            if let Err(e) = wal.commit(
-                &touched_ranges(txn),
-                &LogRecord::Commit {
-                    txn_id: txn.id,
-                    commit_ts,
-                },
-            ) {
+        if let Some(wal) = self.wal.as_ref().filter(|_| txn.logged) {
+            if let Err(e) = wal.commit(&LogRecord::Commit {
+                txn_id: txn.id,
+                commit_ts,
+            }) {
                 self.abort(txn);
                 return Err(e.into());
             }
@@ -161,10 +159,10 @@ impl Runtime {
     }
 
     /// The one abort sequence: mark aborted, unhook the primary-index
-    /// entries of its inserts, log the abort record, retire the id (the
-    /// cells it wrote keep the id, which from now on reads as aborted
-    /// because the table no longer knows it). A no-op on a finalized
-    /// transaction.
+    /// entries of its inserts, log the abort record if the log holds
+    /// anything of the transaction, retire the id (the cells it wrote keep
+    /// the id, which from now on reads as aborted because the table no
+    /// longer knows it). A no-op on a finalized transaction.
     pub(crate) fn abort(&self, txn: &mut Transaction) {
         if !self.mgr.abort(txn.id) {
             return;
@@ -176,8 +174,8 @@ impl Runtime {
                 }
             }
         }
-        if let Some(wal) = &self.wal {
-            let _ = wal.commit(&touched_ranges(txn), &LogRecord::Abort { txn_id: txn.id });
+        if let Some(wal) = self.wal.as_ref().filter(|_| txn.logged) {
+            let _ = wal.commit(&LogRecord::Abort { txn_id: txn.id });
         }
         self.mgr.retire(txn.id);
     }
@@ -244,14 +242,6 @@ impl Runtime {
     }
 }
 
-/// The update ranges a transaction wrote, in first-touch order. The
-/// sharded WAL routes records by range id, so these are exactly the log
-/// streams whose durability the transaction's commit record must wait on
-/// (the first-touched range's stream is the commit record's home stream).
-fn touched_ranges(txn: &Transaction) -> Vec<u32> {
-    txn.write_rids().map(|r| Rid(r).range()).collect()
-}
-
 /// The L-Store database.
 pub struct Database {
     runtime: Arc<Runtime>,
@@ -285,7 +275,6 @@ impl Database {
                 ShardedWal::create(
                     p,
                     ShardedWalConfig {
-                        streams: config.shards.max(1),
                         policy,
                         ..ShardedWalConfig::default()
                     },
@@ -486,6 +475,13 @@ impl Database {
     /// counters: hits, faults, evictions, writebacks.
     pub fn store_stats(&self) -> Option<PoolStatsSnapshot> {
         self.runtime.store.as_ref().map(|s| s.pool_stats())
+    }
+
+    /// Counters of the log's commit-wait layer — commits enrolled, fsyncs
+    /// and their time, leader waits, largest cohort (`None` when the
+    /// database runs without a WAL).
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        self.runtime.wal.as_ref().map(|wal| wal.stats())
     }
 
     /// Write back every dirty resident page and fsync the page-store file

@@ -90,3 +90,4 @@ pub use table::Table;
 
 pub use lstore_storage::NULL_VALUE;
 pub use lstore_txn::{IsolationLevel, Transaction};
+pub use lstore_wal::WalStats;

@@ -442,6 +442,7 @@ impl Table {
         // stamp it and the abort unhook the key.
         txn.track_insert(self.id, rid.0, key);
         if let Some(wal) = &self.runtime.wal {
+            txn.logged = true;
             let mut row = Vec::with_capacity(values.len() + 1);
             row.push(key);
             row.extend_from_slice(values);
@@ -640,6 +641,7 @@ impl Table {
                 snap_seq, chain_prev, snap_enc, base_rid, &snap_cols, snap_start,
             );
             if let Some(wal) = &self.runtime.wal {
+                txn.logged = true;
                 wal.append(&LogRecord::TailAppend {
                     table_id: self.id,
                     range_id: range.id,
@@ -699,6 +701,7 @@ impl Table {
             .tail
             .write_record(seq, chain_prev, enc, base_rid, &columns, txn.id);
         if let Some(wal) = &self.runtime.wal {
+            txn.logged = true;
             wal.append(&LogRecord::TailAppend {
                 table_id: self.id,
                 range_id: range.id,

@@ -73,6 +73,11 @@ pub struct Transaction {
     pub read_set: Vec<ReadSetEntry>,
     /// Versions installed by writes, for abort handling.
     pub write_set: Vec<WriteSetEntry>,
+    /// Set by the engine before it hands the log a record of this
+    /// transaction. While it is false the log knows nothing of the
+    /// transaction, so its commit or abort has nothing to write and nothing
+    /// to wait for.
+    pub logged: bool,
 }
 
 impl Transaction {
@@ -85,6 +90,7 @@ impl Transaction {
             isolation,
             read_set: Vec::new(),
             write_set: Vec::new(),
+            logged: false,
         }
     }
 
@@ -126,14 +132,6 @@ impl Transaction {
     /// Whether this transaction must validate its read-set before commit.
     pub fn needs_validation(&self) -> bool {
         !self.read_set.is_empty()
-    }
-
-    /// Base RIDs this transaction wrote, in write order. The engine's
-    /// commit path maps these to update ranges to learn which per-shard
-    /// WAL streams the transaction touched (the streams its commit record
-    /// must wait on under fsyncing durability policies).
-    pub fn write_rids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.write_set.iter().map(|w| w.base_rid)
     }
 }
 

@@ -16,12 +16,14 @@
 //! Modules:
 //! * [`record`] — the binary log record format (redo, commit/abort,
 //!   operational merge records, checkpoints).
-//! * [`writer`] — append-only single-stream log writer with LSN assignment.
-//! * [`sharded`] — per-shard segment streams with group commit: records
-//!   route by global range id, concurrent committers amortize fsyncs
-//!   through a per-stream leader/follower cohort protocol.
-//! * [`recovery`] — log scan + replay driver, including the merged
-//!   per-shard-stream recovery ([`recover_merged`]).
+//! * [`writer`] — append-only log writer with LSN assignment; a failed
+//!   write or sync poisons it.
+//! * [`sharded`] — the engine's log: one stream for every shard, the commit
+//!   policies, and group commit — concurrent committers amortize fsyncs
+//!   through a leader/follower cohort protocol that waits for returning
+//!   committers instead of a timer.
+//! * [`recovery`] — log scan + replay driver ([`recover_merged`] also
+//!   merges the per-shard stream files older builds wrote).
 //! * [`ownership`] — the §5.2 Ownership-Relaying (OR) protocol for
 //!   maintaining `pageLSN` under many concurrent writers with mostly shared
 //!   latches.
@@ -35,8 +37,8 @@ pub mod writer;
 pub use ownership::{OrOutcome, OrPage};
 pub use record::LogRecord;
 pub use recovery::{recover, recover_merged, RecoveredState};
-pub use sharded::{CommitPolicy, ShardedWal, ShardedWalConfig};
-pub use writer::{Wal, WalConfig};
+pub use sharded::{CommitPolicy, ShardedWal, ShardedWalConfig, WalStats};
+pub use writer::Wal;
 
 /// Errors surfaced by the WAL.
 #[derive(Debug)]

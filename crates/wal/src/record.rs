@@ -110,24 +110,6 @@ fn fnv1a(data: &[u8]) -> u32 {
 }
 
 impl LogRecord {
-    /// The update/insert range a record addresses, when it addresses one.
-    /// Range ids are global (they never encode the shard count), so they
-    /// double as the shard-stream routing key of [`crate::sharded`]:
-    /// records of one range always land in one stream, while
-    /// transaction-resolution and checkpoint markers (`None` here) go to
-    /// the committing transaction's home stream.
-    pub fn range_id(&self) -> Option<u32> {
-        match self {
-            LogRecord::TailAppend { range_id, .. }
-            | LogRecord::Insert { range_id, .. }
-            | LogRecord::MergeCompleted { range_id, .. }
-            | LogRecord::HistoricCompressed { range_id, .. } => Some(*range_id),
-            LogRecord::Commit { .. } | LogRecord::Abort { .. } | LogRecord::Checkpoint { .. } => {
-                None
-            }
-        }
-    }
-
     /// The transaction a record belongs to, when it belongs to one.
     pub fn txn_id(&self) -> Option<u64> {
         match self {

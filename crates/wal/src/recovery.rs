@@ -49,10 +49,10 @@ pub fn recover(path: &Path) -> WalResult<RecoveredState> {
     recover_from_bytes(&data)
 }
 
-/// Recover a (possibly sharded) log rooted at `base`: stream 0 is the base
-/// file itself, stream `i` is `<base>.s<i>` (see [`crate::sharded`]), so a
-/// pre-sharding single-file log recovers through the same entry point.
-/// Streams are scanned independently and merged by commit timestamp.
+/// Recover the log rooted at `base`. The writer keeps everything in the
+/// base file; a build that still split the log per shard left `<base>.s<i>`
+/// siblings beside it (see [`crate::sharded`]), and those are read too:
+/// streams are scanned independently and merged by commit timestamp.
 pub fn recover_merged(base: &Path) -> WalResult<RecoveredState> {
     let mut streams = vec![fs::read(base)?];
     let mut i = 1;

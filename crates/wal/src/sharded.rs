@@ -1,83 +1,100 @@
-//! Per-shard WAL segment streams with group commit.
+//! The engine's log: one stream, three commit policies, group commit.
 //!
-//! A single log stream re-serializes everything the key-range sharded
-//! tables and the unified task pool parallelized: every writer funnels
-//! through one buffer lock and, under full durability, one fsync per
-//! commit. [`ShardedWal`] splits the log into one append-only segment
-//! stream per table shard and amortizes fsyncs with a per-stream
-//! group-commit coordinator — exactly the "sophisticated logging mechanisms
-//! such as group commits" §6.1 says a production deployment would employ.
+//! A durable commit costs one enrolment and one device wait: the commit
+//! record is appended to the log and the committer waits until that LSN is
+//! durable. [`ShardedWal`] serves every shard of every table from one
+//! append-only file and amortizes fsyncs across concurrent committers with
+//! a leader/follower cohort protocol — the "sophisticated logging
+//! mechanisms such as group commits" §6.1 says a production deployment
+//! would employ.
 //!
 //! ## Stream layout
 //!
-//! Stream 0 writes to the configured base path itself; stream `i > 0`
-//! writes to `<base>.s<i>`. A single-stream log is therefore byte-identical
-//! to the pre-sharding layout, and [`crate::recovery::recover_merged`]
-//! recovers both old and new layouts from the same base path. Records
-//! route by **global range id** (`range_id % streams`): ranges never
-//! encode the shard count, so neither does any stream, and a log written
-//! with one stream count replays under any other.
+//! Every record goes to the configured base path, whatever the table shard
+//! count. An earlier layout split the log by `range_id` into the base file
+//! plus `<base>.s<i>` siblings; on one device two files cost exactly twice
+//! one (two serial `fdatasync`s per cross-stream commit) and committers on
+//! different files could never share a cohort, so the split is gone from
+//! the writer. [`crate::recovery::recover_merged`] still reads siblings an
+//! older build left behind, and [`ShardedWal::create`] still removes them.
+//! Do not bring several files back by routing a transaction's records *by
+//! transaction*: an aborted transaction's first-update snapshot record is
+//! chained onto by later writers of the same row, and only the prefix
+//! durability of a shared stream makes that safe.
 //!
 //! ## Commit durability
 //!
 //! [`CommitPolicy`] picks what a commit waits for:
 //!
-//! * [`CommitPolicy::Buffered`] — flush the touched streams to the OS, no
-//!   fsync (the benchmark setting; durability is best-effort).
-//! * [`CommitPolicy::SyncEachCommit`] — fsync every touched stream before
-//!   the commit returns (one commit = up to `touched + 1` fsyncs), each a
-//!   lock-held critical section so commits serialize per stream.
-//! * [`CommitPolicy::GroupCommit`] — the committer enrolls in its home
-//!   stream's commit group. The first enrollee becomes the **leader** and
-//!   takes one flush + fsync for the whole cohort, publishes the durable
-//!   watermark, and wakes the followers, who were parked until their LSN
-//!   became durable. The protocol is pipelined: the fsync happens outside
-//!   the stream's buffer lock, so the next cohort's records accumulate
-//!   *during* the device wait and its leader goes straight to the next
-//!   fsync — a saturated stream runs fsyncs back-to-back, each publishing
-//!   every commit that arrived during the previous one. Only a leader
-//!   with an empty cohort naps (bounded by `window`, cut short by any
-//!   arrival or the `max_batch` bound) to give a concurrent commit the
-//!   chance to share its fsync. Committers on one stream share fsyncs;
-//!   committers on different shards never share anything.
+//! * [`CommitPolicy::Buffered`] — flush the log to the OS, no fsync (the
+//!   benchmark setting; durability is best-effort).
+//! * [`CommitPolicy::SyncEachCommit`] — fsync before the commit returns, as
+//!   a lock-held critical section so commits serialize.
+//! * [`CommitPolicy::GroupCommit`] — the committer enrols in the log's
+//!   commit group. The first enrollee with no leader active becomes the
+//!   **leader**: it takes one flush + fsync for everyone enrolled,
+//!   publishes the durable watermark and wakes the followers, who were
+//!   parked until their LSN became durable. The fsync happens outside the
+//!   buffer lock, so the next cohort's records accumulate *during* the
+//!   device wait and its leader goes straight to the next fsync.
 //!
-//! A transaction's appends may span streams (a multi-shard write set). The
-//! commit path makes every touched stream durable **before** appending the
-//! commit record to the transaction's home stream (first-touched range's
-//! stream), so a recovered commit record implies its whole transaction's
-//! appends are recoverable — the cross-stream analogue of "log the commit
-//! record last".
+//! A transaction's records precede its commit record in the one stream, so
+//! a recovered commit record implies its whole transaction is recoverable.
+//!
+//! ## The cohort rule
+//!
+//! There is no timer. A leader goes at once, unless the previous fsync
+//! released more committers than have enrolled since: then it waits for
+//! them — yielding, not parked — until they are back, `max_batch` are
+//! enrolled, or `min(window, F)` has passed since the release, where `F` is
+//! the measured fsync time.
+//!
+//! The reason: N closed-loop committers with think time τ < F commit at
+//! N/(F+τ) when they share one cohort, but lock into anti-phase without a
+//! wait — the committers an fsync just released are τ away from enrolling
+//! when the next leader starts, so every fsync carries only the other half
+//! and the rate is N/(2F). A committer that misses the cohort pays a whole
+//! extra F, so F is the most a wait can be worth, and `window` stays the
+//! upper bound its name says. A lone committer is its own `released = 1`
+//! and never waits; a committer that left costs its old cohort one bounded
+//! wait. Arrivals that never come back (an open loop) would make every
+//! leader that queued behind an fsync wait for nothing, so the leader also
+//! goes at once while the last observed release→re-enrol gap is longer
+//! than F; the gap is observed whether or not anybody waited for it.
+//!
+//! The leader yields instead of parking because being woken through the
+//! condvar costs about half an fsync on the boxes measured (see
+//! `docs/BENCHMARKS.md`, anomaly 8).
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::record::LogRecord;
-use crate::writer::{Wal, WalConfig};
+use crate::writer::Wal;
 use crate::WalResult;
 
 /// What a commit waits for before returning (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPolicy {
-    /// Flush touched streams to the OS on commit; never fsync.
+    /// Flush the log to the OS on commit; never fsync.
     Buffered,
-    /// fsync every touched stream on every commit.
+    /// fsync on every commit.
     SyncEachCommit,
-    /// Leader-batched cohort fsync per stream.
+    /// Leader-batched cohort fsync.
     GroupCommit {
-        /// How long a leader collects followers before syncing.
+        /// The longest a leader may wait for returning committers.
         window: Duration,
-        /// Sync early once this many commits are pending in the stream.
+        /// Sync early once this many commits are enrolled.
         max_batch: usize,
     },
 }
 
-/// Tuning knobs for a sharded log.
+/// Tuning knobs for the log.
 #[derive(Debug, Clone)]
 pub struct ShardedWalConfig {
-    /// Number of segment streams (normally the table shard count).
-    pub streams: usize,
-    /// Per-stream buffer flush threshold in bytes.
+    /// Buffer flush threshold in bytes.
     pub flush_bytes: usize,
     /// Commit durability policy.
     pub policy: CommitPolicy,
@@ -86,104 +103,106 @@ pub struct ShardedWalConfig {
 impl Default for ShardedWalConfig {
     fn default() -> Self {
         ShardedWalConfig {
-            streams: 1,
             flush_bytes: 1 << 20,
             policy: CommitPolicy::Buffered,
         }
     }
 }
 
-/// Group-commit coordinator state for one stream.
-struct GroupInner {
-    /// Highest LSN known durable (flushed + fsynced) in this stream.
+/// Counters of the commit-wait layer since the log was created
+/// ([`ShardedWal::stats`]). `commits_enrolled / syncs` is the mean cohort
+/// when nothing but commits syncs the log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Commit records that waited for an fsync (none under
+    /// [`CommitPolicy::Buffered`]).
+    pub commits_enrolled: u64,
+    /// `fdatasync` calls issued, by commits and by [`ShardedWal::sync`].
+    pub syncs: u64,
+    /// Time spent in them, flush included.
+    pub sync_ns: u64,
+    /// Times a leader waited for returning committers before its fsync.
+    pub leader_waits: u64,
+    /// Time spent in those waits.
+    pub leader_wait_ns: u64,
+    /// Most committers one fsync released.
+    pub max_cohort: u64,
+}
+
+#[derive(Default)]
+struct Counters {
+    commits_enrolled: AtomicU64,
+    syncs: AtomicU64,
+    sync_ns: AtomicU64,
+    leader_waits: AtomicU64,
+    leader_wait_ns: AtomicU64,
+    max_cohort: AtomicU64,
+}
+
+/// Group-commit state (see "The cohort rule" in the module docs).
+struct Cohorts {
+    /// Highest LSN known durable (flushed + fsynced).
     durable_lsn: u64,
-    /// A leader is currently collecting a cohort / running the fsync.
+    /// A leader is gathering a cohort or running its fsync.
     leader_active: bool,
-    /// Commits enrolled since the last cohort fsync (leader wake hint).
-    pending: usize,
+    /// Committers enrolled and not yet durable: the next cohort.
+    waiting: usize,
+    /// How many committers the last completed fsync released, when, and how
+    /// many have enrolled since.
+    released: usize,
+    release_at: Instant,
+    arrivals: usize,
+    /// Moving average of flush + fsync time: the most a wait can be worth.
+    fsync_time: Duration,
+    /// How long after `release_at` the released committers were all back,
+    /// last time it was seen; `Duration::MAX` when they were not back
+    /// within an fsync.
+    regroup_time: Duration,
 }
 
-/// One segment stream: an append-only writer plus its commit group.
-struct Stream {
-    wal: Wal,
-    group: Mutex<GroupInner>,
-    cv: Condvar,
-}
+impl Cohorts {
+    fn enrol(&mut self) {
+        self.waiting += 1;
+        self.arrivals += 1;
+        if self.arrivals == self.released {
+            self.regroup_time = self.release_at.elapsed();
+        }
+    }
 
-impl Stream {
-    /// Park until every LSN at or below `lsn` is durable, taking the
-    /// leader role (cohort fsync) when no leader is active.
-    ///
-    /// The cohort protocol is pipelined: a leader that finds commits
-    /// already pending — the common case under load, where they queued up
-    /// behind the previous cohort's fsync — takes the fsync immediately,
-    /// so a saturated stream runs fsyncs back-to-back with no artificial
-    /// delay. Only a *lone* leader naps, for at most `window`, giving a
-    /// concurrent commit the chance to share its fsync; any arrival (and
-    /// the `max_batch` bound) cuts the nap short. `window = 0` never naps
-    /// — the non-home durability waits of the commit path use that, since
-    /// they are not commits a cohort could be built around.
-    fn wait_durable(&self, lsn: u64, window: Duration, max_batch: usize) -> WalResult<()> {
-        let mut inner = self.group.lock();
-        inner.pending += 1;
-        if inner.pending >= 2 {
-            // A napping lone leader's signal: company arrived, take the
-            // cohort fsync now instead of sleeping out the window.
-            self.cv.notify_all();
+    /// An fsync that took `took` made everything up to `watermark` durable
+    /// and let `cohort` committers go.
+    fn release(&mut self, watermark: u64, cohort: usize, took: Duration) {
+        self.durable_lsn = self.durable_lsn.max(watermark);
+        self.fsync_time = if self.fsync_time.is_zero() {
+            took
+        } else {
+            (self.fsync_time * 7 + took) / 8
+        };
+        if self.arrivals < self.released {
+            // A whole fsync went by and the previous cohort is not back.
+            self.regroup_time = Duration::MAX;
         }
-        loop {
-            if inner.durable_lsn >= lsn {
-                return Ok(());
-            }
-            if inner.leader_active {
-                // Follower: park until the leader publishes a watermark.
-                self.cv.wait(&mut inner);
-                continue;
-            }
-            inner.leader_active = true;
-            if inner.pending < 2 && max_batch > 1 && !window.is_zero() {
-                // Lone leader: nap for company, bounded by the window.
-                let deadline = Instant::now() + window;
-                while inner.pending < 2 {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    if self.cv.wait_for(&mut inner, deadline - now).timed_out() {
-                        break;
-                    }
-                }
-            }
-            inner.pending = 0;
-            drop(inner);
-            let synced = self.wal.sync_watermark();
-            inner = self.group.lock();
-            inner.leader_active = false;
-            let result = match synced {
-                Ok(watermark) => {
-                    inner.durable_lsn = inner.durable_lsn.max(watermark);
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            };
-            self.cv.notify_all();
-            result?;
-            // Loop re-checks: the watermark covers our LSN (assigned
-            // before we enrolled) unless the sync failed above.
-        }
+        self.released = cohort;
+        self.arrivals = 0;
+        self.release_at = Instant::now();
     }
 }
 
-/// A write-ahead log split into per-shard segment streams (see module
-/// docs). All methods take `&self` and are safe under full concurrency.
+/// The write-ahead log of a database (see module docs; the name is from
+/// the per-shard layout it replaced). All methods take `&self` and are safe
+/// under full concurrency.
 pub struct ShardedWal {
-    streams: Vec<Stream>,
+    log: Wal,
     policy: CommitPolicy,
-    base: PathBuf,
+    cohorts: Mutex<Cohorts>,
+    /// Followers park here until a leader publishes a watermark.
+    published: Condvar,
+    counters: Counters,
 }
 
-/// Path of stream `index` under `base`: the base path itself for stream 0
-/// (the pre-sharding single-file layout), `<base>.s<index>` above it.
+/// Path of stream `index` of the per-shard layout older builds wrote: the
+/// base path itself for stream 0, `<base>.s<index>` above it. Writers use
+/// the base path only; recovery and clean-up still look for the siblings.
 pub fn stream_path(base: &Path, index: usize) -> PathBuf {
     if index == 0 {
         base.to_path_buf()
@@ -195,146 +214,183 @@ pub fn stream_path(base: &Path, index: usize) -> PathBuf {
 }
 
 impl ShardedWal {
-    /// Create (or truncate) a sharded log rooted at `base`. Stale
-    /// higher-numbered stream files from a previous wider run are removed
-    /// so recovery never merges a dead stream in.
+    /// Create (or truncate) the log at `base`. Sibling stream files of an
+    /// older layout are removed so recovery never merges a dead stream in.
     pub fn create(base: &Path, config: ShardedWalConfig) -> WalResult<Self> {
-        let streams = config.streams.max(1);
-        let wal_config = WalConfig {
-            flush_bytes: config.flush_bytes,
-            sync_on_commit: false,
-        };
-        let built = (0..streams)
-            .map(|i| {
-                Ok(Stream {
-                    wal: Wal::create(&stream_path(base, i), wal_config.clone())?,
-                    group: Mutex::new(GroupInner {
-                        durable_lsn: 0,
-                        leader_active: false,
-                        pending: 0,
-                    }),
-                    cv: Condvar::new(),
-                })
-            })
-            .collect::<WalResult<Vec<_>>>()?;
-        let mut stale = streams;
+        let log = Wal::create(base, config.flush_bytes)?;
+        let mut stale = 1;
         while std::fs::remove_file(stream_path(base, stale)).is_ok() {
             stale += 1;
         }
         Ok(ShardedWal {
-            streams: built,
+            log,
             policy: config.policy,
-            base: base.to_path_buf(),
+            cohorts: Mutex::new(Cohorts {
+                durable_lsn: 0,
+                leader_active: false,
+                waiting: 0,
+                released: 0,
+                release_at: Instant::now(),
+                arrivals: 0,
+                fsync_time: Duration::ZERO,
+                regroup_time: Duration::ZERO,
+            }),
+            published: Condvar::new(),
+            counters: Counters::default(),
         })
     }
 
-    /// Base path of the log (stream 0's file).
+    /// Path of the log file.
     pub fn base_path(&self) -> &Path {
-        &self.base
+        self.log.path()
     }
 
-    /// Number of segment streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// The stream owning `range_id`.
-    fn stream_of(&self, range_id: u32) -> usize {
-        range_id as usize % self.streams.len()
-    }
-
-    /// Append a redo/operational record to its range's stream; returns the
-    /// record's stream-local LSN. Buffered: durability comes from the
-    /// commit path (or an explicit [`ShardedWal::sync`]).
+    /// Append a redo/operational record; returns its LSN. Buffered:
+    /// durability comes from the commit path (or an explicit
+    /// [`ShardedWal::sync`]).
     pub fn append(&self, record: &LogRecord) -> WalResult<u64> {
-        let stream = self.stream_of(record.range_id().unwrap_or(0));
-        self.streams[stream].wal.append_buffered(record)
+        self.log.append(record)
     }
 
-    /// Log a transaction resolution (`Commit`/`Abort`) for a transaction
-    /// whose appends went to the streams owning `touched_ranges`, honoring
-    /// the commit policy for `Commit` records. The record lands in the
-    /// home stream (first touched range's stream; stream 0 when the write
-    /// set is empty), after every other touched stream is made durable
-    /// first under the fsyncing policies.
-    pub fn commit(&self, touched_ranges: &[u32], record: &LogRecord) -> WalResult<()> {
-        let durable = matches!(record, LogRecord::Commit { .. });
-        // Dedup touched streams; the home stream is handled last so the
-        // commit record follows its transaction's durability.
-        let mut touched: Vec<usize> = touched_ranges.iter().map(|&r| self.stream_of(r)).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let home = touched.first().copied().unwrap_or(0);
+    /// Log a transaction resolution (`Commit`/`Abort`), honoring the commit
+    /// policy for `Commit` records: when this returns, the record and every
+    /// record appended before it are as durable as the policy promises.
+    pub fn commit(&self, record: &LogRecord) -> WalResult<()> {
+        let lsn = self.log.append(record)?;
+        let syncs = self.policy != CommitPolicy::Buffered;
+        if !(syncs && matches!(record, LogRecord::Commit { .. })) {
+            return self.log.flush();
+        }
+        self.counters
+            .commits_enrolled
+            .fetch_add(1, Ordering::Relaxed);
         match self.policy {
-            CommitPolicy::Buffered => {
-                self.streams[home].wal.append_buffered(record)?;
-                for &s in &touched {
-                    self.streams[s].wal.flush()?;
-                }
-                if touched.is_empty() {
-                    self.streams[home].wal.flush()?;
-                }
-            }
-            CommitPolicy::SyncEachCommit => {
-                if durable {
-                    // Strict mode: each sync is a lock-held critical
-                    // section, so commit records reach the device one at
-                    // a time, in append order — per-commit fsync with no
-                    // cross-commit amortization.
-                    for &s in &touched {
-                        if s != home {
-                            self.streams[s].wal.sync_locked()?;
-                        }
-                    }
-                    self.streams[home].wal.append_buffered(record)?;
-                    self.streams[home].wal.sync_locked()?;
-                } else {
-                    self.streams[home].wal.append_buffered(record)?;
-                    self.streams[home].wal.flush()?;
-                }
-            }
             CommitPolicy::GroupCommit { window, max_batch } => {
-                if durable {
-                    for &s in &touched {
-                        if s != home {
-                            // Enroll for everything appended to the shard
-                            // so far — a superset of this transaction's
-                            // appends, so strictly safe. Zero window:
-                            // this wait is a durability prerequisite, not
-                            // a commit a cohort could be built around,
-                            // and it is often already satisfied by a
-                            // concurrent cohort's watermark.
-                            let upto = self.streams[s].wal.last_lsn();
-                            self.streams[s].wait_durable(upto, Duration::ZERO, max_batch)?;
-                        }
-                    }
-                    let lsn = self.streams[home].wal.append_buffered(record)?;
-                    self.streams[home].wait_durable(lsn, window, max_batch)?;
-                } else {
-                    self.streams[home].wal.append_buffered(record)?;
-                    self.streams[home].wal.flush()?;
+                self.wait_durable(lsn, window, max_batch)
+            }
+            // Strict mode: each sync is a lock-held critical section, so
+            // commit records reach the device one at a time, in append
+            // order — per-commit fsync with no cross-commit amortization.
+            _ => self.timed_sync(|| self.log.sync_locked()).map(|_| ()),
+        }
+    }
+
+    /// Park until every LSN at or below `lsn` is durable, taking the leader
+    /// role (cohort fsync) when no leader is active.
+    fn wait_durable(&self, lsn: u64, window: Duration, max_batch: usize) -> WalResult<()> {
+        let mut cohorts = self.cohorts.lock();
+        if cohorts.durable_lsn >= lsn {
+            return Ok(());
+        }
+        cohorts.enrol();
+        loop {
+            if cohorts.durable_lsn >= lsn {
+                cohorts.waiting -= 1;
+                return Ok(());
+            }
+            if cohorts.leader_active {
+                self.published.wait(&mut cohorts);
+                continue;
+            }
+            cohorts.leader_active = true;
+            cohorts = self.gather(cohorts, window, max_batch);
+            // Everyone enrolled appended before enrolling, so the flush
+            // below covers them all.
+            let cohort = cohorts.waiting;
+            drop(cohorts);
+            let synced = self.timed_sync(|| self.log.sync_watermark());
+            cohorts = self.cohorts.lock();
+            cohorts.leader_active = false;
+            self.published.notify_all();
+            match synced {
+                // The loop re-checks: the watermark covers our LSN, which
+                // was assigned before we enrolled.
+                Ok((watermark, took)) => {
+                    cohorts.release(watermark, cohort, took);
+                    self.counters
+                        .max_cohort
+                        .fetch_max(cohort as u64, Ordering::Relaxed);
+                }
+                // The log is poisoned: whoever leads next gets the same
+                // error from it, nobody is told their commit is durable.
+                Err(e) => {
+                    cohorts.waiting -= 1;
+                    return Err(e);
                 }
             }
         }
-        Ok(())
     }
 
-    /// Flush every stream's buffer to the OS.
+    /// The leader's only wait: for the committers the previous fsync
+    /// released to enrol again (see "The cohort rule" in the module docs).
+    fn gather<'a>(
+        &'a self,
+        mut cohorts: MutexGuard<'a, Cohorts>,
+        window: Duration,
+        max_batch: usize,
+    ) -> MutexGuard<'a, Cohorts> {
+        if cohorts.regroup_time > cohorts.fsync_time {
+            return cohorts;
+        }
+        let deadline = cohorts.release_at + window.min(cohorts.fsync_time);
+        let mut started = None;
+        while cohorts.arrivals < cohorts.released && cohorts.waiting < max_batch {
+            let now = Instant::now();
+            if now >= deadline {
+                cohorts.regroup_time = Duration::MAX;
+                break;
+            }
+            started.get_or_insert(now);
+            drop(cohorts);
+            std::thread::yield_now();
+            cohorts = self.cohorts.lock();
+        }
+        if let Some(started) = started {
+            let waited = started.elapsed().as_nanos() as u64;
+            self.counters.leader_waits.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .leader_wait_ns
+                .fetch_add(waited, Ordering::Relaxed);
+        }
+        cohorts
+    }
+
+    /// Run one flush + fsync, counted and timed.
+    fn timed_sync<T>(&self, sync: impl FnOnce() -> WalResult<T>) -> WalResult<(T, Duration)> {
+        let started = Instant::now();
+        let synced = sync()?;
+        let took = started.elapsed();
+        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .sync_ns
+            .fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
+        Ok((synced, took))
+    }
+
+    /// Flush the buffer to the OS.
     pub fn flush(&self) -> WalResult<()> {
-        for s in &self.streams {
-            s.wal.flush()?;
-        }
+        self.log.flush()
+    }
+
+    /// Flush and fsync.
+    pub fn sync(&self) -> WalResult<()> {
+        let (watermark, _) = self.timed_sync(|| self.log.sync_watermark())?;
+        let mut cohorts = self.cohorts.lock();
+        cohorts.durable_lsn = cohorts.durable_lsn.max(watermark);
         Ok(())
     }
 
-    /// Flush and fsync every stream.
-    pub fn sync(&self) -> WalResult<()> {
-        for s in &self.streams {
-            let watermark = s.wal.sync_watermark()?;
-            let mut inner = s.group.lock();
-            inner.durable_lsn = inner.durable_lsn.max(watermark);
+    /// Counters of the commit-wait layer.
+    pub fn stats(&self) -> WalStats {
+        let c = &self.counters;
+        WalStats {
+            commits_enrolled: c.commits_enrolled.load(Ordering::Relaxed),
+            syncs: c.syncs.load(Ordering::Relaxed),
+            sync_ns: c.sync_ns.load(Ordering::Relaxed),
+            leader_waits: c.leader_waits.load(Ordering::Relaxed),
+            leader_wait_ns: c.leader_wait_ns.load(Ordering::Relaxed),
+            max_cohort: c.max_cohort.load(Ordering::Relaxed),
         }
-        Ok(())
     }
 }
 
@@ -342,7 +398,7 @@ impl ShardedWal {
 mod tests {
     use super::*;
     use crate::recovery::recover_merged;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     fn temp_base(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("lstore-sharded-wal-test");
@@ -355,6 +411,24 @@ mod tests {
         while std::fs::remove_file(stream_path(base, i)).is_ok() {
             i += 1;
         }
+    }
+
+    fn group_commit(base: &Path, window: Duration) -> ShardedWal {
+        ShardedWal::create(
+            base,
+            ShardedWalConfig {
+                policy: CommitPolicy::GroupCommit {
+                    window,
+                    max_batch: 64,
+                },
+                ..ShardedWalConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    fn txn(n: u64) -> u64 {
+        1 << 63 | n
     }
 
     fn tail_append(range_id: u32, seq: u32, txn_id: u64) -> LogRecord {
@@ -370,130 +444,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_route_to_their_ranges_stream() {
-        let base = temp_base("route");
-        let wal = ShardedWal::create(
-            &base,
-            ShardedWalConfig {
-                streams: 2,
-                ..ShardedWalConfig::default()
-            },
-        )
+    /// One single-update transaction: its append, then its commit.
+    fn commit_one(wal: &ShardedWal, n: u64) {
+        wal.append(&tail_append(n as u32 % 4, n as u32, txn(n)))
+            .unwrap();
+        wal.commit(&LogRecord::Commit {
+            txn_id: txn(n),
+            commit_ts: n,
+        })
         .unwrap();
-        let t = 1 << 63 | 1;
-        wal.append(&tail_append(0, 1, t)).unwrap();
-        wal.append(&tail_append(1, 1, t)).unwrap();
-        wal.append(&tail_append(2, 2, t)).unwrap();
-        wal.commit(
-            &[0, 1, 2],
-            &LogRecord::Commit {
-                txn_id: t,
-                commit_ts: 9,
-            },
-        )
-        .unwrap();
-        wal.sync().unwrap();
-        // Even ranges (plus the commit, homed on range 0's stream) in
-        // stream 0, odd ranges in stream 1.
-        let s0 = crate::recover(&stream_path(&base, 0)).unwrap();
-        let s1 = crate::recover(&stream_path(&base, 1)).unwrap();
-        assert_eq!(s0.records.len(), 3, "two even-range appends + commit");
-        assert_eq!(s1.records.len(), 1, "one odd-range append");
-        assert_eq!(s0.committed.get(&t), Some(&9));
-        cleanup(&base);
     }
 
     #[test]
-    fn single_stream_layout_matches_legacy_file() {
-        // streams=1 keeps everything in the base file: the pre-sharding
-        // recovery entry point still reads it.
-        let base = temp_base("legacy");
+    fn every_range_logs_to_the_base_file() {
+        let base = temp_base("onefile");
         let wal = ShardedWal::create(&base, ShardedWalConfig::default()).unwrap();
-        let t = 1 << 63 | 2;
-        wal.append(&tail_append(3, 1, t)).unwrap();
-        wal.commit(
-            &[3],
-            &LogRecord::Commit {
-                txn_id: t,
-                commit_ts: 5,
-            },
-        )
+        for range in 0..3 {
+            wal.append(&tail_append(range, 1, txn(1))).unwrap();
+        }
+        wal.commit(&LogRecord::Commit {
+            txn_id: txn(1),
+            commit_ts: 9,
+        })
         .unwrap();
         wal.sync().unwrap();
+        // The single-file recovery entry point reads all of it.
         let state = crate::recover(&base).unwrap();
-        assert_eq!(state.records.len(), 2);
+        assert_eq!(state.records.len(), 4);
+        assert_eq!(state.committed.get(&txn(1)), Some(&9));
         assert!(!stream_path(&base, 1).exists());
         cleanup(&base);
     }
 
     #[test]
-    fn create_removes_stale_wider_streams() {
+    fn create_removes_sibling_streams_of_the_old_layout() {
         let base = temp_base("stale");
-        {
-            let wal = ShardedWal::create(
-                &base,
-                ShardedWalConfig {
-                    streams: 3,
-                    ..ShardedWalConfig::default()
-                },
-            )
-            .unwrap();
-            wal.sync().unwrap();
+        for i in 1..3 {
+            std::fs::write(stream_path(&base, i), b"left by an older build").unwrap();
         }
-        assert!(stream_path(&base, 2).exists());
         let _wal = ShardedWal::create(&base, ShardedWalConfig::default()).unwrap();
         assert!(
             !stream_path(&base, 1).exists() && !stream_path(&base, 2).exists(),
-            "narrower re-create must not leave dead streams for recovery to merge"
+            "re-create must not leave dead streams for recovery to merge"
         );
         cleanup(&base);
     }
 
     #[test]
-    fn group_commit_parks_until_durable_and_stays_monotone() {
+    fn group_commit_shares_fsyncs_and_is_durable_on_return() {
         let base = temp_base("group");
-        let wal = Arc::new(
-            ShardedWal::create(
-                &base,
-                ShardedWalConfig {
-                    streams: 2,
-                    policy: CommitPolicy::GroupCommit {
-                        window: Duration::from_micros(200),
-                        max_batch: 8,
-                    },
-                    ..ShardedWalConfig::default()
-                },
-            )
-            .unwrap(),
-        );
+        let wal = Arc::new(group_commit(&base, Duration::from_micros(200)));
         const WRITERS: u64 = 4;
-        const TXNS: u64 = 64;
+        const TXNS: u64 = 200;
         let handles: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..TXNS {
-                        let txn_id = 1 << 63 | (w * TXNS + i + 1);
-                        let range = (w * TXNS + i) as u32 % 4;
-                        wal.append(&tail_append(range, (w * TXNS + i + 1) as u32, txn_id))
-                            .unwrap();
-                        wal.commit(
-                            &[range],
-                            &LogRecord::Commit {
-                                txn_id,
-                                commit_ts: w * TXNS + i + 1,
-                            },
-                        )
-                        .unwrap();
+                        let n = w * TXNS + i + 1;
+                        commit_one(&wal, n);
                         // Group commit returned ⇒ the commit record is
                         // durable *now*: it must survive recovery without
                         // any further flush or sync.
-                        if i == TXNS / 2 {
+                        if i % 16 == 0 {
                             let state = recover_merged(wal.base_path()).unwrap();
                             assert!(
-                                state.committed.contains_key(&txn_id),
-                                "commit {txn_id} returned before it was durable"
+                                state.committed.contains_key(&txn(n)),
+                                "commit {n} returned before it was durable"
                             );
                         }
                     }
@@ -506,6 +523,104 @@ mod tests {
         let state = recover_merged(wal.base_path()).unwrap();
         assert_eq!(state.committed.len(), (WRITERS * TXNS) as usize);
         assert!(state.in_flight.is_empty());
+        let stats = wal.stats();
+        assert_eq!(stats.commits_enrolled, WRITERS * TXNS);
+        assert!(stats.max_cohort <= WRITERS);
+        // Four closed-loop committers share fsyncs — unless the device
+        // makes an fsync nearly free (tmpfs), where there is nothing to
+        // share and the rule rightly does not wait.
+        if stats.sync_ns / stats.syncs >= 20_000 {
+            assert!(
+                stats.syncs * 10 <= stats.commits_enrolled * 6,
+                "cohorts did not form: {stats:?}"
+            );
+        }
+        cleanup(&base);
+    }
+
+    #[test]
+    fn a_lone_committer_never_waits() {
+        let base = temp_base("lone");
+        // The window is the upper bound of a wait, not a nap: were it
+        // slept out, this test would take 300 × 50 ms.
+        let wal = group_commit(&base, Duration::from_millis(50));
+        for n in 1..=300 {
+            commit_one(&wal, n);
+        }
+        let stats = wal.stats();
+        assert_eq!(stats.commits_enrolled, 300);
+        assert_eq!(stats.syncs, 300);
+        assert_eq!((stats.leader_waits, stats.leader_wait_ns), (0, 0));
+        assert_eq!(stats.max_cohort, 1);
+        cleanup(&base);
+    }
+
+    #[test]
+    fn a_committer_that_left_costs_one_bounded_wait() {
+        let base = temp_base("left");
+        let window = Duration::from_millis(50);
+        let wal = Arc::new(group_commit(&base, window));
+        // Two committers in step, so that the fsyncs release both.
+        let in_step = Arc::new(Barrier::new(2));
+        let leaver = {
+            let (wal, in_step) = (Arc::clone(&wal), Arc::clone(&in_step));
+            std::thread::spawn(move || {
+                for n in 1..=50 {
+                    in_step.wait();
+                    commit_one(&wal, 1000 + n);
+                }
+            })
+        };
+        for n in 1..=50 {
+            in_step.wait();
+            commit_one(&wal, n);
+        }
+        leaver.join().unwrap();
+        let before = wal.stats();
+        for n in 51..=150 {
+            commit_one(&wal, n);
+        }
+        let after = wal.stats();
+        assert!(
+            after.leader_waits - before.leader_waits <= 1,
+            "the survivor kept waiting for a committer that left"
+        );
+        assert!(
+            Duration::from_nanos(after.leader_wait_ns - before.leader_wait_ns) <= window,
+            "the one wait is bounded by the window"
+        );
+        assert_eq!(wal.cohorts.lock().released, 1, "its own cohort from now on");
+        cleanup(&base);
+    }
+
+    #[test]
+    fn a_returning_cohort_is_waited_for_and_a_late_one_is_not() {
+        let base = temp_base("rule");
+        let wal = group_commit(&base, Duration::from_millis(50));
+        commit_one(&wal, 1);
+        // As if the last fsync had released two committers that come back
+        // fast: the first one back leads, and waits for the second.
+        {
+            let mut cohorts = wal.cohorts.lock();
+            cohorts.released = 2;
+            cohorts.arrivals = 0;
+            cohorts.release_at = Instant::now();
+            cohorts.fsync_time = Duration::from_millis(20);
+            cohorts.regroup_time = Duration::ZERO;
+        }
+        commit_one(&wal, 2);
+        assert_eq!(wal.stats().leader_waits, 1);
+        // The second never came: noted, and the same situation again makes
+        // nobody wait.
+        {
+            let mut cohorts = wal.cohorts.lock();
+            assert_eq!(cohorts.regroup_time, Duration::MAX);
+            cohorts.released = 2;
+            cohorts.arrivals = 0;
+            cohorts.release_at = Instant::now();
+        }
+        commit_one(&wal, 3);
+        assert_eq!(wal.stats().leader_waits, 1);
         cleanup(&base);
     }
 
@@ -515,29 +630,52 @@ mod tests {
         let wal = ShardedWal::create(
             &base,
             ShardedWalConfig {
-                streams: 2,
                 policy: CommitPolicy::SyncEachCommit,
                 ..ShardedWalConfig::default()
             },
         )
         .unwrap();
-        let t = 1 << 63 | 7;
-        // A multi-shard transaction: appends to both streams, commit homed
-        // on stream 1 (range 1 touched first).
-        wal.append(&tail_append(1, 1, t)).unwrap();
-        wal.append(&tail_append(2, 1, t)).unwrap();
-        wal.commit(
-            &[1, 2],
-            &LogRecord::Commit {
-                txn_id: t,
-                commit_ts: 3,
-            },
-        )
+        wal.append(&tail_append(1, 1, txn(7))).unwrap();
+        wal.append(&tail_append(2, 1, txn(7))).unwrap();
+        wal.commit(&LogRecord::Commit {
+            txn_id: txn(7),
+            commit_ts: 3,
+        })
         .unwrap();
         // No sync() — the commit itself made everything durable.
         let state = recover_merged(&base).unwrap();
-        assert_eq!(state.committed.get(&t), Some(&3));
+        assert_eq!(state.committed.get(&txn(7)), Some(&3));
         assert_eq!(state.records.len(), 3);
+        assert_eq!(wal.stats().syncs, 1);
+        cleanup(&base);
+    }
+
+    #[test]
+    fn a_failed_write_is_not_acknowledged_to_the_followers() {
+        let base = temp_base("poison");
+        let window = Duration::from_micros(200);
+        let wal = group_commit(&base, window);
+        // Two commit records buffered, two committers about to wait.
+        let commit = |n| LogRecord::Commit {
+            txn_id: txn(n),
+            commit_ts: n,
+        };
+        let first = wal.append(&commit(1)).unwrap();
+        let second = wal.append(&commit(2)).unwrap();
+        wal.log.fail_next_write();
+        assert!(wal.wait_durable(first, window, 64).is_err());
+        // The buffer holding both records is lost. The next leader's flush
+        // has nothing to write and its fsync succeeds — it must still not
+        // report LSNs that never reached the file as durable.
+        assert!(
+            wal.wait_durable(second, window, 64).is_err(),
+            "a commit whose record was dropped was acknowledged"
+        );
+        assert!(wal.commit(&commit(3)).is_err());
+        assert!(wal.append(&commit(4)).is_err());
+        assert!(wal.sync().is_err());
+        assert_eq!(wal.cohorts.lock().durable_lsn, 0);
+        assert!(recover_merged(&base).unwrap().records.is_empty());
         cleanup(&base);
     }
 }

@@ -3,38 +3,42 @@
 //! §6.1 notes that naive logging "could easily become the main bottleneck
 //! (unless sophisticated logging mechanisms such as group commits … are
 //! employed)". The writer batches appends in an in-memory buffer and flushes
-//! either when the buffer exceeds `flush_bytes` or when a commit record asks
-//! for durability; `sync_on_commit` additionally fsyncs.
+//! when the buffer exceeds `flush_bytes` or when the commit path asks.
 //!
-//! One `Wal` is one segment stream. Multi-stream logging (one stream per
-//! table shard) and the group-commit coordinator that amortizes fsyncs
-//! across concurrent committers live on top, in [`crate::sharded`].
+//! One `Wal` is one log file. The commit policies, and the group-commit
+//! cohorts that amortize fsyncs across concurrent committers, live on top,
+//! in [`crate::sharded`].
+//!
+//! ## A failed write poisons the log
+//!
+//! LSNs are handed out when a record enters the buffer, so a buffer that
+//! fails to reach the file leaves a hole below `next_lsn` that no later
+//! flush can fill; and on Linux an `fdatasync` retried after a failed one
+//! can succeed without the data. Either failure is therefore final: it is
+//! stored, and every later append, flush and sync returns it. No watermark
+//! is ever reported past the last sync that succeeded.
 
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::record::LogRecord;
-use crate::WalResult;
+use crate::{WalError, WalResult};
 
-/// Tuning knobs for the log writer.
-#[derive(Debug, Clone)]
-pub struct WalConfig {
-    /// Flush the buffer once it reaches this many bytes.
-    pub flush_bytes: usize,
-    /// fsync on every commit record (full durability) or leave flushing to
-    /// the OS (the benchmark setting).
-    pub sync_on_commit: bool,
+/// What is kept of the failure that poisoned the log (an `io::Error` is
+/// not `Clone`), enough to hand an equivalent error to every later caller.
+struct Failure {
+    kind: io::ErrorKind,
+    message: String,
 }
 
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            flush_bytes: 1 << 20,
-            sync_on_commit: false,
-        }
+impl Failure {
+    fn error(&self) -> WalError {
+        WalError::Io(io::Error::new(
+            self.kind,
+            format!("log stopped by an earlier failure: {}", self.message),
+        ))
     }
 }
 
@@ -42,10 +46,48 @@ struct WalInner {
     file: File,
     buffer: Vec<u8>,
     /// Next LSN to assign. Lives under the buffer lock so that the order of
-    /// LSNs matches the order of bytes in the stream: after a flush, every
+    /// LSNs matches the order of bytes in the file: after a flush, every
     /// LSN at or below the watermark is in the file (the invariant the
     /// group-commit coordinator's durable watermark rests on).
     next_lsn: u64,
+    /// The first write or sync failure (see module docs).
+    failed: Option<Failure>,
+    /// Test hook: the next flush fails as a full device would.
+    #[cfg(test)]
+    fail_next_write: bool,
+}
+
+impl WalInner {
+    fn check(&self) -> WalResult<()> {
+        match &self.failed {
+            Some(failure) => Err(failure.error()),
+            None => Ok(()),
+        }
+    }
+
+    /// Record `error` as the log's final state (the first failure wins) and
+    /// hand it back for the caller to return.
+    fn poison(&mut self, error: io::Error) -> WalError {
+        self.failed.get_or_insert_with(|| Failure {
+            kind: error.kind(),
+            message: error.to_string(),
+        });
+        WalError::Io(error)
+    }
+
+    fn flush(&mut self) -> WalResult<()> {
+        self.check()?;
+        if self.buffer.is_empty() {
+            return Ok(());
+        }
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_write) {
+            return Err(self.poison(io::Error::other("injected write failure")));
+        }
+        let written = self.file.write_all(&self.buffer);
+        self.buffer.clear();
+        written.map_err(|e| self.poison(e))
+    }
 }
 
 /// The write-ahead log: assigns LSNs and appends framed records.
@@ -55,15 +97,15 @@ pub struct Wal {
     /// buffer lock across device latency: appends (and therefore the next
     /// cohort's commit records) proceed while an fsync is in flight.
     sync_file: File,
-    /// Mirror of the highest assigned LSN, for lock-free [`Wal::last_lsn`].
-    last_assigned: AtomicU64,
-    config: WalConfig,
+    /// Flush the buffer once it reaches this many bytes.
+    flush_bytes: usize,
     path: PathBuf,
 }
 
 impl Wal {
-    /// Create (or truncate) a log at `path`.
-    pub fn create(path: &Path, config: WalConfig) -> WalResult<Self> {
+    /// Create (or truncate) a log at `path` whose buffer spills to the file
+    /// at `flush_bytes`.
+    pub fn create(path: &Path, flush_bytes: usize) -> WalResult<Self> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -73,12 +115,14 @@ impl Wal {
         Ok(Wal {
             inner: Mutex::new(WalInner {
                 file,
-                buffer: Vec::with_capacity(config.flush_bytes * 2),
+                buffer: Vec::with_capacity(flush_bytes * 2),
                 next_lsn: 1,
+                failed: None,
+                #[cfg(test)]
+                fail_next_write: false,
             }),
             sync_file,
-            last_assigned: AtomicU64::new(0),
-            config,
+            flush_bytes,
             path: path.to_path_buf(),
         })
     }
@@ -88,61 +132,40 @@ impl Wal {
         &self.path
     }
 
-    /// Append a record; returns its LSN. The record lands in the shared
-    /// buffer, which is flushed when full or on commit records (plus an
-    /// fsync under `sync_on_commit`).
+    /// Append a record; returns its LSN. The record stays in the buffer
+    /// until it fills, or until [`Wal::flush`] or a sync: durability is the
+    /// commit path's business, so one cohort fsync — not each commit record
+    /// — publishes a batch.
     pub fn append(&self, record: &LogRecord) -> WalResult<u64> {
-        let is_commit = matches!(record, LogRecord::Commit { .. });
-        self.append_inner(record, is_commit, is_commit && self.config.sync_on_commit)
-    }
-
-    /// Append without any commit-triggered flush: the record stays in the
-    /// buffer until it fills, or until [`Wal::flush`]/[`Wal::sync`]. The
-    /// group-commit coordinator uses this so one cohort fsync — not each
-    /// commit record — publishes the batch.
-    pub fn append_buffered(&self, record: &LogRecord) -> WalResult<u64> {
-        self.append_inner(record, false, false)
-    }
-
-    fn append_inner(&self, record: &LogRecord, flush: bool, fsync: bool) -> WalResult<u64> {
         let bytes = record.encode();
         let mut inner = self.inner.lock();
+        inner.check()?;
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        self.last_assigned.store(lsn, Ordering::Release);
         inner.buffer.extend_from_slice(&bytes);
-        if inner.buffer.len() >= self.config.flush_bytes || flush {
-            Self::flush_locked(&mut inner)?;
-            if fsync {
-                inner.file.sync_data()?;
-            }
+        if inner.buffer.len() >= self.flush_bytes {
+            inner.flush()?;
         }
         Ok(lsn)
     }
 
     /// Force the buffer to the OS.
     pub fn flush(&self) -> WalResult<()> {
-        let mut inner = self.inner.lock();
-        Self::flush_locked(&mut inner)
-    }
-
-    /// Flush and fsync.
-    pub fn sync(&self) -> WalResult<()> {
-        self.sync_watermark().map(|_| ())
+        self.inner.lock().flush()
     }
 
     /// Flush and fsync while holding the buffer lock: the strict
     /// per-commit-fsync critical section. Concurrent committers serialize
     /// behind it — commit records become durable one at a time, in append
-    /// order, with no fsync-overlap window (the legacy `sync_on_commit`
-    /// behavior, and the baseline group commit is measured against). The
-    /// cohort path uses [`Wal::sync_watermark`] instead, which fsyncs
-    /// outside the lock so the next cohort buffers during the wait.
+    /// order, with no fsync-overlap window (the baseline group commit is
+    /// measured against). The cohort path uses [`Wal::sync_watermark`]
+    /// instead, which fsyncs outside the lock so the next cohort buffers
+    /// during the wait.
     pub fn sync_locked(&self) -> WalResult<()> {
         let mut inner = self.inner.lock();
-        Self::flush_locked(&mut inner)?;
-        inner.file.sync_data()?;
-        Ok(())
+        inner.flush()?;
+        let synced = inner.file.sync_data();
+        synced.map_err(|e| inner.poison(e))
     }
 
     /// Flush, fsync, and return the durable watermark: every LSN at or
@@ -152,39 +175,29 @@ impl Wal {
     pub fn sync_watermark(&self) -> WalResult<u64> {
         let watermark = {
             let mut inner = self.inner.lock();
-            Self::flush_locked(&mut inner)?;
+            inner.flush()?;
             inner.next_lsn - 1
         };
         // fsync outside the buffer lock: everything flushed above (i.e. the
         // whole watermark) is written to the inode before the call, so the
         // guarantee holds, while concurrent appends keep buffering — the
         // next cohort forms during this fsync instead of behind it.
-        self.sync_file.sync_data()?;
-        Ok(watermark)
-    }
-
-    fn flush_locked(inner: &mut WalInner) -> WalResult<()> {
-        if !inner.buffer.is_empty() {
-            // Split borrows: move the buffer out to satisfy the borrow checker.
-            let buf = std::mem::take(&mut inner.buffer);
-            inner.file.write_all(&buf)?;
-            let mut buf = buf;
-            buf.clear();
-            inner.buffer = buf;
+        match self.sync_file.sync_data() {
+            Ok(()) => Ok(watermark),
+            Err(e) => Err(self.inner.lock().poison(e)),
         }
-        Ok(())
     }
 
-    /// Highest LSN assigned so far (0 before the first append).
-    pub fn last_lsn(&self) -> u64 {
-        self.last_assigned.load(Ordering::Acquire)
+    /// Make the next flush fail the way a full device does.
+    #[cfg(test)]
+    pub(crate) fn fail_next_write(&self) {
+        self.inner.lock().fail_next_write = true;
     }
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        let mut inner = self.inner.lock();
-        let _ = Self::flush_locked(&mut inner);
+        let _ = self.inner.lock().flush();
     }
 }
 
@@ -202,45 +215,24 @@ mod tests {
     #[test]
     fn lsn_is_monotone() {
         let path = temp_log("lsn");
-        let wal = Wal::create(&path, WalConfig::default()).unwrap();
+        let wal = Wal::create(&path, 1 << 20).unwrap();
         let a = wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
         let b = wal.append(&LogRecord::Checkpoint { ts: 2 }).unwrap();
         assert!(b > a);
-        assert_eq!(wal.last_lsn(), b);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn commit_forces_flush() {
-        let path = temp_log("flush");
-        let wal = Wal::create(&path, WalConfig::default()).unwrap();
-        wal.append(&LogRecord::Abort {
-            txn_id: 1 << 63 | 1,
-        })
-        .unwrap();
-        // Not flushed yet (buffer below threshold)...
-        wal.append(&LogRecord::Commit {
-            txn_id: 1 << 63 | 2,
-            commit_ts: 10,
-        })
-        .unwrap();
-        // ...but the commit record forces both out.
-        let size = std::fs::metadata(&path).unwrap().len();
-        assert!(size > 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn buffered_append_defers_commit_flush_until_sync() {
+    fn append_stays_buffered_until_sync() {
         let path = temp_log("buffered");
-        let wal = Wal::create(&path, WalConfig::default()).unwrap();
+        let wal = Wal::create(&path, 1 << 20).unwrap();
         let lsn = wal
-            .append_buffered(&LogRecord::Commit {
+            .append(&LogRecord::Commit {
                 txn_id: 1 << 63 | 2,
                 commit_ts: 10,
             })
             .unwrap();
-        // A buffered commit record does not force a flush on its own...
+        // A commit record does not force a flush on its own...
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         // ...the cohort sync publishes it and reports the watermark.
         assert_eq!(wal.sync_watermark().unwrap(), lsn);
@@ -249,9 +241,36 @@ mod tests {
     }
 
     #[test]
+    fn full_buffer_spills_to_the_file() {
+        let path = temp_log("spill");
+        let wal = Wal::create(&path, 64).unwrap();
+        while std::fs::metadata(&path).unwrap().len() == 0 {
+            wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_write_poisons_every_later_call() {
+        let path = temp_log("poison");
+        let wal = Wal::create(&path, 1 << 20).unwrap();
+        wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
+        wal.fail_next_write();
+        assert!(wal.sync_watermark().is_err(), "the injected failure");
+        // The buffer that failed is gone and its LSN with it: nothing may
+        // report success from here on.
+        assert!(wal.sync_watermark().is_err());
+        assert!(wal.sync_locked().is_err());
+        assert!(wal.flush().is_err());
+        assert!(wal.append(&LogRecord::Checkpoint { ts: 2 }).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn concurrent_appends_assign_unique_lsns() {
         let path = temp_log("concurrent");
-        let wal = Arc::new(Wal::create(&path, WalConfig::default()).unwrap());
+        let wal = Arc::new(Wal::create(&path, 1 << 20).unwrap());
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let wal = Arc::clone(&wal);

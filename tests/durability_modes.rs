@@ -1,5 +1,5 @@
 //! Durability is a *wait* policy, never a *data* policy: what a commit
-//! fsyncs (nothing, every touched stream, or a group-commit cohort) must
+//! fsyncs (nothing, the log, or the log once per group-commit cohort) must
 //! not change what any reader observes, at any snapshot, under any shard
 //! count. These tests run one deterministic workload through every
 //! (durability, shards) cell and require byte-identical reads everywhere,
@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use lstore::{Database, DbConfig, Durability, Table, TableConfig};
+use lstore::{Database, DbConfig, Durability, IsolationLevel, Table, TableConfig};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-durability-tests");
@@ -62,9 +62,7 @@ fn durability_modes_produce_identical_reads() {
         ("wal", Durability::Wal),
         (
             "group",
-            // A wide-open window with a small batch bound: commits must
-            // regularly hit both the timer path (last commit in a burst)
-            // and the batch-full path.
+            // A non-default window and a small batch bound.
             Durability::WalGroupCommit {
                 window_us: 100,
                 max_batch: 4,
@@ -204,6 +202,83 @@ fn group_commit_under_concurrency_recovers_every_commit() {
         for i in 0..PER_WRITER {
             assert_eq!(t2.read_latest_auto(w * 10_000 + i).unwrap(), vec![w]);
         }
+    }
+    remove_streams(&path);
+}
+
+/// A transaction that logged nothing has nothing to make durable: under
+/// group commit an empty or read-only commit returns without an fsync, a
+/// read-only abort writes nothing, and recovery never hears of either.
+#[test]
+fn nothing_logged_means_nothing_to_wait_for() {
+    let path = wal_path("nothing-logged");
+    let mut unlogged = Vec::new();
+    let writer_id;
+    {
+        let db = Database::new(
+            DbConfig::deterministic()
+                .with_wal_path(path.clone())
+                .with_durability(Durability::group_commit()),
+        );
+        let t = db.create_table("r", &["a"], TableConfig::small()).unwrap();
+        for k in 0..20 {
+            t.insert_auto(k, &[k]).unwrap();
+        }
+        let wal = db.runtime().wal.clone().unwrap();
+        wal.sync().unwrap();
+        let stats = db.wal_stats().unwrap();
+        assert_eq!(stats.commits_enrolled, 20);
+        let log_len = std::fs::metadata(&path).unwrap().len();
+
+        let mut empty = db.begin();
+        db.commit(&mut empty).unwrap();
+        unlogged.push(empty.id);
+
+        let mut reader = db.begin();
+        assert_eq!(t.read(&mut reader, 3, &[0]).unwrap(), Some(vec![3]));
+        db.commit(&mut reader).unwrap();
+        unlogged.push(reader.id);
+
+        let mut validated = db.begin_with(IsolationLevel::RepeatableRead);
+        assert_eq!(t.read(&mut validated, 4, &[0]).unwrap(), Some(vec![4]));
+        db.commit(&mut validated).unwrap();
+        unlogged.push(validated.id);
+
+        let mut given_up = db.begin();
+        assert_eq!(t.read(&mut given_up, 5, &[0]).unwrap(), Some(vec![5]));
+        db.abort(&mut given_up);
+        unlogged.push(given_up.id);
+
+        assert_eq!(db.wal_stats().unwrap(), stats, "no enrolment, no fsync");
+        wal.flush().unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            log_len,
+            "not a byte written"
+        );
+
+        // A read-only transaction that fails validation is as unknown to
+        // the log as one that passes; the writer that made it fail is not.
+        let mut stale = db.begin_with(IsolationLevel::RepeatableRead);
+        assert_eq!(t.read(&mut stale, 6, &[0]).unwrap(), Some(vec![6]));
+        let mut writer = db.begin();
+        t.update(&mut writer, 6, &[(0, 66)]).unwrap();
+        db.commit(&mut writer).unwrap();
+        writer_id = writer.id;
+        assert!(db.commit(&mut stale).is_err());
+        unlogged.push(stale.id);
+        let after = db.wal_stats().unwrap();
+        assert_eq!(after.commits_enrolled, stats.commits_enrolled + 1);
+        assert_eq!(after.syncs, stats.syncs + 1);
+    }
+    let state = lstore_wal::recover_merged(&path).unwrap();
+    assert!(state.in_flight.is_empty());
+    assert!(state.committed.contains_key(&writer_id));
+    for id in unlogged {
+        assert!(
+            state.records.iter().all(|r| r.txn_id() != Some(id)),
+            "transaction {id:#x} logged nothing and is in the log"
+        );
     }
     remove_streams(&path);
 }

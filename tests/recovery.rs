@@ -11,7 +11,7 @@ fn wal_path(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.wal", std::process::id()))
 }
 
-/// Remove the base log and every per-shard segment stream next to it.
+/// Remove the base log and every legacy per-shard stream file next to it.
 fn remove_streams(path: &Path) {
     std::fs::remove_file(path).ok();
     for i in 1.. {
@@ -22,8 +22,8 @@ fn remove_streams(path: &Path) {
     }
 }
 
-/// Read every per-shard stream of a log into memory (stream 0 is the base
-/// path itself, stream `i` adds an `.s<i>` suffix).
+/// Read every file of a log into memory: the base path, plus the `.s<i>`
+/// siblings only an older build (or a hand-built image) puts beside it.
 fn read_streams(path: &Path) -> Vec<Vec<u8>> {
     let mut streams = vec![std::fs::read(path).unwrap()];
     for i in 1.. {
@@ -196,9 +196,9 @@ fn replay_is_shard_count_agnostic() {
         db.runtime().wal.as_ref().unwrap().sync().unwrap();
     }
 
-    // "After the crash": the 4-shard run wrote 4 segment streams; the
-    // merged recovery re-orders them into one commit-timestamp-ordered
-    // record sequence.
+    // "After the crash": the 4-shard run wrote one log file, in commit
+    // order.
+    assert_eq!(read_streams(&path).len(), 1);
     let state = lstore_wal::recover_merged(&path).unwrap();
     // Replay into databases with different shard counts.
     let replayed: Vec<_> = [2usize, 1]
@@ -350,12 +350,12 @@ fn recovery_roundtrip_matrix_cell() {
 }
 
 /// Crash-replay loop: kill the database at seeded random points in its
-/// history (including mid-record torn tails on every stream) and verify
-/// the recovered database reads byte-identically to an undamaged run of
-/// the same workload prefix. Kill points land on durability boundaries —
-/// each chunk of the workload ends with a full-log `sync()`, so the
-/// truncated streams hold exactly the chunks before the kill plus at most
-/// a torn frame prefix after it.
+/// history (including mid-record torn tails) and verify the recovered
+/// database reads byte-identically to an undamaged run of the same
+/// workload prefix. Kill points land on durability boundaries — each chunk
+/// of the workload ends with a full-log `sync()`, so the truncated log
+/// holds exactly the chunks before the kill plus at most a torn frame
+/// prefix after it.
 #[test]
 fn crash_replay_at_random_kill_points_matches_undamaged_run() {
     const CHUNKS: usize = 10;
@@ -399,7 +399,7 @@ fn crash_replay_at_random_kill_points_matches_undamaged_run() {
         }
     }
     let full_streams = read_streams(&path);
-    assert_eq!(full_streams.len(), 4);
+    assert_eq!(full_streams.len(), 1, "four shards, one log file");
 
     // Seeded xorshift so failures reproduce; no wall-clock anywhere.
     let mut rng: u64 = 0x9E3779B97F4A7C15;
@@ -458,5 +458,104 @@ fn crash_replay_at_random_kill_points_matches_undamaged_run() {
             "kill at chunk {kill}"
         );
     }
+    remove_streams(&path);
+}
+
+/// A log image in the per-shard layout older builds wrote — records routed
+/// to `<base>` and `<base>.s1` by range id, each transaction's resolution
+/// in the stream of its first record — still recovers through the same
+/// entry point, to the same reads as the one-file log it was cut from.
+#[test]
+fn legacy_two_file_image_still_recovers() {
+    use lstore_wal::LogRecord;
+
+    let path = wal_path("legacy-two-files");
+    const KEYS: u64 = 700; // three routing stripes, so several ranges
+    {
+        let db = Database::new(
+            DbConfig::deterministic()
+                .with_shards(2)
+                .with_wal_path(path.clone()),
+        );
+        let t = db
+            .create_table("r", &["a", "b"], TableConfig::small())
+            .unwrap();
+        for k in 0..KEYS {
+            t.insert_auto(k, &[k, 5 * k]).unwrap();
+        }
+        for k in (0..KEYS).step_by(2) {
+            t.update_auto(k, &[(1, k + 1)]).unwrap();
+        }
+        for k in (0..KEYS).step_by(60) {
+            t.delete_auto(k).unwrap();
+        }
+        // A transaction across ranges, and one that never resolves.
+        let mut wide = db.begin();
+        t.update(&mut wide, 1, &[(0, 1001)]).unwrap();
+        t.update(&mut wide, KEYS - 1, &[(0, 1002)]).unwrap();
+        db.commit(&mut wide).unwrap();
+        let mut lost = db.begin();
+        t.update(&mut lost, 3, &[(0, 4242)]).unwrap();
+        db.runtime().wal.as_ref().unwrap().sync().unwrap();
+    }
+    let one_file = lstore_wal::recover_merged(&path).unwrap();
+
+    let mut streams = [Vec::new(), Vec::new()];
+    let mut home = std::collections::HashMap::new();
+    for record in &one_file.records {
+        let stream = match record {
+            LogRecord::TailAppend { range_id, .. }
+            | LogRecord::Insert { range_id, .. }
+            | LogRecord::MergeCompleted { range_id, .. }
+            | LogRecord::HistoricCompressed { range_id, .. } => *range_id as usize % 2,
+            _ => 0,
+        };
+        let stream = match record.txn_id() {
+            Some(txn) if matches!(record, LogRecord::Commit { .. } | LogRecord::Abort { .. }) => {
+                home.get(&txn).copied().unwrap_or(0)
+            }
+            Some(txn) => {
+                home.entry(txn).or_insert(stream);
+                stream
+            }
+            None => stream,
+        };
+        streams[stream].extend_from_slice(&record.encode());
+    }
+    assert!(streams.iter().all(|s| !s.is_empty()), "both files in use");
+    std::fs::write(&path, &streams[0]).unwrap();
+    std::fs::write(lstore_wal::sharded::stream_path(&path, 1), &streams[1]).unwrap();
+    let two_files = lstore_wal::recover_merged(&path).unwrap();
+    assert_eq!(two_files.records.len(), one_file.records.len());
+    assert_eq!(two_files.committed, one_file.committed);
+    assert_eq!(two_files.in_flight, one_file.in_flight);
+    assert_eq!(two_files.in_flight.len(), 1);
+
+    let replayed = [&one_file, &two_files].map(|state| {
+        let db = Database::new(DbConfig::deterministic());
+        let t = db
+            .create_table("r", &["a", "b"], TableConfig::small())
+            .unwrap();
+        t.replay(state).unwrap();
+        (db, t)
+    });
+    let (_, expect) = &replayed[0];
+    let (_, got) = &replayed[1];
+    assert_eq!(expect.read_latest_auto(1).unwrap()[0], 1001);
+    assert_eq!(
+        expect.read_latest_auto(3).unwrap()[0],
+        3,
+        "unresolved update"
+    );
+    assert_eq!(
+        got.scan_as_of(&[0, 1], got.now()),
+        expect.scan_as_of(&[0, 1], expect.now())
+    );
+
+    // And a new database at the same path clears the sibling away.
+    drop(Database::new(
+        DbConfig::deterministic().with_wal_path(path.clone()),
+    ));
+    assert_eq!(read_streams(&path).len(), 1);
     remove_streams(&path);
 }

@@ -15,10 +15,12 @@ fn wal_path(name: &str) -> PathBuf {
 }
 
 /// A validation failure aborts through the WAL-writing abort path: the log
-/// must contain an Abort record for the transaction, so replay after a
-/// crash tombstones it instead of leaving it unresolved. (The pre-fix
-/// commit called the manager's abort directly and never logged the
-/// record.)
+/// must contain an Abort record for a transaction it holds records of, so
+/// replay after a crash tombstones it instead of leaving it unresolved.
+/// (The pre-fix commit called the manager's abort directly and never
+/// logged the record.) The reader writes a row of its own for that: a
+/// read-only transaction is unknown to the log and stays so — see
+/// `durability_modes::nothing_logged_means_nothing_to_wait_for`.
 #[test]
 fn failed_validation_logs_abort_record() {
     let path = wal_path("validation-abort");
@@ -32,6 +34,7 @@ fn failed_validation_logs_abort_record() {
         }
         let mut reader = db.begin_with(IsolationLevel::RepeatableRead);
         assert_eq!(t.read(&mut reader, 3, &[0]).unwrap().unwrap(), vec![3]);
+        t.update(&mut reader, 5, &[(0, 55)]).unwrap();
         reader_id = reader.id;
         // A conflicting committed writer invalidates the read.
         t.update_auto(3, &[(0, 99)]).unwrap();
@@ -83,9 +86,11 @@ fn wal_commit_failure_aborts_txn() {
     ));
 }
 
-/// Repeated WAL commit failures must not wedge the engine: every attempt
-/// aborts cleanly (no state-machine re-entry, no pinned pre-commit
-/// entries), and each aborted insert stays invisible.
+/// Repeated WAL failures must not wedge the engine: every attempt aborts
+/// cleanly (no state-machine re-entry, no pinned pre-commit entries), and
+/// each aborted insert stays invisible. The first failed flush stops the
+/// log for good, so the first transaction fails at its commit record and
+/// the later ones already at the insert's own record.
 #[test]
 fn wal_commit_failures_do_not_wedge_the_database() {
     if !std::path::Path::new("/dev/full").exists() {
@@ -96,8 +101,15 @@ fn wal_commit_failures_do_not_wedge_the_database() {
     let t = db.create_table("u", &["a"], TableConfig::small()).unwrap();
     for k in 0..10 {
         let mut txn = db.begin();
-        t.insert(&mut txn, k, &[k * 10]).unwrap();
-        assert!(db.commit(&mut txn).is_err());
+        let outcome = t
+            .insert(&mut txn, k, &[k * 10])
+            .and_then(|_| db.commit(&mut txn));
+        assert!(
+            matches!(outcome, Err(Error::Wal(_) | Error::Storage(_))),
+            "key {k}: {outcome:?}"
+        );
+        assert_eq!(txn.commit != 0, k == 0, "only the first reached its commit");
+        db.abort(&mut txn);
         assert!(
             matches!(t.read_latest_auto(k).unwrap_err(), Error::KeyNotFound(_)),
             "aborted insert of key {k} must stay invisible"
@@ -142,15 +154,19 @@ fn wal_append_failure_releases_the_latch() {
     );
     db.abort(&mut txn);
 
-    let mut fresh = db.begin();
-    let outcome = t.update(&mut fresh, 1, &[(0, 7)]);
-    assert!(
-        !matches!(outcome, Err(Error::WriteConflict { .. })),
-        "the failed append left key 1 latched: {outcome:?}"
-    );
-    outcome.expect("the aborted versions are tombstones, the update goes through");
-    assert_eq!(t.read(&mut fresh, 1, &[0]).unwrap(), Some(vec![7]));
-    db.abort(&mut fresh);
+    // The failed flush stopped the log, so later writers are refused by it
+    // — after taking the latch, which must therefore be free each time.
+    for attempt in 0..3 {
+        let mut fresh = db.begin();
+        let outcome = t.update(&mut fresh, 1, &[(0, 7)]);
+        assert!(
+            matches!(outcome, Err(Error::Wal(_) | Error::Storage(_))),
+            "attempt {attempt}: the failed append left key 1 latched, or a \
+             stopped log took a write: {outcome:?}"
+        );
+        assert_eq!(t.read(&mut fresh, 1, &[0]).unwrap(), Some(vec![10]));
+        db.abort(&mut fresh);
+    }
     assert_eq!(t.read_latest_auto(1).unwrap(), vec![10]);
 }
 
