@@ -129,9 +129,9 @@ struct Sums(Vec<u64>);
 impl WindowFold for Sums {
     fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask) {
         // One pin per column covers the whole window; an evicted page
-        // faults in here.
+        // faults in here. Streaming: the scan will not come back to it.
         for (sum, &col) in self.0.iter_mut().zip(cols) {
-            let page = data[col].read();
+            let page = data[col].read_streaming();
             *sum = sum.wrapping_add(page.sum_range_masked(rows.start, rows.end, mask));
         }
     }
@@ -186,7 +186,10 @@ impl WindowFold for Groups {
     /// pair O(1) random access on clean rows, which still skips the whole
     /// version-resolution machinery.
     fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask) {
-        let (gpage, vpage) = (data[cols[0]].read(), data[cols[1]].read());
+        let (gpage, vpage) = (
+            data[cols[0]].read_streaming(),
+            data[cols[1]].read_streaming(),
+        );
         match gpage.compressed() {
             Compressed::Rle(runs) => {
                 for (start, end, group) in runs.runs_in(rows.start, rows.end) {
@@ -222,7 +225,7 @@ struct Rows(Vec<(u64, Vec<u64>)>);
 
 impl WindowFold for Rows {
     fn fold_pages(&mut self, data: &[PagePtr], cols: &[usize], rows: Range<usize>, mask: &RowMask) {
-        let pages: Vec<PageRead<'_>> = cols.iter().map(|&col| data[col].read()).collect();
+        let pages: Vec<PageRead<'_>> = cols.iter().map(|&col| data[col].read_streaming()).collect();
         for slot in rows.filter(|&slot| !mask.is_excluded(slot)) {
             let values = pages[1..].iter().map(|page| page.get(slot)).collect();
             self.0.push((pages[0].get(slot), values));

@@ -24,6 +24,7 @@
 
 use super::bitpack::BitPacked;
 use super::kernel::ColumnKernel;
+use crate::error::{StorageError, StorageResult};
 
 /// A dictionary-encoded read-only column.
 #[derive(Debug, Clone)]
@@ -47,6 +48,38 @@ impl DictColumn {
             dict: dict.into_boxed_slice(),
             codes: BitPacked::pack(&codes, width),
         }
+    }
+
+    /// Rebuild a column from its stored parts (a page image); nothing is
+    /// sorted, searched or re-packed. `Corrupt` if some code has no
+    /// dictionary entry, which is all `get` and the kernel rely on. Codes
+    /// as wide as the dictionary is long cannot be out of range, so a full
+    /// dictionary is not even looked at.
+    pub(crate) fn from_parts(dict: Box<[u64]>, codes: BitPacked) -> StorageResult<Self> {
+        let entries = dict.len() as u64;
+        let full = codes.width() < 64 && entries >= 1u64 << codes.width();
+        if !full {
+            let mut in_range = true;
+            codes.for_each_in(0, codes.len(), |block| {
+                in_range &= block.iter().all(|&code| code < entries);
+            });
+            if !in_range {
+                return Err(StorageError::Corrupt(format!(
+                    "dictionary code beyond its {entries} entries"
+                )));
+            }
+        }
+        Ok(DictColumn { dict, codes })
+    }
+
+    /// The dictionary, in code order.
+    pub(crate) fn dict(&self) -> &[u64] {
+        &self.dict
+    }
+
+    /// The packed code of every value.
+    pub(crate) fn codes(&self) -> &BitPacked {
+        &self.codes
     }
 
     /// Number of logical values.
@@ -93,9 +126,11 @@ impl ColumnKernel for DictColumn {
         let lo = lo.min(hi);
         if self.dict.len() <= hi - lo {
             let mut freq = vec![0u64; self.dict.len()];
-            for code in self.codes.iter_range(lo, hi) {
-                freq[code as usize] += 1;
-            }
+            self.codes.for_each_in(lo, hi, |codes| {
+                for &code in codes {
+                    freq[code as usize] += 1;
+                }
+            });
             freq.iter()
                 .zip(self.dict.iter())
                 .fold(0u64, |acc, (&n, &v)| acc.wrapping_add(v.wrapping_mul(n)))

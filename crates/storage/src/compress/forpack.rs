@@ -9,7 +9,7 @@
 //!
 //! The [`ColumnKernel`] exploits the affine shape directly:
 //! `SUM(lo..hi) = frame × (hi − lo) + Σ deltas`, with the delta sum folding
-//! over the packed words via [`BitPacked::iter_range`].
+//! the packed words 64 values at a time (the [`BitPacked`] kernel).
 //!
 //! # Examples
 //!
@@ -45,6 +45,17 @@ impl ForColumn {
         }
     }
 
+    /// Rebuild a column from its stored parts (a page image); nothing is
+    /// re-encoded. Any frame over any valid [`BitPacked`] is a column.
+    pub(crate) fn from_parts(base: u64, deltas: BitPacked) -> Self {
+        ForColumn { base, deltas }
+    }
+
+    /// The packed offsets from [`ForColumn::frame`].
+    pub(crate) fn deltas(&self) -> &BitPacked {
+        &self.deltas
+    }
+
     /// Number of logical values.
     pub fn len(&self) -> usize {
         self.deltas.len()
@@ -65,10 +76,12 @@ impl ForColumn {
         self.deltas.width()
     }
 
-    /// Random access decode of value `idx`.
+    /// Random access decode of value `idx`. The add wraps like the
+    /// kernel's: an encoded column never overflows, and one rebuilt from a
+    /// foreign image must not panic.
     #[inline]
     pub fn get(&self, idx: usize) -> u64 {
-        self.base + self.deltas.get(idx)
+        self.base.wrapping_add(self.deltas.get(idx))
     }
 
     /// Hint the packed word of value `idx`.
@@ -130,5 +143,29 @@ mod tests {
     fn empty_column() {
         let c = ForColumn::encode(&[]);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn sums_wrap_exactly_under_a_frame_next_to_u64_max() {
+        for spread in [0u64, 1, 2, 1000] {
+            let base = u64::MAX - spread;
+            for len in [0usize, 1, 63, 64, 65, 576, 4096] {
+                let values: Vec<u64> = (0..len as u64)
+                    .map(|i| base + i.wrapping_mul(0x9E37_79B9) % (spread + 1))
+                    .collect();
+                let c = ForColumn::encode(&values);
+                let edges = [0, 1, 63, 64, 65, 127, len];
+                for &lo in edges.iter().filter(|&&e| e <= len) {
+                    for &hi in edges.iter().filter(|&&e| lo <= e && e <= len) {
+                        let expected = values[lo..hi].iter().fold(0u64, |a, &b| a.wrapping_add(b));
+                        assert_eq!(
+                            c.sum_range(lo, hi),
+                            expected,
+                            "spread {spread} len {len} {lo}..{hi}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

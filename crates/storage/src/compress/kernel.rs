@@ -8,9 +8,10 @@
 //!
 //! * **RLE** — run-level arithmetic: `value × run_len` per run instead of
 //!   one addition per row.
-//! * **FOR / bit-packing** — block sums over the packed words with tail
-//!   masking: `frame × n + Σ deltas`, extracting deltas with a rolling bit
-//!   cursor (no per-row index arithmetic or bounds checks).
+//! * **FOR / bit-packing** — `frame × n + Σ deltas`, the deltas unpacked a
+//!   block of 64 at a time with constant shifts (a block starts on a word
+//!   boundary and is exactly `width` words); only a window's ragged head
+//!   and tail go through the per-value bit cursor.
 //! * **Dictionary** — code-frequency aggregation: count occurrences per
 //!   code once, then one multiply per *distinct* value.
 //! * **Plain** — a tight slice fold (the decode-free baseline).

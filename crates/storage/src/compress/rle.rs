@@ -22,6 +22,7 @@
 //! ```
 
 use super::kernel::ColumnKernel;
+use crate::error::{StorageError, StorageResult};
 
 /// A run-length encoded read-only column.
 #[derive(Debug, Clone)]
@@ -56,6 +57,42 @@ impl RleColumn {
             values: vals.into_boxed_slice(),
             len: values.len(),
         }
+    }
+
+    /// Rebuild a column from its stored parts (a page image); no run is
+    /// re-detected. `Corrupt` unless there is one value per run and the
+    /// run starts rise strictly from 0 and stay below `len` (an empty
+    /// column has no run), which is all `get` and `runs_in` rely on.
+    pub(crate) fn from_parts(
+        starts: Box<[u32]>,
+        values: Box<[u64]>,
+        len: usize,
+    ) -> StorageResult<Self> {
+        let ordered = starts.first().is_none_or(|&s| s == 0)
+            && starts.windows(2).all(|w| w[0] < w[1])
+            && starts.last().map_or(len == 0, |&s| (s as usize) < len);
+        if starts.len() != values.len() || !ordered {
+            return Err(StorageError::Corrupt(format!(
+                "run index of {} starts, {} values over {len} rows",
+                starts.len(),
+                values.len()
+            )));
+        }
+        Ok(RleColumn {
+            starts,
+            values,
+            len,
+        })
+    }
+
+    /// Logical start index of each run.
+    pub(crate) fn starts(&self) -> &[u32] {
+        &self.starts
+    }
+
+    /// The value of each run.
+    pub(crate) fn values(&self) -> &[u64] {
+        &self.values
     }
 
     /// Number of logical values.

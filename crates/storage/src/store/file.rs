@@ -5,7 +5,7 @@
 //! So instead of a footer index, every record is self-framed:
 //!
 //! ```text
-//! magic "LSPR" | u64 page id | u32 payload len | payload (one LSPG image)
+//! magic "LSPR" | u64 page id | u32 payload len | payload (one page image, `crate::disk`)
 //! ```
 //!
 //! [`StoreFile::open`] scans records from the start and stops at the first

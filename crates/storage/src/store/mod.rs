@@ -3,24 +3,24 @@
 //!
 //! The paper assumes base pages live in a storage hierarchy, not
 //! permanently in RAM; this module is that hierarchy's bottom layer. A
-//! [`PageStore`] owns one append-only page file (LSPG images framed as
-//! `LSPR` records, see `store/file.rs`) plus a buffer pool of frames
-//! with clock/second-chance eviction. The rest of the engine holds pages
-//! through [`PagePtr`]:
+//! [`PageStore`] owns one append-only page file (codec-native page images,
+//! [`crate::disk`], framed as `LSPR` records, see `store/file.rs`) plus a
+//! buffer pool of frames with clock/second-chance eviction over the
+//! resident ones. The rest of the engine holds pages through [`PagePtr`]:
 //!
 //! * [`PagePtr::Resident`] — a plain `Arc<BasePage>`, heap-resident
 //!   forever. The only variant when no store is configured; the default
 //!   configuration is byte-for-byte the pre-store engine.
 //! * [`PagePtr::Stored`] — a frame in a store. Reading pins the frame,
 //!   transparently faulting the image back in if it was evicted; the
-//!   faulted page is rebuilt with [`BasePage::from_compressed`], so the
-//!   codec is preserved exactly and compressed-columnar kernels dispatch
-//!   on it with no re-encode round trip.
+//!   image holds the codec's own arrays, so the faulted page *is* the
+//!   evicted one — same codec, same words — and compressed-columnar
+//!   kernels dispatch on it with no decode or re-encode in between.
 //!
 //! The page lifecycle is **sealed → stored → faulted ⇄ evicted**: the
 //! merge seals immutable pages into the store (a resident *dirty* frame —
 //! no I/O on the merge path), eviction writes dirty images back through
-//! the LSPG encoder and drops the slot, and the next read faults the image
+//! [`encode_image`] and drops the slot, and the next read faults the image
 //! back in. Because pages are immutable, an evicted-and-faulted page is
 //! byte-identical to the sealed original — the equivalence battery in
 //! `tests/buffer_pool_equivalence.rs` pins exactly that.
@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::disk::{decode_image, encode_image};
+use crate::disk::{check_header, decode_image, encode_image, MAX_PAGE_CELLS};
 use crate::error::{StorageError, StorageResult};
 use crate::page::BasePage;
 
@@ -72,9 +72,15 @@ impl PageStore {
     /// Open (creating if absent) a page store at `path` with a pool budget
     /// of `budget` frames (`None` = unbounded). Existing records are
     /// indexed; a torn tail from a crash is ignored and overwritten by the
-    /// next append.
+    /// next append. A file whose first record is not an image this build
+    /// reads — one written in the old `LSPG` format, say — is refused here
+    /// with [`StorageError::Corrupt`] rather than at the first fault, which
+    /// has no way to fail.
     pub fn open(path: &Path, budget: Option<usize>) -> StorageResult<Arc<PageStore>> {
         let (file, entries) = StoreFile::open(path)?;
+        if let Some(&(_, off, len)) = entries.first() {
+            check_header(&file.read(off, len.min(8))?)?;
+        }
         let mut index = HashMap::new();
         let mut next_id = 0u64;
         for (id, off, len) in entries {
@@ -117,11 +123,12 @@ impl PageStore {
             Arc::clone(self.pool.stats()),
         ));
         // Admission order upholds `resident ≤ budget + pinned`: the
-        // admitting pin lands before the resident gauge moves, and is
-        // only released once the budget sweep has run.
-        let admit = frame.pin_with(page);
-        self.pool.stats().resident.fetch_add(1, Ordering::SeqCst);
+        // admitting pin lands and the frame is in the ring (where a
+        // snapshot counts pins) before the resident gauge moves, and the
+        // pin is only released once the budget sweep has run.
+        let admit = frame.pin_with(page, false);
         self.pool.register(&frame);
+        self.pool.stats().resident.fetch_add(1, Ordering::SeqCst);
         self.enforce_budget();
         drop(admit);
         PagePtr::Stored(PageHandle {
@@ -131,21 +138,22 @@ impl PageStore {
     }
 
     /// A cold handle to a page already persisted under `id` (the restore
-    /// path): no frame slot is populated until the first read faults the
-    /// image in.
+    /// path): no frame slot is populated — and the clock does not hear of
+    /// the frame — until the first read faults the image in.
     pub fn handle(self: &Arc<Self>, id: u64) -> StorageResult<PagePtr> {
         if !self.index.read().contains_key(&id) {
             return Err(StorageError::MissingEntry { id });
         }
         let frame = Arc::new(Frame::new(id, None, false, Arc::clone(self.pool.stats())));
-        self.pool.register(&frame);
         Ok(PagePtr::Stored(PageHandle {
             store: Arc::clone(self),
             frame,
         }))
     }
 
-    /// Pin a frame's page, faulting the image in if the slot is empty.
+    /// Pin a frame's page, faulting the image in if the slot is empty. A
+    /// `streaming` pin does not set the frame's reference bit, on a hit or
+    /// on the frame it faults in (see [`PagePtr::read_streaming`]).
     ///
     /// # Panics
     ///
@@ -154,22 +162,26 @@ impl PageStore {
     /// pages are only evicted *after* a successful writeback, so a failing
     /// read here is unrecoverable environment damage, not a softwarable
     /// condition — readers are infallible by design.
-    fn pin(self: &Arc<Self>, frame: &Arc<Frame>) -> PinnedPage {
-        if let Some(pinned) = self.pool.try_pin(frame) {
+    fn pin(self: &Arc<Self>, frame: &Arc<Frame>, streaming: bool) -> PinnedPage {
+        if let Some(pinned) = frame.try_pin(streaming) {
             return pinned;
         }
         let mut slot = frame.slot.write();
         if let Some(page) = slot.clone() {
             // Another reader faulted it in while we waited for the lock.
-            self.pool.stats().hits.fetch_add(1, Ordering::Relaxed);
-            return frame.pin_with(page);
+            frame.count_hit();
+            return frame.pin_with(page, streaming);
         }
         let page = Arc::new(
             self.read_page(frame.id)
                 .expect("page store: fault-in failed to read back a stored page image"),
         );
         *slot = Some(Arc::clone(&page));
-        let pinned = frame.pin_with(page);
+        let pinned = frame.pin_with(page, streaming);
+        // Into the ring inside the slot's critical section — slot → clock,
+        // the one order a fault takes the two in — so the frame is there
+        // exactly while the slot is full; then the gauge, as in `seal`.
+        self.pool.register(frame);
         self.pool.stats().resident.fetch_add(1, Ordering::SeqCst);
         self.pool.stats().faults.fetch_add(1, Ordering::Relaxed);
         drop(slot);
@@ -267,7 +279,22 @@ impl PageStore {
         self.pool.snapshot()
     }
 
+    /// Entries in the clock's ring: the resident frames, plus any entry
+    /// not pruned yet.
+    #[cfg(test)]
+    pub(crate) fn ring_len(&self) -> usize {
+        self.pool.ring_len()
+    }
+
     fn writeback(&self, id: u64, page: &BasePage) -> StorageResult<()> {
+        if page.len() > MAX_PAGE_CELLS {
+            // Refused here, where it is an error, not at the fault that
+            // would find the image unreadable.
+            return Err(StorageError::Corrupt(format!(
+                "page {id} of {} values exceeds the image capacity",
+                page.len()
+            )));
+        }
         let image = encode_image(page.compressed());
         let (off, len) = self.file.append(id, &image)?;
         self.index.write().insert(id, (off, len));
@@ -352,9 +379,27 @@ impl PagePtr {
     /// drops.
     #[inline]
     pub fn read(&self) -> PageRead<'_> {
+        self.pin(false)
+    }
+
+    /// [`PagePtr::read`] for a reader that streams through pages it will
+    /// not come back to (a scan's window fold): the pin does not set the
+    /// frame's clock reference bit, so the page asks for no second chance
+    /// and the next eviction takes it — the scan recycles a handful of
+    /// frames instead of sweeping everyone else's out. A hint about this
+    /// read, chosen by the code that makes it; the answer is the same.
+    #[inline]
+    pub fn read_streaming(&self) -> PageRead<'_> {
+        self.pin(true)
+    }
+
+    #[inline]
+    fn pin(&self, streaming: bool) -> PageRead<'_> {
         match self {
             PagePtr::Resident(page) => PageRead::Resident(page),
-            PagePtr::Stored(h) => PageRead::Pinned(h.store.pin(&h.frame), Unpinned(&h.store)),
+            PagePtr::Stored(h) => {
+                PageRead::Pinned(h.store.pin(&h.frame, streaming), Unpinned(&h.store))
+            }
         }
     }
 
@@ -608,9 +653,155 @@ mod tests {
         let stats = store.pool_stats();
         assert_eq!(stats.resident, 2, "failed writeback must not drop pages");
         assert_eq!(stats.evictions, 0);
+        // Still dirty, so still in the ring where the flush below finds them.
+        assert_eq!(store.ring_len(), 2);
         // The error is surfaced exactly once, as a stable Error.
         let err = store.flush().expect_err("flush must surface ENOSPC");
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn a_refault_never_registers_a_frame_twice() {
+        let path = temp_store_path("refault");
+        let store = PageStore::open(&path, Some(1)).unwrap();
+        let a = store.seal(page(1, 64));
+        assert_eq!(store.ring_len(), 1);
+        let b = store.seal(page(2, 64)); // evicts `a`, dirty: written first
+        assert_eq!(store.ring_len(), 1);
+        for round in 0..3 {
+            // Each read faults its page in and evicts the other (clean now).
+            assert_eq!(a.read().decode(), page(1, 64).decode());
+            assert_eq!(store.ring_len(), 1, "round {round}: after faulting a");
+            assert_eq!(b.read_streaming().decode(), page(2, 64).decode());
+            assert_eq!(store.ring_len(), 1, "round {round}: after faulting b");
+        }
+        let stats = store.pool_stats();
+        assert_eq!((stats.resident, stats.pinned), (1, 0));
+        assert_eq!(stats.faults, 6);
+        assert_eq!(stats.writebacks, 2, "each page is written once, then clean");
+        // A frame dropped while resident leaves a dead entry, which the
+        // hand prunes when the next sweep meets it.
+        drop(b);
+        assert_eq!((store.pool_stats().resident, store.ring_len()), (0, 1));
+        drop(a.read());
+        assert_eq!((store.pool_stats().resident, store.ring_len()), (1, 2));
+        let _c = store.seal(page(3, 64));
+        assert_eq!((store.pool_stats().resident, store.ring_len()), (1, 1));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn cold_handles_enter_the_ring_only_when_faulted() {
+        let path = temp_store_path("cold");
+        let ids: Vec<u64> = {
+            let store = PageStore::open(&path, None).unwrap();
+            let ptrs: Vec<PagePtr> = (0..5).map(|i| store.seal(page(i, 32))).collect();
+            store.flush().unwrap();
+            ptrs.iter().map(|p| p.page_id().unwrap()).collect()
+        };
+        let store = PageStore::open(&path, Some(2)).unwrap();
+        let cold: Vec<PagePtr> = ids.iter().map(|&id| store.handle(id).unwrap()).collect();
+        assert_eq!(store.ring_len(), 0, "restore registers nothing");
+        for (i, ptr) in cold.iter().enumerate() {
+            assert_eq!(ptr.read().decode(), page(i as u64, 32).decode());
+            assert!(store.ring_len() <= 2);
+        }
+        let stats = store.pool_stats();
+        assert_eq!((stats.resident, stats.faults, stats.evictions), (2, 5, 3));
+        assert_eq!(stats.writebacks, 0, "faulted pages are clean");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_streaming_pass_leaves_the_hot_set_alone() {
+        let path = temp_store_path("streaming");
+        let store = PageStore::open(&path, Some(8)).unwrap();
+        let ptrs: Vec<PagePtr> = (0..64).map(|i| store.seal(page(i, 64))).collect();
+        let hot = &ptrs[..4];
+        let touch = || hot.iter().for_each(|p| drop(p.read()));
+        // The first sweep after the load finds every bit set and clears
+        // them all; touch the hot set on either side of it.
+        touch();
+        drop(ptrs[8].read_streaming());
+        touch();
+        let before = store.pool_stats();
+        for ptr in &ptrs[9..] {
+            assert_eq!(ptr.read_streaming().len(), 64);
+        }
+        let streamed = store.pool_stats();
+        assert_eq!(
+            streamed.faults - before.faults,
+            55,
+            "every streamed page faults"
+        );
+        touch();
+        let after = store.pool_stats();
+        assert_eq!(after.faults, streamed.faults, "the hot set never left");
+        assert_eq!(after.hits - streamed.hits, 4);
+        assert_eq!(store.ring_len() as u64, after.resident);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_scanner_beside_a_skewed_reader_leaves_ring_equal_to_resident() {
+        for budget in [7usize, 320] {
+            let path = temp_store_path(&format!("ring-{budget}"));
+            let store = PageStore::open(&path, Some(budget)).unwrap();
+            let ptrs: Vec<PagePtr> = (0..400).map(|i| store.seal(page(i, 64))).collect();
+            store.flush().unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for round in 0..4 {
+                        for (i, ptr) in ptrs.iter().enumerate() {
+                            let sum = ptr.read_streaming().sum();
+                            assert_eq!(sum, page(i as u64, 64).sum(), "round {round} page {i}");
+                        }
+                    }
+                });
+                s.spawn(|| {
+                    let mut rng = 0x5eedu64;
+                    for _ in 0..4000 {
+                        rng = rng
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        // Skewed: the square of a uniform draw piles up at 0.
+                        let u = (rng >> 40) as f64 / (1u64 << 24) as f64;
+                        let i = (u * u * ptrs.len() as f64) as usize;
+                        let slot = (rng >> 8) as usize % 64;
+                        assert_eq!(ptrs[i].read().get(slot), page(i as u64, 64).get(slot));
+                    }
+                });
+            });
+            let stats = store.pool_stats();
+            assert_eq!(stats.pinned, 0, "budget {budget}: {stats:?}");
+            assert!(
+                stats.resident <= budget as u64,
+                "budget {budget}: {stats:?}"
+            );
+            assert_eq!(store.ring_len() as u64, stats.resident, "budget {budget}");
+            assert!(
+                stats.faults > 0 && stats.hits > 0,
+                "budget {budget}: {stats:?}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_page_file_in_the_old_image_format_is_refused_at_open() {
+        let path = temp_store_path("old-format");
+        // One LSPR record holding an LSPG image of the single value 5.
+        let image = b"LSPG\x00\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x05";
+        let mut file = b"LSPR".to_vec();
+        file.extend_from_slice(&7u64.to_be_bytes());
+        file.extend_from_slice(&(image.len() as u32).to_be_bytes());
+        file.extend_from_slice(image);
+        std::fs::write(&path, &file).unwrap();
+        match PageStore::open(&path, Some(4)) {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("old LSPG format"), "{why}"),
+            other => panic!("expected a Corrupt naming the old format, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

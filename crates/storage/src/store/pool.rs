@@ -7,12 +7,21 @@
 //! long as it lives — the same contract the epoch mechanism gives retired
 //! base-page *versions*, applied one level down to page *images*.
 //!
-//! Eviction is the classic clock (second chance): a hand sweeps the frame
-//! list, clearing reference bits, skipping pinned frames, and evicting the
-//! first unpinned frame whose bit was already clear. Dirty victims are
-//! written back through a caller-supplied writeback function before the
-//! slot is dropped, so the file always holds a decodable image of every
-//! evicted page.
+//! Eviction is the classic clock (second chance) over a ring of the
+//! **resident** frames only: a frame enters the ring when its slot goes
+//! `None → Some` (sealed, or faulted in) and leaves it when eviction
+//! clears the slot, so a sweep never walks frames that hold nothing. The
+//! hand clears reference bits, skips pinned frames, and evicts the first
+//! unpinned frame whose bit was already clear, all under **one**
+//! acquisition of the clock mutex. Dirty victims are written back through
+//! a caller-supplied writeback function before the slot is dropped — with
+//! the clock released — so the file always holds a decodable image of
+//! every evicted page.
+//!
+//! Two lock orders, neither of which can wait for the other: a fault (and
+//! a dirty eviction, once its image is written) holds a frame's slot lock
+//! and then takes the clock; the sweep holds the clock and only ever
+//! *tries* a slot lock.
 
 use std::fmt;
 use std::ops::Deref;
@@ -24,18 +33,20 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::{StorageError, StorageResult};
 use crate::page::BasePage;
 
-/// Shared pool counters. Gauges (`resident`, `pinned`) track live state;
-/// the rest are monotonic event counters.
+/// Shared pool counters: the `resident` gauge and monotonic event
+/// counters. Nothing here is written by a pin that finds its page
+/// resident — outstanding pins and hits are kept per frame and summed
+/// over the ring by [`BufferPool::snapshot`].
 ///
 /// Update ordering maintains the invariant `resident ≤ budget + pinned`
 /// at every observable instant (absent writeback failures, which park a
-/// dirty frame resident): admission paths bump `pinned` *before*
-/// `resident`, and the admitting pin is only released after the budget
-/// sweep has run.
+/// dirty frame resident): admission paths pin the frame and put it in the
+/// ring *before* they bump `resident`, and the admitting pin is only
+/// released after the budget sweep has run.
 #[derive(Debug, Default)]
 pub(crate) struct PoolStats {
     pub(crate) resident: AtomicU64,
-    pub(crate) pinned: AtomicU64,
+    /// Hits of frames that have left the ring; see [`Frame::hits`].
     pub(crate) hits: AtomicU64,
     pub(crate) faults: AtomicU64,
     pub(crate) evictions: AtomicU64,
@@ -85,7 +96,15 @@ pub(crate) struct Frame {
     /// Clock reference bit (second chance).
     pub(crate) referenced: AtomicBool,
     /// True while the cached page has no up-to-date image in the file.
+    /// **dirty ⇒ resident**: only a cached page can be unwritten, and the
+    /// evictor clears this before it clears the slot. Resident frames are
+    /// in the ring, which is why [`BufferPool::live_frames`] finds every
+    /// page a flush has to write.
     pub(crate) dirty: AtomicBool,
+    /// Pins that found the page resident since the frame last entered the
+    /// ring; folded into [`PoolStats::hits`] when it leaves (eviction,
+    /// drop). Counted here because every thread shares the global's line.
+    hits: AtomicU64,
     stats: Arc<PoolStats>,
 }
 
@@ -102,31 +121,62 @@ impl Frame {
             pins: AtomicU64::new(0),
             referenced: AtomicBool::new(false),
             dirty: AtomicBool::new(dirty),
+            hits: AtomicU64::new(0),
             stats,
         }
     }
 
     /// Pin this frame around `page`. The caller must hold (or be inside the
     /// critical section that installs) the page in `self.slot`; the
-    /// returned guard keeps the frame unevictable until dropped.
-    pub(crate) fn pin_with(self: &Arc<Self>, page: Arc<BasePage>) -> PinnedPage {
+    /// returned guard keeps the frame unevictable until dropped. A
+    /// `streaming` pin leaves the reference bit alone: the page will not
+    /// ask the clock for a second chance on this reader's account.
+    pub(crate) fn pin_with(self: &Arc<Self>, page: Arc<BasePage>, streaming: bool) -> PinnedPage {
         self.pins.fetch_add(1, Ordering::SeqCst);
-        self.stats.pinned.fetch_add(1, Ordering::SeqCst);
-        self.referenced.store(true, Ordering::SeqCst);
+        // The bit publishes nothing; a set one is not written again.
+        if !streaming && !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::SeqCst);
+        }
         PinnedPage {
             page,
             frame: Arc::clone(self),
         }
+    }
+
+    /// Fast path: pin this frame if its page is resident. Counts a hit.
+    pub(crate) fn try_pin(self: &Arc<Self>, streaming: bool) -> Option<PinnedPage> {
+        let slot = self.slot.read();
+        let page = Arc::clone(slot.as_ref()?);
+        // Pin under the read lock: the evictor requires the write lock to
+        // clear the slot and re-checks pins while holding it, so a pin
+        // taken here is never raced away.
+        let pinned = self.pin_with(page, streaming);
+        drop(slot);
+        self.count_hit();
+        Some(pinned)
+    }
+
+    /// Count a pin that found the page resident.
+    pub(crate) fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Move this frame's hits to the pool's counter: it is leaving the ring.
+    fn fold_hits(&self) {
+        let hits = self.hits.swap(0, Ordering::Relaxed);
+        self.stats.hits.fetch_add(hits, Ordering::Relaxed);
     }
 }
 
 impl Drop for Frame {
     fn drop(&mut self) {
         // A frame dying with its page still installed (version retired by
-        // the epoch mechanism while resident) leaves the resident gauge.
+        // the epoch mechanism while resident) leaves the resident gauge;
+        // its ring entry is dead and pruned when the hand meets it.
         if self.slot.get_mut().is_some() {
             self.stats.resident.fetch_sub(1, Ordering::SeqCst);
         }
+        self.fold_hits();
     }
 }
 
@@ -159,7 +209,6 @@ impl Deref for PinnedPage {
 impl Drop for PinnedPage {
     fn drop(&mut self) {
         self.frame.pins.fetch_sub(1, Ordering::SeqCst);
-        self.frame.stats.pinned.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -180,10 +229,30 @@ pub(crate) enum EvictOutcome {
     WritebackFailed(StorageError),
 }
 
-/// Clock state: the registered frames and the sweep hand.
+/// Clock state: the ring of resident frames and the sweep hand.
+///
+/// Ring length = resident frames + entries not yet pruned (the `Weak` of
+/// a frame dropped while resident; the hand removes those as it meets
+/// them). A frame is in the ring at most once: it enters on `None → Some`
+/// under its slot's write lock and leaves on `Some → None` under the same
+/// lock.
 struct Clock {
     frames: Vec<Weak<Frame>>,
     hand: usize,
+}
+
+impl Clock {
+    /// Take `frame` out of the ring; `hint` is where it was last seen.
+    fn remove(&mut self, frame: &Arc<Frame>, hint: usize) {
+        let is_frame = |entry: &Weak<Frame>| std::ptr::eq(entry.as_ptr(), Arc::as_ptr(frame));
+        let at = match self.frames.get(hint) {
+            Some(entry) if is_frame(entry) => Some(hint),
+            _ => self.frames.iter().position(is_frame),
+        };
+        if let Some(at) = at {
+            self.frames.swap_remove(at);
+        }
+    }
 }
 
 /// Capacity-budgeted frame cache with clock/second-chance eviction.
@@ -217,12 +286,14 @@ impl BufferPool {
         &self.stats
     }
 
-    /// Register a frame with the clock.
+    /// Put a frame whose slot has just been filled into the ring. The
+    /// caller holds the slot's write lock (or the only reference to the
+    /// frame), has pinned it, and bumps `resident` only afterwards.
     pub(crate) fn register(&self, frame: &Arc<Frame>) {
         self.clock.lock().frames.push(Arc::downgrade(frame));
     }
 
-    /// Snapshot the live frames (for flush sweeps).
+    /// Snapshot the resident frames (for flush sweeps).
     pub(crate) fn live_frames(&self) -> Vec<Arc<Frame>> {
         self.clock
             .lock()
@@ -232,17 +303,10 @@ impl BufferPool {
             .collect()
     }
 
-    /// Fast path: pin `frame` if its page is resident. Counts a hit.
-    pub(crate) fn try_pin(&self, frame: &Arc<Frame>) -> Option<PinnedPage> {
-        let slot = frame.slot.read();
-        let page = Arc::clone(slot.as_ref()?);
-        // Pin under the read lock: the evictor requires the write lock to
-        // clear the slot and re-checks pins while holding it, so a pin
-        // taken here is never raced away.
-        let pinned = frame.pin_with(page);
-        drop(slot);
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        Some(pinned)
+    /// Entries in the ring, pruned or not.
+    #[cfg(test)]
+    pub(crate) fn ring_len(&self) -> usize {
+        self.clock.lock().frames.len()
     }
 
     /// Evict until the resident gauge is back under the budget. Pinned
@@ -266,66 +330,72 @@ impl BufferPool {
         Ok(())
     }
 
-    /// One clock sweep step: advance the hand until a victim is evicted or
-    /// two full revolutions found nothing evictable.
+    /// One eviction: under one hold of the clock, advance the hand until a
+    /// victim is found or two revolutions found nothing evictable (the
+    /// first may only have cleared reference bits). The slot locks are
+    /// only *tried*, so pin and fault paths never wait on the sweep.
     fn evict_one(
         &self,
         writeback: &mut dyn FnMut(u64, &BasePage) -> StorageResult<()>,
     ) -> EvictOutcome {
-        let sweep_limit = {
-            let clock = self.clock.lock();
-            clock.frames.len().saturating_mul(2).max(1)
-        };
-        for _ in 0..sweep_limit {
-            // Hold the clock lock only to pick the next candidate; the
-            // slot locks are taken without it, so pin/fault paths never
-            // wait on the sweep.
-            let candidate = {
-                let mut clock = self.clock.lock();
-                if clock.frames.is_empty() {
-                    return EvictOutcome::NoVictim;
-                }
-                if clock.hand >= clock.frames.len() {
-                    clock.hand = 0;
-                }
-                let at = clock.hand;
-                match clock.frames[at].upgrade() {
-                    Some(frame) => {
-                        clock.hand += 1;
-                        frame
-                    }
-                    None => {
-                        // Prune the dead entry; the hand stays, now
-                        // pointing at the swapped-in tail frame.
-                        clock.frames.swap_remove(at);
-                        continue;
-                    }
-                }
+        let mut clock = self.clock.lock();
+        for _ in 0..clock.frames.len() * 2 {
+            if clock.frames.is_empty() {
+                break;
+            }
+            if clock.hand >= clock.frames.len() {
+                clock.hand = 0;
+            }
+            let at = clock.hand;
+            let Some(frame) = clock.frames[at].upgrade() else {
+                // Prune the dead entry; the hand stays, now pointing at
+                // the swapped-in newest frame.
+                clock.frames.swap_remove(at);
+                continue;
             };
-            if candidate.pins.load(Ordering::SeqCst) > 0 {
+            clock.hand += 1;
+            if frame.pins.load(Ordering::SeqCst) > 0 {
                 continue;
             }
-            if candidate.referenced.swap(false, Ordering::SeqCst) {
+            if frame.referenced.swap(false, Ordering::SeqCst) {
                 continue; // second chance
             }
-            let Some(mut slot) = candidate.slot.try_write() else {
-                continue; // mid-fault or mid-pin; look elsewhere
-            };
-            let Some(page) = slot.clone() else {
-                continue; // already evicted
+            let Some(mut slot) = frame.slot.try_write() else {
+                continue; // mid-fault, mid-pin or mid-writeback; look elsewhere
             };
             // Pins are taken under the slot read lock, so holding the
             // write lock freezes the count; anything >0 pinned before us.
-            if candidate.pins.load(Ordering::SeqCst) > 0 {
+            if frame.pins.load(Ordering::SeqCst) > 0 {
                 continue;
             }
-            if candidate.dirty.load(Ordering::SeqCst) {
-                if let Err(e) = writeback(candidate.id, &page) {
+            let Some(page) = slot.as_deref() else {
+                // An empty slot has no business in the ring.
+                clock.hand = at;
+                clock.frames.swap_remove(at);
+                continue;
+            };
+            if frame.dirty.load(Ordering::SeqCst) {
+                // Written with the clock released (a bulk load must not
+                // queue readers behind file writes) but from inside the
+                // ring: a flush walking it meanwhile waits on the slot
+                // lock rather than miss an unwritten page, and a failed
+                // write leaves the frame where it was, still dirty.
+                drop(clock);
+                if let Err(e) = writeback(frame.id, page) {
                     return EvictOutcome::WritebackFailed(e);
                 }
-                candidate.dirty.store(false, Ordering::SeqCst);
+                frame.dirty.store(false, Ordering::SeqCst);
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                clock = self.clock.lock(); // slot → clock, as a fault
+                clock.remove(&frame, at);
+            } else {
+                // Hand stays: the newest frame is swapped in under it, so
+                // a streaming scan's last page is the next one looked at.
+                clock.hand = at;
+                clock.frames.swap_remove(at);
             }
+            frame.fold_hits();
+            drop(clock);
             *slot = None;
             self.stats.resident.fetch_sub(1, Ordering::SeqCst);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
@@ -334,11 +404,25 @@ impl BufferPool {
         EvictOutcome::NoVictim
     }
 
+    /// Gauges and counters at one instant of the clock: `pinned` and the
+    /// live frames' `hits` are summed over the ring, which cannot change
+    /// meanwhile. `resident` is read last and under the same hold, so a
+    /// page admitted over the budget is never counted without its pin
+    /// (admission is pin → ring → gauge, and no sweep runs while we look).
     pub(crate) fn snapshot(&self) -> PoolStatsSnapshot {
+        let clock = self.clock.lock();
+        let mut pinned = 0;
+        let mut hits = self.stats.hits.load(Ordering::Relaxed);
+        for frame in clock.frames.iter().filter_map(Weak::upgrade) {
+            pinned += frame.pins.load(Ordering::SeqCst);
+            hits += frame.hits.load(Ordering::Relaxed);
+        }
+        let resident = self.stats.resident.load(Ordering::SeqCst);
+        drop(clock);
         PoolStatsSnapshot {
-            resident: self.stats.resident.load(Ordering::SeqCst),
-            pinned: self.stats.pinned.load(Ordering::SeqCst),
-            hits: self.stats.hits.load(Ordering::Relaxed),
+            resident,
+            pinned,
+            hits,
             faults: self.stats.faults.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             writebacks: self.stats.writebacks.load(Ordering::Relaxed),

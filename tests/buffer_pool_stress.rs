@@ -5,11 +5,28 @@
 //! still equal a sequential per-key reconstruction of the same snapshot,
 //! the resident gauge must respect `budget + pinned` at every probe, and
 //! all pins must return at quiesce.
+//!
+//! And the `cold_scan` shape: one streaming range scanner beside one
+//! skewed point reader on a quiet table several times the pool, every
+//! answer checked against an in-memory copy.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lstore::{Database, DbConfig, TableConfig};
+
+/// A failed assertion unwinds inside a thread scope, which then joins the
+/// other threads: whoever unwinds raises `stop` on the way out, or the
+/// failure would show as a hang.
+struct StopOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+}
 
 #[test]
 fn scans_stay_exact_while_a_4_page_pool_thrashes() {
@@ -38,17 +55,6 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
     let stop = Arc::new(AtomicBool::new(false));
     let pause = Arc::new(AtomicBool::new(false));
     let parked = Arc::new(AtomicU64::new(0));
-    // A failed assertion unwinds inside the scope, which then joins the
-    // other threads: whoever unwinds raises `stop` on the way out, or the
-    // failure would show as a hang.
-    struct StopOnUnwind<'a>(&'a AtomicBool);
-    impl Drop for StopOnUnwind<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-    }
     std::thread::scope(|s| {
         let _release = StopOnUnwind(&stop);
         // Writers doing read-modify-write increments: their updates force
@@ -162,4 +168,117 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
     db.flush_store().unwrap();
     drop(db);
     std::fs::remove_file(&path).ok();
+}
+
+/// The `cold_scan` pair on a quiet table of ≈ 630 sealed pages: a scanner
+/// summing a tenth of the rows (columns in rotation, streaming pins) beside
+/// a point reader whose keys pile up at the low end, on a pool that holds
+/// a hundredth and one that holds half of the pages. A wrong word in a
+/// faulted image, a frame lost by the ring or a pin leaked by either path
+/// shows as a wrong answer or a gauge that does not come back.
+#[test]
+fn a_scanner_and_a_skewed_reader_agree_with_memory_on_small_pools() {
+    const KEYS: u64 = 20_000;
+    const COLS: usize = 4;
+    const SCAN_ROWS: u64 = KEYS / 10;
+    let value = |k: u64, c: usize| (k.wrapping_mul(0x9E37_79B9) >> 7) % 1000 + c as u64 * 1_000_000;
+    for budget in [7u64, 320] {
+        let path = std::env::temp_dir().join(format!(
+            "lstore-pool-cold-{budget}-{}.pages",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let db = Database::new(
+            DbConfig::new()
+                .with_pool_threads(2)
+                .with_shards(2)
+                .with_page_store(path.clone())
+                .with_buffer_pool_pages(budget as usize),
+        );
+        let t = db
+            .create_table("cold", &["a", "b", "c", "d"], TableConfig::small())
+            .unwrap();
+        let rows: Vec<[u64; COLS]> = (0..KEYS)
+            .map(|k| std::array::from_fn(|c| value(k, c)))
+            .collect();
+        for (k, row) in rows.iter().enumerate() {
+            t.insert_auto(k as u64, row).unwrap();
+        }
+        t.merge_all();
+        db.drain_merges();
+        db.flush_store().unwrap();
+        // prefix[c][k] = wrapping sum of column c over keys 0..k.
+        let prefix: Vec<Vec<u64>> = (0..COLS)
+            .map(|c| {
+                let mut acc = 0u64;
+                std::iter::once(0)
+                    .chain(rows.iter().map(|row| {
+                        acc = acc.wrapping_add(row[c]);
+                        acc
+                    }))
+                    .collect()
+            })
+            .collect();
+
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (t, rows, prefix, stop) = (&t, &rows, &prefix, &stop);
+            s.spawn(move || {
+                let _release = StopOnUnwind(stop);
+                let mut rng = 0x5ca7u64;
+                for scan in 0..400usize {
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(13);
+                    let lo = (rng >> 20) % (KEYS - SCAN_ROWS + 1);
+                    let col = scan % COLS;
+                    let start = t.locate(lo).unwrap();
+                    let sum = t.sum_rid_span(start, SCAN_ROWS, col, t.now());
+                    let hi = (lo + SCAN_ROWS) as usize;
+                    assert_eq!(
+                        sum,
+                        prefix[col][hi].wrapping_sub(prefix[col][lo as usize]),
+                        "budget {budget}: scan {scan} of column {col} from key {lo}"
+                    );
+                }
+            });
+            s.spawn(move || {
+                let _release = StopOnUnwind(stop);
+                let mut rng = 0x9e7du64;
+                for _ in 0..3000 {
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(17);
+                    // The cube of a uniform draw: half the reads fall on
+                    // the first eighth of the keys.
+                    let u = (rng >> 40) as f64 / (1u64 << 24) as f64;
+                    let key = ((u * u * u) * KEYS as f64) as u64;
+                    assert_eq!(
+                        t.read_latest_auto(key).unwrap(),
+                        rows[key as usize],
+                        "budget {budget}: key {key}"
+                    );
+                }
+            });
+        });
+
+        let stats = t.stats();
+        assert_eq!(
+            stats.pool_pinned, 0,
+            "budget {budget}: pins returned: {stats:?}"
+        );
+        assert!(
+            stats.pool_resident <= budget,
+            "budget {budget}: no pins → resident within budget: {stats:?}"
+        );
+        assert!(
+            stats.pool_evictions > 0 && stats.pool_faults > 0 && stats.pool_hits > 0,
+            "budget {budget}: the pool must have been smaller than the table: {stats:?}"
+        );
+        drop(t);
+        drop(db);
+        std::fs::remove_file(&path).ok();
+    }
 }
