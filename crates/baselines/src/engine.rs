@@ -30,7 +30,7 @@ pub trait Engine: Send + Sync {
     /// Latest-committed point reads of a whole batch of keys, results in
     /// input order — the Table 9 multi-key lookup shape. The default is
     /// the sequential per-key loop; engines with a batched read path
-    /// (L-Store's `multi_read_cols_latest`) override it, so the
+    /// (L-Store's `Table::read_batch`) override it, so the
     /// `BENCH_BATCH_KEYS` axis measures batching against this exact
     /// baseline.
     fn multi_point_read(&self, keys: &[u64], cols: &[usize]) -> Vec<Option<Vec<u64>>> {

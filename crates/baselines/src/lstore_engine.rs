@@ -8,9 +8,14 @@
 
 use std::sync::Arc;
 
-use lstore::{Database, DbConfig, Error, Table, TableConfig};
+use lstore::{Database, DbConfig, Error, ReadRequest, Table, TableConfig};
 
 use crate::engine::{seed, Engine};
+
+/// The harness's `usize` column indices as a [`ReadRequest`] selection.
+fn wire_cols(cols: &[usize]) -> Vec<u32> {
+    cols.iter().map(|&c| c as u32).collect()
+}
 
 /// Adapter exposing an L-Store table as a benchmark [`Engine`].
 pub struct LStoreEngine {
@@ -138,19 +143,18 @@ impl Engine for LStoreEngine {
     }
 
     fn point_read(&self, key: u64, cols: &[usize]) -> Option<Vec<u64>> {
-        let table = self.table();
-        table.read_cols_auto(key, cols).ok().flatten()
+        let request = ReadRequest::latest(key).with_columns(wire_cols(cols));
+        self.table().read_one(&request).ok()?.values
     }
 
     fn multi_point_read(&self, keys: &[u64], cols: &[usize]) -> Vec<Option<Vec<u64>>> {
         // The batched read path: dedup + shard grouping + task-pool
         // fan-out (a per-key sequential loop when the batch is below
         // `DbConfig::batch_read_min` or the pool is 1 wide).
-        let table = self.table();
-        table
-            .multi_read_cols_latest(keys, cols)
+        self.table()
+            .read_batch(keys, Some(&wire_cols(cols)), None)
             .into_iter()
-            .map(|r| r.ok().flatten())
+            .map(|r| r.ok()?.values)
             .collect()
     }
 

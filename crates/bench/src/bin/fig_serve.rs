@@ -1,24 +1,17 @@
 //! Service-tier axis: closed-loop multi-get throughput and latency through
-//! the wire protocol, with request coalescing off (`direct`: each request
-//! executes inline on its connection's reader thread) vs on (`coalesced`:
-//! requests from all connections collected for a short window and submitted
-//! as one engine batch — the read-path twin of WAL group commit). The
-//! workload is hot-key multi-gets over the medium-contention active set, so
-//! a coalesced cross-connection batch overlaps heavily and the sorted
-//! point-read planner resolves each hot key once for the whole cohort.
+//! the wire protocol. The workload is hot-key multi-gets over the
+//! medium-contention active set — many connections reading one hot range,
+//! the traffic on which running requests inline on their reader threads
+//! loses to the single dispatcher (the readers bounce the range's shared
+//! lock words between cores; `docs/BENCHMARKS.md`, anomaly 9) and which
+//! lbench's scattered-key `serve_multiget` cannot show.
 //!
-//! Cells per connection count: `direct` and `coalesced` report requests/s
-//! (plain numbers, so the CI gate tracks both trajectories), and
-//! `coalesce_vs_direct` pins the coalescing dividend at multi-connection
-//! rows the same way `group_vs_wal` pins group commit — the ratio collapses
-//! toward 1 if batching breaks long before absolute throughput looks wrong
-//! on a noisy runner. The `*_p50/_p95/_p99` cells report client-observed
-//! request latency in microseconds (suffixed text: visible in the table and
-//! archived in `BENCH_JSON`, not gated — closed-loop latency under
-//! coalescing is the window by design).
+//! Cells per connection count: `req_s` reports requests/s (a plain number,
+//! so the CI gate tracks it), `p50`/`p95`/`p99` client-observed request
+//! latency in microseconds (suffixed text: visible in the table and
+//! archived in `BENCH_JSON`, not gated).
 //!
 //! Env: `BENCH_CONNS` sweeps client connections (default `1,4`),
-//! `BENCH_COALESCE_US` the coalescing window (default 200),
 //! `BENCH_SERVE_KEYS` the keys per wire request (default 64),
 //! `BENCH_SERVE_DEPTH` the pipelined requests outstanding per connection
 //! (default 4); `BENCH_ROWS`/`BENCH_SECONDS`/`BENCH_POOL_THREADS` as
@@ -31,20 +24,14 @@ use std::time::{Duration, Instant};
 use lstore_bench::report;
 use lstore_bench::setup;
 use lstore_bench::workload::Contention;
-use lstore_server::{Client, Coalesce, Server, ServerConfig};
+use lstore_server::{Client, Server, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// One connection's closed-loop run: requests completed + per-request
-/// latencies (ns).
-struct ConnResult {
-    requests: u64,
-    latencies_ns: Vec<u64>,
-}
-
 /// Drive one closed-loop connection until `deadline`, keeping `depth`
 /// requests outstanding (the wire protocol's request ids exist exactly so
-/// a client can pipeline; depth 1 is classic lockstep).
+/// a client can pipeline; depth 1 is classic lockstep). Returns the
+/// latency (ns) of every request completed.
 fn drive(
     addr: std::net::SocketAddr,
     table: &str,
@@ -53,7 +40,7 @@ fn drive(
     depth: usize,
     seed: u64,
     deadline: Instant,
-) -> ConnResult {
+) -> Vec<u64> {
     let mut client = Client::connect(addr).expect("connect");
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut keys = vec![0u64; keys_per_req];
@@ -71,10 +58,7 @@ fn drive(
         send(&mut client, &mut rng, &mut keys);
         client.recv().expect("warmup");
     }
-    let mut result = ConnResult {
-        requests: 0,
-        latencies_ns: Vec::new(),
-    };
+    let mut latencies_ns = Vec::new();
     let mut inflight = std::collections::HashMap::new();
     for _ in 0..depth {
         let (id, t0) = send(&mut client, &mut rng, &mut keys);
@@ -83,41 +67,32 @@ fn drive(
     loop {
         let (id, reply) = client.recv().expect("recv");
         let t0 = inflight.remove(&id).expect("known id");
-        result.latencies_ns.push(t0.elapsed().as_nanos() as u64);
+        latencies_ns.push(t0.elapsed().as_nanos() as u64);
         match reply {
             lstore_server::Reply::Results(replies) => assert_eq!(replies.len(), keys.len()),
             other => panic!("unexpected reply {other:?}"),
         }
-        result.requests += 1;
         if Instant::now() < deadline {
             let (id, t0) = send(&mut client, &mut rng, &mut keys);
             inflight.insert(id, t0);
         } else if inflight.is_empty() {
-            return result;
+            return latencies_ns;
         }
     }
 }
 
-/// Measure one (connections × coalesce mode) cell: requests/s plus the
-/// merged latency distribution.
+/// Measure one connection count: requests/s plus the merged latency
+/// distribution.
 fn measure(
     db: &Arc<lstore::Database>,
     conns: usize,
-    coalesce: Coalesce,
     active_set: u64,
     keys_per_req: usize,
     depth: usize,
     window: Duration,
 ) -> (f64, Vec<u64>) {
-    let server = Server::start(
-        Arc::clone(db),
-        "127.0.0.1:0",
-        ServerConfig {
-            coalesce,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("start server");
+    let server = Server::start(Arc::clone(db), "127.0.0.1:0", ServerConfig::default())
+        .expect("start server");
     let addr = server.local_addr();
     let start = Instant::now();
     let deadline = start + window;
@@ -136,17 +111,14 @@ fn measure(
             })
         })
         .collect();
-    let mut requests = 0u64;
     let mut latencies = Vec::new();
     for h in handles {
-        let mut r = h.join().expect("client thread");
-        requests += r.requests;
-        latencies.append(&mut r.latencies_ns);
+        latencies.append(&mut h.join().expect("client thread"));
     }
     let elapsed = start.elapsed().as_secs_f64();
     server.shutdown();
     latencies.sort_unstable();
-    (requests as f64 / elapsed, latencies)
+    (latencies.len() as f64 / elapsed, latencies)
 }
 
 /// Percentile (0..=100) of a sorted ns distribution, in microseconds.
@@ -163,7 +135,6 @@ fn main() {
     let pool_threads = setup::pool_thread_sweep().into_iter().max().unwrap_or(1);
     let keys_per_req = setup::serve_keys_per_request();
     let depth = setup::serve_pipeline_depth();
-    let window_us = setup::coalesce_window_us();
     let engine = setup::lstore_serving_engine(&config, pool_threads);
     let active_set = config.contention.active_set(config.rows);
 
@@ -178,7 +149,7 @@ fn main() {
                 .expect("pre-update");
         }
     }
-    // Let the pool drain any queued work so both modes measure the same
+    // Let the pool drain any queued work so every row measures the same
     // steady state (background work bleeding into the first measurement
     // window is the dominant run-to-run noise at smoke scale).
     std::thread::sleep(Duration::from_millis(50));
@@ -187,51 +158,22 @@ fn main() {
         "Serving",
         &format!(
             "closed-loop multi-get ({keys_per_req} keys/req, depth {depth}) over the wire; \
-             rows={} active={} window={}us pool={}",
-            config.rows, active_set, window_us, pool_threads
+             rows={} active={} pool={}",
+            config.rows, active_set, pool_threads
         ),
     );
     for conns in setup::conn_sweep() {
-        let (direct_rps, direct_lat) = measure(
+        let (rps, latencies) = measure(
             engine.database(),
             conns,
-            Coalesce::Off,
             active_set,
             keys_per_req,
             depth,
             setup::window(),
         );
-        let (coal_rps, coal_lat) = measure(
-            engine.database(),
-            conns,
-            Coalesce::window_us(window_us),
-            active_set,
-            keys_per_req,
-            depth,
-            setup::window(),
-        );
-        let mut cells: Vec<(&str, String)> = vec![
-            ("direct", format!("{direct_rps:.0}")),
-            ("coalesced", format!("{coal_rps:.0}")),
-        ];
-        if direct_rps > 0.0 {
-            cells.push((
-                "coalesce_vs_direct",
-                format!("{:.3}", coal_rps / direct_rps),
-            ));
-        }
-        for (name, lat) in [("d", &direct_lat), ("c", &coal_lat)] {
-            for (tag, pct) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
-                let label: &'static str = match (name, tag) {
-                    ("d", "p50") => "d_p50",
-                    ("d", "p95") => "d_p95",
-                    ("d", "p99") => "d_p99",
-                    ("c", "p50") => "c_p50",
-                    ("c", "p95") => "c_p95",
-                    (_, _) => "c_p99",
-                };
-                cells.push((label, format!("{:.0}us", percentile_us(lat, pct))));
-            }
+        let mut cells: Vec<(&str, String)> = vec![("req_s", format!("{rps:.0}"))];
+        for (label, pct) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
+            cells.push((label, format!("{:.0}us", percentile_us(&latencies, pct))));
         }
         report::row(&format!("conns={conns}"), &cells);
     }

@@ -3,7 +3,7 @@
 //! point reads.
 //!
 //! A second section sweeps the **batched** point-read path
-//! (`multi_read_cols_latest` behind `Engine::multi_point_read`): batch
+//! (`Table::read_batch` behind `Engine::multi_point_read`): batch
 //! sizes from `BENCH_BATCH_KEYS` × unified-pool widths from
 //! `BENCH_POOL_THREADS`, at 100% of columns. Batch size 1 stays on the
 //! caller (the sequential baseline), so within one pool width the rows

@@ -127,20 +127,9 @@ pub fn store_scratch(tag: &str) -> PathBuf {
 
 /// Closed-loop client connection counts to sweep in the fig_serve runner
 /// (env `BENCH_CONNS`, comma-separated; default `1,4` — one connection
-/// cannot coalesce across peers, four can).
+/// batches only with itself, four share the dispatcher's queue).
 pub fn conn_sweep() -> Vec<usize> {
     usize_list("BENCH_CONNS").unwrap_or_else(|| vec![1, 4])
-}
-
-/// Coalescing window for the fig_serve runner, in microseconds (env
-/// `BENCH_COALESCE_US`, default 200 — matches
-/// `Coalesce::group_read()`).
-pub fn coalesce_window_us() -> u64 {
-    std::env::var("BENCH_COALESCE_US")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(200)
 }
 
 /// Point-read keys per wire request in the fig_serve runner (env
@@ -288,10 +277,10 @@ pub fn lstore_store_engine(
 /// Build one populated L-Store engine for the fig_serve runner: a
 /// `pool_threads`-wide task pool, one shard, background merge and
 /// cumulative updates off. The serving figure pre-updates its hot set and
-/// needs the resulting tail chains to *stay* — the point of request
-/// coalescing is deduplicating expensive chain-walking reads across
-/// connections, and auto-merge consolidating mid-run would turn the axis
-/// into a race against the merge queue.
+/// needs the resulting tail chains to *stay* — a cross-connection batch
+/// resolves each expensive chain-walking read once, and auto-merge
+/// consolidating mid-run would turn the axis into a race against the
+/// merge queue.
 pub fn lstore_serving_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
         DbConfig::new()

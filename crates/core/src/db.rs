@@ -402,74 +402,6 @@ impl Database {
         self.runtime.abort(txn)
     }
 
-    // ------------------------------------------------------------------
-    // Batched multi-table point reads
-    // ------------------------------------------------------------------
-
-    /// Batched latest-committed point reads across tables: each request is
-    /// a `(table name, key)` pair, and the result vector is in request
-    /// order. Requests group by table and each table's batch runs through
-    /// its [`Table::multi_read_latest`] path (deduplicated, shard-grouped,
-    /// fanned out across the shared task pool). A request naming an
-    /// unknown table gets [`Error::TableNotFound`]; a key absent from its
-    /// table gets [`Error::KeyNotFound`] — per request, never failing the
-    /// whole batch.
-    pub fn multi_read_latest(&self, requests: &[(&str, u64)]) -> Vec<Result<Vec<u64>>> {
-        self.multi_table_read(requests, |table, keys| table.multi_read_latest(keys))
-    }
-
-    /// Batched snapshot point reads across tables at timestamp `ts` (the
-    /// multi-table variant of [`Table::multi_read_as_of`]): `(table name,
-    /// key)` requests, results in request order, `user_cols` read from
-    /// every table. Per-request errors as in
-    /// [`Database::multi_read_latest`].
-    pub fn multi_read_as_of(
-        &self,
-        requests: &[(&str, u64)],
-        user_cols: &[usize],
-        ts: u64,
-    ) -> Vec<Result<Option<Vec<u64>>>> {
-        self.multi_table_read(requests, |table, keys| {
-            table.multi_read_as_of(keys, user_cols, ts)
-        })
-    }
-
-    /// Group `requests` by table, run each table's key batch through
-    /// `run`, and scatter the per-key results back into request order.
-    fn multi_table_read<R>(
-        &self,
-        requests: &[(&str, u64)],
-        run: impl Fn(&Table, &[u64]) -> Vec<Result<R>>,
-    ) -> Vec<Result<R>> {
-        let mut groups: HashMap<&str, (Vec<u64>, Vec<usize>)> = HashMap::new();
-        for (pos, &(name, key)) in requests.iter().enumerate() {
-            let (keys, positions) = groups.entry(name).or_default();
-            keys.push(key);
-            positions.push(pos);
-        }
-        let mut out: Vec<Option<Result<R>>> = Vec::with_capacity(requests.len());
-        out.resize_with(requests.len(), || None);
-        for (name, (keys, positions)) in groups {
-            match self.table_or_err(name) {
-                Ok(table) => {
-                    let results = run(&table, &keys);
-                    debug_assert_eq!(results.len(), keys.len());
-                    for (pos, result) in positions.into_iter().zip(results) {
-                        out[pos] = Some(result);
-                    }
-                }
-                Err(_) => {
-                    for pos in positions {
-                        out[pos] = Some(Err(Error::TableNotFound(name.to_string())));
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every request answered"))
-            .collect()
-    }
-
     /// Buffer-pool counters of the page store (`None` when the database
     /// runs without one). Gauges: resident/pinned frames; monotonic
     /// counters: hits, faults, evictions, writebacks.

@@ -22,8 +22,8 @@
 //!   writers scale with cores the way the scan pool scales reads — while
 //!   one global clock keeps snapshot semantics identical for every shard
 //!   count.
-//! * Multi-key lookups batch through **`Table::multi_read_latest` /
-//!   `multi_read_as_of`** (and the `Database`-level multi-table variants):
+//! * Multi-key lookups batch through **`Table::read_batch` /
+//!   `Table::multi_read`** (and the multi-table `Database::multi_read`):
 //!   one sort groups a batch by shard, dedups, and clusters
 //!   range-neighbors, then the units fan out across the unified task pool
 //!   — byte-identical to the per-key loop, with per-key `Result`s in input

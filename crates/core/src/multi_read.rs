@@ -4,9 +4,9 @@
 //! transaction issues 10 point reads"); after the scan fan-out (PR 2) and
 //! the merge/scan pool unification (PR 4), those multi-key reads were the
 //! last read path still resolving one key at a time on the caller. This
-//! module batches them: [`Table::multi_read_latest`],
-//! [`Table::multi_read_cols_latest`], and [`Table::multi_read_as_of`] take
-//! a slice of keys and return one `Result` per key, **in input order**.
+//! module batches them: [`Table::read_batch`] (and its adapters
+//! [`Table::multi_read_latest`] and [`Table::multi_read_as_of`]) take a
+//! slice of keys and return one `Result` per key, **in input order**.
 //!
 //! The batched plan:
 //!
@@ -86,8 +86,8 @@ pub(crate) enum PointOutcome {
 
 impl Table {
     /// Resolve one key under `mode` (internal data-column indices). The
-    /// single-key readers (`read_as_of`, `read_latest_auto`,
-    /// `read_cols_auto`) and the batched planner all come through here, so
+    /// single-key readers (`read_one`, `read_as_of`, `read_latest_auto`)
+    /// and the batched planner all come through here, so
     /// batched and sequential reads cannot drift apart semantically.
     pub(crate) fn resolve_point(&self, key: u64, cols: &[usize], mode: ReadMode) -> PointOutcome {
         let Ok(base_rid) = self.locate(key) else {
@@ -281,24 +281,6 @@ impl Table {
             .collect()
     }
 
-    /// Batched latest-committed point reads of **selected value columns**
-    /// — the batch variant of [`Table::read_cols_auto`], a thin adapter
-    /// over [`Table::read_batch`]. One `Result` per key, in input order:
-    /// `Ok(Some(values))` for a visible record, `Ok(None)` for a deleted
-    /// one, [`Error::KeyNotFound`] for an unindexed key, and
-    /// [`Error::ColumnOutOfRange`] on every key when `user_cols` names a
-    /// column the table lacks.
-    pub fn multi_read_cols_latest(
-        &self,
-        keys: &[u64],
-        user_cols: &[usize],
-    ) -> Vec<Result<Option<Vec<u64>>>> {
-        self.read_batch(keys, Some(&Self::wire_cols(user_cols)), None)
-            .into_iter()
-            .map(|result| result.map(|r| r.values))
-            .collect()
-    }
-
     /// Batched snapshot point reads at timestamp `ts` — the batch variant
     /// of [`Table::read_as_of`], a thin adapter over
     /// [`Table::read_batch`], byte-identical to calling the single-key
@@ -469,26 +451,5 @@ mod tests {
                 "{r:?}"
             );
         }
-    }
-
-    #[test]
-    fn database_level_batches_span_tables() {
-        let db = Database::new(DbConfig::new().with_pool_threads(4));
-        let a = db.create_table("a", &["v"], TableConfig::small()).unwrap();
-        let b = db.create_table("b", &["v"], TableConfig::small()).unwrap();
-        a.insert_auto(1, &[10]).unwrap();
-        b.insert_auto(1, &[20]).unwrap();
-        b.insert_auto(2, &[21]).unwrap();
-        let got = db.multi_read_latest(&[("b", 1), ("a", 1), ("nope", 1), ("b", 2), ("a", 404)]);
-        assert_eq!(got[0].as_deref().unwrap(), &[20]);
-        assert_eq!(got[1].as_deref().unwrap(), &[10]);
-        assert!(matches!(&got[2], Err(Error::TableNotFound(name)) if name == "nope"));
-        assert_eq!(got[3].as_deref().unwrap(), &[21]);
-        assert!(matches!(got[4], Err(Error::KeyNotFound(404))));
-        // Snapshot variant against the same requests.
-        let ts = a.now();
-        let snap = db.multi_read_as_of(&[("a", 1), ("nope", 7)], &[0], ts);
-        assert_eq!(snap[0].as_ref().unwrap().as_deref(), Some(&[10][..]));
-        assert!(matches!(&snap[1], Err(Error::TableNotFound(name)) if name == "nope"));
     }
 }

@@ -1,8 +1,9 @@
 //! The unified point-read request/response vocabulary.
 //!
 //! Every point-read entry point — embedded ([`Table::read_latest_auto`],
-//! [`Table::read_cols_auto`], [`Table::read_as_of`], the `multi_read_*`
-//! family) and remote (`crates/server`'s wire protocol) — routes through
+//! [`Table::read_as_of`], [`Table::multi_read_latest`],
+//! [`Table::multi_read_as_of`]) and remote (`crates/server`'s wire
+//! protocol) — routes through
 //! one pair of types: a [`ReadRequest`] names *what* to read (key, optional
 //! column selection, optional snapshot timestamp) and a [`ReadResponse`]
 //! says *what was there* (`Some(values)` for a visible version, `None` for
@@ -11,11 +12,11 @@
 //! is an [`Error::KeyNotFound`], never a response.
 //!
 //! The batched forms ([`Table::read_batch`], [`Table::multi_read`],
-//! [`Database::multi_read`]) feed the same planner as `multi_read_latest`
-//! (sort by `(shard, key)`, dedup adjacent duplicates, fan out across the
-//! task pool), so a batch is byte-identical to a loop of [`Table::read_one`]
-//! calls at any fixed snapshot — the invariant the service tier's request
-//! coalescer relies on when it merges requests from many connections into
+//! [`Database::multi_read`]) feed one planner (`crate::multi_read`: sort by
+//! `(shard, key)`, dedup adjacent duplicates, fan out across the task
+//! pool), so a batch is byte-identical to a loop of [`Table::read_one`]
+//! calls at any fixed snapshot — the invariant the service tier's
+//! dispatcher relies on when it merges requests from many connections into
 //! one engine batch.
 
 use std::collections::HashMap;
@@ -143,7 +144,7 @@ impl Table {
 
     /// Batched reads sharing one column selection and one snapshot — the
     /// vectorized form of [`Table::read_one`], and the call the service
-    /// tier's coalescer makes per `(table, columns, as_of)` group. One
+    /// tier's dispatcher makes per `(table, columns, as_of)` group. One
     /// `Result` per key, in input order; an out-of-range column fails every
     /// key with its own [`Error::ColumnOutOfRange`], exactly as a
     /// sequential loop would.
@@ -352,11 +353,15 @@ mod tests {
             .create_table("other", &["x"], TableConfig::small())
             .unwrap();
         other.insert_auto(100, &[41]).unwrap();
+        let ts = t.now();
         let results = db.multi_read(&[
             ("req", ReadRequest::latest(1)),
             ("other", ReadRequest::latest(100)),
             ("ghost", ReadRequest::latest(1)),
             ("req", ReadRequest::latest(2)),
+            ("req", ReadRequest::latest(404)),
+            ("other", ReadRequest::as_of(100, ts).with_columns(vec![0])),
+            ("ghost", ReadRequest::as_of(7, ts).with_columns(vec![0])),
         ]);
         assert_eq!(
             results[0].as_ref().unwrap(),
@@ -371,5 +376,12 @@ mod tests {
             results[3].as_ref().unwrap(),
             &ReadResponse::visible(vec![3, 4])
         );
+        assert!(matches!(results[4], Err(Error::KeyNotFound(404))));
+        // Snapshot requests ride the same batch.
+        assert_eq!(
+            results[5].as_ref().unwrap(),
+            &ReadResponse::visible(vec![41])
+        );
+        assert!(matches!(&results[6], Err(Error::TableNotFound(name)) if name == "ghost"));
     }
 }

@@ -783,23 +783,6 @@ impl Table {
             .values
             .ok_or(crate::error::Error::KeyNotFound(key))
     }
-
-    /// Latest-committed point read of selected value columns (auto-commit);
-    /// `None` when the record is deleted, [`Error::ColumnOutOfRange`] when
-    /// `user_cols` names a column the table lacks. A thin adapter over
-    /// [`Table::read_one`]; the batched variant is
-    /// [`Table::multi_read_cols_latest`].
-    ///
-    /// [`Error::ColumnOutOfRange`]: crate::error::Error::ColumnOutOfRange
-    pub fn read_cols_auto(
-        &self,
-        key: u64,
-        user_cols: &[usize],
-    ) -> crate::error::Result<Option<Vec<u64>>> {
-        let cols: Vec<u32> = user_cols.iter().map(|&c| c as u32).collect();
-        let request = crate::request::ReadRequest::latest(key).with_columns(cols);
-        Ok(self.read_one(&request)?.values)
-    }
 }
 
 /// Combine the per-chunk partials of one fanned-out scan.

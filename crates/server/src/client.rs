@@ -4,9 +4,9 @@
 //! calls ([`Client::read`], [`Client::multi_read`], [`Client::ping`])
 //! send one request and wait for its response; the split
 //! `send_*`/[`Client::recv`] pair pipelines — any number of requests may
-//! be in flight, and responses are matched by request id (the coalescing
-//! server completes requests batch-by-batch, so pipelined responses can
-//! arrive out of order).
+//! be in flight, and responses are matched by request id (the server
+//! completes requests batch-by-batch, so pipelined responses can arrive
+//! out of order).
 
 use std::fmt;
 use std::io::{self, BufReader, Write};

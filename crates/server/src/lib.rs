@@ -8,10 +8,10 @@
 //!   ids for pipelining, engine errors as stable numeric codes.
 //! * [`server`] — the TCP service: acceptor, per-connection
 //!   reader/writer threads, a bounded in-flight budget that sheds load
-//!   with `Error::Overloaded`, per-request queue deadlines, and the
-//!   request coalescer that merges point reads arriving within a small
-//!   window across all connections into single engine batches (the
-//!   read-path analogue of WAL group commit).
+//!   with `Error::Overloaded`, per-request queue deadlines, and one
+//!   dispatcher that runs whatever is queued the moment it is free, so
+//!   point reads that arrive across all connections while a batch
+//!   executes merge into the next engine batch.
 //! * [`client`] — a synchronous client: blocking one-shot calls plus a
 //!   pipelined send/recv split.
 //!
@@ -34,4 +34,4 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError, Reply};
-pub use server::{Coalesce, Server, ServerConfig, ServerStats};
+pub use server::{Server, ServerConfig, ServerStats};

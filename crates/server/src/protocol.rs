@@ -6,8 +6,8 @@
 //! `u64` request id — then a kind-specific body. Request ids are chosen
 //! by the client and echoed verbatim on the response, so clients may
 //! pipeline any number of requests per connection and match responses
-//! out of order (the coalescing server completes requests batch-by-batch,
-//! not arrival-by-arrival).
+//! out of order (the server completes requests batch-by-batch, not
+//! arrival-by-arrival).
 //!
 //! All integers are little-endian. Strings are length-prefixed UTF-8.
 //! Engine errors travel as [`ErrorParts`] — stable code, two numeric

@@ -1,24 +1,22 @@
 //! The service tier: a TCP acceptor, per-connection reader/writer threads,
-//! and the request coalescer.
+//! and one dispatcher.
 //!
-//! The coalescer mirrors the WAL's group-commit shape on the read path:
-//! connection readers enqueue decoded point-read requests on one shared
-//! queue; a single coalescer thread collects everything that arrives
-//! within a small window (bounded by `max_batch`), merges requests with
-//! the same `(table, columns, as_of)` signature into one
-//! [`Table::read_batch`] call — which sorts, deduplicates, and fans out
-//! across the engine's unified task pool — and scatters the per-key
-//! results back to their originating connections. Under N closed-loop
-//! connections this turns N small independent probe loops into one
-//! planned batch per window: shared keys resolve once, per-dispatch
-//! overhead amortizes, and the batch planner's shard grouping gets real
-//! batches to work with.
+//! Connection readers enqueue decoded point-read requests on one shared
+//! queue. The dispatcher thread sleeps while that queue is empty; the
+//! moment it is free it takes everything queued (at most `MAX_BATCH` = 256
+//! requests), merges requests with the same `(table, columns, as_of)`
+//! signature into one [`Table::read_batch`] call — which sorts,
+//! deduplicates, and fans out across the engine's unified task pool — and
+//! scatters the per-key results back to their originating connections. A
+//! lone request is dispatched at once; requests that arrive while a batch
+//! executes form the next batch, so batches grow exactly as fast as load
+//! outruns the executor and nothing reads a clock to decide when to run.
 //!
 //! Backpressure is a bounded in-flight budget: a request admitted past
 //! `max_inflight` outstanding ones is answered immediately with
 //! [`Error::Overloaded`] instead of queueing unboundedly, and a request
 //! that sits queued past `request_timeout` is dropped with
-//! [`Error::RequestTimeout`] when the coalescer reaches it — the client
+//! [`Error::RequestTimeout`] when the dispatcher reaches it — the client
 //! hears "shed, retry elsewhere/later", never silence.
 //!
 //! [`Table::read_batch`]: lstore::Table::read_batch
@@ -36,55 +34,9 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::protocol::{self, Request, Response, HEADER_LEN, MAX_FRAME_LEN};
 
-/// Read-side coalescing policy, the read-path analogue of
-/// `Durability::WalGroupCommit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Coalesce {
-    /// No coalescing: each request executes immediately on its
-    /// connection's reader thread (the per-request baseline the bench
-    /// driver compares against).
-    Off,
-    /// Collect requests across all connections into one engine batch.
-    Window {
-        /// Hard cap on how long the first request of a batch may wait.
-        window: Duration,
-        /// Adaptive cut: close the batch once no new request has arrived
-        /// for this long (so a quiet queue never burns the full window).
-        grace: Duration,
-        /// Close the batch early at this many requests.
-        max_batch: usize,
-    },
-}
-
-impl Coalesce {
-    /// Default coalescing variant: a 200µs window, 25µs arrival grace,
-    /// 256-request batches — the read-path twin of
-    /// `Durability::group_commit()`.
-    pub const fn group_read() -> Coalesce {
-        Coalesce::Window {
-            window: Duration::from_micros(200),
-            grace: Duration::from_micros(25),
-            max_batch: 256,
-        }
-    }
-
-    /// A window-length override of [`Coalesce::group_read`] (grace scales
-    /// to an eighth of the window, floored at 5µs).
-    pub const fn window_us(window_us: u64) -> Coalesce {
-        let grace_us = if window_us / 8 < 5 { 5 } else { window_us / 8 };
-        Coalesce::Window {
-            window: Duration::from_micros(window_us),
-            grace: Duration::from_micros(grace_us),
-            max_batch: 256,
-        }
-    }
-}
-
 /// Service-tier configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Read-side coalescing policy.
-    pub coalesce: Coalesce,
     /// Bounded in-flight request budget: admissions beyond this many
     /// outstanding requests shed with [`Error::Overloaded`].
     pub max_inflight: usize,
@@ -97,7 +49,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            coalesce: Coalesce::group_read(),
             max_inflight: 4096,
             request_timeout: Some(Duration::from_secs(1)),
         }
@@ -113,10 +64,24 @@ pub struct ServerStats {
     pub shed: u64,
     /// Requests dropped with `RequestTimeout`.
     pub timed_out: u64,
-    /// Coalesced engine batches executed (window mode only).
+    /// Engine batches the dispatcher executed.
     pub batches: u64,
     /// Requests served through those batches.
     pub batched_requests: u64,
+    /// Requests per executed batch, log₂-bucketed: bucket `i` counts
+    /// batches of `2^i ..= 2^(i+1) - 1` requests.
+    pub batch_size_log2: [u64; HIST_BUCKETS],
+    /// Microseconds each request sat queued before the dispatcher took
+    /// it, log₂-bucketed the same way (bucket 0 also holds 0 µs, the last
+    /// bucket everything from `2^15` µs up).
+    pub queue_wait_us_log2: [u64; HIST_BUCKETS],
+}
+
+/// Buckets per [`ServerStats`] histogram.
+const HIST_BUCKETS: usize = 16;
+
+fn log2_bucket(value: u64) -> usize {
+    ((value | 1).ilog2() as usize).min(HIST_BUCKETS - 1)
 }
 
 #[derive(Default)]
@@ -126,6 +91,8 @@ struct Counters {
     timed_out: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
+    batch_size_log2: [AtomicU64; HIST_BUCKETS],
+    queue_wait_us_log2: [AtomicU64; HIST_BUCKETS],
 }
 
 /// One admitted request waiting for (or undergoing) execution.
@@ -140,7 +107,7 @@ struct Pending {
 }
 
 /// Outbound frame queue of one connection, drained by its writer thread.
-/// Readers and the coalescer push encoded frames; the writer thread owns
+/// Readers and the dispatcher push encoded frames; the writer thread owns
 /// the socket's write half, so response order within a connection is
 /// whatever completion order was — request ids do the matching.
 struct ConnWriter {
@@ -181,7 +148,7 @@ struct Shared {
 }
 
 /// A running service tier. Dropping (or [`Server::shutdown`]) stops the
-/// acceptor and coalescer and joins every connection thread.
+/// acceptor and dispatcher and joins every connection thread.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
@@ -210,19 +177,12 @@ impl Server {
             conn_threads: Mutex::new(Vec::new()),
         });
         let mut core = Vec::new();
-        if let Coalesce::Window {
-            window,
-            grace,
-            max_batch,
-        } = shared.config.coalesce
-        {
-            let s = Arc::clone(&shared);
-            core.push(
-                std::thread::Builder::new()
-                    .name("lstore-coalescer".into())
-                    .spawn(move || coalescer_loop(&s, window, grace, max_batch.max(1)))?,
-            );
-        }
+        let s = Arc::clone(&shared);
+        core.push(
+            std::thread::Builder::new()
+                .name("lstore-dispatcher".into())
+                .spawn(move || dispatcher_loop(&s))?,
+        );
         let s = Arc::clone(&shared);
         core.push(
             std::thread::Builder::new()
@@ -244,19 +204,29 @@ impl Server {
     /// Snapshot the service-tier counters.
     pub fn stats(&self) -> ServerStats {
         let c = &self.shared.counters;
+        let hist = |h: &[AtomicU64; HIST_BUCKETS]| h.each_ref().map(|b| b.load(Ordering::Relaxed));
         ServerStats {
             admitted: c.admitted.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
             timed_out: c.timed_out.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             batched_requests: c.batched_requests.load(Ordering::Relaxed),
+            batch_size_log2: hist(&c.batch_size_log2),
+            queue_wait_us_log2: hist(&c.queue_wait_us_log2),
         }
     }
 
-    /// Stop accepting, wake the coalescer, and join every thread.
-    /// Idempotent; also runs on drop.
+    /// Stop accepting, wake the dispatcher, and join every thread. The
+    /// dispatcher finishes the batch it is executing and leaves whatever
+    /// is still queued unanswered; those clients see their connection
+    /// close. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        {
+            // Under the queue lock, so the dispatcher is either before its
+            // stop check or already parked — never between the two.
+            let _queue = self.shared.queue.lock();
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.queue_cv.notify_all();
         for handle in self.core_threads.lock().drain(..) {
             let _ = handle.join();
@@ -283,6 +253,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     while !shared.stop.load(Ordering::Acquire) {
+        // Connections that closed since the last tick: both their threads
+        // have returned, so dropping the handles loses nothing.
+        shared.conn_threads.lock().retain(|h| !h.is_finished());
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if let Err(e) = spawn_connection(shared, stream) {
@@ -359,14 +332,14 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, writer: &Arc<ConnWri
                 writer.push(protocol::encode_response(id, &Response::Pong));
             }
             Ok((id, Request::Read { table, request })) => {
-                let columns = request.columns;
+                let keys = vec![request.key];
                 submit(
                     shared,
                     writer,
                     id,
                     table,
-                    vec![request.key],
-                    columns,
+                    keys,
+                    request.columns,
                     request.as_of,
                 );
             }
@@ -393,8 +366,7 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, writer: &Arc<ConnWri
 }
 
 /// Admit one read request past the in-flight budget, then hand it to the
-/// coalescer queue (window mode) or execute it inline on this reader
-/// thread (per-request mode).
+/// dispatcher's queue.
 #[allow(clippy::too_many_arguments)]
 fn submit(
     shared: &Arc<Shared>,
@@ -416,7 +388,7 @@ fn submit(
         return;
     }
     shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
-    let pending = Pending {
+    shared.queue.lock().push_back(Pending {
         writer: Arc::clone(writer),
         request_id,
         table,
@@ -424,14 +396,8 @@ fn submit(
         columns,
         as_of,
         arrived: Instant::now(),
-    };
-    match shared.config.coalesce {
-        Coalesce::Off => execute_one(shared, pending),
-        Coalesce::Window { .. } => {
-            shared.queue.lock().push_back(pending);
-            shared.queue_cv.notify_one();
-        }
-    }
+    });
+    shared.queue_cv.notify_one();
 }
 
 /// Encode + enqueue a response and release the request's budget slot.
@@ -442,100 +408,49 @@ fn respond(shared: &Shared, pending: &Pending, response: &Response) {
     shared.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
-fn table_results(
-    shared: &Shared,
-    table: &str,
-    keys: &[u64],
-    columns: Option<&[u32]>,
-    as_of: Option<u64>,
-) -> Vec<lstore::Result<ReadResponse>> {
-    match shared.db.table_or_err(table) {
-        Ok(t) => t.read_batch(keys, columns, as_of),
-        Err(_) => keys
-            .iter()
-            .map(|_| Err(Error::TableNotFound(table.to_string())))
-            .collect(),
-    }
-}
-
-/// Per-request mode: execute immediately on the calling reader thread.
-fn execute_one(shared: &Shared, pending: Pending) {
-    let results = table_results(
-        shared,
-        &pending.table,
-        &pending.keys,
-        pending.columns.as_deref(),
-        pending.as_of,
-    );
-    respond(shared, &pending, &Response::Results(results));
-}
-
 // ---------------------------------------------------------------------
-// The coalescer
+// The dispatcher
 // ---------------------------------------------------------------------
 
-/// Collect-and-execute loop. Batch lifecycle: sleep until a leader
-/// request arrives, then keep collecting until the hard `window` deadline
-/// (measured from the leader's pop), an arrival gap longer than `grace`,
-/// or `max_batch` requests — whichever comes first. Closed-loop clients
-/// self-synchronize with this: a batch's responses release its
-/// connections together, their next requests arrive as a burst, the gap
-/// rule cuts the batch right after the burst, and the window cap only
-/// matters under trickle arrivals.
-fn coalescer_loop(shared: &Arc<Shared>, window: Duration, grace: Duration, max_batch: usize) {
+/// Most requests one batch takes off the queue.
+const MAX_BATCH: usize = 256;
+
+/// Sleep while the queue is empty; take everything queued (at most
+/// [`MAX_BATCH`]); execute; repeat. Whatever arrives while a batch
+/// executes is the next batch, so closed-loop clients batch exactly as
+/// deeply as they outrun the executor and an idle server answers a lone
+/// request at once.
+fn dispatcher_loop(shared: &Shared) {
     loop {
-        let mut batch: Vec<Pending> = Vec::new();
-        {
+        let batch: Vec<Pending> = {
             let mut queue = shared.queue.lock();
-            let mut opened = Instant::now();
             loop {
-                while batch.len() < max_batch {
-                    match queue.pop_front() {
-                        Some(p) => {
-                            if batch.is_empty() {
-                                opened = Instant::now();
-                            }
-                            batch.push(p);
-                        }
-                        None => break,
-                    }
+                if shared.stop.load(Ordering::Acquire) {
+                    return;
                 }
-                if batch.len() >= max_batch {
+                if !queue.is_empty() {
                     break;
                 }
-                if batch.is_empty() {
-                    if shared.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    shared.queue_cv.wait(&mut queue);
-                    continue;
-                }
-                let now = Instant::now();
-                let deadline = opened + window;
-                if now >= deadline {
-                    break;
-                }
-                let timed_out = shared
-                    .queue_cv
-                    .wait_for(&mut queue, (deadline - now).min(grace))
-                    .timed_out();
-                if timed_out && queue.is_empty() {
-                    break; // grace elapsed with no new arrivals
-                }
+                shared.queue_cv.wait(&mut queue);
             }
-        }
+            let n = queue.len().min(MAX_BATCH);
+            queue.drain(..n).collect()
+        };
         execute_batch(shared, batch);
     }
 }
 
-/// Execute one coalesced batch: drop timed-out requests, merge the rest
-/// by `(table, columns, as_of)` signature into one engine batch each, and
+/// Execute one batch: drop timed-out requests, merge the rest by
+/// `(table, columns, as_of)` signature into one engine batch each, and
 /// scatter results back per request.
 fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for pending in batch {
+        let waited = pending.arrived.elapsed();
+        shared.counters.queue_wait_us_log2[log2_bucket(waited.as_micros() as u64)]
+            .fetch_add(1, Ordering::Relaxed);
         match shared.config.request_timeout {
-            Some(deadline) if pending.arrived.elapsed() > deadline => {
+            Some(deadline) if waited > deadline => {
                 shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
                 respond(shared, &pending, &Response::Rejected(Error::RequestTimeout));
             }
@@ -550,6 +465,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         .counters
         .batched_requests
         .fetch_add(live.len() as u64, Ordering::Relaxed);
+    shared.counters.batch_size_log2[log2_bucket(live.len() as u64)].fetch_add(1, Ordering::Relaxed);
 
     // Group member indices by execution signature.
     type Signature<'a> = (&'a str, Option<&'a [u32]>, Option<u64>);
@@ -573,13 +489,13 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
             .iter()
             .flat_map(|&i| live[i].keys.iter().copied())
             .collect();
-        let outs = table_results(
-            shared,
-            &first.table,
-            &keys,
-            first.columns.as_deref(),
-            first.as_of,
-        );
+        let outs = match shared.db.table_or_err(&first.table) {
+            Ok(t) => t.read_batch(&keys, first.columns.as_deref(), first.as_of),
+            Err(_) => keys
+                .iter()
+                .map(|_| Err(Error::TableNotFound(first.table.clone())))
+                .collect(),
+        };
         let mut iter = outs.into_iter();
         for &i in members {
             let n = live[i].keys.len();
@@ -657,4 +573,52 @@ fn read_frame_interruptible(
         }
     }
     Ok(Some(payload))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use lstore::DbConfig;
+
+    #[test]
+    fn log2_buckets_cover_zero_to_overflow() {
+        let buckets: Vec<usize> = [0, 1, 2, 3, 4, 255, 256, 32_767, 32_768, u64::MAX]
+            .into_iter()
+            .map(log2_bucket)
+            .collect();
+        assert_eq!(buckets, [0, 0, 1, 1, 2, 7, 8, 14, 15, 15]);
+    }
+
+    #[test]
+    fn closed_connections_are_reaped_while_live_ones_keep_serving() {
+        let server = Server::start(
+            Database::new(DbConfig::new()),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut live = Client::connect(server.local_addr()).unwrap();
+        live.ping().unwrap();
+        for _ in 0..200 {
+            let mut c = Client::connect(server.local_addr()).unwrap();
+            c.ping().unwrap();
+        }
+        // The acceptor reaps on its next poll tick after the last pair of
+        // threads returns; only `live`'s reader and writer stay tracked.
+        let tracked = || server.shared.conn_threads.lock().len();
+        for _ in 0..500 {
+            if tracked() <= 2 {
+                break;
+            }
+            std::thread::sleep(POLL_INTERVAL);
+        }
+        assert!(
+            tracked() <= 2,
+            "{} connection threads still tracked after 200 closed connections",
+            tracked()
+        );
+        live.ping().unwrap();
+        server.shutdown();
+    }
 }

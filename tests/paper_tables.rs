@@ -8,7 +8,7 @@
 //! transitions: schema encodings, snapshot records, chain shapes, merge
 //! results, and time-travel answers at each labelled timestamp.
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 
 /// Build the paper's three-record table (Key, A, B, C) with keys k1..k3.
 /// Returns (db, table). Columns: 0 = A, 1 = B, 2 = C.
@@ -65,7 +65,10 @@ fn table2_update_and_delete_procedure() {
 
     // t8: delete of k1 — "all data columns are implicitly set to ∅".
     t.delete_auto(1).unwrap();
-    assert!(t.read_cols_auto(1, &[0]).unwrap().is_none());
+    assert!(!t
+        .read_one(&ReadRequest::latest(1).with_columns(vec![0]))
+        .unwrap()
+        .is_visible());
     // But k1 is still visible in the past (snapshot semantics).
     assert_eq!(
         t.read_as_of(1, &[0, 1, 2], t_before_updates).unwrap(),

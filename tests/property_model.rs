@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 
 const COLS: usize = 3;
 
@@ -422,10 +422,10 @@ proptest! {
     /// width × shard count in {1, 2, 8}², replaying one random operation
     /// sequence and then issuing one big batch — every domain key plus
     /// duplicates, never-inserted keys, and out-of-range keys — through
-    /// `multi_read_as_of` / `multi_read_latest` / `multi_read_cols_latest`
+    /// `multi_read_as_of` / `multi_read_latest` / `read_batch`
     /// produces, per key and in input order, exactly what the sequential
     /// single-key readers (`read_as_of`, `read_latest_auto`,
-    /// `read_cols_auto`) return on the same database, and byte-identical
+    /// `read_one`) return on the same database, and byte-identical
     /// answers across all nine configurations. `batch_read_min` is pinned
     /// low so the batch genuinely plans, splits, and fans out.
     #[test]
@@ -536,13 +536,16 @@ proptest! {
             let sequential: Vec<_> = batch.iter().map(|&k| norm_row(t.read_latest_auto(k))).collect();
             prop_assert_eq!(&batched, &sequential, "latest batch (pool={}, shards={})", w, s);
             let batched_cols: Vec<_> = t
-                .multi_read_cols_latest(&batch, &[1])
+                .read_batch(&batch, Some(&[1]), None)
                 .into_iter()
-                .map(norm_opt)
+                .map(|r| norm_opt(r.map(|r| r.values)))
                 .collect();
             let sequential_cols: Vec<_> = batch
                 .iter()
-                .map(|&k| norm_opt(t.read_cols_auto(k, &[1])))
+                .map(|&k| {
+                    let request = ReadRequest::latest(k).with_columns(vec![1]);
+                    norm_opt(t.read_one(&request).map(|r| r.values))
+                })
                 .collect();
             prop_assert_eq!(
                 &batched_cols, &sequential_cols,

@@ -3,12 +3,19 @@
 
 use std::path::{Path, PathBuf};
 
-use lstore::{Database, DbConfig, Durability, TableConfig};
+use lstore::{Database, DbConfig, Durability, ReadRequest, Table, TableConfig};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-recovery-tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{name}-{}.wal", std::process::id()))
+}
+
+/// Latest committed values of `cols` under `key`; `None` once deleted.
+fn read_cols(t: &Table, key: u64, cols: &[u32]) -> Option<Vec<u64>> {
+    t.read_one(&ReadRequest::latest(key).with_columns(cols.to_vec()))
+        .unwrap()
+        .values
 }
 
 /// Remove the base log and every legacy per-shard stream file next to it.
@@ -82,10 +89,7 @@ fn replay_reconstructs_committed_state() {
         assert_eq!(got, vec![row[1], row[2]], "key {}", row[0]);
     }
     for k in (0..500).step_by(50) {
-        assert!(
-            t2.read_cols_auto(k, &[0]).unwrap().is_none(),
-            "key {k} deleted"
-        );
+        assert!(read_cols(&t2, k, &[0]).is_none(), "key {k} deleted");
     }
     // Scans agree too (indirection rebuilt correctly).
     let sum_before: u64 = expected.iter().map(|r| r[1]).sum();
@@ -220,8 +224,8 @@ fn replay_is_shard_count_agnostic() {
     // Identical post-replay reads through every code path.
     for k in 0..KEYS {
         if k % 75 == 0 {
-            assert!(t2.read_cols_auto(k, &[0]).unwrap().is_none(), "key {k}");
-            assert!(t1.read_cols_auto(k, &[0]).unwrap().is_none(), "key {k}");
+            assert!(read_cols(t2, k, &[0]).is_none(), "key {k}");
+            assert!(read_cols(t1, k, &[0]).is_none(), "key {k}");
             continue;
         }
         let expect = if k % 3 == 0 {
@@ -339,7 +343,7 @@ fn recovery_roundtrip_matrix_cell() {
 
     for k in 0..KEYS {
         if k % 90 == 0 {
-            assert!(t2.read_cols_auto(k, &[0]).unwrap().is_none(), "key {k}");
+            assert!(read_cols(&t2, k, &[0]).is_none(), "key {k}");
             continue;
         }
         let b = if k % 4 == 0 { k + 3 } else { 7 * k };
@@ -446,8 +450,8 @@ fn crash_replay_at_random_kill_points_matches_undamaged_run() {
         // Byte-identical reads: every key, every aggregate, every scan.
         for k in 0..(kill as u64 + 1) * CHUNK_KEYS {
             assert_eq!(
-                t2.read_cols_auto(k, &[0, 1]).unwrap(),
-                oracle.read_cols_auto(k, &[0, 1]).unwrap(),
+                read_cols(&t2, k, &[0, 1]),
+                read_cols(&oracle, k, &[0, 1]),
                 "key {k} after kill at chunk {kill}"
             );
         }

@@ -1,8 +1,11 @@
 //! Loopback client/server integration: the service tier must be a
-//! transparent window onto the embedded engine — coalesced remote reads
+//! transparent window onto the embedded engine — remote reads
 //! byte-identical to embedded batched reads even under concurrent
-//! writers — and its backpressure behaviors (load shed, queue timeout)
-//! must surface as the explicit wire errors, never as silence.
+//! writers — its backpressure behaviors (load shed, queue timeout) must
+//! surface as the explicit wire errors, never as silence, and its one
+//! dispatch rule (run whatever is queued the moment the dispatcher is
+//! free) must hold: a lone request is never held for company, batches
+//! form exactly while the executor is busy.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -10,7 +13,7 @@ use std::time::Duration;
 
 use lstore::{Database, DbConfig, Error, ReadRequest, ReadResponse, Table, TableConfig};
 use lstore_server::protocol::{encode_response, Response};
-use lstore_server::{Client, ClientError, Coalesce, Server, ServerConfig};
+use lstore_server::{Client, ClientError, Reply, Server, ServerConfig};
 
 const COLS: usize = 3;
 
@@ -51,17 +54,9 @@ fn embedded_as_wire(results: Vec<lstore::Result<Option<Vec<u64>>>>) -> Response 
 }
 
 #[test]
-fn coalesced_reads_are_byte_identical_to_embedded_reads_under_writers() {
+fn remote_reads_are_byte_identical_to_embedded_reads_under_writers() {
     let (db, table) = populated_db(2_000);
-    let server = Server::start(
-        Arc::clone(&db),
-        "127.0.0.1:0",
-        ServerConfig {
-            coalesce: Coalesce::window_us(200),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -118,13 +113,19 @@ fn coalesced_reads_are_byte_identical_to_embedded_reads_under_writers() {
         w.join().unwrap();
     }
 
-    // The coalescer really batched across connections (not a degenerate
-    // one-request-per-batch stream).
+    // Every admitted request ran in exactly one batch, and both
+    // histograms saw exactly what the counters saw.
     let stats = server.stats();
-    assert!(stats.batches > 0, "no coalesced batches ran: {stats:?}");
-    assert!(
-        stats.batched_requests >= stats.batches,
-        "batch accounting broken: {stats:?}"
+    assert_eq!(stats.batched_requests, stats.admitted, "{stats:?}");
+    assert_eq!(
+        stats.batch_size_log2.iter().sum::<u64>(),
+        stats.batches,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.queue_wait_us_log2.iter().sum::<u64>(),
+        stats.admitted,
+        "{stats:?}"
     );
 
     // With writers quiesced, latest-mode remote reads equal the embedded
@@ -148,15 +149,7 @@ fn coalesced_reads_are_byte_identical_to_embedded_reads_under_writers() {
 #[test]
 fn pipelined_requests_match_by_id_out_of_order() {
     let (db, _table) = populated_db(100);
-    let server = Server::start(
-        Arc::clone(&db),
-        "127.0.0.1:0",
-        ServerConfig {
-            coalesce: Coalesce::window_us(150),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
     let mut expected = std::collections::HashMap::new();
@@ -168,7 +161,7 @@ fn pipelined_requests_match_by_id_out_of_order() {
         let (id, reply) = client.recv().unwrap();
         let key = expected.remove(&id).expect("unknown or duplicate id");
         match reply {
-            lstore_server::Reply::Results(results) => {
+            Reply::Results(results) => {
                 assert_eq!(results.len(), 1);
                 assert_eq!(
                     results[0].as_ref().unwrap().values,
@@ -182,13 +175,127 @@ fn pipelined_requests_match_by_id_out_of_order() {
 }
 
 #[test]
+fn a_lone_request_is_never_held_for_company() {
+    let (db, _table) = populated_db(200);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for k in 0..200u64 {
+        let response = client.read("kv", &ReadRequest::latest(k)).unwrap().unwrap();
+        assert_eq!(response.values, Some(vec![k, k * 2, k * 3]));
+    }
+    // Depth 1 on one connection: the queue never holds two requests, so
+    // every request is its own batch.
+    let stats = server.stats();
+    assert_eq!(stats.admitted, 200, "{stats:?}");
+    assert_eq!(stats.batches, stats.admitted, "{stats:?}");
+    assert_eq!(stats.batch_size_log2[0], 200, "{stats:?}");
+}
+
+/// Send one 100 000-key `MULTI_READ` over `rows` keys on `client` and
+/// return (its id, its keys) once the dispatcher has taken it — `batches`
+/// is bumped before the engine runs — so whatever is sent next queues
+/// behind it. The server must not have executed anything yet.
+fn occupy_dispatcher(server: &Server, client: &mut Client, rows: u64) -> (u64, Vec<u64>) {
+    let keys: Vec<u64> = (0..100_000u64).map(|i| i % rows).collect();
+    let id = client.send_multi_read("kv", &keys, None, None).unwrap();
+    while server.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    (id, keys)
+}
+
+#[test]
+fn batches_form_exactly_while_the_executor_is_busy() {
+    const ROWS: u64 = 1_000;
+    let (db, _table) = populated_db(ROWS);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let mut a = Client::connect(addr).unwrap();
+    let mut b = Client::connect(addr).unwrap();
+    b.ping().unwrap();
+    // Connection A occupies the dispatcher with one very large request,
+    // and only then does B pipeline 50 small ones behind it.
+    let (big_id, big) = occupy_dispatcher(&server, &mut a, ROWS);
+    let mut expected = std::collections::HashMap::new();
+    for k in 0..50u64 {
+        expected.insert(b.send_read("kv", &ReadRequest::latest(k)).unwrap(), k);
+    }
+    for _ in 0..50 {
+        let (id, reply) = b.recv().unwrap();
+        let key = expected.remove(&id).expect("unknown or duplicate id");
+        match reply {
+            Reply::Results(results) => assert_eq!(
+                results[0].as_ref().unwrap().values,
+                Some(vec![key, key * 2, key * 3])
+            ),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    let (id, reply) = a.recv().unwrap();
+    assert_eq!(id, big_id);
+    match reply {
+        Reply::Results(results) => {
+            assert_eq!(results.len(), big.len());
+            for (key, result) in big.iter().zip(results) {
+                assert_eq!(result.unwrap().values, Some(vec![*key, key * 2, key * 3]));
+            }
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!(stats.batched_requests, 51, "{stats:?}");
+    assert!(
+        stats.batched_requests - stats.batches >= 2,
+        "nothing batched behind a busy executor: {stats:?}"
+    );
+}
+
+#[test]
+fn shutdown_with_requests_queued_never_hangs() {
+    const ROWS: u64 = 1_000;
+    let (db, _table) = populated_db(ROWS);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // One large request keeps the dispatcher busy while 200 more queue up
+    // on four other connections; then the server goes away under them.
+    let mut clients: Vec<Client> = (0..5).map(|_| Client::connect(addr).unwrap()).collect();
+    for c in &mut clients {
+        c.ping().unwrap();
+    }
+    occupy_dispatcher(&server, &mut clients[0], ROWS);
+    let mut sent = vec![1usize];
+    for c in &mut clients[1..] {
+        for k in 0..50u64 {
+            c.send_read("kv", &ReadRequest::latest(k)).unwrap();
+        }
+        sent.push(50);
+    }
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+
+    // Every request was answered correctly or its connection closed.
+    for (mut client, sent) in clients.into_iter().zip(sent) {
+        for _ in 0..sent {
+            match client.recv() {
+                Ok((_, Reply::Results(results))) => assert!(results.iter().all(|r| r.is_ok())),
+                Ok((_, other)) => panic!("unexpected reply {other:?}"),
+                Err(_) => break, // closed: nothing further arrives
+            }
+        }
+    }
+}
+
+#[test]
 fn exhausted_budget_sheds_with_overloaded() {
     let (db, _table) = populated_db(10);
     let server = Server::start(
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            coalesce: Coalesce::Off,
             max_inflight: 0, // every admission is over budget
             request_timeout: None,
         },
@@ -212,9 +319,8 @@ fn queued_requests_past_deadline_time_out() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            coalesce: Coalesce::window_us(100),
             max_inflight: 4096,
-            // Zero deadline: by the time the coalescer pops any request,
+            // Zero deadline: by the time the dispatcher takes any request,
             // it has aged past the limit — deterministic timeout.
             request_timeout: Some(Duration::ZERO),
         },
