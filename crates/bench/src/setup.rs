@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lstore::{DbConfig, Durability, TableConfig};
+use lstore::{DbConfig, TableConfig};
 use lstore_baselines::{DbmEngine, Engine, IuhEngine, LStoreEngine};
 use lstore_storage::compress::CodecChoice;
 
@@ -154,25 +154,6 @@ pub fn serve_pipeline_depth() -> usize {
         .unwrap_or(4)
 }
 
-/// Durability modes to sweep in the fig_durability runner (env
-/// `BENCH_DURABILITY`, comma-separated among `none`, `wal`, `group`;
-/// default all three). Unknown names are dropped.
-pub fn durability_sweep() -> Vec<(&'static str, Durability)> {
-    let requested = std::env::var("BENCH_DURABILITY")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "none,wal,group".into());
-    requested
-        .split(',')
-        .filter_map(|t| match t.trim() {
-            "none" => Some(("none", Durability::None)),
-            "wal" => Some(("wal", Durability::Wal)),
-            "group" => Some(("group", Durability::group_commit())),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Base-page codec policies to sweep in the Table 7 codec axis (env
 /// `BENCH_CODEC`, comma-separated among `plain`, `rle`, `dict`, `for`,
 /// `auto`; default `plain,rle,dict,auto` — FOR is off by default because
@@ -223,28 +204,6 @@ pub fn lstore_engine(config: &WorkloadConfig) -> Arc<LStoreEngine> {
 pub fn lstore_sharded_engine(config: &WorkloadConfig, shards: usize) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
         DbConfig::new().with_pool_threads(1).with_shards(shards),
-        TableConfig::default(),
-    ));
-    e.populate(config.rows, config.cols);
-    e
-}
-
-/// Build one populated L-Store engine logging to the WAL at
-/// `wal_path` under the given commit durability policy (scans stay
-/// sequential, as in [`lstore_sharded_engine`], so the axis isolates the
-/// commit path's fsync cost).
-pub fn lstore_durable_engine(
-    config: &WorkloadConfig,
-    shards: usize,
-    wal_path: PathBuf,
-    durability: Durability,
-) -> Arc<LStoreEngine> {
-    let e = Arc::new(LStoreEngine::with_configs(
-        DbConfig::new()
-            .with_pool_threads(1)
-            .with_shards(shards)
-            .with_wal_path(wal_path)
-            .with_durability(durability),
         TableConfig::default(),
     ));
     e.populate(config.rows, config.cols);

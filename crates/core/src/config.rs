@@ -96,43 +96,29 @@ impl TableConfig {
 ///
 /// * [`Durability::None`] — commits only flush the log to the OS, never
 ///   fsync. Crash durability is best-effort (the benchmark setting).
-/// * [`Durability::Wal`] — every commit fsyncs the log before returning
-///   (per-commit fsync).
 /// * [`Durability::WalGroupCommit`] — commits enrol in the log's
 ///   group-commit cohort: one leader's fsync publishes every commit record
 ///   enrolled by then, and followers park until their record is durable.
 ///   There is no timer: a leader waits only for the committers the
-///   previous fsync released to come back, never longer than `window_us`
-///   or one measured fsync, and syncs early once `max_batch` commits are
-///   enrolled. Same durability guarantee as [`Durability::Wal`], a
-///   fraction of the fsyncs.
+///   previous fsync released to come back, never longer than 200 µs or one
+///   measured fsync, and syncs early once 64 commits are enrolled. A lone
+///   committer never waits, so this is also the per-commit fsync.
 ///
 /// A transaction that logged nothing (read-only, empty) waits for nothing
-/// under any policy.
+/// under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// No fsync on commit (OS-buffered logging).
     #[default]
     None,
-    /// fsync the log on every commit.
-    Wal,
     /// Leader-batched cohort fsync.
-    WalGroupCommit {
-        /// Upper bound, in microseconds, of a leader's wait for returning
-        /// committers.
-        window_us: u64,
-        /// fsync early once this many commits are enrolled.
-        max_batch: usize,
-    },
+    WalGroupCommit,
 }
 
 impl Durability {
-    /// Default group-commit variant: a 200µs window, 64-commit batches.
+    /// Group commit, [`Durability::WalGroupCommit`].
     pub const fn group_commit() -> Durability {
-        Durability::WalGroupCommit {
-            window_us: 200,
-            max_batch: 64,
-        }
+        Durability::WalGroupCommit
     }
 }
 
@@ -142,7 +128,8 @@ pub struct DbConfig {
     /// Write-ahead log path; `None` disables logging (the evaluation
     /// setting: "logging has been turned off for all systems", §6.1). One
     /// file, whatever `shards` is; `.s<i>` siblings left beside it by an
-    /// older build are removed when the log is created.
+    /// older build are removed when the log is created (recovery refuses a
+    /// log that still has them).
     pub wal_path: Option<PathBuf>,
     /// What a commit waits for when the WAL is enabled.
     pub durability: Durability,

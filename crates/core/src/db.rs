@@ -18,7 +18,7 @@ use parking_lot::RwLock;
 use lstore_storage::epoch::EpochManager;
 use lstore_storage::store::{PageStore, PoolStatsSnapshot};
 use lstore_txn::{GlobalClock, IsolationLevel, Transaction, TxnManager};
-use lstore_wal::{CommitPolicy, LogRecord, ShardedWal, ShardedWalConfig, WalStats};
+use lstore_wal::{CommitPolicy, LogRecord, Wal, WalStats};
 
 use crate::config::{DbConfig, Durability, TableConfig};
 use crate::error::{Error, Result};
@@ -33,9 +33,9 @@ pub struct Runtime {
     pub mgr: TxnManager,
     /// Epoch-based reclamation of outdated pages.
     pub epoch: EpochManager,
-    /// Optional redo-only WAL: one append-only stream for every shard,
-    /// with the configured [`Durability`] policy on commits.
-    pub wal: Option<Arc<ShardedWal>>,
+    /// Optional redo-only WAL: one append-only file for every shard, with
+    /// the configured [`Durability`] policy on commits.
+    pub wal: Option<Arc<Wal>>,
     /// Optional buffer-pool page store: merges seal base pages into it,
     /// evicted pages fault back in on demand (`DbConfig::page_store_path`).
     store: Option<Arc<PageStore>>,
@@ -262,25 +262,9 @@ impl Database {
         let wal = config.wal_path.as_ref().map(|p| {
             let policy = match config.durability {
                 Durability::None => CommitPolicy::Buffered,
-                Durability::Wal => CommitPolicy::SyncEachCommit,
-                Durability::WalGroupCommit {
-                    window_us,
-                    max_batch,
-                } => CommitPolicy::GroupCommit {
-                    window: std::time::Duration::from_micros(window_us),
-                    max_batch: max_batch.max(1),
-                },
+                Durability::WalGroupCommit => CommitPolicy::GroupCommit,
             };
-            Arc::new(
-                ShardedWal::create(
-                    p,
-                    ShardedWalConfig {
-                        policy,
-                        ..ShardedWalConfig::default()
-                    },
-                )
-                .expect("create wal"),
-            )
+            Arc::new(Wal::create(p, policy).expect("create wal"))
         });
         let store = config
             .page_store_path

@@ -16,29 +16,26 @@
 //! Modules:
 //! * [`record`] — the binary log record format (redo, commit/abort,
 //!   operational merge records, checkpoints).
-//! * [`writer`] — append-only log writer with LSN assignment; a failed
-//!   write or sync poisons it.
-//! * [`sharded`] — the engine's log: one stream for every shard, the commit
-//!   policies, and group commit — concurrent committers amortize fsyncs
-//!   through a leader/follower cohort protocol that waits for returning
-//!   committers instead of a timer.
-//! * [`recovery`] — log scan + replay driver ([`recover_merged`] also
-//!   merges the per-shard stream files older builds wrote).
+//! * [`log`] — the engine's log, [`Wal`]: one append-only file for every
+//!   shard, two commit policies, and group commit — concurrent committers
+//!   amortize fsyncs through a leader/follower cohort protocol that waits
+//!   for returning committers instead of a timer. Below it a crate-private
+//!   file writer assigns LSNs; a failed write or sync poisons it.
+//! * [`recovery`] — the log scan, in file order, that replay consumes.
 //! * [`ownership`] — the §5.2 Ownership-Relaying (OR) protocol for
 //!   maintaining `pageLSN` under many concurrent writers with mostly shared
 //!   latches.
 
+pub mod log;
 pub mod ownership;
 pub mod record;
 pub mod recovery;
-pub mod sharded;
-pub mod writer;
+mod writer;
 
+pub use log::{CommitPolicy, Wal, WalStats};
 pub use ownership::{OrOutcome, OrPage};
 pub use record::LogRecord;
-pub use recovery::{recover, recover_merged, RecoveredState};
-pub use sharded::{CommitPolicy, ShardedWal, ShardedWalConfig, WalStats};
-pub use writer::Wal;
+pub use recovery::{recover, RecoveredState};
 
 /// Errors surfaced by the WAL.
 #[derive(Debug)]

@@ -1,13 +1,12 @@
-//! Append-only log writer with LSN assignment.
+//! Append-only log file with LSN assignment.
 //!
 //! §6.1 notes that naive logging "could easily become the main bottleneck
 //! (unless sophisticated logging mechanisms such as group commits … are
-//! employed)". The writer batches appends in an in-memory buffer and flushes
+//! employed)". The file batches appends in an in-memory buffer and flushes
 //! when the buffer exceeds `flush_bytes` or when the commit path asks.
 //!
-//! One `Wal` is one log file. The commit policies, and the group-commit
-//! cohorts that amortize fsyncs across concurrent committers, live on top,
-//! in [`crate::sharded`].
+//! The commit policies, and the group-commit cohorts that amortize fsyncs
+//! across concurrent committers, live on top, in [`crate::log`].
 //!
 //! ## A failed write poisons the log
 //!
@@ -90,8 +89,8 @@ impl WalInner {
     }
 }
 
-/// The write-ahead log: assigns LSNs and appends framed records.
-pub struct Wal {
+/// One log file: assigns LSNs and appends framed records.
+pub(crate) struct LogFile {
     inner: Mutex<WalInner>,
     /// Duplicate handle for fsync, so durability waits never hold the
     /// buffer lock across device latency: appends (and therefore the next
@@ -102,17 +101,17 @@ pub struct Wal {
     path: PathBuf,
 }
 
-impl Wal {
+impl LogFile {
     /// Create (or truncate) a log at `path` whose buffer spills to the file
     /// at `flush_bytes`.
-    pub fn create(path: &Path, flush_bytes: usize) -> WalResult<Self> {
+    pub(crate) fn create(path: &Path, flush_bytes: usize) -> WalResult<Self> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(path)?;
         let sync_file = file.try_clone()?;
-        Ok(Wal {
+        Ok(LogFile {
             inner: Mutex::new(WalInner {
                 file,
                 buffer: Vec::with_capacity(flush_bytes * 2),
@@ -128,15 +127,15 @@ impl Wal {
     }
 
     /// Path of the log file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
     /// Append a record; returns its LSN. The record stays in the buffer
-    /// until it fills, or until [`Wal::flush`] or a sync: durability is the
+    /// until it fills, or until [`LogFile::flush`] or a sync: durability is the
     /// commit path's business, so one cohort fsync — not each commit record
     /// — publishes a batch.
-    pub fn append(&self, record: &LogRecord) -> WalResult<u64> {
+    pub(crate) fn append(&self, record: &LogRecord) -> WalResult<u64> {
         let bytes = record.encode();
         let mut inner = self.inner.lock();
         inner.check()?;
@@ -150,29 +149,15 @@ impl Wal {
     }
 
     /// Force the buffer to the OS.
-    pub fn flush(&self) -> WalResult<()> {
+    pub(crate) fn flush(&self) -> WalResult<()> {
         self.inner.lock().flush()
-    }
-
-    /// Flush and fsync while holding the buffer lock: the strict
-    /// per-commit-fsync critical section. Concurrent committers serialize
-    /// behind it — commit records become durable one at a time, in append
-    /// order, with no fsync-overlap window (the baseline group commit is
-    /// measured against). The cohort path uses [`Wal::sync_watermark`]
-    /// instead, which fsyncs outside the lock so the next cohort buffers
-    /// during the wait.
-    pub fn sync_locked(&self) -> WalResult<()> {
-        let mut inner = self.inner.lock();
-        inner.flush()?;
-        let synced = inner.file.sync_data();
-        synced.map_err(|e| inner.poison(e))
     }
 
     /// Flush, fsync, and return the durable watermark: every LSN at or
     /// below the returned value is in the file and synced to disk (LSNs are
     /// assigned under the same lock that orders the buffer, so the
     /// watermark is exact, not a racy snapshot).
-    pub fn sync_watermark(&self) -> WalResult<u64> {
+    pub(crate) fn sync_watermark(&self) -> WalResult<u64> {
         let watermark = {
             let mut inner = self.inner.lock();
             inner.flush()?;
@@ -195,7 +180,7 @@ impl Wal {
     }
 }
 
-impl Drop for Wal {
+impl Drop for LogFile {
     fn drop(&mut self) {
         let _ = self.inner.lock().flush();
     }
@@ -215,7 +200,7 @@ mod tests {
     #[test]
     fn lsn_is_monotone() {
         let path = temp_log("lsn");
-        let wal = Wal::create(&path, 1 << 20).unwrap();
+        let wal = LogFile::create(&path, 1 << 20).unwrap();
         let a = wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
         let b = wal.append(&LogRecord::Checkpoint { ts: 2 }).unwrap();
         assert!(b > a);
@@ -225,7 +210,7 @@ mod tests {
     #[test]
     fn append_stays_buffered_until_sync() {
         let path = temp_log("buffered");
-        let wal = Wal::create(&path, 1 << 20).unwrap();
+        let wal = LogFile::create(&path, 1 << 20).unwrap();
         let lsn = wal
             .append(&LogRecord::Commit {
                 txn_id: 1 << 63 | 2,
@@ -243,7 +228,7 @@ mod tests {
     #[test]
     fn full_buffer_spills_to_the_file() {
         let path = temp_log("spill");
-        let wal = Wal::create(&path, 64).unwrap();
+        let wal = LogFile::create(&path, 64).unwrap();
         while std::fs::metadata(&path).unwrap().len() == 0 {
             wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
         }
@@ -253,14 +238,13 @@ mod tests {
     #[test]
     fn a_failed_write_poisons_every_later_call() {
         let path = temp_log("poison");
-        let wal = Wal::create(&path, 1 << 20).unwrap();
+        let wal = LogFile::create(&path, 1 << 20).unwrap();
         wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
         wal.fail_next_write();
         assert!(wal.sync_watermark().is_err(), "the injected failure");
         // The buffer that failed is gone and its LSN with it: nothing may
         // report success from here on.
         assert!(wal.sync_watermark().is_err());
-        assert!(wal.sync_locked().is_err());
         assert!(wal.flush().is_err());
         assert!(wal.append(&LogRecord::Checkpoint { ts: 2 }).is_err());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
@@ -270,7 +254,7 @@ mod tests {
     #[test]
     fn concurrent_appends_assign_unique_lsns() {
         let path = temp_log("concurrent");
-        let wal = Arc::new(Wal::create(&path, 1 << 20).unwrap());
+        let wal = Arc::new(LogFile::create(&path, 1 << 20).unwrap());
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let wal = Arc::clone(&wal);

@@ -1,5 +1,5 @@
 //! Durability is a *wait* policy, never a *data* policy: what a commit
-//! fsyncs (nothing, the log, or the log once per group-commit cohort) must
+//! fsyncs (nothing, or the log once per group-commit cohort) must
 //! not change what any reader observes, at any snapshot, under any shard
 //! count. These tests run one deterministic workload through every
 //! (durability, shards) cell and require byte-identical reads everywhere,
@@ -13,15 +13,6 @@ fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-durability-tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{name}-{}.wal", std::process::id()))
-}
-
-fn remove_streams(path: &PathBuf) {
-    std::fs::remove_file(path).ok();
-    for i in 1.. {
-        if std::fs::remove_file(lstore_wal::sharded::stream_path(path, i)).is_err() {
-            break;
-        }
-    }
 }
 
 const KEYS: u64 = 400;
@@ -57,17 +48,9 @@ fn run_workload(t: &Table) -> Vec<Snapshot> {
 
 #[test]
 fn durability_modes_produce_identical_reads() {
-    let modes: [(&str, Durability); 3] = [
+    let modes: [(&str, Durability); 2] = [
         ("none", Durability::None),
-        ("wal", Durability::Wal),
-        (
-            "group",
-            // A non-default window and a small batch bound.
-            Durability::WalGroupCommit {
-                window_us: 100,
-                max_batch: 4,
-            },
-        ),
+        ("group", Durability::group_commit()),
     ];
     let mut reference: Option<Vec<Snapshot>> = None;
     for (mode_name, durability) in modes {
@@ -100,10 +83,10 @@ fn durability_modes_produce_identical_reads() {
 
             // Recovery-level invariants on the log this cell produced:
             // every commit is present exactly once, commit timestamps are
-            // unique, and the merged record order never goes backwards in
+            // unique, and the file order never goes backwards in
             // commit timestamp — group-commit cohorts batch *fsyncs*, not
             // timestamps, so cohort boundaries must be invisible here.
-            let state = lstore_wal::recover_merged(&path).unwrap();
+            let state = lstore_wal::recover(&path).unwrap();
             assert!(state.in_flight.is_empty(), "{mode_name}/{shards}");
             let mut timestamps: Vec<u64> = state.committed.values().copied().collect();
             let unique_before = timestamps.len();
@@ -119,7 +102,7 @@ fn durability_modes_produce_identical_reads() {
                 if let lstore_wal::LogRecord::Commit { commit_ts, .. } = record {
                     assert!(
                         *commit_ts > last_commit_ts,
-                        "merged recovery reordered commits: {commit_ts} after \
+                        "one writer logged commits out of order: {commit_ts} after \
                          {last_commit_ts} (durability={mode_name} shards={shards})"
                     );
                     last_commit_ts = *commit_ts;
@@ -144,10 +127,68 @@ fn durability_modes_produce_identical_reads() {
                 final_scan,
                 "recovered scan: durability={mode_name} shards={shards}"
             );
-            remove_streams(&path);
+            std::fs::remove_file(&path).ok();
         }
     }
 }
+
+/// Every key's latest row and the column-0 sum: what a table replayed from
+/// the log must read.
+type Reads = (Vec<Vec<u64>>, u64);
+
+fn reads(t: &Table, keys: &[u64]) -> Reads {
+    let rows = keys
+        .iter()
+        .map(|&k| t.read_latest_auto(k).unwrap())
+        .collect();
+    (rows, t.sum_auto(0))
+}
+
+/// Run `load` then `work(writer)` on four writer threads of a 4-shard
+/// group-commit database with background merges, and record the live reads
+/// of `keys` before the database drops. Recovery reads the log in file
+/// order, where concurrent committers' commit records need not be in
+/// timestamp order: the table replayed from it must read exactly the same.
+fn concurrent_run(
+    name: &str,
+    keys: &[u64],
+    load: impl FnOnce(&Table),
+    work: impl Fn(&Table, u64) + Sync,
+) -> lstore_wal::RecoveredState {
+    let path = wal_path(name);
+    let live = {
+        let db = Database::new(
+            DbConfig::new()
+                .with_shards(4)
+                .with_pool_threads(2)
+                .with_wal_path(path.clone())
+                .with_durability(Durability::group_commit()),
+        );
+        let t = db.create_table("r", &["a"], TableConfig::small()).unwrap();
+        load(&t);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (t, work) = (&t, &work);
+                scope.spawn(move || work(t, w));
+            }
+        });
+        db.drain_merges();
+        reads(&t, keys)
+    };
+
+    let state = lstore_wal::recover(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let db2 = Database::new(DbConfig::deterministic());
+    let t2 = db2.create_table("r", &["a"], TableConfig::small()).unwrap();
+    t2.replay(&state).unwrap();
+    assert!(
+        reads(&t2, keys) == live,
+        "{name}: replay in file order diverged"
+    );
+    state
+}
+
+const WRITERS: u64 = 4;
 
 /// Concurrent committers under group commit: cohorts amortize fsyncs
 /// across writer threads, and the durable log still recovers to exactly
@@ -155,35 +196,20 @@ fn durability_modes_produce_identical_reads() {
 /// timestamps, no lost updates.
 #[test]
 fn group_commit_under_concurrency_recovers_every_commit() {
-    const WRITERS: u64 = 4;
     const PER_WRITER: u64 = 100;
-    let path = wal_path("group-concurrent");
-    {
-        let db = Database::new(
-            DbConfig::new()
-                .with_shards(4)
-                .with_pool_threads(2)
-                .with_wal_path(path.clone())
-                .with_durability(Durability::WalGroupCommit {
-                    window_us: 150,
-                    max_batch: 8,
-                }),
-        );
-        let t = db.create_table("r", &["a"], TableConfig::small()).unwrap();
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let t = &t;
-                scope.spawn(move || {
-                    for i in 0..PER_WRITER {
-                        t.insert_auto(w * 10_000 + i, &[w]).unwrap();
-                    }
-                });
+    let keys: Vec<u64> = (0..WRITERS)
+        .flat_map(|w| (0..PER_WRITER).map(move |i| w * 10_000 + i))
+        .collect();
+    let state = concurrent_run(
+        "group-concurrent",
+        &keys,
+        |_| {},
+        |t, w| {
+            for i in 0..PER_WRITER {
+                t.insert_auto(w * 10_000 + i, &[w]).unwrap();
             }
-        });
-        db.drain_merges();
-    }
-
-    let state = lstore_wal::recover_merged(&path).unwrap();
+        },
+    );
     assert_eq!(
         state.committed.len() as u64,
         WRITERS * PER_WRITER,
@@ -203,7 +229,47 @@ fn group_commit_under_concurrency_recovers_every_commit() {
             assert_eq!(t2.read_latest_auto(w * 10_000 + i).unwrap(), vec![w]);
         }
     }
-    remove_streams(&path);
+}
+
+/// The same with every writer updating keys the others update too, while
+/// background merges log their completion between the commits.
+#[test]
+fn shared_key_updates_beside_merges_replay_in_file_order() {
+    const SHARED: u64 = 512;
+    const PER_WRITER: u64 = 150;
+    let keys: Vec<u64> = (0..SHARED).collect();
+    let state = concurrent_run(
+        "group-shared",
+        &keys,
+        |t| {
+            for k in 0..SHARED {
+                t.insert_auto(k, &[k]).unwrap();
+            }
+        },
+        |t, w| {
+            for i in 0..PER_WRITER {
+                let key = (w * 7 + i * 13) % SHARED;
+                loop {
+                    match t.update_auto(key, &[(0, w * 1000 + i)]) {
+                        Ok(_) => break,
+                        Err(lstore::Error::WriteConflict { .. }) => continue,
+                        Err(e) => panic!("update {key}: {e}"),
+                    }
+                }
+            }
+        },
+    );
+    let merged_at = state
+        .records
+        .iter()
+        .position(|r| matches!(r, lstore_wal::LogRecord::MergeCompleted { .. }))
+        .expect("a merge was logged");
+    assert!(
+        state.records[merged_at..]
+            .iter()
+            .any(|r| matches!(r, lstore_wal::LogRecord::Commit { .. })),
+        "merge records interleave with commits"
+    );
 }
 
 /// A transaction that logged nothing has nothing to make durable: under
@@ -271,7 +337,7 @@ fn nothing_logged_means_nothing_to_wait_for() {
         assert_eq!(after.commits_enrolled, stats.commits_enrolled + 1);
         assert_eq!(after.syncs, stats.syncs + 1);
     }
-    let state = lstore_wal::recover_merged(&path).unwrap();
+    let state = lstore_wal::recover(&path).unwrap();
     assert!(state.in_flight.is_empty());
     assert!(state.committed.contains_key(&writer_id));
     for id in unlogged {
@@ -280,5 +346,5 @@ fn nothing_logged_means_nothing_to_wait_for() {
             "transaction {id:#x} logged nothing and is in the log"
         );
     }
-    remove_streams(&path);
+    std::fs::remove_file(&path).ok();
 }

@@ -1,7 +1,7 @@
 //! Crash recovery (§5.1.3): redo-only WAL replay, tombstoning of in-flight
 //! transactions, indirection-column rebuild.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use lstore::{Database, DbConfig, Durability, ReadRequest, Table, TableConfig};
 
@@ -16,31 +16,6 @@ fn read_cols(t: &Table, key: u64, cols: &[u32]) -> Option<Vec<u64>> {
     t.read_one(&ReadRequest::latest(key).with_columns(cols.to_vec()))
         .unwrap()
         .values
-}
-
-/// Remove the base log and every legacy per-shard stream file next to it.
-fn remove_streams(path: &Path) {
-    std::fs::remove_file(path).ok();
-    for i in 1.. {
-        let stream = lstore_wal::sharded::stream_path(path, i);
-        if std::fs::remove_file(&stream).is_err() {
-            break;
-        }
-    }
-}
-
-/// Read every file of a log into memory: the base path, plus the `.s<i>`
-/// siblings only an older build (or a hand-built image) puts beside it.
-fn read_streams(path: &Path) -> Vec<Vec<u8>> {
-    let mut streams = vec![std::fs::read(path).unwrap()];
-    for i in 1.. {
-        let stream = lstore_wal::sharded::stream_path(path, i);
-        if !stream.exists() {
-            break;
-        }
-        streams.push(std::fs::read(&stream).unwrap());
-    }
-    streams
 }
 
 #[test]
@@ -200,10 +175,8 @@ fn replay_is_shard_count_agnostic() {
         db.runtime().wal.as_ref().unwrap().sync().unwrap();
     }
 
-    // "After the crash": the 4-shard run wrote one log file, in commit
-    // order.
-    assert_eq!(read_streams(&path).len(), 1);
-    let state = lstore_wal::recover_merged(&path).unwrap();
+    // "After the crash": the 4-shard run wrote one log file.
+    let state = lstore_wal::recover(&path).unwrap();
     // Replay into databases with different shard counts.
     let replayed: Vec<_> = [2usize, 1]
         .iter()
@@ -251,7 +224,7 @@ fn replay_is_shard_count_agnostic() {
         assert_eq!(t.read_latest_auto(1).unwrap()[1], 777);
         assert_eq!(t.read_latest_auto(KEYS + 500).unwrap(), vec![9, 9]);
     }
-    remove_streams(&path);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -303,7 +276,6 @@ fn recovery_roundtrip_matrix_cell() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
     let durability = match std::env::var("LSTORE_DURABILITY").as_deref() {
-        Ok("wal") => Durability::Wal,
         Ok("group") => Durability::group_commit(),
         _ => Durability::None,
     };
@@ -333,7 +305,7 @@ fn recovery_roundtrip_matrix_cell() {
         db.runtime().wal.as_ref().unwrap().sync().unwrap();
     }
 
-    let state = lstore_wal::recover_merged(&path).unwrap();
+    let state = lstore_wal::recover(&path).unwrap();
     let db2 = Database::new(DbConfig::deterministic().with_shards(shards));
     let t2 = db2
         .create_table("r", &["a", "b"], TableConfig::small())
@@ -350,25 +322,29 @@ fn recovery_roundtrip_matrix_cell() {
         assert_eq!(t2.read_latest_auto(k).unwrap(), vec![k, b], "key {k}");
     }
     assert_eq!(t2.sum_auto(0), expected_sum);
-    remove_streams(&path);
+    std::fs::remove_file(&path).ok();
 }
 
-/// Crash-replay loop: kill the database at seeded random points in its
-/// history (including mid-record torn tails) and verify the recovered
-/// database reads byte-identically to an undamaged run of the same
-/// workload prefix. Kill points land on durability boundaries — each chunk
-/// of the workload ends with a full-log `sync()`, so the truncated log
-/// holds exactly the chunks before the kill plus at most a torn frame
-/// prefix after it.
+/// Crash points enumerated, not sampled: the workload runs in chunks, each
+/// ending with a full-log `sync()`, and the log is cut at every chunk
+/// boundary with every possible torn prefix of the frame that followed
+/// (0 up to its length − 1 bytes). Each damaged log must replay to reads
+/// identical to an undamaged run of the chunks before the cut. A flipped
+/// byte inside a chunk's first frame, with later chunks behind it, is
+/// corruption and never a shorter state.
 #[test]
-fn crash_replay_at_random_kill_points_matches_undamaged_run() {
-    const CHUNKS: usize = 10;
-    const CHUNK_KEYS: u64 = 80;
+fn crash_replay_at_every_boundary_and_tear_matches_undamaged_run() {
+    const CHUNKS: usize = 6;
+    const CHUNK_KEYS: u64 = 40;
+    let shards: usize = std::env::var("LSTORE_SHARDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4);
 
     // One chunk of deterministic workload: fresh inserts, updates of this
     // chunk's keys, deletes of the previous chunk's keys (each key is
     // deleted at most once, and never updated after deletion).
-    fn apply_chunk(t: &lstore::Table, c: usize) {
+    fn apply_chunk(t: &Table, c: usize) {
         let lo = c as u64 * CHUNK_KEYS;
         for k in lo..lo + CHUNK_KEYS {
             t.insert_auto(k, &[k, k ^ 0xABCD]).unwrap();
@@ -384,13 +360,21 @@ fn crash_replay_at_random_kill_points_matches_undamaged_run() {
         }
     }
 
+    fn fresh(shards: usize) -> (std::sync::Arc<Database>, std::sync::Arc<Table>) {
+        let db = Database::new(DbConfig::deterministic().with_shards(shards));
+        let t = db
+            .create_table("r", &["a", "b"], TableConfig::small())
+            .unwrap();
+        (db, t)
+    }
+
     let path = wal_path("killpoints");
-    // Stream byte lengths at each chunk boundary (everything synced).
-    let mut boundaries: Vec<Vec<u64>> = Vec::new();
+    // Log length at each chunk boundary (everything synced), from 0.
+    let mut boundaries = vec![0usize];
     {
         let db = Database::new(
             DbConfig::deterministic()
-                .with_shards(4)
+                .with_shards(shards)
                 .with_wal_path(path.clone()),
         );
         let t = db
@@ -399,167 +383,99 @@ fn crash_replay_at_random_kill_points_matches_undamaged_run() {
         for c in 0..CHUNKS {
             apply_chunk(&t, c);
             db.runtime().wal.as_ref().unwrap().sync().unwrap();
-            boundaries.push(read_streams(&path).iter().map(|s| s.len() as u64).collect());
+            boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
         }
     }
-    let full_streams = read_streams(&path);
-    assert_eq!(full_streams.len(), 1, "four shards, one log file");
-
-    // Seeded xorshift so failures reproduce; no wall-clock anywhere.
-    let mut rng: u64 = 0x9E3779B97F4A7C15;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
+    let log = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(log.len(), boundaries[CHUNKS]);
+    let frame_len = |at: usize| {
+        lstore_wal::LogRecord::decode(&log[at..])
+            .unwrap()
+            .unwrap()
+            .1
     };
 
-    for _ in 0..6 {
-        let kill = (next() % CHUNKS as u64) as usize;
-        // Truncate every stream to the kill boundary, then re-append a
-        // torn prefix (≤ 8 bytes — always shorter than a frame header +
-        // body, so recovery must stop cleanly) of whatever followed.
-        let damaged: Vec<Vec<u8>> = full_streams
-            .iter()
-            .enumerate()
-            .map(|(s, bytes)| {
-                let cut = boundaries[kill][s] as usize;
-                let tear = (next() % 9) as usize;
-                let end = (cut + tear).min(bytes.len());
-                bytes[..end].to_vec()
-            })
-            .collect();
-        let state = lstore_wal::recovery::recover_merged_bytes(&damaged).unwrap();
-
-        // The undamaged run of the same prefix: replay chunks 0..=kill
-        // directly, no WAL, no crash.
-        let oracle_db = Database::new(DbConfig::deterministic());
-        let oracle = oracle_db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        for c in 0..=kill {
+    for (done, &cut) in boundaries[..CHUNKS].iter().enumerate() {
+        // The undamaged run of chunks 0..done: no WAL, no crash.
+        let (_oracle_db, oracle) = fresh(1);
+        for c in 0..done {
             apply_chunk(&oracle, c);
         }
+        let keys = 0..done as u64 * CHUNK_KEYS;
+        let expect: Vec<_> = keys
+            .clone()
+            .map(|k| read_cols(&oracle, k, &[0, 1]))
+            .collect();
+        let expect_scan = oracle.scan_as_of(&[0, 1], oracle.now());
 
-        let db2 = Database::new(DbConfig::deterministic().with_shards(2));
-        let t2 = db2
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        t2.replay(&state).unwrap();
-
-        // Byte-identical reads: every key, every aggregate, every scan.
-        for k in 0..(kill as u64 + 1) * CHUNK_KEYS {
+        for tear in 0..frame_len(cut) {
+            let state = lstore_wal::recovery::recover_from_bytes(&log[..cut + tear]).unwrap();
+            assert_eq!(state.bytes_scanned, cut, "cut {done} tear {tear}");
+            let (_db, t) = fresh(2);
+            t.replay(&state).unwrap();
+            let got: Vec<_> = keys.clone().map(|k| read_cols(&t, k, &[0, 1])).collect();
+            assert!(got == expect, "reads after chunk {done}, tear {tear}");
             assert_eq!(
-                read_cols(&t2, k, &[0, 1]),
-                read_cols(&oracle, k, &[0, 1]),
-                "key {k} after kill at chunk {kill}"
+                t.sum_auto(0),
+                oracle.sum_auto(0),
+                "chunk {done} tear {tear}"
+            );
+            assert!(
+                t.scan_as_of(&[0, 1], t.now()) == expect_scan,
+                "scan after chunk {done}, tear {tear}"
             );
         }
-        assert_eq!(t2.sum_auto(0), oracle.sum_auto(0), "kill at chunk {kill}");
-        assert_eq!(
-            t2.scan_as_of(&[0, 1], t2.now()),
-            oracle.scan_as_of(&[0, 1], oracle.now()),
-            "kill at chunk {kill}"
+
+        // A damaged frame with later chunks behind it is not a torn tail.
+        let mut damaged = log.clone();
+        damaged[cut + frame_len(cut) - 1] ^= 0x5A;
+        assert!(
+            matches!(
+                lstore_wal::recovery::recover_from_bytes(&damaged),
+                Err(lstore_wal::WalError::Corrupt(_))
+            ),
+            "a flipped byte in chunk {done}'s first frame was not refused"
         );
     }
-    remove_streams(&path);
 }
 
-/// A log image in the per-shard layout older builds wrote — records routed
-/// to `<base>` and `<base>.s1` by range id, each transaction's resolution
-/// in the stream of its first record — still recovers through the same
-/// entry point, to the same reads as the one-file log it was cut from.
+/// A log written in the per-shard layout of an older build has a
+/// `<path>.s1` sibling that the file at `path` does not include: recovery
+/// refuses it, naming the sibling, instead of half-reading it. Creating the
+/// log anew removes the sibling, and the new log recovers.
 #[test]
-fn legacy_two_file_image_still_recovers() {
-    use lstore_wal::LogRecord;
+fn an_old_layout_log_is_refused_until_the_log_is_created_anew() {
+    use lstore_wal::{CommitPolicy, Wal};
 
-    let path = wal_path("legacy-two-files");
-    const KEYS: u64 = 700; // three routing stripes, so several ranges
+    let path = wal_path("old-layout");
     {
-        let db = Database::new(
-            DbConfig::deterministic()
-                .with_shards(2)
-                .with_wal_path(path.clone()),
-        );
-        let t = db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        for k in 0..KEYS {
-            t.insert_auto(k, &[k, 5 * k]).unwrap();
+        let db = Database::new(DbConfig::deterministic().with_wal_path(path.clone()));
+        let t = db.create_table("r", &["a"], TableConfig::small()).unwrap();
+        for k in 0..20 {
+            t.insert_auto(k, &[k]).unwrap();
         }
-        for k in (0..KEYS).step_by(2) {
-            t.update_auto(k, &[(1, k + 1)]).unwrap();
-        }
-        for k in (0..KEYS).step_by(60) {
-            t.delete_auto(k).unwrap();
-        }
-        // A transaction across ranges, and one that never resolves.
-        let mut wide = db.begin();
-        t.update(&mut wide, 1, &[(0, 1001)]).unwrap();
-        t.update(&mut wide, KEYS - 1, &[(0, 1002)]).unwrap();
-        db.commit(&mut wide).unwrap();
-        let mut lost = db.begin();
-        t.update(&mut lost, 3, &[(0, 4242)]).unwrap();
         db.runtime().wal.as_ref().unwrap().sync().unwrap();
     }
-    let one_file = lstore_wal::recover_merged(&path).unwrap();
+    assert_eq!(lstore_wal::recover(&path).unwrap().committed.len(), 20);
+    let mut sibling = path.clone().into_os_string();
+    sibling.push(".s1");
+    let sibling = PathBuf::from(sibling);
+    std::fs::write(&sibling, std::fs::read(&path).unwrap()).unwrap();
 
-    let mut streams = [Vec::new(), Vec::new()];
-    let mut home = std::collections::HashMap::new();
-    for record in &one_file.records {
-        let stream = match record {
-            LogRecord::TailAppend { range_id, .. }
-            | LogRecord::Insert { range_id, .. }
-            | LogRecord::MergeCompleted { range_id, .. }
-            | LogRecord::HistoricCompressed { range_id, .. } => *range_id as usize % 2,
-            _ => 0,
-        };
-        let stream = match record.txn_id() {
-            Some(txn) if matches!(record, LogRecord::Commit { .. } | LogRecord::Abort { .. }) => {
-                home.get(&txn).copied().unwrap_or(0)
-            }
-            Some(txn) => {
-                home.entry(txn).or_insert(stream);
-                stream
-            }
-            None => stream,
-        };
-        streams[stream].extend_from_slice(&record.encode());
+    match lstore_wal::recover(&path) {
+        Err(lstore_wal::WalError::Corrupt(message)) => assert!(
+            message.contains(&*sibling.to_string_lossy()),
+            "the refusal names the sibling: {message}"
+        ),
+        other => panic!(
+            "an old-layout log recovered: {:?}",
+            other.map(|s| s.records.len())
+        ),
     }
-    assert!(streams.iter().all(|s| !s.is_empty()), "both files in use");
-    std::fs::write(&path, &streams[0]).unwrap();
-    std::fs::write(lstore_wal::sharded::stream_path(&path, 1), &streams[1]).unwrap();
-    let two_files = lstore_wal::recover_merged(&path).unwrap();
-    assert_eq!(two_files.records.len(), one_file.records.len());
-    assert_eq!(two_files.committed, one_file.committed);
-    assert_eq!(two_files.in_flight, one_file.in_flight);
-    assert_eq!(two_files.in_flight.len(), 1);
 
-    let replayed = [&one_file, &two_files].map(|state| {
-        let db = Database::new(DbConfig::deterministic());
-        let t = db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        t.replay(state).unwrap();
-        (db, t)
-    });
-    let (_, expect) = &replayed[0];
-    let (_, got) = &replayed[1];
-    assert_eq!(expect.read_latest_auto(1).unwrap()[0], 1001);
-    assert_eq!(
-        expect.read_latest_auto(3).unwrap()[0],
-        3,
-        "unresolved update"
-    );
-    assert_eq!(
-        got.scan_as_of(&[0, 1], got.now()),
-        expect.scan_as_of(&[0, 1], expect.now())
-    );
-
-    // And a new database at the same path clears the sibling away.
-    drop(Database::new(
-        DbConfig::deterministic().with_wal_path(path.clone()),
-    ));
-    assert_eq!(read_streams(&path).len(), 1);
-    remove_streams(&path);
+    drop(Wal::create(&path, CommitPolicy::Buffered).unwrap());
+    assert!(!sibling.exists());
+    assert!(lstore_wal::recover(&path).unwrap().records.is_empty());
+    std::fs::remove_file(&path).ok();
 }
