@@ -117,11 +117,15 @@ impl BaseVersion {
         }
     }
 
-    /// Read the base value of `column` at `slot`.
+    /// Read the base value of `column` at `slot`. This and the three
+    /// accessors below are the point read's way into base pages:
+    /// [`PagePtr::get`], which reads a stored page that is not resident
+    /// from the image block holding the cell instead of faulting the page
+    /// in. Scans, the merge and checkpoints pin whole pages instead.
     #[inline]
     pub fn value(&self, column: usize, slot: u32) -> u64 {
         match &self.data {
-            BaseData::Pages { data, .. } => data[column].read().get(slot as usize),
+            BaseData::Pages { data, .. } => data[column].get(slot as usize),
             BaseData::Insert(t) => t.data[column].get_or_null(slot as usize),
         }
     }
@@ -129,8 +133,8 @@ impl BaseVersion {
     /// Pass one of [`Self::gather`]: hint the cache line of the cell each
     /// of `columns` (those in the bit set `only`) will be decoded from at
     /// `slot`. Only heap-resident pages take the hint — a store-backed
-    /// page's cost is its pin, not its cell, and an insert-phase column
-    /// sits behind its page directory.
+    /// page's cost is its frame lock or its block read, not its cell, and
+    /// an insert-phase column sits behind its page directory.
     #[inline]
     pub fn prefetch_row(&self, columns: &[usize], slot: u32, only: u64) {
         if let BaseData::Pages { data, .. } = &self.data {
@@ -181,7 +185,7 @@ impl BaseVersion {
     #[inline]
     pub fn start_cell(&self, slot: u32) -> u64 {
         match &self.data {
-            BaseData::Pages { start_time, .. } => start_time.read().get(slot as usize),
+            BaseData::Pages { start_time, .. } => start_time.get(slot as usize),
             BaseData::Insert(t) => t.start_time.get_or_null(slot as usize),
         }
     }
@@ -191,7 +195,7 @@ impl BaseVersion {
     #[inline]
     pub fn last_updated(&self, slot: u32) -> u64 {
         match &self.data {
-            BaseData::Pages { last_updated, .. } => last_updated.read().get(slot as usize),
+            BaseData::Pages { last_updated, .. } => last_updated.get(slot as usize),
             BaseData::Insert(_) => NULL_VALUE,
         }
     }
@@ -200,7 +204,7 @@ impl BaseVersion {
     #[inline]
     pub fn schema_enc(&self, slot: u32) -> u64 {
         match &self.data {
-            BaseData::Pages { schema_enc, .. } => schema_enc.read().get(slot as usize),
+            BaseData::Pages { schema_enc, .. } => schema_enc.get(slot as usize),
             BaseData::Insert(_) => 0,
         }
     }

@@ -6,17 +6,21 @@
 //! small self-describing binary format for page images that the page store
 //! ([`crate::store`]) frames into its file.
 //!
-//! An image is a sequence of little-endian `u64` words holding the codec's
-//! own arrays — the file is the resident encoding, not its decoded values:
+//! An image holds the codec's own arrays — the file is the resident
+//! encoding, not its decoded values — as little-endian `u64` *data words*:
 //! ```text
 //! word 0   magic "LSPI" | u8 version | u8 codec | u8 bit width | u8 zero
 //! word 1   len (logical values)
 //! body     plain       len cells
 //!          for         frame | ⌈len × width / 64⌉ packed words
 //!          dictionary  entries | the dictionary | ⌈len × width / 64⌉ packed codes
-//!          rle         runs | run starts (u32, zero-padded to a word) | run values
-//! last     checksum of every word before it
+//!          rle         runs | run starts (two u32 a word, the last zero-padded) | run values
 //! ```
+//! The data words are cut into 512-byte **blocks** of 63 data words and one
+//! checksum word (the last block holds what is left, then its checksum).
+//! Block `b`'s checksum covers its data words and is seeded with `b`, the
+//! image's data word count and the page id, so a block only checks out in
+//! its own place, in an image of its own length, of its own page.
 //!
 //! [`encode_image`] copies the arrays out and [`decode_image`] copies them
 //! back in through the codecs' `from_parts` constructors: nothing is decoded,
@@ -24,9 +28,13 @@
 //! bytes cost. The price is that a codec's array layout *is* the file
 //! format — changing one is a version bump here.
 //!
+//! A point read needs one cell, not the page: `Layout` says which blocks
+//! hold a cell (`Layout::blocks_for`) and reads it from just those
+//! (`Layout::cell`), checking each one first.
+//!
 //! Images come from a file, so [`decode_image`] trusts nothing: the
-//! checksum catches damage, and the structural checks (here and in
-//! `from_parts`) make sure that even an image with a valid checksum can
+//! checksums catch damage, and the structural checks (here and in
+//! `from_parts`) make sure that even an image with valid checksums can
 //! only build a column whose every `get` stays inside its arrays.
 //!
 //! # Examples
@@ -36,11 +44,15 @@
 //! use lstore_storage::disk::{decode_image, encode_image};
 //!
 //! let col = encode(&[5, 5, 5, 9], CodecChoice::Rle);
-//! let image = encode_image(&col);
-//! let back = decode_image(&image).unwrap();
+//! let image = encode_image(7, &col);
+//! let back = decode_image(7, &image).unwrap();
 //! assert_eq!(back.codec_name(), "rle");
 //! assert_eq!(back.decode(), vec![5, 5, 5, 9]);
+//! // The image of page 7 is not an image of page 8.
+//! assert!(decode_image(8, &image).is_err());
 //! ```
+
+use std::ops::Range;
 
 use bytes::Bytes;
 
@@ -48,15 +60,20 @@ use crate::compress::{BitPacked, Compressed, DictColumn, ForColumn, RleColumn};
 use crate::error::{StorageError, StorageResult};
 
 const MAGIC: &[u8; 4] = b"LSPI";
-/// Magic of the previous format (decoded big-endian values), recognized
+/// Magic of the first format (decoded big-endian values), recognized
 /// only to be refused by name.
 const OLD_MAGIC: &[u8; 4] = b"LSPG";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 const CODEC_PLAIN: u8 = 0;
 const CODEC_DICT: u8 = 1;
 const CODEC_RLE: u8 = 2;
 const CODEC_FOR: u8 = 3;
+
+/// Bytes per image block: the unit a point read reads and checks.
+pub(crate) const BLOCK_BYTES: usize = 512;
+/// Data words per block; the block's last word is its checksum.
+const BLOCK_DATA: usize = BLOCK_BYTES / 8 - 1;
 
 /// Most values one page image may hold. Far above any page the engine
 /// builds (a range's column, a checkpoint manifest); it bounds what a
@@ -81,72 +98,86 @@ fn put_words(image: &mut Vec<u8>, words: &[u64]) {
     }
 }
 
-/// Word-wise checksum of `body` (a whole number of words): four
-/// independent multiply–rotate lanes, folded with the length at the end.
-/// Every step is a bijection of the state for a fixed word and of the word
-/// for a fixed state, so changing any one word always changes the result.
-/// Not a byte-wise CRC: at 5 KB that would cost more than the rest of the
-/// fault.
-fn checksum(body: &[u8]) -> u64 {
+/// Bytes of an image of `words` data words: one checksum word per block.
+fn image_bytes(words: usize) -> usize {
+    (words + words.div_ceil(BLOCK_DATA)) * 8
+}
+
+/// Word-wise checksum of one block's data words: four independent
+/// multiply–rotate lanes, folded at the end with the block's length and
+/// `seed` (its index, the image's data word count, the page id). Every
+/// step is a bijection of the state for a fixed word and of the word for
+/// a fixed state, so changing any one word — or any one seed value —
+/// always changes the result. Not a byte-wise CRC: over a page that would
+/// cost more than the rest of the fault.
+fn block_sum(seed: [u64; 3], data: &[u8]) -> u64 {
     fn step(h: u64, word: u64) -> u64 {
         (h ^ word)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(29)
     }
     let mut lanes = [1u64, 2, 3, 4];
-    let mut quads = body.chunks_exact(32);
+    let mut quads = data.chunks_exact(32);
     for quad in &mut quads {
         for (lane, word) in lanes.iter_mut().zip(quad.chunks_exact(8)) {
             *lane = step(*lane, le_word(word));
         }
     }
-    let mut h = body.len() as u64;
+    let mut h = seed.iter().fold(data.len() as u64, |h, &s| step(h, s));
     for word in quads.remainder().chunks_exact(8) {
         h = step(h, le_word(word));
     }
     lanes.iter().fold(h, |h, &lane| step(h, lane))
 }
 
-/// Serialize a compressed column into a self-describing byte image.
-pub fn encode_image(col: &Compressed) -> Bytes {
+/// Serialize a compressed column into a self-describing byte image of
+/// page `id` (see the module docs; the id seeds every block checksum).
+pub fn encode_image(id: u64, col: &Compressed) -> Bytes {
     let (codec, width) = match col {
         Compressed::Plain(_) => (CODEC_PLAIN, 0),
         Compressed::Dict(c) => (CODEC_DICT, c.codes().width()),
         Compressed::Rle(_) => (CODEC_RLE, 0),
         Compressed::For(c) => (CODEC_FOR, c.deltas().width()),
     };
-    let mut image = Vec::with_capacity(col.encoded_bytes() + 48);
-    image.extend_from_slice(MAGIC);
-    image.extend_from_slice(&[VERSION, codec, width, 0]);
-    put_words(&mut image, &[col.len() as u64]);
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(MAGIC);
+    header[4..7].copy_from_slice(&[VERSION, codec, width]);
+    let mut data = Vec::with_capacity(col.encoded_bytes() / 8 + 4);
+    data.extend([u64::from_le_bytes(header), col.len() as u64]);
     match col {
-        Compressed::Plain(cells) => put_words(&mut image, cells),
+        Compressed::Plain(cells) => data.extend_from_slice(cells),
         Compressed::For(c) => {
-            put_words(&mut image, &[c.frame()]);
-            put_words(&mut image, c.deltas().words());
+            data.push(c.frame());
+            data.extend_from_slice(c.deltas().words());
         }
         Compressed::Dict(c) => {
-            put_words(&mut image, &[c.dict().len() as u64]);
-            put_words(&mut image, c.dict());
-            put_words(&mut image, c.codes().words());
+            data.push(c.dict().len() as u64);
+            data.extend_from_slice(c.dict());
+            data.extend_from_slice(c.codes().words());
         }
         Compressed::Rle(c) => {
-            put_words(&mut image, &[c.starts().len() as u64]);
-            for start in c.starts() {
-                image.extend_from_slice(&start.to_le_bytes());
-            }
-            image.resize(image.len().next_multiple_of(8), 0);
-            put_words(&mut image, c.values());
+            data.push(c.starts().len() as u64);
+            data.extend(
+                c.starts()
+                    .chunks(2)
+                    .map(|pair| pair[0] as u64 | (pair.get(1).copied().unwrap_or(0) as u64) << 32),
+            );
+            data.extend_from_slice(c.values());
         }
     }
-    let sum = checksum(&image);
-    put_words(&mut image, &[sum]);
+    let mut image = Vec::with_capacity(image_bytes(data.len()));
+    for (b, block) in data.chunks(BLOCK_DATA).enumerate() {
+        let at = image.len();
+        put_words(&mut image, block);
+        let sum = block_sum([b as u64, data.len() as u64, id], &image[at..]);
+        put_words(&mut image, &[sum]);
+    }
     Bytes::from(image)
 }
 
 /// Check that `prefix` — the first bytes of an image, at least five when
 /// the image has them — starts an image this build reads: its magic and
-/// version. The previous format is refused by name.
+/// version. The earlier formats are refused by name.
 pub(crate) fn check_header(prefix: &[u8]) -> StorageResult<()> {
     if prefix.len() < 5 {
         return corrupt("page image shorter than its header");
@@ -160,61 +191,136 @@ pub(crate) fn check_header(prefix: &[u8]) -> StorageResult<()> {
     if &prefix[..4] != MAGIC {
         return corrupt("bad page image magic");
     }
-    if prefix[4] != VERSION {
-        return corrupt(format!("page image version {}", prefix[4]));
+    match prefix[4] {
+        VERSION => Ok(()),
+        1 => corrupt(
+            "page image version 1 (one checksum per image); this build reads \
+             only version 2, checksummed per 512-byte block",
+        ),
+        other => corrupt(format!("page image version {other}")),
     }
-    Ok(())
 }
 
-/// The part of an image body not read yet.
-struct Reader<'a>(&'a [u8]);
+/// Checked blocks of one image, from block `first` on: a whole image, or
+/// what a point read read of it.
+struct Blocks<'a> {
+    bytes: &'a [u8],
+    first: usize,
+}
 
-impl<'a> Reader<'a> {
-    /// The next `n` bytes. A count the image cannot hold is `Corrupt`
-    /// before anything is allocated for it.
-    fn bytes(&mut self, n: u64) -> StorageResult<&'a [u8]> {
-        if n > self.0.len() as u64 {
-            return corrupt(format!(
-                "page image array of {n} bytes with {} left",
-                self.0.len()
-            ));
+impl<'a> Blocks<'a> {
+    /// Check `bytes` as blocks `first..` of page `id`'s image of `words`
+    /// data words: every block whole and its checksum right.
+    fn check(id: u64, words: usize, first: usize, bytes: &'a [u8]) -> StorageResult<Self> {
+        for (i, block) in bytes.chunks(BLOCK_BYTES).enumerate() {
+            let b = first + i;
+            let held = words.saturating_sub(b * BLOCK_DATA).min(BLOCK_DATA);
+            if held == 0 || block.len() != (held + 1) * 8 {
+                return corrupt(format!(
+                    "page image block {b} of {} bytes in an image of {words} words",
+                    block.len()
+                ));
+            }
+            let (data, sum) = block.split_at(block.len() - 8);
+            if block_sum([b as u64, words as u64, id], data) != le_word(sum) {
+                return corrupt(format!("page image block {b} checksum mismatch"));
+            }
         }
-        let (head, rest) = self.0.split_at(n as usize);
-        self.0 = rest;
-        Ok(head)
+        Ok(Blocks { bytes, first })
+    }
+
+    /// Byte offset, in `bytes`, of data word `w` (which must be held).
+    fn offset(&self, w: usize) -> usize {
+        (w / BLOCK_DATA - self.first) * BLOCK_BYTES + w % BLOCK_DATA * 8
+    }
+
+    fn word(&self, w: usize) -> u64 {
+        let at = self.offset(w);
+        le_word(&self.bytes[at..at + 8])
+    }
+
+    /// Data words `range`, copied a block's run at a time.
+    fn copy(&self, range: Range<usize>) -> Box<[u64]> {
+        let mut out = Vec::with_capacity(range.len());
+        let mut w = range.start;
+        while w < range.end {
+            let n = (BLOCK_DATA - w % BLOCK_DATA).min(range.end - w);
+            let at = self.offset(w);
+            let (words, _) = self.bytes[at..at + n * 8].as_chunks::<8>();
+            out.extend(words.iter().map(|word| u64::from_le_bytes(*word)));
+            w += n;
+        }
+        out.into_boxed_slice()
+    }
+
+    /// Value `slot` of `width` bits packed from data word `at` on: the
+    /// arithmetic of [`BitPacked::get`].
+    fn packed(&self, at: usize, slot: usize, width: u8) -> u64 {
+        let width = width as usize;
+        let bit = slot * width;
+        let (word, off) = (at + bit / 64, bit % 64);
+        let lo = self.word(word) >> off;
+        let value = if off + width > 64 {
+            lo | self.word(word + 1) << (64 - off)
+        } else {
+            lo
+        };
+        value & (u64::MAX >> (64 - width))
+    }
+}
+
+/// The data words of an image not read yet.
+struct Reader<'a> {
+    image: Blocks<'a>,
+    at: usize,
+    end: usize,
+}
+
+impl Reader<'_> {
+    /// The next `n` words. A count the image cannot hold is `Corrupt`
+    /// before anything is allocated for it.
+    fn words(&mut self, n: u64) -> StorageResult<Box<[u64]>> {
+        let left = self.end - self.at;
+        if n > left as u64 {
+            return corrupt(format!("page image array of {n} words with {left} left"));
+        }
+        let range = self.at..self.at + n as usize;
+        self.at = range.end;
+        Ok(self.image.copy(range))
     }
 
     fn word(&mut self) -> StorageResult<u64> {
-        Ok(le_word(self.bytes(8)?))
-    }
-
-    /// The next `n` words (a block copy on a little-endian machine).
-    fn words(&mut self, n: u64) -> StorageResult<Box<[u64]>> {
-        let bytes = self.bytes(n.saturating_mul(8))?;
-        Ok(bytes.chunks_exact(8).map(le_word).collect())
+        if self.at == self.end {
+            return corrupt("page image ends inside its header");
+        }
+        self.at += 1;
+        Ok(self.image.word(self.at - 1))
     }
 
     /// Every word left: the last array of an image is as long as the
     /// image says, and the codec's `from_parts` checks that length.
     fn rest(&mut self) -> StorageResult<Box<[u64]>> {
-        self.words(self.0.len() as u64 / 8)
+        self.words((self.end - self.at) as u64)
     }
 }
 
-/// Deserialize a page image produced by [`encode_image`]. Anything else —
-/// damaged, truncated, foreign, or well-summed but structurally impossible
-/// — is [`StorageError::Corrupt`].
-pub fn decode_image(data: &[u8]) -> StorageResult<Compressed> {
+/// Deserialize page `id`'s image produced by [`encode_image`]. Anything
+/// else — damaged, truncated, foreign, another page's, or well-summed but
+/// structurally impossible — is [`StorageError::Corrupt`].
+pub fn decode_image(id: u64, data: &[u8]) -> StorageResult<Compressed> {
     check_header(data)?;
-    if data.len() < 24 || !data.len().is_multiple_of(8) {
+    let total = data.len() / 8;
+    let words = total - total.div_ceil(BLOCK_DATA + 1);
+    if words < 2 || image_bytes(words) != data.len() {
         return corrupt(format!("page image of {} bytes", data.len()));
     }
-    let (body, sum) = data.split_at(data.len() - 8);
-    if checksum(body) != le_word(sum) {
-        return corrupt("page image checksum mismatch");
-    }
+    let image = Blocks::check(id, words, 0, data)?;
     let (codec, width, zero) = (data[5], data[6], data[7]);
-    let mut body = Reader(&body[8..]);
+    let mut body = Reader {
+        image,
+        at: 1,
+        end: words,
+    };
     let len = body.word()?;
     if len > MAX_PAGE_CELLS as u64 {
         return corrupt(format!("page image of {len} values"));
@@ -239,10 +345,8 @@ pub fn decode_image(data: &[u8]) -> StorageResult<Compressed> {
         }
         CODEC_RLE => {
             let runs = body.word()?;
-            let starts = body.bytes(runs.div_ceil(2).saturating_mul(8))?;
-            let mut starts = starts
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("a 4-byte chunk")));
+            let pairs = body.words(runs.div_ceil(2))?;
+            let mut starts = pairs.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]);
             let index: Box<[u32]> = starts.by_ref().take(runs as usize).collect();
             if starts.any(|pad| pad != 0) {
                 return corrupt("run index padding");
@@ -251,10 +355,176 @@ pub fn decode_image(data: &[u8]) -> StorageResult<Compressed> {
         }
         other => return corrupt(format!("unknown codec {other}")),
     };
-    if col.len() != len || !body.0.is_empty() {
+    if col.len() != len || body.at != body.end {
         return corrupt("page image arrays disagree with its header");
     }
     Ok(col)
+}
+
+/// Where a page's cells sit in its image: what a point read needs to read
+/// one cell from the blocks that hold it instead of faulting the whole
+/// image in. Taken from the column itself ([`Layout::of`]) when the page is
+/// sealed or faulted in, so it costs no I/O and agrees with
+/// [`encode_image`] by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    Plain {
+        len: usize,
+    },
+    For {
+        len: usize,
+        width: u8,
+        frame: u64,
+    },
+    Dict {
+        len: usize,
+        width: u8,
+        entries: usize,
+    },
+    Rle {
+        len: usize,
+        runs: usize,
+        /// The first run's value: every cell's, when it is the only run.
+        first: u64,
+    },
+}
+
+impl Layout {
+    pub(crate) fn of(col: &Compressed) -> Layout {
+        match col {
+            Compressed::Plain(cells) => Layout::Plain { len: cells.len() },
+            Compressed::For(c) => Layout::For {
+                len: c.len(),
+                width: c.width(),
+                frame: c.frame(),
+            },
+            Compressed::Dict(c) => Layout::Dict {
+                len: c.len(),
+                width: c.codes().width(),
+                entries: c.cardinality(),
+            },
+            Compressed::Rle(c) => Layout::Rle {
+                len: c.len(),
+                runs: c.run_count(),
+                first: c.values().first().copied().unwrap_or(0),
+            },
+        }
+    }
+
+    fn len(&self) -> usize {
+        match *self {
+            Layout::Plain { len }
+            | Layout::For { len, .. }
+            | Layout::Dict { len, .. }
+            | Layout::Rle { len, .. } => len,
+        }
+    }
+
+    /// Data words of the image.
+    fn words(&self) -> usize {
+        let packed = |len: usize, width: u8| (len * width as usize).div_ceil(64);
+        match *self {
+            Layout::Plain { len } => 2 + len,
+            Layout::For { len, width, .. } => 3 + packed(len, width),
+            Layout::Dict {
+                len,
+                width,
+                entries,
+            } => 3 + entries + packed(len, width),
+            Layout::Rle { runs, .. } => 3 + runs.div_ceil(2) + runs,
+        }
+    }
+
+    /// Bytes of the image.
+    #[cfg(test)]
+    fn image_bytes(&self) -> usize {
+        image_bytes(self.words())
+    }
+
+    /// # Panics
+    ///
+    /// When `slot` is out of bounds, as [`Compressed::get`] does.
+    fn check_slot(&self, slot: usize) {
+        let len = self.len();
+        assert!(slot < len, "page cell {slot} out of bounds {len}");
+    }
+
+    /// The value of cell `slot` when the layout alone holds it: every cell
+    /// of a one-run RLE page — the metadata columns of a range nobody
+    /// updated — is that run's value, so a point read needs no I/O.
+    ///
+    /// # Panics
+    ///
+    /// When `slot` is out of bounds, as [`Compressed::get`] does.
+    pub(crate) fn constant(&self, slot: usize) -> Option<u64> {
+        self.check_slot(slot);
+        match *self {
+            Layout::Rle { runs: 1, first, .. } => Some(first),
+            _ => None,
+        }
+    }
+
+    /// The bytes of the image a point read of `slot` reads: the block
+    /// holding a plain cell or a packed FOR value, both blocks when the
+    /// value straddles their boundary, and the whole image of a dictionary
+    /// or RLE page (a code and its entry, or a run search, may lie anywhere).
+    ///
+    /// # Panics
+    ///
+    /// When `slot` is out of bounds, as [`Compressed::get`] does.
+    pub(crate) fn blocks_for(&self, slot: usize) -> Range<usize> {
+        self.check_slot(slot);
+        let words = match *self {
+            Layout::Plain { .. } => 2 + slot..3 + slot,
+            Layout::For { width, .. } => {
+                let bit = slot * width as usize;
+                3 + bit / 64..4 + (bit + width as usize - 1) / 64
+            }
+            Layout::Dict { .. } | Layout::Rle { .. } => 0..self.words(),
+        };
+        let first = words.start / BLOCK_DATA * BLOCK_BYTES;
+        let last = (words.end - 1) / BLOCK_DATA * BLOCK_BYTES;
+        first..(last + BLOCK_BYTES).min(image_bytes(self.words()))
+    }
+
+    /// The value of `slot`, read from `bytes` — the image bytes
+    /// [`Layout::blocks_for`] names — of page `id`'s image. Every block is
+    /// checked before a word of it is used; a damaged or misplaced block is
+    /// [`StorageError::Corrupt`], and no value of `bytes` can make the read
+    /// leave them.
+    pub(crate) fn cell(&self, id: u64, slot: usize, bytes: &[u8]) -> StorageResult<u64> {
+        let first = self.blocks_for(slot).start / BLOCK_BYTES;
+        let image = Blocks::check(id, self.words(), first, bytes)?;
+        Ok(match *self {
+            Layout::Plain { .. } => image.word(2 + slot),
+            Layout::For { width, frame, .. } => frame.wrapping_add(image.packed(3, slot, width)),
+            Layout::Dict { width, entries, .. } => {
+                let code = image.packed(3 + entries, slot, width);
+                if code >= entries as u64 {
+                    return corrupt(format!("dictionary code beyond its {entries} entries"));
+                }
+                image.word(3 + code as usize)
+            }
+            Layout::Rle { runs, .. } => {
+                // Runs starting at or before `slot`: a binary search over
+                // the run starts, two to a word.
+                let start = |run: usize| (image.word(3 + run / 2) >> (run % 2 * 32)) as u32;
+                let (mut lo, mut hi) = (0, runs);
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if start(mid) as usize <= slot {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                if lo == 0 {
+                    return corrupt("run index without a run at 0");
+                }
+                image.word(3 + runs.div_ceil(2) + lo - 1)
+            }
+        })
+    }
 }
 
 #[cfg(test)]
@@ -293,9 +563,9 @@ mod tests {
         for (name, values) in edge_pages() {
             for choice in CODECS {
                 let col = encode(&values, choice);
-                let image = encode_image(&col);
+                let image = encode_image(3, &col);
                 let back =
-                    decode_image(&image).unwrap_or_else(|e| panic!("{name} {choice:?}: {e}"));
+                    decode_image(3, &image).unwrap_or_else(|e| panic!("{name} {choice:?}: {e}"));
                 assert_eq!(back.decode(), values, "{name} {choice:?}");
                 // The codec choice survives the round trip, and wrapping
                 // the loaded column as a page must not re-encode it (the
@@ -308,59 +578,316 @@ mod tests {
                 );
                 let page = BasePage::from_compressed(back);
                 assert_eq!(page.codec_name(), col.codec_name(), "{name} {choice:?}");
-                // The file holds the resident encoding plus a fixed frame.
-                assert!(image.len() <= col.encoded_bytes() + 48, "{name} {choice:?}");
+                // The file holds the resident encoding plus a fixed frame
+                // and one checksum word per 63 words.
+                let words = col.encoded_bytes() / 8 + 4;
+                assert!(
+                    image.len() <= (words + words.div_ceil(63)) * 8,
+                    "{name} {choice:?}"
+                );
+                // The point read's idea of the image is the image.
+                assert_eq!(
+                    Layout::of(&col).image_bytes(),
+                    image.len(),
+                    "{name} {choice:?}"
+                );
             }
         }
+    }
+
+    /// Where a point read would look for every cell of `col`'s image, as
+    /// the page store reads it: the bytes `blocks_for` names, and nothing
+    /// else, handed to `cell`.
+    fn block_read(id: u64, image: &[u8], layout: &Layout, slot: usize) -> StorageResult<u64> {
+        layout.cell(id, slot, &image[layout.blocks_for(slot)])
+    }
+
+    /// Lengths of a `width`-bit packed array, after a FOR header of three
+    /// words, whose last value straddles two words, and whose last value
+    /// straddles the first block boundary (when some value does).
+    fn straddling_lengths(width: usize) -> Vec<usize> {
+        let straddles = |i: usize| i * width % 64 + width > 64;
+        let mut lengths: Vec<usize> = (0..4096).filter(|&i| straddles(i)).take(1).collect();
+        // The boundary between data words 62 and 63 is packed words 59/60.
+        let across = (0..8192).find(|&i| i * width / 64 == BLOCK_DATA - 4 && straddles(i));
+        lengths.extend(across);
+        lengths.iter().map(|i| i + 1).collect()
+    }
+
+    #[test]
+    fn a_block_read_equals_get_for_every_codec_width_and_cell() {
+        let mix = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        let mut cases: Vec<(String, Compressed)> = Vec::new();
+        for width in 1..=64usize {
+            let max = u64::MAX >> (64 - width);
+            // A frame next to `u64::MAX`: the frame add must wrap like
+            // `ForColumn::get`'s.
+            let frame = u64::MAX - max;
+            let mut lengths = vec![1, 4096];
+            lengths.extend(straddling_lengths(width));
+            for len in lengths {
+                // Offsets 0 and `max` both appear, so the packed width is
+                // exactly `width`.
+                let values: Vec<u64> = (0..len as u64)
+                    .map(|i| match i % 5 {
+                        0 => frame,
+                        1 => frame + max,
+                        _ => frame + (mix(i) & max),
+                    })
+                    .collect();
+                let col = encode(&values, CodecChoice::ForPack);
+                if len > 1 {
+                    assert_eq!(
+                        Layout::of(&col),
+                        Layout::For {
+                            len,
+                            width: width as u8,
+                            frame
+                        }
+                    );
+                }
+                cases.push((format!("for width {width} len {len}"), col));
+            }
+        }
+        // Plain cells are words; slots 60..=61 sit on either side of the
+        // first block boundary.
+        for len in [1u64, 61, 62, 4096] {
+            let values: Vec<u64> = (0..len).map(mix).collect();
+            cases.push((
+                format!("plain len {len}"),
+                encode(&values, CodecChoice::None),
+            ));
+        }
+        // Dictionary codes are as wide as the dictionary needs: widths
+        // 1..=12 are all a 4096-value page can reach.
+        for width in 1..=12u32 {
+            let entries = 1u64 << width;
+            for len in [1usize, 577, 4096] {
+                let values: Vec<u64> = (0..len as u64).map(|i| mix(i % entries) | 1).collect();
+                let col = encode(&values, CodecChoice::Dictionary);
+                cases.push((format!("dict width {width} len {len}"), col));
+            }
+        }
+        for (runs, len) in [
+            (1usize, 1usize),
+            (1, 4096),
+            (2, 4096),
+            (3, 4096),
+            (4096, 4096),
+            (77, 4095),
+        ] {
+            let values: Vec<u64> = (0..len).map(|i| mix((i * runs / len) as u64)).collect();
+            cases.push((
+                format!("rle {runs} runs len {len}"),
+                encode(&values, CodecChoice::Rle),
+            ));
+        }
+        for (name, col) in cases {
+            let image = encode_image(11, &col);
+            let layout = Layout::of(&col);
+            // A dictionary or RLE read checks the whole image: every slot
+            // of a small one, a sample of a page-sized one.
+            let whole = matches!(layout, Layout::Dict { .. } | Layout::Rle { .. });
+            let slots =
+                (0..col.len()).filter(|&s| !whole || s < 70 || s % 61 == 0 || s + 70 > col.len());
+            for slot in slots {
+                if let Some(value) = layout.constant(slot) {
+                    assert_eq!(value, col.get(slot), "{name} slot {slot}");
+                }
+                let span = layout.blocks_for(slot);
+                if matches!(layout, Layout::Plain { .. } | Layout::For { .. }) {
+                    // One block, two only across a block boundary.
+                    assert!(span.len() <= 2 * BLOCK_BYTES, "{name} slot {slot}");
+                    assert_eq!(span.start % BLOCK_BYTES, 0, "{name} slot {slot}");
+                }
+                assert_eq!(
+                    block_read(11, &image, &layout, slot).unwrap(),
+                    col.get(slot),
+                    "{name} slot {slot}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_spoils_only_the_reads_of_its_block() {
+        let values: Vec<u64> = (0..4096u64).map(|i| i * 7919).collect();
+        for choice in [CodecChoice::None, CodecChoice::ForPack] {
+            let col = encode(&values, choice);
+            let layout = Layout::of(&col);
+            let image = encode_image(5, &col).to_vec();
+            let blocks = image.len().div_ceil(BLOCK_BYTES);
+            for b in [0, 1, blocks / 2, blocks - 1] {
+                for at in [0, 77, 511].map(|i| (b * BLOCK_BYTES + i).min(image.len() - 1)) {
+                    let mut bad = image.clone();
+                    bad[at] ^= 0x10;
+                    for (slot, &value) in values.iter().enumerate() {
+                        let span = layout.blocks_for(slot);
+                        let got = block_read(5, &bad, &layout, slot);
+                        if span.contains(&at) {
+                            assert!(
+                                matches!(got, Err(StorageError::Corrupt(_))),
+                                "{choice:?}: byte {at} of block {b}, slot {slot}: {got:?}"
+                            );
+                        } else {
+                            assert_eq!(got.unwrap(), value, "{choice:?}: byte {at}, slot {slot}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_out_of_place_is_corrupt() {
+        let page = |seed: u64| -> Vec<u64> { (0..4096u64).map(|i| i * 31 + seed).collect() };
+        for choice in [CodecChoice::None, CodecChoice::ForPack] {
+            let a = encode(&page(1), choice);
+            let b = encode(&page(2), choice);
+            let layout = Layout::of(&a);
+            assert_eq!(layout.words(), Layout::of(&b).words(), "same-sized pages");
+            let image_a = encode_image(40, &a).to_vec();
+            let image_b = encode_image(41, &b).to_vec();
+            let block =
+                |image: &[u8], n: usize| image[n * BLOCK_BYTES..(n + 1) * BLOCK_BYTES].to_vec();
+            // Block 2 swapped with block 5 of the same image; block 2 of
+            // page 41 (same length, same offset) in page 40's image.
+            let mut swapped = image_a.clone();
+            swapped[2 * BLOCK_BYTES..3 * BLOCK_BYTES].copy_from_slice(&block(&image_a, 5));
+            swapped[5 * BLOCK_BYTES..6 * BLOCK_BYTES].copy_from_slice(&block(&image_a, 2));
+            let mut foreign = image_a.clone();
+            foreign[2 * BLOCK_BYTES..3 * BLOCK_BYTES].copy_from_slice(&block(&image_b, 2));
+            for (what, bad, wrong) in [
+                ("swapped", &swapped, &[2usize, 5][..]),
+                ("foreign", &foreign, &[2][..]),
+            ] {
+                assert!(
+                    decode_image(40, bad).is_err(),
+                    "{choice:?} {what}: whole image"
+                );
+                let mut spoiled = 0;
+                for slot in 0..4096 {
+                    let span = layout.blocks_for(slot);
+                    let got = block_read(40, bad, &layout, slot);
+                    if wrong.iter().any(|&n| span.contains(&(n * BLOCK_BYTES))) {
+                        spoiled += 1;
+                        assert!(
+                            matches!(got, Err(StorageError::Corrupt(_))),
+                            "{choice:?} {what}: slot {slot}: {got:?}"
+                        );
+                    } else {
+                        assert_eq!(got.unwrap(), a.get(slot), "{choice:?} {what}: slot {slot}");
+                    }
+                }
+                assert!(spoiled > 0, "{choice:?} {what}");
+            }
+            // The whole image of page 41 read as page 40's.
+            assert!(decode_image(40, &image_b).is_err());
+            assert!(block_read(40, &image_b, &layout, 0).is_err());
+        }
+    }
+
+    /// Flip bytes at `positions` (both ways) and cut at `cuts`; every
+    /// result must be an error, never a panic or a column.
+    fn damage_is_refused(
+        name: &str,
+        choice: CodecChoice,
+        image: &[u8],
+        positions: impl Iterator<Item = usize>,
+        cuts: impl Iterator<Item = usize>,
+    ) {
+        let mut bad = image.to_vec();
+        for at in positions {
+            for flip in [0x01u8, 0xff] {
+                bad[at] ^= flip;
+                assert!(
+                    decode_image(1, &bad).is_err(),
+                    "{name} {choice:?}: byte {at} ^ {flip:#x} went unnoticed"
+                );
+                bad[at] ^= flip;
+            }
+        }
+        for cut in cuts {
+            assert!(
+                decode_image(1, &image[..cut]).is_err(),
+                "{name} {choice:?}: truncation at {cut} went unnoticed"
+            );
+        }
+        let mut longer = image.to_vec();
+        longer.extend_from_slice(&[0; 8]);
+        assert!(
+            decode_image(1, &longer).is_err(),
+            "{name} {choice:?}: trailing word"
+        );
+        // A whole block more, checksummed as its own block would be, is a
+        // longer image of other data words: still refused.
+        let mut block_more = image.to_vec();
+        block_more.extend_from_slice(&image[..BLOCK_BYTES.min(image.len())]);
+        assert!(
+            decode_image(1, &block_more).is_err(),
+            "{name} {choice:?}: a block more"
+        );
     }
 
     #[test]
     fn a_damaged_image_is_an_error_never_a_panic() {
         for (name, values) in edge_pages() {
             for choice in CODECS {
-                let image = encode_image(&encode(&values, choice)).to_vec();
+                let image = encode_image(1, &encode(&values, choice)).to_vec();
                 // Every position of a small image; of a page-sized one the
-                // header, the checksum and every 13th byte between (odd, so
-                // every offset within a word comes up).
-                let positions = |n: usize| {
-                    let step = if n <= 2048 { 1 } else { 13 };
-                    (0..n).filter(move |&at| at < 64 || at + 64 >= n || at % step == 0)
+                // header, the end, both sides of every block boundary and
+                // every 13th byte between (odd, so every offset within a
+                // word comes up). The exhaustive pass is the ignored test
+                // below.
+                let n = image.len();
+                let sampled = move |at: &usize| {
+                    let in_block = at % BLOCK_BYTES;
+                    n <= 2048
+                        || *at < 64
+                        || at + 64 >= n
+                        || !(16..496).contains(&in_block)
+                        || at.is_multiple_of(13)
                 };
-                let mut bad = image.clone();
-                for at in positions(image.len()) {
-                    for flip in [0x01u8, 0xff] {
-                        bad[at] ^= flip;
-                        assert!(
-                            decode_image(&bad).is_err(),
-                            "{name} {choice:?}: byte {at} ^ {flip:#x} went unnoticed"
-                        );
-                        bad[at] ^= flip;
-                    }
-                }
-                for cut in positions(image.len()) {
-                    assert!(
-                        decode_image(&image[..cut]).is_err(),
-                        "{name} {choice:?}: truncation at {cut} went unnoticed"
-                    );
-                }
-                let mut longer = image.clone();
-                longer.extend_from_slice(&[0; 8]);
-                assert!(
-                    decode_image(&longer).is_err(),
-                    "{name} {choice:?}: trailing word"
+                damage_is_refused(
+                    name,
+                    choice,
+                    &image,
+                    (0..n).filter(sampled),
+                    (0..n).filter(sampled),
                 );
             }
         }
     }
 
-    /// A hand-built image with a *valid* checksum: what the structural
+    /// Every byte of every edge page flipped both ways, every length cut.
+    /// Tens of seconds in debug, under a second in release:
+    /// `cargo test --release -p lstore-storage -- --ignored`.
+    #[test]
+    #[ignore]
+    fn every_byte_and_cut_of_every_image_is_refused() {
+        for (name, values) in edge_pages() {
+            for choice in CODECS {
+                let image = encode_image(1, &encode(&values, choice)).to_vec();
+                damage_is_refused(name, choice, &image, 0..image.len(), 0..image.len());
+            }
+        }
+    }
+
+    /// A hand-built image with *valid* checksums: what the structural
     /// checks alone must refuse.
     fn sealed(codec: u8, width: u8, words: &[u64]) -> Vec<u8> {
-        let mut image = MAGIC.to_vec();
-        image.extend_from_slice(&[VERSION, codec, width, 0]);
-        put_words(&mut image, words);
-        let sum = checksum(&image);
-        put_words(&mut image, &[sum]);
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(MAGIC);
+        header[4..7].copy_from_slice(&[VERSION, codec, width]);
+        let mut data = vec![u64::from_le_bytes(header)];
+        data.extend_from_slice(words);
+        let mut image = Vec::new();
+        for (b, block) in data.chunks(BLOCK_DATA).enumerate() {
+            let at = image.len();
+            put_words(&mut image, block);
+            let sum = block_sum([b as u64, data.len() as u64, 0], &image[at..]);
+            put_words(&mut image, &[sum]);
+        }
         image
     }
 
@@ -369,6 +896,7 @@ mod tests {
         // Two run starts in one word.
         let starts = |a: u64, b: u64| b << 32 | a;
         let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("no len", sealed(CODEC_PLAIN, 0, &[])),
             (
                 "plain: fewer cells than len",
                 sealed(CODEC_PLAIN, 0, &[3, 1, 2]),
@@ -428,27 +956,44 @@ mod tests {
             ("unknown codec", sealed(9, 0, &[0])),
         ];
         for (name, image) in cases {
-            match decode_image(&image) {
+            match decode_image(0, &image) {
                 Err(StorageError::Corrupt(_)) => {}
                 other => panic!("{name}: expected Corrupt, got {other:?}"),
             }
         }
         // The builder itself makes valid images: the refusals above are
         // about structure, not about `sealed`.
-        let ok = decode_image(&sealed(CODEC_RLE, 0, &[4, 2, starts(0, 1), 5, 6])).unwrap();
+        let ok = decode_image(0, &sealed(CODEC_RLE, 0, &[4, 2, starts(0, 1), 5, 6])).unwrap();
         assert_eq!(ok.decode(), [5, 6, 6, 6]);
-        let ok = decode_image(&sealed(CODEC_DICT, 2, &[2, 3, 7, 8, 9, 0b1001])).unwrap();
+        let ok = decode_image(0, &sealed(CODEC_DICT, 2, &[2, 3, 7, 8, 9, 0b1001])).unwrap();
         assert_eq!(ok.decode(), [8, 9]);
+        // A point read of a well-summed dictionary image whose code has no
+        // entry is refused too, not an index out of range.
+        let layout = Layout::Dict {
+            len: 2,
+            width: 2,
+            entries: 3,
+        };
+        let image = sealed(CODEC_DICT, 2, &[2, 3, 7, 8, 9, 0b1101]);
+        assert!(layout.cell(0, 0, &image).is_ok());
+        assert!(matches!(
+            layout.cell(0, 1, &image),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn foreign_headers_are_named() {
-        assert!(decode_image(b"nope").is_err());
-        let old = decode_image(b"LSPG\x00\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x05").unwrap_err();
+        assert!(decode_image(0, b"nope").is_err());
+        let old = decode_image(0, b"LSPG\x00\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x05").unwrap_err();
         assert!(old.to_string().contains("old LSPG format"), "{old}");
-        let mut future = encode_image(&encode(&[1, 2, 3], CodecChoice::None)).to_vec();
+        let mut v1 = encode_image(0, &encode(&[1, 2, 3], CodecChoice::None)).to_vec();
+        v1[4] = 1;
+        let err = decode_image(0, &v1).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        let mut future = v1;
         future[4] = VERSION + 1;
-        let err = decode_image(&future).unwrap_err();
+        let err = decode_image(0, &future).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 }

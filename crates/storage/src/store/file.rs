@@ -103,8 +103,14 @@ impl StoreFile {
     /// Read one record payload by position.
     pub(crate) fn read(&self, off: u64, len: u32) -> StorageResult<Vec<u8>> {
         let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, off)?;
+        self.read_into(off, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Fill `buf` from the file at `off` (part of a payload).
+    pub(crate) fn read_into(&self, off: u64, buf: &mut [u8]) -> StorageResult<()> {
+        self.file.read_exact_at(buf, off)?;
+        Ok(())
     }
 
     /// Flush file contents and metadata to stable storage.

@@ -24,6 +24,14 @@
 //! back in. Because pages are immutable, an evicted-and-faulted page is
 //! byte-identical to the sealed original — the equivalence battery in
 //! `tests/buffer_pool_equivalence.rs` pins exactly that.
+//!
+//! A point read ([`PagePtr::get`]) needs one cell, not the page. Of an
+//! evicted page it reads the 512-byte image block(s) holding the cell,
+//! checks them and answers from them, admitting nothing: **stored →
+//! block-read → admitted on second touch ⇄ evicted**. The page joins the
+//! pool when a second point read comes before `budget` pages (the first
+//! read's own included) have left the pool or been turned away from it,
+//! and faults in as any read would.
 
 mod file;
 mod pool;
@@ -39,7 +47,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::disk::{check_header, decode_image, encode_image, MAX_PAGE_CELLS};
+use crate::compress::Compressed;
+use crate::disk::{check_header, decode_image, encode_image, Layout, BLOCK_BYTES, MAX_PAGE_CELLS};
 use crate::error::{StorageError, StorageResult};
 use crate::page::BasePage;
 
@@ -157,11 +166,7 @@ impl PageStore {
     ///
     /// # Panics
     ///
-    /// Panics if a fault-in cannot read back an image the store itself
-    /// wrote (disk gone / file truncated underneath the process). Sealed
-    /// pages are only evicted *after* a successful writeback, so a failing
-    /// read here is unrecoverable environment damage, not a softwarable
-    /// condition — readers are infallible by design.
+    /// When the image cannot be read back (see [`unreadable`]).
     fn pin(self: &Arc<Self>, frame: &Arc<Frame>, streaming: bool) -> PinnedPage {
         if let Some(pinned) = frame.try_pin(streaming) {
             return pinned;
@@ -172,10 +177,14 @@ impl PageStore {
             frame.count_hit();
             return frame.pin_with(page, streaming);
         }
-        let page = Arc::new(
-            self.read_page(frame.id)
-                .expect("page store: fault-in failed to read back a stored page image"),
-        );
+        let (at, col) = self
+            .read_image(frame.id)
+            .unwrap_or_else(|e| unreadable(frame.id, e));
+        // A cold handle learns where its cells are: from now on a point
+        // read of it after an eviction can read blocks instead.
+        frame.layout.get_or_init(|| Layout::of(&col));
+        frame.publish_image(at);
+        let page = Arc::new(BasePage::from_compressed(col));
         *slot = Some(Arc::clone(&page));
         let pinned = frame.pin_with(page, streaming);
         // Into the ring inside the slot's critical section — slot → clock,
@@ -189,23 +198,93 @@ impl PageStore {
         pinned
     }
 
-    /// Read and decode the latest image stored under `id`, bypassing the
-    /// pool. The codec byte in the image is preserved exactly.
-    pub fn read_page(&self, id: u64) -> StorageResult<BasePage> {
+    /// One cell of a frame's page for a point read.
+    ///
+    /// * The page is resident: read it there (a hit). So is a one-value
+    ///   page's cell, which its layout holds.
+    /// * It is not, and the frame knows where its image is and how its
+    ///   cells are laid out: read the block(s) holding the cell, check them,
+    ///   answer from them and admit nothing (a block read) — unless this
+    ///   point read comes within `budget` of the pool's turnover (pages it
+    ///   let go, plus pages it turned away by block reads) since the page's
+    ///   last one, which faults the page in: a page joins the pool on its
+    ///   second touch while its first is still among the last `budget`
+    ///   pages to leave or be turned away — a probationary history as long
+    ///   as the pool, and no setting. An unbounded pool, which never
+    ///   evicts, always faults.
+    /// * A cold handle (restored, never faulted) faults.
+    ///
+    /// Never takes the index lock: the image offset is the frame's own.
+    ///
+    /// # Panics
+    ///
+    /// When the image cannot be read back (see [`unreadable`]).
+    fn get(self: &Arc<Self>, frame: &Arc<Frame>, slot: usize) -> u64 {
+        if let Some(value) = frame.try_get(slot) {
+            return value;
+        }
+        if let Some(layout) = frame.layout.get() {
+            if let Some(value) = layout.constant(slot) {
+                // A one-value page: the file has nothing to add.
+                frame.count_hit();
+                return value;
+            }
+            if let (Some(at), Some(budget)) = (frame.image_at(), self.pool.budget()) {
+                let stats = self.pool.stats();
+                let stamp = stats.turnover() + 1;
+                let last = frame.touched.swap(stamp, Ordering::Relaxed);
+                if last == 0 || stamp.saturating_sub(last) > budget as u64 {
+                    stats.block_reads.fetch_add(1, Ordering::Relaxed);
+                    return self
+                        .read_cell(frame.id, layout, at, slot)
+                        .unwrap_or_else(|e| unreadable(frame.id, e));
+                }
+            }
+        }
+        let pinned = PageRead::Pinned(self.pin(frame, false), Unpinned(self));
+        pinned.get(slot)
+    }
+
+    /// Read cell `slot` of page `id` from the blocks of its image at `at`
+    /// that hold it: one or two blocks of a plain or FOR page, the image of
+    /// a dictionary or RLE page.
+    fn read_cell(&self, id: u64, layout: &Layout, at: u64, slot: usize) -> StorageResult<u64> {
+        let span = layout.blocks_for(slot);
+        let mut blocks = [0u8; 2 * BLOCK_BYTES];
+        let mut whole = Vec::new();
+        let bytes = match blocks.get_mut(..span.len()) {
+            Some(bytes) => bytes,
+            None => {
+                whole.resize(span.len(), 0);
+                &mut whole[..]
+            }
+        };
+        self.file.read_into(at + span.start as u64, bytes)?;
+        layout.cell(id, slot, bytes)
+    }
+
+    /// The offset and the column of the latest image stored under `id`.
+    fn read_image(&self, id: u64) -> StorageResult<(u64, Compressed)> {
         let (off, len) = *self
             .index
             .read()
             .get(&id)
             .ok_or(StorageError::MissingEntry { id })?;
         let bytes = self.file.read(off, len)?;
-        Ok(BasePage::from_compressed(decode_image(&bytes)?))
+        Ok((off, decode_image(id, &bytes)?))
+    }
+
+    /// Read and decode the latest image stored under `id`, bypassing the
+    /// pool. The codec byte in the image is preserved exactly.
+    pub fn read_page(&self, id: u64) -> StorageResult<BasePage> {
+        Ok(BasePage::from_compressed(self.read_image(id)?.1))
     }
 
     /// Write an image for `page` under `id`, superseding any earlier
     /// record. Used directly by checkpoint manifests; eviction and flush
     /// go through the same append path.
     pub fn put_page(&self, id: u64, page: &BasePage) -> StorageResult<()> {
-        self.writeback(id, page)
+        self.writeback(id, page).map(drop)
     }
 
     /// True when an image exists under `id`.
@@ -228,7 +307,7 @@ impl PageStore {
                 if h.frame.dirty.load(Ordering::SeqCst) {
                     let page = h.frame.slot.read().clone();
                     if let Some(page) = page {
-                        self.writeback(h.frame.id, &page)?;
+                        self.write_frame(&h.frame, &page)?;
                         h.frame.dirty.store(false, Ordering::SeqCst);
                         self.pool.stats().writebacks.fetch_add(1, Ordering::Relaxed);
                     }
@@ -253,7 +332,7 @@ impl PageStore {
             let Some(page) = frame.slot.read().clone() else {
                 continue;
             };
-            self.writeback(frame.id, &page)?;
+            self.write_frame(&frame, &page)?;
             frame.dirty.store(false, Ordering::SeqCst);
             self.pool.stats().writebacks.fetch_add(1, Ordering::Relaxed);
         }
@@ -286,7 +365,8 @@ impl PageStore {
         self.pool.ring_len()
     }
 
-    fn writeback(&self, id: u64, page: &BasePage) -> StorageResult<()> {
+    /// Append an image of `page` under `id`; returns its offset.
+    fn writeback(&self, id: u64, page: &BasePage) -> StorageResult<u64> {
         if page.len() > MAX_PAGE_CELLS {
             // Refused here, where it is an error, not at the fault that
             // would find the image unreadable.
@@ -295,16 +375,22 @@ impl PageStore {
                 page.len()
             )));
         }
-        let image = encode_image(page.compressed());
+        let image = encode_image(id, page.compressed());
         let (off, len) = self.file.append(id, &image)?;
         self.index.write().insert(id, (off, len));
+        Ok(off)
+    }
+
+    /// Write a frame's page back and tell the frame where its image is.
+    fn write_frame(&self, frame: &Frame, page: &BasePage) -> StorageResult<()> {
+        frame.publish_image(self.writeback(frame.id, page)?);
         Ok(())
     }
 
     fn enforce_budget(&self) {
         let outcome = self
             .pool
-            .enforce_budget(&mut |id, page| self.writeback(id, page));
+            .enforce_budget(&mut |frame, page| self.write_frame(frame, page));
         if let Err(e) = outcome {
             let mut last = self.last_error.lock();
             if last.is_none() {
@@ -312,6 +398,17 @@ impl PageStore {
             }
         }
     }
+}
+
+/// What a read does when the file cannot give back an image the store
+/// wrote — disk gone, file truncated or damaged underneath the process:
+/// it panics, naming the page. The one policy for a fault and a block read
+/// alike. Sealed pages are only evicted *after* a successful writeback, so
+/// this is environment damage, not a condition a reader could handle —
+/// readers are infallible by design.
+#[cold]
+fn unreadable(id: u64, err: StorageError) -> ! {
+    panic!("page store: cannot read back the stored image of page {id}: {err}")
 }
 
 impl fmt::Debug for PageStore {
@@ -374,9 +471,26 @@ impl PagePtr {
         }
     }
 
+    /// Cell `slot` of the page: the point read. Resident pages cost one
+    /// branch. A stored page is read where it is resident; when it is not,
+    /// from the image block(s) holding the cell — admitting nothing —
+    /// unless this is the page's second point read within `budget` of the
+    /// pool's turnover, which faults it in (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// When `slot` is out of bounds, or the image cannot be read back.
+    #[inline]
+    pub fn get(&self, slot: usize) -> u64 {
+        match self {
+            PagePtr::Resident(page) => page.get(slot),
+            PagePtr::Stored(h) => h.store.get(&h.frame, slot),
+        }
+    }
+
     /// Read the page. Resident pages cost one branch; stored pages pin
     /// their frame (faulting the image in if evicted) until the guard
-    /// drops.
+    /// drops. For one cell, [`PagePtr::get`].
     #[inline]
     pub fn read(&self) -> PageRead<'_> {
         self.pin(false)
@@ -768,7 +882,7 @@ mod tests {
                         let u = (rng >> 40) as f64 / (1u64 << 24) as f64;
                         let i = (u * u * ptrs.len() as f64) as usize;
                         let slot = (rng >> 8) as usize % 64;
-                        assert_eq!(ptrs[i].read().get(slot), page(i as u64, 64).get(slot));
+                        assert_eq!(ptrs[i].get(slot), page(i as u64, 64).get(slot));
                     }
                 });
             });
@@ -783,6 +897,9 @@ mod tests {
                 stats.faults > 0 && stats.hits > 0,
                 "budget {budget}: {stats:?}"
             );
+            if budget == 7 {
+                assert!(stats.block_reads > 0, "budget {budget}: {stats:?}");
+            }
             std::fs::remove_file(&path).ok();
         }
     }
@@ -817,6 +934,188 @@ mod tests {
         let stats = store.pool_stats();
         assert!(stats.faults >= 4, "budget 1 over 2 pages must thrash");
         assert!(stats.hit_rate() < 1.0);
+        // A block read is a miss too.
+        let cold = if a.resident_bytes() == 0 { &a } else { &b };
+        cold.get(3);
+        let after = store.pool_stats();
+        assert_eq!(after.block_reads, 1);
+        let expected = after.hits as f64 / (after.hits + after.faults + 1) as f64;
+        assert_eq!(after.hit_rate(), expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Page `seed` of 4096 plain cells: 66 image blocks.
+    fn wide_page(seed: u64) -> BasePage {
+        BasePage::plain((0..4096u64).map(|i| seed << 32 | i).collect())
+    }
+
+    #[test]
+    fn a_point_read_reads_blocks_and_admits_the_page_on_its_second_touch() {
+        let path = temp_store_path("admission");
+        let store = PageStore::open(&path, Some(2)).unwrap();
+        let sealed: Vec<PagePtr> = (0..6).map(|i| store.seal(wide_page(i))).collect();
+        let ptrs = &sealed;
+        let evicted =
+            |skip: usize| (0..6).filter(move |&i| i != skip && ptrs[i].resident_bytes() == 0);
+        // One eviction exactly: a streaming fault of a page not resident
+        // admits it into the full pool, which lets one other go.
+        let evict_one = |skip: usize| {
+            let before = store.pool_stats().evictions;
+            let i = evicted(skip).next().expect("a page not resident");
+            drop(ptrs[i].read_streaming());
+            assert_eq!(store.pool_stats().evictions, before + 1);
+        };
+
+        // First touch: the cell's block, nothing admitted.
+        let p = evicted(usize::MAX).next().unwrap();
+        let (before, ring) = (store.pool_stats(), store.ring_len());
+        assert_eq!(ptrs[p].get(1234), wide_page(p as u64).get(1234));
+        let after = store.pool_stats();
+        assert_eq!(
+            (after.resident, store.ring_len(), after.faults),
+            (before.resident, ring, before.faults)
+        );
+        assert_eq!(after.block_reads, before.block_reads + 1);
+        assert_eq!(ptrs[p].resident_bytes(), 0, "a block read admits nothing");
+        // Second touch within `budget` (2) of turnover since the first —
+        // its own block read and one eviction: faulted in.
+        evict_one(p);
+        assert_eq!(ptrs[p].get(4000), wide_page(p as u64).get(4000));
+        let second = store.pool_stats();
+        assert_eq!(second.faults, after.faults + 2);
+        assert_eq!(second.block_reads, after.block_reads);
+        assert!(ptrs[p].resident_bytes() > 0, "admitted on the second touch");
+        // Resident: a hit, whatever the stamp says.
+        assert_eq!(ptrs[p].get(1), wide_page(p as u64).get(1));
+        assert_eq!(store.pool_stats().hits, second.hits + 1);
+
+        // A repeat after more than `budget` of turnover is a block read
+        // again: its own block read, one eviction, another page's block
+        // read.
+        let q = evicted(p).next().unwrap();
+        assert_eq!(ptrs[q].get(0), wide_page(q as u64).get(0));
+        evict_one(q);
+        let r = evicted(q).find(|&r| r != p).unwrap();
+        assert_eq!(ptrs[r].get(5), wide_page(r as u64).get(5));
+        let before = store.pool_stats();
+        assert_eq!(ptrs[q].get(4095), wide_page(q as u64).get(4095));
+        let after = store.pool_stats();
+        assert_eq!(after.faults, before.faults);
+        assert_eq!(after.block_reads, before.block_reads + 1);
+        assert_eq!(ptrs[q].resident_bytes(), 0);
+        assert_eq!(after.pinned, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_cold_handle_faults_until_it_knows_its_layout() {
+        let path = temp_store_path("cold-layout");
+        let ids: Vec<u64> = {
+            let store = PageStore::open(&path, None).unwrap();
+            let ptrs: Vec<PagePtr> = (0..3).map(|i| store.seal(wide_page(i))).collect();
+            store.flush().unwrap();
+            ptrs.iter().map(|p| p.page_id().unwrap()).collect()
+        };
+        let store = PageStore::open(&path, Some(1)).unwrap();
+        let cold: Vec<PagePtr> = ids.iter().map(|&id| store.handle(id).unwrap()).collect();
+        // Never faulted: no layout yet, so the point read faults.
+        assert_eq!(cold[0].get(7), wide_page(0).get(7));
+        assert_eq!(
+            (store.pool_stats().faults, store.pool_stats().block_reads),
+            (1, 0)
+        );
+        // Evicted by the next cold page's fault, it now reads blocks.
+        assert_eq!(cold[1].get(7), wide_page(1).get(7));
+        assert_eq!(cold[0].get(9), wide_page(0).get(9));
+        assert_eq!(
+            (store.pool_stats().faults, store.pool_stats().block_reads),
+            (2, 1)
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_damaged_image_fails_a_point_read_as_it_fails_a_fault() {
+        let path = temp_store_path("damage");
+        let store = PageStore::open(&path, Some(1)).unwrap();
+        let a = store.seal(wide_page(1));
+        let _b = store.seal(wide_page(2)); // evicts `a`, writing its image
+        let PagePtr::Stored(handle) = &a else {
+            unreachable!("sealed into a store")
+        };
+        let at = handle.frame.image_at().expect("written back on eviction");
+        let layout = *handle.frame.layout.get().unwrap();
+        // One byte inside the block holding cell 2000.
+        let damaged = at + layout.blocks_for(2000).start as u64 + 100;
+        {
+            use std::os::unix::fs::FileExt;
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            let mut byte = [0u8];
+            file.read_exact_at(&mut byte, damaged).unwrap();
+            file.write_all_at(&[byte[0] ^ 0x40], damaged).unwrap();
+        }
+        let caught = |read: &dyn Fn()| -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
+                .expect_err("a damaged image must not be answered from");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let by_block_read = caught(&|| {
+            a.get(2000);
+        });
+        assert_eq!(store.pool_stats().block_reads, 1, "it was a block read");
+        let by_fault = caught(&|| drop(a.read()));
+        assert_eq!(by_block_read, by_fault);
+        let id = a.page_id().unwrap();
+        assert!(
+            by_fault.contains(&format!("page {id}")) && by_fault.contains("checksum mismatch"),
+            "{by_fault}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_unbounded_pool_prunes_the_ring_entries_of_dropped_frames() {
+        let path = temp_store_path("prune");
+        let store = PageStore::open(&path, None).unwrap();
+        let kept: Vec<PagePtr> = (0..10).map(|i| store.seal(page(i, 8))).collect();
+        for i in 0..10_000 {
+            drop(store.seal(page(i, 8)));
+        }
+        let resident = store.pool_stats().resident as usize;
+        assert_eq!(resident, kept.len());
+        assert!(
+            store.ring_len() <= 2 * resident + 64,
+            "{} ring entries for {resident} resident frames",
+            store.ring_len()
+        );
+        for (i, ptr) in kept.iter().enumerate() {
+            assert_eq!(ptr.read().decode(), page(i as u64, 8).decode());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_page_file_of_version_1_images_is_refused_at_open() {
+        let path = temp_store_path("v1-format");
+        // One LSPR record holding a version-1 LSPI image of the value 5:
+        // header, len, the cell, one checksum for the whole image.
+        let mut image = b"LSPI\x01\0\0\0".to_vec();
+        for word in [1u64, 5, 0x1234] {
+            image.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut file = b"LSPR".to_vec();
+        file.extend_from_slice(&7u64.to_be_bytes());
+        file.extend_from_slice(&(image.len() as u32).to_be_bytes());
+        file.extend_from_slice(&image);
+        std::fs::write(&path, &file).unwrap();
+        match PageStore::open(&path, Some(4)) {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("version 1"), "{why}"),
+            other => panic!("expected a Corrupt naming version 1, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 }

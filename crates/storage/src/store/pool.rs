@@ -16,7 +16,9 @@
 //! acquisition of the clock mutex. Dirty victims are written back through
 //! a caller-supplied writeback function before the slot is dropped — with
 //! the clock released — so the file always holds a decodable image of
-//! every evicted page.
+//! every evicted page, and the frame knows where it is before its slot
+//! empties ([`Frame::image_at`], which a point read of an evicted page
+//! reads its cell from).
 //!
 //! Two lock orders, neither of which can wait for the other: a fault (and
 //! a dirty eviction, once its image is written) holds a frame's slot lock
@@ -26,10 +28,11 @@
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::disk::Layout;
 use crate::error::{StorageError, StorageResult};
 use crate::page::BasePage;
 
@@ -49,8 +52,17 @@ pub(crate) struct PoolStats {
     /// Hits of frames that have left the ring; see [`Frame::hits`].
     pub(crate) hits: AtomicU64,
     pub(crate) faults: AtomicU64,
+    pub(crate) block_reads: AtomicU64,
     pub(crate) evictions: AtomicU64,
     pub(crate) writebacks: AtomicU64,
+}
+
+impl PoolStats {
+    /// Pages the pool has let go (evictions) or turned away (block reads):
+    /// the clock a point read's admission window is measured on.
+    pub(crate) fn turnover(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed) + self.block_reads.load(Ordering::Relaxed)
+    }
 }
 
 /// Point-in-time copy of the pool counters plus the configured budget.
@@ -60,10 +72,15 @@ pub struct PoolStatsSnapshot {
     pub resident: u64,
     /// Outstanding [`PinnedPage`] guards.
     pub pinned: u64,
-    /// Pins satisfied without touching the page file.
+    /// Pins and point reads satisfied without touching the page file.
     pub hits: u64,
-    /// Pins that had to read and decode a page image (misses).
+    /// Pins and point reads that had to read and decode a whole page image
+    /// into the pool (misses).
     pub faults: u64,
+    /// Point reads of a page that was not resident, answered from the
+    /// image blocks holding the cell without faulting the page in
+    /// (misses too).
+    pub block_reads: u64,
     /// Frames whose slot was dropped by the clock sweep.
     pub evictions: u64,
     /// Dirty pages encoded and appended to the page file.
@@ -73,10 +90,11 @@ pub struct PoolStatsSnapshot {
 }
 
 impl PoolStatsSnapshot {
-    /// Hit fraction of all pin requests, in `[0, 1]`; `1.0` before any
+    /// Hit fraction of all page requests — pins and point reads — in
+    /// `[0, 1]`: `hits / (hits + faults + block_reads)`; `1.0` before any
     /// request (an empty window has no misses).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.faults;
+        let total = self.hits + self.faults + self.block_reads;
         if total == 0 {
             1.0
         } else {
@@ -101,6 +119,18 @@ pub(crate) struct Frame {
     /// in the ring, which is why [`BufferPool::live_frames`] finds every
     /// page a flush has to write.
     pub(crate) dirty: AtomicBool,
+    /// Where a point read finds one cell in the page's image: taken from
+    /// the page when it is sealed or faulted in; unset on a cold handle
+    /// that has never been faulted.
+    pub(crate) layout: OnceLock<Layout>,
+    /// File offset of an image of the page, [`Frame::NO_IMAGE`] until one
+    /// is written or read. Published before the evictor empties the slot,
+    /// so a reader that finds the slot empty finds the image.
+    image_at: AtomicU64,
+    /// The pool's turnover ([`PoolStats::turnover`]) plus one when a point
+    /// read last found this page out of the pool, 0 before any: the
+    /// admission stamp (see `PageStore::get`).
+    pub(crate) touched: AtomicU64,
     /// Pins that found the page resident since the frame last entered the
     /// ring; folded into [`PoolStats::hits`] when it leaves (eviction,
     /// drop). Counted here because every thread shares the global's line.
@@ -109,21 +139,42 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
+    const NO_IMAGE: u64 = u64::MAX;
+
     pub(crate) fn new(
         id: u64,
         page: Option<Arc<BasePage>>,
         dirty: bool,
         stats: Arc<PoolStats>,
     ) -> Frame {
+        let layout = match &page {
+            Some(page) => OnceLock::from(Layout::of(page.compressed())),
+            None => OnceLock::new(),
+        };
         Frame {
             id,
             slot: RwLock::new(page),
             pins: AtomicU64::new(0),
             referenced: AtomicBool::new(false),
             dirty: AtomicBool::new(dirty),
+            layout,
+            image_at: AtomicU64::new(Frame::NO_IMAGE),
+            touched: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             stats,
         }
+    }
+
+    /// Record that the file holds an image of this page at `offset`. Any
+    /// image will do: pages are immutable, so every record under this id
+    /// holds the same words.
+    pub(crate) fn publish_image(&self, offset: u64) {
+        self.image_at.store(offset, Ordering::Release);
+    }
+
+    /// The offset [`Frame::publish_image`] recorded, if any.
+    pub(crate) fn image_at(&self) -> Option<u64> {
+        Some(self.image_at.load(Ordering::Acquire)).filter(|&at| at != Frame::NO_IMAGE)
     }
 
     /// Pin this frame around `page`. The caller must hold (or be inside the
@@ -133,9 +184,8 @@ impl Frame {
     /// ask the clock for a second chance on this reader's account.
     pub(crate) fn pin_with(self: &Arc<Self>, page: Arc<BasePage>, streaming: bool) -> PinnedPage {
         self.pins.fetch_add(1, Ordering::SeqCst);
-        // The bit publishes nothing; a set one is not written again.
-        if !streaming && !self.referenced.load(Ordering::Relaxed) {
-            self.referenced.store(true, Ordering::SeqCst);
+        if !streaming {
+            self.reference();
         }
         PinnedPage {
             page,
@@ -154,6 +204,25 @@ impl Frame {
         drop(slot);
         self.count_hit();
         Some(pinned)
+    }
+
+    /// Fast path of a point read: cell `slot` of the page if it is
+    /// resident. Counts a hit and sets the reference bit like a pin, but
+    /// pins nothing — the slot's read lock keeps the page for the one
+    /// `get`.
+    pub(crate) fn try_get(&self, slot: usize) -> Option<u64> {
+        let value = self.slot.read().as_ref()?.get(slot);
+        self.reference();
+        self.count_hit();
+        Some(value)
+    }
+
+    /// Set the clock's reference bit. The bit publishes nothing; a set one
+    /// is not written again.
+    fn reference(&self) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::SeqCst);
+        }
     }
 
     /// Count a pin that found the page resident.
@@ -229,6 +298,10 @@ pub(crate) enum EvictOutcome {
     WritebackFailed(StorageError),
 }
 
+/// Dead entries [`BufferPool::register`] tolerates beyond twice the
+/// resident frames before it prunes them.
+const RING_SLACK: usize = 64;
+
 /// Clock state: the ring of resident frames and the sweep hand.
 ///
 /// Ring length = resident frames + entries not yet pruned (the `Weak` of
@@ -289,8 +362,21 @@ impl BufferPool {
     /// Put a frame whose slot has just been filled into the ring. The
     /// caller holds the slot's write lock (or the only reference to the
     /// frame), has pinned it, and bumps `resident` only afterwards.
+    ///
+    /// The entries of frames dropped while resident are pruned by the hand
+    /// as it passes, but an unbounded pool never sweeps: so once the ring
+    /// is more than twice the resident frames (plus a little, so a small
+    /// ring is not pruned at every registration) the dead entries go here.
+    /// A pass then removes at least as many dead entries as it keeps live
+    /// ones, and each entry dies once: O(1) amortised per registration.
     pub(crate) fn register(&self, frame: &Arc<Frame>) {
-        self.clock.lock().frames.push(Arc::downgrade(frame));
+        let mut clock = self.clock.lock();
+        clock.frames.push(Arc::downgrade(frame));
+        let resident = self.stats.resident.load(Ordering::SeqCst) as usize;
+        if clock.frames.len() > 2 * resident + RING_SLACK {
+            clock.frames.retain(|entry| entry.strong_count() > 0);
+            clock.hand = clock.hand.min(clock.frames.len());
+        }
     }
 
     /// Snapshot the resident frames (for flush sweeps).
@@ -315,7 +401,7 @@ impl BufferPool {
     /// returned; the victim stays resident and dirty.
     pub(crate) fn enforce_budget(
         &self,
-        writeback: &mut dyn FnMut(u64, &BasePage) -> StorageResult<()>,
+        writeback: &mut dyn FnMut(&Frame, &BasePage) -> StorageResult<()>,
     ) -> StorageResult<()> {
         let Some(budget) = self.budget else {
             return Ok(());
@@ -336,7 +422,7 @@ impl BufferPool {
     /// only *tried*, so pin and fault paths never wait on the sweep.
     fn evict_one(
         &self,
-        writeback: &mut dyn FnMut(u64, &BasePage) -> StorageResult<()>,
+        writeback: &mut dyn FnMut(&Frame, &BasePage) -> StorageResult<()>,
     ) -> EvictOutcome {
         let mut clock = self.clock.lock();
         for _ in 0..clock.frames.len() * 2 {
@@ -381,7 +467,7 @@ impl BufferPool {
                 // lock rather than miss an unwritten page, and a failed
                 // write leaves the frame where it was, still dirty.
                 drop(clock);
-                if let Err(e) = writeback(frame.id, page) {
+                if let Err(e) = writeback(&frame, page) {
                     return EvictOutcome::WritebackFailed(e);
                 }
                 frame.dirty.store(false, Ordering::SeqCst);
@@ -424,6 +510,7 @@ impl BufferPool {
             pinned,
             hits,
             faults: self.stats.faults.load(Ordering::Relaxed),
+            block_reads: self.stats.block_reads.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             writebacks: self.stats.writebacks.load(Ordering::Relaxed),
             budget: self.budget,

@@ -7,6 +7,10 @@
 //!   heap-resident pages and for store-backed ones behind a 2-page pool,
 //!   for column lists with repeats and longer than the inline buffer, and
 //!   for every column subset.
+//! * Cell reads of store-backed pages — answered from the image blocks of
+//!   evicted pages or from pages faulted in — against heap-resident ones,
+//!   for every codec shape above, every slot and the three metadata
+//!   columns.
 //! * Multi-column reads through the table against one single-column read
 //!   per column and against a model, for chains that settle a row's columns
 //!   from three different tail versions, from first-update snapshot
@@ -141,6 +145,41 @@ fn gather_equals_cell_reads_behind_a_two_page_pool() {
     let pool = store.pool_stats();
     assert!(pool.faults > 0 && pool.evictions > 0, "{pool:?}");
     drop(base);
+    drop(store);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn block_reads_equal_resident_reads_behind_a_two_page_pool() {
+    let dir = std::env::temp_dir().join("lstore-read-equivalence");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("blocks-{}.pages", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let store = PageStore::open(&path, Some(2)).unwrap();
+    let resident = base_version(PagePtr::resident);
+    let stored = base_version(|page| PagePtr::seal(Some(&store), page));
+    let ncols = columns().len();
+    // Row by row across nine pages and two frames: a page's next touch
+    // comes a lap of the other eight later, so reads alternate between
+    // the image blocks of evicted pages and pages faulted in on a touch
+    // soon after their last one.
+    for slot in 0..SLOTS as u32 {
+        for c in 0..ncols {
+            assert_eq!(
+                stored.value(c, slot),
+                resident.value(c, slot),
+                "{}, slot {slot}",
+                columns()[c].0
+            );
+        }
+        assert_eq!(stored.start_cell(slot), resident.start_cell(slot));
+        assert_eq!(stored.last_updated(slot), resident.last_updated(slot));
+        assert_eq!(stored.schema_enc(slot), resident.schema_enc(slot));
+    }
+    let pool = store.pool_stats();
+    assert!(pool.block_reads > 0 && pool.faults > 0, "{pool:?}");
+    assert_eq!(pool.pinned, 0, "{pool:?}");
+    drop(stored);
     drop(store);
     std::fs::remove_file(&path).ok();
 }
