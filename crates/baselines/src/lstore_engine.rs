@@ -12,9 +12,12 @@ use lstore::{Database, DbConfig, Error, ReadRequest, Table, TableConfig};
 
 use crate::engine::{seed, Engine};
 
-/// The harness's `usize` column indices as a [`ReadRequest`] selection.
-fn wire_cols(cols: &[usize]) -> Vec<u32> {
-    cols.iter().map(|&c| c as u32).collect()
+/// The harness's `usize` column indices as a [`ReadRequest`] selection; an
+/// index past `u32::MAX` stays out of range instead of wrapping.
+fn column_selection(cols: &[usize]) -> Vec<u32> {
+    cols.iter()
+        .map(|&c| u32::try_from(c).unwrap_or(u32::MAX))
+        .collect()
 }
 
 /// Adapter exposing an L-Store table as a benchmark [`Engine`].
@@ -143,7 +146,7 @@ impl Engine for LStoreEngine {
     }
 
     fn point_read(&self, key: u64, cols: &[usize]) -> Option<Vec<u64>> {
-        let request = ReadRequest::latest(key).with_columns(wire_cols(cols));
+        let request = ReadRequest::latest(key).with_columns(column_selection(cols));
         self.table().read_one(&request).ok()?.values
     }
 
@@ -152,7 +155,7 @@ impl Engine for LStoreEngine {
         // fan-out (a per-key sequential loop when the batch is below
         // `DbConfig::batch_read_min` or the pool is 1 wide).
         self.table()
-            .read_batch(keys, Some(&wire_cols(cols)), None)
+            .read_batch(keys, Some(&column_selection(cols)), None)
             .into_iter()
             .map(|r| r.ok()?.values)
             .collect()

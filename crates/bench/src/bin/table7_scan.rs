@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 use lstore_baselines::{DbmEngine, Engine, IuhEngine, LStoreEngine};
 use lstore_bench::report::{self, secs, secs_fine, speedup};
 use lstore_bench::setup;
@@ -166,7 +166,11 @@ fn time_pooled_scan(rows: u64, budget: Option<usize>, tag: &str, iters: usize) -
     let before = db.store_stats().expect("store configured");
     for _ in 0..8 {
         for k in 0..64u64.min(rows) {
-            std::hint::black_box(t.read_as_of(k, &[0], ts).expect("hot read"));
+            std::hint::black_box(
+                t.read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0]))
+                    .expect("hot read")
+                    .values,
+            );
         }
     }
     let after = db.store_stats().expect("store configured");

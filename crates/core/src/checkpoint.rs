@@ -250,7 +250,7 @@ impl Table {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Database, DbConfig, TableConfig};
+    use crate::{Database, DbConfig, ReadRequest, TableConfig};
 
     fn ckpt_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("lstore-checkpoint-tests");
@@ -286,7 +286,8 @@ mod tests {
             assert!(report.ranges >= 2);
             expect_sum = t.sum_auto(0);
             expect_count = t.count_as_of(t.now());
-            expect_rows = [1u64, 5, 250, 599].map(|k| t.read_latest_auto(k).unwrap());
+            expect_rows = [1u64, 5, 250, 599]
+                .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap());
             drop(db);
         }
         // Reopen the same store cold: restore consults only the manifest
@@ -301,7 +302,14 @@ mod tests {
         assert_eq!(t2.sum_auto(0), expect_sum);
         assert_eq!(t2.count_as_of(t2.now()), expect_count);
         for (k, expect) in [1u64, 5, 250, 599].into_iter().zip(expect_rows) {
-            assert_eq!(t2.read_latest_auto(k).unwrap(), expect, "key {k}");
+            assert_eq!(
+                t2.read_one(&ReadRequest::latest(k))
+                    .unwrap()
+                    .values
+                    .unwrap(),
+                expect,
+                "key {k}"
+            );
         }
         let stats = t2.stats();
         assert!(
@@ -311,7 +319,13 @@ mod tests {
         // The restored table accepts new writes, merges, and re-checkpoints.
         t2.update_auto(1, &[(1, 999)]).unwrap();
         t2.merge_all();
-        assert_eq!(t2.read_latest_auto(1).unwrap()[1], 999);
+        assert_eq!(
+            t2.read_one(&ReadRequest::latest(1))
+                .unwrap()
+                .values
+                .unwrap()[1],
+            999
+        );
         t2.checkpoint_to_store().unwrap();
         std::fs::remove_file(&path).ok();
     }

@@ -1,8 +1,8 @@
 //! Commit-path batching and transactional batched reads.
 //!
-//! PR 5 batched the detached read path (`multi_read_*`) and PR 7 gave it a
-//! wire-shaped API (`read_batch`); this module extends the same machinery
-//! into the §5.1.1 transaction lifecycle, in three pieces:
+//! The detached batched reader ([`Table::read_batch`]) plans its probes
+//! with the batch planner of `crate::multi_read`; this module extends the
+//! same machinery into the §5.1.1 transaction lifecycle, in three pieces:
 //!
 //! * [`TransactionReads`] — `Transaction::multi_read` /
 //!   `multi_read_cols`: batched point reads that join every probed record
@@ -10,9 +10,9 @@
 //!   [`Table::read`] calls (isolation rules, duplicate tracking,
 //!   read-your-own-writes included).
 //! * `Runtime::validate_read_set` — the batched commit-time validator:
-//!   the read set is grouped per table, sorted by (shard, base RID), cut
-//!   into floor-gated units, and fanned out over the unified task pool the
-//!   same way `multi_read` plans probes (see
+//!   the read set is grouped per table, and each table's slice runs through
+//!   the same planner as the probes — sorted by (shard, base RID), cut into
+//!   floor-gated units, fanned out over the unified task pool (see
 //!   `Table::validate_reads_batch`).
 //! * `Runtime::apply_committed_writes` — batched write application at
 //!   commit: each table the write set names takes its entries in write

@@ -154,13 +154,13 @@ pub struct DbConfig {
     /// execution knob: results, commit timestamps (one global clock), RIDs,
     /// and the WAL format are identical for every value.
     pub shards: usize,
-    /// Minimum batch size before `Table::multi_read_latest` /
-    /// `Table::multi_read_as_of` dispatch across the task pool: batches
-    /// with fewer keys resolve in a plain sequential loop on the caller
-    /// (no deduplication, no pool hand-off — per-key index probes are far
-    /// cheaper than waking workers for them). Purely an execution knob,
-    /// like `pool_threads`: results are identical on both sides of the
-    /// threshold.
+    /// Minimum batch size before a batched read (`Table::read_batch`,
+    /// `Transaction::multi_read`) or a commit's read-set validation
+    /// dispatches across the task pool: smaller batches resolve in a plain
+    /// sequential loop on the caller (no deduplication, no pool hand-off —
+    /// per-key index probes are far cheaper than waking workers for them).
+    /// Purely an execution knob, like `pool_threads`: results are identical
+    /// on both sides of the threshold.
     pub batch_read_min: usize,
     /// Page-store file path; `None` (the default) keeps every sealed base
     /// page resident in memory, exactly the pre-store behavior. When set,
@@ -253,7 +253,7 @@ impl DbConfig {
         self
     }
 
-    /// Set the minimum batch size at which `multi_read_*` fans out across
+    /// Set the minimum batch size at which a batched read fans out across
     /// the task pool (clamped to ≥ 2 — a single-key batch never has
     /// anything to fan out).
     pub fn with_batch_read_min(mut self, batch_read_min: usize) -> Self {

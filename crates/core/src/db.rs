@@ -45,7 +45,7 @@ pub struct Runtime {
     background_merge: bool,
     /// Configured per-table key-range shard count (`DbConfig::shards`).
     shards: usize,
-    /// Minimum batch size before `multi_read_*` fans out across the pool
+    /// Minimum batch size before a batched read fans out across the pool
     /// (`DbConfig::batch_read_min`).
     batch_read_min: usize,
     /// The unified merge/scan worker pool, spawned lazily on the first

@@ -22,17 +22,19 @@
 //!   writers scale with cores the way the scan pool scales reads — while
 //!   one global clock keeps snapshot semantics identical for every shard
 //!   count.
-//! * Multi-key lookups batch through **`Table::read_batch` /
-//!   `Table::multi_read`** (and the multi-table `Database::multi_read`):
+//! * A point read is one [`ReadRequest`] (key, columns, snapshot) through
+//!   **`Table::read_one`**; multi-key lookups batch through
+//!   **`Table::read_batch`** (and the multi-table `Database::multi_read`):
 //!   one sort groups a batch by shard, dedups, and clusters
 //!   range-neighbors, then the units fan out across the unified task pool
 //!   — byte-identical to the per-key loop, with per-key `Result`s in input
-//!   order.
+//!   order. Inside a transaction, `Table::read` and
+//!   [`TransactionReads::multi_read`] join the read set.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use lstore::{Database, DbConfig, TableConfig};
+//! use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 //!
 //! let db = Database::new(DbConfig::default());
 //! let table = db
@@ -48,7 +50,8 @@
 //! table.update(&mut txn, 1, &[(1, 8)]).unwrap();
 //! db.commit(&mut txn).unwrap();
 //!
-//! assert_eq!(table.read_latest_auto(1).unwrap(), vec![150, 8, 0]);
+//! let row = table.read_one(&ReadRequest::latest(1)).unwrap();
+//! assert_eq!(row.values, Some(vec![150, 8, 0]));
 //!
 //! // Analytical scan on the same data, no ETL, no second copy.
 //! assert_eq!(table.sum_auto(0), 150);

@@ -1,12 +1,11 @@
-//! Batched parallel point reads over the unified task pool.
+//! The point-read core: one key resolution, and one batch planner.
 //!
-//! The paper's Table 9 workload issues point lookups in groups ("each
-//! transaction issues 10 point reads"); after the scan fan-out (PR 2) and
-//! the merge/scan pool unification (PR 4), those multi-key reads were the
-//! last read path still resolving one key at a time on the caller. This
-//! module batches them: [`Table::read_batch`] (and its adapters
-//! [`Table::multi_read_latest`] and [`Table::multi_read_as_of`]) take a
-//! slice of keys and return one `Result` per key, **in input order**.
+//! Every point read — [`Table::read_one`], [`Table::read_batch`], the
+//! transactional [`Table::read`] and `TransactionReads::multi_read` —
+//! resolves a key through `Table::resolve_point` (single keys) or the
+//! batched planner below, and maps the shared `PointOutcome` to its own
+//! return shape. Commit-time validation of a large read set
+//! (`Table::validate_reads_batch`) runs on the same planner.
 //!
 //! The batched plan:
 //!
@@ -14,17 +13,17 @@
 //!    any batch when `pool_threads = 1`) resolve in a plain sequential
 //!    loop on the caller — no planning, no pool dispatch. Per-key index
 //!    probes are far cheaper than waking pool workers for them.
-//! 2. **Sort.** One `(shard, key, input position)` sort — the shard from
-//!    pure [`crate::shard::ShardMap`] routing arithmetic, no
-//!    primary-index probe on the caller — buys shard grouping, range
-//!    locality, and deduplication at once: runs of equal keys become
-//!    adjacent and resolve a single time (duplicate positions share the
-//!    outcome), and stripe-contiguous keys land on consecutive ranges so
-//!    a worker reuses each range's base-version snapshot instead of
-//!    re-resolving it per key.
+//! 2. **Sort.** One `(shard, key)` sort — for reads the shard comes from
+//!    pure [`crate::shard::ShardMap`] routing arithmetic, no primary-index
+//!    probe on the caller — buys shard grouping, range locality, and
+//!    deduplication at once: runs of equal keys become adjacent and
+//!    resolve a single time (duplicate positions share the outcome), and
+//!    stripe-contiguous keys land on consecutive ranges so a worker reuses
+//!    each range's base-version snapshot instead of re-resolving it per
+//!    key.
 //! 3. **Cut.** The sorted run splits into fan-out units at shard
 //!    boundaries and size targets — but never below `4 × batch_read_min`
-//!    keys per unit, because handing a unit to a worker costs a wakeup
+//!    items per unit, because handing a unit to a worker costs a wakeup
 //!    worth many point probes. A batch that fits one unit resolves
 //!    inline on the caller (keeping the locality win); wider batches fan
 //!    out for real.
@@ -41,263 +40,246 @@
 //! reads an immutable base snapshot plus the append-only tail — so the
 //! grouping and the pool width are pure execution strategy: at any fixed
 //! snapshot timestamp a batch is byte-identical to a sequential loop of
-//! [`Table::read_as_of`] calls, for every `pool_threads` and `shards`
-//! value (`multi_read_agrees_with_sequential_reads` pins widths and shard
-//! counts 1/2/8). Under `latest` semantics each key independently sees
-//! some committed version at least as new as any commit that completed
-//! before the batch began, exactly like a loop of single reads.
+//! [`Table::read_one`] calls, for every `pool_threads` and `shards` value
+//! (`multi_read_agrees_with_sequential_reads` pins widths and shard counts
+//! 1/2/8). Under `latest` semantics each key independently sees some
+//! committed version at least as new as any commit that completed before
+//! the batch began, exactly like a loop of single reads.
 
 use std::sync::Arc;
 
+use lstore_txn::ReadSetEntry;
+
 use crate::error::{Error, Result};
-use crate::range::{BaseVersion, UpdateRange};
-use crate::read::{ReadMode, Resolved};
+use crate::range::BaseVersion;
+use crate::read::{ReadMode, Resolved, VersionReader};
+use crate::rid::Rid;
 use crate::table::Table;
 
 /// Resolution of one key against one table — the shared currency of every
-/// point-read entry point, batched or not. `Clone` so duplicate keys in a
-/// batch can share a single resolution. Carries the base and version RIDs
-/// so transactional callers can join outcomes into their read set exactly
-/// as the single-key [`Table::read`] path does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum PointOutcome {
-    /// A visible version existed; the requested columns' values.
-    Visible {
-        /// The probed base record.
-        base_rid: u64,
-        /// The version that was visible (read-set validation currency).
-        version_rid: u64,
-        /// The requested columns' values.
-        values: Vec<u64>,
-    },
-    /// The key is indexed but no version is visible (deleted, or not yet
-    /// committed at the requested snapshot).
-    Invisible {
-        /// The probed base record.
-        base_rid: u64,
-        /// True when the visible version is a delete marker (tracked by
-        /// transactional reads, like [`Table::read`]'s `Deleted` arm);
-        /// false when nothing is visible at all (never tracked).
-        deleted: bool,
-    },
-    /// The key is absent from the primary index.
-    Missing,
-}
+/// point-read entry point, batched or not: `None` when the key is absent
+/// from the primary index, else its base RID and what the read saw there.
+/// The RIDs let transactional callers join outcomes into their read set.
+pub(crate) type PointOutcome = Option<(Rid, Resolved)>;
+
+/// The last range a sorted run touched and its base-version snapshot:
+/// consecutive items of one range share a single `base()` call.
+type RangeCache = Option<(u32, Arc<BaseVersion>)>;
 
 impl Table {
-    /// Resolve one key under `mode` (internal data-column indices). The
-    /// single-key readers (`read_one`, `read_as_of`, `read_latest_auto`)
-    /// and the batched planner all come through here, so
-    /// batched and sequential reads cannot drift apart semantically.
+    /// Resolve one key under `mode` (internal data-column indices). Every
+    /// single-key read comes through here, and the batched planner's fast
+    /// path too, so batched and sequential reads cannot drift apart
+    /// semantically. The slot's indirection and meta cells are prefetched
+    /// as soon as the index probe yields the RID.
     pub(crate) fn resolve_point(&self, key: u64, cols: &[usize], mode: ReadMode) -> PointOutcome {
-        let Ok(base_rid) = self.locate(key) else {
-            return PointOutcome::Missing;
-        };
+        let base_rid = self.locate(key).ok()?;
         let range = self.range(base_rid.range());
+        range.prefetch_slot(base_rid.slot());
         let base = range.base();
+        base.prefetch_meta(base_rid.slot());
         let reader = self.reader(range, &base);
-        Self::outcome_of(base_rid, reader.read_record(base_rid.slot(), cols, mode))
+        Some((base_rid, reader.read_record(base_rid.slot(), cols, mode)))
     }
 
-    /// Map one slot resolution to the shared [`PointOutcome`] currency.
-    fn outcome_of(base_rid: crate::rid::Rid, resolved: Resolved) -> PointOutcome {
-        match resolved {
-            Resolved::Visible {
-                version_rid,
-                values,
-            } => PointOutcome::Visible {
-                base_rid: base_rid.0,
-                version_rid: version_rid.0,
-                values,
-            },
-            Resolved::Deleted => PointOutcome::Invisible {
-                base_rid: base_rid.0,
-                deleted: true,
-            },
-            Resolved::NotVisible => PointOutcome::Invisible {
-                base_rid: base_rid.0,
-                deleted: false,
-            },
+    /// A reader over range `range_id`, reusing `cache`'s base snapshot
+    /// when the previous item of a sorted run was in the same range.
+    fn cached_reader<'a>(&'a self, cache: &'a mut RangeCache, range_id: u32) -> VersionReader<'a> {
+        let range = self.range(range_id);
+        if cache.as_ref().is_some_and(|(id, _)| *id != range_id) {
+            *cache = None;
         }
+        let (_, base) = cache.get_or_insert_with(|| (range_id, range.base()));
+        self.reader(range, base)
     }
 
-    /// Sequentially resolve one worker's unit: a `(shard, key, input
-    /// position)` slice sorted by key. Runs of duplicate keys resolve
-    /// once and share (clone) the outcome, and the `(range, base)`
-    /// snapshot is reused across consecutive keys instead of re-resolved
-    /// per key — sorted stripe-contiguous keys land on consecutive
-    /// ranges, the same locality trick as `sum_key_range`'s keyed partial
-    /// sums.
-    fn resolve_sorted_unit(
-        &self,
-        unit: &[(u32, u64, u32)],
-        cols: &[usize],
-        mode: ReadMode,
-        out: &mut Vec<(u32, PointOutcome)>,
-    ) {
-        type Cached = (u32, Arc<UpdateRange>, Arc<BaseVersion>);
-        let mut cache: Option<Cached> = None;
-        let mut i = 0;
-        while i < unit.len() {
-            let key = unit[i].1;
-            let mut j = i + 1;
-            while j < unit.len() && unit[j].1 == key {
-                j += 1; // run of duplicate input positions for this key
-            }
-            let outcome = match self.locate(key) {
-                Err(_) => PointOutcome::Missing,
-                Ok(base_rid) => {
-                    let hit = matches!(&cache, Some((rid, _, _)) if *rid == base_rid.range());
-                    if !hit {
-                        let r = self.range(base_rid.range());
-                        let b = r.base();
-                        cache = Some((base_rid.range(), Arc::clone(r), b));
-                    }
-                    let (_, range, base) = cache.as_ref().expect("cache just filled");
-                    let reader = self.reader(range, base);
-                    Self::outcome_of(base_rid, reader.read_record(base_rid.slot(), cols, mode))
-                }
-            };
-            for &(_, _, pos) in &unit[i..j - 1] {
-                out.push((pos, outcome.clone()));
-            }
-            out.push((unit[j - 1].2, outcome));
-            i = j;
-        }
+    /// Whether a batch of `len` items resolves in a plain loop on the
+    /// caller rather than through [`Table::fan_out_sorted`].
+    fn batch_is_small(&self, len: usize) -> bool {
+        len < self.runtime.batch_read_min() || self.runtime.scan_width() <= 1
     }
 
-    /// The batched point-read planner: sort by (shard, key) → cut into
-    /// units → fan out → scatter back to input order. `cols` are internal
-    /// data-column indices. One sort buys everything at once: shard
-    /// grouping, range locality within a unit, and adjacent-duplicate
-    /// deduplication.
-    pub(crate) fn multi_read_outcomes(
-        &self,
-        keys: &[u64],
-        cols: &[usize],
-        mode: ReadMode,
-    ) -> Vec<PointOutcome> {
-        let width = self.runtime.scan_width();
-        if keys.len() <= 1 || width <= 1 || keys.len() < self.runtime.batch_read_min() {
-            // Small-batch fast path: the plain per-key loop. No pool
-            // dispatch, no planning bookkeeping — and with `pool_threads
-            // = 1` (the `deterministic()` setting) every batch takes this
-            // branch, keeping batched reads strictly sequential there.
-            return keys
-                .iter()
-                .map(|&key| self.resolve_point(key, cols, mode))
-                .collect();
-        }
-
-        // Plan: `(shard, key, input position)` triples sorted by (shard,
-        // key). The shard comes from pure `ShardMap` routing arithmetic —
-        // no primary-index probe happens on the caller.
-        let shard_map = self.shard_map();
-        let mut triples: Vec<(u32, u64, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(pos, &key)| (shard_map.shard_of(key), key, pos as u32))
-            .collect();
-        triples.sort_unstable_by_key(|&(shard, key, _)| (shard, key));
-
-        // Cut the sorted run into fan-out units at shard boundaries and
-        // size targets, never splitting a run of duplicate keys. Units
-        // never drop below `4 × batch_read_min` keys: handing a unit to a
-        // worker costs a wakeup (~10µs, many times a point probe), so
-        // work splits no finer than several dispatch-thresholds per unit
-        // — a batch that fits one unit resolves inline on the caller,
-        // keeping the sorted order's per-range locality win.
+    /// The batch planner: sort `items` by `(shard, key)`, cut the run into
+    /// units, and fan the units out across the task pool. `fold` runs once
+    /// per unit, into one accumulator per pool chunk; the accumulators come
+    /// back in chunk order.
+    ///
+    /// Units never drop below `4 × batch_read_min` items: handing a unit to
+    /// a worker costs a wakeup (~10µs, many times a point probe), so a
+    /// batch that fits one unit resolves inline on the caller. The floor
+    /// gates *every* cut, shard-boundary cuts included: shard purity is a
+    /// locality preference, not a correctness requirement (a unit spanning
+    /// shards merely misses the range cache once at the boundary), so a
+    /// small batch scattered over many shards still coalesces into one
+    /// inline unit. Equal keys always share a shard, and a size cut waits
+    /// for the key to change, so no cut splits a run of duplicates.
+    fn fan_out_sorted<P, A, F>(&self, items: &mut [(u32, u64, P)], fold: F) -> Vec<A>
+    where
+        P: Sync,
+        A: Default + Send,
+        F: Fn(&mut A, &[(u32, u64, P)]) + Sync,
+    {
+        items.sort_unstable_by_key(|&(shard, key, _)| (shard, key));
         let min_unit = self.runtime.batch_read_min() * 4;
-        let target = triples.len().div_ceil(width).max(min_unit);
+        let target = items
+            .len()
+            .div_ceil(self.runtime.scan_width())
+            .max(min_unit);
         let mut units: Vec<(usize, usize)> = Vec::new();
         let mut start = 0;
-        for i in 1..=triples.len() {
-            // The floor gates *every* cut — shard-boundary cuts included:
-            // shard purity is a locality preference, not a correctness
-            // requirement (resolution is per-key; a unit spanning shards
-            // merely misses the range cache once at the boundary), so a
-            // small batch scattered over many shards must still coalesce
-            // into one inline unit rather than dispatch per-shard slivers.
-            // Equal keys always share a shard, so neither cut can split a
-            // duplicate run.
-            let cut = i == triples.len()
+        for i in 1..=items.len() {
+            let cut = i == items.len()
                 || (i - start >= min_unit
-                    && (triples[i].0 != triples[i - 1].0
-                        || (i - start >= target && triples[i].1 != triples[i - 1].1)));
+                    && (items[i].0 != items[i - 1].0
+                        || (i - start >= target && items[i].1 != items[i - 1].1)));
             if cut {
                 units.push((start, i));
                 start = i;
             }
         }
-
-        // Fan the units out across the pool (caller participates; workers
-        // interleave units with pending merge jobs), each worker
-        // re-pinning the batch's epoch through the cloned guard. A single
-        // unit short-circuits to an inline call in `scan_fanout`.
         let guard = self.runtime.epoch.pin();
-        let triples = &triples;
-        let partials = self.scan_fanout(&units, &guard, |chunk| {
-            let mut out = Vec::new();
+        let items = &*items;
+        self.scan_fanout(&units, &guard, |chunk| {
+            let mut acc = A::default();
             for &(lo, hi) in chunk {
-                self.resolve_sorted_unit(&triples[lo..hi], cols, mode, &mut out);
+                fold(&mut acc, &items[lo..hi]);
             }
-            out
-        });
-
-        // Scatter straight back to input positions.
-        let mut resolved: Vec<Option<PointOutcome>> = vec![None; keys.len()];
-        for (pos, outcome) in partials.into_iter().flatten() {
-            resolved[pos as usize] = Some(outcome);
-        }
-        resolved
-            .into_iter()
-            .map(|outcome| outcome.expect("every input position resolved"))
-            .collect()
+            acc
+        })
     }
 
-    /// Map public value-column indices (the legacy `usize` flavor) to the
-    /// [`crate::request::ReadRequest`] `u32` column selection.
-    fn wire_cols(user_cols: &[usize]) -> Vec<u32> {
-        user_cols.iter().map(|&c| c as u32).collect()
-    }
-
-    /// Batched latest-committed point reads of **all value columns** — the
-    /// batch variant of [`Table::read_latest_auto`], a thin adapter over
-    /// [`Table::read_batch`]. One `Result` per key, in input order:
-    /// `Ok(values)` for a visible record, [`Error::KeyNotFound`] for an
-    /// absent *or deleted* key (matching the single-key reader). A missing
-    /// key never fails the rest of the batch.
-    ///
-    /// Batches of at least `DbConfig::batch_read_min` keys deduplicate,
-    /// group by key-range shard, and fan out across the unified task pool
-    /// with the caller participating; smaller batches (and all batches
-    /// under `pool_threads = 1`) resolve sequentially on the caller.
-    /// Either way the results are byte-identical.
-    pub fn multi_read_latest(&self, keys: &[u64]) -> Vec<Result<Vec<u64>>> {
-        self.read_batch(keys, None, None)
-            .into_iter()
-            .zip(keys)
-            .map(|(result, &key)| result.and_then(|r| r.values.ok_or(Error::KeyNotFound(key))))
-            .collect()
-    }
-
-    /// Batched snapshot point reads at timestamp `ts` — the batch variant
-    /// of [`Table::read_as_of`], a thin adapter over
-    /// [`Table::read_batch`], byte-identical to calling the single-key
-    /// reader in a loop (for every pool width and shard count):
-    /// `Ok(Some(values))` for a version visible at `ts`, `Ok(None)` for a
-    /// record deleted or not yet inserted at `ts`,
-    /// [`Error::KeyNotFound`] per unindexed key.
-    pub fn multi_read_as_of(
+    /// The batched readers' front end: resolve `keys` under `mode` and map
+    /// each outcome with `each`, one `Result` per key in input order. An
+    /// out-of-range column (`cols` is `Err((column, columns))`) fails every
+    /// key with its own [`Error::ColumnOutOfRange`], as a loop would.
+    pub(crate) fn read_keys<T>(
         &self,
         keys: &[u64],
-        user_cols: &[usize],
-        ts: u64,
-    ) -> Vec<Result<Option<Vec<u64>>>> {
-        self.read_batch(keys, Some(&Self::wire_cols(user_cols)), Some(ts))
-            .into_iter()
-            .map(|result| result.map(|r| r.values))
-            .collect()
+        cols: std::result::Result<Vec<usize>, (usize, usize)>,
+        mode: ReadMode,
+        mut each: impl FnMut(u64, PointOutcome) -> Result<T>,
+    ) -> Vec<Result<T>> {
+        match cols {
+            Ok(cols) => self
+                .multi_read_outcomes(keys, &cols, mode)
+                .into_iter()
+                .zip(keys)
+                .map(|(outcome, &key)| each(key, outcome))
+                .collect(),
+            Err((column, columns)) => keys
+                .iter()
+                .map(|_| Err(Error::ColumnOutOfRange { column, columns }))
+                .collect(),
+        }
+    }
+
+    /// Resolve every key under `mode`, one outcome per key in input order.
+    /// Small batches loop over [`Table::resolve_point`]; larger ones go
+    /// through the planner, each unit resolving a run of duplicate keys
+    /// once and scattering the outcome to every input position.
+    fn multi_read_outcomes(
+        &self,
+        keys: &[u64],
+        cols: &[usize],
+        mode: ReadMode,
+    ) -> Vec<PointOutcome> {
+        if self.batch_is_small(keys.len()) {
+            return keys
+                .iter()
+                .map(|&key| self.resolve_point(key, cols, mode))
+                .collect();
+        }
+        let shard_map = self.shard_map();
+        let mut plan: Vec<(u32, u64, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(pos, &key)| (shard_map.shard_of(key), key, pos as u32))
+            .collect();
+        let partials =
+            self.fan_out_sorted(&mut plan, |out: &mut Vec<(u32, PointOutcome)>, unit| {
+                let mut cache = None;
+                for run in unit.chunk_by(|a, b| a.1 == b.1) {
+                    let Some((&(_, key, first), dups)) = run.split_first() else {
+                        continue;
+                    };
+                    let outcome = self.locate(key).ok().map(|base_rid| {
+                        let reader = self.cached_reader(&mut cache, base_rid.range());
+                        (base_rid, reader.read_record(base_rid.slot(), cols, mode))
+                    });
+                    out.extend(dups.iter().map(|&(_, _, pos)| (pos, outcome.clone())));
+                    out.push((first, outcome));
+                }
+            });
+        // Every input position appears in exactly one unit, so the
+        // pre-filled placeholders are all overwritten.
+        let mut resolved: Vec<PointOutcome> = vec![None; keys.len()];
+        for (pos, outcome) in partials.into_iter().flatten() {
+            resolved[pos as usize] = outcome;
+        }
+        resolved
+    }
+
+    /// Batched §5.1.1 validate-reads over this table's slice of a commit's
+    /// read set: `entries` carries `(read-set position, entry)` pairs.
+    /// Returns the **lowest-position** failing entry as `(position, base
+    /// RID)` — the same entry a sequential front-to-back loop would trip
+    /// on first — or `None` when every entry validates. Large slices go
+    /// through the planner sorted by (owning shard, base RID): the read
+    /// set already carries resolved base RIDs, so no index probe is
+    /// needed.
+    pub(crate) fn validate_reads_batch(
+        &self,
+        entries: &[(usize, ReadSetEntry)],
+        txn_id: u64,
+    ) -> Option<(usize, u64)> {
+        if self.batch_is_small(entries.len()) {
+            let mut cache = None;
+            return entries
+                .iter()
+                .find(|(_, e)| !self.entry_still_visible(&mut cache, e, txn_id))
+                .map(|&(pos, e)| (pos, e.base_rid));
+        }
+        let mut plan: Vec<(u32, u64, (usize, ReadSetEntry))> = entries
+            .iter()
+            .map(|&(pos, e)| {
+                let shard = self.range(Rid(e.base_rid).range()).shard;
+                (shard, e.base_rid, (pos, e))
+            })
+            .collect();
+        let partials = self.fan_out_sorted(&mut plan, |worst: &mut Option<(usize, u64)>, unit| {
+            let mut cache = None;
+            for &(_, base_rid, (pos, entry)) in unit {
+                if worst.is_none_or(|(p, _)| pos < p)
+                    && !self.entry_still_visible(&mut cache, &entry, txn_id)
+                {
+                    *worst = Some((pos, base_rid));
+                }
+            }
+        });
+        partials.into_iter().flatten().min_by_key(|&(pos, _)| pos)
+    }
+
+    /// The validation kernel: re-resolve `entry`'s base record with own
+    /// writes excluded and compare against the observed version.
+    fn entry_still_visible(
+        &self,
+        cache: &mut RangeCache,
+        entry: &ReadSetEntry,
+        txn_id: u64,
+    ) -> bool {
+        let base_rid = Rid(entry.base_rid);
+        let mode = ReadMode {
+            as_of: None,
+            txn_id,
+            speculative: entry.speculative,
+            exclude_own: true,
+        };
+        let reader = self.cached_reader(cache, base_rid.range());
+        match reader.read_record(base_rid.slot(), &[0], mode) {
+            Resolved::Visible { version_rid, .. } => version_rid.0 == entry.version_rid,
+            Resolved::Deleted => entry.version_rid == 0,
+            Resolved::NotVisible => false,
+        }
     }
 }
 
@@ -306,6 +288,7 @@ mod tests {
     use crate::config::{DbConfig, TableConfig};
     use crate::db::Database;
     use crate::error::Error;
+    use lstore_txn::IsolationLevel;
 
     /// A table with keys 0..n (value cols = [k+1, k*2]), key 3 deleted.
     fn setup(
@@ -331,8 +314,8 @@ mod tests {
     #[test]
     fn empty_batch_returns_empty() {
         let (_db, t) = setup(DbConfig::new().with_pool_threads(4), 10);
-        assert!(t.multi_read_latest(&[]).is_empty());
-        assert!(t.multi_read_as_of(&[], &[0], t.now()).is_empty());
+        assert!(t.read_batch(&[], None, None).is_empty());
+        assert!(t.read_batch(&[], Some(&[0]), Some(t.now())).is_empty());
     }
 
     #[test]
@@ -345,7 +328,7 @@ mod tests {
             4,
         );
         let keys: Vec<u64> = (1000..1064).collect();
-        let got = t.multi_read_latest(&keys);
+        let got = t.read_batch(&keys, None, None);
         assert_eq!(got.len(), keys.len());
         for (r, &k) in got.iter().zip(&keys) {
             assert!(
@@ -362,9 +345,9 @@ mod tests {
         let (_db, t) = setup(DbConfig::new().with_pool_threads(8), 10);
         assert!(t.runtime.spawned_pool().is_none(), "pool spawns lazily");
         for keys in [&[5u64][..], &[5, 6][..], &[9, 5, 7][..]] {
-            let got = t.multi_read_latest(keys);
+            let got = t.read_batch(keys, None, None);
             for (r, &k) in got.iter().zip(keys) {
-                assert_eq!(r.as_deref().unwrap(), &[k + 1, k * 2]);
+                assert_eq!(r.as_ref().unwrap().values, Some(vec![k + 1, k * 2]));
             }
         }
         assert!(
@@ -375,14 +358,14 @@ mod tests {
         // also stays inline: splitting it would hand workers less work
         // than their wakeup costs.
         let keys: Vec<u64> = (0..DbConfig::DEFAULT_BATCH_READ_MIN as u64 * 4).collect();
-        let _ = t.multi_read_latest(&keys);
+        let _ = t.read_batch(&keys, None, None);
         assert!(
             t.runtime.spawned_pool().is_none(),
             "single-unit batches must not dispatch on the pool"
         );
         // A batch wide enough for several units is what finally fans out.
         let keys: Vec<u64> = (0..DbConfig::DEFAULT_BATCH_READ_MIN as u64 * 16).collect();
-        let _ = t.multi_read_latest(&keys);
+        let _ = t.read_batch(&keys, None, None);
         assert!(t.runtime.spawned_pool().is_some(), "large batch fans out");
     }
 
@@ -400,9 +383,9 @@ mod tests {
             t.insert_auto(k, &[k + 1]).unwrap();
         }
         assert!(t.runtime.spawned_pool().is_none(), "pool spawns lazily");
-        let got = t.multi_read_latest(&keys); // 24 ≥ batch_read_min: planned path
+        let got = t.read_batch(&keys, None, None); // 24 ≥ batch_read_min: planned path
         for (r, &k) in got.iter().zip(&keys) {
-            assert_eq!(r.as_deref().unwrap(), &[k + 1]);
+            assert_eq!(r.as_ref().unwrap().values, Some(vec![k + 1]));
         }
         assert!(
             t.runtime.spawned_pool().is_none(),
@@ -419,17 +402,19 @@ mod tests {
         let ts = t.now();
         // dup visible, deleted, missing, dup of the dup, huge key.
         let keys = [5u64, 3, 999, 5, u64::MAX, 5, 0];
-        let got = t.multi_read_as_of(&keys, &[0, 1], ts);
-        assert_eq!(got[0].as_ref().unwrap().as_deref(), Some(&[6, 10][..]));
-        assert_eq!(got[1].as_ref().unwrap(), &None, "deleted => Ok(None)");
+        let got = t.read_batch(&keys, Some(&[0, 1]), Some(ts));
+        let values = |i: usize| got[i].as_ref().unwrap().values.clone();
+        assert_eq!(values(0), Some(vec![6, 10]));
+        assert_eq!(values(1), None, "deleted => invisible");
         assert!(matches!(got[2], Err(Error::KeyNotFound(999))));
-        assert_eq!(got[3].as_ref().unwrap().as_deref(), Some(&[6, 10][..]));
+        assert_eq!(values(3), Some(vec![6, 10]));
         assert!(matches!(got[4], Err(Error::KeyNotFound(u64::MAX))));
-        assert_eq!(got[5].as_ref().unwrap().as_deref(), Some(&[6, 10][..]));
-        assert_eq!(got[6].as_ref().unwrap().as_deref(), Some(&[1, 0][..]));
-        // Latest semantics: deleted keys surface as per-key NotFound.
-        let latest = t.multi_read_latest(&keys);
-        assert!(matches!(latest[1], Err(Error::KeyNotFound(3))));
+        assert_eq!(values(5), Some(vec![6, 10]));
+        assert_eq!(values(6), Some(vec![1, 0]));
+        // Latest semantics: a deleted key is indexed, so it is an
+        // invisible response, not a missing key.
+        let latest = t.read_batch(&keys, None, None);
+        assert_eq!(latest[1].as_ref().unwrap().values, None);
     }
 
     #[test]
@@ -438,7 +423,7 @@ mod tests {
             DbConfig::new().with_pool_threads(4).with_batch_read_min(2),
             8,
         );
-        let got = t.multi_read_as_of(&[1, 2, 999], &[0, 7], t.now());
+        let got = t.read_batch(&[1, 2, 999], Some(&[0, 7]), Some(t.now()));
         for r in &got {
             assert!(
                 matches!(
@@ -451,5 +436,37 @@ mod tests {
                 "{r:?}"
             );
         }
+    }
+
+    #[test]
+    fn batched_validation_blames_the_lowest_position_like_the_loop() {
+        // 96 reads in descending key order, so read-set position and the
+        // planner's (shard, base RID) order run opposite ways; two later
+        // writers invalidate one read each.
+        let (db, t) = setup(
+            DbConfig::new()
+                .with_pool_threads(4)
+                .with_batch_read_min(2)
+                .with_shards(2),
+            96,
+        );
+        let mut txn = db.begin_with(IsolationLevel::RepeatableRead);
+        for k in (0..96).rev() {
+            t.read(&mut txn, k, &[0]).unwrap();
+        }
+        t.update_auto(17, &[(0, 1)]).unwrap();
+        t.update_auto(70, &[(0, 1)]).unwrap();
+        let entries: Vec<_> = txn.read_set.iter().copied().enumerate().collect();
+        assert_eq!(entries.len(), 96);
+        assert!(!t.batch_is_small(entries.len()), "the planner runs");
+
+        let looped = entries
+            .iter()
+            .find(|(_, e)| !t.entry_still_visible(&mut None, e, txn.id))
+            .map(|&(pos, e)| (pos, e.base_rid));
+        let batched = t.validate_reads_batch(&entries, txn.id);
+        assert_eq!(batched, looped);
+        assert_eq!(batched, Some((95 - 70, t.locate(70).unwrap().0)));
+        db.abort(&mut txn);
     }
 }

@@ -1,18 +1,17 @@
-//! The unified point-read request/response vocabulary.
+//! The detached point-read API: one request/response vocabulary, one
+//! single-key reader and one batched reader.
 //!
-//! Every point-read entry point — embedded ([`Table::read_latest_auto`],
-//! [`Table::read_as_of`], [`Table::multi_read_latest`],
-//! [`Table::multi_read_as_of`]) and remote (`crates/server`'s wire
-//! protocol) — routes through
-//! one pair of types: a [`ReadRequest`] names *what* to read (key, optional
-//! column selection, optional snapshot timestamp) and a [`ReadResponse`]
-//! says *what was there* (`Some(values)` for a visible version, `None` for
-//! a key that is indexed but has no visible version — deleted, or not yet
+//! Every detached point read — embedded ([`Table::read_one`],
+//! [`Table::read_batch`], [`Database::read`], [`Database::multi_read`]) and
+//! remote (`crates/server`'s wire protocol) — routes through one pair of
+//! types: a [`ReadRequest`] names *what* to read (key, optional column
+//! selection, optional snapshot timestamp) and a [`ReadResponse`] says
+//! *what was there* (`Some(values)` for a visible version, `None` for a key
+//! that is indexed but has no visible version — deleted, or not yet
 //! inserted at the requested snapshot). A key absent from the primary index
 //! is an [`Error::KeyNotFound`], never a response.
 //!
-//! The batched forms ([`Table::read_batch`], [`Table::multi_read`],
-//! [`Database::multi_read`]) feed one planner (`crate::multi_read`: sort by
+//! The batched forms feed one planner (`crate::multi_read`: sort by
 //! `(shard, key)`, dedup adjacent duplicates, fan out across the task
 //! pool), so a batch is byte-identical to a loop of [`Table::read_one`]
 //! calls at any fixed snapshot — the invariant the service tier's
@@ -23,9 +22,10 @@ use std::collections::HashMap;
 
 use crate::db::Database;
 use crate::error::{Error, Result};
+use crate::inline::{InlineVec, INLINE_COLS};
 use crate::multi_read::PointOutcome;
-use crate::read::ReadMode;
-use crate::table::Table;
+use crate::read::{ReadMode, Resolved};
+use crate::table::{column_out_of_range, Table};
 
 /// One point read: which key, which value columns (`None` = all), at which
 /// snapshot (`None` = latest committed).
@@ -64,12 +64,6 @@ impl ReadRequest {
         self.columns = Some(columns);
         self
     }
-
-    /// The `(columns, as_of)` execution signature: requests with equal
-    /// signatures can share one batched engine call.
-    fn signature(&self) -> (Option<&[u32]>, Option<u64>) {
-        (self.columns.as_deref(), self.as_of)
-    }
 }
 
 /// Outcome of one successful point read. `values` is `Some` when a version
@@ -101,45 +95,40 @@ impl ReadResponse {
     }
 }
 
+/// The detached reader's view of an outcome: deleted and not-yet-visible
+/// records are both an invisible response.
+fn response(key: u64, outcome: PointOutcome) -> Result<ReadResponse> {
+    match outcome {
+        Some((_, Resolved::Visible { values, .. })) => Ok(ReadResponse::visible(values)),
+        Some(_) => Ok(ReadResponse::invisible()),
+        None => Err(Error::KeyNotFound(key)),
+    }
+}
+
 impl Table {
-    /// Map a request's column selection to internal data-column indices;
-    /// `Err((column, columns))` names the first out-of-range column, so
-    /// batched callers can mint one identical per-key error each.
-    pub(crate) fn request_cols(
+    /// A request's column selection as internal data-column indices.
+    fn request_cols<C: FromIterator<usize>>(
         &self,
         columns: Option<&[u32]>,
-    ) -> std::result::Result<Vec<usize>, (usize, usize)> {
+    ) -> std::result::Result<C, (usize, usize)> {
         match columns {
-            None => Ok((1..self.schema().column_count()).collect()),
-            Some(user) => {
-                let mut cols = Vec::with_capacity(user.len());
-                for &c in user {
-                    match self.internal_col(c as usize) {
-                        Ok(col) => cols.push(col),
-                        Err(_) => return Err((c as usize, self.value_columns())),
-                    }
-                }
-                Ok(cols)
-            }
+            Some(user) => self.data_cols(user.iter().map(|&c| c as usize)),
+            None => self.data_cols(0..self.value_columns()),
         }
     }
 
-    /// Execute one [`ReadRequest`] against this table. The single-key spine
-    /// under every point-read adapter: resolves through the same
-    /// `resolve_point` path as the batched planner.
+    /// Execute one [`ReadRequest`] against this table: the single-key
+    /// spine, resolving through the same `resolve_point` path as the
+    /// batched planner's fast path.
     pub fn read_one(&self, request: &ReadRequest) -> Result<ReadResponse> {
-        let cols = self
+        let cols: InlineVec<usize, INLINE_COLS> = self
             .request_cols(request.columns.as_deref())
-            .map_err(|(column, columns)| Error::ColumnOutOfRange { column, columns })?;
-        let mode = match request.as_of {
-            Some(ts) => ReadMode::as_of(ts),
-            None => ReadMode::latest(),
+            .map_err(column_out_of_range)?;
+        let mode = ReadMode {
+            as_of: request.as_of,
+            ..ReadMode::latest()
         };
-        match self.resolve_point(request.key, &cols, mode) {
-            PointOutcome::Visible { values, .. } => Ok(ReadResponse::visible(values)),
-            PointOutcome::Invisible { .. } => Ok(ReadResponse::invisible()),
-            PointOutcome::Missing => Err(Error::KeyNotFound(request.key)),
-        }
+        response(request.key, self.resolve_point(request.key, &cols, mode))
     }
 
     /// Batched reads sharing one column selection and one snapshot — the
@@ -159,68 +148,11 @@ impl Table {
         columns: Option<&[u32]>,
         as_of: Option<u64>,
     ) -> Vec<Result<ReadResponse>> {
-        let cols = match self.request_cols(columns) {
-            Ok(cols) => cols,
-            Err((column, columns)) => {
-                return keys
-                    .iter()
-                    .map(|_| Err(Error::ColumnOutOfRange { column, columns }))
-                    .collect()
-            }
+        let mode = ReadMode {
+            as_of,
+            ..ReadMode::latest()
         };
-        let mode = match as_of {
-            Some(ts) => ReadMode::as_of(ts),
-            None => ReadMode::latest(),
-        };
-        self.multi_read_outcomes(keys, &cols, mode)
-            .into_iter()
-            .zip(keys)
-            .map(|(outcome, &key)| match outcome {
-                PointOutcome::Visible { values, .. } => Ok(ReadResponse::visible(values)),
-                PointOutcome::Invisible { .. } => Ok(ReadResponse::invisible()),
-                PointOutcome::Missing => Err(Error::KeyNotFound(key)),
-            })
-            .collect()
-    }
-
-    /// Execute a mixed batch of [`ReadRequest`]s: requests sharing a
-    /// `(columns, as_of)` signature group into one [`Table::read_batch`]
-    /// call (the common all-uniform case costs no grouping allocation), and
-    /// results scatter back to input order.
-    pub fn multi_read(&self, requests: &[ReadRequest]) -> Vec<Result<ReadResponse>> {
-        let Some(first) = requests.first() else {
-            return Vec::new();
-        };
-        let sig = first.signature();
-        if requests.iter().all(|r| r.signature() == sig) {
-            let keys: Vec<u64> = requests.iter().map(|r| r.key).collect();
-            return self.read_batch(&keys, sig.0, sig.1);
-        }
-        type Group<'a> = (Option<&'a [u32]>, Option<u64>, Vec<u64>, Vec<usize>);
-        let mut index: HashMap<(Option<&[u32]>, Option<u64>), usize> = HashMap::new();
-        let mut groups: Vec<Group<'_>> = Vec::new();
-        for (pos, r) in requests.iter().enumerate() {
-            let sig = r.signature();
-            let g = *index.entry(sig).or_insert_with(|| {
-                groups.push((sig.0, sig.1, Vec::new(), Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].2.push(r.key);
-            groups[g].3.push(pos);
-        }
-        let mut out: Vec<Option<Result<ReadResponse>>> = requests.iter().map(|_| None).collect();
-        for (columns, as_of, keys, positions) in groups {
-            for (result, pos) in self
-                .read_batch(&keys, columns, as_of)
-                .into_iter()
-                .zip(positions)
-            {
-                out[pos] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every request resolved"))
-            .collect()
+        self.read_keys(keys, self.request_cols(columns), mode, response)
     }
 }
 
@@ -231,39 +163,42 @@ impl Database {
     }
 
     /// Execute a batch of [`ReadRequest`]s that may span tables: requests
-    /// group by table (then by signature, via [`Table::multi_read`]), and
-    /// results return in input order. A request naming an unknown table
-    /// fails with its own [`Error::TableNotFound`] without affecting the
-    /// rest of the batch.
+    /// group by `(table, columns, as_of)`, each group is one
+    /// [`Table::read_batch`] call, and results return in input order —
+    /// byte-identical to a loop of [`Database::read`] calls at any fixed
+    /// snapshot. A request naming an unknown table fails with its own
+    /// [`Error::TableNotFound`] without affecting the rest of the batch.
     pub fn multi_read(&self, requests: &[(&str, ReadRequest)]) -> Vec<Result<ReadResponse>> {
-        let mut index: HashMap<&str, usize> = HashMap::new();
-        let mut groups: Vec<(&str, Vec<ReadRequest>, Vec<usize>)> = Vec::new();
+        type Signature<'a> = (&'a str, Option<&'a [u32]>, Option<u64>);
+        let mut index: HashMap<Signature<'_>, usize> = HashMap::new();
+        let mut groups: Vec<(Signature<'_>, Vec<u64>, Vec<usize>)> = Vec::new();
         for (pos, (name, request)) in requests.iter().enumerate() {
-            let g = *index.entry(name).or_insert_with(|| {
-                groups.push((name, Vec::new(), Vec::new()));
+            let sig = (*name, request.columns.as_deref(), request.as_of);
+            let g = *index.entry(sig).or_insert_with(|| {
+                groups.push((sig, Vec::new(), Vec::new()));
                 groups.len() - 1
             });
-            groups[g].1.push(request.clone());
+            groups[g].1.push(request.key);
             groups[g].2.push(pos);
         }
-        let mut out: Vec<Option<Result<ReadResponse>>> = requests.iter().map(|_| None).collect();
-        for (name, reqs, positions) in groups {
-            match self.table_or_err(name) {
-                Ok(table) => {
-                    for (result, pos) in table.multi_read(&reqs).into_iter().zip(positions) {
-                        out[pos] = Some(result);
-                    }
-                }
-                Err(_) => {
-                    for pos in positions {
-                        out[pos] = Some(Err(Error::TableNotFound(name.to_string())));
-                    }
-                }
+        // Placeholders only: every position belongs to exactly one group.
+        let mut out: Vec<Result<ReadResponse>> = requests
+            .iter()
+            .map(|_| Ok(ReadResponse::invisible()))
+            .collect();
+        for ((name, columns, as_of), keys, positions) in groups {
+            let results = match self.table(name) {
+                Some(table) => table.read_batch(&keys, columns, as_of),
+                None => keys
+                    .iter()
+                    .map(|_| Err(Error::TableNotFound(name.to_string())))
+                    .collect(),
+            };
+            for (result, pos) in results.into_iter().zip(positions) {
+                out[pos] = result;
             }
         }
-        out.into_iter()
-            .map(|r| r.expect("every request resolved"))
-            .collect()
+        out
     }
 }
 
@@ -275,7 +210,11 @@ mod tests {
 
     /// Keys 0..n with value cols [k+1, k*2]; key 3 deleted when n > 3.
     fn setup(n: u64) -> (Arc<Database>, Arc<Table>) {
-        let db = Database::new(DbConfig::deterministic());
+        setup_with(DbConfig::deterministic(), n)
+    }
+
+    fn setup_with(config: DbConfig, n: u64) -> (Arc<Database>, Arc<Table>) {
+        let db = Database::new(config);
         let t = db
             .create_table("req", &["a", "b"], TableConfig::small())
             .unwrap();
@@ -286,6 +225,15 @@ mod tests {
             t.delete_auto(3).unwrap();
         }
         (db, t)
+    }
+
+    /// Equal results, comparing errors by their stable parts.
+    fn assert_same(got: &Result<ReadResponse>, want: &Result<ReadResponse>, what: &str) {
+        match (got, want) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_parts(), b.to_parts(), "{what}"),
+            (a, b) => panic!("{what}: batched {a:?} vs single {b:?}"),
+        }
     }
 
     #[test]
@@ -321,11 +269,16 @@ mod tests {
                 columns: 2
             })
         ));
+        // A column past `u32::MAX` cannot be named: the selection is `u32`.
+        assert!(matches!(
+            t.read_one(&ReadRequest::latest(1).with_columns(vec![u32::MAX])),
+            Err(Error::ColumnOutOfRange { column, columns: 2 }) if column == u32::MAX as usize
+        ));
     }
 
     #[test]
     fn mixed_signature_batch_matches_single_reads() {
-        let (_db, t) = setup(16);
+        let (db, t) = setup(16);
         let now = t.now();
         let requests = vec![
             ReadRequest::latest(1),
@@ -335,14 +288,52 @@ mod tests {
             ReadRequest::latest(99),
             ReadRequest::as_of(1, now),
         ];
-        let batched = t.multi_read(&requests);
+        let named: Vec<(&str, ReadRequest)> = requests.iter().map(|r| ("req", r.clone())).collect();
+        let batched = db.multi_read(&named);
         assert_eq!(batched.len(), requests.len());
         for (result, request) in batched.iter().zip(&requests) {
-            match (result, t.read_one(request)) {
-                (Ok(a), Ok(b)) => assert_eq!(a, &b),
-                (Err(a), Err(b)) => assert_eq!(a.to_parts(), b.to_parts()),
-                (a, b) => panic!("batched {a:?} vs single {b:?}"),
+            assert_same(result, &t.read_one(request), &format!("{request:?}"));
+        }
+    }
+
+    #[test]
+    fn database_multi_read_equals_a_read_loop() {
+        // Two tables × two signatures × a duplicate key × a missing table,
+        // with groups wide enough to take the planned path.
+        let (db, t) = setup_with(
+            DbConfig::new().with_pool_threads(4).with_batch_read_min(2),
+            80,
+        );
+        let other = db
+            .create_table("other", &["x"], TableConfig::small())
+            .unwrap();
+        for k in 0..40 {
+            other.insert_auto(k, &[k + 100]).unwrap();
+        }
+        let ts = t.now();
+        t.update_auto(7, &[(0, 777)]).unwrap();
+        let mut requests: Vec<(&str, ReadRequest)> = Vec::new();
+        for k in (0..90).rev() {
+            requests.push(("req", ReadRequest::latest(k)));
+            requests.push(("req", ReadRequest::as_of(k, ts).with_columns(vec![1])));
+            if k % 2 == 0 {
+                requests.push(("other", ReadRequest::latest(k / 2)));
+                requests.push(("other", ReadRequest::as_of(k, ts).with_columns(vec![0])));
             }
+            if k % 9 == 0 {
+                requests.push(("ghost", ReadRequest::latest(k)));
+            }
+        }
+        requests.push(("req", ReadRequest::latest(7))); // duplicate key
+        requests.push(("other", ReadRequest::latest(1).with_columns(vec![3])));
+        let batched = db.multi_read(&requests);
+        assert_eq!(batched.len(), requests.len());
+        for (result, (name, request)) in batched.iter().zip(&requests) {
+            assert_same(
+                result,
+                &db.read(name, request),
+                &format!("{name} {request:?}"),
+            );
         }
     }
 

@@ -773,16 +773,6 @@ impl Table {
             _ => Ok((None, consistent)),
         }
     }
-
-    /// Latest-committed point read of all value columns (auto-commit) — a
-    /// thin adapter over [`Table::read_one`] with a latest-snapshot
-    /// [`crate::request::ReadRequest`]; [`Table::multi_read_latest`] is the
-    /// batched variant.
-    pub fn read_latest_auto(&self, key: u64) -> crate::error::Result<Vec<u64>> {
-        self.read_one(&crate::request::ReadRequest::latest(key))?
-            .values
-            .ok_or(crate::error::Error::KeyNotFound(key))
-    }
 }
 
 /// Combine the per-chunk partials of one fanned-out scan.

@@ -281,13 +281,31 @@ impl Table {
     /// Map a public value-column index to the internal data-column index.
     #[inline]
     pub(crate) fn internal_col(&self, user_col: usize) -> Result<usize> {
-        if user_col + 1 >= self.schema.column_count() {
-            return Err(Error::ColumnOutOfRange {
-                column: user_col,
-                columns: self.value_columns(),
-            });
+        let columns = self.value_columns();
+        if user_col >= columns {
+            return Err(column_out_of_range((user_col, columns)));
         }
         Ok(user_col + 1)
+    }
+
+    /// Map public value-column indices to internal data-column indices.
+    /// `Err((column, columns))` names the first out-of-range column, so a
+    /// batch can mint one identical [`Error::ColumnOutOfRange`] per key.
+    pub(crate) fn data_cols<C: FromIterator<usize>>(
+        &self,
+        user_cols: impl IntoIterator<Item = usize>,
+    ) -> std::result::Result<C, (usize, usize)> {
+        let columns = self.value_columns();
+        user_cols
+            .into_iter()
+            .map(|c| {
+                if c < columns {
+                    Ok(c + 1)
+                } else {
+                    Err((c, columns))
+                }
+            })
+            .collect()
     }
 
     /// Register an ordered secondary index on a value column. Existing rows
@@ -799,229 +817,66 @@ impl Table {
         user_cols: &[usize],
         speculative: bool,
     ) -> Result<Option<Vec<u64>>> {
-        let cols: InlineVec<usize, INLINE_COLS> =
-            InlineVec::try_collect(user_cols.iter().map(|&c| self.internal_col(c)))?;
-        let base_rid = self.locate(key)?;
-        let range = self.range(base_rid.range());
-        range.prefetch_slot(base_rid.slot());
-        let base = range.base();
-        base.prefetch_meta(base_rid.slot());
-        let reader = self.reader(range, &base);
+        let cols: InlineVec<usize, INLINE_COLS> = self
+            .data_cols(user_cols.iter().copied())
+            .map_err(column_out_of_range)?;
         let mode = self.mode_for(txn, speculative);
-        match reader.read_record(base_rid.slot(), &cols, mode) {
-            Resolved::Visible {
-                version_rid,
-                values,
-            } => {
-                txn.track_read(ReadSetEntry {
-                    table_id: self.id,
-                    base_rid: base_rid.0,
-                    version_rid: version_rid.0,
-                    speculative,
-                });
-                Ok(Some(values))
-            }
-            Resolved::Deleted => {
-                txn.track_read(ReadSetEntry {
-                    table_id: self.id,
-                    base_rid: base_rid.0,
-                    version_rid: 0,
-                    speculative,
-                });
-                Ok(None)
-            }
-            Resolved::NotVisible => Ok(None),
-        }
+        let outcome = self.resolve_point(key, &cols, mode);
+        self.tracked(txn, key, outcome, speculative)
     }
 
     /// Batched transactional point reads: the read-set-joining twin of
     /// [`Table::read`], resolving every key through the batched planner
-    /// ([`Table::multi_read_outcomes`]) under the transaction's isolation
-    /// mode. One `Result` per key, in input order, each byte-identical to
-    /// a [`Table::read`] call at the same point in the transaction —
-    /// including read-set tracking (duplicate keys track duplicate
-    /// entries, exactly like a loop) and own-write visibility (a
-    /// transaction's own versions resolve visible under any snapshot
-    /// bound, so read-your-own-writes holds on the batched path too).
+    /// under the transaction's isolation mode. One `Result` per key, in
+    /// input order, each byte-identical to a [`Table::read`] call at the
+    /// same point in the transaction — including read-set tracking
+    /// (duplicate keys track duplicate entries, exactly like a loop) and
+    /// own-write visibility (a transaction's own versions resolve visible
+    /// under any snapshot bound, so read-your-own-writes holds on the
+    /// batched path too).
     pub(crate) fn multi_read_txn(
         &self,
         txn: &mut Transaction,
         keys: &[u64],
         user_cols: &[usize],
     ) -> Vec<Result<Option<Vec<u64>>>> {
-        let cols: Vec<usize> = match user_cols
-            .iter()
-            .map(|&c| self.internal_col(c))
-            .collect::<Result<_>>()
-        {
-            Ok(cols) => cols,
-            Err(e) => {
-                // `Error` is not `Clone`: mint one per key, like `read_batch`.
-                let (column, columns) = match e {
-                    Error::ColumnOutOfRange { column, columns } => (column, columns),
-                    _ => unreachable!("internal_col only fails with ColumnOutOfRange"),
-                };
-                return keys
-                    .iter()
-                    .map(|_| Err(Error::ColumnOutOfRange { column, columns }))
-                    .collect();
-            }
-        };
         let mode = self.mode_for(txn, false);
-        self.multi_read_outcomes(keys, &cols, mode)
-            .into_iter()
-            .zip(keys)
-            .map(|(outcome, &key)| match outcome {
-                PointOutcome::Visible {
-                    base_rid,
+        let cols = self.data_cols(user_cols.iter().copied());
+        self.read_keys(keys, cols, mode, |key, outcome| {
+            self.tracked(txn, key, outcome, false)
+        })
+    }
+
+    /// The transactional view of an outcome, shared by the single-key and
+    /// batched readers: the visible values, joining the read set with the
+    /// observed version (a delete marker joins as version 0; a record with
+    /// nothing visible is not tracked).
+    fn tracked(
+        &self,
+        txn: &mut Transaction,
+        key: u64,
+        outcome: PointOutcome,
+        speculative: bool,
+    ) -> Result<Option<Vec<u64>>> {
+        let (base_rid, version_rid, values) = match outcome {
+            Some((
+                base_rid,
+                Resolved::Visible {
                     version_rid,
                     values,
-                } => {
-                    txn.track_read(ReadSetEntry {
-                        table_id: self.id,
-                        base_rid,
-                        version_rid,
-                        speculative: false,
-                    });
-                    Ok(Some(values))
-                }
-                PointOutcome::Invisible {
-                    base_rid,
-                    deleted: true,
-                } => {
-                    txn.track_read(ReadSetEntry {
-                        table_id: self.id,
-                        base_rid,
-                        version_rid: 0,
-                        speculative: false,
-                    });
-                    Ok(None)
-                }
-                PointOutcome::Invisible { deleted: false, .. } => Ok(None),
-                PointOutcome::Missing => Err(Error::KeyNotFound(key)),
-            })
-            .collect()
-    }
-
-    /// Detached snapshot read of `key` as of timestamp `ts` (time travel)
-    /// — a thin adapter over [`Table::read_one`] with an as-of
-    /// [`crate::request::ReadRequest`]. The batched variant is
-    /// [`Table::multi_read_as_of`]; both resolve through the same per-key
-    /// path, so a batch is byte-identical to a loop over this method.
-    pub fn read_as_of(&self, key: u64, user_cols: &[usize], ts: u64) -> Result<Option<Vec<u64>>> {
-        let cols: Vec<u32> = user_cols.iter().map(|&c| c as u32).collect();
-        let request = crate::request::ReadRequest::as_of(key, ts).with_columns(cols);
-        Ok(self.read_one(&request)?.values)
-    }
-
-    /// Validation hook (§5.1.1 validate-reads): is `entry`'s observed
-    /// version still the visible one for the committing transaction?
-    pub(crate) fn validate_read(&self, entry: &ReadSetEntry, txn_id: u64) -> bool {
-        let base_rid = Rid(entry.base_rid);
-        let range = self.range(base_rid.range());
-        let base = range.base();
-        let reader = self.reader(range, &base);
-        Self::entry_still_visible(&reader, entry, txn_id)
-    }
-
-    /// The shared validation kernel: re-resolve `entry`'s base record with
-    /// own writes excluded and compare against the observed version. Both
-    /// the per-entry hook and the batched validator come through here, so
-    /// sequential and batched validation cannot drift apart semantically.
-    fn entry_still_visible(reader: &VersionReader<'_>, entry: &ReadSetEntry, txn_id: u64) -> bool {
-        let mode = ReadMode {
-            as_of: None,
-            txn_id,
-            speculative: entry.speculative,
-            exclude_own: true,
+                },
+            )) => (base_rid, version_rid.0, Some(values)),
+            Some((base_rid, Resolved::Deleted)) => (base_rid, 0, None),
+            Some((_, Resolved::NotVisible)) => return Ok(None),
+            None => return Err(Error::KeyNotFound(key)),
         };
-        match reader.read_record(Rid(entry.base_rid).slot(), &[0], mode) {
-            Resolved::Visible { version_rid, .. } => version_rid.0 == entry.version_rid,
-            Resolved::Deleted => entry.version_rid == 0,
-            Resolved::NotVisible => false,
-        }
-    }
-
-    /// Batched §5.1.1 validate-reads over this table's slice of a commit's
-    /// read set: `entries` carries `(read-set position, entry)` pairs.
-    /// Returns the **lowest-position** failing entry as `(position, base
-    /// RID)` — the same entry a sequential front-to-back loop would trip
-    /// on first — or `None` when every entry validates.
-    ///
-    /// Mirrors the batched point-read planner: small slices (or
-    /// `pool_threads = 1`) validate sequentially on the caller; larger
-    /// ones sort by (shard, base RID) — the read set already carries
-    /// resolved base RIDs, so unlike `multi_read_outcomes` no index probe
-    /// is needed — cut into units no smaller than `4 × batch_read_min`,
-    /// and fan out over the unified task pool with the committing thread
-    /// participating, each worker reusing per-range base snapshots across
-    /// the sorted run.
-    pub(crate) fn validate_reads_batch(
-        &self,
-        entries: &[(usize, ReadSetEntry)],
-        txn_id: u64,
-    ) -> Option<(usize, u64)> {
-        let width = self.runtime.scan_width();
-        if entries.len() < self.runtime.batch_read_min() || width <= 1 {
-            return entries
-                .iter()
-                .find(|(_, e)| !self.validate_read(e, txn_id))
-                .map(|&(pos, e)| (pos, e.base_rid));
-        }
-
-        // One (shard, base RID) sort buys shard grouping and range
-        // locality, exactly like the read planner's (shard, key) sort.
-        let mut sorted: Vec<(u32, usize, ReadSetEntry)> = entries
-            .iter()
-            .map(|&(pos, e)| (self.range(Rid(e.base_rid).range()).shard, pos, e))
-            .collect();
-        sorted.sort_unstable_by_key(|&(shard, _, e)| (shard, e.base_rid));
-
-        // Same floor-gated cuts as `multi_read_outcomes`: shard purity is a
-        // locality preference, and a unit handed to a worker must be worth
-        // the wakeup.
-        let min_unit = self.runtime.batch_read_min() * 4;
-        let target = sorted.len().div_ceil(width).max(min_unit);
-        let mut units: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0;
-        for i in 1..=sorted.len() {
-            let cut = i == sorted.len()
-                || (i - start >= min_unit
-                    && (sorted[i].0 != sorted[i - 1].0
-                        || (i - start >= target
-                            && sorted[i].2.base_rid != sorted[i - 1].2.base_rid)));
-            if cut {
-                units.push((start, i));
-                start = i;
-            }
-        }
-
-        let guard = self.runtime.epoch.pin();
-        let sorted = &sorted;
-        let partials = self.scan_fanout(&units, &guard, |chunk| {
-            let mut worst: Option<(usize, u64)> = None;
-            let mut cache: Option<(u32, &UpdateRange, Arc<crate::range::BaseVersion>)> = None;
-            for &(lo, hi) in chunk {
-                for &(_, pos, entry) in &sorted[lo..hi] {
-                    let rid = Rid(entry.base_rid);
-                    let hit = matches!(&cache, Some((r, _, _)) if *r == rid.range());
-                    if !hit {
-                        let r = self.range(rid.range());
-                        let b = r.base();
-                        cache = Some((rid.range(), r, b));
-                    }
-                    let (_, range, base) = cache.as_ref().expect("cache just filled");
-                    let reader = self.reader(range, base);
-                    if !Self::entry_still_visible(&reader, &entry, txn_id)
-                        && worst.is_none_or(|(p, _)| pos < p)
-                    {
-                        worst = Some((pos, entry.base_rid));
-                    }
-                }
-            }
-            worst
+        txn.track_read(ReadSetEntry {
+            table_id: self.id,
+            base_rid: base_rid.0,
+            version_rid,
+            speculative,
         });
-        partials.into_iter().flatten().min_by_key(|&(pos, _)| pos)
+        Ok(values)
     }
 
     // ------------------------------------------------------------------
@@ -1145,10 +1000,9 @@ impl Table {
     /// Merge only a subset of value columns of one range — the independent
     /// per-column merge of §4.2 (used by tests and ablations).
     pub fn merge_columns_now(&self, range_id: u32, user_cols: &[usize]) -> Result<MergeReport> {
-        let cols: Vec<usize> = user_cols
-            .iter()
-            .map(|&c| self.internal_col(c))
-            .collect::<Result<_>>()?;
+        let cols: Vec<usize> = self
+            .data_cols(user_cols.iter().copied())
+            .map_err(column_out_of_range)?;
         let range = self.range(range_id);
         Ok(merge::merge_range(
             range,
@@ -1272,6 +1126,11 @@ impl Table {
             .map(|r| r.base().encoded_bytes())
             .sum()
     }
+}
+
+/// The error for a `(column, columns)` pair from [`Table::data_cols`].
+pub(crate) fn column_out_of_range((column, columns): (usize, usize)) -> Error {
+    Error::ColumnOutOfRange { column, columns }
 }
 
 impl std::fmt::Debug for Table {

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use lstore::{Database, DbConfig, IsolationLevel, TableConfig};
+use lstore::{Database, DbConfig, IsolationLevel, ReadRequest, TableConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An in-memory database with the background merge daemon running.
@@ -60,7 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Reads keep working identically after the merge — and old versions
     // remain reachable (see the time_travel example).
-    assert_eq!(accounts.read_latest_auto(42)?[0], 1_500);
+    let balance = ReadRequest::latest(42).with_columns(vec![0]);
+    assert_eq!(accounts.read_one(&balance)?.values, Some(vec![1_500]));
     println!("ok");
     Ok(())
 }

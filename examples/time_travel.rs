@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example time_travel`
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Deterministic config: we drive merges manually to show each stage.
@@ -36,22 +36,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let day2 = sensors.now();
 
-    // Query the same key at three points in time.
-    println!(
-        "sensor 10 @day0 = {:?}",
-        sensors.read_as_of(10, &[0, 1], day0)?
+    // Query the same key at three points in time: one request per
+    // snapshot, both value columns.
+    let sensor10 = |ts| ReadRequest::as_of(10, ts).with_columns(vec![0, 1]);
+    for (label, ts) in [("day0", day0), ("day1", day1), ("day2", day2)] {
+        let reading = sensors.read_one(&sensor10(ts))?.values;
+        println!("sensor 10 @{label} = {reading:?}");
+    }
+    assert_eq!(
+        sensors.read_one(&sensor10(day0))?.values,
+        Some(vec![20, 50])
     );
-    println!(
-        "sensor 10 @day1 = {:?}",
-        sensors.read_as_of(10, &[0, 1], day1)?
+    assert_eq!(
+        sensors.read_one(&sensor10(day1))?.values,
+        Some(vec![35, 50])
     );
-    println!(
-        "sensor 10 @day2 = {:?}",
-        sensors.read_as_of(10, &[0, 1], day2)?
+    assert_eq!(
+        sensors.read_one(&sensor10(day2))?.values,
+        Some(vec![18, 80])
     );
-    assert_eq!(sensors.read_as_of(10, &[0, 1], day0)?, Some(vec![20, 50]));
-    assert_eq!(sensors.read_as_of(10, &[0, 1], day1)?, Some(vec![35, 50]));
-    assert_eq!(sensors.read_as_of(10, &[0, 1], day2)?, Some(vec![18, 80]));
 
     // Aggregate time travel: average temperature per day.
     for (label, ts) in [("day0", day0), ("day1", day1), ("day2", day2)] {
@@ -65,7 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Now merge: base pages advance in time, yet history survives via the
     // lineage (snapshot records keep the original values reachable).
     sensors.merge_all();
-    assert_eq!(sensors.read_as_of(10, &[0, 1], day0)?, Some(vec![20, 50]));
+    assert_eq!(
+        sensors.read_one(&sensor10(day0))?.values,
+        Some(vec![20, 50])
+    );
     assert_eq!(sensors.sum_as_of(0, day1), 250 * 35 + 250 * 20);
     println!("history intact after merge (TPS lineage + snapshot records)");
 
@@ -77,9 +83,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compressed += sensors.compress_historic(r as u32, sensors.now());
     }
     println!("historic compression re-organized {compressed} tail records");
-    assert_eq!(sensors.read_as_of(10, &[0, 1], day0)?, Some(vec![20, 50]));
-    assert_eq!(sensors.read_as_of(10, &[0, 1], day1)?, Some(vec![35, 50]));
-    assert_eq!(sensors.read_latest_auto(10)?, vec![18, 80]);
+    assert_eq!(
+        sensors.read_one(&sensor10(day0))?.values,
+        Some(vec![20, 50])
+    );
+    assert_eq!(
+        sensors.read_one(&sensor10(day1))?.values,
+        Some(vec![35, 50])
+    );
+    let latest = sensors.read_one(&ReadRequest::latest(10))?;
+    assert_eq!(latest.values, Some(vec![18, 80]));
     assert_eq!(sensors.sum_as_of(0, day0), 500 * 20);
     println!("time travel works across live tail, merged pages, and historic store");
 
@@ -87,8 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // remains queryable in the past.
     sensors.delete_auto(10)?;
     let after_delete = sensors.now();
-    assert_eq!(sensors.read_as_of(10, &[0], after_delete)?, None);
-    assert_eq!(sensors.read_as_of(10, &[0], day1)?, Some(vec![35]));
+    let temperature = |ts| ReadRequest::as_of(10, ts).with_columns(vec![0]);
+    assert_eq!(sensors.read_one(&temperature(after_delete))?.values, None);
+    assert_eq!(sensors.read_one(&temperature(day1))?.values, Some(vec![35]));
     println!("deleted sensor 10 still visible at day1, gone at now — ok");
     Ok(())
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use lstore::{Database, DbConfig, Table};
+use lstore::{Database, DbConfig, ReadRequest, Table};
 
 const KEYS: u64 = 1200;
 
@@ -69,7 +69,11 @@ fn observe(t: &Table, ts: u64) -> Snapshot {
     Snapshot {
         points: [0u64, 1, 37, 101, 202, 599, 600, 1199]
             .iter()
-            .map(|&k| t.read_as_of(k, &[0, 1], ts).unwrap())
+            .map(|&k| {
+                t.read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0, 1]))
+                    .unwrap()
+                    .values
+            })
             .collect(),
         sums: (0..2).map(|c| t.sum_as_of(c, ts)).collect(),
         count: t.count_as_of(ts),

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 
 /// A failed assertion unwinds inside a thread scope, which then joins the
 /// other threads: whoever unwinds raises `stop` on the way out, or the
@@ -130,7 +130,11 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
             let mut seq_count = 0u64;
             let mut seq_rows = Vec::new();
             for k in 0..KEYS {
-                if let Some(row) = t.read_as_of(k, &[0, 1], ts).unwrap() {
+                if let Some(row) = t
+                    .read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0, 1]))
+                    .unwrap()
+                    .values
+                {
                     seq_sum += row[0];
                     seq_count += 1;
                     seq_rows.push((k, row));
@@ -153,7 +157,9 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
     // exactly zero and the thrash must have actually happened.
     db.drain_merges();
     let final_sum = t.sum_auto(0);
-    let per_key: u64 = (0..KEYS).map(|k| t.read_latest_auto(k).unwrap()[0]).sum();
+    let per_key: u64 = (0..KEYS)
+        .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
+        .sum();
     assert_eq!(final_sum, per_key, "scan equals per-key reads after drain");
     let stats = t.stats();
     assert_eq!(stats.pool_pinned, 0, "pins returned at quiesce: {stats:?}");
@@ -256,7 +262,10 @@ fn a_scanner_and_a_skewed_reader_agree_with_memory_on_small_pools() {
                     let u = (rng >> 40) as f64 / (1u64 << 24) as f64;
                     let key = ((u * u * u) * KEYS as f64) as u64;
                     assert_eq!(
-                        t.read_latest_auto(key).unwrap(),
+                        t.read_one(&ReadRequest::latest(key))
+                            .unwrap()
+                            .values
+                            .unwrap(),
                         rows[key as usize],
                         "budget {budget}: key {key}"
                     );

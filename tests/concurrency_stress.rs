@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 
 /// Writers increment per-key counters under REPEATABLE READ (read-committed
 /// would permit the classic lost-update anomaly, which the paper's §5.1.1
@@ -83,7 +83,9 @@ fn concurrent_increments_scans_and_merges() {
     assert_eq!(t.sum_auto(0), total, "every commit counted exactly once");
     t.merge_all();
     assert_eq!(t.sum_auto(0), total, "merges change nothing");
-    let per_key: u64 = (0..KEYS).map(|k| t.read_latest_auto(k).unwrap()[0]).sum();
+    let per_key: u64 = (0..KEYS)
+        .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
+        .sum();
     assert_eq!(per_key, total);
 }
 
@@ -126,7 +128,7 @@ fn write_write_races_have_single_winner() {
     assert!(w >= 200, "wins {w} < rounds");
     assert!(w <= 400);
     // The record's final value came from a committed transaction.
-    let v = t.read_latest_auto(0).unwrap()[0];
+    let v = t.read_one(&ReadRequest::latest(0)).unwrap().values.unwrap()[0];
     assert!(v < 400);
 }
 
@@ -136,7 +138,7 @@ fn write_write_races_have_single_winner() {
 /// that the pool-parallel aggregates (`sum_as_of`, `count_as_of`,
 /// `group_by_sum` with `scan_threads = 4`) are (a) stable across repeated
 /// evaluation and (b) equal to a sequential per-key reconstruction of the
-/// same snapshot via `read_as_of` — a completely different, single-threaded
+/// same snapshot via as-of `read_one` — a completely different, single-threaded
 /// code path.
 ///
 /// Snapshot timestamps are captured at writer quiesce points (a brief pause
@@ -226,7 +228,11 @@ fn parallel_scans_agree_with_sequential_under_load() {
             let mut seq_count = 0u64;
             let mut seq_groups = std::collections::BTreeMap::<u64, u64>::new();
             for k in 0..KEYS {
-                if let Some(row) = t.read_as_of(k, &[0, 1], ts).unwrap() {
+                if let Some(row) = t
+                    .read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0, 1]))
+                    .unwrap()
+                    .values
+                {
                     seq_sum += row[0];
                     seq_bucket_sum += row[1];
                     seq_count += 1;
@@ -243,7 +249,7 @@ fn parallel_scans_agree_with_sequential_under_load() {
 }
 
 /// Key-range sharded writers under a live merge daemon and pool-parallel
-/// scans, validated against sequential per-key `read_as_of` ground truth at
+/// scans, validated against sequential per-key as-of `read_one` ground truth at
 /// frozen snapshot timestamps.
 ///
 /// Each writer thread owns one table shard and updates only keys routed to
@@ -344,7 +350,11 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
             let mut seq_groups = std::collections::BTreeMap::<u64, u64>::new();
             let mut seq_rows = Vec::new();
             for k in 0..KEYS {
-                if let Some(row) = t.read_as_of(k, &[0, 1], ts).unwrap() {
+                if let Some(row) = t
+                    .read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0, 1]))
+                    .unwrap()
+                    .values
+                {
                     seq_sum += row[0];
                     seq_count += 1;
                     *seq_groups.entry(row[1]).or_insert(0) += row[0];
@@ -366,7 +376,9 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
     let total = committed.load(Ordering::SeqCst);
     assert!(total > 0, "some transactions must have committed");
     let final_sum = t.sum_auto(0);
-    let per_key: u64 = (0..KEYS).map(|k| t.read_latest_auto(k).unwrap()[0]).sum();
+    let per_key: u64 = (0..KEYS)
+        .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
+        .sum();
     assert_eq!(final_sum, per_key);
     assert_eq!(final_sum, KEYS + total, "every commit counted exactly once");
     let table_stats = t.stats();
@@ -385,7 +397,7 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
 /// `merge_threshold` over and over. The work-stealing scheduler must still
 /// drain the per-shard merge queues (no dedicated merge thread exists to
 /// fall back on), every shard must reach merged state in the background,
-/// and frozen-ts scan results must equal the per-key `read_as_of` ground
+/// and frozen-ts scan results must equal the per-key as-of `read_one` ground
 /// truth throughout the churn.
 #[test]
 fn merges_complete_under_saturated_scan_pool() {
@@ -433,7 +445,11 @@ fn merges_complete_under_saturated_scan_pool() {
                         continue;
                     }
                     let key = w * STRIPE + (i % STRIPE);
-                    let cur = t.read_latest_auto(key).unwrap()[0];
+                    let cur = t
+                        .read_one(&ReadRequest::latest(key))
+                        .unwrap()
+                        .values
+                        .unwrap()[0];
                     t.update_auto(key, &[(0, cur + 1)]).unwrap();
                     i += 1;
                     appended += 1;
@@ -465,7 +481,11 @@ fn merges_complete_under_saturated_scan_pool() {
             let mut seq_sum = 0u64;
             let mut seq_rows = Vec::new();
             for k in 0..KEYS {
-                if let Some(row) = t.read_as_of(k, &[0], ts).unwrap() {
+                if let Some(row) = t
+                    .read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0]))
+                    .unwrap()
+                    .values
+                {
                     seq_sum += row[0];
                     seq_rows.push((k, row));
                 }
@@ -482,7 +502,11 @@ fn merges_complete_under_saturated_scan_pool() {
     // must drain to fully merged shards — in the background, on the pool.
     for w in 0..SHARDS as u64 {
         let key = w * STRIPE;
-        let cur = t.read_latest_auto(key).unwrap()[0];
+        let cur = t
+            .read_one(&ReadRequest::latest(key))
+            .unwrap()
+            .values
+            .unwrap()[0];
         t.update_auto(key, &[(0, cur)]).unwrap();
     }
     db.drain_merges();
@@ -504,14 +528,16 @@ fn merges_complete_under_saturated_scan_pool() {
     }
     // Quiesced equality through an independent code path.
     let final_sum = t.sum_auto(0);
-    let per_key: u64 = (0..KEYS).map(|k| t.read_latest_auto(k).unwrap()[0]).sum();
+    let per_key: u64 = (0..KEYS)
+        .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
+        .sum();
     assert_eq!(final_sum, per_key, "scan equals per-key reads after drain");
 }
 
 /// Batched point reads against live writers and background merges: at a
-/// timestamp frozen at a writer quiesce point, `multi_read_as_of` — with
+/// timestamp frozen at a writer quiesce point, `read_batch` — with
 /// duplicates and missing keys mixed into the batch — must return exactly
-/// what per-key `read_as_of` returns at the same snapshot, stably across
+/// what per-key `read_one` returns at the same snapshot, stably across
 /// repeats, while the same pool workers keep draining the per-shard merge
 /// queues underneath (the batch's epoch re-pinning is what keeps
 /// merged-away base pages alive for the slower units).
@@ -590,9 +616,9 @@ fn batched_reads_agree_under_live_writers_and_merges() {
             // While the writers are parked nothing new commits: batched
             // latest reads must equal the per-key loop right now (merges
             // may still be running — they change representation only).
-            let batched_latest = t.multi_read_latest(&batch);
+            let batched_latest = t.read_batch(&batch, None, None);
             for (r, &k) in batched_latest.iter().zip(&batch) {
-                match t.read_latest_auto(k) {
+                match t.read_one(&ReadRequest::latest(k)) {
                     Ok(v) => assert_eq!(r.as_ref().unwrap(), &v, "latest key {k}"),
                     Err(_) => assert!(r.is_err(), "latest key {k} should be absent"),
                 }
@@ -600,9 +626,9 @@ fn batched_reads_agree_under_live_writers_and_merges() {
             pause.store(false, Ordering::SeqCst);
 
             // Snapshot reads race live writers and merges from here on.
-            let batched = t.multi_read_as_of(&batch, &[0, 1], ts);
+            let batched = t.read_batch(&batch, Some(&[0, 1]), Some(ts));
             for (r, &k) in batched.iter().zip(&batch) {
-                let want = t.read_as_of(k, &[0, 1], ts);
+                let want = t.read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0, 1]));
                 match want {
                     Ok(want) => assert_eq!(
                         r.as_ref().ok(),
@@ -613,7 +639,7 @@ fn batched_reads_agree_under_live_writers_and_merges() {
                 }
             }
             // Batched reads at a frozen ts are deterministic under load.
-            let again = t.multi_read_as_of(&batch, &[0, 1], ts);
+            let again = t.read_batch(&batch, Some(&[0, 1]), Some(ts));
             for ((a, b), &k) in batched.iter().zip(&again).zip(&batch) {
                 assert_eq!(
                     a.as_ref().ok(),
@@ -628,10 +654,10 @@ fn batched_reads_agree_under_live_writers_and_merges() {
     // Quiesce and cross-check the batch against the final ground truth.
     db.drain_merges();
     let ts = t.now();
-    let final_batch = t.multi_read_as_of(&(0..KEYS).collect::<Vec<_>>(), &[0], ts);
+    let final_batch = t.read_batch(&(0..KEYS).collect::<Vec<_>>(), Some(&[0]), Some(ts));
     let sum: u64 = final_batch
         .iter()
-        .map(|r| r.as_ref().unwrap().as_ref().unwrap()[0])
+        .map(|r| r.as_ref().unwrap().values.as_ref().unwrap()[0])
         .sum();
     assert_eq!(sum, t.sum_as_of(0, ts), "batch sum equals scan sum");
 }
@@ -660,7 +686,12 @@ fn concurrent_inserts_roll_ranges() {
     t.merge_all();
     assert_eq!(t.count_as_of(t.now()), 8_000);
     for w in 0..4u64 {
-        assert_eq!(t.read_latest_auto(w * 10_000 + 1_999).unwrap(), vec![1]);
+        assert_eq!(
+            t.read_one(&ReadRequest::latest(w * 10_000 + 1_999))
+                .unwrap()
+                .values,
+            Some(vec![1])
+        );
     }
 }
 
@@ -713,7 +744,11 @@ fn scans_patch_from_a_growing_tail_under_open_transactions() {
                     while !stop.load(Ordering::Relaxed) {
                         park(pause, parked, stop);
                         let key = (i * 4 + w) % KEYS;
-                        let cur = t.read_latest_auto(key).unwrap();
+                        let cur = t
+                            .read_one(&ReadRequest::latest(key))
+                            .unwrap()
+                            .values
+                            .unwrap();
                         t.update_auto(key, &[(0, cur[0] + 1), (1, (cur[1] + 1) % 5)])
                             .unwrap();
                         i += 7;
@@ -764,7 +799,11 @@ fn scans_patch_from_a_growing_tail_under_open_transactions() {
                 pause.store(false, Ordering::SeqCst);
                 let mut rows = Vec::new();
                 for k in 0..KEYS {
-                    if let Some(row) = t.read_as_of(k, &[0, 1], ts).unwrap() {
+                    if let Some(row) = t
+                        .read_one(&ReadRequest::as_of(k, ts).with_columns(vec![0, 1]))
+                        .unwrap()
+                        .values
+                    {
                         rows.push((k, row));
                     }
                 }
@@ -784,7 +823,9 @@ fn scans_patch_from_a_growing_tail_under_open_transactions() {
         let stats = t.stats();
         assert!(stats.tail_pass_rows > 0, "scans took the suffix pass");
         db.drain_merges();
-        let per_key: u64 = (0..KEYS).map(|k| t.read_latest_auto(k).unwrap()[0]).sum();
+        let per_key: u64 = (0..KEYS)
+            .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
+            .sum();
         assert_eq!(
             t.sum_auto(0),
             per_key,
@@ -895,8 +936,16 @@ fn readers_resolve_ids_that_retire_and_recycle_underneath() {
                         let at = key as usize;
                         let low = committed[at].load(Ordering::SeqCst);
                         let ts = t.now();
-                        let latest = t.read_latest_auto(key).unwrap()[0];
-                        let as_of = t.read_as_of(key, &[0], ts).unwrap().expect("visible")[0];
+                        let latest = t
+                            .read_one(&ReadRequest::latest(key))
+                            .unwrap()
+                            .values
+                            .unwrap()[0];
+                        let as_of = t
+                            .read_one(&ReadRequest::as_of(key, ts).with_columns(vec![0]))
+                            .unwrap()
+                            .values
+                            .expect("visible")[0];
                         let high = attempted[at].load(Ordering::SeqCst);
                         assert!(
                             (low..=high).contains(&latest) && (low..=high).contains(&as_of),
@@ -905,7 +954,11 @@ fn readers_resolve_ids_that_retire_and_recycle_underneath() {
                         let rows = inserted.load(Ordering::SeqCst);
                         if rows > 0 {
                             let key = INSERT_BASE + i % rows;
-                            assert_eq!(t.read_latest_auto(key).unwrap(), vec![0], "key {key}");
+                            assert_eq!(
+                                t.read_one(&ReadRequest::latest(key)).unwrap().values,
+                                Some(vec![0]),
+                                "key {key}"
+                            );
                         }
                         if i % 64 == r {
                             let (low, rows) = (total(committed), inserted.load(Ordering::SeqCst));
@@ -941,7 +994,11 @@ fn readers_resolve_ids_that_retire_and_recycle_underneath() {
         );
         for k in 0..KEYS {
             let truth = committed[k as usize].load(Ordering::SeqCst);
-            assert_eq!(t.read_latest_auto(k).unwrap(), vec![truth], "key {k}");
+            assert_eq!(
+                t.read_one(&ReadRequest::latest(k)).unwrap().values,
+                Some(vec![truth]),
+                "key {k}"
+            );
         }
         assert_eq!(t.sum_auto(0), total(&committed));
         t.merge_all();

@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use lstore::{Database, DbConfig, Durability, IsolationLevel, Table, TableConfig};
+use lstore::{Database, DbConfig, Durability, IsolationLevel, ReadRequest, Table, TableConfig};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-durability-tests");
@@ -139,7 +139,7 @@ type Reads = (Vec<Vec<u64>>, u64);
 fn reads(t: &Table, keys: &[u64]) -> Reads {
     let rows = keys
         .iter()
-        .map(|&k| t.read_latest_auto(k).unwrap())
+        .map(|&k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap())
         .collect();
     (rows, t.sum_auto(0))
 }
@@ -226,7 +226,12 @@ fn group_commit_under_concurrency_recovers_every_commit() {
     assert_eq!(report.inserts, WRITERS * PER_WRITER);
     for w in 0..WRITERS {
         for i in 0..PER_WRITER {
-            assert_eq!(t2.read_latest_auto(w * 10_000 + i).unwrap(), vec![w]);
+            assert_eq!(
+                t2.read_one(&ReadRequest::latest(w * 10_000 + i))
+                    .unwrap()
+                    .values,
+                Some(vec![w])
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 //! (Lemma 3 / Theorem 2), epoch-based reclamation, merge batching, and
 //! scan consistency under merges.
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 
 fn setup(n: u64) -> (std::sync::Arc<Database>, std::sync::Arc<lstore::Table>) {
     let db = Database::new(DbConfig::deterministic());
@@ -90,7 +90,13 @@ fn merge_with_limit_batches_consume_incrementally() {
             }
             total_consumed += range_consumed;
             // Reads stay correct between partial merges.
-            assert_eq!(t.read_latest_auto(10).unwrap()[0], 11);
+            assert_eq!(
+                t.read_one(&ReadRequest::latest(10))
+                    .unwrap()
+                    .values
+                    .unwrap()[0],
+                11
+            );
         }
     }
     assert!(
@@ -165,9 +171,15 @@ fn lazy_timestamp_swap_happens_on_read() {
     t.update(&mut txn, 1, &[(0, 42)]).unwrap();
     let commit_ts = db.commit(&mut txn).unwrap();
     // First read resolves the txn id and swaps the commit timestamp in.
-    assert_eq!(t.read_latest_auto(1).unwrap()[0], 42);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1)).unwrap().values.unwrap()[0],
+        42
+    );
     // After the swap, visibility no longer needs the transaction table.
-    assert_eq!(t.read_latest_auto(1).unwrap()[0], 42);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1)).unwrap().values.unwrap()[0],
+        42
+    );
     let _ = commit_ts;
 }
 
@@ -185,7 +197,11 @@ fn secondary_index_returns_stale_and_fresh_rids_for_reevaluation() {
     assert_eq!(idx.get(20).len(), 1, "deferred removal keeps the old entry");
     // Reader re-evaluates the predicate on the visible version: key 10 no
     // longer matches b=20.
-    let visible = t.read_latest_auto(10).unwrap();
+    let visible = t
+        .read_one(&ReadRequest::latest(10))
+        .unwrap()
+        .values
+        .unwrap();
     assert_eq!(visible[1], 999);
 }
 
@@ -197,7 +213,6 @@ fn secondary_index_returns_stale_and_fresh_rids_for_reevaluation() {
 /// operations and never merged past its insert ranges.
 #[test]
 fn column_merge_consolidates_deletes() {
-    use lstore::ReadRequest;
     let run = |merge: bool| {
         let (db, t) = setup(100);
         t.merge_all(); // graduate the insert range on both twins
@@ -221,9 +236,9 @@ fn column_merge_consolidates_deletes() {
             for cols in [vec![0], vec![1], vec![0, 1, 2]] {
                 let latest = ReadRequest::latest(k).with_columns(cols.clone());
                 seen.push(t.read_one(&latest).unwrap().values);
-                let cols: Vec<usize> = cols.iter().map(|&c| c as usize).collect();
                 for ts in [before_delete, after_delete] {
-                    seen.push(t.read_as_of(k, &cols, ts).unwrap());
+                    let as_of = ReadRequest::as_of(k, ts).with_columns(cols.clone());
+                    seen.push(t.read_one(&as_of).unwrap().values);
                 }
             }
         }

@@ -49,17 +49,27 @@ fn table2_update_and_delete_procedure() {
     assert_eq!(t.stats().snapshots_taken, 3);
 
     // Latest state matches the table.
-    assert_eq!(t.read_latest_auto(2).unwrap(), vec![0xA22, 0xB2, 0xC21]);
-    assert_eq!(t.read_latest_auto(3).unwrap(), vec![0xA3, 0xB3, 0xC31]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(2)).unwrap().values,
+        Some(vec![0xA22, 0xB2, 0xC21])
+    );
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(3)).unwrap().values,
+        Some(vec![0xA3, 0xB3, 0xC31])
+    );
 
     // Historic state: before any update, k2 was (a2, b2, c2).
     assert_eq!(
-        t.read_as_of(2, &[0, 1, 2], t_before_updates).unwrap(),
+        t.read_one(&ReadRequest::as_of(2, t_before_updates).with_columns(vec![0, 1, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA2, 0xB2, 0xC2])
     );
     // Between t2 and t3, A was a21 and C still c2.
     assert_eq!(
-        t.read_as_of(2, &[0, 2], after_a21).unwrap(),
+        t.read_one(&ReadRequest::as_of(2, after_a21).with_columns(vec![0, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA21, 0xC2])
     );
 
@@ -71,7 +81,9 @@ fn table2_update_and_delete_procedure() {
         .is_visible());
     // But k1 is still visible in the past (snapshot semantics).
     assert_eq!(
-        t.read_as_of(1, &[0, 1, 2], t_before_updates).unwrap(),
+        t.read_one(&ReadRequest::as_of(1, t_before_updates).with_columns(vec![0, 1, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA1, 0xB1, 0xC1])
     );
 }
@@ -94,16 +106,26 @@ fn table3_insert_with_concurrent_updates() {
     t.update_auto(8, &[(2, 0xC81)]).unwrap();
     t.update_auto(9, &[(0, 0xA91)]).unwrap();
 
-    assert_eq!(t.read_latest_auto(8).unwrap(), vec![0xA8, 0xB8, 0xC81]);
-    assert_eq!(t.read_latest_auto(9).unwrap(), vec![0xA91, 0xB9, 0xC9]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(8)).unwrap().values,
+        Some(vec![0xA8, 0xB8, 0xC81])
+    );
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(9)).unwrap().values,
+        Some(vec![0xA91, 0xB9, 0xC9])
+    );
     // The original insert values remain reachable (snapshot records took
     // c8 and a9 with the insert-time start).
     assert_eq!(
-        t.read_as_of(8, &[0, 1, 2], after_insert).unwrap(),
+        t.read_one(&ReadRequest::as_of(8, after_insert).with_columns(vec![0, 1, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA8, 0xB8, 0xC8])
     );
     assert_eq!(
-        t.read_as_of(9, &[0], after_insert).unwrap(),
+        t.read_one(&ReadRequest::as_of(9, after_insert).with_columns(vec![0]))
+            .unwrap()
+            .values,
         Some(vec![0xA9])
     );
     // Duplicate-key inserts are rejected.
@@ -134,9 +156,18 @@ fn table4_relaxed_merge() {
     );
 
     // Merged pages answer the latest state directly (2-hop fast path).
-    assert_eq!(t.read_latest_auto(2).unwrap(), vec![0xA22, 0xB2, 0xC21]);
-    assert_eq!(t.read_latest_auto(3).unwrap(), vec![0xA3, 0xB3, 0xC31]);
-    assert_eq!(t.read_latest_auto(1).unwrap(), vec![0xA1, 0xB1, 0xC1]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(2)).unwrap().values,
+        Some(vec![0xA22, 0xB2, 0xC21])
+    );
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(3)).unwrap().values,
+        Some(vec![0xA3, 0xB3, 0xC31])
+    );
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![0xA1, 0xB1, 0xC1])
+    );
     // …and a scan aggregates all three records straight off them, chasing
     // no version chain.
     let stats = t.stats();
@@ -148,7 +179,9 @@ fn table4_relaxed_merge() {
     // "the old Start Time column is remained intact": pre-update versions
     // still resolve by timestamp.
     assert_eq!(
-        t.read_as_of(2, &[0, 1, 2], before).unwrap(),
+        t.read_one(&ReadRequest::as_of(2, before).with_columns(vec![0, 1, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA2, 0xB2, 0xC2])
     );
 
@@ -175,8 +208,14 @@ fn table5_tps_interpretation_and_cumulation_reset() {
     // A reader on the merged pages needs only the post-merge chain: the
     // pre-merge values of C must come from the merged base, not the chain
     // (cumulation was reset, so t12-equivalent does not carry c21).
-    assert_eq!(t.read_latest_auto(2).unwrap(), vec![0xA23, 0xB21, 0xC21]);
-    assert_eq!(t.read_latest_auto(3).unwrap(), vec![0xA3, 0xB3, 0xC32]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(2)).unwrap().values,
+        Some(vec![0xA23, 0xB21, 0xC21])
+    );
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(3)).unwrap().values,
+        Some(vec![0xA3, 0xB3, 0xC32])
+    );
 
     // A scan reads the same lineage the other way round: one backward pass
     // over the post-merge records (two first-update snapshots, three
@@ -217,14 +256,21 @@ fn table6_historic_compression() {
     // Reads at every historical point still work, now served from the
     // historic store + merged base pages.
     assert_eq!(
-        t.read_as_of(2, &[0, 1, 2], day0).unwrap(),
+        t.read_one(&ReadRequest::as_of(2, day0).with_columns(vec![0, 1, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA2, 0xB2, 0xC2])
     );
     assert_eq!(
-        t.read_as_of(2, &[0, 2], mid).unwrap(),
+        t.read_one(&ReadRequest::as_of(2, mid).with_columns(vec![0, 2]))
+            .unwrap()
+            .values,
         Some(vec![0xA22, 0xC2])
     );
-    assert_eq!(t.read_latest_auto(2).unwrap(), vec![0xA22, 0xB2, 0xC21]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(2)).unwrap().values,
+        Some(vec![0xA22, 0xB2, 0xC21])
+    );
 
     // Compression is incremental: a second pass finds nothing new.
     let mut again = 0;

@@ -107,9 +107,9 @@ proptest! {
 
             // Latest-read agreement after every operation (cheap for ≤40 keys).
             for (key, row) in &model.rows {
-                let got = t.read_latest_auto(*key);
+                let got = t.read_one(&ReadRequest::latest(*key));
                 prop_assert!(got.is_ok(), "visible key {key} unreadable: {got:?}");
-                prop_assert_eq!(got.unwrap(), row.to_vec(), "key {}", key);
+                prop_assert_eq!(got.unwrap().values, Some(row.to_vec()), "key {}", key);
             }
         }
 
@@ -126,10 +126,10 @@ proptest! {
         // and historic compression.
         for (ts, state) in &snapshots {
             for (key, row) in state {
-                let got = t.read_as_of(*key, &[0, 1, 2], *ts);
+                let got = t.read_one(&ReadRequest::as_of(*key, *ts).with_columns(vec![0, 1, 2]));
                 prop_assert!(got.is_ok());
                 prop_assert_eq!(
-                    got.unwrap(),
+                    got.unwrap().values,
                     Some(row.to_vec()),
                     "time travel key {} at ts {}", key, ts
                 );
@@ -202,7 +202,7 @@ proptest! {
 
     /// Key-range sharding is invisible to results: replaying one random
     /// operation sequence into databases configured with `shards` of 1, 2,
-    /// and 8 produces byte-identical `read_as_of`, `sum_as_of`,
+    /// and 8 produces byte-identical as-of `read_one`, `sum_as_of`,
     /// `group_by_sum`, and `scan_as_of` answers (plus `sum_cols_as_of`,
     /// `count_as_of`, and `sum_key_range` for good measure) at every
     /// recorded snapshot timestamp. Keys span several routing stripes
@@ -292,10 +292,13 @@ proptest! {
             for key in 0..2048u64 {
                 let reads: Vec<_> = dbs
                     .iter()
-                    .map(|(_, t)| t.read_as_of(key, &[0, 1, 2], ts).unwrap_or(None))
+                    .map(|(_, t)| {
+                        let request = ReadRequest::as_of(key, ts).with_columns(vec![0, 1, 2]);
+                        t.read_one(&request).ok().and_then(|r| r.values)
+                    })
                     .collect();
-                prop_assert_eq!(&reads[0], &reads[1], "read_as_of {} at {}", key, ts);
-                prop_assert_eq!(&reads[0], &reads[2], "read_as_of {} at {}", key, ts);
+                prop_assert_eq!(&reads[0], &reads[1], "as-of read {} at {}", key, ts);
+                prop_assert_eq!(&reads[0], &reads[2], "as-of read {} at {}", key, ts);
             }
         }
 
@@ -318,7 +321,7 @@ proptest! {
     /// merging enabled: replaying one random operation sequence into
     /// databases configured with `pool_threads` of 1, 2, and 8 (auto-merge
     /// on, two key-range shards so two per-shard merge queues are live)
-    /// produces byte-identical `read_as_of`, `sum_as_of`/`sum_cols_as_of`/
+    /// produces byte-identical as-of `read_one`, `sum_as_of`/`sum_cols_as_of`/
     /// `count_as_of`/`group_by_sum`, and `scan_as_of` answers at every
     /// recorded snapshot timestamp. Background merges race the replay
     /// differently at every width, but a merge only changes representation
@@ -410,10 +413,13 @@ proptest! {
             for key in (0..512u64).step_by(13) {
                 let reads: Vec<_> = dbs
                     .iter()
-                    .map(|(_, t)| t.read_as_of(key, &[0, 1, 2], ts).unwrap_or(None))
+                    .map(|(_, t)| {
+                        let request = ReadRequest::as_of(key, ts).with_columns(vec![0, 1, 2]);
+                        t.read_one(&request).ok().and_then(|r| r.values)
+                    })
                     .collect();
-                prop_assert_eq!(&reads[0], &reads[1], "read_as_of {} at {}", key, ts);
-                prop_assert_eq!(&reads[0], &reads[2], "read_as_of {} at {}", key, ts);
+                prop_assert_eq!(&reads[0], &reads[1], "as-of read {} at {}", key, ts);
+                prop_assert_eq!(&reads[0], &reads[2], "as-of read {} at {}", key, ts);
             }
         }
     }
@@ -422,10 +428,10 @@ proptest! {
     /// width × shard count in {1, 2, 8}², replaying one random operation
     /// sequence and then issuing one big batch — every domain key plus
     /// duplicates, never-inserted keys, and out-of-range keys — through
-    /// `multi_read_as_of` / `multi_read_latest` / `read_batch`
-    /// produces, per key and in input order, exactly what the sequential
-    /// single-key readers (`read_as_of`, `read_latest_auto`,
-    /// `read_one`) return on the same database, and byte-identical
+    /// `read_batch` (as of a snapshot, latest, and latest with a column
+    /// selection) produces, per key and in input order, exactly what the
+    /// sequential single-key reader `read_one` returns on the same
+    /// database, and byte-identical
     /// answers across all nine configurations. `batch_read_min` is pinned
     /// low so the batch genuinely plans, splits, and fans out.
     #[test]
@@ -499,22 +505,26 @@ proptest! {
         let mut batch: Vec<u64> = (0..2048u64).step_by(3).collect();
         batch.extend([7, 7, 7, 2047, 0, 5000, 5000, 9999, u64::MAX, u64::MAX - 1]);
         batch.extend((0..64u64).map(|i| i * 31 % 2048)); // more duplicates
-        let norm_opt = |r: lstore::Result<Option<Vec<u64>>>| r.map_err(|e| e.to_string());
-        let norm_row = |r: lstore::Result<Vec<u64>>| r.map_err(|e| e.to_string());
+        let norm = |r: lstore::Result<lstore::ReadResponse>| {
+            r.map(|r| r.values).map_err(|e| e.to_string())
+        };
 
-        // Snapshot semantics: batched == per-key `read_as_of`, at every
+        // Snapshot semantics: batched == per-key as-of `read_one`, at every
         // recorded timestamp, on every configuration.
         for &ts in &snapshots {
             let mut reference: Option<Vec<_>> = None;
             for (&(w, s), (_, t)) in combos.iter().zip(&dbs) {
                 let batched: Vec<_> = t
-                    .multi_read_as_of(&batch, &[0, 1, 2], ts)
+                    .read_batch(&batch, Some(&[0, 1, 2]), Some(ts))
                     .into_iter()
-                    .map(norm_opt)
+                    .map(norm)
                     .collect();
                 let sequential: Vec<_> = batch
                     .iter()
-                    .map(|&k| norm_opt(t.read_as_of(k, &[0, 1, 2], ts)))
+                    .map(|&k| {
+                        let request = ReadRequest::as_of(k, ts).with_columns(vec![0, 1, 2]);
+                        norm(t.read_one(&request))
+                    })
                     .collect();
                 prop_assert_eq!(
                     &batched, &sequential,
@@ -530,21 +540,24 @@ proptest! {
             }
         }
 
-        // Latest semantics through both batched entry points.
+        // Latest semantics, all columns and a column selection.
         for (&(w, s), (_, t)) in combos.iter().zip(&dbs) {
-            let batched: Vec<_> = t.multi_read_latest(&batch).into_iter().map(norm_row).collect();
-            let sequential: Vec<_> = batch.iter().map(|&k| norm_row(t.read_latest_auto(k))).collect();
+            let batched: Vec<_> = t.read_batch(&batch, None, None).into_iter().map(norm).collect();
+            let sequential: Vec<_> = batch
+                .iter()
+                .map(|&k| norm(t.read_one(&ReadRequest::latest(k))))
+                .collect();
             prop_assert_eq!(&batched, &sequential, "latest batch (pool={}, shards={})", w, s);
             let batched_cols: Vec<_> = t
                 .read_batch(&batch, Some(&[1]), None)
                 .into_iter()
-                .map(|r| norm_opt(r.map(|r| r.values)))
+                .map(norm)
                 .collect();
             let sequential_cols: Vec<_> = batch
                 .iter()
                 .map(|&k| {
                     let request = ReadRequest::latest(k).with_columns(vec![1]);
-                    norm_opt(t.read_one(&request).map(|r| r.values))
+                    norm(t.read_one(&request))
                 })
                 .collect();
             prop_assert_eq!(

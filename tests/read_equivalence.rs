@@ -196,11 +196,18 @@ fn check_reads(t: &lstore::Table, key: u64, marks: &[(u64, Option<Vec<u64>>)], w
                 .as_ref()
                 .map(|row| list.iter().map(|&c| row[c]).collect::<Vec<u64>>());
             let what = format!("{when}: key {key} as of {ts}, columns {list:?}");
-            assert_eq!(t.read_as_of(key, list, *ts).unwrap(), expected, "{what}");
+            let as_of =
+                ReadRequest::as_of(key, *ts).with_columns(list.iter().map(|&c| c as u32).collect());
+            assert_eq!(t.read_one(&as_of).unwrap().values, expected, "{what}");
             // One read per column sees what the gathered read sees.
             let singles: Option<Vec<u64>> = list
                 .iter()
-                .map(|&c| t.read_as_of(key, &[c], *ts).unwrap().map(|v| v[0]))
+                .map(|&c| {
+                    t.read_one(&ReadRequest::as_of(key, *ts).with_columns(vec![c as u32]))
+                        .unwrap()
+                        .values
+                        .map(|v| v[0])
+                })
                 .collect();
             assert_eq!(singles, expected, "{what}, column by column");
         }

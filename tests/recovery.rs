@@ -40,7 +40,7 @@ fn replay_reconstructs_committed_state() {
         expected = (0..500)
             .filter(|k| k % 50 != 0)
             .map(|k| {
-                let row = t.read_latest_auto(k).unwrap();
+                let row = t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap();
                 vec![k, row[0], row[1]]
             })
             .collect();
@@ -60,7 +60,11 @@ fn replay_reconstructs_committed_state() {
     assert!(report.appends > 0);
 
     for row in &expected {
-        let got = t2.read_latest_auto(row[0]).unwrap();
+        let got = t2
+            .read_one(&ReadRequest::latest(row[0]))
+            .unwrap()
+            .values
+            .unwrap();
         assert_eq!(got, vec![row[1], row[2]], "key {}", row[0]);
     }
     for k in (0..500).step_by(50) {
@@ -103,10 +107,16 @@ fn inflight_transactions_are_tombstoned() {
         "in-flight + aborted records tombstoned"
     );
     // Neither uncommitted write is visible.
-    assert_eq!(t2.read_latest_auto(1).unwrap(), vec![1]);
-    assert_eq!(t2.read_latest_auto(2).unwrap(), vec![2]);
+    assert_eq!(
+        t2.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![1])
+    );
+    assert_eq!(
+        t2.read_one(&ReadRequest::latest(2)).unwrap().values,
+        Some(vec![2])
+    );
     assert!(matches!(
-        t2.read_latest_auto(100),
+        t2.read_one(&ReadRequest::latest(100)),
         Err(lstore::Error::KeyNotFound(100))
     ));
     std::fs::remove_file(&path).ok();
@@ -137,7 +147,10 @@ fn torn_log_tail_recovers_prefix() {
     // The torn record is the commit/insert of the last key; everything
     // durable before it is intact.
     for k in 0..19 {
-        assert_eq!(t2.read_latest_auto(k).unwrap(), vec![k]);
+        assert_eq!(
+            t2.read_one(&ReadRequest::latest(k)).unwrap().values,
+            Some(vec![k])
+        );
     }
     std::fs::remove_file(&path).ok();
 }
@@ -206,8 +219,22 @@ fn replay_is_shard_count_agnostic() {
         } else {
             vec![k, 3 * k]
         };
-        assert_eq!(t2.read_latest_auto(k).unwrap(), expect, "key {k} shards=2");
-        assert_eq!(t1.read_latest_auto(k).unwrap(), expect, "key {k} shards=1");
+        assert_eq!(
+            t2.read_one(&ReadRequest::latest(k))
+                .unwrap()
+                .values
+                .unwrap(),
+            expect,
+            "key {k} shards=2"
+        );
+        assert_eq!(
+            t1.read_one(&ReadRequest::latest(k))
+                .unwrap()
+                .values
+                .unwrap(),
+            expect,
+            "key {k} shards=1"
+        );
     }
     let ts2 = t2.now();
     let ts1 = t1.now();
@@ -221,8 +248,14 @@ fn replay_is_shard_count_agnostic() {
         t.update_auto(1, &[(1, 777)]).unwrap();
         t.insert_auto(KEYS + 500, &[9, 9]).unwrap(); // a fresh stripe
         assert!(t.merge_all() > 0);
-        assert_eq!(t.read_latest_auto(1).unwrap()[1], 777);
-        assert_eq!(t.read_latest_auto(KEYS + 500).unwrap(), vec![9, 9]);
+        assert_eq!(
+            t.read_one(&ReadRequest::latest(1)).unwrap().values.unwrap()[1],
+            777
+        );
+        assert_eq!(
+            t.read_one(&ReadRequest::latest(KEYS + 500)).unwrap().values,
+            Some(vec![9, 9])
+        );
     }
     std::fs::remove_file(&path).ok();
 }
@@ -319,7 +352,11 @@ fn recovery_roundtrip_matrix_cell() {
             continue;
         }
         let b = if k % 4 == 0 { k + 3 } else { 7 * k };
-        assert_eq!(t2.read_latest_auto(k).unwrap(), vec![k, b], "key {k}");
+        assert_eq!(
+            t2.read_one(&ReadRequest::latest(k)).unwrap().values,
+            Some(vec![k, b]),
+            "key {k}"
+        );
     }
     assert_eq!(t2.sum_auto(0), expected_sum);
     std::fs::remove_file(&path).ok();

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lstore::{Database, DbConfig, Error, ReadRequest, ReadResponse, Table, TableConfig};
+use lstore::{Database, DbConfig, Error, ReadRequest, Table, TableConfig};
 use lstore_server::protocol::{encode_response, Response};
 use lstore_server::{Client, ClientError, Reply, Server, ServerConfig};
 
@@ -39,18 +39,6 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
-}
-
-/// The embedded result vocabulary (`Result<Option<Vec<u64>>>`) mapped
-/// into the wire vocabulary, so both sides can be byte-compared through
-/// the same encoder.
-fn embedded_as_wire(results: Vec<lstore::Result<Option<Vec<u64>>>>) -> Response {
-    Response::Results(
-        results
-            .into_iter()
-            .map(|r| r.map(|values| ReadResponse { values }))
-            .collect(),
-    )
 }
 
 #[test]
@@ -96,10 +84,9 @@ fn remote_reads_are_byte_identical_to_embedded_reads_under_writers() {
                         .collect();
                     let ts = table.now();
                     let remote = client.multi_read("kv", &keys, None, Some(ts)).unwrap();
-                    let embedded =
-                        table.multi_read_as_of(&keys, &(0..COLS).collect::<Vec<_>>(), ts);
+                    let embedded = table.read_batch(&keys, None, Some(ts));
                     let remote_frame = encode_response(0, &Response::Results(remote));
-                    let embedded_frame = encode_response(0, &embedded_as_wire(embedded));
+                    let embedded_frame = encode_response(0, &Response::Results(embedded));
                     assert_eq!(remote_frame, embedded_frame, "snapshot reads diverged");
                 }
             })
@@ -129,16 +116,14 @@ fn remote_reads_are_byte_identical_to_embedded_reads_under_writers() {
     );
 
     // With writers quiesced, latest-mode remote reads equal the embedded
-    // multi_read_latest vocabulary exactly.
+    // batched reads exactly.
     let mut client = Client::connect(addr).unwrap();
     let keys: Vec<u64> = (0..64).chain([5_000_001]).collect();
     let remote = client.multi_read("kv", &keys, None, None).unwrap();
-    let embedded = table.multi_read_latest(&keys);
+    let embedded = table.read_batch(&keys, None, None);
     for ((key, remote), embedded) in keys.iter().zip(remote).zip(embedded) {
         match (remote, embedded) {
-            (Ok(r), Ok(values)) => assert_eq!(r.values, Some(values), "key {key}"),
-            // multi_read_latest folds "invisible" into KeyNotFound.
-            (Ok(ReadResponse { values: None }), Err(Error::KeyNotFound(_))) => {}
+            (Ok(r), Ok(e)) => assert_eq!(r, e, "key {key}"),
             (Err(a), Err(b)) => assert_eq!(a.to_parts(), b.to_parts(), "key {key}"),
             (a, b) => panic!("key {key}: remote {a:?} vs embedded {b:?}"),
         }

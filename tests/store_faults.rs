@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use lstore::{Database, DbConfig, Table, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, Table, TableConfig};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-store-faults");
@@ -47,7 +47,10 @@ fn enospc_on_writeback_surfaces_error_without_corrupting_reads() {
     // Reads answer correctly from the resident frames the failed
     // writebacks could not release.
     for k in [0u64, 1, 255, 256, 599] {
-        assert_eq!(t.read_latest_auto(k).unwrap(), vec![k * 2, k * 3]);
+        assert_eq!(
+            t.read_one(&ReadRequest::latest(k)).unwrap().values,
+            Some(vec![k * 2, k * 3])
+        );
     }
     let expect_sum: u64 = (0..600u64).map(|k| k * 2).sum();
     assert_eq!(t.sum_auto(0), expect_sum);
@@ -214,7 +217,10 @@ fn kill_at_random_offset_recovers_the_last_published_checkpoint() {
         t.update_auto(1, &[(1, 424_242)]).unwrap();
         t.merge_all();
         t.checkpoint_to_store().unwrap();
-        assert_eq!(t.read_latest_auto(1).unwrap()[1], 424_242);
+        assert_eq!(
+            t.read_one(&ReadRequest::latest(1)).unwrap().values.unwrap()[1],
+            424_242
+        );
         drop(db);
         std::fs::remove_file(&damaged).ok();
     }

@@ -1,7 +1,7 @@
 //! Transactional semantics (§5.1.1): write-write conflicts, abort
 //! tombstones, speculative reads, commit-time validation, isolation levels.
 
-use lstore::{Database, DbConfig, IsolationLevel, TableConfig};
+use lstore::{Database, DbConfig, IsolationLevel, ReadRequest, TableConfig};
 
 fn setup() -> (std::sync::Arc<Database>, std::sync::Arc<lstore::Table>) {
     let db = Database::new(DbConfig::deterministic());
@@ -25,7 +25,10 @@ fn write_write_conflict_aborts_second_writer() {
     assert!(matches!(err, lstore::Error::WriteConflict { .. }));
     db.abort(&mut t2);
     db.commit(&mut t1).unwrap();
-    assert_eq!(t.read_latest_auto(5).unwrap()[0], 111);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(5)).unwrap().values.unwrap()[0],
+        111
+    );
     assert_eq!(t.stats().write_conflicts, 1);
 }
 
@@ -35,12 +38,18 @@ fn uncommitted_writes_invisible_until_commit() {
     let mut writer = db.begin();
     t.update(&mut writer, 7, &[(0, 999)]).unwrap();
     // Other readers do not see it.
-    assert_eq!(t.read_latest_auto(7).unwrap()[0], 70);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(7)).unwrap().values.unwrap()[0],
+        70
+    );
     // The writer sees its own write.
     let own = t.read(&mut writer, 7, &[0]).unwrap().unwrap();
     assert_eq!(own[0], 999);
     db.commit(&mut writer).unwrap();
-    assert_eq!(t.read_latest_auto(7).unwrap()[0], 999);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(7)).unwrap().values.unwrap()[0],
+        999
+    );
 }
 
 #[test]
@@ -51,13 +60,22 @@ fn aborted_writes_become_tombstones() {
     t.update(&mut writer, 3, &[(1, 556)]).unwrap();
     db.abort(&mut writer);
     // The tail records exist but readers skip them.
-    assert_eq!(t.read_latest_auto(3).unwrap(), vec![30, 300]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(3)).unwrap().values,
+        Some(vec![30, 300])
+    );
     // A later writer chains past the tombstones without issue.
     t.update_auto(3, &[(0, 42)]).unwrap();
-    assert_eq!(t.read_latest_auto(3).unwrap(), vec![42, 300]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(3)).unwrap().values,
+        Some(vec![42, 300])
+    );
     // The merge skips tombstones too.
     t.merge_all();
-    assert_eq!(t.read_latest_auto(3).unwrap(), vec![42, 300]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(3)).unwrap().values,
+        Some(vec![42, 300])
+    );
 }
 
 #[test]
@@ -67,12 +85,15 @@ fn aborted_insert_unhooks_primary_index() {
     t.insert(&mut txn, 1000, &[1, 2]).unwrap();
     db.abort(&mut txn);
     assert!(matches!(
-        t.read_latest_auto(1000),
+        t.read_one(&ReadRequest::latest(1000)),
         Err(lstore::Error::KeyNotFound(1000))
     ));
     // The key can be inserted again.
     t.insert_auto(1000, &[3, 4]).unwrap();
-    assert_eq!(t.read_latest_auto(1000).unwrap(), vec![3, 4]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1000)).unwrap().values,
+        Some(vec![3, 4])
+    );
 }
 
 #[test]
@@ -167,8 +188,20 @@ fn multi_statement_transaction_is_atomic() {
     t.update(&mut txn, 20, &[(0, 0)]).unwrap();
     t.update(&mut txn, 21, &[(0, 999_999)]).unwrap();
     db.abort(&mut txn);
-    assert_eq!(t.read_latest_auto(20).unwrap()[0], 200);
-    assert_eq!(t.read_latest_auto(21).unwrap()[0], 210);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(20))
+            .unwrap()
+            .values
+            .unwrap()[0],
+        200
+    );
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(21))
+            .unwrap()
+            .values
+            .unwrap()[0],
+        210
+    );
 }
 
 #[test]
@@ -180,7 +213,10 @@ fn same_record_updated_twice_in_one_txn() {
     t.update(&mut txn, 8, &[(1, 3)]).unwrap();
     db.commit(&mut txn).unwrap();
     // "only the final update becomes visible".
-    assert_eq!(t.read_latest_auto(8).unwrap(), vec![2, 3]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(8)).unwrap().values,
+        Some(vec![2, 3])
+    );
 }
 
 #[test]
@@ -194,7 +230,13 @@ fn double_commit_returns_txn_finalized() {
     let err = db.commit(&mut txn).unwrap_err();
     assert!(matches!(err, lstore::Error::TxnFinalized), "{err:?}");
     // The committed write is untouched by the failed retry.
-    assert_eq!(t.read_latest_auto(30).unwrap()[0], 77);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(30))
+            .unwrap()
+            .values
+            .unwrap()[0],
+        77
+    );
 }
 
 #[test]
@@ -206,7 +248,13 @@ fn commit_after_abort_returns_txn_finalized() {
     let err = db.commit(&mut txn).unwrap_err();
     assert!(matches!(err, lstore::Error::TxnFinalized), "{err:?}");
     // The abort stands: the write stays a tombstone.
-    assert_eq!(t.read_latest_auto(31).unwrap()[0], 310);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(31))
+            .unwrap()
+            .values
+            .unwrap()[0],
+        310
+    );
 }
 
 #[test]
@@ -218,10 +266,22 @@ fn abort_after_commit_is_a_noop() {
     // Aborting a committed transaction must not flip its entry to Aborted
     // (which would retroactively tombstone the committed version).
     db.abort(&mut txn);
-    assert_eq!(t.read_latest_auto(32).unwrap()[0], 99);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(32))
+            .unwrap()
+            .values
+            .unwrap()[0],
+        99
+    );
     // Double abort is equally inert.
     db.abort(&mut txn);
-    assert_eq!(t.read_latest_auto(32).unwrap()[0], 99);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(32))
+            .unwrap()
+            .values
+            .unwrap()[0],
+        99
+    );
 }
 
 /// The transaction table is collected: every commit and abort retires its
@@ -269,9 +329,15 @@ fn transaction_table_stays_bounded_and_recycled_aborts_stay_invisible() {
     let check = |when: &str| {
         for k in 0..KEYS {
             let at = k as usize;
-            assert_eq!(t.read_latest_auto(k).unwrap(), vec![model[at]], "{when}");
             assert_eq!(
-                t.read_as_of(k, &[0], then).unwrap(),
+                t.read_one(&ReadRequest::latest(k)).unwrap().values,
+                Some(vec![model[at]]),
+                "{when}"
+            );
+            assert_eq!(
+                t.read_one(&ReadRequest::as_of(k, then).with_columns(vec![0]))
+                    .unwrap()
+                    .values,
                 Some(vec![model_then[at]]),
                 "{when}, as of {then}"
             );

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use lstore::{Database, DbConfig, Error, IsolationLevel, TableConfig};
+use lstore::{Database, DbConfig, Error, IsolationLevel, ReadRequest, TableConfig};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-commit-fault-tests");
@@ -74,9 +74,10 @@ fn wal_commit_failure_aborts_txn() {
         matches!(err, Error::Wal(_) | Error::Storage(_)),
         "commit over a full device must surface the WAL error, got {err:?}"
     );
-    // The transaction aborted: its insert is unhooked, not in limbo.
+    // The transaction aborted: its insert is unhooked from the index, not
+    // in limbo.
     assert!(matches!(
-        t.read_latest_auto(1).unwrap_err(),
+        t.read_one(&ReadRequest::latest(1)).unwrap_err(),
         Error::KeyNotFound(1)
     ));
     // And the handle is finalized — a retry is a fresh transaction.
@@ -111,8 +112,11 @@ fn wal_commit_failures_do_not_wedge_the_database() {
         assert_eq!(txn.commit != 0, k == 0, "only the first reached its commit");
         db.abort(&mut txn);
         assert!(
-            matches!(t.read_latest_auto(k).unwrap_err(), Error::KeyNotFound(_)),
-            "aborted insert of key {k} must stay invisible"
+            matches!(
+                t.read_one(&ReadRequest::latest(k)).unwrap_err(),
+                Error::KeyNotFound(_)
+            ),
+            "aborted insert of key {k} must be unhooked from the index"
         );
     }
 }
@@ -167,7 +171,10 @@ fn wal_append_failure_releases_the_latch() {
         assert_eq!(t.read(&mut fresh, 1, &[0]).unwrap(), Some(vec![10]));
         db.abort(&mut fresh);
     }
-    assert_eq!(t.read_latest_auto(1).unwrap(), vec![10]);
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![10])
+    );
 }
 
 /// Auto-commit goes through the same commit sequence as `Database::commit`:
@@ -203,20 +210,29 @@ fn auto_commit_surfaces_wal_failures() {
         is_log_error(&err),
         "update_auto over a full device: {err:?}"
     );
-    assert_eq!(t.read_latest_auto(1).unwrap(), vec![10], "old value stands");
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![10]),
+        "old value stands"
+    );
     let err = t.delete_auto(1).unwrap_err();
     assert!(
         is_log_error(&err),
         "delete_auto over a full device: {err:?}"
     );
-    assert_eq!(t.read_latest_auto(1).unwrap(), vec![10], "row still there");
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![10]),
+        "row still there"
+    );
     let err = t.insert_auto(2, &[20]).unwrap_err();
     assert!(
         is_log_error(&err),
         "insert_auto over a full device: {err:?}"
     );
+    // The aborted insert is unhooked from the index.
     assert!(matches!(
-        t.read_latest_auto(2).unwrap_err(),
+        t.read_one(&ReadRequest::latest(2)).unwrap_err(),
         Error::KeyNotFound(2)
     ));
     assert_eq!(t.count_as_of(t.now()), 1);

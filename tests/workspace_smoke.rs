@@ -3,7 +3,7 @@
 //! workspace manifests establish (core → storage/index/txn/wal, baselines →
 //! core, bench → core + baselines).
 
-use lstore::{Database, DbConfig, TableConfig};
+use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 use lstore_baselines::{DbmEngine, Engine, IuhEngine, LStoreEngine};
 use lstore_bench::workload::{Contention, Workload, WorkloadConfig};
 
@@ -38,28 +38,47 @@ fn end_to_end_lifecycle() {
     db.commit(&mut txn).unwrap();
 
     // Latest reads see all committed updates.
-    assert_eq!(table.read_latest_auto(1).unwrap(), vec![11, 99, 0]);
-    assert_eq!(table.read_latest_auto(2).unwrap(), vec![21, 98, 0]);
+    assert_eq!(
+        table.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![11, 99, 0])
+    );
+    assert_eq!(
+        table.read_one(&ReadRequest::latest(2)).unwrap().values,
+        Some(vec![21, 98, 0])
+    );
 
     // Contention-free merge must not change query results.
     table.merge_all();
-    assert_eq!(table.read_latest_auto(1).unwrap(), vec![11, 99, 0]);
+    assert_eq!(
+        table.read_one(&ReadRequest::latest(1)).unwrap().values,
+        Some(vec![11, 99, 0])
+    );
 
     // Analytical scan on the merged data.
     let expected_sum: u64 = (0..200u64).map(|k| k * 10 + 1).sum();
     assert_eq!(table.sum_auto(0), expected_sum);
 
     // Time travel to before the update wave, across the merge.
-    let old = table.read_as_of(5, &[0, 1, 2], before_updates).unwrap();
+    let old = table
+        .read_one(&ReadRequest::as_of(5, before_updates).with_columns(vec![0, 1, 2]))
+        .unwrap()
+        .values;
     assert_eq!(old, Some(vec![50, 5, 0]));
     let old_sum: u64 = (0..200u64).map(|k| k * 10).sum();
     assert_eq!(table.sum_as_of(0, before_updates), old_sum);
 
     // Delete is visible in latest state but not in the past.
     table.delete_auto(5).unwrap();
-    assert!(table.read_latest_auto(5).is_err());
+    // Deleted: still indexed, so a response with nothing visible.
     assert_eq!(
-        table.read_as_of(5, &[0, 1, 2], before_updates).unwrap(),
+        table.read_one(&ReadRequest::latest(5)).unwrap().values,
+        None
+    );
+    assert_eq!(
+        table
+            .read_one(&ReadRequest::as_of(5, before_updates).with_columns(vec![0, 1, 2]))
+            .unwrap()
+            .values,
         Some(vec![50, 5, 0])
     );
 }
