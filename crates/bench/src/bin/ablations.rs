@@ -1,6 +1,6 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
-//! update-range size (§4.4), cumulative vs non-cumulative updates (§3.1),
-//! base-page codec choice (§4.1.3), merge threshold (Fig. 8 companion).
+//! Ablation studies for four of the paper's design choices: update-range
+//! size (§4.4), cumulative vs non-cumulative updates (§3.1), base-page
+//! codec choice (§4.1.3), merge threshold (Fig. 8 companion).
 
 use std::sync::Arc;
 

@@ -237,17 +237,18 @@ pub fn lstore_store_engine(
 /// `pool_threads`-wide task pool, one shard, background merge and
 /// cumulative updates off. The serving figure pre-updates its hot set and
 /// needs the resulting tail chains to *stay* — a cross-connection batch
-/// resolves each expensive chain-walking read once, and auto-merge
+/// resolves each expensive chain-walking read once, and a background merge
 /// consolidating mid-run would turn the axis into a race against the
 /// merge queue.
 pub fn lstore_serving_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
-        DbConfig::new()
-            .with_pool_threads(pool_threads)
-            .with_shards(1),
-        TableConfig::default()
-            .with_auto_merge(false)
-            .with_cumulative(false),
+        DbConfig {
+            background_merge: false,
+            ..DbConfig::new()
+                .with_pool_threads(pool_threads)
+                .with_shards(1)
+        },
+        TableConfig::default().with_cumulative(false),
     ));
     e.populate(config.rows, config.cols);
     e
@@ -263,13 +264,14 @@ pub fn lstore_serving_engine(config: &WorkloadConfig, pool_threads: usize) -> Ar
 /// inline unit and hide the fan-out entirely).
 pub fn lstore_contention_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
-        DbConfig::new()
-            .with_pool_threads(pool_threads)
-            .with_shards(1)
-            .with_batch_read_min(4),
-        TableConfig::default()
-            .with_auto_merge(false)
-            .with_cumulative(false),
+        DbConfig {
+            background_merge: false,
+            ..DbConfig::new()
+                .with_pool_threads(pool_threads)
+                .with_shards(1)
+                .with_batch_read_min(4)
+        },
+        TableConfig::default().with_cumulative(false),
     ));
     e.populate(config.rows, config.cols);
     e

@@ -7,7 +7,9 @@ use std::path::PathBuf;
 #[derive(Debug, Clone)]
 pub struct TableConfig {
     /// Update-range size: records per (virtual) range partition. The paper
-    /// finds 2^12..2^16 best (§4.4); default 2^12.
+    /// finds 2^12..2^16 best (§4.4); default 2^12. Insert ranges (§3.2) have
+    /// the same capacity, so a merged insert range is one update range, and
+    /// shards stripe the key space in runs of this many keys.
     pub range_size: usize,
     /// Slots per physical tail page. Tail pages "could be smaller than base
     /// pages" (§4.4 footnote); default 2^10.
@@ -21,12 +23,6 @@ pub struct TableConfig {
     pub cumulative_updates: bool,
     /// Codec policy for merged base pages.
     pub codec: CodecChoice,
-    /// Automatically enqueue merges when `merge_threshold` is reached.
-    pub auto_merge: bool,
-    /// Slots per insert range (§3.2; the paper uses ≥ 1M in production
-    /// settings — default matches `range_size` so merged insert ranges align
-    /// with update ranges at laptop scale).
-    pub insert_range_size: usize,
 }
 
 impl Default for TableConfig {
@@ -38,8 +34,6 @@ impl Default for TableConfig {
             merge_threshold: range_size / 2,
             cumulative_updates: true,
             codec: CodecChoice::Auto,
-            auto_merge: true,
-            insert_range_size: range_size,
         }
     }
 }
@@ -52,7 +46,6 @@ impl TableConfig {
             range_size: 256,
             tail_page_slots: 64,
             merge_threshold: 128,
-            insert_range_size: 256,
             ..TableConfig::default()
         }
     }
@@ -61,7 +54,6 @@ impl TableConfig {
     pub fn with_range_size(mut self, range_size: usize) -> Self {
         self.range_size = range_size;
         self.merge_threshold = (range_size / 2).max(1);
-        self.insert_range_size = range_size;
         self
     }
 
@@ -80,12 +72,6 @@ impl TableConfig {
     /// Set the base-page codec policy.
     pub fn with_codec(mut self, codec: CodecChoice) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// Enable/disable automatic background merging.
-    pub fn with_auto_merge(mut self, on: bool) -> Self {
-        self.auto_merge = on;
         self
     }
 }
@@ -144,10 +130,9 @@ pub struct DbConfig {
     /// queues. `1` keeps scans strictly sequential on the calling thread
     /// (background merges, when enabled, still get one worker); the pool is
     /// spawned lazily on the first parallel scan or merge enqueue.
-    /// Supersedes the pre-unification `scan_threads` knob.
     pub pool_threads: usize,
     /// Number of key-range shards per table: the key space splits into
-    /// contiguous stripes of `TableConfig::insert_range_size` keys, assigned
+    /// contiguous stripes of `TableConfig::range_size` keys, assigned
     /// round-robin to shards, and each shard owns its own primary-index
     /// partition, insert range, and statistics block — so writers scale
     /// with cores the way the scan pool makes reads scale. Purely an
@@ -279,6 +264,22 @@ impl DbConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Database;
+
+    #[test]
+    fn range_size_is_the_insert_range_capacity() {
+        let n = 8;
+        let db = Database::new(DbConfig::deterministic());
+        let config = TableConfig::default().with_range_size(n);
+        let table = db.create_table("ranges", &["v"], config).unwrap();
+        for key in 0..=n as u64 {
+            table.insert_auto(key, &[key]).unwrap();
+        }
+        assert_eq!(table.range_handle(0).capacity, n);
+        assert_eq!(table.locate(n as u64 - 1).unwrap().range(), 0);
+        assert_eq!(table.locate(n as u64).unwrap().range(), 1);
+        assert_eq!(table.range_count(), 2);
+    }
 
     #[test]
     fn deterministic_pins_single_threaded_inline_merges() {

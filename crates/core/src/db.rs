@@ -42,7 +42,7 @@ pub struct Runtime {
     /// Configured scan fan-out width (`DbConfig::pool_threads`).
     pool_threads: usize,
     /// Whether writers may queue background merges (`DbConfig::background_merge`).
-    background_merge: bool,
+    pub(crate) background_merge: bool,
     /// Configured per-table key-range shard count (`DbConfig::shards`).
     shards: usize,
     /// Minimum batch size before a batched read fans out across the pool
@@ -87,11 +87,11 @@ impl Runtime {
     }
 
     /// Route a merge request to the owning shard's injector queue on the
-    /// pool; false when background merging is off or the pool has stopped
-    /// (database dropping) — the caller then clears the range's
-    /// merge-pending claim and leaves the work to manual merges.
+    /// pool; false when the pool has stopped (database dropping) — the
+    /// caller then clears the range's merge-pending claim and leaves the
+    /// work to manual merges. Callers check `background_merge` first.
     pub(crate) fn enqueue_merge(&self, table_id: u32, shard: u32, range_id: u32) -> bool {
-        if !self.background_merge || self.stopped.load(Ordering::Acquire) {
+        if self.stopped.load(Ordering::Acquire) {
             return false;
         }
         let Some(table) = self.tables.read().get(table_id as usize).cloned() else {
@@ -288,11 +288,6 @@ impl Database {
             runtime,
             tables: RwLock::new(HashMap::new()),
         })
-    }
-
-    /// In-memory database with default settings.
-    pub fn in_memory() -> Arc<Database> {
-        Database::new(DbConfig::new())
     }
 
     /// Block until every queued background merge has executed — after this,
@@ -516,5 +511,39 @@ mod tests {
         assert!(!db.runtime.enqueue_merge(table.id, 0, 0));
         assert!(db.runtime.spawned_pool().is_none(), "no pool resurrected");
         drop(db);
+    }
+
+    #[test]
+    fn background_merge_off_leaves_merges_to_the_caller_with_workers_present() {
+        let db = Database::new(DbConfig {
+            background_merge: false,
+            ..DbConfig::new().with_pool_threads(2).with_shards(1)
+        });
+        assert!(db.runtime.pool().is_some(), "a worker is running");
+        let config = TableConfig::small();
+        let (size, threshold) = (config.range_size as u64, config.merge_threshold as u64);
+        let table = db.create_table("off", &["v"], config).unwrap();
+        let ranges = 3;
+        for key in 0..ranges * size {
+            table.insert_auto(key, &[key]).unwrap();
+        }
+        table.merge_all(); // graduate the insert ranges
+        for round in 0..=threshold {
+            for range in 0..ranges {
+                table.update_auto(range * size, &[(0, round)]).unwrap();
+            }
+        }
+        db.drain_merges();
+        let updated = || (0..ranges as u32).map(|id| table.range_handle(id));
+        for range in updated() {
+            assert!(range.unmerged() > threshold, "range {} updated", range.id);
+            assert_eq!(range.base().tps, 0, "range {} merged unasked", range.id);
+            assert!(range.claim_merge(), "range {} left claimed", range.id);
+            range.merge_done();
+        }
+        assert!(table.merge_all() >= ranges * (threshold + 1));
+        for range in updated() {
+            assert!(range.base().tps > 0, "range {} not merged", range.id);
+        }
     }
 }

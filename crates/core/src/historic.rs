@@ -39,11 +39,6 @@ pub struct RecordHistory {
 }
 
 impl RecordHistory {
-    /// Number of inlined versions.
-    pub fn version_count(&self) -> usize {
-        self.starts.len()
-    }
-
     /// Index of the newest version with start ≤ `bound`.
     fn newest_at(&self, bound: u64) -> Option<usize> {
         let idx = self.starts.partition_point(|&s| s <= bound);
@@ -60,11 +55,6 @@ impl RecordHistory {
             }
         }
         None
-    }
-
-    /// Total delta cells stored (compression metric).
-    pub fn delta_cells(&self) -> usize {
-        self.deltas.iter().map(Vec::len).sum()
     }
 }
 
@@ -86,26 +76,6 @@ pub struct HistoricSegment {
     /// Per-slot histories, ordered by base RID (BTreeMap keeps RID order,
     /// "improving the locality of access").
     records: BTreeMap<u32, RecordHistory>,
-}
-
-impl HistoricSegment {
-    /// Number of records with history in this segment.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Total inlined versions across records.
-    pub fn version_count(&self) -> usize {
-        self.records
-            .values()
-            .map(RecordHistory::version_count)
-            .sum()
-    }
-
-    /// Total delta cells (for compression-ratio reporting).
-    pub fn delta_cells(&self) -> usize {
-        self.records.values().map(RecordHistory::delta_cells).sum()
-    }
 }
 
 /// The historic store: the current segment per range.

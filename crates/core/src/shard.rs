@@ -21,8 +21,8 @@
 //! this for shards 1/2/8).
 //!
 //! **Routing** is striped range partitioning: the key space splits into
-//! contiguous *stripes* of `TableConfig::insert_range_size` keys, and
-//! stripe `s` belongs to shard `s % shards`. Contiguous key intervals
+//! contiguous *stripes* of `TableConfig::range_size` keys, and stripe `s`
+//! belongs to shard `s % shards`. Contiguous key intervals
 //! (`sum_key_range`, the paper's partial scans) stay local to one shard per
 //! stripe, while dense key spaces still spread across all shards — plain
 //! `key % shards` would also spread, but would put every contiguous scan

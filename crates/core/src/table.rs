@@ -93,7 +93,7 @@ impl Table {
                     Some(Arc::new(UpdateRange::new(
                         rid,
                         s,
-                        config.insert_range_size,
+                        config.range_size,
                         ncols,
                         config.tail_page_slots,
                     )))
@@ -107,7 +107,7 @@ impl Table {
             id,
             name: name.to_string(),
             schema,
-            shard_map: ShardMap::new(nshards, config.insert_range_size),
+            shard_map: ShardMap::new(nshards, config.range_size),
             config,
             runtime,
             ranges,
@@ -169,7 +169,7 @@ impl Table {
     }
 
     /// The shard owning `key` (striped range partitioning: contiguous
-    /// stripes of `TableConfig::insert_range_size` keys, round-robin).
+    /// stripes of `TableConfig::range_size` keys, round-robin).
     pub fn shard_of_key(&self, key: u64) -> usize {
         self.shard_map.shard_of(key) as usize
     }
@@ -352,16 +352,6 @@ impl Table {
         }
     }
 
-    /// Look up a secondary index previously created on `user_col`.
-    pub fn secondary_index(&self, user_col: usize) -> Option<Arc<SecondaryIndex>> {
-        let col = user_col + 1;
-        self.secondary
-            .read()
-            .iter()
-            .find(|(c, _)| *c == col)
-            .map(|(_, i)| Arc::clone(i))
-    }
-
     pub(crate) fn reader<'a>(
         &'a self,
         range: &'a UpdateRange,
@@ -505,7 +495,7 @@ impl Table {
                 Some(Arc::new(UpdateRange::new(
                     id,
                     shard_idx as u32,
-                    self.config.insert_range_size,
+                    self.config.range_size,
                     self.schema.column_count(),
                     self.config.tail_page_slots,
                 )))
@@ -884,16 +874,15 @@ impl Table {
     // ------------------------------------------------------------------
 
     fn enqueue_merge(&self, range: &Arc<UpdateRange>) {
-        if !self.config.auto_merge {
-            return;
-        }
-        if !range.claim_merge() {
+        // With background merging off, merges run only when called
+        // (`merge_now` / `merge_all`): no claim to take and release.
+        if !self.runtime.background_merge || !range.claim_merge() {
             return;
         }
         // Route to the owning shard's injector queue on the unified pool
         // (shard-owned ranges need no cross-shard merge ordering).
         if !self.runtime.enqueue_merge(self.id, range.shard, range.id) {
-            range.merge_done(); // background merging off: leave to manual merges
+            range.merge_done(); // pool stopped: leave to manual merges
         }
     }
 
@@ -1108,7 +1097,7 @@ impl Table {
                 Some(Arc::new(UpdateRange::new(
                     id,
                     owner,
-                    self.config.insert_range_size,
+                    self.config.range_size,
                     self.schema.column_count(),
                     self.config.tail_page_slots,
                 )))

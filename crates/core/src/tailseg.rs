@@ -185,15 +185,6 @@ impl TailSegment {
         self.data.iter().filter(|c| c.page_count() > 0).count()
     }
 
-    /// Total allocated tail pages across all columns (meta + data).
-    pub fn allocated_pages(&self) -> usize {
-        self.indirection.page_count()
-            + self.schema_enc.page_count()
-            + self.start_time.page_count()
-            + self.base_rid.page_count()
-            + self.data.iter().map(|c| c.page_count()).sum::<usize>()
-    }
-
     /// Release whole tail pages whose records all have `seq < below_seq`;
     /// called after historic compression (§4.3). Returns pages released.
     pub fn release_below(&self, below_seq: u32) -> usize {

@@ -103,11 +103,6 @@ impl BytesMut {
         self.data.clear();
     }
 
-    /// Reserve space for `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
-    }
-
     /// Append a byte slice.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);

@@ -49,25 +49,6 @@ impl<T: ?Sized> Mutex<T> {
         };
         MutexGuard { inner: Some(guard) }
     }
-
-    /// Try to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -117,14 +98,6 @@ impl<T> RwLock<T> {
             inner: std::sync::RwLock::new(value),
         }
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -144,17 +117,6 @@ impl<T: ?Sized> RwLock<T> {
             Err(p) => p.into_inner(),
         };
         RwLockWriteGuard { inner }
-    }
-
-    /// Try to acquire a shared read lock without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                inner: p.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Try to acquire the exclusive write lock without blocking.

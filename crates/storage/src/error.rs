@@ -5,9 +5,7 @@ use std::fmt;
 /// Errors surfaced by the storage substrate.
 #[derive(Debug)]
 pub enum StorageError {
-    /// A slot index was out of range for the page or directory entry.
-    SlotOutOfBounds { slot: usize, len: usize },
-    /// A directory entry was missing.
+    /// The page store holds no page under this id.
     MissingEntry { id: u64 },
     /// A page image on disk was malformed.
     Corrupt(String),
@@ -18,10 +16,7 @@ pub enum StorageError {
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::SlotOutOfBounds { slot, len } => {
-                write!(f, "slot {slot} out of bounds for page of {len} slots")
-            }
-            StorageError::MissingEntry { id } => write!(f, "missing directory entry {id}"),
+            StorageError::MissingEntry { id } => write!(f, "no stored page with id {id}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt page image: {msg}"),
             StorageError::Io(e) => write!(f, "storage i/o error: {e}"),
         }

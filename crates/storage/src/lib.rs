@@ -11,8 +11,6 @@
 //! * **Compression codecs** ([`compress`]) — dictionary, run-length, and
 //!   frame-of-reference bit-packing with random-access decode, applied to
 //!   base pages at merge time and to historic tail data (§4.3).
-//! * **Page directory** ([`directory::Directory`]) — the swap-pointer map the
-//!   merge updates as its only foreground action (§4.1.1 step 4).
 //! * **Epoch-based reclamation** ([`epoch::EpochManager`]) — contention-free
 //!   de-allocation of outdated base pages once all readers that began before
 //!   the merge have drained (§4.1.1 step 5, Fig. 6).
@@ -27,7 +25,6 @@
 //! represented by [`NULL_VALUE`].
 
 pub mod compress;
-pub mod directory;
 pub mod disk;
 pub mod epoch;
 pub mod error;
@@ -58,7 +55,3 @@ pub fn prefetch<T>(cell: &T) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = cell;
 }
-
-/// Default number of record slots per page. With 8-byte cells this makes a
-/// 32 KB page, the page size used throughout the paper's evaluation (§6.1).
-pub const DEFAULT_PAGE_SLOTS: usize = 4096;

@@ -457,11 +457,6 @@ impl PagePtr {
         PagePtr::Resident(Arc::new(page))
     }
 
-    /// Wrap an already-shared page heap-resident.
-    pub fn from_arc(page: Arc<BasePage>) -> PagePtr {
-        PagePtr::Resident(page)
-    }
-
     /// Seal into `store` when one is configured, else keep heap-resident.
     /// The single switch point the merge uses.
     pub fn seal(store: Option<&Arc<PageStore>>, page: BasePage) -> PagePtr {

@@ -1,6 +1,6 @@
 //! # lstore-wal
 //!
-//! Logging and recovery substrate for L-Store (§5.1.3, §5.2).
+//! Logging and recovery substrate for L-Store (§5.1.3).
 //!
 //! The lineage-based architecture makes logging unusually cheap:
 //!
@@ -12,6 +12,10 @@
 //!   re-running it reproduces the same pages) → operational logging only.
 //! * The Indirection column is rebuilt at recovery from the Base RID column
 //!   of tail records (§5.1.3 recovery option 2), so even it needs no undo.
+//! * No page is ever written back while writers still apply to it: the
+//!   merge writes base pages whole, and only sealed tail pages are candidates
+//!   for write-back. §5.2's Ownership-Relaying protocol, which keeps
+//!   `pageLSN` honest for exactly that case, therefore has nothing to do.
 //!
 //! Modules:
 //! * [`record`] — the binary log record format (redo, commit/abort,
@@ -22,18 +26,13 @@
 //!   for returning committers instead of a timer. Below it a crate-private
 //!   file writer assigns LSNs; a failed write or sync poisons it.
 //! * [`recovery`] — the log scan, in file order, that replay consumes.
-//! * [`ownership`] — the §5.2 Ownership-Relaying (OR) protocol for
-//!   maintaining `pageLSN` under many concurrent writers with mostly shared
-//!   latches.
 
 pub mod log;
-pub mod ownership;
 pub mod record;
 pub mod recovery;
 mod writer;
 
 pub use log::{CommitPolicy, Wal, WalStats};
-pub use ownership::{OrOutcome, OrPage};
 pub use record::LogRecord;
 pub use recovery::{recover, RecoveredState};
 

@@ -9,9 +9,11 @@
 //!
 //! The checksum is a simple FNV-1a over the tag+payload — adequate for
 //! detecting torn writes (the failure mode that matters for an append-only
-//! log), not for adversarial corruption.
+//! log), not for adversarial corruption. A body whose checksum matches is
+//! still read through a bounds-checked cursor: one that is shorter or
+//! longer than its tag's fields is [`WalError::Corrupt`], never a panic.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::{WalError, WalResult};
 
@@ -107,6 +109,63 @@ fn fnv1a(data: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
+}
+
+/// A bounds-checked big-endian cursor: a field that runs past the end of
+/// the bytes is `Corrupt("short record")`.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> WalResult<[u8; N]> {
+        let (field, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or_else(|| WalError::Corrupt("short record".into()))?;
+        self.0 = rest;
+        Ok(*field)
+    }
+
+    fn u8(&mut self) -> WalResult<u8> {
+        self.take().map(u8::from_be_bytes)
+    }
+
+    fn u16(&mut self) -> WalResult<u16> {
+        self.take().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> WalResult<u32> {
+        self.take().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> WalResult<u64> {
+        self.take().map(u64::from_be_bytes)
+    }
+
+    /// A `u16` count, then that many items.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> WalResult<T>) -> WalResult<Vec<T>> {
+        let n = self.u16()?;
+        (0..n).map(|_| item(self)).collect()
+    }
+}
+
+/// The whole frame at the front of `buf` as `(checksum, body)`, unchecked,
+/// or `None` while `buf` holds less than a whole frame.
+fn frame(buf: &[u8]) -> Option<(u32, &[u8])> {
+    let mut header = Reader(buf);
+    let len = header.u32().ok()? as usize;
+    let checksum = header.u32().ok()?;
+    Some((checksum, header.0.get(..len)?))
+}
+
+/// Whether the undecodable frame at the front of `buf` may be a torn write:
+/// it runs to the end of `buf` and fails its checksum. A frame whose
+/// checksum matches was written as it stands, so a body that does not
+/// decode is corruption wherever it sits.
+pub(crate) fn torn_at_end(buf: &[u8]) -> bool {
+    match frame(buf) {
+        Some((checksum, body)) => 8 + body.len() == buf.len() && fnv1a(body) != checksum,
+        None => true,
+    }
 }
 
 impl LogRecord {
@@ -211,92 +270,58 @@ impl LogRecord {
     /// and the number of bytes consumed, or `Ok(None)` when `buf` holds an
     /// incomplete (torn) frame.
     pub fn decode(buf: &[u8]) -> WalResult<Option<(LogRecord, usize)>> {
-        if buf.len() < 8 {
-            return Ok(None);
-        }
-        let mut header = &buf[..8];
-        let len = header.get_u32() as usize;
-        let checksum = header.get_u32();
-        if buf.len() < 8 + len {
+        let Some((checksum, body)) = frame(buf) else {
             return Ok(None); // torn tail
-        }
-        let body = &buf[8..8 + len];
+        };
         if fnv1a(body) != checksum {
             return Err(WalError::Corrupt("checksum mismatch".into()));
         }
-        let mut b = body;
-        let tag = b.get_u8();
-        let record = match tag {
-            TAG_TAIL_APPEND => {
-                let table_id = b.get_u32();
-                let range_id = b.get_u32();
-                let seq = b.get_u32();
-                let txn_id = b.get_u64();
-                let base_rid = b.get_u64();
-                let prev_rid = b.get_u64();
-                let schema_encoding = b.get_u64();
-                let n = b.get_u16() as usize;
-                let mut columns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let col = b.get_u16();
-                    let val = b.get_u64();
-                    columns.push((col, val));
-                }
-                LogRecord::TailAppend {
-                    table_id,
-                    range_id,
-                    seq,
-                    txn_id,
-                    base_rid,
-                    prev_rid,
-                    schema_encoding,
-                    columns,
-                }
-            }
-            TAG_INSERT => {
-                let table_id = b.get_u32();
-                let range_id = b.get_u32();
-                let slot = b.get_u32();
-                let txn_id = b.get_u64();
-                let n = b.get_u16() as usize;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(b.get_u64());
-                }
-                LogRecord::Insert {
-                    table_id,
-                    range_id,
-                    slot,
-                    txn_id,
-                    values,
-                }
-            }
+        let mut b = Reader(body);
+        let record = match b.u8()? {
+            TAG_TAIL_APPEND => LogRecord::TailAppend {
+                table_id: b.u32()?,
+                range_id: b.u32()?,
+                seq: b.u32()?,
+                txn_id: b.u64()?,
+                base_rid: b.u64()?,
+                prev_rid: b.u64()?,
+                schema_encoding: b.u64()?,
+                columns: b.list(|b| Ok((b.u16()?, b.u64()?)))?,
+            },
+            TAG_INSERT => LogRecord::Insert {
+                table_id: b.u32()?,
+                range_id: b.u32()?,
+                slot: b.u32()?,
+                txn_id: b.u64()?,
+                values: b.list(Reader::u64)?,
+            },
             TAG_COMMIT => LogRecord::Commit {
-                txn_id: b.get_u64(),
-                commit_ts: b.get_u64(),
+                txn_id: b.u64()?,
+                commit_ts: b.u64()?,
             },
-            TAG_ABORT => LogRecord::Abort {
-                txn_id: b.get_u64(),
-            },
+            TAG_ABORT => LogRecord::Abort { txn_id: b.u64()? },
             TAG_MERGE => LogRecord::MergeCompleted {
-                table_id: b.get_u32(),
-                range_id: b.get_u32(),
-                tps: b.get_u64(),
+                table_id: b.u32()?,
+                range_id: b.u32()?,
+                tps: b.u64()?,
             },
             TAG_HISTORIC => LogRecord::HistoricCompressed {
-                table_id: b.get_u32(),
-                range_id: b.get_u32(),
-                below_seq: b.get_u64(),
+                table_id: b.u32()?,
+                range_id: b.u32()?,
+                below_seq: b.u64()?,
             },
-            TAG_CHECKPOINT => LogRecord::Checkpoint { ts: b.get_u64() },
+            TAG_CHECKPOINT => LogRecord::Checkpoint { ts: b.u64()? },
             other => return Err(WalError::Corrupt(format!("unknown tag {other}"))),
         };
-        Ok(Some((record, 8 + len)))
+        if !b.0.is_empty() {
+            return Err(WalError::Corrupt("bytes after the record's fields".into()));
+        }
+        Ok(Some((record, 8 + body.len())))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn samples() -> Vec<LogRecord> {
@@ -370,11 +395,30 @@ mod tests {
         let bytes = samples()[0].encode();
         for cut in 1..bytes.len() {
             let r = LogRecord::decode(&bytes[..cut]);
-            // Either an incomplete frame (None) — never a spurious record.
-            match r {
-                Ok(None) => {}
-                Ok(Some(_)) => panic!("decoded from truncated frame"),
-                Err(_) => {} // header complete but body truncated+checksum fail is ok
+            assert!(matches!(r, Ok(None)), "cut to {cut}: {r:?}");
+        }
+    }
+
+    /// `body` framed with its length and a matching checksum.
+    pub(crate) fn reframe(body: &[u8]) -> Vec<u8> {
+        let mut framed = Vec::with_capacity(8 + body.len());
+        framed.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        framed.extend_from_slice(&fnv1a(body).to_be_bytes());
+        framed.extend_from_slice(body);
+        framed
+    }
+
+    #[test]
+    fn checksum_valid_body_of_the_wrong_length_is_corrupt() {
+        for r in samples() {
+            let body = r.encode()[8..].to_vec();
+            let long = [&body[..], &[0]].concat();
+            for wrong in (0..body.len()).map(|cut| &body[..cut]).chain([&long[..]]) {
+                let result = LogRecord::decode(&reframe(wrong));
+                assert!(
+                    matches!(result, Err(WalError::Corrupt(_))),
+                    "{r:?} as {wrong:?}: {result:?}"
+                );
             }
         }
     }

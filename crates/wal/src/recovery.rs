@@ -11,13 +11,15 @@
 //! its logged sequence number, so neither commit records appended out of
 //! timestamp order by concurrent committers nor interleaved merge records
 //! change the result. Torn frames at the log tail end the scan cleanly;
-//! checksum failures *before* the tail are reported as corruption.
+//! checksum failures *before* the tail are reported as corruption, and so
+//! is a frame anywhere whose checksum matches but whose body does not
+//! decode.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::Path;
 
-use crate::record::LogRecord;
+use crate::record::{self, LogRecord};
 use crate::{WalError, WalResult};
 
 /// Everything recovery learns from the log.
@@ -72,67 +74,36 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
         match LogRecord::decode(&data[offset..]) {
             Ok(Some((record, used))) => {
                 offset += used;
-                track(&mut state, &record);
+                match record {
+                    LogRecord::Commit { txn_id, commit_ts } => {
+                        state.committed.insert(txn_id, commit_ts);
+                    }
+                    LogRecord::Abort { txn_id } => {
+                        state.aborted.insert(txn_id);
+                    }
+                    _ => {}
+                }
                 state.records.push(record);
             }
-            Ok(None) => {
+            // A checksum failure at the very tail is indistinguishable from
+            // a torn write; anything else is real corruption.
+            Err(e) if !record::torn_at_end(&data[offset..]) => return Err(e),
+            Ok(None) | Err(_) => {
                 state.torn_tail = true;
                 break;
             }
-            Err(WalError::Corrupt(m)) => {
-                // A checksum failure at the very tail is indistinguishable
-                // from a torn write; anywhere else it is real corruption.
-                if is_plausible_tail(data, offset) {
-                    state.torn_tail = true;
-                    break;
-                }
-                return Err(WalError::Corrupt(m));
-            }
-            Err(e) => return Err(e),
         }
     }
     state.bytes_scanned = offset;
-    // Whatever appended but never resolved is in-flight.
-    let resolved: HashSet<u64> = state
-        .committed
-        .keys()
-        .chain(state.aborted.iter())
-        .copied()
-        .collect();
+    // Whatever logged but never resolved is in-flight (a resolution
+    // record's own transaction is resolved).
     state.in_flight = state
         .records
         .iter()
-        .filter_map(|r| match r {
-            LogRecord::TailAppend { txn_id, .. } | LogRecord::Insert { txn_id, .. } => {
-                Some(*txn_id)
-            }
-            _ => None,
-        })
-        .filter(|id| !resolved.contains(id))
+        .filter_map(LogRecord::txn_id)
+        .filter(|id| !state.committed.contains_key(id) && !state.aborted.contains(id))
         .collect();
     Ok(state)
-}
-
-fn track(state: &mut RecoveredState, record: &LogRecord) {
-    match record {
-        LogRecord::Commit { txn_id, commit_ts } => {
-            state.committed.insert(*txn_id, *commit_ts);
-        }
-        LogRecord::Abort { txn_id } => {
-            state.aborted.insert(*txn_id);
-        }
-        _ => {}
-    }
-}
-
-/// Heuristic: the failing frame extends to the end of the file, so it could
-/// have been torn mid-write.
-fn is_plausible_tail(data: &[u8], offset: usize) -> bool {
-    if data.len() - offset < 8 {
-        return true;
-    }
-    let len = u32::from_be_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-    offset + 8 + len >= data.len()
 }
 
 #[cfg(test)]
@@ -199,13 +170,18 @@ mod tests {
         );
         let full = stream.len();
         append(&mut stream, &tail_append(T2, 2));
-        // Tear the final record in half.
+        // Tear the final record in half, or keep its length whole and
+        // change its body after it was checksummed.
+        let mut changed = stream.clone();
+        changed[stream.len() - 1] ^= 0xFF;
         stream.truncate(full + 10);
 
-        let state = recover_from_bytes(&stream).unwrap();
-        assert!(state.torn_tail);
-        assert_eq!(state.records.len(), 2);
-        assert_eq!(state.bytes_scanned, full);
+        for torn in [stream, changed] {
+            let state = recover_from_bytes(&torn).unwrap();
+            assert!(state.torn_tail);
+            assert_eq!(state.records.len(), 2);
+            assert_eq!(state.bytes_scanned, full);
+        }
     }
 
     #[test]
@@ -231,6 +207,22 @@ mod tests {
         // Flip a byte inside the *first* record's body.
         stream[first - 2] ^= 0xFF;
         assert!(recover_from_bytes(&stream).is_err());
+    }
+
+    #[test]
+    fn checksum_valid_short_frame_at_the_end_is_an_error() {
+        let mut stream = Vec::new();
+        append(&mut stream, &tail_append(T1, 1));
+        // An abort's tag alone, framed with a checksum that matches: not a
+        // torn write, so not trimmed as one.
+        let abort = LogRecord::Abort { txn_id: T1 }.encode();
+        stream.extend_from_slice(&crate::record::tests::reframe(&abort[8..9]));
+        let path =
+            std::env::temp_dir().join(format!("lstore-short-frame-{}.wal", std::process::id()));
+        std::fs::write(&path, &stream).unwrap();
+        let result = recover(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(result, Err(WalError::Corrupt(_))), "{result:?}");
     }
 
     #[test]

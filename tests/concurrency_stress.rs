@@ -403,7 +403,7 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
 fn merges_complete_under_saturated_scan_pool() {
     const SHARDS: usize = 4;
     const KEYS: u64 = 2048;
-    const STRIPE: u64 = 256; // TableConfig::small's insert_range_size
+    const STRIPE: u64 = 256; // TableConfig::small's range_size
     let db = Database::new(DbConfig::new().with_pool_threads(4).with_shards(SHARDS));
     let t = db
         .create_table("saturated", &["count", "bucket"], TableConfig::small())

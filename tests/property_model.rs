@@ -319,7 +319,7 @@ proptest! {
 
     /// The unified task pool is invisible to results even with background
     /// merging enabled: replaying one random operation sequence into
-    /// databases configured with `pool_threads` of 1, 2, and 8 (auto-merge
+    /// databases configured with `pool_threads` of 1, 2, and 8 (background merge
     /// on, two key-range shards so two per-shard merge queues are live)
     /// produces byte-identical as-of `read_one`, `sum_as_of`/`sum_cols_as_of`/
     /// `count_as_of`/`group_by_sum`, and `scan_as_of` answers at every
@@ -328,7 +328,7 @@ proptest! {
     /// (Lemma 2), never results — and merges never tick the clock, so the
     /// snapshot timestamps coincide across all three databases.
     #[test]
-    fn pool_widths_with_auto_merge_produce_identical_results(
+    fn pool_widths_with_background_merge_produce_identical_results(
         ops in prop::collection::vec(
             prop_oneof![
                 3 => (0u64..512, prop::array::uniform3(0u64..1000))
