@@ -30,9 +30,8 @@ pub trait Engine: Send + Sync {
     /// Latest-committed point reads of a whole batch of keys, results in
     /// input order — the Table 9 multi-key lookup shape. The default is
     /// the sequential per-key loop; engines with a batched read path
-    /// (L-Store's `Table::read_batch`) override it, so the
-    /// `BENCH_BATCH_KEYS` axis measures batching against this exact
-    /// baseline.
+    /// (L-Store's `Table::read_batch`) override it, so Table 9's batch-size
+    /// axis measures batching against this exact baseline.
     fn multi_point_read(&self, keys: &[u64], cols: &[usize]) -> Vec<Option<Vec<u64>>> {
         keys.iter().map(|&k| self.point_read(k, cols)).collect()
     }

@@ -3,15 +3,15 @@
 //! In-place Update + History vs Delta + Blocking Merge (one scan thread and
 //! one merge thread always running).
 //!
-//! A `BENCH_SHARDS` axis extends the figure with key-range sharded L-Store
-//! rows (`threads=T shards=S` labels): the base cross-engine rows always
-//! run the paper's single-shard table, and each sweep value above 1 adds an
-//! L-Store-only row per thread count, isolating writer-side shard scaling.
+//! A shard axis extends the figure with key-range sharded L-Store rows
+//! (`threads=T shards=4` labels): the base cross-engine rows always run
+//! the paper's single-shard table, and the 4-shard rows add an L-Store-only
+//! row per thread count, isolating writer-side shard scaling.
 //!
-//! A `BENCH_POOL_PAGES` axis (low contention only, to bound CI cost) adds
-//! store-backed L-Store rows (`threads=T pool_pages=B` labels): sealed
-//! base pages live behind a budgeted page store, so the update path pays
-//! for faulting evicted pages back in while it runs.
+//! A pool axis (low contention only) adds store-backed L-Store rows
+//! (`threads=T pool_pages=B` labels, a 4-page and an unbounded pool):
+//! sealed base pages live behind a budgeted page store, so the update path
+//! pays for faulting evicted pages back in while it runs.
 
 use std::sync::Arc;
 
@@ -21,11 +21,10 @@ use lstore_bench::run_throughput;
 use lstore_bench::setup;
 use lstore_bench::workload::Contention;
 
+/// Writer shards of the sharded L-Store rows (the base rows run one).
+const SHARDS: usize = 4;
+
 fn main() {
-    let shard_sweep: Vec<usize> = setup::shard_sweep()
-        .into_iter()
-        .filter(|&s| s > 1)
-        .collect();
     for contention in [Contention::Low, Contention::Medium, Contention::High] {
         let config = setup::workload(contention);
         report::header(
@@ -49,24 +48,23 @@ fn main() {
             report::row(&label, &cells_ref);
         }
         // Sharded-writer axis: L-Store only (the baselines have no shard
-        // knob), one row per (threads, shards > 1) combination.
-        for &shards in &shard_sweep {
-            let engine: Arc<dyn Engine> = setup::lstore_sharded_engine(&config, shards);
-            for threads in setup::thread_sweep() {
-                let r = run_throughput(&engine, &config, threads, setup::window(), None, true);
-                report::row(
-                    &format!("threads={threads} shards={shards}"),
-                    &[("L-Store", mtxns(r.txns_per_sec))],
-                );
-            }
+        // knob), one row per thread count.
+        let engine: Arc<dyn Engine> = setup::lstore_sharded_engine(&config, SHARDS);
+        for threads in setup::thread_sweep() {
+            let r = run_throughput(&engine, &config, threads, setup::window(), None, true);
+            report::row(
+                &format!("threads={threads} shards={SHARDS}"),
+                &[("L-Store", mtxns(r.txns_per_sec))],
+            );
         }
+        drop(engine);
         // Store-backed axis: L-Store only, low contention only — one
         // residency configuration per pool budget is enough to catch an
         // update path that stalls on page faulting; repeating it at the
         // other contention levels would triple the cost of the same
         // signal.
         if matches!(contention, Contention::Low) {
-            for budget in setup::pool_pages_sweep() {
+            for budget in setup::POOL_BUDGETS {
                 let label = setup::pool_pages_label(budget);
                 let path = setup::store_scratch(&format!("fig7-pool-{label}"));
                 let engine: Arc<dyn Engine> =

@@ -10,8 +10,7 @@
 //! * `merge_drain` — seconds to fully consolidate the table once the
 //!   writers stop: drain the per-shard merge queues, then `merge_all` the
 //!   remainder. This measures how well background merging kept up with the
-//!   mixed merge+scan load — the merge-completion half of Fig. 8 that the
-//!   CI gate tracks for the unified scheduler.
+//!   mixed merge+scan load — the merge-completion half of Fig. 8.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,6 +21,9 @@ use lstore_bench::report::{self, secs};
 use lstore_bench::run_scan_while_updating;
 use lstore_bench::setup;
 use lstore_bench::workload::Contention;
+
+/// Tail records per merge trigger, swept.
+const MERGE_BATCHES: [usize; 5] = [256, 512, 1024, 2048, 4096];
 
 fn main() {
     let config = setup::workload(Contention::Low);
@@ -34,7 +36,7 @@ fn main() {
     );
     for pool_threads in setup::pool_thread_sweep() {
         for threads in setup::fig8_thread_sweep() {
-            for merge_batch in setup::merge_batch_sweep() {
+            for merge_batch in MERGE_BATCHES {
                 let table_config = TableConfig::default()
                     .with_range_size(4096)
                     .with_merge_threshold(merge_batch);
@@ -46,7 +48,7 @@ fn main() {
                 let db = Arc::clone(engine.database());
                 let table = engine.table();
                 let e: Arc<dyn Engine> = engine;
-                let t = run_scan_while_updating(&e, &config, threads, setup::scan_iters());
+                let t = run_scan_while_updating(&e, &config, threads, 3);
                 // Merge completion: queued merge jobs finish on the pool,
                 // then a synchronous sweep consolidates the sub-threshold
                 // remainder.

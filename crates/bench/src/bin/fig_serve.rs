@@ -6,17 +6,14 @@
 //! lock words between cores; `docs/BENCHMARKS.md`, anomaly 9) and which
 //! lbench's scattered-key `serve_multiget` cannot show.
 //!
-//! Cells per connection count: `req_s` reports requests/s (a plain number,
-//! so the CI gate tracks it), `p50`/`p95`/`p99` client-observed request
-//! latency in microseconds (suffixed text: visible in the table and
-//! archived in `BENCH_JSON`, not gated).
+//! Cells per connection count (1 and 4): `req_s` reports requests/s over
+//! the window, `p50`/`p95`/`p99` client-observed request latency in
+//! microseconds. Every request reads 64 keys and each connection keeps 4
+//! requests outstanding.
 //!
-//! Env: `BENCH_CONNS` sweeps client connections (default `1,4`),
-//! `BENCH_SERVE_KEYS` the keys per wire request (default 64),
-//! `BENCH_SERVE_DEPTH` the pipelined requests outstanding per connection
-//! (default 4); `BENCH_ROWS`/`BENCH_SECONDS`/`BENCH_POOL_THREADS` as
-//! everywhere. The table runs with background merge off so the pre-update
-//! pass pins a deterministic tail-chain depth for the whole measurement.
+//! Env: `BENCH_ROWS`/`BENCH_SECONDS`/`BENCH_POOL_THREADS` as everywhere.
+//! The table runs with background merge off so the pre-update pass pins a
+//! deterministic tail-chain depth for the whole measurement.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,22 +25,29 @@ use lstore_server::{Client, Server, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Drive one closed-loop connection until `deadline`, keeping `depth`
+/// Client connections, swept: one connection batches only with itself,
+/// four share the dispatcher's queue.
+const CONNS: [usize; 2] = [1, 4];
+/// Point-read keys per wire request: a fan-out multi-get, the shape a
+/// service tier sees when one upstream call hydrates a page of items.
+const KEYS_PER_REQUEST: usize = 64;
+/// Pipelined requests outstanding per connection (1 would be lockstep).
+const DEPTH: usize = 4;
+
+/// Drive one closed-loop connection until `deadline`, keeping [`DEPTH`]
 /// requests outstanding (the wire protocol's request ids exist exactly so
-/// a client can pipeline; depth 1 is classic lockstep). Returns the
-/// latency (ns) of every request completed.
+/// a client can pipeline). Returns the latency (ns) of every request
+/// completed.
 fn drive(
     addr: std::net::SocketAddr,
     table: &str,
     active_set: u64,
-    keys_per_req: usize,
-    depth: usize,
     seed: u64,
     deadline: Instant,
 ) -> Vec<u64> {
     let mut client = Client::connect(addr).expect("connect");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut keys = vec![0u64; keys_per_req];
+    let mut keys = vec![0u64; KEYS_PER_REQUEST];
     let send = |client: &mut Client, rng: &mut SmallRng, keys: &mut Vec<u64>| {
         for k in keys.iter_mut() {
             *k = rng.random_range(0..active_set);
@@ -60,7 +64,7 @@ fn drive(
     }
     let mut latencies_ns = Vec::new();
     let mut inflight = std::collections::HashMap::new();
-    for _ in 0..depth {
+    for _ in 0..DEPTH {
         let (id, t0) = send(&mut client, &mut rng, &mut keys);
         inflight.insert(id, t0);
     }
@@ -87,8 +91,6 @@ fn measure(
     db: &Arc<lstore::Database>,
     conns: usize,
     active_set: u64,
-    keys_per_req: usize,
-    depth: usize,
     window: Duration,
 ) -> (f64, Vec<u64>) {
     let server = Server::start(Arc::clone(db), "127.0.0.1:0", ServerConfig::default())
@@ -103,8 +105,6 @@ fn measure(
                     addr,
                     "bench",
                     active_set,
-                    keys_per_req,
-                    depth,
                     0xC0FFEE ^ (c as u64).wrapping_mul(0x9E37_79B9),
                     deadline,
                 )
@@ -133,8 +133,6 @@ fn percentile_us(sorted_ns: &[u64], pct: f64) -> f64 {
 fn main() {
     let config = setup::workload(Contention::Medium);
     let pool_threads = setup::pool_thread_sweep().into_iter().max().unwrap_or(1);
-    let keys_per_req = setup::serve_keys_per_request();
-    let depth = setup::serve_pipeline_depth();
     let engine = setup::lstore_serving_engine(&config, pool_threads);
     let active_set = config.contention.active_set(config.rows);
 
@@ -157,20 +155,13 @@ fn main() {
     report::header(
         "Serving",
         &format!(
-            "closed-loop multi-get ({keys_per_req} keys/req, depth {depth}) over the wire; \
+            "closed-loop multi-get ({KEYS_PER_REQUEST} keys/req, depth {DEPTH}) over the wire; \
              rows={} active={} pool={}",
             config.rows, active_set, pool_threads
         ),
     );
-    for conns in setup::conn_sweep() {
-        let (rps, latencies) = measure(
-            engine.database(),
-            conns,
-            active_set,
-            keys_per_req,
-            depth,
-            setup::window(),
-        );
+    for conns in CONNS {
+        let (rps, latencies) = measure(engine.database(), conns, active_set, setup::window());
         let mut cells: Vec<(&str, String)> = vec![("req_s", format!("{rps:.0}"))];
         for (label, pct) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
             cells.push((label, format!("{:.0}us", percentile_us(&latencies, pct))));

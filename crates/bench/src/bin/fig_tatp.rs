@@ -23,11 +23,10 @@
 //!   is their ratio; above 1 at pool ≥ 2 means transactional batching
 //!   pays for its planning.
 //!
-//! The `*_commit_ratio` cells (committed / attempted, higher is better)
-//! are the gated abort-rate metrics: a commit-path regression that starts
-//! aborting transactions it used to commit collapses the ratio long
-//! before absolute throughput looks alarming on a noisy runner. Raw abort
-//! rates ride along as ungated `…/s` cells.
+//! The `*_commit_ratio` cells are committed / attempted transactions
+//! (higher is better): the share of each workload's attempts that
+//! survives conflicts and commit-time validation. Raw abort rates ride
+//! along as `…/s` cells.
 //!
 //! Env: `BENCH_THREADS` × `BENCH_POOL_THREADS` pick the axes, `BENCH_ROWS`
 //! the table size, `BENCH_SECONDS` the window per workload cell.

@@ -15,6 +15,18 @@ use lstore_bench::{run_scan_while_updating, scan_thread_axis};
 use lstore_storage::compress::CodecChoice;
 use lstore_storage::store::PoolStatsSnapshot;
 
+/// Timed scans per codec and pool cell.
+const SCAN_ITERS: usize = 3;
+
+/// Base-page codec policies of the codec axis, every one the engine has.
+const CODECS: [(&str, CodecChoice); 5] = [
+    ("plain", CodecChoice::None),
+    ("rle", CodecChoice::Rle),
+    ("dict", CodecChoice::Dictionary),
+    ("for", CodecChoice::ForPack),
+    ("auto", CodecChoice::Auto),
+];
+
 fn main() {
     let config = setup::workload(Contention::Low);
     report::header(
@@ -79,7 +91,7 @@ fn main() {
     }
 
     // The codec axis: compressed-columnar kernel execution per base-page
-    // codec (BENCH_CODEC). The table is loaded with run-structured values
+    // codec. The table is loaded with run-structured values
     // (64-long runs, 16 distinct values — the shape dictionary and
     // run-length coding exist for), merged, and left quiescent, so the
     // `kernel` cell isolates the aggregation itself: summing runs / packed
@@ -91,22 +103,20 @@ fn main() {
             config.rows
         ),
     );
-    let iters = setup::scan_iters();
-    for (name, choice) in setup::codec_sweep() {
-        let kernel = time_codec_scan(config.rows, choice, iters);
+    for (name, choice) in CODECS {
+        let kernel = time_codec_scan(config.rows, choice, SCAN_ITERS);
         report::row(&format!("codec={name}"), &[("kernel", secs_fine(kernel))]);
     }
 
     // The pool axis: the same quiesced SUM, but with every sealed base
-    // page owned by a budgeted page store (BENCH_POOL_PAGES, 0 =
-    // unbounded). A budget below the working set makes each scan pass
-    // fault evicted pages back in from disk — that cost is the scan cell.
-    // The plain-number hit_rate cell is measured over a separate hot-set
-    // phase (repeated point reads of a pool-sized key range): a cyclic
-    // full scan through a starved pool misses by construction, but the
-    // hot set must stay resident at every budget, so this cell is the
-    // gated floor — it collapsing means eviction stopped respecting
-    // recency (or pins leaked and the budget accounting broke).
+    // page owned by a budgeted page store (4 frames vs unbounded). A
+    // budget below the working set makes each scan pass fault evicted
+    // pages back in from disk — that cost is the scan cell. The hit_rate
+    // cell is measured over a separate hot-set phase (repeated point
+    // reads of a pool-sized key range): a cyclic full scan through a
+    // starved pool misses by construction, but the hot set stays resident
+    // at every budget, so the cell shows how well eviction respects
+    // recency.
     report::header(
         "Table 7 (pool)",
         &format!(
@@ -114,9 +124,9 @@ fn main() {
             config.rows
         ),
     );
-    for budget in setup::pool_pages_sweep() {
+    for budget in setup::POOL_BUDGETS {
         let label = setup::pool_pages_label(budget);
-        let (scan, hit_rate) = time_pooled_scan(config.rows, budget, &label, iters);
+        let (scan, hit_rate) = time_pooled_scan(config.rows, budget, &label, SCAN_ITERS);
         report::row(
             &format!("pool_pages={label}"),
             &[

@@ -3,11 +3,11 @@
 //! point reads.
 //!
 //! A second section sweeps the **batched** point-read path
-//! (`Table::read_batch` behind `Engine::multi_point_read`): batch
-//! sizes from `BENCH_BATCH_KEYS` × unified-pool widths from
-//! `BENCH_POOL_THREADS`, at 100% of columns. Batch size 1 stays on the
-//! caller (the sequential baseline), so within one pool width the rows
-//! read directly as "what does handing a 64-key batch to the pool buy".
+//! (`Table::read_batch` behind `Engine::multi_point_read`): batch sizes
+//! 1 and 64 × unified-pool widths from `BENCH_POOL_THREADS`, at 100% of
+//! columns. Batch size 1 stays on the caller (the sequential baseline), so
+//! within one pool width the rows read directly as "what does handing a
+//! 64-key batch to the pool buy".
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,6 +18,13 @@ use lstore_baselines::Engine;
 use lstore_bench::report::{self, mtxns};
 use lstore_bench::setup;
 use lstore_bench::workload::Contention;
+
+/// Point reads per measured cell.
+const POINT_ITERS: u64 = 20_000;
+
+/// Keys per batched read: the sequential per-key baseline vs a pool-fanned
+/// 64-key batch.
+const BATCH_SIZES: [usize; 2] = [1, 64];
 
 fn main() {
     let config = setup::workload(Contention::Low);
@@ -37,25 +44,24 @@ fn main() {
         }
         row.insert(k, &values).unwrap();
     }
-    let iterations: u64 = setup::point_iters();
     for pct in [10usize, 20, 40, 80, 100] {
         let ncols = ((config.cols * pct) as f64 / 100.0).round().max(1.0) as usize;
         let cols: Vec<usize> = (0..ncols).collect();
         // Column layout.
         let start = Instant::now();
-        for i in 0..iterations {
+        for i in 0..POINT_ITERS {
             let k = (i * 7919) % config.rows;
             std::hint::black_box(col_engine.point_read(k, &cols));
         }
         // 10 reads per transaction.
-        let col_tps = (iterations as f64 / 10.0) / start.elapsed().as_secs_f64();
+        let col_tps = (POINT_ITERS as f64 / 10.0) / start.elapsed().as_secs_f64();
         // Row layout.
         let start = Instant::now();
-        for i in 0..iterations {
+        for i in 0..POINT_ITERS {
             let k = (i * 7919) % config.rows;
             std::hint::black_box(row.read(k, &cols).unwrap());
         }
-        let row_tps = (iterations as f64 / 10.0) / start.elapsed().as_secs_f64();
+        let row_tps = (POINT_ITERS as f64 / 10.0) / start.elapsed().as_secs_f64();
         report::row(
             &format!("{pct}% of columns"),
             &[("column", mtxns(col_tps)), ("row", mtxns(row_tps))],
@@ -74,12 +80,11 @@ fn main() {
     let cols: Vec<usize> = (0..config.cols).collect();
     for &pool in &setup::pool_thread_sweep() {
         let engine = setup::lstore_pooled_engine(&config, pool);
-        for &batch in &setup::batch_key_sweep() {
-            let batch = batch.max(1);
+        for batch in BATCH_SIZES {
             let mut keys = Vec::with_capacity(batch);
             let mut done = 0u64;
             let start = Instant::now();
-            while done < iterations {
+            while done < POINT_ITERS {
                 keys.clear();
                 for i in 0..batch as u64 {
                     keys.push(((done + i) * 7919) % config.rows);

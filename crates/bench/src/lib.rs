@@ -12,8 +12,12 @@
 //!   table;
 //! * 40 % of columns updated on average; read/write mix sweepable.
 //!
-//! Every experiment has a standalone binary (`src/bin/`), sized by the
-//! `BENCH_*` environment knobs in [`setup`] (default laptop scale).
+//! Every experiment has a standalone binary (`src/bin/`) that prints its
+//! figure or table. Four environment variables in [`setup`] size a run to
+//! the machine — `BENCH_ROWS`, `BENCH_SECONDS`, `BENCH_THREADS` and
+//! `BENCH_POOL_THREADS` (default laptop scale) — and `BENCH_JSON` names a
+//! JSON Lines copy of the output ([`report`]). Every other axis is a
+//! constant in the runner that sweeps it.
 
 pub mod harness;
 pub mod report;

@@ -109,10 +109,9 @@ pub fn secs(v: f64) -> String {
     format!("{v:.4}s")
 }
 
-/// Format seconds at full micro-scale precision. Kernel-path scans over
-/// smoke-sized tables finish in microseconds; at [`secs`]'s four decimals
-/// they round to `0.0000s`, which `compare_baseline` refuses as a
-/// degenerate baseline cell.
+/// Format seconds at full micro-scale precision. Scans over small tables
+/// finish in microseconds; at [`secs`]'s four decimals they round to
+/// `0.0000s`.
 pub fn secs_fine(v: f64) -> String {
     format!("{v:.7}s")
 }

@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use lstore::{DbConfig, TableConfig};
 use lstore_baselines::{DbmEngine, Engine, IuhEngine, LStoreEngine};
-use lstore_storage::compress::CodecChoice;
 
 use crate::workload::{Contention, WorkloadConfig};
 
@@ -53,63 +52,13 @@ pub fn pool_thread_sweep() -> Vec<usize> {
     usize_list("BENCH_POOL_THREADS").unwrap_or_else(|| vec![1, 4])
 }
 
-/// Tail records per merge trigger to sweep in the fig8 merge-lag
-/// experiment (env `BENCH_MERGE_BATCHES`, comma-separated).
-pub fn merge_batch_sweep() -> Vec<usize> {
-    usize_list("BENCH_MERGE_BATCHES").unwrap_or_else(|| vec![256, 512, 1024, 2048, 4096])
-}
+/// Buffer-pool page budgets of the Table 7 / fig7 pool axes: a starved
+/// 4-page pool that must fault pages back from the store on every pass vs
+/// the keep-everything-resident configuration (`None` = unbounded).
+pub const POOL_BUDGETS: [Option<usize>; 2] = [Some(4), None];
 
-/// Timed scan repetitions per measured cell (env `BENCH_SCAN_ITERS`,
-/// default 3; CI smoke runs raise it — tiny tables make single scans too
-/// short to time stably).
-pub fn scan_iters() -> usize {
-    std::env::var("BENCH_SCAN_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3)
-}
-
-/// Point-read batch sizes to sweep in the Table 9 runner (env
-/// `BENCH_BATCH_KEYS`, comma-separated; default `1,64` — the sequential
-/// per-key baseline vs a pool-fanned 64-key batch). Batch size 1 always
-/// resolves on the caller, so the axis isolates what batching buys.
-pub fn batch_key_sweep() -> Vec<usize> {
-    usize_list("BENCH_BATCH_KEYS").unwrap_or_else(|| vec![1, 64])
-}
-
-/// Point reads per measured Table 9 cell (env `BENCH_POINT_ITERS`,
-/// default 20 000).
-pub fn point_iters() -> u64 {
-    std::env::var("BENCH_POINT_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(20_000)
-}
-
-/// Key-range shard counts to sweep (env `BENCH_SHARDS`, comma-separated;
-/// default `1,4` — the paper's single-table baseline vs 4 writer shards).
-/// The fig7 runner adds an L-Store row per value above 1; the base
-/// cross-engine rows always run with one shard.
-pub fn shard_sweep() -> Vec<usize> {
-    usize_list("BENCH_SHARDS").unwrap_or_else(|| vec![1, 4])
-}
-
-/// Buffer-pool page budgets to sweep in the Table 7 / fig7 pool axes (env
-/// `BENCH_POOL_PAGES`, comma-separated; `0` means unbounded; default `4,0`
-/// — a starved 4-page pool that must fault pages back from the store on
-/// every pass vs the keep-everything-resident configuration).
-pub fn pool_pages_sweep() -> Vec<Option<usize>> {
-    usize_list("BENCH_POOL_PAGES")
-        .unwrap_or_else(|| vec![4, 0])
-        .into_iter()
-        .map(|n| if n == 0 { None } else { Some(n) })
-        .collect()
-}
-
-/// Row-label fragment for a pool budget: the page count, or `inf` for the
-/// unbounded (0) sentinel.
+/// Row-label fragment for a pool budget: the page count, or `inf` for
+/// unbounded.
 pub fn pool_pages_label(budget: Option<usize>) -> String {
     budget.map_or_else(|| "inf".into(), |b| b.to_string())
 }
@@ -123,59 +72,6 @@ pub fn store_scratch(tag: &str) -> PathBuf {
     let path = dir.join(format!("{tag}-{}.pages", std::process::id()));
     std::fs::remove_file(&path).ok();
     path
-}
-
-/// Closed-loop client connection counts to sweep in the fig_serve runner
-/// (env `BENCH_CONNS`, comma-separated; default `1,4` — one connection
-/// batches only with itself, four share the dispatcher's queue).
-pub fn conn_sweep() -> Vec<usize> {
-    usize_list("BENCH_CONNS").unwrap_or_else(|| vec![1, 4])
-}
-
-/// Point-read keys per wire request in the fig_serve runner (env
-/// `BENCH_SERVE_KEYS`, default 64 — a fan-out multi-get, the shape a
-/// service tier sees when one upstream call hydrates a page of items).
-pub fn serve_keys_per_request() -> usize {
-    std::env::var("BENCH_SERVE_KEYS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(64)
-}
-
-/// Outstanding pipelined requests per connection in the fig_serve runner
-/// (env `BENCH_SERVE_DEPTH`, default 4 — the request ids in the frame
-/// header exist so clients can pipeline; 1 is classic lockstep).
-pub fn serve_pipeline_depth() -> usize {
-    std::env::var("BENCH_SERVE_DEPTH")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
-}
-
-/// Base-page codec policies to sweep in the Table 7 codec axis (env
-/// `BENCH_CODEC`, comma-separated among `plain`, `rle`, `dict`, `for`,
-/// `auto`; default `plain,rle,dict,auto` — FOR is off by default because
-/// on the axis's run-structured values `encode_auto` never picks it, so
-/// the default sweep mirrors what a real table would hold). Unknown names
-/// are dropped.
-pub fn codec_sweep() -> Vec<(&'static str, CodecChoice)> {
-    let requested = std::env::var("BENCH_CODEC")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "plain,rle,dict,auto".into());
-    requested
-        .split(',')
-        .filter_map(|t| match t.trim() {
-            "plain" | "none" => Some(("plain", CodecChoice::None)),
-            "rle" => Some(("rle", CodecChoice::Rle)),
-            "dict" => Some(("dict", CodecChoice::Dictionary)),
-            "for" => Some(("for", CodecChoice::ForPack)),
-            "auto" => Some(("auto", CodecChoice::Auto)),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Build a populated engine of each architecture for `config`.

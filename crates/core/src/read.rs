@@ -221,6 +221,16 @@ impl<'a> VersionReader<'a> {
         if version_enc.is_delete() {
             return Resolved::Deleted;
         }
+        // A first-update snapshot record (§3.1) copies the original values
+        // of the version below it; it is not a version of its own. The
+        // values start at it, the identity is the version it copies.
+        // Otherwise a record's first update would change the version every
+        // repeatable-read reader recorded, and fail their validation.
+        let identity = if version_enc.is_snapshot() {
+            self.version_below(version_rid.seq(), mode, base_rid)
+        } else {
+            version_rid
+        };
 
         // 5. Collect requested columns from the visible version, walking
         // older visible versions for columns it does not carry. `missing`
@@ -273,9 +283,27 @@ impl<'a> VersionReader<'a> {
         }
 
         Resolved::Visible {
-            version_rid,
+            version_rid: identity,
             values,
         }
+    }
+
+    /// The version a snapshot record at `seq` copies: the newest visible
+    /// version below it that is not a snapshot record itself, or the base
+    /// record (which also stands for the historic store, as in
+    /// [`Self::read_historic`]).
+    fn version_below(&self, seq: u32, mode: ReadMode, base_rid: Rid) -> Rid {
+        let tail = &self.range.tail;
+        let boundary = self.range.historic_boundary();
+        let mut cursor = tail.prev(seq);
+        while !cursor.is_null() && !cursor.is_base() && (cursor.seq() as u64) >= boundary {
+            let seq = cursor.seq();
+            if !tail.encoding(seq).is_snapshot() && self.resolve_tail(seq, mode).is_some() {
+                return cursor;
+            }
+            cursor = tail.prev(seq);
+        }
+        base_rid
     }
 
     /// Read a single column of the record at `slot`; `None` when the record

@@ -165,14 +165,13 @@ impl Client {
         request: &ReadRequest,
     ) -> Result<lstore::Result<ReadResponse>, ClientError> {
         let id = self.send_read(table, request)?;
-        let mut results = self.recv_for(id)?;
-        if results.len() != 1 {
-            return Err(ClientError::Protocol(format!(
+        match <[_; 1]>::try_from(self.recv_for(id)?) {
+            Ok([result]) => Ok(result),
+            Err(results) => Err(ClientError::Protocol(format!(
                 "single read answered with {} results",
                 results.len()
-            )));
+            ))),
         }
-        Ok(results.pop().expect("length checked"))
     }
 
     /// Blocking batched read: the remote twin of

@@ -207,38 +207,52 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
 // Decode
 // ---------------------------------------------------------------------
 
+/// Unread bytes of one payload. Every read either consumes exactly the
+/// bytes it names or returns `Error::Protocol`; nothing here can panic.
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
+}
+
+fn truncated(wanted: usize, had: usize) -> Error {
+    Error::Protocol(format!(
+        "truncated frame: wanted {wanted} more bytes, had {had}"
+    ))
 }
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
-        if self.buf.len() - self.pos < n {
-            return Err(Error::Protocol(format!(
-                "truncated frame: wanted {n} more bytes, had {}",
-                self.buf.len() - self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let (out, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or_else(|| truncated(n, self.rest.len()))?;
+        self.rest = rest;
         Ok(out)
     }
 
+    /// The next `N` bytes as an array: the fixed-size twin of [`Self::take`].
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Error> {
+        let (out, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| truncated(N, self.rest.len()))?;
+        self.rest = rest;
+        Ok(*out)
+    }
+
     fn u8(&mut self) -> Result<u8, Error> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Result<u16, Error> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, Error> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, Error> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self) -> Result<String, Error> {
@@ -257,10 +271,10 @@ impl<'a> Cursor<'a> {
     }
 
     fn finish(self) -> Result<(), Error> {
-        if self.pos != self.buf.len() {
+        if !self.rest.is_empty() {
             return Err(Error::Protocol(format!(
                 "{} trailing bytes after message body",
-                self.buf.len() - self.pos
+                self.rest.len()
             )));
         }
         Ok(())
@@ -305,10 +319,7 @@ fn header(c: &mut Cursor<'_>) -> Result<(u8, u64), Error> {
 
 /// Decode one request payload (frame contents after the length prefix).
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), Error> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+    let mut c = Cursor { rest: payload };
     let (kind_byte, request_id) = header(&mut c)?;
     let request = match kind_byte {
         kind::PING => Request::Ping,
@@ -353,10 +364,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), Error> {
 
 /// Decode one response payload (frame contents after the length prefix).
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), Error> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+    let mut c = Cursor { rest: payload };
     let (kind_byte, request_id) = header(&mut c)?;
     let response = match kind_byte {
         kind::PONG => Response::Pong,
@@ -529,18 +537,78 @@ mod tests {
             decode_request(&frame[4..]),
             Err(Error::Protocol(_))
         ));
-        // Truncated body.
-        let frame = encode_request(
-            1,
-            &Request::Read {
+    }
+
+    /// Every error code the engine assigns, plus one it does not know.
+    fn every_error() -> Vec<Error> {
+        (1..=14)
+            .chain([999])
+            .map(|code| {
+                Error::from_parts(ErrorParts {
+                    code,
+                    a: 3,
+                    b: 5,
+                    detail: "why".into(),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_truncation_of_every_frame_is_a_protocol_error() {
+        let requests = [
+            Request::Ping,
+            Request::Read {
                 table: "t".into(),
-                request: ReadRequest::latest(1),
+                request: ReadRequest::latest(42),
             },
-        );
-        assert!(matches!(
-            decode_request(&frame[4..frame.len() - 2]),
-            Err(Error::Protocol(_))
-        ));
+            Request::Read {
+                table: "orders".into(),
+                request: ReadRequest::as_of(42, 9).with_columns(vec![0, 3]),
+            },
+            Request::MultiRead {
+                table: "orders".into(),
+                keys: vec![1, 2, 3],
+                columns: Some(vec![1]),
+                as_of: Some(7),
+            },
+            Request::MultiRead {
+                table: "t".into(),
+                keys: vec![],
+                columns: None,
+                as_of: None,
+            },
+        ];
+        let mut responses = vec![
+            Response::Pong,
+            Response::Results(vec![]),
+            Response::Results(vec![
+                Ok(ReadResponse::visible(vec![1, 2, 3])),
+                Ok(ReadResponse::visible(vec![])),
+                Ok(ReadResponse::invisible()),
+            ]),
+            Response::Results(every_error().into_iter().map(Err).collect()),
+        ];
+        responses.extend(every_error().into_iter().map(Response::Rejected));
+
+        let frames = requests
+            .iter()
+            .map(|r| (true, encode_request(1, r)))
+            .chain(responses.iter().map(|r| (false, encode_response(1, r))));
+        for (is_request, frame) in frames {
+            let payload = &frame[4..];
+            for cut in 0..payload.len() {
+                let err = if is_request {
+                    decode_request(&payload[..cut]).err()
+                } else {
+                    decode_response(&payload[..cut]).err()
+                };
+                assert!(
+                    matches!(err, Some(Error::Protocol(_))),
+                    "{cut}-byte cut of {payload:?} gave {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

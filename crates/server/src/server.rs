@@ -481,8 +481,8 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
     }
 
     // One engine batch per signature; results split back per member.
-    let mut results: Vec<Option<Vec<lstore::Result<ReadResponse>>>> =
-        live.iter().map(|_| None).collect();
+    let mut results: Vec<Vec<lstore::Result<ReadResponse>>> =
+        live.iter().map(|_| Vec::new()).collect();
     for members in &groups {
         let first = &live[members[0]];
         let keys: Vec<u64> = members
@@ -499,15 +499,11 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         let mut iter = outs.into_iter();
         for &i in members {
             let n = live[i].keys.len();
-            results[i] = Some(iter.by_ref().take(n).collect());
+            results[i] = iter.by_ref().take(n).collect();
         }
     }
     for (pending, result) in live.iter().zip(results) {
-        respond(
-            shared,
-            pending,
-            &Response::Results(result.expect("every member resolved")),
-        );
+        respond(shared, pending, &Response::Results(result));
     }
 }
 

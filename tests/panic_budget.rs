@@ -15,7 +15,7 @@ const BUDGET: &[(&str, usize)] = &[
     ("storage", 7),
     ("wal", 0),
     ("txn", 1),
-    ("server", 5),
+    ("server", 0),
     ("index", 0),
 ];
 

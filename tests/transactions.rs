@@ -1,7 +1,7 @@
 //! Transactional semantics (§5.1.1): write-write conflicts, abort
 //! tombstones, speculative reads, commit-time validation, isolation levels.
 
-use lstore::{Database, DbConfig, IsolationLevel, ReadRequest, TableConfig};
+use lstore::{Database, DbConfig, IsolationLevel, ReadRequest, TableConfig, TransactionReads};
 
 fn setup() -> (std::sync::Arc<Database>, std::sync::Arc<lstore::Table>) {
     let db = Database::new(DbConfig::deterministic());
@@ -353,4 +353,86 @@ fn transaction_table_stays_bounded_and_recycled_aborts_stay_invisible() {
     t.merge_all();
     check("after the merge");
     assert!(db.runtime().mgr.tracked() <= 2 * 1024);
+}
+
+#[test]
+fn interleaved_read_modify_writes_on_distinct_keys_all_commit() {
+    let (db, t) = setup();
+    // Ten keys of one update range, one repeatable-read transaction each,
+    // all begun before any commits.
+    let keys: Vec<u64> = (20..30).collect();
+    let mut txns: Vec<_> = keys
+        .iter()
+        .map(|_| db.begin_with(IsolationLevel::RepeatableRead))
+        .collect();
+    // Interleave: every transaction reads its key, then every one writes.
+    let seen: Vec<u64> = keys
+        .iter()
+        .zip(&mut txns)
+        .map(|(&k, txn)| t.read(txn, k, &[0]).unwrap().unwrap()[0])
+        .collect();
+    for ((&k, txn), v) in keys.iter().zip(&mut txns).zip(&seen) {
+        t.update(txn, k, &[(0, v + 1)]).unwrap();
+    }
+    // Commit in reverse begin order: none of them touched another's key,
+    // so validation passes for every one.
+    for txn in txns.iter_mut().rev() {
+        db.commit(txn).unwrap();
+    }
+    for &k in &keys {
+        assert_eq!(
+            t.read_one(&ReadRequest::latest(k)).unwrap().values,
+            Some(vec![k * 10 + 1, k * 100])
+        );
+    }
+}
+
+#[test]
+fn snapshot_multi_read_commits_over_keys_a_committed_writer_changed() {
+    let (db, t) = setup();
+    let keys = [4u64, 5, 6, 7];
+    let mut reader = db.begin_with(IsolationLevel::Snapshot);
+    let before = reader.multi_read(&t, &keys);
+    let mut writer = db.begin();
+    for &k in &keys {
+        t.update(&mut writer, k, &[(1, 1)]).unwrap();
+    }
+    db.commit(&mut writer).unwrap();
+    // The reader still sees its begin-time snapshot, and a read-only
+    // snapshot transaction has nothing to validate: it commits.
+    let after = reader.multi_read(&t, &keys);
+    for ((&k, b), a) in keys.iter().zip(before).zip(after) {
+        assert_eq!(b.unwrap(), Some(vec![k * 10, k * 100]));
+        assert_eq!(a.unwrap(), Some(vec![k * 10, k * 100]));
+    }
+    db.commit(&mut reader).unwrap();
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(4)).unwrap().values,
+        Some(vec![40, 1])
+    );
+}
+
+#[test]
+fn a_first_update_snapshot_record_is_not_a_new_version() {
+    let (db, t) = setup();
+    // Column 0 of key 8 already has a tail version; column 1 has none, so
+    // the update below copies its original into a snapshot record first.
+    t.update_auto(8, &[(0, 81)]).unwrap();
+    let mut rmw = db.begin_with(IsolationLevel::RepeatableRead);
+    let seen = t.read(&mut rmw, 8, &[0, 1]).unwrap().unwrap();
+    t.update(&mut rmw, 8, &[(1, seen[1] + 1)]).unwrap();
+    db.commit(&mut rmw).unwrap();
+
+    // A writer whose first update of a column aborts leaves its snapshot
+    // record in the chain; a reader of the record before it still commits.
+    let mut reader = db.begin_with(IsolationLevel::RepeatableRead);
+    t.read(&mut reader, 9, &[0, 1]).unwrap().unwrap();
+    let mut writer = db.begin();
+    t.update(&mut writer, 9, &[(1, 0)]).unwrap();
+    db.abort(&mut writer);
+    db.commit(&mut reader).unwrap();
+    assert_eq!(
+        t.read_one(&ReadRequest::latest(8)).unwrap().values,
+        Some(vec![81, 801])
+    );
 }
