@@ -3,6 +3,7 @@
 //! codec choice (§4.1.3), merge threshold (Fig. 8 companion).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use lstore::TableConfig;
 use lstore_baselines::{Engine, LStoreEngine};
@@ -26,7 +27,7 @@ fn main() {
         engine.populate(config.rows, config.cols);
         let e: Arc<dyn Engine> = engine;
         let thr = run_throughput(&e, &config, 4, setup::window(), None, true);
-        let scan = run_scan_while_updating(&e, &config, 4, 3);
+        let scan = run_scan_while_updating(&e, &config, 4, 3, Duration::ZERO);
         report::row(
             &format!("range=2^{}", range_size.trailing_zeros()),
             &[("Mtxn/s", mtxns(thr.txns_per_sec)), ("scan", secs(scan))],
@@ -41,7 +42,7 @@ fn main() {
         engine.populate(config.rows, config.cols);
         let e: Arc<dyn Engine> = engine;
         let thr = run_throughput(&e, &config, 4, setup::window(), None, true);
-        let scan = run_scan_while_updating(&e, &config, 4, 3);
+        let scan = run_scan_while_updating(&e, &config, 4, 3, Duration::ZERO);
         report::row(
             if cumulative {
                 "cumulative"
@@ -65,7 +66,7 @@ fn main() {
         engine.populate(config.rows, config.cols);
         let table = engine.table();
         let e: Arc<dyn Engine> = engine;
-        let scan = run_scan_while_updating(&e, &config, 2, 3);
+        let scan = run_scan_while_updating(&e, &config, 2, 3, Duration::ZERO);
         report::row(
             name,
             &[
@@ -82,7 +83,7 @@ fn main() {
         ));
         engine.populate(config.rows, config.cols);
         let e: Arc<dyn Engine> = engine;
-        let scan = run_scan_while_updating(&e, &config, 4, 3);
+        let scan = run_scan_while_updating(&e, &config, 4, 3, Duration::ZERO);
         report::row(&format!("threshold={threshold}"), &[("scan", secs(scan))]);
     }
 }

@@ -4,7 +4,7 @@
 //! unified task pool of each swept width.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 use lstore_baselines::{DbmEngine, Engine, IuhEngine, LStoreEngine};
@@ -44,7 +44,7 @@ fn main() {
     let mut results = Vec::new();
     for e in &engines {
         e.populate(config.rows, config.cols);
-        let t = run_scan_while_updating(e, &config, 16, 3);
+        let t = run_scan_while_updating(e, &config, 16, 3, Duration::ZERO);
         results.push((e.name(), t));
         report::row(e.name(), &[("scan", secs(t))]);
     }

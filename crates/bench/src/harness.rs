@@ -185,19 +185,28 @@ where
         .iter()
         .map(|&w| {
             let engine = build(w);
-            let secs = run_scan_while_updating(&engine, config, update_threads, scan_iterations);
+            let secs = run_scan_while_updating(
+                &engine,
+                config,
+                update_threads,
+                scan_iterations,
+                Duration::ZERO,
+            );
             (w, secs)
         })
         .collect()
 }
 
 /// Measure single-threaded scan latency while `update_threads` writers run
-/// (Fig. 8 / Table 7): returns mean seconds per full-active-set scan.
+/// (Fig. 8 / Table 7): returns mean seconds per full-active-set scan. The
+/// writers run for `churn` before the first (warm-up) scan, so the scans
+/// meet the backlog that much churn leaves behind.
 pub fn run_scan_while_updating(
     engine: &Arc<dyn Engine>,
     config: &WorkloadConfig,
     update_threads: usize,
     scan_iterations: usize,
+    churn: Duration,
 ) -> f64 {
     let stop = Arc::new(AtomicBool::new(false));
     let mut mean = 0.0;
@@ -224,6 +233,7 @@ pub fn run_scan_while_updating(
                 }
             });
         }
+        std::thread::sleep(churn);
         // Warm-up.
         std::hint::black_box(engine.scan_sum(0, 0, config.rows - 1));
         let start = Instant::now();

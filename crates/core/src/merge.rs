@@ -14,11 +14,12 @@
 //!
 //! Step map to Algorithm 1:
 //! 1. [`committed_prefix`] — identify consecutive committed tail records.
-//! 2. [`merge_range`] loads the outdated base pages (decoding only columns
-//!    that actually changed).
+//! 2. [`merge_range`] finds the columns that actually changed; only they
+//!    are rebuilt.
 //! 3. Reverse-scan with a seen-set, newest update per (record, column) wins
 //!    (the per-column set generalizes the paper's per-record hashtable so
-//!    non-cumulative updates merge correctly too); re-compress.
+//!    non-cumulative updates merge correctly too); each changed column is
+//!    then decoded, patched and re-compressed in turn, through one buffer.
 //! 4. `UpdateRange::swap_base` — the pointer swap.
 //! 5. `EpochManager::retire` — epoch-based de-allocation.
 //!
@@ -32,6 +33,7 @@ use std::sync::Arc;
 use lstore_storage::epoch::EpochManager;
 use lstore_storage::page::BasePage;
 use lstore_storage::store::{PagePtr, PageStore};
+use lstore_storage::tail::TailSpan;
 use lstore_storage::NULL_VALUE;
 use lstore_txn::{StartTime, TxnManager};
 
@@ -182,7 +184,8 @@ pub fn merge_range(
         BaseData::Insert(_) => unreachable!("checked above"),
     };
 
-    // Which columns changed in (column_tps[c], upto]?
+    // Which merged columns changed in (column_tps[c], upto]? Only those
+    // are rebuilt.
     let mut changed = vec![false; ncols];
     for seq in from..=upto {
         let enc = SchemaEncoding(range.tail.encoding(seq as u32).0);
@@ -193,19 +196,19 @@ pub fn merge_range(
             changed.fill(true);
         }
     }
-
-    let mut new_cols: Vec<Option<Vec<u64>>> = (0..ncols).map(|_| None).collect();
-    for &c in merge_cols {
-        if changed[c] && base.column_tps[c] < upto {
-            new_cols[c] = Some(old_data[c].read().decode());
-        }
-    }
+    let rebuild: Vec<bool> = (0..ncols)
+        .map(|c| changed[c] && merge_cols.contains(&c) && base.column_tps[c] < upto)
+        .collect();
     let mut new_lu = old_lu.read().decode();
     let mut new_enc = old_enc.read().decode();
 
-    // Step 3: reverse scan with a per-(slot, column) seen-set.
+    // Step 3: reverse scan with a per-(slot, column) seen-set. The newest
+    // value of each (slot, rebuilt column) becomes a patch, and each
+    // consolidated delete a nulled slot, applied as each column is rebuilt.
     let mut seen = vec![0u64; len]; // bitmaps per slot
     let mut deleted_seen = vec![false; len];
+    let mut patches: Vec<Vec<(usize, u64)>> = vec![Vec::new(); ncols];
+    let mut deleted = Vec::new();
     let mut applied = 0u64;
     let full_merge = merge_cols.len() == ncols;
     for seq in (from..=upto).rev() {
@@ -235,13 +238,9 @@ pub fn merge_range(
             // whatever the column set. A column merge advances its columns'
             // TPS past the delete like a full merge does, and a reader on
             // the TPS fast path sees only the flag. (Every merged column
-            // that has not consolidated the delete before is materialized:
-            // a delete marks them all changed.)
-            for &c in merge_cols {
-                if let Some(v) = new_cols[c].as_mut() {
-                    v[slot] = NULL_VALUE;
-                }
-            }
+            // that has not consolidated the delete before is rebuilt: a
+            // delete marks them all changed.)
+            deleted.push(slot);
             new_enc[slot] = SchemaEncoding(new_enc[slot]).with_delete().0;
             deleted_seen[slot] = true;
             contributed = true;
@@ -255,8 +254,8 @@ pub fn merge_range(
                     continue; // a newer value for this column already applied
                 }
                 seen[slot] |= bit;
-                if let Some(col) = new_cols[c].as_mut() {
-                    col[slot] = range.tail.value(seq32, c);
+                if rebuild[c] {
+                    patches[c].push((slot, range.tail.value(seq32, c)));
                     contributed = true;
                 }
             }
@@ -275,12 +274,23 @@ pub fn merge_range(
         }
     }
 
-    // Re-compress changed columns; unchanged ones share the old pointer
-    // (and, when store-backed, the old frame — no image is duplicated).
+    // Rebuild and re-compress the changed columns, one at a time through
+    // one buffer; unchanged ones share the old pointer (and, when
+    // store-backed, the old frame — no image is duplicated).
+    let mut values = Vec::new();
     let data: Vec<PagePtr> = (0..ncols)
-        .map(|c| match new_cols[c].take() {
-            Some(values) => PagePtr::seal(store, BasePage::from_values(&values, config.codec)),
-            None => old_data[c].clone(),
+        .map(|c| {
+            if !rebuild[c] {
+                return old_data[c].clone();
+            }
+            old_data[c].read().decode_into(&mut values);
+            for &(slot, v) in &patches[c] {
+                values[slot] = v;
+            }
+            for &slot in &deleted {
+                values[slot] = NULL_VALUE;
+            }
+            PagePtr::seal(store, BasePage::from_values(&values, config.codec))
         })
         .collect();
     let column_tps: Vec<u64> = (0..ncols)
@@ -294,15 +304,8 @@ pub fn merge_range(
         .collect();
     let tps = column_tps.iter().copied().min().unwrap_or(upto);
     // Scan fast-path metadata (§4.2's stable lineage makes these cheap to
-    // maintain per merged version). One pin covers the whole pass.
-    let max_start = {
-        let start_page = old_start.read();
-        (0..len)
-            .map(|s| start_page.get(s))
-            .filter(|&v| v != NULL_VALUE)
-            .max()
-            .unwrap_or(0)
-    };
+    // maintain per merged version). The Start Time page is carried over
+    // unchanged, so its maximum is too.
     let max_last_updated = new_lu
         .iter()
         .copied()
@@ -314,7 +317,7 @@ pub fn merge_range(
         tps,
         column_tps: column_tps.into_boxed_slice(),
         len,
-        max_start,
+        max_start: base.max_start,
         max_last_updated,
         has_deletes,
         data: BaseData::Pages {
@@ -334,6 +337,7 @@ pub fn merge_range(
 
     let consumed = upto - from + 1;
     range.consume_unmerged(consumed);
+    range.reset_scanned_suffix();
     if full_merge {
         // TPS doubles as the cumulation reset high-water mark (§4.2).
         range.set_cumulation_reset(upto);
@@ -373,14 +377,18 @@ pub fn merge_insert_range(
     if !force && used < range.capacity {
         return false; // only full insert ranges graduate automatically
     }
-    // Every slot must be resolved (committed or aborted).
+    // Every slot must be resolved (committed or aborted). Each column is
+    // read through one snapshot of its pages: one directory lock per
+    // column, not one per cell.
+    let mut span = TailSpan::default();
+    tail.start_time.snapshot_pages(0..used, &mut span);
     let mut starts = Vec::with_capacity(used);
     for slot in 0..used {
-        let cell = tail.start_time.get_or_null(slot);
+        let cell = span.get_or_null(slot);
         if cell == NULL_VALUE {
             return false; // slot allocated but not yet written
         }
-        match mgr.resolve_start_time(cell, || tail.start_time.get_or_null(slot)) {
+        match mgr.resolve_start_time(cell, || span.get_or_null(slot)) {
             StartTime::Committed(ts) => {
                 // Stamp the insert tail too: a reader still holding it may
                 // resolve the id after the inserter — who finds merged
@@ -397,13 +405,14 @@ pub fn merge_insert_range(
 
     let ncols = base.column_tps.len();
     let mut data = Vec::with_capacity(ncols);
-    for c in 0..ncols {
+    for column in tail.data.iter() {
+        column.snapshot_pages(0..used, &mut span);
         let values: Vec<u64> = (0..used)
             .map(|slot| {
                 if starts[slot] == NULL_VALUE {
                     NULL_VALUE // aborted insert: null slot
                 } else {
-                    tail.data[c].get_or_null(slot)
+                    span.get_or_null(slot)
                 }
             })
             .collect();

@@ -361,17 +361,17 @@ impl TaskPool {
         }
         let first = tasks.remove(0);
         let n = tasks.len();
-        let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Slot<F, R>>> = tasks
+            .into_iter()
+            .map(|task| Mutex::new(Slot::Queued(task)))
+            .collect();
         let wg = WaitGroup::new(n);
-        {
-            let slots = &slots;
+        let first_outcome = {
             let wg = &wg;
             let mut jobs = Vec::with_capacity(n);
-            for (i, task) in tasks.into_iter().enumerate() {
+            for slot in &slots {
                 let job = Box::new(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(task));
-                    *slots[i].lock() = Some(outcome);
+                    slot.lock().run();
                     wg.finish_one();
                 });
                 // SAFETY: the job borrows `slots`, `wg`, and whatever the
@@ -411,7 +411,7 @@ impl TaskPool {
                 None => self.sched.work.notify_one(),
             }
             // The caller is the first worker, not an idle waiter.
-            let first_outcome = catch_unwind(AssertUnwindSafe(first));
+            let first_outcome = Slot::Queued(first).into_outcome();
             // Keep working instead of idling: steal queued scan tasks (this
             // fan-out's or a sibling's) until this batch completed or the
             // queue drains. For microsecond-sized tasks the workers' wakeup
@@ -419,18 +419,43 @@ impl TaskPool {
             // case at "the caller did everything itself, sequentially".
             while !wg.is_done() && self.sched.run_one_scan() {}
             wg.wait();
-            let mut results = Vec::with_capacity(n + 1);
-            results.push(first_outcome);
-            for slot in slots.iter() {
-                results.push(slot.lock().take().expect("task completed"));
-            }
-            results
-                .into_iter()
-                .map(|r| match r {
-                    Ok(v) => v,
-                    Err(payload) => resume_unwind(payload),
-                })
-                .collect()
+            first_outcome
+        };
+        // Every job ran before `wait` returned, so every slot is done.
+        std::iter::once(first_outcome)
+            .chain(
+                slots
+                    .into_iter()
+                    .map(|slot| slot.into_inner().into_outcome()),
+            )
+            .map(|r| match r {
+                Ok(v) => v,
+                Err(payload) => resume_unwind(payload),
+            })
+            .collect()
+    }
+}
+
+/// One fanned-out task of [`TaskPool::run`]: queued, then its outcome once
+/// a worker ran it (a panic is caught into the outcome).
+enum Slot<F, R> {
+    Queued(F),
+    Done(std::thread::Result<R>),
+}
+
+impl<F: FnOnce() -> R, R> Slot<F, R> {
+    /// Run the task if still queued. (The placeholder moved in while it
+    /// runs is overwritten before the caller's slot lock is released.)
+    fn run(&mut self) {
+        let queued = std::mem::replace(self, Slot::Done(Err(Box::new(()))));
+        *self = Slot::Done(queued.into_outcome());
+    }
+
+    /// The task's outcome, running it here if it is still queued.
+    fn into_outcome(self) -> std::thread::Result<R> {
+        match self {
+            Slot::Queued(task) => catch_unwind(AssertUnwindSafe(task)),
+            Slot::Done(outcome) => outcome,
         }
     }
 }

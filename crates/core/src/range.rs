@@ -264,6 +264,9 @@ pub struct UpdateRange {
     next_slot: AtomicU32,
     /// Tail records appended since the last merge was enqueued.
     unmerged: AtomicU64,
+    /// Unmerged tail records scans have walked since the last merge: the
+    /// work a merge would save them (see [`UpdateRange::note_scanned_suffix`]).
+    scanned_suffix: AtomicU64,
     /// Guards against double-enqueueing merges.
     merge_pending: AtomicBool,
     /// Sequence watermark at which cumulation was last reset (§4.2: "TPS …
@@ -297,6 +300,7 @@ impl UpdateRange {
             tail: TailSegment::new(id, columns, tail_page_slots),
             next_slot: AtomicU32::new(0),
             unmerged: AtomicU64::new(0),
+            scanned_suffix: AtomicU64::new(0),
             merge_pending: AtomicBool::new(false),
             cumulation_reset: AtomicU64::new(0),
             historic_boundary: AtomicU64::new(1),
@@ -415,6 +419,19 @@ impl UpdateRange {
     pub fn consume_unmerged(&self, n: u64) {
         self.unmerged
             .fetch_sub(n.min(self.unmerged()), Ordering::AcqRel);
+    }
+
+    /// Add `records` to the unmerged tail records scans have walked since
+    /// the last merge; returns the new total. Once it reaches the range's
+    /// row count, scans have paid for a merge's worth of suffix walking and
+    /// request one.
+    pub fn note_scanned_suffix(&self, records: u64) -> u64 {
+        self.scanned_suffix.fetch_add(records, Ordering::Relaxed) + records
+    }
+
+    /// Forget the suffix walked so far (the merge swapped the base).
+    pub fn reset_scanned_suffix(&self) {
+        self.scanned_suffix.store(0, Ordering::Relaxed);
     }
 
     /// Attempt to claim merge-enqueue duty (CAS false→true).

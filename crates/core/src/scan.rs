@@ -89,10 +89,13 @@ use crate::tailseg::TailSuffix;
 
 /// A window shorter than `1/NARROW_WINDOW_DENOM` of its range's unmerged
 /// suffix finds its dirty rows from its own indirection cells and chases
-/// them. The pass costs ≈ 3 ns per suffix record whatever the window
-/// holds; a chase costs 60–190 ns, so at 16 records per slot even a window
-/// whose every slot is dirty loses little to the pass, and the usual
-/// sparse one wins several times over (docs/BENCHMARKS.md has the table).
+/// them. Warm, the pass walks a suffix record in ≈ 2–3 ns and patches a
+/// dirty row in ≈ 20; cold — a full 4096-row window under ≈ 1400 records,
+/// its ≈ 800 dirty rows included — a window costs ≈ 22–29 ns per suffix
+/// record all told. A chase costs 60–190 ns, so at 16 records per slot
+/// even a window whose every slot is dirty loses little to the pass, and
+/// the usual sparse one wins several times over (docs/BENCHMARKS.md has
+/// the table).
 const NARROW_WINDOW_DENOM: u64 = 16;
 
 /// Minimum coalesced slot-span length before `sum_key_range` tries the
@@ -303,7 +306,10 @@ impl WindowPlan {
     /// Transaction-id Start Time cells resolve through `mgr` (and are
     /// swapped for the commit timestamp once committed, §5.1.1), exactly
     /// as `VersionReader::resolve_tail` does for a detached reader.
-    fn tail_pass(&mut self, mgr: &TxnManager, cols: &[usize], ts: u64, lo: u32, hi: u32) {
+    ///
+    /// Returns whether the snapshot is current for the records the pass
+    /// resolved: none was in flight or committed after `ts`.
+    fn tail_pass(&mut self, mgr: &TxnManager, cols: &[usize], ts: u64, lo: u32, hi: u32) -> bool {
         let WindowPlan {
             mask,
             rows,
@@ -314,6 +320,7 @@ impl WindowPlan {
             suffix,
         } = self;
         let n = cols.len();
+        let mut current = true;
         index.clear();
         index.resize((hi - lo) as usize, CLEAN);
         for &slot in chased.iter() {
@@ -350,12 +357,14 @@ impl WindowPlan {
             let cell = rec.start_cell;
             let owner = mgr.resolve_start_time(cell, || rec.reread_start_cell());
             let Some(commit) = owner.visible(false) else {
+                current &= !owner.in_flight();
                 return; // in flight or aborted
             };
             if lstore_txn::is_txn_id(cell) {
                 rec.swap_start_cell(cell, commit);
             }
             if commit > ts {
+                current = false;
                 return;
             }
             let enc = rec.encoding();
@@ -373,6 +382,7 @@ impl WindowPlan {
                 }
             }
         });
+        current
     }
 
     /// Hand the live patched rows to `acc`, after giving their unsettled
@@ -485,10 +495,19 @@ impl Table {
             if range.historic_boundary() > min_tps + 1 {
                 return None;
             }
-            plan.tail_pass(&self.runtime.mgr, cols, ts, lo, hi);
+            let current = plan.tail_pass(&self.runtime.mgr, cols, ts, lo, hi);
+            let walked = plan.suffix.len() as u64;
             let stats = self.range_stats(range);
-            TableStats::add(&stats.tail_pass_records, plan.suffix.len() as u64);
+            TableStats::add(&stats.tail_pass_records, walked);
             TableStats::add(&stats.tail_pass_rows, plan.rows.len() as u64);
+            // Scans request the merge they keep paying for: once their
+            // passes have walked as many unmerged records as the range has
+            // rows. Only a current snapshot counts — a merge would save a
+            // scan behind the writers nothing, and would turn its patched
+            // rows into chased ones.
+            if current && range.note_scanned_suffix(walked) >= range.capacity as u64 {
+                self.enqueue_merge(range);
+            }
         }
         Some(data)
     }
@@ -579,12 +598,13 @@ impl Table {
     ) -> A {
         let guard = self.runtime.epoch.pin();
         let parts = self.scan_partitions();
-        merged(self.scan_fanout(&parts, &guard, |chunk| {
+        let partials = self.scan_fanout(&parts, &guard, |chunk| {
             let mut acc = init();
             let windows = chunk.iter().flatten().map(|range| (&**range, 0, u32::MAX));
             self.fold_windows(windows, cols, ts, 0, &mut acc);
             acc
-        }))
+        });
+        merged(init(), partials)
     }
 
     /// Current clock value — convenient snapshot timestamp for detached
@@ -684,7 +704,7 @@ impl Table {
             }
             acc
         });
-        merged(partials).0[0]
+        merged(Sums(vec![0]), partials).0[0]
     }
 
     /// Plan the windows of the keys in `[key_lo, key_hi]`: consecutive
@@ -742,7 +762,7 @@ impl Table {
             self.fold_windows(chunk.iter().cloned(), &cols, ts, 0, &mut acc);
             acc
         });
-        merged(partials).0[0]
+        merged(Sums(vec![0]), partials).0[0]
     }
 
     /// Multi-column consistency check (Lemma 3 / Theorem 2): read several
@@ -775,10 +795,10 @@ impl Table {
     }
 }
 
-/// Combine the per-chunk partials of one fanned-out scan.
-fn merged<A: WindowFold>(partials: Vec<A>) -> A {
-    partials
-        .into_iter()
-        .reduce(A::merge)
-        .expect("scan_fanout returns one partial per chunk, at least one")
+/// Combine the per-chunk partials of one fanned-out scan; `empty`, the
+/// accumulator of no rows, stands in when there are none.
+fn merged<A: WindowFold>(empty: A, partials: Vec<A>) -> A {
+    let mut partials = partials.into_iter();
+    let first = partials.next().unwrap_or(empty);
+    partials.fold(first, A::merge)
 }

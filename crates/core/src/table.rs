@@ -873,7 +873,11 @@ impl Table {
     // Merge & historic control
     // ------------------------------------------------------------------
 
-    fn enqueue_merge(&self, range: &Arc<UpdateRange>) {
+    /// Request a background merge of `range`. Two triggers call this: a
+    /// writer whose appends cross `merge_threshold` (or fill an insert
+    /// range), and a scan whose suffix passes have walked as many unmerged
+    /// records as the range has rows (`Table::plan_window`).
+    pub(crate) fn enqueue_merge(&self, range: &UpdateRange) {
         // With background merging off, merges run only when called
         // (`merge_now` / `merge_all`): no claim to take and release.
         if !self.runtime.background_merge || !range.claim_merge() {

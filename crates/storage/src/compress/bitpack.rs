@@ -24,6 +24,28 @@
 use super::kernel::ColumnKernel;
 use crate::error::{StorageError, StorageResult};
 
+/// Evaluate `$body` with `$w` bound to `$width` as a constant: one match
+/// per call, and inside it every shift and word index of a block is known
+/// at compile time.
+macro_rules! with_width {
+    ($width:expr, $w:ident => $body:expr) => {
+        with_width!(@ $width, $w, $body;
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+            33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48
+            49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64)
+    };
+    (@ $width:expr, $w:ident, $body:expr; $($n:literal)*) => {
+        match $width {
+            $($n => {
+                const $w: usize = $n;
+                $body
+            })*
+            _ => unreachable!("the width is checked on construction"),
+        }
+    };
+}
+
 /// Values per unpacked block: the period after which a packed value starts
 /// on a word boundary again, whatever the width.
 pub(crate) const BLOCK: usize = 64;
@@ -44,24 +66,34 @@ impl BitPacked {
 
     /// Pack `values` with `width` bits each. Values must fit in `width` bits.
     pub fn pack(values: &[u64], width: u8) -> Self {
+        Self::pack_iter(values.iter().copied(), width)
+    }
+
+    /// Pack the values `values` yields with `width` bits each, a block of
+    /// 64 at a time with the width a constant inside (the inverse of the
+    /// kernels' unpack).
+    pub(crate) fn pack_iter(values: impl ExactSizeIterator<Item = u64>, width: u8) -> Self {
         assert!((1..=64).contains(&width), "width must be in 1..=64");
-        let total_bits = values.len() * width as usize;
-        let mut words = vec![0u64; total_bits.div_ceil(64)];
-        for (i, &v) in values.iter().enumerate() {
-            debug_assert!(width == 64 || v < (1u64 << width), "value exceeds width");
-            let bit = i * width as usize;
-            let word = bit / 64;
-            let off = bit % 64;
-            words[word] |= v << off;
-            let spill = off + width as usize;
-            if spill > 64 {
-                words[word + 1] |= v >> (64 - off);
+        let (len, width_bits) = (values.len(), width as usize);
+        let mut words = vec![0u64; (len * width_bits).div_ceil(64)];
+        let mut values = values;
+        let mut block = [0u64; BLOCK];
+        // A whole block fills `width` words; the last, padded with zeros,
+        // fills only the words its values reach.
+        for out in words.chunks_mut(width_bits) {
+            let mut n = 0;
+            for (slot, v) in block.iter_mut().zip(&mut values) {
+                debug_assert!(width == 64 || v < (1u64 << width), "value exceeds width");
+                *slot = v;
+                n += 1;
             }
+            block[n..].fill(0);
+            pack_into(width_bits, &block, out);
         }
         BitPacked {
             words: words.into_boxed_slice(),
             width,
-            len: values.len(),
+            len,
         }
     }
 
@@ -153,20 +185,7 @@ impl BitPacked {
         debug_assert!(lo <= hi && hi <= self.len);
         let width = self.width as usize;
         let words = &self.words[lo / BLOCK * width..hi / BLOCK * width];
-        macro_rules! dispatch {
-            ($($w:literal)*) => {
-                match width {
-                    $($w => unpack_blocks::<$w>(words, &mut f),)*
-                    _ => unreachable!("the width is checked on construction"),
-                }
-            };
-        }
-        dispatch!(
-            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-            33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48
-            49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64
-        );
+        with_width!(width, W => unpack_blocks::<W>(words, &mut f));
     }
 
     /// Hand values `lo..hi` to `f` in order, a slice at a time: the ragged
@@ -191,6 +210,11 @@ impl BitPacked {
             self.for_each_block(head_end, tail_start, |block| f(block));
         }
         ragged(tail_start, hi, &mut f);
+    }
+
+    /// Append every value to `out`, whole blocks unpacked.
+    pub(crate) fn unpack_into(&self, out: &mut Vec<u64>) {
+        self.for_each_in(0, self.len, |values| out.extend_from_slice(values));
     }
 
     /// Sequential decode of values `lo..hi` with a rolling bit cursor: the
@@ -284,10 +308,45 @@ fn unpack_block<const W: usize>(w: &[u64; W]) -> [u64; BLOCK] {
 }
 
 fn unpack_blocks<const W: usize>(words: &[u64], f: &mut impl FnMut(&[u64; BLOCK])) {
-    for block in words.chunks_exact(W) {
-        let block: &[u64; W] = block.try_into().expect("chunks_exact yields W words");
+    for block in words.as_chunks::<W>().0 {
         f(&unpack_block(block));
     }
+}
+
+/// Or value `v` into slot `j` of the block packed in `w`: [`extract`]'s
+/// inverse, with the same constants.
+#[inline(always)]
+fn deposit<const W: usize>(w: &mut [u64; W], j: usize, v: u64) {
+    let (word, off) = (j * W / 64, j * W % 64);
+    w[word] |= v << off;
+    if off + W > 64 {
+        w[word + 1] |= v >> (64 - off);
+    }
+}
+
+/// Pack `block` at `width` bits into `out`: `width` words, or fewer for a
+/// last block padded with zeros. Not generic, so the 64 width-specialised
+/// packers exist once however many callers there are.
+fn pack_into(width: usize, block: &[u64; BLOCK], out: &mut [u64]) {
+    let len = out.len();
+    with_width!(width, W => out.copy_from_slice(&pack_block::<W>(block)[..len]));
+}
+
+/// The 64 values `v` packed into one block, written out like
+/// [`unpack_block`].
+#[inline(always)]
+fn pack_block<const W: usize>(v: &[u64; BLOCK]) -> [u64; W] {
+    let mut w = [0u64; W];
+    macro_rules! pack {
+        ($($j:literal)*) => { $(deposit(&mut w, $j, v[$j]);)* };
+    }
+    pack!(
+        0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
+        16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+        32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47
+        48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63
+    );
+    w
 }
 
 impl ColumnKernel for BitPacked {
@@ -307,6 +366,42 @@ impl ColumnKernel for BitPacked {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One value at a time at its computed bit offset: the packer the
+    /// block packer replaced, kept as the reference for the word layout.
+    fn pack_indexed(values: &[u64], width: usize) -> Vec<u64> {
+        let mut words = vec![0u64; (values.len() * width).div_ceil(64)];
+        for (i, &v) in values.iter().enumerate() {
+            let (word, off) = (i * width / 64, i * width % 64);
+            words[word] |= v << off;
+            if off + width > 64 {
+                words[word + 1] |= v >> (64 - off);
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn block_packing_lays_out_words_like_the_indexed_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for width in 1..=64usize {
+            let mask = u64::MAX >> (64 - width);
+            for len in [0usize, 1, 63, 64, 65, 130, 4096] {
+                let values: Vec<u64> = (0..len)
+                    .map(|_| {
+                        x = x.rotate_left(23).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+                        x & mask
+                    })
+                    .collect();
+                let packed = BitPacked::pack(&values, width as u8);
+                assert_eq!(
+                    packed.words(),
+                    pack_indexed(&values, width),
+                    "width {width} len {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_widths() {

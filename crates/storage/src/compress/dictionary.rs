@@ -36,17 +36,46 @@ pub struct DictColumn {
 impl DictColumn {
     /// Encode `values` into a sorted dictionary plus packed codes.
     pub fn encode(values: &[u64]) -> Self {
-        let mut dict: Vec<u64> = values.to_vec();
+        Self::encode_with(values, Self::dictionary_of(values))
+    }
+
+    /// The sorted distinct values of `values`: the dictionary
+    /// [`DictColumn::encode`] builds. Only the first value of each run can
+    /// be new, so only those are sorted.
+    pub(crate) fn dictionary_of(values: &[u64]) -> Vec<u64> {
+        let mut dict: Vec<u64> = Vec::new();
+        for &v in values {
+            if dict.last() != Some(&v) {
+                dict.push(v);
+            }
+        }
         dict.sort_unstable();
         dict.dedup();
+        dict
+    }
+
+    /// Bytes [`DictColumn::encoded_bytes`] reports for `len` values over a
+    /// dictionary of `entries`, without encoding them.
+    pub(crate) fn encoded_bytes_for(len: usize, entries: usize) -> usize {
+        let width = BitPacked::width_for(entries.saturating_sub(1) as u64) as usize;
+        entries * 8 + (len * width).div_ceil(64) * 8
+    }
+
+    /// Encode `values` over `dict`, which must be
+    /// [`DictColumn::dictionary_of`] them. A run shares one code, so one
+    /// search serves the run.
+    pub(crate) fn encode_with(values: &[u64], dict: Vec<u64>) -> Self {
         let width = BitPacked::width_for(dict.len().saturating_sub(1) as u64);
-        let codes: Vec<u64> = values
-            .iter()
-            .map(|v| dict.binary_search(v).expect("value in dictionary") as u64)
-            .collect();
+        let mut code = 0u64;
+        let codes = values.iter().enumerate().map(|(i, v)| {
+            if i == 0 || values[i - 1] != *v {
+                code = dict.partition_point(|d| d < v) as u64;
+            }
+            code
+        });
         DictColumn {
+            codes: BitPacked::pack_iter(codes, width),
             dict: dict.into_boxed_slice(),
-            codes: BitPacked::pack(&codes, width),
         }
     }
 

@@ -36,13 +36,24 @@ impl ForColumn {
     /// Encode `values` relative to their minimum.
     pub fn encode(values: &[u64]) -> Self {
         let base = values.iter().copied().min().unwrap_or(0);
-        let max_delta = values.iter().map(|&v| v - base).max().unwrap_or(0);
-        let width = BitPacked::width_for(max_delta);
-        let deltas: Vec<u64> = values.iter().map(|&v| v - base).collect();
+        let max = values.iter().copied().max().unwrap_or(0);
+        Self::encode_framed(values, base, max)
+    }
+
+    /// Encode `values` whose minimum is `min` and maximum `max`, as
+    /// [`ForColumn::encode`] would (0 and 0 for an empty column).
+    pub(crate) fn encode_framed(values: &[u64], min: u64, max: u64) -> Self {
+        let deltas = values.iter().map(|&v| v - min);
         ForColumn {
-            base,
-            deltas: BitPacked::pack(&deltas, width),
+            base: min,
+            deltas: BitPacked::pack_iter(deltas, BitPacked::width_for(max - min)),
         }
+    }
+
+    /// Bytes [`ForColumn::encoded_bytes`] reports for `len` values spanning
+    /// `max - min`, without encoding them.
+    pub(crate) fn encoded_bytes_for(len: usize, min: u64, max: u64) -> usize {
+        8 + (len * BitPacked::width_for(max - min) as usize).div_ceil(64) * 8
     }
 
     /// Rebuild a column from its stored parts (a page image); nothing is

@@ -111,7 +111,37 @@ impl Compressed {
 
     /// Decode the whole column into a vector.
     pub fn decode(&self) -> Vec<u64> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        let mut out = Vec::new();
+        self.decode_into(&mut out);
+        out
+    }
+
+    /// Decode the whole column into `out`, replacing what it held and
+    /// reusing its allocation: runs are repeated, packed words unpack a
+    /// block of 64 values at a time (the kernels' unpack).
+    pub fn decode_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.reserve(self.len());
+        match self {
+            Compressed::Dict(c) => {
+                c.codes().unpack_into(out);
+                for v in out.iter_mut() {
+                    *v = c.dict()[*v as usize];
+                }
+            }
+            Compressed::Rle(c) => {
+                for (start, end, v) in c.runs_in(0, c.len()) {
+                    out.resize(out.len() + (end - start), v);
+                }
+            }
+            Compressed::For(c) => {
+                c.deltas().unpack_into(out);
+                for v in out.iter_mut() {
+                    *v = c.frame().wrapping_add(*v);
+                }
+            }
+            Compressed::Plain(v) => out.extend_from_slice(v),
+        }
     }
 
     /// Approximate heap size of the encoded representation in bytes.
@@ -163,31 +193,50 @@ pub fn encode(values: &[u64], choice: CodecChoice) -> Compressed {
 }
 
 /// Encode `values` with whichever codec yields the smallest representation,
-/// keeping a plain copy when nothing beats 8 bytes/value.
+/// keeping a plain copy when nothing beats 8 bytes/value. Candidates rank
+/// plain, RLE, FOR, dictionary, and a later one wins only when strictly
+/// smaller.
+///
+/// One pass over the values finds their minimum, maximum and run count,
+/// which fix the RLE and FOR sizes without building either; only the
+/// winner is encoded. The dictionary's size needs the distinct values, so
+/// they are collected — only when the sampling heuristic says the column is
+/// plausibly low-cardinality — and the codes are packed only if it wins.
 pub fn encode_auto(values: &[u64]) -> Compressed {
-    let plain_bytes = values.len() * 8;
-    let mut best = Compressed::Plain(values.into());
-    let mut best_bytes = plain_bytes;
-
-    let rle = RleColumn::encode(values);
-    if rle.encoded_bytes() < best_bytes {
-        best_bytes = rle.encoded_bytes();
-        best = Compressed::Rle(rle);
+    enum Winner {
+        Plain,
+        Rle,
+        For,
     }
-    let fr = ForColumn::encode(values);
-    if fr.encoded_bytes() < best_bytes {
-        best_bytes = fr.encoded_bytes();
-        best = Compressed::For(fr);
+    let Some(&first) = values.first() else {
+        return Compressed::Plain(Box::default()); // nothing beats 0 bytes
+    };
+    let (mut min, mut max, mut runs, mut prev) = (first, first, 1usize, first);
+    for &v in values {
+        min = min.min(v);
+        max = max.max(v);
+        runs += usize::from(v != prev);
+        prev = v;
     }
-    // Dictionary encoding is the most expensive to build; only attempt it when
-    // the column is plausibly low-cardinality (sampling heuristic).
+    let (mut best, mut best_bytes) = (Winner::Plain, values.len() * 8);
+    if RleColumn::encoded_bytes_for(runs) < best_bytes {
+        (best, best_bytes) = (Winner::Rle, RleColumn::encoded_bytes_for(runs));
+    }
+    let for_bytes = ForColumn::encoded_bytes_for(values.len(), min, max);
+    if for_bytes < best_bytes {
+        (best, best_bytes) = (Winner::For, for_bytes);
+    }
     if plausibly_low_cardinality(values) {
-        let dict = DictColumn::encode(values);
-        if dict.encoded_bytes() < best_bytes {
-            best = Compressed::Dict(dict);
+        let dict = DictColumn::dictionary_of(values);
+        if DictColumn::encoded_bytes_for(values.len(), dict.len()) < best_bytes {
+            return Compressed::Dict(DictColumn::encode_with(values, dict));
         }
     }
-    best
+    match best {
+        Winner::Plain => Compressed::Plain(values.into()),
+        Winner::Rle => Compressed::Rle(RleColumn::encode(values)),
+        Winner::For => Compressed::For(ForColumn::encode_framed(values, min, max)),
+    }
 }
 
 /// Cheap sampling heuristic: look at up to 64 evenly spaced values and guess
@@ -256,5 +305,116 @@ mod tests {
         let c = encode_auto(&[]);
         assert!(c.is_empty());
         assert_eq!(c.decode(), Vec::<u64>::new());
+    }
+
+    /// The chooser `encode_auto` replaced, with the FOR and dictionary
+    /// builds it used: build every candidate, keep the strictly smallest
+    /// in the order plain, RLE, FOR, dictionary.
+    fn build_every_codec(values: &[u64]) -> Compressed {
+        let mut best = Compressed::Plain(values.into());
+        let rle = Compressed::Rle(RleColumn::encode(values));
+        if rle.encoded_bytes() < best.encoded_bytes() {
+            best = rle;
+        }
+        let frame = values.iter().copied().min().unwrap_or(0);
+        let deltas: Vec<u64> = values.iter().map(|&v| v - frame).collect();
+        let width = BitPacked::width_for(deltas.iter().copied().max().unwrap_or(0));
+        let fr = Compressed::For(ForColumn::from_parts(
+            frame,
+            BitPacked::pack(&deltas, width),
+        ));
+        if fr.encoded_bytes() < best.encoded_bytes() {
+            best = fr;
+        }
+        if plausibly_low_cardinality(values) {
+            let mut dict = values.to_vec();
+            dict.sort_unstable();
+            dict.dedup();
+            let width = BitPacked::width_for(dict.len().saturating_sub(1) as u64);
+            let codes: Vec<u64> = values
+                .iter()
+                .map(|v| dict.binary_search(v).unwrap() as u64)
+                .collect();
+            let dict = DictColumn::from_parts(dict.into(), BitPacked::pack(&codes, width)).unwrap();
+            let dict = Compressed::Dict(dict);
+            if dict.encoded_bytes() < best.encoded_bytes() {
+                best = dict;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn auto_matches_the_build_every_codec_oracle() {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut columns: Vec<(String, Vec<u64>)> = vec![
+            ("empty".into(), vec![]),
+            ("one value".into(), vec![7]),
+            ("constant".into(), vec![42; 4096]),
+            ("alternating".into(), (0..4096).map(|i| i % 2).collect()),
+            ("runs of 3".into(), (0..4096).map(|i| i / 3).collect()),
+            (
+                "runs of 40".into(),
+                (0..4096).map(|i| (i / 40) % 5).collect(),
+            ),
+            (
+                "narrow".into(),
+                (0..4096).map(|i| 1_000_000 + i % 17).collect(),
+            ),
+            ("wide".into(), (0..4096).map(|i| i << 40).collect()),
+            (
+                "low cardinality".into(),
+                (0..4096).map(|i| (i % 7) * 1_000_003).collect(),
+            ),
+            (
+                "two far values".into(),
+                (0..4096).map(|i| [3, 1 << 60][i % 2]).collect(),
+            ),
+        ];
+        let mut sentinel = vec![5u64; 4096];
+        sentinel[100] = u64::MAX;
+        columns.push(("constant with a u64::MAX sentinel".into(), sentinel));
+        columns.push((
+            "incompressible".into(),
+            (0..4096u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
+                .collect(),
+        ));
+        for round in 0..200 {
+            let len = [0, 1, 2, 15, 16, 17, 63, 64, 65, 1000, 4096][round % 11];
+            let bits = next() % 65;
+            let run = 1 + next() % 50;
+            let mut values = Vec::with_capacity(len);
+            while values.len() < len {
+                let v = if bits == 64 {
+                    next()
+                } else {
+                    next() & ((1u64 << bits) - 1)
+                };
+                let take = (run as usize).min(len - values.len());
+                values.extend(std::iter::repeat_n(v, take));
+            }
+            columns.push((format!("random {round}: {bits} bits, runs ≤ {run}"), values));
+        }
+        let mut winners = std::collections::BTreeSet::new();
+        for (name, values) in &columns {
+            let (got, want) = (encode_auto(values), build_every_codec(values));
+            winners.insert(want.codec_name());
+            assert_eq!(got.codec_name(), want.codec_name(), "{name}");
+            assert_eq!(got.encoded_bytes(), want.encoded_bytes(), "{name}");
+            assert_eq!(
+                crate::disk::encode_image(1, &got),
+                crate::disk::encode_image(1, &want),
+                "{name}: page image"
+            );
+            assert_eq!(got.decode(), *values, "{name}");
+        }
+        assert_eq!(winners.len(), 4, "every codec wins somewhere: {winners:?}");
     }
 }

@@ -120,7 +120,12 @@ impl RleColumn {
 
     /// Heap bytes used by run starts plus values.
     pub fn encoded_bytes(&self) -> usize {
-        self.starts.len() * 4 + self.values.len() * 8
+        Self::encoded_bytes_for(self.run_count())
+    }
+
+    /// Bytes [`RleColumn::encoded_bytes`] reports for `runs` runs.
+    pub(crate) fn encoded_bytes_for(runs: usize) -> usize {
+        runs * 12
     }
 
     /// Iterate the runs overlapping `lo..hi` as `(start, end, value)`

@@ -69,6 +69,11 @@ impl BasePage {
         self.data.decode()
     }
 
+    /// [`Self::decode`] into `out`, reusing its allocation.
+    pub fn decode_into(&self, out: &mut Vec<u64>) {
+        self.data.decode_into(out);
+    }
+
     /// Sum all slots; the building block of the paper's scan experiment (§6.2
     /// "computing the SUM aggregation on a column"). Dispatches to the
     /// codec's [`ColumnKernel`] — runs, packed words, or code frequencies —

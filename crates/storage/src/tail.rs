@@ -183,6 +183,7 @@ impl AppendVec {
     /// reads ∅ like every unallocated or released page.
     pub fn snapshot_pages(&self, idxs: Range<usize>, span: &mut TailSpan) {
         span.pages.clear();
+        span.page_slots = self.page_slots;
         span.first_page = idxs.start / self.page_slots;
         if idxs.is_empty() {
             return;
@@ -222,6 +223,8 @@ pub struct TailSpan {
     /// Directory number of `pages[0]`.
     first_page: usize,
     pages: Vec<Arc<TailPage>>,
+    /// Cells per page of the snapshotted column.
+    page_slots: usize,
 }
 
 impl TailSpan {
@@ -232,6 +235,17 @@ impl TailSpan {
     pub fn page(&self, page_no: usize) -> Option<&TailPage> {
         let page = self.pages.get(page_no.checked_sub(self.first_page)?)?;
         (!page.is_empty()).then_some(page)
+    }
+
+    /// The cell at logical index `idx` of the snapshotted column, ∅ where
+    /// [`TailSpan::page`] has no page — [`AppendVec::get_or_null`] without
+    /// the directory lock.
+    #[inline]
+    pub fn get_or_null(&self, idx: usize) -> u64 {
+        match self.page(idx / self.page_slots.max(1)) {
+            Some(page) => page.get(idx % self.page_slots),
+            None => NULL_VALUE,
+        }
     }
 }
 

@@ -255,3 +255,116 @@ fn column_merge_consolidates_deletes() {
     // And the twin is right about the deleted keys.
     assert_eq!(unmerged.1[2].2, 70);
 }
+
+/// A merged one-range table of `range_size` keys (`TableConfig::small`)
+/// whose first 40 keys carry one committed update each: 80 unmerged tail
+/// records (a snapshot and an update per key), below the writer-side
+/// `merge_threshold` of 128.
+fn backlog_below_threshold(
+    config: DbConfig,
+) -> (std::sync::Arc<Database>, std::sync::Arc<lstore::Table>) {
+    let db = Database::new(config);
+    let t = db
+        .create_table("demand", &["a"], TableConfig::small())
+        .unwrap();
+    let keys = t.config().range_size as u64;
+    for k in 0..keys {
+        t.insert_auto(k, &[k]).unwrap();
+    }
+    t.merge_all();
+    db.drain_merges(); // the merge the last insert requested finds nothing
+    for k in 0..40 {
+        t.update_auto(k, &[(0, 10_000 + k)]).unwrap();
+    }
+    assert_eq!(t.unmerged_tail_records(), 80);
+    assert!(
+        80 < t.config().merge_threshold as u64,
+        "no writer-side trigger"
+    );
+    (db, t)
+}
+
+/// The sum a scan at `ts` must return, one `read_one` per key.
+fn per_key_sum(t: &lstore::Table, ts: u64) -> u64 {
+    (0..t.config().range_size as u64)
+        .filter_map(|k| t.read_one(&ReadRequest::as_of(k, ts)).unwrap().values)
+        .map(|v| v[0])
+        .sum()
+}
+
+/// Scans at a current snapshot request the merge they keep paying for:
+/// once their suffix passes have walked as many unmerged records as the
+/// range has rows, the range is merged in the background, although no
+/// writer crossed `merge_threshold`.
+#[test]
+fn current_scans_request_a_merge_below_the_writer_threshold() {
+    let (db, t) = backlog_below_threshold(DbConfig::new().with_pool_threads(2));
+    let merges = t.stats().merges;
+    // 80 records walked per scan: the fourth reaches the 256-row budget.
+    for _ in 0..4 {
+        let ts = t.now();
+        assert_eq!(t.sum_as_of(0, ts), per_key_sum(&t, ts));
+    }
+    db.drain_merges();
+    assert_eq!(t.stats().merges, merges + 1, "one scan-requested merge");
+    assert_eq!(t.unmerged_tail_records(), 0);
+    let ts = t.now();
+    assert_eq!(t.sum_as_of(0, ts), per_key_sum(&t, ts), "after the merge");
+}
+
+/// With background merges off (`DbConfig::deterministic`) scans request
+/// nothing: merges run only when called.
+#[test]
+fn scans_request_no_merge_when_background_merges_are_off() {
+    let (db, t) = backlog_below_threshold(DbConfig::deterministic());
+    let merges = t.stats().merges;
+    for _ in 0..20 {
+        let ts = t.now();
+        assert_eq!(t.sum_as_of(0, ts), per_key_sum(&t, ts));
+    }
+    db.drain_merges();
+    assert_eq!(t.stats().merges, merges);
+    assert_eq!(t.unmerged_tail_records(), 80);
+}
+
+/// A scan behind the writers counts nothing toward a merge: a snapshot
+/// older than committed suffix records, or one that meets a record still
+/// in flight, would gain nothing from it.
+#[test]
+fn scans_behind_the_writers_request_no_merge() {
+    let db = Database::new(DbConfig::new().with_pool_threads(2));
+    let t = db
+        .create_table("behind", &["a"], TableConfig::small())
+        .unwrap();
+    let keys = t.config().range_size as u64;
+    for k in 0..keys {
+        t.insert_auto(k, &[k]).unwrap();
+    }
+    t.merge_all();
+    db.drain_merges();
+    let frozen = t.now();
+    let expected = per_key_sum(&t, frozen);
+    for k in 0..40 {
+        t.update_auto(k, &[(0, 10_000 + k)]).unwrap();
+    }
+    let merges = t.stats().merges;
+    for _ in 0..20 {
+        assert_eq!(t.sum_as_of(0, frozen), expected, "frozen snapshot");
+    }
+    db.drain_merges();
+    assert_eq!(t.stats().merges, merges, "a snapshot older than the suffix");
+    // An open transaction's update sits at the newest end of the suffix.
+    let mut open = db.begin();
+    t.update(&mut open, 50, &[(0, 7)]).unwrap();
+    for _ in 0..20 {
+        let now = t.now();
+        assert_eq!(
+            t.sum_as_of(0, now),
+            per_key_sum(&t, now),
+            "beside the open writer"
+        );
+    }
+    db.drain_merges();
+    assert_eq!(t.stats().merges, merges, "a suffix with a record in flight");
+    db.abort(&mut open);
+}

@@ -11,8 +11,8 @@ use std::path::{Path, PathBuf};
 
 /// Committed site counts per crate under `crates/`.
 const BUDGET: &[(&str, usize)] = &[
-    ("core", 14),
-    ("storage", 7),
+    ("core", 12),
+    ("storage", 5),
     ("wal", 0),
     ("txn", 1),
     ("server", 0),
