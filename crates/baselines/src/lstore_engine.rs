@@ -4,7 +4,7 @@
 //! settings: short update transactions run under read-committed semantics,
 //! scans under snapshot isolation, and background merging handles
 //! consolidation — the paper's "one merge thread" (§6.1) is here one worker
-//! of the unified merge/scan task pool draining the per-shard merge queues.
+//! of the unified merge/scan task pool draining the merge queue.
 
 use std::sync::Arc;
 
@@ -35,12 +35,12 @@ impl LStoreEngine {
 
     /// Create with a custom table configuration. Scans stay sequential
     /// (`pool_threads = 1`, which still leaves one pool worker draining the
-    /// merge queues in the background) and the table keeps a single
-    /// key-range shard (`shards = 1`), matching the paper's evaluation
-    /// setting of one scan thread and one merge thread against one table
-    /// (§6.1) so cross-engine comparisons measure the same thing; use
-    /// [`Self::with_configs`] to give the engine a wider pool and/or writer
-    /// shards.
+    /// merge queue in the background) and the table fills one insert range
+    /// at a time (`shards = 1`), matching the paper's evaluation setting of
+    /// one scan thread and one merge thread against one table (§6.1) so
+    /// cross-engine comparisons measure the same thing; use
+    /// [`Self::with_configs`] to give the engine a wider pool and/or more
+    /// insert lanes.
     pub fn with_config(table_config: TableConfig) -> Self {
         Self::with_configs(
             DbConfig::new().with_pool_threads(1).with_shards(1),
@@ -151,7 +151,7 @@ impl Engine for LStoreEngine {
     }
 
     fn multi_point_read(&self, keys: &[u64], cols: &[usize]) -> Vec<Option<Vec<u64>>> {
-        // The batched read path: dedup + shard grouping + task-pool
+        // The batched read path: key sort + dedup + task-pool
         // fan-out (a per-key sequential loop when the batch is below
         // `DbConfig::batch_read_min` or the pool is 1 wide).
         self.table()
@@ -162,7 +162,7 @@ impl Engine for LStoreEngine {
     }
 
     fn maintain(&self) -> bool {
-        // The pool workers already drain the per-shard merge queues; a
+        // The pool workers already drain the merge queue; a
         // manual sweep here merges anything above threshold synchronously
         // when the harness drives maintenance itself.
         let table = self.table();

@@ -3,10 +3,10 @@
 //! In-place Update + History vs Delta + Blocking Merge (one scan thread and
 //! one merge thread always running).
 //!
-//! A shard axis extends the figure with key-range sharded L-Store rows
-//! (`threads=T shards=4` labels): the base cross-engine rows always run
-//! the paper's single-shard table, and the 4-shard rows add an L-Store-only
-//! row per thread count, isolating writer-side shard scaling.
+//! A shard axis extends the figure with L-Store rows whose table fills four
+//! insert ranges at once (`DbConfig::shards`, `threads=T shards=4`
+//! labels): the base cross-engine rows always run one insert lane, and the
+//! 4-lane rows add an L-Store-only row per thread count.
 //!
 //! A pool axis (low contention only) adds store-backed L-Store rows
 //! (`threads=T pool_pages=B` labels, a 4-page and an unbounded pool):
@@ -21,7 +21,7 @@ use lstore_bench::run_throughput;
 use lstore_bench::setup;
 use lstore_bench::workload::Contention;
 
-/// Writer shards of the sharded L-Store rows (the base rows run one).
+/// Insert lanes of the `shards=4` L-Store rows (the base rows run one).
 const SHARDS: usize = 4;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
                 cells.iter().map(|(n, v)| (*n, v.clone())).collect();
             report::row(&label, &cells_ref);
         }
-        // Sharded-writer axis: L-Store only (the baselines have no shard
+        // Insert-lane axis: L-Store only (the baselines have no such
         // knob), one row per thread count.
         let engine: Arc<dyn Engine> = setup::lstore_sharded_engine(&config, SHARDS);
         for threads in setup::thread_sweep() {

@@ -18,7 +18,7 @@
 //!   taken after the writers have run for the window (`BENCH_SECONDS`) so
 //!   the scans meet the backlog the merge policy leaves behind;
 //! * `merge_drain` — seconds to fully consolidate the table once the
-//!   writers stop: drain the per-shard merge queues, then `merge_all` the
+//!   writers stop: drain the merge queue, then `merge_all` the
 //!   remainder. This measures how well background merging kept up with the
 //!   mixed merge+scan load — the merge-completion half of Fig. 8.
 

@@ -94,9 +94,9 @@ pub fn lstore_engine(config: &WorkloadConfig) -> Arc<LStoreEngine> {
     e
 }
 
-/// Build one populated L-Store engine whose table is key-range sharded
-/// `shards` ways (scans stay sequential, as in the cross-engine setting, so
-/// the axis isolates writer-side scaling).
+/// Build one populated L-Store engine whose table fills `shards` insert
+/// ranges at once (scans stay sequential, as in the cross-engine setting,
+/// so the axis isolates the writers).
 pub fn lstore_sharded_engine(config: &WorkloadConfig, shards: usize) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
         DbConfig::new().with_pool_threads(1).with_shards(shards),
@@ -130,7 +130,7 @@ pub fn lstore_store_engine(
 }
 
 /// Build one populated L-Store engine for the fig_serve runner: a
-/// `pool_threads`-wide task pool, one shard, background merge and
+/// `pool_threads`-wide task pool, one insert lane, background merge and
 /// cumulative updates off. The serving figure pre-updates its hot set and
 /// needs the resulting tail chains to *stay* — a cross-connection batch
 /// resolves each expensive chain-walking read once, and a background merge
@@ -151,7 +151,7 @@ pub fn lstore_serving_engine(config: &WorkloadConfig, pool_threads: usize) -> Ar
 }
 
 /// Build one populated L-Store engine for the fig_tatp contention runner:
-/// a `pool_threads`-wide task pool, one shard, background merge and
+/// a `pool_threads`-wide task pool, one insert lane, background merge and
 /// cumulative updates off (the runner pre-updates its rows and measures
 /// reads that walk the resulting tail chains, like the serving figure),
 /// and a lowered `batch_read_min` of 4 so the runner's 64-key
@@ -174,8 +174,8 @@ pub fn lstore_contention_engine(config: &WorkloadConfig, pool_threads: usize) ->
 }
 
 /// Build one populated L-Store engine with a `pool_threads`-wide unified
-/// task pool and a single key-range shard: the Table 9 batched-read axis
-/// varies only read-side fan-out, so writer sharding is pinned off.
+/// task pool and one insert lane: the Table 9 batched-read axis varies
+/// only read-side fan-out.
 pub fn lstore_pooled_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
         DbConfig::new()

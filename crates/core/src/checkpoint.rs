@@ -311,9 +311,9 @@ mod tests {
                 "key {k}"
             );
         }
-        let stats = t2.stats();
+        let stats = db2.store_stats().unwrap();
         assert!(
-            stats.pool_resident <= 2 + stats.pool_pinned,
+            stats.resident <= 2 + stats.pinned,
             "restore must not blow the budget: {stats:?}"
         );
         // The restored table accepts new writes, merges, and re-checkpoints.

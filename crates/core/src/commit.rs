@@ -11,7 +11,7 @@
 //!   read-your-own-writes included).
 //! * `Runtime::validate_read_set` — the batched commit-time validator:
 //!   the read set is grouped per table, and each table's slice runs through
-//!   the same planner as the probes — sorted by (shard, base RID), cut into
+//!   the same planner as the probes — sorted by base RID, cut into
 //!   floor-gated units, fanned out over the unified task pool (see
 //!   `Table::validate_reads_batch`).
 //! * `Runtime::apply_committed_writes` — batched write application at

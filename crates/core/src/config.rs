@@ -9,7 +9,7 @@ pub struct TableConfig {
     /// Update-range size: records per (virtual) range partition. The paper
     /// finds 2^12..2^16 best (§4.4); default 2^12. Insert ranges (§3.2) have
     /// the same capacity, so a merged insert range is one update range, and
-    /// shards stripe the key space in runs of this many keys.
+    /// insert lanes stripe the key space in runs of this many keys.
     pub range_size: usize,
     /// Slots per physical tail page. Tail pages "could be smaller than base
     /// pages" (§4.4 footnote); default 2^10.
@@ -120,24 +120,25 @@ pub struct DbConfig {
     /// What a commit waits for when the WAL is enabled.
     pub durability: Durability,
     /// Run merges in the background on the shared task pool (Fig. 5's merge
-    /// queue; requests route to per-shard injector queues). Disable for
+    /// queue, one per database). Disable for
     /// single-threaded deterministic tests, where merges then run only
     /// inline on the caller (`merge_now` / `merge_all`).
     pub background_merge: bool,
     /// Width of the shared merge/scan task pool: how many threads a single
     /// analytical query (`sum_as_of`, `scan_as_of`, `group_by_sum`, …) may
-    /// fan out across, and the workers that drain the per-shard merge
-    /// queues. `1` keeps scans strictly sequential on the calling thread
+    /// fan out across, and the workers that drain the merge queue. `1`
+    /// keeps scans strictly sequential on the calling thread
     /// (background merges, when enabled, still get one worker); the pool is
     /// spawned lazily on the first parallel scan or merge enqueue.
     pub pool_threads: usize,
-    /// Number of key-range shards per table: the key space splits into
-    /// contiguous stripes of `TableConfig::range_size` keys, assigned
-    /// round-robin to shards, and each shard owns its own primary-index
-    /// partition, insert range, and statistics block — so writers scale
-    /// with cores the way the scan pool makes reads scale. Purely an
-    /// execution knob: results, commit timestamps (one global clock), RIDs,
-    /// and the WAL format are identical for every value.
+    /// Number of insert ranges a table fills at once (its *insert lanes*):
+    /// the key space splits into contiguous stripes of
+    /// `TableConfig::range_size` keys, and stripe `s` inserts into lane
+    /// `s % shards`. Nothing else is per lane — the index, statistics,
+    /// merge queue and scans are table- or database-wide. Results, commit
+    /// timestamps, RIDs of a key-ordered load and the WAL format are
+    /// identical for every value. Whether the knob stays is decided with
+    /// the benchmark re-cut (ROADMAP.md, item 4).
     pub shards: usize,
     /// Minimum batch size before a batched read (`Table::read_batch`,
     /// `Transaction::multi_read`) or a commit's read-set validation
@@ -176,8 +177,8 @@ impl DbConfig {
     pub const DEFAULT_BATCH_READ_MIN: usize = 16;
 
     /// In-memory database with live background merging (the common case).
-    /// Scans fan out across all available cores, and tables shard their key
-    /// space across as many writer shards.
+    /// Scans fan out across all available cores, and tables fill as many
+    /// insert ranges at once.
     pub fn new() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -196,7 +197,7 @@ impl DbConfig {
 
     /// Deterministic configuration: no background merging (merges run only
     /// inline, on demand, via `merge_now`/`merge_all`), scans stay
-    /// sequential (`pool_threads = 1`), one table shard (`shards = 1`) —
+    /// sequential (`pool_threads = 1`), one insert lane (`shards = 1`) —
     /// every operation single-threaded and repeatable.
     pub fn deterministic() -> Self {
         DbConfig {
@@ -232,7 +233,7 @@ impl DbConfig {
         self
     }
 
-    /// Set the per-table key-range shard count (clamped to ≥ 1).
+    /// Set the per-table insert-lane count (clamped to ≥ 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -5,9 +5,9 @@
 //! (§4.1.1 step 5), the optional redo-only WAL (§5.1.3), and the merge
 //! queue of Fig. 5 ("writer threads place candidate tail pages to be merged
 //! into the merge queue"). There is no dedicated merge thread: requests go
-//! to the owning shard's injector queue on the unified
-//! [`TaskPool`], whose workers interleave merge jobs with scan partitions —
-//! see [`crate::pool`] for the scheduling discipline.
+//! to the one merge queue of the unified [`TaskPool`], whose workers
+//! interleave merge jobs with scan partitions — see [`crate::pool`] for the
+//! scheduling discipline.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +33,7 @@ pub struct Runtime {
     pub mgr: TxnManager,
     /// Epoch-based reclamation of outdated pages.
     pub epoch: EpochManager,
-    /// Optional redo-only WAL: one append-only file for every shard, with
+    /// Optional redo-only WAL: one append-only file for every table, with
     /// the configured [`Durability`] policy on commits.
     pub wal: Option<Arc<Wal>>,
     /// Optional buffer-pool page store: merges seal base pages into it,
@@ -43,8 +43,8 @@ pub struct Runtime {
     pool_threads: usize,
     /// Whether writers may queue background merges (`DbConfig::background_merge`).
     pub(crate) background_merge: bool,
-    /// Configured per-table key-range shard count (`DbConfig::shards`).
-    shards: usize,
+    /// Insert ranges each table fills at once (`DbConfig::shards`).
+    insert_lanes: usize,
     /// Minimum batch size before a batched read fans out across the pool
     /// (`DbConfig::batch_read_min`).
     batch_read_min: usize,
@@ -80,17 +80,17 @@ impl Runtime {
                 if workers == 0 {
                     None
                 } else {
-                    Some(TaskPool::new(self.pool_threads, workers, self.shards))
+                    Some(TaskPool::new(self.pool_threads, workers))
                 }
             })
             .as_ref()
     }
 
-    /// Route a merge request to the owning shard's injector queue on the
-    /// pool; false when the pool has stopped (database dropping) — the
-    /// caller then clears the range's merge-pending claim and leaves the
-    /// work to manual merges. Callers check `background_merge` first.
-    pub(crate) fn enqueue_merge(&self, table_id: u32, shard: u32, range_id: u32) -> bool {
+    /// Queue a merge request on the pool's merge queue; false when the
+    /// pool has stopped (database dropping) — the caller then clears the
+    /// range's merge-pending claim and leaves the work to manual merges.
+    /// Callers check `background_merge` first.
+    pub(crate) fn enqueue_merge(&self, table_id: u32, range_id: u32) -> bool {
         if self.stopped.load(Ordering::Acquire) {
             return false;
         }
@@ -100,15 +100,12 @@ impl Runtime {
         let Some(pool) = self.pool() else {
             return false;
         };
-        pool.enqueue_merge(
-            shard as usize,
-            Box::new(move || {
-                if let Some(t) = table.upgrade() {
-                    t.process_merge(range_id);
-                    t.runtime.epoch.try_reclaim();
-                }
-            }),
-        )
+        pool.enqueue_merge(Box::new(move || {
+            if let Some(t) = table.upgrade() {
+                t.process_merge(range_id);
+                t.runtime.epoch.try_reclaim();
+            }
+        }))
     }
 
     /// Create and register a table: `make` receives the id the table gets
@@ -196,9 +193,9 @@ impl Runtime {
         self.pool_threads
     }
 
-    /// Configured per-table key-range shard count.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards
+    /// Insert ranges each table fills at once.
+    pub(crate) fn insert_lanes(&self) -> usize {
+        self.insert_lanes
     }
 
     /// Minimum batch size before batched point reads dispatch on the pool.
@@ -278,7 +275,7 @@ impl Database {
             store,
             pool_threads: config.pool_threads.max(1),
             background_merge: config.background_merge,
-            shards: config.shards.max(1),
+            insert_lanes: config.shards.max(1),
             batch_read_min: config.batch_read_min.max(2),
             pool: OnceLock::new(),
             tables: RwLock::new(Vec::new()),
@@ -291,8 +288,8 @@ impl Database {
     }
 
     /// Block until every queued background merge has executed — after this,
-    /// all shards' merge queues are empty and no merge is in flight (tests
-    /// and checkpoints use it to observe quiesced shards).
+    /// the merge queue is empty and no merge is in flight (tests and
+    /// checkpoints use it to observe quiesced ranges).
     pub fn drain_merges(&self) {
         self.runtime.drain_merges();
     }
@@ -418,9 +415,9 @@ impl Database {
 impl Drop for Database {
     fn drop(&mut self) {
         // Quiesce while the tables are still alive: stop accepting merge
-        // enqueues, let the pool workers drain every shard's queue, then
-        // join them — checkpoints and tests observing the dropped database's
-        // files see fully merged shards, never half-applied queues.
+        // enqueues, let the pool workers drain the merge queue, then join
+        // them — checkpoints and tests observing the dropped database's
+        // files see fully merged ranges, never a half-applied queue.
         self.runtime.shutdown();
         if let Some(wal) = &self.runtime.wal {
             let _ = wal.flush();
@@ -508,7 +505,7 @@ mod tests {
         // The lazy-init cell is pinned: a racing enqueue that reaches the
         // pool after shutdown finds `None` instead of resurrecting workers,
         // and the enqueue contract reports the stop.
-        assert!(!db.runtime.enqueue_merge(table.id, 0, 0));
+        assert!(!db.runtime.enqueue_merge(table.id, 0));
         assert!(db.runtime.spawned_pool().is_none(), "no pool resurrected");
         drop(db);
     }

@@ -17,16 +17,15 @@
 //!   via **epoch-based de-allocation** without draining transactions.
 //! * Historic tail pages are re-organized and delta-compressed for
 //!   time-travel queries.
-//! * Tables are **key-range sharded** (`DbConfig::shards`): each shard owns
-//!   its own primary-index partition, insert range, and statistics, so
-//!   writers scale with cores the way the scan pool scales reads — while
-//!   one global clock keeps snapshot semantics identical for every shard
-//!   count.
+//! * The update range is the one unit of partitioning: storage, merging
+//!   and lineage are per range, while the primary index, the statistics
+//!   and the merge queue are one per table (the queue one per database).
+//!   `DbConfig::shards` only sets how many insert ranges fill at once.
 //! * A point read is one [`ReadRequest`] (key, columns, snapshot) through
 //!   **`Table::read_one`**; multi-key lookups batch through
 //!   **`Table::read_batch`** (and the multi-table `Database::multi_read`):
-//!   one sort groups a batch by shard, dedups, and clusters
-//!   range-neighbors, then the units fan out across the unified task pool
+//!   one key sort dedups a batch and clusters range-neighbors, then the
+//!   units fan out across the unified task pool
 //!   — byte-identical to the per-key loop, with per-key `Result`s in input
 //!   order. Inside a transaction, `Table::read` and
 //!   [`TransactionReads::multi_read`] join the read set.
@@ -75,7 +74,7 @@ pub mod rid;
 pub mod row;
 pub mod scan;
 pub mod schema;
-pub mod shard;
+mod shard;
 pub mod stats;
 pub mod table;
 pub mod tailseg;
@@ -88,7 +87,6 @@ pub use request::{ReadRequest, ReadResponse};
 pub use rid::Rid;
 pub use row::RowTable;
 pub use schema::{Schema, SchemaEncoding};
-pub use shard::ShardMap;
 pub use table::Table;
 
 pub use lstore_storage::NULL_VALUE;

@@ -8,7 +8,7 @@
 //! outdated pages retire through the epoch queue (Fig. 6). That stability
 //! argument is thread-agnostic: [`merge_range`] runs identically from the
 //! caller (`Table::merge_now`), from any worker of the unified task pool
-//! draining a shard's merge queue ([`crate::pool`]), or concurrently for
+//! draining the merge queue ([`crate::pool`]), or concurrently for
 //! *different* ranges — only the per-range merge-pending claim serializes
 //! passes over one range.
 //!
@@ -142,11 +142,17 @@ pub fn merge_range(
     columns: Option<&[usize]>,
 ) -> MergeReport {
     let base = range.base();
-    if base.is_insert_phase() {
-        // Strengthened stability condition (§4.1.1): insert ranges must
-        // leave the insert phase (via the simplified merge) first.
+    // Strengthened stability condition (§4.1.1): insert ranges must leave
+    // the insert phase (via the simplified merge) first.
+    let BaseData::Pages {
+        data: old_data,
+        start_time: old_start,
+        last_updated: old_lu,
+        schema_enc: old_enc,
+    } = &base.data
+    else {
         return MergeReport::default();
-    }
+    };
     let ncols = base.column_tps.len();
     let all_columns: Vec<usize> = (0..ncols).collect();
     let merge_cols: &[usize] = columns.unwrap_or(&all_columns);
@@ -174,15 +180,6 @@ pub fn merge_range(
     // Step 2: load the outdated base pages — only for columns that actually
     // changed in the batch (plus meta columns).
     let len = base.len;
-    let (old_data, old_start, old_lu, old_enc) = match &base.data {
-        BaseData::Pages {
-            data,
-            start_time,
-            last_updated,
-            schema_enc,
-        } => (data, start_time, last_updated, schema_enc),
-        BaseData::Insert(_) => unreachable!("checked above"),
-    };
 
     // Which merged columns changed in (column_tps[c], upto]? Only those
     // are rebuilt.

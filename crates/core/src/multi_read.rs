@@ -13,20 +13,17 @@
 //!    any batch when `pool_threads = 1`) resolve in a plain sequential
 //!    loop on the caller — no planning, no pool dispatch. Per-key index
 //!    probes are far cheaper than waking pool workers for them.
-//! 2. **Sort.** One `(shard, key)` sort — for reads the shard comes from
-//!    pure [`crate::shard::ShardMap`] routing arithmetic, no primary-index
-//!    probe on the caller — buys shard grouping, range locality, and
-//!    deduplication at once: runs of equal keys become adjacent and
-//!    resolve a single time (duplicate positions share the outcome), and
-//!    stripe-contiguous keys land on consecutive ranges so a worker reuses
-//!    each range's base-version snapshot instead of re-resolving it per
-//!    key.
-//! 3. **Cut.** The sorted run splits into fan-out units at shard
-//!    boundaries and size targets — but never below `4 × batch_read_min`
-//!    items per unit, because handing a unit to a worker costs a wakeup
-//!    worth many point probes. A batch that fits one unit resolves
-//!    inline on the caller (keeping the locality win); wider batches fan
-//!    out for real.
+//! 2. **Sort.** One key sort — no primary-index probe on the caller — buys
+//!    range locality and deduplication at once: runs of equal keys become
+//!    adjacent and resolve a single time (duplicate positions share the
+//!    outcome), and contiguous keys land on consecutive ranges so a worker
+//!    reuses each range's base-version snapshot instead of re-resolving it
+//!    per key.
+//! 3. **Cut.** The sorted run splits into fan-out units by size — but
+//!    never below `4 × batch_read_min` items per unit, because handing a
+//!    unit to a worker costs a wakeup worth many point probes. A batch
+//!    that fits one unit resolves inline on the caller (keeping the
+//!    locality win); wider batches fan out for real.
 //! 4. **Fan out.** The units run through `Table::scan_fanout` on the
 //!    unified [`crate::pool::TaskPool`]: the caller executes units
 //!    itself alongside the workers (and steals queued ones back rather
@@ -41,7 +38,7 @@
 //! grouping and the pool width are pure execution strategy: at any fixed
 //! snapshot timestamp a batch is byte-identical to a sequential loop of
 //! [`Table::read_one`] calls, for every `pool_threads` and `shards` value
-//! (`multi_read_agrees_with_sequential_reads` pins widths and shard counts
+//! (`multi_read_agrees_with_sequential_reads` pins widths and lane counts
 //! 1/2/8). Under `latest` semantics each key independently sees some
 //! committed version at least as new as any commit that completed before
 //! the batch began, exactly like a loop of single reads.
@@ -99,39 +96,30 @@ impl Table {
         len < self.runtime.batch_read_min() || self.runtime.scan_width() <= 1
     }
 
-    /// The batch planner: sort `items` by `(shard, key)`, cut the run into
-    /// units, and fan the units out across the task pool. `fold` runs once
-    /// per unit, into one accumulator per pool chunk; the accumulators come
-    /// back in chunk order.
+    /// The batch planner: sort `items` by key (a base RID, for read-set
+    /// validation), cut the run into units, and fan the units out across
+    /// the task pool. `fold` runs once per unit, into one accumulator per
+    /// pool chunk; the accumulators come back in chunk order.
     ///
     /// Units never drop below `4 × batch_read_min` items: handing a unit to
     /// a worker costs a wakeup (~10µs, many times a point probe), so a
-    /// batch that fits one unit resolves inline on the caller. The floor
-    /// gates *every* cut, shard-boundary cuts included: shard purity is a
-    /// locality preference, not a correctness requirement (a unit spanning
-    /// shards merely misses the range cache once at the boundary), so a
-    /// small batch scattered over many shards still coalesces into one
-    /// inline unit. Equal keys always share a shard, and a size cut waits
+    /// batch that fits one unit resolves inline on the caller. A cut waits
     /// for the key to change, so no cut splits a run of duplicates.
-    fn fan_out_sorted<P, A, F>(&self, items: &mut [(u32, u64, P)], fold: F) -> Vec<A>
+    fn fan_out_sorted<P, A, F>(&self, items: &mut [(u64, P)], fold: F) -> Vec<A>
     where
         P: Sync,
         A: Default + Send,
-        F: Fn(&mut A, &[(u32, u64, P)]) + Sync,
+        F: Fn(&mut A, &[(u64, P)]) + Sync,
     {
-        items.sort_unstable_by_key(|&(shard, key, _)| (shard, key));
-        let min_unit = self.runtime.batch_read_min() * 4;
+        items.sort_unstable_by_key(|&(key, _)| key);
         let target = items
             .len()
             .div_ceil(self.runtime.scan_width())
-            .max(min_unit);
+            .max(self.runtime.batch_read_min() * 4);
         let mut units: Vec<(usize, usize)> = Vec::new();
         let mut start = 0;
         for i in 1..=items.len() {
-            let cut = i == items.len()
-                || (i - start >= min_unit
-                    && (items[i].0 != items[i - 1].0
-                        || (i - start >= target && items[i].1 != items[i - 1].1)));
+            let cut = i == items.len() || (i - start >= target && items[i].0 != items[i - 1].0);
             if cut {
                 units.push((start, i));
                 start = i;
@@ -189,24 +177,23 @@ impl Table {
                 .map(|&key| self.resolve_point(key, cols, mode))
                 .collect();
         }
-        let shard_map = self.shard_map();
-        let mut plan: Vec<(u32, u64, u32)> = keys
+        let mut plan: Vec<(u64, u32)> = keys
             .iter()
             .enumerate()
-            .map(|(pos, &key)| (shard_map.shard_of(key), key, pos as u32))
+            .map(|(pos, &key)| (key, pos as u32))
             .collect();
         let partials =
             self.fan_out_sorted(&mut plan, |out: &mut Vec<(u32, PointOutcome)>, unit| {
                 let mut cache = None;
-                for run in unit.chunk_by(|a, b| a.1 == b.1) {
-                    let Some((&(_, key, first), dups)) = run.split_first() else {
+                for run in unit.chunk_by(|a, b| a.0 == b.0) {
+                    let Some((&(key, first), dups)) = run.split_first() else {
                         continue;
                     };
                     let outcome = self.locate(key).ok().map(|base_rid| {
                         let reader = self.cached_reader(&mut cache, base_rid.range());
                         (base_rid, reader.read_record(base_rid.slot(), cols, mode))
                     });
-                    out.extend(dups.iter().map(|&(_, _, pos)| (pos, outcome.clone())));
+                    out.extend(dups.iter().map(|&(_, pos)| (pos, outcome.clone())));
                     out.push((first, outcome));
                 }
             });
@@ -224,9 +211,8 @@ impl Table {
     /// Returns the **lowest-position** failing entry as `(position, base
     /// RID)` — the same entry a sequential front-to-back loop would trip
     /// on first — or `None` when every entry validates. Large slices go
-    /// through the planner sorted by (owning shard, base RID): the read
-    /// set already carries resolved base RIDs, so no index probe is
-    /// needed.
+    /// through the planner sorted by base RID: the read set already
+    /// carries resolved base RIDs, so no index probe is needed.
     pub(crate) fn validate_reads_batch(
         &self,
         entries: &[(usize, ReadSetEntry)],
@@ -239,16 +225,13 @@ impl Table {
                 .find(|(_, e)| !self.entry_still_visible(&mut cache, e, txn_id))
                 .map(|&(pos, e)| (pos, e.base_rid));
         }
-        let mut plan: Vec<(u32, u64, (usize, ReadSetEntry))> = entries
+        let mut plan: Vec<(u64, (usize, ReadSetEntry))> = entries
             .iter()
-            .map(|&(pos, e)| {
-                let shard = self.range(Rid(e.base_rid).range()).shard;
-                (shard, e.base_rid, (pos, e))
-            })
+            .map(|&(pos, e)| (e.base_rid, (pos, e)))
             .collect();
         let partials = self.fan_out_sorted(&mut plan, |worst: &mut Option<(usize, u64)>, unit| {
             let mut cache = None;
-            for &(_, base_rid, (pos, entry)) in unit {
+            for &(base_rid, (pos, entry)) in unit {
                 if worst.is_none_or(|(p, _)| pos < p)
                     && !self.entry_still_visible(&mut cache, &entry, txn_id)
                 {
@@ -371,9 +354,9 @@ mod tests {
 
     #[test]
     fn small_multi_shard_batches_coalesce_into_one_inline_unit() {
-        // Keys scattered one-per-stripe across 8 shards: shard-boundary
-        // cuts must not carve a floor-sized batch into per-shard slivers
-        // — the whole batch coalesces into one unit and resolves inline.
+        // Keys scattered one-per-stripe across 8 insert lanes: a
+        // floor-sized batch must not be carved into per-range slivers —
+        // the whole batch coalesces into one unit and resolves inline.
         let db = Database::new(DbConfig::new().with_pool_threads(8).with_shards(8));
         let t = db
             .create_table("scatter", &["v"], TableConfig::small())
@@ -389,7 +372,7 @@ mod tests {
         }
         assert!(
             t.runtime.spawned_pool().is_none(),
-            "a floor-sized batch spread over all shards must stay inline"
+            "a floor-sized batch spread over all lanes must stay inline"
         );
     }
 
@@ -441,7 +424,7 @@ mod tests {
     #[test]
     fn batched_validation_blames_the_lowest_position_like_the_loop() {
         // 96 reads in descending key order, so read-set position and the
-        // planner's (shard, base RID) order run opposite ways; two later
+        // planner's base-RID order run opposite ways; two later
         // writers invalidate one read each.
         let (db, t) = setup(
             DbConfig::new()

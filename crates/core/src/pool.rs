@@ -18,11 +18,11 @@
 //!   the workers sound. Submission wakes a single worker and claimers
 //!   chain further wakeups while tasks remain, so small fan-outs never pay
 //!   a thundering herd.
-//! * **Merge jobs**: queued by writers through per-shard *injector queues*
-//!   ([`TaskPool::enqueue_merge`]). Table shards own disjoint key ranges
-//!   (see [`crate::shard`]), so merges of different shards need no mutual
-//!   ordering and drain fully independently; within one shard a busy-claim
-//!   serializes execution, preserving the shard's FIFO enqueue order.
+//! * **Merge jobs**: queued by writers and scans on one FIFO merge queue
+//!   ([`TaskPool::enqueue_merge`]) — Fig. 5's merge queue — that any idle
+//!   worker pops. Jobs of different ranges need no mutual ordering, and
+//!   `UpdateRange::claim_merge` keeps at most one merge per range queued
+//!   or running, so workers drain the queue in parallel.
 //!
 //! Workers alternate between the two queues whenever both hold work (a
 //! worker that just ran a scan task prefers a merge job next, and vice
@@ -31,8 +31,8 @@
 //! idles while the other queue is backed up, and a saturated scan pool
 //! cannot starve merge progress (Fig. 8's mixed merge+scan workloads).
 //!
-//! [`TaskPool::shutdown`] drains the merge queues before joining the
-//! workers, so dropping a database leaves every shard quiesced.
+//! [`TaskPool::shutdown`] drains the merge queue before joining the
+//! workers, so dropping a database leaves every range quiesced.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,14 +49,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A queued merge job (resolves its table weakly; a no-op once dropped).
 pub type MergeJob = Box<dyn FnOnce() + Send + 'static>;
 
-/// One shard's merge injector queue. `busy` is the claim that serializes
-/// execution per shard: one worker drains one job at a time, so jobs run in
-/// enqueue order — the per-shard analogue of Fig. 5's single merge thread.
-struct MergeShard {
-    jobs: Mutex<VecDeque<MergeJob>>,
-    busy: AtomicBool,
-}
-
 /// Shared scheduler state between the pool handle and its workers.
 struct Scheduler {
     /// Scan tasks, drained in FIFO order by whichever worker is free.
@@ -70,14 +62,12 @@ struct Scheduler {
     /// Wakes [`Scheduler::drain_merges`] waiters when a merge completes
     /// (paired with `scans`).
     quiesced: Condvar,
-    /// Per-shard merge injector queues.
-    shards: Box<[MergeShard]>,
-    /// Merge jobs queued but not yet claimed (fast empty check).
+    /// The merge queue, drained in FIFO order by whichever worker is free.
+    merges: Mutex<VecDeque<MergeJob>>,
+    /// Merge jobs queued but not yet popped (fast empty check).
     merge_pending: AtomicUsize,
-    /// Merge jobs claimed and currently executing.
+    /// Merge jobs popped and currently executing.
     merge_inflight: AtomicUsize,
-    /// Round-robin hint so workers spread over shards.
-    next_shard: AtomicUsize,
     /// Set once at shutdown: no new merge enqueues, workers exit when both
     /// queues are empty.
     stopped: AtomicBool,
@@ -108,45 +98,27 @@ impl Scheduler {
         }
     }
 
-    /// Claim one shard's merge queue and run its front job; false when no
-    /// merge work is claimable right now (empty queues or all busy).
+    /// Pop and run the front merge job; false when the merge queue is
+    /// empty.
     fn run_one_merge(&self) -> bool {
         if self.merge_pending.load(Ordering::Acquire) == 0 {
             return false;
         }
-        let n = self.shards.len();
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        for i in 0..n {
-            let shard = &self.shards[(start + i) % n];
-            if shard
-                .busy
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue; // another worker is draining this shard
-            }
-            let job = shard.jobs.lock().pop_front();
-            let Some(job) = job else {
-                shard.busy.store(false, Ordering::Release);
-                continue;
-            };
-            // Inflight up *before* pending down: `merges_quiesced` must
-            // never observe both at zero while a claimed job has yet to run.
-            self.merge_inflight.fetch_add(1, Ordering::AcqRel);
-            self.merge_pending.fetch_sub(1, Ordering::AcqRel);
-            // A panicking merge must not kill the worker or wedge the
-            // shard's busy claim; the range-level merge-pending claim is
-            // released by `process_merge`'s drop guard even on unwind.
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            shard.busy.store(false, Ordering::Release);
-            self.merge_inflight.fetch_sub(1, Ordering::AcqRel);
-            // Wake a peer for the shard's next job and any drain waiter.
-            let _guard = self.scans.lock();
-            self.work.notify_one();
-            self.quiesced.notify_all();
-            return true;
-        }
-        false
+        let Some(job) = self.merges.lock().pop_front() else {
+            return false;
+        };
+        // Inflight up *before* pending down: `merges_quiesced` must never
+        // observe both at zero while a popped job has yet to run.
+        self.merge_inflight.fetch_add(1, Ordering::AcqRel);
+        self.merge_pending.fetch_sub(1, Ordering::AcqRel);
+        // A panicking merge must not kill the worker; the range-level
+        // merge-pending claim is released by `process_merge`'s drop guard
+        // even on unwind.
+        let _ = catch_unwind(AssertUnwindSafe(job));
+        self.merge_inflight.fetch_sub(1, Ordering::AcqRel);
+        let _guard = self.scans.lock();
+        self.quiesced.notify_all();
+        true
     }
 
     /// True when no merge job is queued or executing.
@@ -179,17 +151,16 @@ impl Scheduler {
                 prefer_merge = !prefer_merge;
                 continue;
             }
+            // Both queues publish under the scans lock, so work queued
+            // after this check wakes the wait below.
             let mut scans = self.scans.lock();
-            if scans.is_empty() && self.merge_pending.load(Ordering::Acquire) == 0 {
-                if self.stopped.load(Ordering::Acquire) {
-                    return;
-                }
-                self.work.wait(&mut scans);
-            } else {
-                // Work exists but is claimed by peers (busy shards): re-poll
-                // shortly instead of sleeping unboundedly.
-                self.work.wait_for(&mut scans, Duration::from_millis(1));
+            if !scans.is_empty() || self.merge_pending.load(Ordering::Acquire) > 0 {
+                continue; // raced with a submission: run it
             }
+            if self.stopped.load(Ordering::Acquire) {
+                return;
+            }
+            self.work.wait(&mut scans);
         }
     }
 }
@@ -241,24 +212,17 @@ pub struct TaskPool {
 }
 
 impl TaskPool {
-    /// Spawn a pool with `workers` worker threads and `merge_shards`
-    /// independent merge injector queues. `scan_width` is the fan-out width
-    /// scans should plan for, counting the calling thread.
-    pub fn new(scan_width: usize, workers: usize, merge_shards: usize) -> TaskPool {
+    /// Spawn a pool with `workers` worker threads. `scan_width` is the
+    /// fan-out width scans should plan for, counting the calling thread.
+    pub fn new(scan_width: usize, workers: usize) -> TaskPool {
         let sched = Arc::new(Scheduler {
             scans: Mutex::new(VecDeque::new()),
             scan_pending: AtomicUsize::new(0),
             work: Condvar::new(),
             quiesced: Condvar::new(),
-            shards: (0..merge_shards.max(1))
-                .map(|_| MergeShard {
-                    jobs: Mutex::new(VecDeque::new()),
-                    busy: AtomicBool::new(false),
-                })
-                .collect(),
+            merges: Mutex::new(VecDeque::new()),
             merge_pending: AtomicUsize::new(0),
             merge_inflight: AtomicUsize::new(0),
-            next_shard: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
         });
         let handles = (0..workers.max(1))
@@ -284,7 +248,7 @@ impl TaskPool {
             None
         } else {
             // The calling thread executes one partition itself.
-            Some(TaskPool::new(scan_width, scan_width - 1, 1))
+            Some(TaskPool::new(scan_width, scan_width - 1))
         }
     }
 
@@ -294,10 +258,9 @@ impl TaskPool {
         self.scan_width
     }
 
-    /// Queue a merge job on `shard`'s injector queue. Jobs of one shard run
-    /// serially in enqueue order; different shards drain independently.
-    /// Returns false (without queueing) once the pool has been stopped.
-    pub fn enqueue_merge(&self, shard: usize, job: MergeJob) -> bool {
+    /// Queue a merge job at the back of the merge queue. Returns false
+    /// (without queueing) once the pool has been stopped.
+    pub fn enqueue_merge(&self, job: MergeJob) -> bool {
         // Check-and-publish under the scans lock — the same lock workers
         // hold for their exit decision and `shutdown` takes before its
         // final notify. Either this enqueue observes `stopped` and refuses,
@@ -308,8 +271,7 @@ impl TaskPool {
         if self.sched.stopped.load(Ordering::Acquire) {
             return false;
         }
-        let queue = &self.sched.shards[shard % self.sched.shards.len()];
-        queue.jobs.lock().push_back(job);
+        self.sched.merges.lock().push_back(job);
         self.sched.merge_pending.fetch_add(1, Ordering::AcqRel);
         self.sched.work.notify_one();
         true
@@ -529,18 +491,13 @@ mod tests {
 
     #[test]
     fn merge_jobs_run_on_workers_and_drain() {
-        let pool = TaskPool::new(2, 1, 4);
+        let pool = TaskPool::new(2, 1);
         let ran = Arc::new(AtomicUsize::new(0));
-        for shard in 0..4 {
-            for _ in 0..8 {
-                let ran = Arc::clone(&ran);
-                assert!(pool.enqueue_merge(
-                    shard,
-                    Box::new(move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    })
-                ));
-            }
+        for _ in 0..32 {
+            let ran = Arc::clone(&ran);
+            assert!(pool.enqueue_merge(Box::new(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })));
         }
         pool.drain_merges();
         assert_eq!(ran.load(Ordering::SeqCst), 32);
@@ -548,28 +505,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_jobs_of_one_shard_run_in_fifo_order() {
-        // 4 workers racing over one shard: the busy claim must still force
-        // strictly increasing execution order.
-        let pool = TaskPool::new(5, 4, 2);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..64u32 {
-            let order = Arc::clone(&order);
-            pool.enqueue_merge(
-                1,
-                Box::new(move || {
-                    order.lock().push(i);
-                }),
-            );
-        }
-        pool.drain_merges();
-        let got = order.lock().clone();
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn scans_and_merges_interleave_without_starvation() {
-        let pool = Arc::new(TaskPool::new(3, 2, 2));
+        let pool = Arc::new(TaskPool::new(3, 2));
         let merges = Arc::new(AtomicUsize::new(0));
         // Keep the scan queue warm from a second thread while merges flow.
         std::thread::scope(|s| {
@@ -580,14 +517,11 @@ mod tests {
                     scan_pool.run(tasks);
                 }
             });
-            for i in 0..40 {
+            for _ in 0..40 {
                 let merges = Arc::clone(&merges);
-                pool.enqueue_merge(
-                    i % 2,
-                    Box::new(move || {
-                        merges.fetch_add(1, Ordering::SeqCst);
-                    }),
-                );
+                pool.enqueue_merge(Box::new(move || {
+                    merges.fetch_add(1, Ordering::SeqCst);
+                }));
             }
             pool.drain_merges();
         });
@@ -596,38 +530,32 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_merges_then_rejects() {
-        let pool = TaskPool::new(2, 1, 2);
+        let pool = TaskPool::new(2, 1);
         let ran = Arc::new(AtomicUsize::new(0));
-        for shard in 0..2 {
+        for _ in 0..2 {
             let ran = Arc::clone(&ran);
-            pool.enqueue_merge(
-                shard,
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
+            pool.enqueue_merge(Box::new(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }));
         }
         pool.shutdown();
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "shutdown drained the queues");
+        assert_eq!(ran.load(Ordering::SeqCst), 2, "shutdown drained the queue");
         // The enqueue-returns-false-when-stopped contract.
-        assert!(!pool.enqueue_merge(0, Box::new(|| {})));
+        assert!(!pool.enqueue_merge(Box::new(|| {})));
         // Scan fan-outs after shutdown run inline on the caller.
         assert_eq!(pool.run(vec![|| 1u64, || 2u64]), vec![1, 2]);
     }
 
     #[test]
-    fn merge_panic_does_not_wedge_the_shard() {
-        let pool = TaskPool::new(2, 1, 1);
+    fn merge_panic_does_not_wedge_the_queue() {
+        let pool = TaskPool::new(2, 1);
         let ran = Arc::new(AtomicUsize::new(0));
-        pool.enqueue_merge(0, Box::new(|| panic!("merge exploded")));
+        pool.enqueue_merge(Box::new(|| panic!("merge exploded")));
         let ran2 = Arc::clone(&ran);
-        pool.enqueue_merge(
-            0,
-            Box::new(move || {
-                ran2.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
+        pool.enqueue_merge(Box::new(move || {
+            ran2.fetch_add(1, Ordering::SeqCst);
+        }));
         pool.drain_merges();
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "shard kept draining");
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "queue kept draining");
     }
 }

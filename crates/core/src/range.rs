@@ -240,13 +240,9 @@ impl BaseVersion {
 /// One update range: base snapshot + indirection + tail + lineage state.
 #[derive(Debug)]
 pub struct UpdateRange {
-    /// Dense range id within the table (global across shards — RIDs never
-    /// encode the shard count).
+    /// Dense range id within the table (RIDs never encode the insert-lane
+    /// count).
     pub id: u32,
-    /// The table shard that created and owns this range (stats
-    /// attribution and shard-aligned scan partitioning; replay assigns
-    /// recovered ranges round-robin).
-    pub shard: u32,
     /// Capacity in record slots.
     pub capacity: usize,
     /// Current base version; the merge swaps this pointer (the page
@@ -279,17 +275,10 @@ pub struct UpdateRange {
 }
 
 impl UpdateRange {
-    /// Create a fresh insert-phase range owned by table shard `shard`.
-    pub fn new(
-        id: u32,
-        shard: u32,
-        capacity: usize,
-        columns: usize,
-        tail_page_slots: usize,
-    ) -> Self {
+    /// Create a fresh insert-phase range.
+    pub fn new(id: u32, capacity: usize, columns: usize, tail_page_slots: usize) -> Self {
         UpdateRange {
             id,
-            shard,
             capacity,
             base: RwLock::new(Arc::new(BaseVersion::insert_phase(
                 columns,
@@ -475,7 +464,7 @@ mod tests {
 
     #[test]
     fn latch_protocol() {
-        let r = UpdateRange::new(0, 0, 16, 2, 16);
+        let r = UpdateRange::new(0, 16, 2, 16);
         let prev = r.try_latch(3).expect("unlatched slot latches");
         assert!(prev.is_null());
         // Second writer bounces off the latch → write-write conflict.
@@ -491,7 +480,7 @@ mod tests {
 
     #[test]
     fn slot_allocation_bounds() {
-        let r = UpdateRange::new(0, 0, 2, 1, 8);
+        let r = UpdateRange::new(0, 2, 1, 8);
         assert_eq!(r.allocate_slot(), Some(0));
         assert_eq!(r.allocate_slot(), Some(1));
         assert_eq!(r.allocate_slot(), None);
@@ -500,7 +489,7 @@ mod tests {
 
     #[test]
     fn base_swap_retires_old_snapshot() {
-        let r = UpdateRange::new(0, 0, 4, 1, 8);
+        let r = UpdateRange::new(0, 4, 1, 8);
         let old = r.base();
         assert!(old.is_insert_phase());
         let new = Arc::new(BaseVersion {
@@ -525,7 +514,7 @@ mod tests {
 
     #[test]
     fn updated_columns_bitmap_accumulates() {
-        let r = UpdateRange::new(0, 0, 4, 3, 8);
+        let r = UpdateRange::new(0, 4, 3, 8);
         assert_eq!(r.updated_columns(1), 0);
         r.mark_updated(1, 0b001);
         r.mark_updated(1, 0b100);
@@ -534,7 +523,7 @@ mod tests {
 
     #[test]
     fn merge_claim_is_exclusive() {
-        let r = UpdateRange::new(0, 0, 4, 1, 8);
+        let r = UpdateRange::new(0, 4, 1, 8);
         assert!(r.claim_merge());
         assert!(!r.claim_merge());
         r.merge_done();

@@ -11,9 +11,8 @@
 //! inserted at the requested snapshot). A key absent from the primary index
 //! is an [`Error::KeyNotFound`], never a response.
 //!
-//! The batched forms feed one planner (`crate::multi_read`: sort by
-//! `(shard, key)`, dedup adjacent duplicates, fan out across the task
-//! pool), so a batch is byte-identical to a loop of [`Table::read_one`]
+//! The batched forms feed one planner (`crate::multi_read`: sort by key,
+//! dedup adjacent duplicates, fan out across the task pool), so a batch is byte-identical to a loop of [`Table::read_one`]
 //! calls at any fixed snapshot — the invariant the service tier's
 //! dispatcher relies on when it merges requests from many connections into
 //! one engine batch.
@@ -138,8 +137,8 @@ impl Table {
     /// key with its own [`Error::ColumnOutOfRange`], exactly as a
     /// sequential loop would.
     ///
-    /// Batches of at least `DbConfig::batch_read_min` keys deduplicate,
-    /// group by key-range shard, and fan out across the unified task pool;
+    /// Batches of at least `DbConfig::batch_read_min` keys sort by key,
+    /// deduplicate, and fan out across the unified task pool;
     /// smaller batches resolve sequentially on the caller. Either way the
     /// results are byte-identical.
     pub fn read_batch(

@@ -53,21 +53,18 @@
 //! record sets whose base versions are immutable snapshots, so per-range
 //! partial aggregates combine without any synchronization — the epoch
 //! discipline makes the fan-out embarrassingly parallel. The same workers
-//! drain the per-shard merge queues, interleaving scan partitions with
+//! drain the merge queue, interleaving scan partitions with
 //! merge jobs so neither starves the other under mixed load. Each worker
 //! clones the scan's epoch guard (pinning the same window) and snapshots
 //! its ranges' `BaseVersion`s exactly as the sequential path does; with
 //! `pool_threads = 1` (the `DbConfig::deterministic()` setting) every scan
 //! stays strictly sequential on the calling thread.
 //!
-//! The fan-out units are the shard-aligned partitions of
-//! `Table::scan_partitions`: each partition holds ranges of exactly one
-//! key-range shard, so pool workers walk ranges written by one writer
-//! shard rather than an interleaving of all of them, and the `TaskPool`
-//! partitioning stays aligned with the writer-side sharding. Aggregates
-//! combine associatively and `scan_as_of` sorts by key, so neither the
-//! shard count nor the pool width is observable in any result (the
-//! `property_model` suite pins both).
+//! The fan-out units are contiguous runs of ranges in global-id order, one
+//! per pool thread (`Table::scan_fanout`). Aggregates combine associatively
+//! and `scan_as_of` sorts by key, so neither the insert-lane count nor the
+//! pool width is observable in any result (the `property_model` suite pins
+//! both).
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, Range};
@@ -497,7 +494,7 @@ impl Table {
             }
             let current = plan.tail_pass(&self.runtime.mgr, cols, ts, lo, hi);
             let walked = plan.suffix.len() as u64;
-            let stats = self.range_stats(range);
+            let stats = &self.stats;
             TableStats::add(&stats.tail_pass_records, walked);
             TableStats::add(&stats.tail_pass_rows, plan.rows.len() as u64);
             // Scans request the merge they keep paying for: once their
@@ -576,7 +573,7 @@ impl Table {
                     (hi - lo) as u64
                 }
             };
-            let stats = self.range_stats(range);
+            let stats = &self.stats;
             let fast = (hi - lo) as u64 - chained;
             if fast > 0 {
                 TableStats::add(&stats.fast_path_reads, fast);
@@ -587,9 +584,9 @@ impl Table {
         }
     }
 
-    /// Full-table fold: every range's occupied slots, fanned out over the
-    /// shard-aligned scan partitions, one accumulator (from `init`) per
-    /// fan-out chunk.
+    /// Full-table fold: every range's occupied slots, the ranges split into
+    /// one contiguous chunk per pool thread, one accumulator (from `init`)
+    /// per chunk.
     fn fold_table<A: WindowFold + Send>(
         &self,
         cols: &[usize],
@@ -597,10 +594,10 @@ impl Table {
         init: impl Fn() -> A + Sync,
     ) -> A {
         let guard = self.runtime.epoch.pin();
-        let parts = self.scan_partitions();
-        let partials = self.scan_fanout(&parts, &guard, |chunk| {
+        let ranges = self.all_ranges();
+        let partials = self.scan_fanout(&ranges, &guard, |chunk| {
             let mut acc = init();
-            let windows = chunk.iter().flatten().map(|range| (&**range, 0, u32::MAX));
+            let windows = chunk.iter().map(|range| (&**range, 0, u32::MAX));
             self.fold_windows(windows, cols, ts, 0, &mut acc);
             acc
         });
@@ -654,10 +651,10 @@ impl Table {
     }
 
     /// Full scan: visible `(key, value-columns)` rows at snapshot `ts`, in
-    /// ascending key order. Workers materialize rows per shard partition
+    /// ascending key order. Workers materialize rows per chunk of ranges
     /// and the concatenation is key-sorted at the end, so the row order is
-    /// identical for every shard count and pool width (physical placement
-    /// — which shard's range holds a record — is never observable).
+    /// identical for every lane count and pool width (physical placement
+    /// — which range holds a record — is never observable).
     pub fn scan_as_of(&self, user_cols: &[usize], ts: u64) -> Vec<(u64, Vec<u64>)> {
         let mut cols = vec![0usize]; // key first
         cols.extend(user_cols.iter().map(|&c| c + 1));

@@ -3,8 +3,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lifetime counters for one table. All counters are monotone and relaxed —
-//  they inform benchmarks and tests, never control flow.
+//  they inform benchmarks and tests, never control flow. Aligned to its own
+//  cache-line neighbourhood so the counter traffic of writers and scans
+//  never invalidates the table's read-mostly fields.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct TableStats {
     /// Records inserted.
     pub inserts: AtomicU64,
@@ -67,66 +70,7 @@ impl TableStats {
             chain_reads: self.chain_reads.load(Ordering::Relaxed),
             tail_pass_records: self.tail_pass_records.load(Ordering::Relaxed),
             tail_pass_rows: self.tail_pass_rows.load(Ordering::Relaxed),
-            pool_resident: 0,
-            pool_pinned: 0,
-            pool_hits: 0,
-            pool_faults: 0,
-            pool_evictions: 0,
-            pool_writebacks: 0,
         }
-    }
-}
-
-impl StatsSnapshot {
-    /// Add `other`'s counters into this snapshot — aggregating the
-    /// per-shard statistics blocks of a key-range sharded table into one
-    /// table-wide view. The exhaustive destructuring (no `..`) makes
-    /// adding a counter without aggregating it a compile error.
-    pub fn absorb(&mut self, other: &StatsSnapshot) {
-        let StatsSnapshot {
-            inserts,
-            updates,
-            deletes,
-            snapshots_taken,
-            write_conflicts,
-            merges,
-            merged_records,
-            insert_merges,
-            historic_compressed,
-            fast_path_reads,
-            chain_reads,
-            tail_pass_records,
-            tail_pass_rows,
-            pool_resident,
-            pool_pinned,
-            pool_hits,
-            pool_faults,
-            pool_evictions,
-            pool_writebacks,
-        } = *other;
-        self.inserts += inserts;
-        self.updates += updates;
-        self.deletes += deletes;
-        self.snapshots_taken += snapshots_taken;
-        self.write_conflicts += write_conflicts;
-        self.merges += merges;
-        self.merged_records += merged_records;
-        self.insert_merges += insert_merges;
-        self.historic_compressed += historic_compressed;
-        self.fast_path_reads += fast_path_reads;
-        self.chain_reads += chain_reads;
-        self.tail_pass_records += tail_pass_records;
-        self.tail_pass_rows += tail_pass_rows;
-        // Buffer-pool fields describe the one database-global pool, not a
-        // per-shard block: `max` keeps the stamped value intact whether the
-        // other side is an unstamped shard block (zeros) or another table's
-        // view of the same pool (equal values) — never double-counting.
-        self.pool_resident = self.pool_resident.max(pool_resident);
-        self.pool_pinned = self.pool_pinned.max(pool_pinned);
-        self.pool_hits = self.pool_hits.max(pool_hits);
-        self.pool_faults = self.pool_faults.max(pool_faults);
-        self.pool_evictions = self.pool_evictions.max(pool_evictions);
-        self.pool_writebacks = self.pool_writebacks.max(pool_writebacks);
     }
 }
 
@@ -159,19 +103,4 @@ pub struct StatsSnapshot {
     pub tail_pass_records: u64,
     /// Dirty scan rows settled by a suffix pass (a subset of `chain_reads`).
     pub tail_pass_rows: u64,
-    /// Buffer-pool gauge: base-page frames currently resident in memory
-    /// (0 when the database runs without a page store). The eviction
-    /// invariant `pool_resident <= budget + pool_pinned` holds at every
-    /// snapshot, absent writeback failures pinning dirty victims.
-    pub pool_resident: u64,
-    /// Buffer-pool gauge: outstanding page pins (reader guards in flight).
-    pub pool_pinned: u64,
-    /// Buffer-pool counter: pins served from a resident frame.
-    pub pool_hits: u64,
-    /// Buffer-pool counter: pins that faulted the page in from the store.
-    pub pool_faults: u64,
-    /// Buffer-pool counter: frames evicted to enforce the budget.
-    pub pool_evictions: u64,
-    /// Buffer-pool counter: dirty-frame writebacks (eviction or flush).
-    pub pool_writebacks: u64,
 }

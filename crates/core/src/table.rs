@@ -20,19 +20,19 @@
 //! created with `n` value columns has `n + 1` data columns — mirroring the
 //! paper's Table 2 layout (Key, A, B, C).
 //!
-//! **Sharding**: the key space partitions into `DbConfig::shards`
-//! independent key-range shards (see [`crate::shard`]), each owning its own
-//! primary-index partition, active insert range, and statistics block.
-//! Update ranges keep dense *global* ids in the table-wide
-//! `crate::shard::RangeRegistry`, so RIDs and the WAL format never encode
-//! the shard count.
+//! **Partitioning**: the update range is the one partition. The primary
+//! index, the statistics and the merge queue are table- or database-wide;
+//! only inserts fill `DbConfig::shards` ranges at once, one per *insert
+//! lane* (see `crate::shard`). Update ranges keep dense *global* ids in
+//! the table-wide `crate::shard::RangeRegistry`, so RIDs and the WAL format
+//! never encode the lane count.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use lstore_index::SecondaryIndex;
+use lstore_index::{PrimaryIndex, SecondaryIndex};
 use lstore_txn::{ReadSetEntry, StartTime, Transaction};
 use lstore_wal::LogRecord;
 
@@ -47,7 +47,7 @@ use crate::range::UpdateRange;
 use crate::read::{ReadMode, Resolved, VersionReader};
 use crate::rid::Rid;
 use crate::schema::{Schema, SchemaEncoding, MAX_COLUMNS};
-use crate::shard::{RangeRegistry, ShardMap, TableShard};
+use crate::shard::{RangeRegistry, ShardMap};
 use crate::stats::{StatsSnapshot, TableStats};
 
 /// A lineage-based table.
@@ -59,11 +59,16 @@ pub struct Table {
     pub(crate) runtime: Arc<Runtime>,
     /// All update ranges, by dense global id (lock-free lookups).
     ranges: RangeRegistry,
-    /// Key → shard routing (striped range partitioning).
-    shard_map: ShardMap,
-    /// Per-shard writer state: primary-index partition, active insert
-    /// range, statistics.
-    shards: Box<[TableShard]>,
+    /// The primary index (key → base RID).
+    pk: PrimaryIndex,
+    /// Key → insert-lane routing (striped).
+    lane_map: ShardMap,
+    /// Global id of the range currently accepting each lane's inserts.
+    insert_lanes: Box<[AtomicU32]>,
+    /// Serializes insert-range rollover.
+    grow: parking_lot::Mutex<()>,
+    /// The table's counters (on cache lines of their own).
+    pub(crate) stats: TableStats,
     secondary: RwLock<Vec<(usize, Arc<SecondaryIndex>)>>,
     /// Fast-path flag: skip the `secondary` lock entirely while no
     /// secondary index exists (the common OLTP case).
@@ -83,39 +88,28 @@ impl Table {
         cols.push("key");
         cols.extend_from_slice(value_columns);
         let schema = Schema::new(&cols, 0)?;
-        let ncols = schema.column_count();
-        let nshards = runtime.shard_count().max(1);
-        let ranges = RangeRegistry::new();
-        // One initial insert range per shard: shard `s` owns range `s`.
-        for s in 0..nshards as u32 {
-            ranges
-                .append_with(|rid| {
-                    Some(Arc::new(UpdateRange::new(
-                        rid,
-                        s,
-                        config.range_size,
-                        ncols,
-                        config.tail_page_slots,
-                    )))
-                })
-                .expect("initial range");
-        }
-        let shards: Box<[TableShard]> = (0..nshards)
-            .map(|s| TableShard::new(s as u32, nshards))
-            .collect();
-        Ok(Arc::new(Table {
+        let lanes = runtime.insert_lanes();
+        let table = Table {
             id,
             name: name.to_string(),
             schema,
-            shard_map: ShardMap::new(nshards, config.range_size),
+            lane_map: ShardMap::new(lanes, config.range_size),
             config,
             runtime,
-            ranges,
-            shards,
+            ranges: RangeRegistry::new(),
+            pk: PrimaryIndex::new(),
+            // One initial insert range per lane: lane `l` fills range `l`.
+            insert_lanes: (0..lanes as u32).map(AtomicU32::new).collect(),
+            grow: parking_lot::Mutex::new(()),
+            stats: TableStats::default(),
             secondary: RwLock::new(Vec::new()),
             has_secondary: AtomicBool::new(false),
             historic: HistoricStore::new(),
-        }))
+        };
+        for _ in 0..lanes {
+            table.append_range();
+        }
+        Ok(Arc::new(table))
     }
 
     /// Table name.
@@ -138,40 +132,10 @@ impl Table {
         &self.config
     }
 
-    /// Table-wide statistics snapshot (sum over all shards).
+    /// Table-wide statistics snapshot. (Buffer-pool counters are the
+    /// database's: `Database::store_stats`.)
     pub fn stats(&self) -> StatsSnapshot {
-        let mut total = StatsSnapshot::default();
-        for shard in self.shards.iter() {
-            total.absorb(&shard.stats.snapshot());
-        }
-        // Stamp the database-global buffer-pool gauges after the per-shard
-        // absorb loop (shard blocks never carry pool fields).
-        if let Some(store) = self.runtime.page_store() {
-            let pool = store.pool_stats();
-            total.pool_resident = pool.resident;
-            total.pool_pinned = pool.pinned;
-            total.pool_hits = pool.hits;
-            total.pool_faults = pool.faults;
-            total.pool_evictions = pool.evictions;
-            total.pool_writebacks = pool.writebacks;
-        }
-        total
-    }
-
-    /// Statistics snapshot of one key-range shard.
-    pub fn shard_stats(&self, shard: usize) -> StatsSnapshot {
-        self.shards[shard].stats.snapshot()
-    }
-
-    /// Number of key-range shards (`DbConfig::shards` at creation time).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `key` (striped range partitioning: contiguous
-    /// stripes of `TableConfig::range_size` keys, round-robin).
-    pub fn shard_of_key(&self, key: u64) -> usize {
-        self.shard_map.shard_of(key) as usize
+        self.stats.snapshot()
     }
 
     /// Number of update ranges.
@@ -195,39 +159,6 @@ impl Table {
     /// All ranges, in global-id order.
     pub(crate) fn all_ranges(&self) -> Vec<Arc<UpdateRange>> {
         self.ranges.snapshot()
-    }
-
-    /// All ranges grouped by owning shard (one registry snapshot;
-    /// global-id order within each shard's group).
-    fn ranges_by_shard(&self) -> Vec<Vec<Arc<UpdateRange>>> {
-        let mut by_shard: Vec<Vec<Arc<UpdateRange>>> = vec![Vec::new(); self.shards.len()];
-        for range in self.all_ranges() {
-            debug_assert!((range.shard as usize) < self.shards.len());
-            by_shard[range.shard as usize].push(range);
-        }
-        by_shard
-    }
-
-    /// Shard-aligned scan partitions: every range exactly once, grouped by
-    /// owning shard (shard-major, global-id order within a shard), with
-    /// each shard's group sub-split so the partition count still fills the
-    /// scan pool when there are fewer shards than scan threads. Chunks
-    /// handed to [`Table::scan_fanout`] therefore never straddle a shard
-    /// boundary: a scan worker walks ranges written by one writer shard,
-    /// not a cache-unfriendly interleaving of all of them.
-    pub(crate) fn scan_partitions(&self) -> Vec<Vec<Arc<UpdateRange>>> {
-        let pieces = self.runtime.scan_width().div_ceil(self.shards.len()).max(1);
-        let mut parts = Vec::new();
-        for group in self.ranges_by_shard() {
-            if group.is_empty() {
-                continue;
-            }
-            let chunk = group.len().div_ceil(pieces);
-            for piece in group.chunks(chunk.max(1)) {
-                parts.push(piece.to_vec());
-            }
-        }
-        parts
     }
 
     /// Fan a per-chunk fold across the unified task pool: `fold` runs once
@@ -269,13 +200,6 @@ impl Table {
             })
             .collect();
         pool.run(tasks)
-    }
-
-    /// The table's key → shard routing map (used by the batched point-read
-    /// planner, which groups keys by shard with pure arithmetic before any
-    /// index probe happens).
-    pub(crate) fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
     }
 
     /// Map a public value-column index to the internal data-column index.
@@ -365,11 +289,6 @@ impl Table {
         }
     }
 
-    /// The statistics block of the shard owning `range`.
-    pub(crate) fn range_stats(&self, range: &UpdateRange) -> &TableStats {
-        &self.shards[range.shard as usize].stats
-    }
-
     pub(crate) fn occupied_slots(
         &self,
         range: &UpdateRange,
@@ -382,20 +301,9 @@ impl Table {
         }
     }
 
-    /// The shard state owning `key`.
-    #[inline]
-    fn shard_for(&self, key: u64) -> &TableShard {
-        &self.shards[self.shard_map.shard_of(key) as usize]
-    }
-
-    /// Resolve a key to its stable base RID via its shard's primary-index
-    /// partition.
+    /// Resolve a key to its stable base RID via the primary index.
     pub fn locate(&self, key: u64) -> Result<Rid> {
-        self.shard_for(key)
-            .pk
-            .get(key)
-            .map(Rid)
-            .ok_or(Error::KeyNotFound(key))
+        self.pk.get(key).map(Rid).ok_or(Error::KeyNotFound(key))
     }
 
     // ------------------------------------------------------------------
@@ -410,22 +318,21 @@ impl Table {
                 columns: self.value_columns(),
             });
         }
-        // Route to the key's shard, then allocate an aligned slot in that
-        // shard's current insert range.
-        let shard_idx = self.shard_map.shard_of(key) as usize;
-        let shard = &self.shards[shard_idx];
+        // Route to the key's insert lane, then allocate an aligned slot in
+        // that lane's current insert range.
+        let lane = self.lane_map.shard_of(key);
         let (range, slot) = loop {
-            let cur = shard.current_insert.load(Ordering::Acquire);
+            let cur = self.insert_lanes[lane].load(Ordering::Acquire);
             let range = self.range(cur);
             if let Some(slot) = range.allocate_slot() {
                 break (range, slot);
             }
-            self.grow_insert_range(shard_idx, cur);
+            self.grow_insert_range(lane, cur);
         };
         let rid = Rid::base(range.id, slot);
         // Uniqueness: claim the primary-index entry first.
-        if let Some(prev) = shard.pk.insert(key, rid.0) {
-            shard.pk.insert(key, prev); // restore
+        if let Some(prev) = self.pk.insert(key, rid.0) {
+            self.pk.insert(key, prev); // restore
             return Err(Error::DuplicateKey(key));
         }
 
@@ -468,7 +375,7 @@ impl Table {
                 idx.insert(v, rid.0);
             }
         }
-        TableStats::bump(&shard.stats.inserts);
+        TableStats::bump(&self.stats.inserts);
 
         // A filled insert range is a candidate for the simplified merge.
         if slot as usize + 1 == range.capacity {
@@ -477,31 +384,30 @@ impl Table {
         Ok(rid)
     }
 
-    /// Roll `shard_idx`'s insert range forward once `full_id` filled. The
-    /// shard's grow mutex is the rollover critical section: the re-check
-    /// under the lock ensures exactly one competing inserter grows the
-    /// shard, and `current_insert` is only advanced after the registry has
-    /// published the new range (so readers of the pointer can always
-    /// resolve it).
-    fn grow_insert_range(&self, shard_idx: usize, full_id: u32) {
-        let shard = &self.shards[shard_idx];
-        let _g = shard.grow.lock();
-        if shard.current_insert.load(Ordering::Acquire) != full_id {
-            return; // another inserter already grew this shard
+    /// Roll `lane`'s insert range forward once `full_id` filled. The grow
+    /// mutex is the rollover critical section: the re-check under the lock
+    /// ensures exactly one competing inserter grows the lane, and the lane
+    /// is only pointed at the new range after the registry has published it
+    /// (so readers of the pointer can always resolve it).
+    fn grow_insert_range(&self, lane: usize, full_id: u32) {
+        let _g = self.grow.lock();
+        if self.insert_lanes[lane].load(Ordering::Acquire) != full_id {
+            return; // another inserter already grew this lane
         }
-        let range = self
-            .ranges
-            .append_with(|id| {
-                Some(Arc::new(UpdateRange::new(
-                    id,
-                    shard_idx as u32,
-                    self.config.range_size,
-                    self.schema.column_count(),
-                    self.config.tail_page_slots,
-                )))
-            })
-            .expect("append insert range");
-        shard.current_insert.store(range.id, Ordering::Release);
+        let range = self.append_range();
+        self.insert_lanes[lane].store(range.id, Ordering::Release);
+    }
+
+    /// Register a fresh, empty insert-phase range.
+    fn append_range(&self) -> Arc<UpdateRange> {
+        self.ranges.append(|id| {
+            UpdateRange::new(
+                id,
+                self.config.range_size,
+                self.schema.column_count(),
+                self.config.tail_page_slots,
+            )
+        })
     }
 
     // ------------------------------------------------------------------
@@ -522,7 +428,7 @@ impl Table {
     /// update operation, in which all data columns are implicitly set to ∅").
     pub fn delete(&self, txn: &mut Transaction, key: u64) -> Result<Rid> {
         let rid = self.write_tail(txn, key, &[], true)?;
-        TableStats::bump(&self.shard_for(key).stats.deletes);
+        TableStats::bump(&self.stats.deletes);
         Ok(rid)
     }
 
@@ -533,7 +439,6 @@ impl Table {
         internal_updates: &[(usize, u64)],
         is_delete: bool,
     ) -> Result<Rid> {
-        let shard = self.shard_for(key);
         let base_rid = self.locate(key)?;
         let range = self.range(base_rid.range());
         let slot = base_rid.slot();
@@ -548,7 +453,7 @@ impl Table {
         let prev = match range.try_latch(slot) {
             Some(p) => p,
             None => {
-                TableStats::bump(&shard.stats.write_conflicts);
+                TableStats::bump(&self.stats.write_conflicts);
                 return Err(Error::WriteConflict {
                     base_rid: base_rid.0,
                 });
@@ -574,7 +479,7 @@ impl Table {
             };
             if mgr.resolve_start_time(head_start, reread).in_flight() {
                 range.unlatch_restore(slot, prev);
-                TableStats::bump(&shard.stats.write_conflicts);
+                TableStats::bump(&self.stats.write_conflicts);
                 return Err(Error::WriteConflict {
                     base_rid: base_rid.0,
                 });
@@ -668,7 +573,7 @@ impl Table {
             }
             range.mark_updated(slot, fresh_bits);
             range.note_tail_append();
-            TableStats::bump(&shard.stats.snapshots_taken);
+            TableStats::bump(&self.stats.snapshots_taken);
         }
 
         // Cumulative carry (§3.1): repeat the latest values of previously
@@ -731,7 +636,7 @@ impl Table {
         range.mark_updated(slot, upd_bits);
         range.unlatch_install(slot, tail_rid);
         txn.track_write(self.id, base_rid.0, tail_rid.0);
-        TableStats::bump(&shard.stats.updates);
+        TableStats::bump(&self.stats.updates);
 
         // Secondary-index maintenance: add (new value, base RID); defer the
         // removal of superseded entries (§3.1 footnote 3).
@@ -883,9 +788,7 @@ impl Table {
         if !self.runtime.background_merge || !range.claim_merge() {
             return;
         }
-        // Route to the owning shard's injector queue on the unified pool
-        // (shard-owned ranges need no cross-shard merge ordering).
-        if !self.runtime.enqueue_merge(self.id, range.shard, range.id) {
+        if !self.runtime.enqueue_merge(self.id, range.id) {
             range.merge_done(); // pool stopped: leave to manual merges
         }
     }
@@ -893,16 +796,14 @@ impl Table {
     /// Process one merge request (called by pool workers or tests). Safe to
     /// run from any thread: the relaxed merge touches only stable data
     /// (§4.1, Lemma 1) and `claim_merge` keeps one merge per range in
-    /// flight, so concurrent merges of *different* ranges — the per-shard
-    /// queues drain in parallel — never conflict.
+    /// flight, so concurrent merges of *different* ranges — pool workers
+    /// drain the one queue in parallel — never conflict.
     pub(crate) fn process_merge(&self, range_id: u32) -> MergeReport {
         self.process_merge_inner(range_id, false)
     }
 
     fn process_merge_inner(&self, range_id: u32, force_seal: bool) -> MergeReport {
         let range = self.range(range_id);
-        // Merge work is attributed to the shard owning the range.
-        debug_assert!((range.shard as usize) < self.shards.len());
         // Release the merge-pending claim on every exit path *including
         // unwinds*: the pool worker catches a panicking merge and keeps
         // going, so a wedged claim would silently disable background
@@ -915,7 +816,7 @@ impl Table {
             }
         }
         let _claim = ClaimRelease(range);
-        let stats = self.range_stats(range);
+        let stats = &self.stats;
         let mut report = MergeReport::default();
         if range.base().is_insert_phase() {
             if force_seal {
@@ -963,31 +864,36 @@ impl Table {
         self.process_merge_inner(range_id, true)
     }
 
-    /// Synchronously merge every range, walking shard by shard (each
-    /// shard's ranges in global-id order); returns total tail records
-    /// consumed. Partially-filled insert ranges are sealed (new inserts go
-    /// to a fresh range) so their records graduate to base pages
-    /// immediately. Commit timestamps are global, so the shard walk order
-    /// cannot affect which records each range's committed prefix contains.
+    /// Synchronously merge every range in global-id order; returns total
+    /// tail records consumed. Partially-filled insert ranges are sealed
+    /// (new inserts go to a fresh range) so their records graduate to base
+    /// pages immediately.
     pub fn merge_all(&self) -> u64 {
-        let mut total = 0;
-        for group in self.ranges_by_shard() {
-            for range in group {
-                total += self.process_merge_inner(range.id, true).consumed;
+        let ranges = self.all_ranges();
+        // Seal in lane order, so the ranges that take over get the same ids
+        // whatever the ids of the ranges they replace.
+        for lane in self.insert_lanes.iter() {
+            let range = self.range(lane.load(Ordering::Acquire));
+            if range.base().is_insert_phase() {
+                self.seal_insert_range(range);
             }
         }
-        total
+        ranges
+            .iter()
+            .map(|range| self.process_merge_inner(range.id, true).consumed)
+            .sum()
     }
 
     /// Stop directing inserts at `range` (a new insert range takes over its
-    /// shard) so the range can graduate even while partially filled.
+    /// lane) so the range can graduate even while partially filled.
     fn seal_insert_range(&self, range: &UpdateRange) {
-        debug_assert!((range.shard as usize) < self.shards.len());
-        let owner = range.shard as usize;
-        if self.shards[owner].current_insert.load(Ordering::Acquire) != range.id {
-            return; // not the shard's active insert range
+        let lane = self
+            .insert_lanes
+            .iter()
+            .position(|cur| cur.load(Ordering::Acquire) == range.id);
+        if let Some(lane) = lane {
+            self.grow_insert_range(lane, range.id);
         }
-        self.grow_insert_range(owner, range.id);
     }
 
     /// Merge only a subset of value columns of one range — the independent
@@ -1015,32 +921,26 @@ impl Table {
     /// total tail records consumed.
     pub fn merge_upto_time(&self, ti: u64) -> u64 {
         let mut total = 0;
-        // Shard-by-shard walk: `ti` comes from the one global clock, so
-        // bounding each range's committed prefix by it produces the same
-        // consistent cross-shard snapshot in any walk order.
-        for group in self.ranges_by_shard() {
-            for range in group {
-                if range.base().is_insert_phase() {
-                    continue; // graduates via the insert merge first
-                }
-                let from = range.base().tps + 1;
-                let bounded =
-                    merge::committed_prefix_upto_time(&range, from, &self.runtime.mgr, ti);
-                if bounded < from {
-                    continue;
-                }
-                let limit = bounded - from + 1;
-                let report = merge::merge_range(
-                    &range,
-                    &self.runtime.mgr,
-                    &self.runtime.epoch,
-                    &self.config,
-                    self.runtime.page_store(),
-                    Some(limit),
-                    None,
-                );
-                total += report.consumed;
+        for range in self.all_ranges() {
+            if range.base().is_insert_phase() {
+                continue; // graduates via the insert merge first
             }
+            let from = range.base().tps + 1;
+            let bounded = merge::committed_prefix_upto_time(&range, from, &self.runtime.mgr, ti);
+            if bounded < from {
+                continue;
+            }
+            let limit = bounded - from + 1;
+            let report = merge::merge_range(
+                &range,
+                &self.runtime.mgr,
+                &self.runtime.epoch,
+                &self.config,
+                self.runtime.page_store(),
+                Some(limit),
+                None,
+            );
+            total += report.consumed;
         }
         total
     }
@@ -1060,9 +960,7 @@ impl Table {
             .historic
             .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr);
         if n > 0 {
-            debug_assert!((range.shard as usize) < self.shards.len());
-            let stats = self.range_stats(range);
-            TableStats::add(&stats.historic_compressed, n as u64);
+            TableStats::add(&self.stats.historic_compressed, n as u64);
             if let Some(wal) = &self.runtime.wal {
                 let _ = wal.append(&LogRecord::HistoricCompressed {
                     table_id: self.id,
@@ -1080,36 +978,23 @@ impl Table {
     }
 
     pub(crate) fn pk_remove_inner(&self, key: u64) {
-        self.shard_for(key).pk.remove(key);
+        self.pk.remove(key);
     }
 
     pub(crate) fn pk_insert_raw(&self, key: u64, rid: Rid) {
-        self.shard_for(key).pk.insert(key, rid.0);
+        self.pk.insert(key, rid.0);
     }
 
     /// Append an empty insert-phase range (WAL replay and checkpoint
     /// restore re-create the range layout the table had before the crash).
-    /// Logged range ids are global and shard-count-agnostic, so recovered
-    /// ranges are assigned to shards round-robin; the primary index is
-    /// rebuilt through key routing, which makes the shard count a pure
-    /// runtime knob rather than part of the persistence format.
+    /// Logged range ids are global and lane-count-agnostic, so recovered
+    /// ranges become the insert ranges of the lanes round-robin, which
+    /// makes the lane count a pure runtime knob rather than part of the
+    /// persistence format.
     pub(crate) fn grow_for_replay(&self) {
-        let range = self
-            .ranges
-            .append_with(|id| {
-                let owner = id % self.shards.len() as u32;
-                Some(Arc::new(UpdateRange::new(
-                    id,
-                    owner,
-                    self.config.range_size,
-                    self.schema.column_count(),
-                    self.config.tail_page_slots,
-                )))
-            })
-            .expect("append replay range");
-        self.shards[range.shard as usize]
-            .current_insert
-            .store(range.id, Ordering::Release);
+        let range = self.append_range();
+        let lane = range.id as usize % self.insert_lanes.len();
+        self.insert_lanes[lane].store(range.id, Ordering::Release);
     }
 
     /// Total encoded bytes of all base pages (storage-footprint metric).
@@ -1131,8 +1016,80 @@ impl std::fmt::Debug for Table {
         f.debug_struct("Table")
             .field("id", &self.id)
             .field("name", &self.name)
-            .field("shards", &self.shards.len())
+            .field("insert_lanes", &self.insert_lanes.len())
             .field("ranges", &self.range_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+
+    use crate::config::{DbConfig, TableConfig};
+    use crate::db::Database;
+    use crate::rid::Rid;
+
+    /// Insert-lane routing pins RIDs. The expected RIDs come from a model
+    /// of the rule: lane `l` starts in range `l`, key `k` inserts through
+    /// lane `(k / range_size) % lanes`, a lane whose range is full moves to
+    /// the next id the registry hands out, and `merge_all` moves every
+    /// lane on, in lane order.
+    #[test]
+    fn insert_lanes_route_by_stripe_and_keep_rids() {
+        const KEYS: u64 = 2000;
+        let size = TableConfig::small().range_size as u64;
+        for lanes in [1usize, 2, 4] {
+            // Key order, then a scrambled order that rolls lanes over out
+            // of step.
+            let scrambled = (0..KEYS).map(|i| (i * 7919) % KEYS);
+            for (order, keys) in [(0..KEYS).collect::<Vec<_>>(), scrambled.collect()]
+                .iter()
+                .enumerate()
+            {
+                let db = Database::new(DbConfig::deterministic().with_shards(lanes));
+                let t = db
+                    .create_table("lanes", &["v"], TableConfig::small())
+                    .unwrap();
+                let mut current: Vec<u32> = (0..lanes as u32).collect();
+                let mut used = vec![0u32; lanes];
+                let mut next = lanes as u32;
+                for (i, &k) in keys.iter().enumerate() {
+                    if i as u64 == KEYS / 2 {
+                        // A merge seals every lane's range, in lane order.
+                        t.merge_all();
+                        for cur in current.iter_mut() {
+                            *cur = next;
+                            used.push(0);
+                            next += 1;
+                        }
+                    }
+                    let lane = ((k / size) % lanes as u64) as usize;
+                    if used[current[lane] as usize] as u64 == size {
+                        current[lane] = next;
+                        used.push(0);
+                        next += 1;
+                    }
+                    let slot = used[current[lane] as usize];
+                    used[current[lane] as usize] += 1;
+                    let rid = t.insert_auto(k, &[k]).unwrap();
+                    assert_eq!(
+                        rid,
+                        Rid::base(current[lane], slot),
+                        "lanes {lanes} order {order} key {k}"
+                    );
+                    assert_eq!(
+                        t.insert_lanes[lane].load(Ordering::Acquire),
+                        rid.range(),
+                        "key {k} filled lane {lane}"
+                    );
+                    if order == 0 && (i as u64) < KEYS / 2 {
+                        // A key-ordered load fills range `k / range_size`.
+                        assert_eq!(rid, Rid::base((k / size) as u32, (k % size) as u32));
+                    }
+                }
+                assert_eq!(t.range_count(), next as usize);
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! arrive at a base record through an index must re-evaluate the predicate
 //! against the visible version.
 //!
-//! * [`primary::PrimaryIndex`] — sharded hash map from unique key to base
+//! * [`primary::PrimaryIndex`] — lock-striped hash map from unique key to base
 //!   RID (the "single primary index for fast point lookup" of §6.1).
 //! * [`secondary::SecondaryIndex`] — ordered multimap from column value to
 //!   base RIDs with epoch-deferred removal.

@@ -2,10 +2,9 @@
 //!
 //! Lock-striped hash map so concurrent point lookups and inserts from many
 //! writer threads do not serialize on one lock (the evaluation drives up to
-//! 22 concurrent update threads against a single primary index, §6). Tables
-//! that partition their key space (key-range sharded tables) hold one
-//! `PrimaryIndex` per table shard and size the stripe count accordingly via
-//! [`PrimaryIndex::with_shards`].
+//! 22 concurrent update threads against a single primary index, §6). A
+//! table holds one `PrimaryIndex` ([`PrimaryIndex::new`], 128 stripes);
+//! [`PrimaryIndex::with_shards`] picks another stripe count.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

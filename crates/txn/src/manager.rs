@@ -25,13 +25,13 @@
 //! committer stamped it (stamp happens-before retire happens-before reuse),
 //! the same id means the owner aborted.
 //!
-//! **Multi-shard commit visibility.** Key-range sharded tables route writes
-//! through per-shard structures, but every transaction — whichever shards
-//! its writes touch — draws its begin and commit timestamps from the one
+//! **Concurrent commit visibility.** Writers on many threads touch many
+//! update ranges at once, but every transaction — whichever ranges its
+//! writes touch — draws its begin and commit timestamps from the one
 //! [`GlobalClock`] through this manager. Commit timestamps therefore form a
-//! single total order across all shards, and a snapshot timestamp `ts`
-//! names the same consistent cut of every shard: sharding parallelizes the
-//! write path without weakening snapshot semantics.
+//! single total order across all ranges, and a snapshot timestamp `ts`
+//! names the same consistent cut of every range: parallel writers never
+//! weaken snapshot semantics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -574,11 +574,11 @@ mod tests {
         assert!(mgr.tracked() <= 2 * 4);
     }
 
-    /// Multi-shard commit visibility: transactions committing concurrently
-    /// from many threads (as per-shard writers of a sharded table do) get
-    /// commit timestamps that are globally unique, totally ordered, and
-    /// strictly after their begin times — so any snapshot timestamp cuts
-    /// every shard's history at one consistent point.
+    /// Concurrent commit visibility: transactions committing concurrently
+    /// from many threads (as writers on disjoint ranges do) get commit
+    /// timestamps that are globally unique, totally ordered, and strictly
+    /// after their begin times — so any snapshot timestamp cuts every
+    /// range's history at one consistent point.
     #[test]
     fn commit_timestamps_totally_order_concurrent_writers() {
         let clock = Arc::new(GlobalClock::new());

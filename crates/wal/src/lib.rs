@@ -21,7 +21,7 @@
 //! * [`record`] — the binary log record format (redo, commit/abort,
 //!   operational merge records, checkpoints).
 //! * [`log`] — the engine's log, [`Wal`]: one append-only file for every
-//!   shard, two commit policies, and group commit — concurrent committers
+//!   table, two commit policies, and group commit — concurrent committers
 //!   amortize fsyncs through a leader/follower cohort protocol that waits
 //!   for returning committers instead of a timer. Below it a crate-private
 //!   file writer assigns LSNs; a failed write or sync poisons it.

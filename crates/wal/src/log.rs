@@ -2,15 +2,15 @@
 //!
 //! A durable commit costs one enrolment and one device wait: the commit
 //! record is appended to the log and the committer waits until that LSN is
-//! durable. [`Wal`] serves every shard of every table from one append-only
+//! durable. [`Wal`] serves every range of every table from one append-only
 //! file and amortizes fsyncs across concurrent committers with a
 //! leader/follower cohort protocol — the "sophisticated logging mechanisms
 //! such as group commits" §6.1 says a production deployment would employ.
 //!
 //! ## One file
 //!
-//! Every record goes to the configured path, whatever the table shard
-//! count, so a transaction's records precede its commit record and a
+//! Every record goes to the configured path, whatever the table's
+//! insert-lane count, so a transaction's records precede its commit record and a
 //! recovered commit record implies its whole transaction is recoverable.
 //! An older layout split the log into `<path>.s<i>` siblings; on one device
 //! two files cost two serial `fdatasync`s per commit and committers on

@@ -118,26 +118,26 @@ fn pool_capacities_and_shards_are_invisible_to_readers() {
                 let snap = observe(&t, ts);
                 assert_eq!(snap, ref_snaps[i], "[{tag}] snapshot {i} diverged");
                 if let Some(b) = budget {
-                    let stats = t.stats();
+                    let stats = db.store_stats().unwrap();
                     assert!(
-                        stats.pool_resident <= b as u64 + stats.pool_pinned,
+                        stats.resident <= b as u64 + stats.pinned,
                         "[{tag}] budget exceeded: {stats:?}"
                     );
                 }
             }
-            let stats = t.stats();
-            assert_eq!(stats.pool_pinned, 0, "[{tag}] pins leaked: {stats:?}");
+            let stats = db.store_stats().unwrap();
+            assert_eq!(stats.pinned, 0, "[{tag}] pins leaked: {stats:?}");
             if budget == Some(2) {
                 // A 2-page pool against a 30+-page working set must have
                 // actually thrashed — otherwise this test proves nothing.
                 assert!(
-                    stats.pool_evictions > 0 && stats.pool_faults > 0,
+                    stats.evictions > 0 && stats.faults > 0,
                     "[{tag}] expected eviction pressure: {stats:?}"
                 );
             }
             if budget.is_none() {
                 assert_eq!(
-                    stats.pool_evictions, 0,
+                    stats.evictions, 0,
                     "[{tag}] unbounded pool must never evict: {stats:?}"
                 );
             }
@@ -160,12 +160,12 @@ fn dataset_outgrows_pool_budget_by_4x() {
             .with_buffer_pool_pages(2),
     );
     run_history(&t);
-    let stats = t.stats();
+    let stats = db.store_stats().unwrap();
     // Every page ever sealed either faulted in later or was written back
     // on eviction; the store has seen at least 4× the budget in distinct
     // sealed pages if evictions alone exceed 4× budget.
     assert!(
-        stats.pool_evictions >= 8,
+        stats.evictions >= 8,
         "working set must exceed 4x the 2-page budget: {stats:?}"
     );
     drop(db);

@@ -144,9 +144,9 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
             assert_eq!(par_count, seq_count, "round {round}: count == ground truth");
             assert_eq!(par_rows, seq_rows, "round {round}: rows == ground truth");
 
-            let stats = t.stats();
+            let stats = db.store_stats().unwrap();
             assert!(
-                stats.pool_resident <= BUDGET + stats.pool_pinned,
+                stats.resident <= BUDGET + stats.pinned,
                 "round {round}: budget invariant violated: {stats:?}"
             );
         }
@@ -161,14 +161,14 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
         .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
         .sum();
     assert_eq!(final_sum, per_key, "scan equals per-key reads after drain");
-    let stats = t.stats();
-    assert_eq!(stats.pool_pinned, 0, "pins returned at quiesce: {stats:?}");
+    let stats = db.store_stats().unwrap();
+    assert_eq!(stats.pinned, 0, "pins returned at quiesce: {stats:?}");
     assert!(
-        stats.pool_resident <= BUDGET,
+        stats.resident <= BUDGET,
         "no pins → resident within budget: {stats:?}"
     );
     assert!(
-        stats.pool_evictions > 0 && stats.pool_faults > 0,
+        stats.evictions > 0 && stats.faults > 0,
         "the pool must have thrashed for this test to mean anything: {stats:?}"
     );
     db.flush_store().unwrap();
@@ -273,17 +273,14 @@ fn a_scanner_and_a_skewed_reader_agree_with_memory_on_small_pools() {
             });
         });
 
-        let stats = t.stats();
-        assert_eq!(
-            stats.pool_pinned, 0,
-            "budget {budget}: pins returned: {stats:?}"
-        );
+        let stats = db.store_stats().unwrap();
+        assert_eq!(stats.pinned, 0, "budget {budget}: pins returned: {stats:?}");
         assert!(
-            stats.pool_resident <= budget,
+            stats.resident <= budget,
             "budget {budget}: no pins → resident within budget: {stats:?}"
         );
         assert!(
-            stats.pool_evictions > 0 && stats.pool_faults > 0 && stats.pool_hits > 0,
+            stats.evictions > 0 && stats.faults > 0 && stats.hits > 0,
             "budget {budget}: the pool must have been smaller than the table: {stats:?}"
         );
         drop(t);

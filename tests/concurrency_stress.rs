@@ -248,14 +248,14 @@ fn parallel_scans_agree_with_sequential_under_load() {
     });
 }
 
-/// Key-range sharded writers under a live merge daemon and pool-parallel
-/// scans, validated against sequential per-key as-of `read_one` ground truth at
-/// frozen snapshot timestamps.
+/// Writers on disjoint update ranges of a four-lane table, under a live
+/// merge daemon and pool-parallel scans, validated against sequential
+/// per-key as-of `read_one` ground truth at frozen snapshot timestamps.
 ///
-/// Each writer thread owns one table shard and updates only keys routed to
-/// it (`Table::shard_of_key`), so writers genuinely run on disjoint shard
-/// state; the scans must still observe one consistent cross-shard snapshot
-/// because commit timestamps come from the single global clock. Snapshot
+/// Each writer thread owns the ranges `r` with `r % 4 == w` and updates only
+/// their keys, so writers genuinely run on disjoint ranges; the scans must
+/// still observe one consistent snapshot across them because commit
+/// timestamps come from the single global clock. Snapshot
 /// timestamps are captured at writer quiesce points, exactly as in
 /// `parallel_scans_agree_with_sequential_under_load` (a timestamp frozen
 /// mid-commit is not stable for any reader).
@@ -270,15 +270,21 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
     let t = db
         .create_table("shardstress", &["count", "bucket"], TableConfig::small())
         .unwrap();
-    assert_eq!(t.shard_count(), SHARDS);
-    // 2048 keys = 8 stripes of 256 → every shard owns exactly 2 stripes.
+    // 2048 keys = 8 ranges of 256 → every writer owns exactly 2 ranges.
     const KEYS: u64 = 2048;
+    const RANGE: u64 = 256; // TableConfig::small's range_size
     for k in 0..KEYS {
         t.insert_auto(k, &[1, k % 5]).unwrap();
     }
     t.merge_all();
+    let range_of = |k: u64| t.locate(k).unwrap().range();
+    assert!((0..KEYS).all(|k| range_of(k) as u64 == k / RANGE));
     let owned: Vec<Vec<u64>> = (0..SHARDS)
-        .map(|s| (0..KEYS).filter(|&k| t.shard_of_key(k) == s).collect())
+        .map(|w| {
+            (0..KEYS)
+                .filter(|&k| range_of(k) as usize % SHARDS == w)
+                .collect()
+        })
         .collect();
     assert!(owned
         .iter()
@@ -289,7 +295,7 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
     let parked = Arc::new(AtomicU64::new(0));
     let committed = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
-        // One writer per shard, incrementing only its own shard's keys.
+        // One writer per range class, incrementing only its own keys.
         for (w, keys) in owned.iter().enumerate() {
             let db = Arc::clone(&db);
             let t = Arc::clone(&t);
@@ -371,8 +377,7 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
 
     // Quiesced ground truth: the sum equals exactly the committed
     // increments (updates of merge-invalidated transactions are tombstones
-    // and contribute nothing), and per-shard stats add up to the
-    // table-wide view.
+    // and contribute nothing), and every writer's ranges took updates.
     let total = committed.load(Ordering::SeqCst);
     assert!(total > 0, "some transactions must have committed");
     let final_sum = t.sum_auto(0);
@@ -381,22 +386,19 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
         .sum();
     assert_eq!(final_sum, per_key);
     assert_eq!(final_sum, KEYS + total, "every commit counted exactly once");
-    let table_stats = t.stats();
-    let shard_sum: u64 = (0..SHARDS).map(|s| t.shard_stats(s).updates).sum();
-    assert_eq!(
-        table_stats.updates, shard_sum,
-        "shard stats sum to table stats"
-    );
-    assert!(table_stats.updates >= total, "applied ≥ committed");
+    assert!(t.stats().updates >= total, "applied ≥ committed");
     t.merge_all();
     assert_eq!(t.sum_auto(0), final_sum, "merges change nothing");
+    for r in 0..(KEYS / RANGE) as u32 {
+        assert!(t.range_handle(r).base().tps > 0, "range {r} was updated");
+    }
 }
 
 /// The unified merge/scan pool under saturation: wide scans keep every pool
-/// worker busy while one writer per shard pushes its shard's hot range past
+/// worker busy while each of four writers pushes its own hot range past
 /// `merge_threshold` over and over. The work-stealing scheduler must still
-/// drain the per-shard merge queues (no dedicated merge thread exists to
-/// fall back on), every shard must reach merged state in the background,
+/// drain the merge queue (no dedicated merge thread exists to fall back
+/// on), every hot range must reach merged state in the background,
 /// and frozen-ts scan results must equal the per-key as-of `read_one` ground
 /// truth throughout the churn.
 #[test]
@@ -418,20 +420,24 @@ fn merges_complete_under_saturated_scan_pool() {
     let pause = Arc::new(AtomicBool::new(false));
     let parked = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
-        // One writer per shard, hammering only the shard's first stripe so
-        // tail records concentrate in one update range per shard and every
-        // shard crosses the merge threshold repeatedly.
+        // Writer `w` hammers only range `w` (keys of stripe `w`), so tail
+        // records concentrate in four update ranges and every one of them
+        // crosses the merge threshold repeatedly.
         for w in 0..SHARDS as u64 {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
             let pause = Arc::clone(&pause);
             let parked = Arc::clone(&parked);
             s.spawn(move || {
-                assert_eq!(t.shard_of_key(w * STRIPE), w as usize, "stripe routing");
+                assert_eq!(
+                    t.locate(w * STRIPE).unwrap().range(),
+                    w as u32,
+                    "range of stripe"
+                );
                 let mut i = 0u64;
                 let mut appended = 0u64;
                 loop {
-                    // Guarantee well past the threshold per shard before
+                    // Guarantee well past the threshold per range before
                     // honoring stop, then churn until stopped.
                     if appended > 2 * threshold && stop.load(Ordering::Relaxed) {
                         break;
@@ -499,7 +505,7 @@ fn merges_complete_under_saturated_scan_pool() {
 
     // One quiet append per hot range re-arms the threshold trigger for any
     // range whose last merge raced the writers stopping, then the queues
-    // must drain to fully merged shards — in the background, on the pool.
+    // must drain to fully merged ranges — in the background, on the pool.
     for w in 0..SHARDS as u64 {
         let key = w * STRIPE;
         let cur = t
@@ -510,15 +516,11 @@ fn merges_complete_under_saturated_scan_pool() {
         t.update_auto(key, &[(0, cur)]).unwrap();
     }
     db.drain_merges();
-    for shard in 0..SHARDS {
-        let stats = t.shard_stats(shard);
-        assert!(
-            stats.merges >= 1,
-            "shard {shard} merged in the background (merges={})",
-            stats.merges
-        );
-        assert!(stats.merged_records > 0, "shard {shard} consumed records");
+    for w in 0..SHARDS as u32 {
+        let tps = t.range_handle(w).base().tps;
+        assert!(tps > 0, "range {w} merged in the background (tps={tps})");
     }
+    assert!(t.stats().merged_records > 0, "merges consumed records");
     for r in 0..t.range_count() as u32 {
         let unmerged = t.range_handle(r).unmerged();
         assert!(
@@ -538,8 +540,8 @@ fn merges_complete_under_saturated_scan_pool() {
 /// timestamp frozen at a writer quiesce point, `read_batch` — with
 /// duplicates and missing keys mixed into the batch — must return exactly
 /// what per-key `read_one` returns at the same snapshot, stably across
-/// repeats, while the same pool workers keep draining the per-shard merge
-/// queues underneath (the batch's epoch re-pinning is what keeps
+/// repeats, while the same pool workers keep draining the merge queue
+/// underneath (the batch's epoch re-pinning is what keeps
 /// merged-away base pages alive for the slower units).
 #[test]
 fn batched_reads_agree_under_live_writers_and_merges() {
@@ -552,7 +554,7 @@ fn batched_reads_agree_under_live_writers_and_merges() {
     let t = db
         .create_table("batchstress", &["count", "bucket"], TableConfig::small())
         .unwrap();
-    const KEYS: u64 = 768; // several small ranges per shard => real fan-out
+    const KEYS: u64 = 768; // several small ranges => real fan-out
     const WRITERS: u64 = 3;
     for k in 0..KEYS {
         t.insert_auto(k, &[1, k % 7]).unwrap();

@@ -200,14 +200,14 @@ proptest! {
         prop_assert_eq!(&answers[0], &answers[2], "scan_threads 1 vs 8");
     }
 
-    /// Key-range sharding is invisible to results: replaying one random
+    /// The insert-lane count is invisible to results: replaying one random
     /// operation sequence into databases configured with `shards` of 1, 2,
     /// and 8 produces byte-identical as-of `read_one`, `sum_as_of`,
     /// `group_by_sum`, and `scan_as_of` answers (plus `sum_cols_as_of`,
     /// `count_as_of`, and `sum_key_range` for good measure) at every
     /// recorded snapshot timestamp. Keys span several routing stripes
     /// (stripe = `TableConfig::small()`'s 256-record insert-range size) so
-    /// shard counts above 1 genuinely split the key space, and the op
+    /// lane counts above 1 genuinely fill several insert ranges, and the op
     /// replay is clock-deterministic, so snapshot timestamps coincide
     /// across all three databases.
     #[test]
@@ -235,11 +235,12 @@ proptest! {
                 (db, t)
             })
             .collect();
-        prop_assert_eq!(dbs[0].1.shard_count(), 1);
-        prop_assert_eq!(dbs[2].1.shard_count(), 8);
+        // One initial insert range per lane.
+        prop_assert_eq!(dbs[0].1.range_count(), 1);
+        prop_assert_eq!(dbs[2].1.range_count(), 8);
 
         // Replay the identical sequence into every database, recording
-        // snapshot timestamps (which must agree: sharding never changes
+        // snapshot timestamps (which must agree: the lane count never changes
         // how many clock ticks an operation consumes).
         let mut snapshots: Vec<u64> = Vec::new();
         for op in &ops {
@@ -302,25 +303,20 @@ proptest! {
             }
         }
 
-        // Writer-side bookkeeping agrees in aggregate: per-shard stats sum
-        // to the single-shard table's counters.
+        // Writer-side bookkeeping agrees with the one-lane table's.
         let flat = dbs[0].1.stats();
         for (_, t) in &dbs[1..] {
-            let mut total = lstore::stats::StatsSnapshot::default();
-            for s in 0..t.shard_count() {
-                total.absorb(&t.shard_stats(s));
-            }
-            prop_assert_eq!(total.inserts, flat.inserts);
-            prop_assert_eq!(total.updates, flat.updates);
-            prop_assert_eq!(total.deletes, flat.deletes);
-            prop_assert_eq!(t.stats().inserts, flat.inserts);
+            let stats = t.stats();
+            prop_assert_eq!(stats.inserts, flat.inserts);
+            prop_assert_eq!(stats.updates, flat.updates);
+            prop_assert_eq!(stats.deletes, flat.deletes);
         }
     }
 
     /// The unified task pool is invisible to results even with background
     /// merging enabled: replaying one random operation sequence into
     /// databases configured with `pool_threads` of 1, 2, and 8 (background merge
-    /// on, two key-range shards so two per-shard merge queues are live)
+    /// on, two insert lanes)
     /// produces byte-identical as-of `read_one`, `sum_as_of`/`sum_cols_as_of`/
     /// `count_as_of`/`group_by_sum`, and `scan_as_of` answers at every
     /// recorded snapshot timestamp. Background merges race the replay
@@ -388,7 +384,7 @@ proptest! {
             }
         }
 
-        // Quiesce the per-shard merge queues, then compare — at every
+        // Quiesce the merge queue, then compare — at every
         // snapshot and at "now" (which must also coincide).
         let nows: Vec<u64> = dbs.iter().map(|(db, t)| { db.drain_merges(); t.now() }).collect();
         prop_assert!(nows.windows(2).all(|w| w[0] == w[1]), "final clocks: {:?}", nows);

@@ -155,12 +155,12 @@ fn torn_log_tail_recovers_prefix() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Shard count is a runtime knob, not a persistence format: a WAL written
-/// by a 4-shard table replays into 2-shard (and 1-shard) databases with
-/// identical post-replay reads. Logged range ids are global — a RID never
-/// encodes the shard count — and the primary index is rebuilt through key
-/// routing, so every replayed record is reachable regardless of how many
-/// shards the recovering database runs.
+/// The insert-lane count (`DbConfig::shards`) is a runtime knob, not a
+/// persistence format: a WAL written by a 4-lane table replays into 2-lane
+/// (and 1-lane) databases with identical post-replay reads. Logged range
+/// ids are global — a RID never encodes the lane count — so every replayed
+/// record is reachable regardless of how many lanes the recovering
+/// database runs.
 #[test]
 fn replay_is_shard_count_agnostic() {
     let path = wal_path("shardcount");
@@ -175,7 +175,7 @@ fn replay_is_shard_count_agnostic() {
         let t = db
             .create_table("r", &["a", "b"], TableConfig::small())
             .unwrap();
-        assert_eq!(t.shard_count(), 4);
+        assert_eq!(t.range_count(), 4, "one insert range per lane");
         for k in 0..KEYS {
             t.insert_auto(k, &[k, 3 * k]).unwrap();
         }
@@ -205,7 +205,7 @@ fn replay_is_shard_count_agnostic() {
         .collect();
     let (_, t2) = &replayed[0];
     let (_, t1) = &replayed[1];
-    assert_eq!(t2.shard_count(), 2);
+    assert_eq!(t2.range_count(), t1.range_count(), "the logged ranges");
 
     // Identical post-replay reads through every code path.
     for k in 0..KEYS {
@@ -242,8 +242,8 @@ fn replay_is_shard_count_agnostic() {
     assert_eq!(t2.count_as_of(ts2), t1.count_as_of(ts1));
     assert_eq!(t2.scan_as_of(&[0, 1], ts2), t1.scan_as_of(&[0, 1], ts1));
 
-    // Both recovered databases accept new writes and merges, routed by
-    // their own shard maps.
+    // Both recovered databases accept new writes and merges, inserting
+    // through their own lanes.
     for (_, t) in &replayed {
         t.update_auto(1, &[(1, 777)]).unwrap();
         t.insert_auto(KEYS + 500, &[9, 9]).unwrap(); // a fresh stripe
@@ -298,21 +298,20 @@ fn recovered_table_resumes_writes_and_merges() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The CI recovery matrix drives this roundtrip across every
-/// (shards, durability) combination via `LSTORE_SHARDS` and
-/// `LSTORE_DURABILITY` — every cell must produce identical post-recovery
-/// reads. Locally (no env) it runs one representative cell.
+/// The recovery roundtrip in every (insert lanes, durability) cell: lanes
+/// {1, 2, 4} × {no fsync, group commit}. Every cell must produce identical
+/// post-recovery reads.
 #[test]
 fn recovery_roundtrip_matrix_cell() {
-    let shards: usize = std::env::var("LSTORE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let durability = match std::env::var("LSTORE_DURABILITY").as_deref() {
-        Ok("group") => Durability::group_commit(),
-        _ => Durability::None,
-    };
-    let path = wal_path(&format!("matrix-s{shards}"));
+    for shards in [1usize, 2, 4] {
+        for durability in [Durability::None, Durability::group_commit()] {
+            recovery_roundtrip(shards, durability);
+        }
+    }
+}
+
+fn recovery_roundtrip(shards: usize, durability: Durability) {
+    let path = wal_path(&format!("matrix-s{shards}-{durability:?}"));
     const KEYS: u64 = 600;
     let expected_sum: u64;
     {
@@ -373,10 +372,7 @@ fn recovery_roundtrip_matrix_cell() {
 fn crash_replay_at_every_boundary_and_tear_matches_undamaged_run() {
     const CHUNKS: usize = 6;
     const CHUNK_KEYS: u64 = 40;
-    let shards: usize = std::env::var("LSTORE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let shards = 4;
 
     // One chunk of deterministic workload: fresh inserts, updates of this
     // chunk's keys, deletes of the previous chunk's keys (each key is

@@ -73,9 +73,9 @@ fn enospc_on_writeback_surfaces_error_without_corrupting_reads() {
     // Frames the pool could not evict stay resident past the budget —
     // correctness outranks the budget when the disk is gone — and reads
     // still work afterwards.
-    let stats = t.stats();
+    let stats = db.store_stats().unwrap();
     assert!(
-        stats.pool_resident > 1,
+        stats.resident > 1,
         "dirty victims stayed resident: {stats:?}"
     );
     assert_eq!(
