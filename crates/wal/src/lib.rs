@@ -19,13 +19,20 @@
 //!
 //! Modules:
 //! * [`record`] — the binary log record format (redo, commit/abort,
-//!   operational merge records, checkpoints).
-//! * [`log`] — the engine's log, [`Wal`]: one append-only file for every
-//!   table, two commit policies, and group commit — concurrent committers
-//!   amortize fsyncs through a leader/follower cohort protocol that waits
-//!   for returning committers instead of a timer. Below it a crate-private
-//!   file writer assigns LSNs; a failed write or sync poisons it.
-//! * [`recovery`] — the log scan, in file order, that replay consumes.
+//!   operational merge records, checkpoints), and the writer's own
+//!   watermark frame (tag 8), which names an offset a sync made durable.
+//! * [`log`] — the engine's log, [`Wal`]: one file for every table, two
+//!   commit policies, and group commit — concurrent committers amortize
+//!   fsyncs through a leader/follower cohort protocol that waits for
+//!   returning committers instead of a timer. Below it a crate-private
+//!   file writer assigns LSNs; a failed write or sync poisons it. A
+//!   buffered log is appended; a group-commit log is written in place over
+//!   zeros laid down ahead of it, so a sync has no size change to journal,
+//!   and logs a watermark frame after every sync.
+//! * [`recovery`] — the log scan, in file order, that replay consumes. A
+//!   frame that does not decode is a torn tail unless a later watermark
+//!   frame names an offset above it (then it is corruption); a log without
+//!   watermark frames may only be torn in its last frame.
 
 pub mod log;
 pub mod record;

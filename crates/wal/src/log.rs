@@ -2,10 +2,11 @@
 //!
 //! A durable commit costs one enrolment and one device wait: the commit
 //! record is appended to the log and the committer waits until that LSN is
-//! durable. [`Wal`] serves every range of every table from one append-only
-//! file and amortizes fsyncs across concurrent committers with a
-//! leader/follower cohort protocol — the "sophisticated logging mechanisms
-//! such as group commits" §6.1 says a production deployment would employ.
+//! durable. [`Wal`] serves every range of every table from one file, in
+//! which no framed byte is ever rewritten, and amortizes fsyncs across
+//! concurrent committers with a leader/follower cohort protocol — the
+//! "sophisticated logging mechanisms such as group commits" §6.1 says a
+//! production deployment would employ.
 //!
 //! ## One file
 //!
@@ -33,7 +34,10 @@
 //!   publishes the durable watermark and wakes the followers, who were
 //!   parked until their LSN became durable. The fsync happens outside the
 //!   buffer lock, so the next cohort's records accumulate *during* the
-//!   device wait and its leader goes straight to the next fsync.
+//!   device wait and its leader goes straight to the next fsync. This log
+//!   is written in place over zeros laid down ahead of it, and logs the
+//!   offset each sync made durable (see `writer.rs`): only the leader's own
+//!   return waits for a zero-fill, after its followers are woken.
 //!
 //! ## The cohort rule
 //!
@@ -103,6 +107,11 @@ pub struct WalStats {
     pub leader_wait_ns: u64,
     /// Most committers one fsync released.
     pub max_cohort: u64,
+    /// Zero-fills of a group-commit log: 1 MiB of zeros written ahead of
+    /// its records after a small sync that found less than 512 KiB left.
+    pub fills: u64,
+    /// Time spent in them.
+    pub fill_ns: u64,
 }
 
 #[derive(Default)]
@@ -113,6 +122,8 @@ struct Counters {
     leader_waits: AtomicU64,
     leader_wait_ns: AtomicU64,
     max_cohort: AtomicU64,
+    fills: AtomicU64,
+    fill_ns: AtomicU64,
 }
 
 /// Group-commit state (see "The cohort rule" in the module docs).
@@ -187,7 +198,10 @@ impl Wal {
     /// Create (or truncate) the log at `path`. Sibling stream files of the
     /// older layout are removed, so recovery of the new log never refuses it.
     pub fn create(path: &Path, policy: CommitPolicy) -> WalResult<Self> {
-        let log = LogFile::create(path, FLUSH_BYTES)?;
+        let log = match policy {
+            CommitPolicy::Buffered => LogFile::create(path, FLUSH_BYTES)?,
+            CommitPolicy::GroupCommit => LogFile::create_in_place(path, FLUSH_BYTES)?,
+        };
         let mut stale = 1;
         while std::fs::remove_file(sibling(path, stale)).is_ok() {
             stale += 1;
@@ -270,6 +284,9 @@ impl Wal {
                     self.counters
                         .max_cohort
                         .fetch_max(cohort as u64, Ordering::Relaxed);
+                    drop(cohorts);
+                    self.fill();
+                    cohorts = self.cohorts.lock();
                 }
                 // The log is poisoned: whoever leads next gets the same
                 // error from it, nobody is told their commit is durable.
@@ -323,6 +340,18 @@ impl Wal {
         Ok((watermark, took))
     }
 
+    /// Zero-fill ahead of the records if the last sync found it due,
+    /// counted and timed. A failed fill poisons the log for every later
+    /// call; the commits already released stay durable.
+    fn fill(&self) {
+        let started = Instant::now();
+        if self.log.fill_if_due() {
+            self.counters.fills.fetch_add(1, Ordering::Relaxed);
+            let took = started.elapsed().as_nanos() as u64;
+            self.counters.fill_ns.fetch_add(took, Ordering::Relaxed);
+        }
+    }
+
     /// Flush the buffer to the OS.
     pub fn flush(&self) -> WalResult<()> {
         self.log.flush()
@@ -331,6 +360,7 @@ impl Wal {
     /// Flush and fsync.
     pub fn sync(&self) -> WalResult<()> {
         let (watermark, _) = self.timed_sync()?;
+        self.fill();
         let mut cohorts = self.cohorts.lock();
         cohorts.durable_lsn = cohorts.durable_lsn.max(watermark);
         Ok(())
@@ -346,6 +376,8 @@ impl Wal {
             leader_waits: c.leader_waits.load(Ordering::Relaxed),
             leader_wait_ns: c.leader_wait_ns.load(Ordering::Relaxed),
             max_cohort: c.max_cohort.load(Ordering::Relaxed),
+            fills: c.fills.load(Ordering::Relaxed),
+            fill_ns: c.fill_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -608,6 +640,123 @@ mod tests {
         assert!(wal.sync().is_err());
         assert_eq!(wal.cohorts.lock().durable_lsn, 0);
         assert!(recover(&base).unwrap().records.is_empty());
+        std::fs::remove_file(&base).ok();
+    }
+
+    #[test]
+    fn a_failed_fill_is_final() {
+        let base = temp_base("fill-poison");
+        let wal = group_commit(&base);
+        let commit = |n| LogRecord::Commit {
+            txn_id: txn(n),
+            commit_ts: n,
+        };
+        // Both records reach the file before the hook is armed, so the
+        // leader's sync has nothing to write and the first write it
+        // attempts is the zero-fill its small sync makes due.
+        let first = wal.append(&commit(1)).unwrap();
+        let second = wal.append(&commit(2)).unwrap();
+        wal.flush().unwrap();
+        wal.log.fail_next_write();
+        wal.wait_durable(first).unwrap();
+        assert_eq!(wal.stats().fills, 1, "the fill ran, and failed");
+        // The sync before the fill stands: both records are durable...
+        wal.wait_durable(second).unwrap();
+        // ...and nothing enrolled after the failed fill is acknowledged.
+        assert!(wal.commit(&commit(3)).is_err());
+        assert!(wal.append(&commit(4)).is_err());
+        assert!(wal.sync().is_err());
+        assert!(wal.flush().is_err());
+        drop(wal);
+        assert_eq!(recover(&base).unwrap().committed.len(), 2);
+        std::fs::remove_file(&base).ok();
+    }
+
+    /// A buffered log is its records, appended: no watermark frame, no
+    /// zeros, byte for byte what the records encode to.
+    #[test]
+    fn a_buffered_log_holds_its_records_and_nothing_else() {
+        let base = temp_base("buffered-bytes");
+        let wal = Wal::create(&base, CommitPolicy::Buffered).unwrap();
+        let mut expected = Vec::new();
+        for n in 1..=50 {
+            let append = tail_append(n as u32 % 4, n as u32, txn(n));
+            let commit = LogRecord::Commit {
+                txn_id: txn(n),
+                commit_ts: n,
+            };
+            wal.append(&append).unwrap();
+            wal.commit(&commit).unwrap();
+            expected.extend_from_slice(&append.encode());
+            expected.extend_from_slice(&commit.encode());
+            if n % 10 == 0 {
+                wal.sync().unwrap();
+            }
+        }
+        wal.sync().unwrap();
+        assert_eq!(std::fs::read(&base).unwrap(), expected);
+        assert_eq!(wal.stats().fills, 0);
+        std::fs::remove_file(&base).ok();
+    }
+
+    /// The fill rule by count. A group-commit log opens as a watermark of
+    /// 0 and, once synced, a second one naming it (34 bytes); every sync
+    /// that wrote records adds a 17-byte watermark frame to the next flush.
+    /// The first small sync fills 1 MiB past the records, and each later
+    /// one fills again once fewer than 512 KiB of zeros are left, so a
+    /// lone committer whose syncs end at `17 + i (r + 17)` for `i = 1..=n`
+    /// fills `ceil((D + 512 KiB) / 1 MiB)` times, `D` being the bytes its
+    /// syncs wrote after the first.
+    #[test]
+    fn small_syncs_fill_once_per_mib_and_a_bulk_load_never() {
+        const MIB: u64 = 1 << 20;
+        let base = temp_base("fill-count");
+        let wal = group_commit(&base);
+        let wide = |n: u64| LogRecord::TailAppend {
+            table_id: 0,
+            range_id: 0,
+            seq: n as u32,
+            txn_id: txn(n),
+            base_rid: 1,
+            prev_rid: 1,
+            schema_encoding: 1,
+            columns: (0..300).map(|c| (c, n)).collect(),
+        };
+        let commit = |n| LogRecord::Commit {
+            txn_id: txn(n),
+            commit_ts: n,
+        };
+        let r = (wide(1).encode().len() + commit(1).encode().len()) as u64;
+        let n = 1_000;
+        for i in 1..=n {
+            wal.append(&wide(i)).unwrap();
+            wal.commit(&commit(i)).unwrap();
+        }
+        let span = (n - 1) * (r + 17);
+        assert_eq!(wal.stats().fills, (span + MIB / 2).div_ceil(MIB));
+        assert_eq!(wal.stats().syncs, n);
+        drop(wal);
+        // Dropped cleanly: the zeros go, the last watermark frame ends it.
+        let len = std::fs::metadata(&base).unwrap().len();
+        assert_eq!(len, 17 + n * (r + 17) + 17);
+
+        // A load's commits each write more than the 1 MiB the buffer
+        // spills at, so no sync is small and none fills.
+        let wal = group_commit(&base);
+        for i in 1..=4 {
+            for row in 0..8192 {
+                let insert = LogRecord::Insert {
+                    table_id: 0,
+                    range_id: 0,
+                    slot: row,
+                    txn_id: txn(i),
+                    values: vec![i; 16],
+                };
+                wal.append(&insert).unwrap();
+            }
+            wal.commit(&commit(i)).unwrap();
+        }
+        assert_eq!(wal.stats().fills, 0);
         std::fs::remove_file(&base).ok();
     }
 }

@@ -8,10 +8,18 @@
 //! ```
 //!
 //! The checksum is a simple FNV-1a over the tag+payload — adequate for
-//! detecting torn writes (the failure mode that matters for an append-only
-//! log), not for adversarial corruption. A body whose checksum matches is
-//! still read through a bounds-checked cursor: one that is shorter or
-//! longer than its tag's fields is [`WalError::Corrupt`], never a panic.
+//! detecting torn writes (the failure mode that matters for a log whose
+//! bytes are never rewritten once framed), not for adversarial corruption.
+//! A body whose checksum matches is still read through a bounds-checked
+//! cursor: one that is shorter or longer than its tag's fields is
+//! [`WalError::Corrupt`], never a panic.
+//!
+//! Tag 8 is the writer's own *watermark frame*, never a [`LogRecord`]: a
+//! fixed 17 bytes, `len = 9 | checksum | 8 | upto: u64`, naming the byte
+//! offset below which a completed `fdatasync` made the log durable. A
+//! group-commit log opens with a watermark of 0 and logs one after every
+//! sync; recovery reads them to tell a torn tail from corruption
+//! ([`crate::recovery`]).
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -101,6 +109,10 @@ const TAG_ABORT: u8 = 4;
 const TAG_MERGE: u8 = 5;
 const TAG_HISTORIC: u8 = 6;
 const TAG_CHECKPOINT: u8 = 7;
+const TAG_WATERMARK: u8 = 8;
+
+/// Bytes in a watermark frame (see module docs).
+pub(crate) const WATERMARK_LEN: usize = 17;
 
 fn fnv1a(data: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
@@ -166,6 +178,31 @@ pub(crate) fn torn_at_end(buf: &[u8]) -> bool {
         Some((checksum, body)) => 8 + body.len() == buf.len() && fnv1a(body) != checksum,
         None => true,
     }
+}
+
+/// `body` behind its length and checksum.
+fn framed(body: &[u8]) -> Vec<u8> {
+    [
+        &(body.len() as u32).to_be_bytes(),
+        &fnv1a(body).to_be_bytes(),
+        body,
+    ]
+    .concat()
+}
+
+/// The watermark frame naming `upto` (see module docs).
+pub(crate) fn watermark(upto: u64) -> Vec<u8> {
+    framed(&[&[TAG_WATERMARK][..], &upto.to_be_bytes()].concat())
+}
+
+/// The offset named by an intact watermark frame at `at` in the log `data`,
+/// unless it names more than its own offset, which the writer never does
+/// (so a forged frame cannot vouch for bytes after it). Cheap on bytes that
+/// are not one, so recovery can try it at every offset.
+pub(crate) fn watermark_at(data: &[u8], at: usize) -> Option<u64> {
+    let frame = data.get(at..)?.first_chunk::<WATERMARK_LEN>()?;
+    let upto = u64::from_be_bytes(*frame[9..].first_chunk()?);
+    (frame[8] == TAG_WATERMARK && upto <= at as u64 && frame[..] == watermark(upto)).then_some(upto)
 }
 
 impl LogRecord {
@@ -259,11 +296,7 @@ impl LogRecord {
                 body.put_u64(*ts);
             }
         }
-        let mut framed = BytesMut::with_capacity(body.len() + 8);
-        framed.put_u32(body.len() as u32);
-        framed.put_u32(fnv1a(&body));
-        framed.extend_from_slice(&body);
-        framed.freeze()
+        framed(&body).into()
     }
 
     /// Decode one framed record from the front of `buf`. Returns the record

@@ -10,10 +10,29 @@
 //! fresh tables. File order is enough: replay writes every tail record at
 //! its logged sequence number, so neither commit records appended out of
 //! timestamp order by concurrent committers nor interleaved merge records
-//! change the result. Torn frames at the log tail end the scan cleanly;
-//! checksum failures *before* the tail are reported as corruption, and so
-//! is a frame anywhere whose checksum matches but whose body does not
-//! decode.
+//! change the result. Watermark frames are skipped; the scan ends at the
+//! first frame that does not decode, at offset `o`, which is either a torn
+//! tail (trimmed) or [`WalError::Corrupt`]:
+//!
+//! * **A log with a watermark frame** (every group-commit log) is written
+//!   over zeros, and the pages of a flush that no sync covered may land in
+//!   any order, so valid frames after `o` say nothing. The frame at `o` is
+//!   corruption exactly when an intact watermark frame anywhere after it
+//!   names an offset above `o`: those bytes were synced before that frame
+//!   was written. Otherwise it is a torn tail — or, when nothing but zeros
+//!   follows, simply the end of the log. Watermark frames are found by
+//!   trying every offset after `o`, so no length field of a damaged frame
+//!   is trusted; one naming an offset above its own position, which the
+//!   writer never logs, is not believed.
+//! * **A log with none** (every buffered log) is appended, so only its
+//!   last frame can be torn: a checksum failure before the end is
+//!   corruption, and so is a frame anywhere whose checksum matches but
+//!   whose body does not decode.
+//!
+//! The limit: a damaged frame that a sync made durable, but that no later
+//! watermark frame names, reads as a torn tail. That covers at most the
+//! flushes since the last intact watermark — what a damaged *last* frame of
+//! a buffered log has always read as.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -36,7 +55,8 @@ pub struct RecoveredState {
     pub in_flight: HashSet<u64>,
     /// Bytes of log consumed.
     pub bytes_scanned: usize,
-    /// True when a torn (incomplete) frame terminated the scan.
+    /// True when a torn (incomplete) frame terminated the scan; false when
+    /// the log ended cleanly, in zeros or at the end of the file.
     pub torn_tail: bool,
 }
 
@@ -72,6 +92,8 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
     let mut offset = 0usize;
     while offset < data.len() {
         match LogRecord::decode(&data[offset..]) {
+            // Watermark frames are the writer's, not records.
+            _ if record::watermark_at(data, offset).is_some() => offset += record::WATERMARK_LEN,
             Ok(Some((record, used))) => {
                 offset += used;
                 match record {
@@ -85,11 +107,8 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
                 }
                 state.records.push(record);
             }
-            // A checksum failure at the very tail is indistinguishable from
-            // a torn write; anything else is real corruption.
-            Err(e) if !record::torn_at_end(&data[offset..]) => return Err(e),
-            Ok(None) | Err(_) => {
-                state.torn_tail = true;
+            undecodable => {
+                state.torn_tail = ends_torn(data, offset, undecodable.err())?;
                 break;
             }
         }
@@ -104,6 +123,36 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
         .filter(|id| !state.committed.contains_key(id) && !state.aborted.contains(id))
         .collect();
     Ok(state)
+}
+
+/// Whether the frame at `at`, which did not decode (`error`, if it was not
+/// merely incomplete), is a torn tail; `false` when the log just ends in
+/// zeros there. `Err` when it is corruption (see module docs).
+fn ends_torn(data: &[u8], at: usize, error: Option<WalError>) -> WalResult<bool> {
+    // A watermark frame starts `0 0 0 9`, so none starts in trailing zeros.
+    let written = nonzero_len(data);
+    let named = (at + 1..written)
+        .filter_map(|w| record::watermark_at(data, w))
+        .max();
+    let appended = named.is_none() && record::watermark_at(data, 0).is_none();
+    match (named, error) {
+        (Some(upto), _) if upto > at as u64 => Err(WalError::Corrupt(format!(
+            "frame at byte {at} is below the synced-to offset {upto}"
+        ))),
+        // Appended: a checksum failure at the very tail is indistinguishable
+        // from a torn write; anything else is real corruption.
+        (_, Some(e)) if appended && !record::torn_at_end(&data[at..]) => Err(e),
+        _ => Ok(appended || written > at),
+    }
+}
+
+/// The length of `data` without the zeros it ends in, compared a sector at
+/// a time: a group-commit log ends in up to a MiB of them.
+fn nonzero_len(data: &[u8]) -> usize {
+    let sector = data.chunks(512).rposition(|s| s != &[0; 512][..s.len()]);
+    let end = sector.map_or(0, |i| data.len().min((i + 1) * 512));
+    let last = data[..end].iter().rposition(|&b| b != 0);
+    last.map_or(0, |last| last + 1)
 }
 
 #[cfg(test)]
@@ -230,5 +279,143 @@ mod tests {
         let state = recover_from_bytes(&[]).unwrap();
         assert!(state.records.is_empty());
         assert!(state.in_flight.is_empty());
+    }
+
+    /// A live group-commit log: cohorts of commits of assorted sizes, an
+    /// abort, explicit syncs, and the zeros ahead of the write position —
+    /// cut to one 512-byte sector of them, since the rest are alike.
+    fn group_commit_image() -> Vec<u8> {
+        use crate::{CommitPolicy, Wal};
+        let path = std::env::temp_dir().join(format!(
+            "lstore-wal-hostile-{}-{:?}.wal",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let wal = Wal::create(&path, CommitPolicy::GroupCommit).unwrap();
+        for n in 1..=24u64 {
+            let t = 1 << 63 | n;
+            for seq in 0..(n % 5) as u32 * 3 {
+                wal.append(&tail_append(t, seq)).unwrap();
+            }
+            if n % 7 == 0 {
+                wal.commit(&LogRecord::Abort { txn_id: t }).unwrap();
+                wal.sync().unwrap();
+            } else {
+                let commit = LogRecord::Commit {
+                    txn_id: t,
+                    commit_ts: n,
+                };
+                wal.commit(&commit).unwrap();
+            }
+        }
+        let mut image = std::fs::read(&path).unwrap();
+        drop(wal);
+        std::fs::remove_file(&path).ok();
+        image.truncate(nonzero_len(&image) + 512);
+        image
+    }
+
+    /// The damaged image must not panic recovery, and whatever recovery
+    /// accepts must be a prefix of what the undamaged image holds.
+    fn check(damaged: &[u8], undamaged: &[LogRecord], what: &str) {
+        if let Ok(state) = recover_from_bytes(damaged) {
+            assert!(
+                undamaged.starts_with(&state.records),
+                "{what}: recovered records that are not a prefix"
+            );
+        }
+    }
+
+    /// splitmix64: a seeded stream without a dependency.
+    fn next(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One seeded damage of `image`: a byte flip, a truncation, a zeroed
+    /// sector, a run of garbage, or a forged watermark frame naming
+    /// `u64::MAX` at a random offset.
+    fn damage(image: &[u8], seed: &mut u64) -> (Vec<u8>, String) {
+        let mut out = image.to_vec();
+        let at = next(seed) as usize % image.len();
+        let what = match next(seed) % 5 {
+            0 => {
+                out[at] ^= (next(seed) % 255 + 1) as u8;
+                format!("flip at {at}")
+            }
+            1 => {
+                out.truncate(at);
+                format!("cut at {at}")
+            }
+            2 => {
+                let sector = at / 512 * 512;
+                let end = (sector + 512).min(out.len());
+                out[sector..end].fill(0);
+                format!("sector at {sector} zeroed")
+            }
+            3 => {
+                let end = (at + 1 + next(seed) as usize % 64).min(out.len());
+                for b in &mut out[at..end] {
+                    *b = next(seed) as u8;
+                }
+                format!("garbage at {at}..{end}")
+            }
+            _ => {
+                let forged = crate::record::watermark(u64::MAX);
+                let end = (at + forged.len()).min(out.len());
+                out[at..end].copy_from_slice(&forged[..end - at]);
+                format!("forged watermark at {at}")
+            }
+        };
+        (out, what)
+    }
+
+    #[test]
+    fn hostile_bytes_in_a_group_commit_log_never_panic() {
+        let image = group_commit_image();
+        let undamaged = recover_from_bytes(&image).unwrap();
+        assert!(!undamaged.torn_tail && undamaged.committed.len() > 15);
+        let mut seed = 0x5EED_0035;
+        for _ in 0..2_000 {
+            let (damaged, what) = damage(&image, &mut seed);
+            check(&damaged, &undamaged.records, &what);
+        }
+    }
+
+    /// The exhaustive variant: every byte under every single-bit flip and
+    /// under `0xFF`, every truncation, every sector zeroed, a forged
+    /// watermark frame at every offset, and many seeds of garbage.
+    #[test]
+    #[ignore = "exhaustive; run with --ignored --release"]
+    fn hostile_bytes_in_a_group_commit_log_never_panic_exhaustive() {
+        let image = group_commit_image();
+        let undamaged = recover_from_bytes(&image).unwrap().records;
+        let forged = crate::record::watermark(u64::MAX);
+        for at in 0..image.len() {
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut damaged = image.clone();
+                damaged[at] ^= mask;
+                check(&damaged, &undamaged, &format!("{mask:#x} at {at}"));
+            }
+            check(&image[..at], &undamaged, &format!("cut at {at}"));
+            let mut damaged = image.clone();
+            let end = (at + forged.len()).min(image.len());
+            damaged[at..end].copy_from_slice(&forged[..end - at]);
+            check(&damaged, &undamaged, &format!("forged watermark at {at}"));
+        }
+        for sector in (0..image.len()).step_by(512) {
+            let mut damaged = image.clone();
+            let end = (sector + 512).min(image.len());
+            damaged[sector..end].fill(0);
+            check(&damaged, &undamaged, &format!("sector at {sector}"));
+        }
+        let mut seed = 0x5EED_0036;
+        for _ in 0..200_000 {
+            let (damaged, what) = damage(&image, &mut seed);
+            check(&damaged, &undamaged, &what);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Append-only log file with LSN assignment.
+//! The log file: LSN assignment, buffered writes, syncs.
 //!
 //! §6.1 notes that naive logging "could easily become the main bottleneck
 //! (unless sophisticated logging mechanisms such as group commits … are
@@ -8,6 +8,34 @@
 //! The commit policies, and the group-commit cohorts that amortize fsyncs
 //! across concurrent committers, live on top, in [`crate::log`].
 //!
+//! ## Writing in place
+//!
+//! An `fdatasync` of a file that grew also journals its new size, which on
+//! ext4 costs about a quarter of a small commit's sync. A log whose
+//! committers wait on syncs is therefore created *in place*: its bytes go
+//! over zeros it wrote ahead of itself, so a sync that follows a small
+//! write has no size change to commit. Such a log
+//!
+//! * opens with a watermark frame of 0, synced before the log is used, so
+//!   that every crash image of it has one;
+//! * after every sync that covered new records, buffers a watermark frame
+//!   naming the offset that sync made durable ([`crate::record`]), which
+//!   recovery needs because the pages of an unsynced flush over zeros may
+//!   land in any order;
+//! * zero-fills — writes 1 MiB of zeros at the end of the zeroed region —
+//!   when a sync finds less than `FILL_BELOW` of zeros ahead and less than
+//!   `SMALL_SYNC` written since the previous sync. The second condition
+//!   keeps a bulk load, whose large commits grow the file anyway, from
+//!   paying for zeros it would overwrite at once. The fill runs under the
+//!   buffer lock, after the sync's committers have been released
+//!   ([`LogFile::fill_if_due`]): appends wait for it once per MiB of log,
+//!   and no flush can race a write of zeros over its records;
+//! * is truncated to its write position when dropped, so a cleanly closed
+//!   log carries no zeros.
+//!
+//! A [`crate::CommitPolicy::Buffered`] log does none of this: its bytes are
+//! the records, appended, as they always were.
+//!
 //! ## A failed write poisons the log
 //!
 //! LSNs are handed out when a record enters the buffer, so a buffer that
@@ -15,15 +43,25 @@
 //! flush can fill; and on Linux an `fdatasync` retried after a failed one
 //! can succeed without the data. Either failure is therefore final: it is
 //! stored, and every later append, flush and sync returns it. No watermark
-//! is ever reported past the last sync that succeeded.
+//! is ever reported past the last sync that succeeded. A failed zero-fill
+//! is final too: the sync before it stands, nothing after it does.
 
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::record::LogRecord;
+use crate::record::{self, LogRecord};
 use crate::{WalError, WalResult};
+
+/// What one fill writes: static, so that no fill allocates or faults it in.
+static ZEROS: [u8; 1 << 20] = [0; 1 << 20];
+/// A sync fills when fewer zeros than this are left ahead...
+const FILL_BELOW: u64 = 512 << 10;
+/// ...and the log wrote less than this since the previous sync.
+const SMALL_SYNC: u64 = 64 << 10;
 
 /// What is kept of the failure that poisoned the log (an `io::Error` is
 /// not `Clone`), enough to hand an equivalent error to every later caller.
@@ -49,19 +87,23 @@ struct WalInner {
     /// LSN at or below the watermark is in the file (the invariant the
     /// group-commit coordinator's durable watermark rests on).
     next_lsn: u64,
+    /// File offset the buffer is written at.
+    pos: u64,
+    /// End of what the log has written, records or zeros.
+    end: u64,
+    /// Where the last watermark frame ends.
+    named: u64,
     /// The first write or sync failure (see module docs).
     failed: Option<Failure>,
-    /// Test hook: the next flush fails as a full device would.
+    /// Test hook: the next write — a flush or a fill — fails as a full
+    /// device would.
     #[cfg(test)]
     fail_next_write: bool,
 }
 
 impl WalInner {
     fn check(&self) -> WalResult<()> {
-        match &self.failed {
-            Some(failure) => Err(failure.error()),
-            None => Ok(()),
-        }
+        self.failed.as_ref().map_or(Ok(()), |f| Err(f.error()))
     }
 
     /// Record `error` as the log's final state (the first failure wins) and
@@ -74,22 +116,34 @@ impl WalInner {
         WalError::Io(error)
     }
 
+    /// Write `bytes` at `at`, poisoning the log if that fails (when the
+    /// log is over anyway, so `end` need not be exact).
+    fn write_at(&mut self, bytes: &[u8], at: u64) -> WalResult<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_write) {
+            return Err(self.poison(io::Error::other("injected write failure")));
+        }
+        let written = self.file.write_all_at(bytes, at);
+        self.end = self.end.max(at + bytes.len() as u64);
+        written.map_err(|e| self.poison(e))
+    }
+
     fn flush(&mut self) -> WalResult<()> {
         self.check()?;
         if self.buffer.is_empty() {
             return Ok(());
         }
-        #[cfg(test)]
-        if std::mem::take(&mut self.fail_next_write) {
-            return Err(self.poison(io::Error::other("injected write failure")));
-        }
-        let written = self.file.write_all(&self.buffer);
-        self.buffer.clear();
-        written.map_err(|e| self.poison(e))
+        // On failure the buffer's records are lost, and the log with them.
+        let mut buffer = std::mem::take(&mut self.buffer);
+        self.write_at(&buffer, self.pos)?;
+        self.pos += buffer.len() as u64;
+        buffer.clear();
+        self.buffer = buffer;
+        Ok(())
     }
 }
 
-/// One log file: assigns LSNs and appends framed records.
+/// One log file: assigns LSNs and writes framed records.
 pub(crate) struct LogFile {
     inner: Mutex<WalInner>,
     /// Duplicate handle for fsync, so durability waits never hold the
@@ -98,6 +152,11 @@ pub(crate) struct LogFile {
     sync_file: File,
     /// Flush the buffer once it reaches this many bytes.
     flush_bytes: usize,
+    /// Written in place, with watermark frames (see module docs).
+    in_place: bool,
+    /// A sync found the log due for a zero-fill; read without the lock on
+    /// every leader's way out.
+    fill_due: AtomicBool,
     path: PathBuf,
 }
 
@@ -116,14 +175,30 @@ impl LogFile {
                 file,
                 buffer: Vec::with_capacity(flush_bytes * 2),
                 next_lsn: 1,
+                pos: 0,
+                end: 0,
+                named: 0,
                 failed: None,
                 #[cfg(test)]
                 fail_next_write: false,
             }),
             sync_file,
             flush_bytes,
+            in_place: false,
+            fill_due: AtomicBool::new(false),
             path: path.to_path_buf(),
         })
+    }
+
+    /// [`LogFile::create`] for a log written in place (see module docs):
+    /// its first frame, a watermark of 0, is durable when this returns, so
+    /// that every crash image of the log has one.
+    pub(crate) fn create_in_place(path: &Path, flush_bytes: usize) -> WalResult<Self> {
+        let mut log = Self::create(path, flush_bytes)?;
+        log.in_place = true;
+        log.inner.lock().buffer.extend(record::watermark(0));
+        log.sync_watermark()?;
+        Ok(log)
     }
 
     /// Path of the log file.
@@ -158,22 +233,46 @@ impl LogFile {
     /// assigned under the same lock that orders the buffer, so the
     /// watermark is exact, not a racy snapshot).
     pub(crate) fn sync_watermark(&self) -> WalResult<u64> {
-        let watermark = {
+        let (watermark, upto) = {
             let mut inner = self.inner.lock();
             inner.flush()?;
-            inner.next_lsn - 1
+            (inner.next_lsn - 1, inner.pos)
         };
         // fsync outside the buffer lock: everything flushed above (i.e. the
         // whole watermark) is written to the inode before the call, so the
         // guarantee holds, while concurrent appends keep buffering — the
         // next cohort forms during this fsync instead of behind it.
-        match self.sync_file.sync_data() {
-            Ok(()) => Ok(watermark),
-            Err(e) => Err(self.inner.lock().poison(e)),
+        if let Err(e) = self.sync_file.sync_data() {
+            return Err(self.inner.lock().poison(e));
         }
+        // The watermark frame goes ahead of whatever was appended during
+        // the fsync, so the next sync names those records, and a sync that
+        // wrote nothing past this frame logs no other.
+        let mut inner = self.inner.lock();
+        if self.in_place && upto > inner.named {
+            let due = upto - inner.named < SMALL_SYNC && inner.end - inner.pos < FILL_BELOW;
+            self.fill_due.store(due, Ordering::Relaxed);
+            inner.buffer.splice(..0, record::watermark(upto));
+            inner.named = inner.pos + record::WATERMARK_LEN as u64;
+        }
+        Ok(watermark)
     }
 
-    /// Make the next flush fail the way a full device does.
+    /// Zero-fill when the last sync found the log due (see module docs);
+    /// whether it did. A failure poisons the log: the syncs before it
+    /// stand, and every later call returns it.
+    pub(crate) fn fill_if_due(&self) -> bool {
+        if !self.fill_due.swap(false, Ordering::Relaxed) {
+            return false;
+        }
+        let mut inner = self.inner.lock();
+        let end = inner.end;
+        let _ = inner.write_at(&ZEROS, end);
+        true
+    }
+
+    /// Make the next write, a flush or a fill, fail the way a full device
+    /// does.
     #[cfg(test)]
     pub(crate) fn fail_next_write(&self) {
         self.inner.lock().fail_next_write = true;
@@ -182,7 +281,9 @@ impl LogFile {
 
 impl Drop for LogFile {
     fn drop(&mut self) {
-        let _ = self.inner.lock().flush();
+        let mut inner = self.inner.lock();
+        let _ = inner.flush();
+        let _ = inner.file.set_len(inner.pos);
     }
 }
 

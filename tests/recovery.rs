@@ -512,3 +512,199 @@ fn an_old_layout_log_is_refused_until_the_log_is_created_anew() {
     assert!(lstore_wal::recover(&path).unwrap().records.is_empty());
     std::fs::remove_file(&path).ok();
 }
+
+/// Crash images of a group-commit log, enumerated. The log is written in
+/// place over zeros, so the 512-byte sectors of a flush that no sync has
+/// covered yet may reach the disk in any order. One committer runs
+/// transactions of assorted sizes; each returned commit is one flush and
+/// one `fdatasync`, and the file image is kept after each. At every such
+/// boundary, images are built in which each sector of the next flush has
+/// landed or is still zeros (every subset up to 4 sectors; otherwise none,
+/// all, and each single hole), and in which the next flush is torn after
+/// every byte of its first frame. Each must recover every commit
+/// acknowledged before the boundary, none acknowledged later than the
+/// next, and replay to the reads of an undamaged run of what it recovered.
+/// Finally, a byte flipped in any frame below the offset the last
+/// watermark frame names is corruption, never a shorter state.
+#[test]
+fn group_commit_crash_images_keep_every_acknowledged_commit() {
+    use lstore_wal::recovery::recover_from_bytes;
+    const COHORTS: usize = 14;
+    const SECTOR: usize = 512;
+
+    // Cohort `c`: one transaction inserting fresh keys, updating some of
+    // its own and of the previous cohort's; sizes cycle through 1 to 5
+    // sectors of log.
+    fn keys_of(c: usize) -> std::ops::Range<u64> {
+        let lo: u64 = (0..c).map(|c| 4 * (c as u64 % 6 + 1)).sum();
+        lo..lo + 4 * (c as u64 % 6 + 1)
+    }
+    fn apply_cohort(db: &Database, t: &Table, c: usize) -> u64 {
+        let mut txn = db.begin();
+        for k in keys_of(c) {
+            t.insert(&mut txn, k, &[k, 3 * k]).unwrap();
+        }
+        for k in keys_of(c).step_by(3) {
+            t.update(&mut txn, k, &[(0, k + 500)]).unwrap();
+        }
+        if c > 0 {
+            for k in keys_of(c - 1).step_by(2) {
+                t.update(&mut txn, k, &[(1, k + c as u64)]).unwrap();
+            }
+        }
+        db.commit(&mut txn).unwrap();
+        txn.id
+    }
+    fn fresh() -> (std::sync::Arc<Database>, std::sync::Arc<Table>) {
+        let db = Database::new(DbConfig::deterministic());
+        let t = db
+            .create_table("r", &["a", "b"], TableConfig::small())
+            .unwrap();
+        (db, t)
+    }
+    // Every key any cohort writes; one not inserted yet reads as `None`.
+    let reads = |t: &Table| -> Vec<_> {
+        (0..keys_of(COHORTS).start)
+            .map(|k| {
+                let request = ReadRequest::latest(k).with_columns(vec![0, 1]);
+                t.read_one(&request).ok().map(|r| r.values)
+            })
+            .collect()
+    };
+
+    let path = wal_path("group-commit-images");
+    // The file after creation, then after each cohort returned.
+    let mut images = Vec::new();
+    let mut acked = Vec::new();
+    {
+        let db = Database::new(
+            DbConfig::deterministic()
+                .with_wal_path(path.clone())
+                .with_durability(Durability::group_commit()),
+        );
+        let t = db
+            .create_table("r", &["a", "b"], TableConfig::small())
+            .unwrap();
+        images.push(std::fs::read(&path).unwrap());
+        for c in 0..COHORTS {
+            acked.push(apply_cohort(&db, &t, c));
+            images.push(std::fs::read(&path).unwrap());
+        }
+        assert_eq!(db.wal_stats().unwrap().syncs, COHORTS as u64);
+    }
+    std::fs::remove_file(&path).ok();
+
+    // Reads of an undamaged run of the first `n` cohorts.
+    let oracles: Vec<_> = (0..=COHORTS)
+        .map(|n| {
+            let (db, t) = fresh();
+            for c in 0..n {
+                apply_cohort(&db, &t, c);
+            }
+            (reads(&t), t.sum_auto(0), t.scan_as_of(&[0, 1], t.now()))
+        })
+        .collect();
+
+    let mut checked = 0;
+    for k in 0..COHORTS {
+        let len = images[k].len().max(images[k + 1].len());
+        let mut before = images[k].clone();
+        let mut after = images[k + 1].clone();
+        before.resize(len, 0);
+        after.resize(len, 0);
+        // Where the next flush starts: the image ends there in zeros.
+        let start = recover_from_bytes(&before).unwrap().bytes_scanned;
+        assert!(before[start..].iter().all(|&b| b == 0), "boundary {k}");
+        let sectors: Vec<usize> = (0..len.div_ceil(SECTOR))
+            .filter(|s| {
+                let r = s * SECTOR..((s + 1) * SECTOR).min(len);
+                before[r.clone()] != after[r]
+            })
+            .collect();
+        let landed = |set: &dyn Fn(usize) -> bool| {
+            let mut image = before.clone();
+            for (i, s) in sectors.iter().enumerate() {
+                if set(i) {
+                    let r = s * SECTOR..((s + 1) * SECTOR).min(len);
+                    image[r.clone()].copy_from_slice(&after[r]);
+                }
+            }
+            image
+        };
+        let mut crash_images = Vec::new();
+        if sectors.len() <= 4 {
+            for subset in 0..1usize << sectors.len() {
+                crash_images.push(landed(&|i| subset >> i & 1 == 1));
+            }
+        } else {
+            crash_images.push(landed(&|_| false));
+            crash_images.push(landed(&|_| true));
+            for hole in 0..sectors.len() {
+                crash_images.push(landed(&|i| i != hole));
+            }
+        }
+        let first_frame =
+            8 + u32::from_be_bytes(after[start..start + 4].try_into().unwrap()) as usize;
+        for tear in 0..=first_frame {
+            let mut image = before.clone();
+            image[start..start + tear].copy_from_slice(&after[start..start + tear]);
+            crash_images.push(image);
+        }
+
+        for (i, image) in crash_images.iter().enumerate() {
+            let state = recover_from_bytes(image)
+                .unwrap_or_else(|e| panic!("boundary {k}, image {i}: {e}"));
+            let n = state.committed.len();
+            assert!(n == k || n == k + 1, "boundary {k}, image {i}: {n} commits");
+            for id in &acked[..n] {
+                assert!(state.committed.contains_key(id), "boundary {k}, image {i}");
+            }
+            let (_db, t) = fresh();
+            t.replay(&state).unwrap();
+            let (expect, sum, scan) = &oracles[n];
+            assert!(&reads(&t) == expect, "reads at boundary {k}, image {i}");
+            assert_eq!(t.sum_auto(0), *sum, "boundary {k}, image {i}");
+            assert!(
+                &t.scan_as_of(&[0, 1], t.now()) == scan,
+                "scan at boundary {k}, image {i}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 20 * COHORTS, "{checked} crash images");
+
+    // Damage below the offset the last watermark frame names is refused.
+    let image = &images[COHORTS];
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at + 8 < image.len() && image[at..at + 8] != [0; 8] {
+        let len = 8 + u32::from_be_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+        frames.push((at, len));
+        at += len;
+    }
+    let synced = frames
+        .iter()
+        .filter(|&&(at, len)| len == 17 && image[at + 8] == 8)
+        .map(|&(at, _)| u64::from_be_bytes(image[at + 9..at + 17].try_into().unwrap()))
+        .max()
+        .unwrap() as usize;
+    let below: Vec<_> = frames.iter().filter(|&&(at, _)| at < synced).collect();
+    assert!(
+        below.len() > 3 * COHORTS,
+        "{} frames below {synced}",
+        below.len()
+    );
+    for &&(at, len) in &below {
+        for byte in [at, at + 5, at + len / 2, at + len - 1] {
+            let mut damaged = image.clone();
+            damaged[byte] ^= 0x5A;
+            assert!(
+                matches!(
+                    recover_from_bytes(&damaged),
+                    Err(lstore_wal::WalError::Corrupt(_))
+                ),
+                "a flipped byte at {byte}, in the frame at {at}, was not refused"
+            );
+        }
+    }
+}
