@@ -19,6 +19,14 @@
 //! the pages and are skipped by the TPS watermark during merges). Because
 //! base pages are immutable, checkpointing reads only stable data and never
 //! blocks transactions — the same contention-free argument as the merge.
+//!
+//! A crash mid-checkpoint restores the previous checkpoint, never a
+//! manifest without its pages. Two rules see to that. The **sync
+//! barrier**: the pages are synced before the manifest is appended, so no
+//! crash image holds the manifest without them. The **manifest
+//! fallback**: the store's open passes over a manifest record whose image
+//! fails its checksum (torn before the final sync) and keeps the record
+//! before it under the same id.
 
 use std::sync::Arc;
 
@@ -72,15 +80,17 @@ impl Table {
 
     /// Checkpoint this table *into the page store*: persist every merged
     /// range's base pages (pages the merge already sealed are just written
-    /// back if still dirty — no second copy) and publish one manifest page
-    /// under the table's reserved id, then flush + fsync the store file.
+    /// back if still dirty — no second copy), fsync them, and publish one
+    /// manifest page under the table's reserved id, then flush + fsync the
+    /// store file.
     ///
     /// Manifest layout (a plain page of u64 cells):
     /// `[version, n_ranges, n_data_columns]`, then per range
     /// `[range_id, tps, len, persisted]` followed — when `persisted` — by
     /// the store ids of the data pages and the three meta pages. The
-    /// manifest is appended last, so a crash mid-checkpoint leaves the
-    /// previous manifest (and every page id it references) intact.
+    /// manifest is appended after its pages are durable, so a crash
+    /// mid-checkpoint leaves the previous manifest (and every page id it
+    /// references) intact (see the module docs).
     ///
     /// Requires [`crate::DbConfig::with_page_store`]. Ranges still in
     /// their insert phase have no read-only pages yet and are skipped —
@@ -126,6 +136,8 @@ impl Table {
                 }
             }
         }
+        // The pages are durable before the manifest naming them is written.
+        store.sync()?;
         store.put_page(store_manifest_id(self.id), &BasePage::plain(manifest))?;
         store.flush()?;
         Ok(report)

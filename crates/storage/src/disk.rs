@@ -304,6 +304,24 @@ impl Reader<'_> {
     }
 }
 
+/// Whether `start` — the first block of a stored record's `len`-byte
+/// payload, or all of it when shorter — begins page `id`'s image: a header
+/// this build reads, a length an image can have, and the first block's
+/// checksum. The page store asks it of every record before indexing it,
+/// so that a record a crash tore, or whose header landed half and names
+/// another page, ends the scan. A `first` record whose header is not
+/// zeros (torn) but not one this build reads either is an `Err` naming
+/// it: the file is not this build's.
+pub(crate) fn starts_image(id: u64, len: usize, start: &[u8], first: bool) -> StorageResult<bool> {
+    if let Err(e) = check_header(start) {
+        let torn = start.iter().take(4).all(|&b| b == 0);
+        return if first && !torn { Err(e) } else { Ok(false) };
+    }
+    let total = len / 8;
+    let words = total - total.div_ceil(BLOCK_DATA + 1);
+    Ok(words >= 2 && image_bytes(words) == len && Blocks::check(id, words, 0, start).is_ok())
+}
+
 /// Deserialize page `id`'s image produced by [`encode_image`]. Anything
 /// else — damaged, truncated, foreign, another page's, or well-summed but
 /// structurally impossible — is [`StorageError::Corrupt`].

@@ -20,6 +20,9 @@
 //!   page file behind a capacity-budgeted buffer pool with
 //!   clock/second-chance eviction, so datasets outgrow RAM while readers
 //!   stay oblivious to page residency.
+//! * **One I/O seam** ([`io`]) — the `File` and `Fs` traits every file
+//!   call of the log and the page store goes through, with the OS behind
+//!   them in production and an in-memory `FaultFs` in tests.
 //!
 //! All value cells are `u64`; the paper's implicit special null ∅ is
 //! represented by [`NULL_VALUE`].
@@ -28,6 +31,7 @@ pub mod compress;
 pub mod disk;
 pub mod epoch;
 pub mod error;
+pub mod io;
 pub mod page;
 pub mod store;
 pub mod tail;

@@ -9,22 +9,28 @@
 //! ```
 //!
 //! [`StoreFile::open`] scans records from the start and stops at the first
-//! torn or unrecognizable one: the logical end is wherever the valid prefix
-//! ends, and the next append overwrites any torn tail. The end offset only
-//! advances after a record is completely written, so a failed append
-//! (short write, `ENOSPC`) leaves the previous contents untouched.
+//! torn or unrecognizable one — one whose payload does not begin with its
+//! page's image, first block checksum included: the logical end is
+//! wherever the valid prefix ends, and the next append overwrites any torn
+//! tail. The end offset only advances after a record is completely
+//! written, so a failed append (short write, `ENOSPC`) leaves the previous
+//! contents untouched: the next append overwrites the partial record, and
+//! a reopen indexes only the records that were whole. All of it goes
+//! through one [`crate::io::File`] handle, which the store's
+//! [`crate::io::Fs`] opened.
 //!
 //! Re-appending a record under an existing id supersedes the earlier one —
 //! the in-memory index keeps the latest offset per id; the file grows until
 //! the store is compacted by rewriting it (a checkpoint into a fresh path).
 
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::disk::{starts_image, BLOCK_BYTES};
 use crate::error::{StorageError, StorageResult};
+use crate::io::{File, Fs};
 
 const RECORD_MAGIC: &[u8; 4] = b"LSPR";
 const HEADER_LEN: u64 = 4 + 8 + 4;
@@ -37,38 +43,34 @@ pub(crate) type RecordDirectory = Vec<(u64, u64, u32)>;
 /// An open page-store file. Appends serialize on the end offset; reads go
 /// straight through positioned I/O and never block appends.
 pub(crate) struct StoreFile {
-    file: File,
+    file: Arc<dyn File>,
     /// One past the last complete record.
     end: Mutex<u64>,
 }
 
 impl StoreFile {
-    /// Open (creating if absent) the store file at `path` and scan its
-    /// record directory: `(page id, payload offset, payload len)` in file
-    /// order, truncated at the first torn record.
-    pub(crate) fn open(path: &Path) -> StorageResult<(StoreFile, RecordDirectory)> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let len = file.metadata()?.len();
+    /// Open (creating if absent) the store file at `path` in `fs` and scan
+    /// its record directory: `(page id, payload offset, payload len)` in
+    /// file order, truncated at the first torn record.
+    pub(crate) fn open(fs: &dyn Fs, path: &Path) -> StorageResult<(StoreFile, RecordDirectory)> {
+        let file = fs.open(path)?;
+        let len = file.len()?;
         let mut entries = Vec::new();
         let mut off = 0u64;
         let mut header = [0u8; HEADER_LEN as usize];
-        while off + HEADER_LEN <= len {
-            if file.read_exact_at(&mut header, off).is_err() {
+        let mut start = [0u8; BLOCK_BYTES];
+        while off + HEADER_LEN <= len && file.read_at(&mut header, off).is_ok() {
+            let Some((id, payload_len)) = parse_header(&header) else {
                 break;
-            }
-            if &header[..4] != RECORD_MAGIC {
-                break;
-            }
-            let id = u64::from_be_bytes(header[4..12].try_into().expect("header slice"));
-            let payload_len = u32::from_be_bytes(header[12..16].try_into().expect("header slice"));
+            };
             let payload_off = off + HEADER_LEN;
             if payload_off + payload_len as u64 > len {
                 break; // torn tail: the payload never finished writing
+            }
+            let start = &mut start[..(payload_len as usize).min(BLOCK_BYTES)];
+            file.read_at(start, payload_off)?;
+            if !starts_image(id, payload_len as usize, start, off == 0)? {
+                break; // torn, or a header that landed half names another page
             }
             entries.push((id, payload_off, payload_len));
             off = payload_off + payload_len as u64;
@@ -94,8 +96,8 @@ impl StoreFile {
         header[..4].copy_from_slice(RECORD_MAGIC);
         header[4..12].copy_from_slice(&id.to_be_bytes());
         header[12..16].copy_from_slice(&payload_len.to_be_bytes());
-        self.file.write_all_at(&header, off)?;
-        self.file.write_all_at(payload, off + HEADER_LEN)?;
+        self.file.write_at(&header, off)?;
+        self.file.write_at(payload, off + HEADER_LEN)?;
         *end = off + HEADER_LEN + payload_len as u64;
         Ok((off + HEADER_LEN, payload_len))
     }
@@ -109,7 +111,7 @@ impl StoreFile {
 
     /// Fill `buf` from the file at `off` (part of a payload).
     pub(crate) fn read_into(&self, off: u64, buf: &mut [u8]) -> StorageResult<()> {
-        self.file.read_exact_at(buf, off)?;
+        self.file.read_at(buf, off)?;
         Ok(())
     }
 
@@ -118,6 +120,15 @@ impl StoreFile {
         self.file.sync_all()?;
         Ok(())
     }
+}
+
+/// A record header's page id and payload length; `None` when it does not
+/// start with the record magic.
+fn parse_header(header: &[u8; HEADER_LEN as usize]) -> Option<(u64, u32)> {
+    let (magic, rest) = header.split_first_chunk::<4>()?;
+    let (id, rest) = rest.split_first_chunk::<8>()?;
+    let (len, _) = rest.split_first_chunk::<4>()?;
+    (magic == RECORD_MAGIC).then(|| (u64::from_be_bytes(*id), u32::from_be_bytes(*len)))
 }
 
 impl std::fmt::Debug for StoreFile {

@@ -4,9 +4,11 @@
 //! The paper assumes base pages live in a storage hierarchy, not
 //! permanently in RAM; this module is that hierarchy's bottom layer. A
 //! [`PageStore`] owns one append-only page file (codec-native page images,
-//! [`crate::disk`], framed as `LSPR` records, see `store/file.rs`) plus a
-//! buffer pool of frames with clock/second-chance eviction over the
-//! resident ones. The rest of the engine holds pages through [`PagePtr`]:
+//! [`crate::disk`], framed as `LSPR` records, see `store/file.rs`), opened
+//! through an [`crate::io::Fs`] — the operating system's, or a test's
+//! in-memory one — plus a buffer pool of frames with clock/second-chance
+//! eviction over the resident ones. The rest of the engine holds pages
+//! through [`PagePtr`]:
 //!
 //! * [`PagePtr::Resident`] — a plain `Arc<BasePage>`, heap-resident
 //!   forever. The only variant when no store is configured; the default
@@ -48,8 +50,9 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::compress::Compressed;
-use crate::disk::{check_header, decode_image, encode_image, Layout, BLOCK_BYTES, MAX_PAGE_CELLS};
+use crate::disk::{decode_image, encode_image, Layout, BLOCK_BYTES, MAX_PAGE_CELLS};
 use crate::error::{StorageError, StorageResult};
+use crate::io::{Fs, OsFs};
 use crate::page::BasePage;
 
 use file::StoreFile;
@@ -79,22 +82,33 @@ pub struct PageStore {
 
 impl PageStore {
     /// Open (creating if absent) a page store at `path` with a pool budget
-    /// of `budget` frames (`None` = unbounded). Existing records are
-    /// indexed; a torn tail from a crash is ignored and overwritten by the
-    /// next append. A file whose first record is not an image this build
-    /// reads — one written in the old `LSPG` format, say — is refused here
-    /// with [`StorageError::Corrupt`] rather than at the first fault, which
-    /// has no way to fail.
+    /// of `budget` frames (`None` = unbounded): [`PageStore::open_in`] the
+    /// operating system's files.
     pub fn open(path: &Path, budget: Option<usize>) -> StorageResult<Arc<PageStore>> {
-        let (file, entries) = StoreFile::open(path)?;
-        if let Some(&(_, off, len)) = entries.first() {
-            check_header(&file.read(off, len.min(8))?)?;
-        }
+        Self::open_in(&OsFs, path, budget)
+    }
+
+    /// Open (creating if absent) a page store at `path` in `fs`. Existing
+    /// records are indexed; a torn tail from a crash is ignored and
+    /// overwritten by the next append. A manifest record whose image fails
+    /// its checksum — torn by a crash before its sync — is passed over, so
+    /// its id keeps the record before it. A file whose first record is not
+    /// an image this build reads — one written in the old `LSPG` format,
+    /// say — is refused here with [`StorageError::Corrupt`] rather than at
+    /// the first fault, which has no way to fail.
+    pub fn open_in(
+        fs: &dyn Fs,
+        path: &Path,
+        budget: Option<usize>,
+    ) -> StorageResult<Arc<PageStore>> {
+        let (file, entries) = StoreFile::open(fs, path)?;
         let mut index = HashMap::new();
         let mut next_id = 0u64;
         for (id, off, len) in entries {
             if id & MANIFEST_ID_BASE == 0 {
                 next_id = next_id.max(id + 1);
+            } else if decode_image(id, &file.read(off, len)?).is_err() {
+                continue;
             }
             // Later records supersede earlier ones under the same id.
             index.insert(id, (off, len));
@@ -588,6 +602,7 @@ impl fmt::Debug for PageRead<'_> {
 mod tests {
     use super::*;
     use crate::compress::CodecChoice;
+    use crate::io::{Fault, FaultFs};
     use std::fs::OpenOptions;
 
     fn temp_store_path(tag: &str) -> std::path::PathBuf {
@@ -748,11 +763,9 @@ mod tests {
 
     #[test]
     fn writeback_failure_keeps_frames_resident_and_sticky_error() {
-        if !std::path::Path::new("/dev/full").exists() {
-            eprintln!("skipping: /dev/full not available");
-            return;
-        }
-        let store = PageStore::open(std::path::Path::new("/dev/full"), Some(1)).unwrap();
+        let fs = FaultFs::new();
+        fs.fail(1, Fault::Full);
+        let store = PageStore::open_in(&fs, Path::new("full.lspr"), Some(1)).unwrap();
         let a = store.seal(page(1, 64));
         let b = store.seal(page(2, 64));
         // Budget 1 with two dirty frames: eviction tried a writeback and
@@ -767,6 +780,51 @@ mod tests {
         // The error is surfaced exactly once, as a stable Error.
         let err = store.flush().expect_err("flush must surface ENOSPC");
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
+    }
+
+    /// A manifest torn by a crash — a later block of its image lost, the
+    /// first intact — is passed over at open for the record before it.
+    #[test]
+    fn a_torn_manifest_falls_back_to_the_one_before() {
+        let (fs, path) = (FaultFs::new(), Path::new("manifest.lspr"));
+        let id = MANIFEST_ID_BASE | 1;
+        let manifest = |seed: u64| BasePage::plain((0..300).map(|i| seed * 1000 + i).collect());
+        let store = PageStore::open_in(&fs, path, None).unwrap();
+        store.put_page(id, &manifest(1)).unwrap();
+        store.sync().unwrap();
+        store.put_page(id, &manifest(2)).unwrap();
+        let mut fell_back = 0;
+        for crash in fs.crash() {
+            let read = PageStore::open_in(&crash.fs, path, None)
+                .unwrap()
+                .read_page(id);
+            let read = read.unwrap().decode();
+            assert!(read == manifest(1).decode() || read == manifest(2).decode());
+            fell_back += usize::from(read == manifest(1).decode());
+        }
+        assert!(fell_back > 1, "{fell_back} images fell back");
+    }
+
+    /// A short write on an append leaves the end offset where it was: the
+    /// next append overwrites the partial record, and a reopen indexes
+    /// only the records that were whole.
+    #[test]
+    fn a_short_append_is_overwritten_and_never_indexed() {
+        let (fs, path) = (FaultFs::new(), Path::new("short.lspr"));
+        let store = PageStore::open_in(&fs, path, None).unwrap();
+        store.put_page(1, &page(1, 100)).unwrap();
+        let end = fs.contents(path).unwrap().len();
+        // The next append's second write, its payload, lands half.
+        fs.fail(fs.calls() + 2, Fault::Short);
+        assert!(store.put_page(2, &page(2, 100)).is_err());
+        assert!(fs.contents(path).unwrap().len() > end, "part of it landed");
+        assert!(!store.contains(2));
+        store.put_page(3, &page(3, 100)).unwrap();
+        let image = encode_image(3, page(3, 100).compressed());
+        assert_eq!(fs.contents(path).unwrap().len(), end + 16 + image.len());
+        let store = PageStore::open_in(&fs, path, None).unwrap();
+        assert!(store.contains(1) && store.contains(3) && !store.contains(2));
+        assert_eq!(store.read_page(3).unwrap().decode(), page(3, 100).decode());
     }
 
     #[test]

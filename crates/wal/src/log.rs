@@ -64,6 +64,7 @@
 //! condvar costs about half an fsync on the boxes measured (see
 //! `docs/BENCHMARKS.md`, anomaly 8).
 
+use lstore_storage::io::Fs;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,15 +196,16 @@ pub(crate) fn sibling(path: &Path, index: usize) -> PathBuf {
 }
 
 impl Wal {
-    /// Create (or truncate) the log at `path`. Sibling stream files of the
-    /// older layout are removed, so recovery of the new log never refuses it.
-    pub fn create(path: &Path, policy: CommitPolicy) -> WalResult<Self> {
+    /// Create (or truncate) the log at `path` in `fs`. Sibling stream files
+    /// of the older layout are removed, so recovery of the new log never
+    /// refuses it.
+    pub fn create(fs: &dyn Fs, path: &Path, policy: CommitPolicy) -> WalResult<Self> {
         let log = match policy {
-            CommitPolicy::Buffered => LogFile::create(path, FLUSH_BYTES)?,
-            CommitPolicy::GroupCommit => LogFile::create_in_place(path, FLUSH_BYTES)?,
+            CommitPolicy::Buffered => LogFile::create(fs, path, FLUSH_BYTES)?,
+            CommitPolicy::GroupCommit => LogFile::create_in_place(fs, path, FLUSH_BYTES)?,
         };
         let mut stale = 1;
-        while std::fs::remove_file(sibling(path, stale)).is_ok() {
+        while fs.remove(&sibling(path, stale)).is_ok() {
             stale += 1;
         }
         Ok(Wal {
@@ -386,6 +388,8 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::recover;
+    use crate::recovery::recover_from_bytes;
+    use lstore_storage::io::{Fault, FaultFs, OsFs};
     use std::sync::{Arc, Barrier};
 
     fn temp_base(name: &str) -> PathBuf {
@@ -395,7 +399,23 @@ mod tests {
     }
 
     fn group_commit(base: &Path) -> Wal {
-        Wal::create(base, CommitPolicy::GroupCommit).unwrap()
+        Wal::create(&OsFs, base, CommitPolicy::GroupCommit).unwrap()
+    }
+
+    const LOG: &str = "test.wal";
+
+    /// A group-commit log in memory, and what its file holds.
+    fn in_memory() -> (FaultFs, Wal) {
+        let fs = FaultFs::new();
+        let wal = Wal::create(&fs, Path::new(LOG), CommitPolicy::GroupCommit).unwrap();
+        (fs, wal)
+    }
+
+    fn commit(n: u64) -> LogRecord {
+        LogRecord::Commit {
+            txn_id: txn(n),
+            commit_ts: n,
+        }
     }
 
     fn txn(n: u64) -> u64 {
@@ -442,7 +462,7 @@ mod tests {
     #[test]
     fn every_range_logs_to_the_base_file() {
         let base = temp_base("onefile");
-        let wal = Wal::create(&base, CommitPolicy::Buffered).unwrap();
+        let wal = Wal::create(&OsFs, &base, CommitPolicy::Buffered).unwrap();
         for range in 0..3 {
             wal.append(&tail_append(range, 1, txn(1))).unwrap();
         }
@@ -461,16 +481,15 @@ mod tests {
 
     #[test]
     fn create_removes_sibling_streams_of_the_old_layout() {
-        let base = temp_base("stale");
+        let (fs, base) = (FaultFs::new(), Path::new(LOG));
         for i in 1..3 {
-            std::fs::write(sibling(&base, i), b"left by an older build").unwrap();
+            fs.create(&sibling(base, i)).unwrap();
         }
-        let _wal = Wal::create(&base, CommitPolicy::Buffered).unwrap();
+        let _wal = Wal::create(&fs, base, CommitPolicy::Buffered).unwrap();
         assert!(
-            !sibling(&base, 1).exists() && !sibling(&base, 2).exists(),
+            !fs.exists(&sibling(base, 1)) && !fs.exists(&sibling(base, 2)),
             "re-create must not leave old-layout streams for recovery to refuse"
         );
-        std::fs::remove_file(&base).ok();
     }
 
     #[test]
@@ -617,16 +636,11 @@ mod tests {
 
     #[test]
     fn a_failed_write_is_not_acknowledged_to_the_followers() {
-        let base = temp_base("poison");
-        let wal = group_commit(&base);
+        let (fs, wal) = in_memory();
         // Two commit records buffered, two committers about to wait.
-        let commit = |n| LogRecord::Commit {
-            txn_id: txn(n),
-            commit_ts: n,
-        };
         let first = wal.append(&commit(1)).unwrap();
         let second = wal.append(&commit(2)).unwrap();
-        wal.log.fail_next_write();
+        fs.fail(fs.calls() + 1, Fault::Full);
         assert!(wal.wait_durable(first).is_err());
         // The buffer holding both records is lost. The next leader's flush
         // has nothing to write and its fsync succeeds — it must still not
@@ -639,25 +653,52 @@ mod tests {
         assert!(wal.append(&commit(4)).is_err());
         assert!(wal.sync().is_err());
         assert_eq!(wal.cohorts.lock().durable_lsn, 0);
-        assert!(recover(&base).unwrap().records.is_empty());
-        std::fs::remove_file(&base).ok();
+        let log = fs.contents(Path::new(LOG)).unwrap();
+        assert!(recover_from_bytes(&log).unwrap().records.is_empty());
+    }
+
+    /// A failed `fdatasync` is final: on Linux a retried one can succeed
+    /// without the data. Every committer of the cohort it was to release —
+    /// the leader and each follower — gets the error, and so does every
+    /// later call.
+    #[test]
+    fn a_failed_sync_fails_its_whole_cohort_and_every_later_call() {
+        let (fs, wal) = in_memory();
+        let wal = Arc::new(wal);
+        fs.fail(fs.calls() + 1, Fault::Eio);
+        let in_step = Arc::new(Barrier::new(4));
+        let committers: Vec<_> = (1..=4)
+            .map(|n| {
+                let (wal, in_step) = (Arc::clone(&wal), Arc::clone(&in_step));
+                std::thread::spawn(move || {
+                    in_step.wait();
+                    wal.commit(&commit(n))
+                })
+            })
+            .collect();
+        for committer in committers {
+            assert!(
+                committer.join().unwrap().is_err(),
+                "a commit was acknowledged past a failed sync"
+            );
+        }
+        assert_eq!(wal.cohorts.lock().durable_lsn, 0);
+        assert!(wal.commit(&commit(5)).is_err());
+        assert!(wal.append(&commit(6)).is_err());
+        assert!(wal.sync().is_err());
+        assert!(wal.flush().is_err());
     }
 
     #[test]
     fn a_failed_fill_is_final() {
-        let base = temp_base("fill-poison");
-        let wal = group_commit(&base);
-        let commit = |n| LogRecord::Commit {
-            txn_id: txn(n),
-            commit_ts: n,
-        };
-        // Both records reach the file before the hook is armed, so the
+        let (fs, wal) = in_memory();
+        // Both records reach the file before the fault is armed, so the
         // leader's sync has nothing to write and the first write it
         // attempts is the zero-fill its small sync makes due.
         let first = wal.append(&commit(1)).unwrap();
         let second = wal.append(&commit(2)).unwrap();
         wal.flush().unwrap();
-        wal.log.fail_next_write();
+        fs.fail(fs.calls() + 1, Fault::Full);
         wal.wait_durable(first).unwrap();
         assert_eq!(wal.stats().fills, 1, "the fill ran, and failed");
         // The sync before the fill stands: both records are durable...
@@ -668,8 +709,8 @@ mod tests {
         assert!(wal.sync().is_err());
         assert!(wal.flush().is_err());
         drop(wal);
-        assert_eq!(recover(&base).unwrap().committed.len(), 2);
-        std::fs::remove_file(&base).ok();
+        let log = fs.contents(Path::new(LOG)).unwrap();
+        assert_eq!(recover_from_bytes(&log).unwrap().committed.len(), 2);
     }
 
     /// A buffered log is its records, appended: no watermark frame, no
@@ -677,7 +718,7 @@ mod tests {
     #[test]
     fn a_buffered_log_holds_its_records_and_nothing_else() {
         let base = temp_base("buffered-bytes");
-        let wal = Wal::create(&base, CommitPolicy::Buffered).unwrap();
+        let wal = Wal::create(&OsFs, &base, CommitPolicy::Buffered).unwrap();
         let mut expected = Vec::new();
         for n in 1..=50 {
             let append = tail_append(n as u32 % 4, n as u32, txn(n));

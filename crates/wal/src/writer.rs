@@ -8,6 +8,10 @@
 //! The commit policies, and the group-commit cohorts that amortize fsyncs
 //! across concurrent committers, live on top, in [`crate::log`].
 //!
+//! The file is one [`lstore_storage::io::File`] handle from the `Fs` the
+//! log was created in: writes go through it under the buffer lock, syncs
+//! outside it, and no call needs a second handle.
+//!
 //! ## Writing in place
 //!
 //! An `fdatasync` of a file that grew also journals its new size, which on
@@ -46,12 +50,12 @@
 //! is ever reported past the last sync that succeeded. A failed zero-fill
 //! is final too: the sync before it stands, nothing after it does.
 
+use lstore_storage::io::{File, Fs};
 use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::record::{self, LogRecord};
 use crate::{WalError, WalResult};
@@ -80,7 +84,6 @@ impl Failure {
 }
 
 struct WalInner {
-    file: File,
     buffer: Vec<u8>,
     /// Next LSN to assign. Lives under the buffer lock so that the order of
     /// LSNs matches the order of bytes in the file: after a flush, every
@@ -95,10 +98,6 @@ struct WalInner {
     named: u64,
     /// The first write or sync failure (see module docs).
     failed: Option<Failure>,
-    /// Test hook: the next write — a flush or a fill — fails as a full
-    /// device would.
-    #[cfg(test)]
-    fail_next_write: bool,
 }
 
 impl WalInner {
@@ -118,24 +117,20 @@ impl WalInner {
 
     /// Write `bytes` at `at`, poisoning the log if that fails (when the
     /// log is over anyway, so `end` need not be exact).
-    fn write_at(&mut self, bytes: &[u8], at: u64) -> WalResult<()> {
-        #[cfg(test)]
-        if std::mem::take(&mut self.fail_next_write) {
-            return Err(self.poison(io::Error::other("injected write failure")));
-        }
-        let written = self.file.write_all_at(bytes, at);
+    fn write_at(&mut self, file: &dyn File, bytes: &[u8], at: u64) -> WalResult<()> {
+        let written = file.write_at(bytes, at);
         self.end = self.end.max(at + bytes.len() as u64);
         written.map_err(|e| self.poison(e))
     }
 
-    fn flush(&mut self) -> WalResult<()> {
+    fn flush(&mut self, file: &dyn File) -> WalResult<()> {
         self.check()?;
         if self.buffer.is_empty() {
             return Ok(());
         }
         // On failure the buffer's records are lost, and the log with them.
         let mut buffer = std::mem::take(&mut self.buffer);
-        self.write_at(&buffer, self.pos)?;
+        self.write_at(file, &buffer, self.pos)?;
         self.pos += buffer.len() as u64;
         buffer.clear();
         self.buffer = buffer;
@@ -146,10 +141,10 @@ impl WalInner {
 /// One log file: assigns LSNs and writes framed records.
 pub(crate) struct LogFile {
     inner: Mutex<WalInner>,
-    /// Duplicate handle for fsync, so durability waits never hold the
-    /// buffer lock across device latency: appends (and therefore the next
+    /// Written under the buffer lock, synced outside it: durability waits
+    /// never hold the lock across device latency, so appends (and the next
     /// cohort's commit records) proceed while an fsync is in flight.
-    sync_file: File,
+    file: Arc<dyn File>,
     /// Flush the buffer once it reaches this many bytes.
     flush_bytes: usize,
     /// Written in place, with watermark frames (see module docs).
@@ -163,26 +158,17 @@ pub(crate) struct LogFile {
 impl LogFile {
     /// Create (or truncate) a log at `path` whose buffer spills to the file
     /// at `flush_bytes`.
-    pub(crate) fn create(path: &Path, flush_bytes: usize) -> WalResult<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let sync_file = file.try_clone()?;
+    pub(crate) fn create(fs: &dyn Fs, path: &Path, flush_bytes: usize) -> WalResult<Self> {
         Ok(LogFile {
             inner: Mutex::new(WalInner {
-                file,
                 buffer: Vec::with_capacity(flush_bytes * 2),
                 next_lsn: 1,
                 pos: 0,
                 end: 0,
                 named: 0,
                 failed: None,
-                #[cfg(test)]
-                fail_next_write: false,
             }),
-            sync_file,
+            file: fs.create(path)?,
             flush_bytes,
             in_place: false,
             fill_due: AtomicBool::new(false),
@@ -193,8 +179,8 @@ impl LogFile {
     /// [`LogFile::create`] for a log written in place (see module docs):
     /// its first frame, a watermark of 0, is durable when this returns, so
     /// that every crash image of the log has one.
-    pub(crate) fn create_in_place(path: &Path, flush_bytes: usize) -> WalResult<Self> {
-        let mut log = Self::create(path, flush_bytes)?;
+    pub(crate) fn create_in_place(fs: &dyn Fs, path: &Path, flush_bytes: usize) -> WalResult<Self> {
+        let mut log = Self::create(fs, path, flush_bytes)?;
         log.in_place = true;
         log.inner.lock().buffer.extend(record::watermark(0));
         log.sync_watermark()?;
@@ -218,14 +204,14 @@ impl LogFile {
         inner.next_lsn += 1;
         inner.buffer.extend_from_slice(&bytes);
         if inner.buffer.len() >= self.flush_bytes {
-            inner.flush()?;
+            inner.flush(&*self.file)?;
         }
         Ok(lsn)
     }
 
     /// Force the buffer to the OS.
     pub(crate) fn flush(&self) -> WalResult<()> {
-        self.inner.lock().flush()
+        self.inner.lock().flush(&*self.file)
     }
 
     /// Flush, fsync, and return the durable watermark: every LSN at or
@@ -235,14 +221,14 @@ impl LogFile {
     pub(crate) fn sync_watermark(&self) -> WalResult<u64> {
         let (watermark, upto) = {
             let mut inner = self.inner.lock();
-            inner.flush()?;
+            inner.flush(&*self.file)?;
             (inner.next_lsn - 1, inner.pos)
         };
         // fsync outside the buffer lock: everything flushed above (i.e. the
         // whole watermark) is written to the inode before the call, so the
         // guarantee holds, while concurrent appends keep buffering — the
         // next cohort forms during this fsync instead of behind it.
-        if let Err(e) = self.sync_file.sync_data() {
+        if let Err(e) = self.file.sync_data() {
             return Err(self.inner.lock().poison(e));
         }
         // The watermark frame goes ahead of whatever was appended during
@@ -267,51 +253,42 @@ impl LogFile {
         }
         let mut inner = self.inner.lock();
         let end = inner.end;
-        let _ = inner.write_at(&ZEROS, end);
+        let _ = inner.write_at(&*self.file, &ZEROS, end);
         true
-    }
-
-    /// Make the next write, a flush or a fill, fail the way a full device
-    /// does.
-    #[cfg(test)]
-    pub(crate) fn fail_next_write(&self) {
-        self.inner.lock().fail_next_write = true;
     }
 }
 
 impl Drop for LogFile {
     fn drop(&mut self) {
         let mut inner = self.inner.lock();
-        let _ = inner.flush();
-        let _ = inner.file.set_len(inner.pos);
+        let _ = inner.flush(&*self.file);
+        let _ = self.file.set_len(inner.pos);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use lstore_storage::io::{Fault, FaultFs};
 
-    fn temp_log(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("lstore-wal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}.log", std::process::id()))
+    const PATH: &str = "test.log";
+
+    fn log_len(fs: &FaultFs) -> usize {
+        fs.contents(Path::new(PATH)).unwrap().len()
     }
 
     #[test]
     fn lsn_is_monotone() {
-        let path = temp_log("lsn");
-        let wal = LogFile::create(&path, 1 << 20).unwrap();
+        let wal = LogFile::create(&FaultFs::new(), Path::new(PATH), 1 << 20).unwrap();
         let a = wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
         let b = wal.append(&LogRecord::Checkpoint { ts: 2 }).unwrap();
         assert!(b > a);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn append_stays_buffered_until_sync() {
-        let path = temp_log("buffered");
-        let wal = LogFile::create(&path, 1 << 20).unwrap();
+        let fs = FaultFs::new();
+        let wal = LogFile::create(&fs, Path::new(PATH), 1 << 20).unwrap();
         let lsn = wal
             .append(&LogRecord::Commit {
                 txn_id: 1 << 63 | 2,
@@ -319,43 +296,39 @@ mod tests {
             })
             .unwrap();
         // A commit record does not force a flush on its own...
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(log_len(&fs), 0);
         // ...the cohort sync publishes it and reports the watermark.
         assert_eq!(wal.sync_watermark().unwrap(), lsn);
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        std::fs::remove_file(&path).ok();
+        assert!(log_len(&fs) > 0);
     }
 
     #[test]
     fn full_buffer_spills_to_the_file() {
-        let path = temp_log("spill");
-        let wal = LogFile::create(&path, 64).unwrap();
-        while std::fs::metadata(&path).unwrap().len() == 0 {
+        let fs = FaultFs::new();
+        let wal = LogFile::create(&fs, Path::new(PATH), 64).unwrap();
+        while log_len(&fs) == 0 {
             wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn a_failed_write_poisons_every_later_call() {
-        let path = temp_log("poison");
-        let wal = LogFile::create(&path, 1 << 20).unwrap();
+        let fs = FaultFs::new();
+        let wal = LogFile::create(&fs, Path::new(PATH), 1 << 20).unwrap();
         wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
-        wal.fail_next_write();
+        fs.fail(fs.calls() + 1, Fault::Full);
         assert!(wal.sync_watermark().is_err(), "the injected failure");
         // The buffer that failed is gone and its LSN with it: nothing may
         // report success from here on.
         assert!(wal.sync_watermark().is_err());
         assert!(wal.flush().is_err());
         assert!(wal.append(&LogRecord::Checkpoint { ts: 2 }).is_err());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(log_len(&fs), 0);
     }
 
     #[test]
     fn concurrent_appends_assign_unique_lsns() {
-        let path = temp_log("concurrent");
-        let wal = Arc::new(LogFile::create(&path, 1 << 20).unwrap());
+        let wal = Arc::new(LogFile::create(&FaultFs::new(), Path::new(PATH), 1 << 20).unwrap());
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let wal = Arc::clone(&wal);
@@ -377,6 +350,5 @@ mod tests {
         lsns.sort_unstable();
         lsns.dedup();
         assert_eq!(lsns.len(), n);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -866,8 +866,9 @@ fn readers_resolve_ids_that_retire_and_recycle_underneath() {
     const INSERT_BASE: u64 = 1 << 20;
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let db = Database::with_txn_manager(
+        let db = Database::with_parts(
             DbConfig::new().with_pool_threads(2).with_shards(2),
+            &lstore_storage::io::OsFs,
             lstore_txn::TxnManager::with_page_bits(2),
         );
         let t = db

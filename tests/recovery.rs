@@ -1,9 +1,15 @@
 //! Crash recovery (§5.1.3): redo-only WAL replay, tombstoning of in-flight
 //! transactions, indirection-column rebuild.
 
-use std::path::PathBuf;
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use lstore::{Database, DbConfig, Durability, ReadRequest, Table, TableConfig};
+use lstore_storage::io::{every_crash_point, Crash, FaultFs};
+use lstore_txn::TxnManager;
+use lstore_wal::recovery::recover_from_bytes;
+use lstore_wal::{LogRecord, RecoveredState, WalError};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-recovery-tests");
@@ -361,118 +367,6 @@ fn recovery_roundtrip(shards: usize, durability: Durability) {
     std::fs::remove_file(&path).ok();
 }
 
-/// Crash points enumerated, not sampled: the workload runs in chunks, each
-/// ending with a full-log `sync()`, and the log is cut at every chunk
-/// boundary with every possible torn prefix of the frame that followed
-/// (0 up to its length − 1 bytes). Each damaged log must replay to reads
-/// identical to an undamaged run of the chunks before the cut. A flipped
-/// byte inside a chunk's first frame, with later chunks behind it, is
-/// corruption and never a shorter state.
-#[test]
-fn crash_replay_at_every_boundary_and_tear_matches_undamaged_run() {
-    const CHUNKS: usize = 6;
-    const CHUNK_KEYS: u64 = 40;
-    let shards = 4;
-
-    // One chunk of deterministic workload: fresh inserts, updates of this
-    // chunk's keys, deletes of the previous chunk's keys (each key is
-    // deleted at most once, and never updated after deletion).
-    fn apply_chunk(t: &Table, c: usize) {
-        let lo = c as u64 * CHUNK_KEYS;
-        for k in lo..lo + CHUNK_KEYS {
-            t.insert_auto(k, &[k, k ^ 0xABCD]).unwrap();
-        }
-        for k in (lo..lo + CHUNK_KEYS).step_by(3) {
-            t.update_auto(k, &[(0, k + 1000)]).unwrap();
-        }
-        if c > 0 {
-            let prev = (c as u64 - 1) * CHUNK_KEYS;
-            for k in (prev..prev + CHUNK_KEYS).step_by(13) {
-                t.delete_auto(k).unwrap();
-            }
-        }
-    }
-
-    fn fresh(shards: usize) -> (std::sync::Arc<Database>, std::sync::Arc<Table>) {
-        let db = Database::new(DbConfig::deterministic().with_shards(shards));
-        let t = db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        (db, t)
-    }
-
-    let path = wal_path("killpoints");
-    // Log length at each chunk boundary (everything synced), from 0.
-    let mut boundaries = vec![0usize];
-    {
-        let db = Database::new(
-            DbConfig::deterministic()
-                .with_shards(shards)
-                .with_wal_path(path.clone()),
-        );
-        let t = db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        for c in 0..CHUNKS {
-            apply_chunk(&t, c);
-            db.runtime().wal.as_ref().unwrap().sync().unwrap();
-            boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
-        }
-    }
-    let log = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(log.len(), boundaries[CHUNKS]);
-    let frame_len = |at: usize| {
-        lstore_wal::LogRecord::decode(&log[at..])
-            .unwrap()
-            .unwrap()
-            .1
-    };
-
-    for (done, &cut) in boundaries[..CHUNKS].iter().enumerate() {
-        // The undamaged run of chunks 0..done: no WAL, no crash.
-        let (_oracle_db, oracle) = fresh(1);
-        for c in 0..done {
-            apply_chunk(&oracle, c);
-        }
-        let keys = 0..done as u64 * CHUNK_KEYS;
-        let expect: Vec<_> = keys
-            .clone()
-            .map(|k| read_cols(&oracle, k, &[0, 1]))
-            .collect();
-        let expect_scan = oracle.scan_as_of(&[0, 1], oracle.now());
-
-        for tear in 0..frame_len(cut) {
-            let state = lstore_wal::recovery::recover_from_bytes(&log[..cut + tear]).unwrap();
-            assert_eq!(state.bytes_scanned, cut, "cut {done} tear {tear}");
-            let (_db, t) = fresh(2);
-            t.replay(&state).unwrap();
-            let got: Vec<_> = keys.clone().map(|k| read_cols(&t, k, &[0, 1])).collect();
-            assert!(got == expect, "reads after chunk {done}, tear {tear}");
-            assert_eq!(
-                t.sum_auto(0),
-                oracle.sum_auto(0),
-                "chunk {done} tear {tear}"
-            );
-            assert!(
-                t.scan_as_of(&[0, 1], t.now()) == expect_scan,
-                "scan after chunk {done}, tear {tear}"
-            );
-        }
-
-        // A damaged frame with later chunks behind it is not a torn tail.
-        let mut damaged = log.clone();
-        damaged[cut + frame_len(cut) - 1] ^= 0x5A;
-        assert!(
-            matches!(
-                lstore_wal::recovery::recover_from_bytes(&damaged),
-                Err(lstore_wal::WalError::Corrupt(_))
-            ),
-            "a flipped byte in chunk {done}'s first frame was not refused"
-        );
-    }
-}
-
 /// A log written in the per-shard layout of an older build has a
 /// `<path>.s1` sibling that the file at `path` does not include: recovery
 /// refuses it, naming the sibling, instead of half-reading it. Creating the
@@ -507,30 +401,221 @@ fn an_old_layout_log_is_refused_until_the_log_is_created_anew() {
         ),
     }
 
-    drop(Wal::create(&path, CommitPolicy::Buffered).unwrap());
+    drop(Wal::create(&lstore_storage::io::OsFs, &path, CommitPolicy::Buffered).unwrap());
     assert!(!sibling.exists());
     assert!(lstore_wal::recover(&path).unwrap().records.is_empty());
     std::fs::remove_file(&path).ok();
+}
+
+// ----------------------------------------------------------------------
+// Crash images, enumerated over an in-memory `FaultFs`
+// ----------------------------------------------------------------------
+
+const LOG: &str = "crash.wal";
+
+/// A database logging to `LOG` in `fs`.
+fn logging_to(fs: &FaultFs, shards: usize, durability: Durability) -> Arc<Database> {
+    let config = DbConfig::deterministic()
+        .with_shards(shards)
+        .with_wal_path(LOG.into())
+        .with_durability(durability);
+    Database::with_parts(config, fs, TxnManager::new())
+}
+
+fn table(db: &Database) -> Arc<Table> {
+    db.create_table("r", &["a", "b"], TableConfig::small())
+        .unwrap()
+}
+
+fn log_of(fs: &FaultFs) -> Arc<Vec<u8>> {
+    fs.contents(Path::new(LOG)).unwrap()
+}
+
+/// What a replayed table is compared on: the row of every key below a
+/// bound (`None` for one never inserted), the sum of column 0, a scan.
+type Observed = (Vec<Option<Option<Vec<u64>>>>, u64, Vec<(u64, Vec<u64>)>);
+
+fn observe(t: &Table, keys: u64) -> Observed {
+    let reads = (0..keys)
+        .map(|k| {
+            let request = ReadRequest::latest(k).with_columns(vec![0, 1]);
+            t.read_one(&request).ok().map(|r| r.values)
+        })
+        .collect();
+    (reads, t.sum_auto(0), t.scan_as_of(&[0, 1], t.now()))
+}
+
+/// What every crash image of a log must satisfy, whatever the workload.
+struct LogImages<'a> {
+    buffered: bool,
+    keys: u64,
+    undamaged: Vec<LogRecord>,
+    /// Reads of an undamaged run of the first `n` commits.
+    oracle: &'a dyn Fn(usize) -> Observed,
+    oracles: HashMap<usize, Observed>,
+    /// Record counts already replayed: a replay of the same records reads
+    /// the same, so each prefix is replayed once.
+    replayed: HashSet<usize>,
+}
+
+impl LogImages<'_> {
+    /// Recovery succeeds — except that a buffered log whose unsynced
+    /// sectors landed out of order may be refused as corrupt: that policy
+    /// promises nothing there. The first `acked` commits, acknowledged as
+    /// durable before the crash, are present; the records are a prefix of
+    /// the undamaged run's; and replaying them reads the same as an
+    /// undamaged run of the commits recovered.
+    fn check(&mut self, crash: &Crash, acked: usize, what: &str) -> Option<RecoveredState> {
+        let state = match recover_from_bytes(&log_of(&crash.fs)) {
+            Err(WalError::Corrupt(_)) if self.buffered && !crash.in_order => return None,
+            state => state.unwrap_or_else(|e| panic!("{what}: {e}")),
+        };
+        let n = state.committed.len();
+        assert!(
+            n >= acked,
+            "{what}: {n} commits recovered, {acked} acknowledged"
+        );
+        assert!(
+            self.undamaged.starts_with(&state.records),
+            "{what}: records that are not a prefix of the undamaged run's"
+        );
+        if self.replayed.insert(state.records.len()) {
+            let db = Database::new(DbConfig::deterministic().with_shards(2));
+            let t = table(&db);
+            t.replay(&state).unwrap();
+            let expect = self.oracles.entry(n).or_insert_with(|| (self.oracle)(n));
+            assert!(&observe(&t, self.keys) == expect, "{what}: reads diverge");
+        }
+        Some(state)
+    }
+}
+
+/// Crash points enumerated: a buffered log (every commit flushed to the
+/// OS, never synced) of chunks of auto-commit operations, each chunk ending
+/// with a full-log `sync()`, crashed after each of its calls into every
+/// image the crash model allows — the sectors of unsynced appends landed
+/// or not, and the first unsynced append torn after every byte. A flipped
+/// byte inside a chunk's first frame, with later chunks behind it, is
+/// corruption and never a shorter state.
+#[test]
+fn crash_replay_at_every_boundary_and_tear_matches_undamaged_run() {
+    buffered_log_crashes(false);
+}
+
+#[test]
+#[ignore = "exhaustive; run with --ignored --release"]
+fn crash_replay_at_every_call_matches_undamaged_run_exhaustive() {
+    buffered_log_crashes(true);
+}
+
+fn buffered_log_crashes(all: bool) {
+    const CHUNKS: usize = 6;
+    const CHUNK_KEYS: u64 = 40;
+    /// One auto-commit operation on a key.
+    enum Op {
+        Insert(u64),
+        Update(u64),
+        Delete(u64),
+    }
+    fn apply(t: &Table, op: &Op) {
+        match *op {
+            Op::Insert(k) => t.insert_auto(k, &[k, k ^ 0xABCD]).map(drop),
+            Op::Update(k) => t.update_auto(k, &[(0, k + 1000)]).map(drop),
+            Op::Delete(k) => t.delete_auto(k),
+        }
+        .unwrap()
+    }
+    // One chunk: fresh inserts, updates of this chunk's keys, deletes of
+    // the previous chunk's keys (each key is deleted at most once, and
+    // never updated after deletion).
+    let chunks: Vec<Vec<Op>> = (0..CHUNKS as u64)
+        .map(|c| {
+            let keys = c * CHUNK_KEYS..(c + 1) * CHUNK_KEYS;
+            let prev = c.saturating_sub(1) * CHUNK_KEYS..c * CHUNK_KEYS;
+            let inserts = keys.clone().map(Op::Insert);
+            let updates = keys.step_by(3).map(Op::Update);
+            inserts
+                .chain(updates)
+                .chain(prev.step_by(13).map(Op::Delete))
+                .collect()
+        })
+        .collect();
+    // Calls made, operations done and log length at each sync.
+    let synced = Mutex::new(Vec::new());
+    let workload = |fs: &FaultFs| {
+        let db = logging_to(fs, 4, Durability::None);
+        let t = table(&db);
+        let (mut marks, mut done) = (Vec::new(), 0);
+        for chunk in &chunks {
+            chunk.iter().for_each(|op| apply(&t, op));
+            db.runtime().wal.as_ref().unwrap().sync().unwrap();
+            done += chunk.len();
+            marks.push((fs.calls(), done, log_of(fs).len()));
+        }
+        *synced.lock().unwrap() = marks;
+    };
+    let fs = FaultFs::new();
+    workload(&fs);
+    let log = log_of(&fs);
+    let oracle = |n: usize| {
+        let db = Database::new(DbConfig::deterministic());
+        let t = table(&db);
+        chunks.iter().flatten().take(n).for_each(|op| apply(&t, op));
+        observe(&t, CHUNKS as u64 * CHUNK_KEYS)
+    };
+    let mut images = LogImages {
+        buffered: true,
+        keys: CHUNKS as u64 * CHUNK_KEYS,
+        undamaged: recover_from_bytes(&log).unwrap().records,
+        oracle: &oracle,
+        oracles: HashMap::new(),
+        replayed: HashSet::new(),
+    };
+    let marks = synced.lock().unwrap().clone();
+    let checked = every_crash_point(all, workload, |point, crash| {
+        let acked = marks.iter().filter(|m| m.0 <= point).map(|m| m.1).max();
+        images.check(&crash, acked.unwrap_or(0), &format!("after call {point}"));
+    });
+    eprintln!("{checked} crash images of a buffered log checked");
+    assert!(checked > 6 * 40, "{checked} crash images");
+
+    // A damaged frame with later chunks behind it is not a torn tail.
+    let frame_len = |at: usize| LogRecord::decode(&log[at..]).unwrap().unwrap().1;
+    let boundaries = std::iter::once(0).chain(marks.iter().map(|m| m.2));
+    for (done, cut) in boundaries.take(CHUNKS).enumerate() {
+        let mut damaged = log.to_vec();
+        damaged[cut + frame_len(cut) - 1] ^= 0x5A;
+        assert!(
+            matches!(recover_from_bytes(&damaged), Err(WalError::Corrupt(_))),
+            "a flipped byte in chunk {done}'s first frame was not refused"
+        );
+    }
 }
 
 /// Crash images of a group-commit log, enumerated. The log is written in
 /// place over zeros, so the 512-byte sectors of a flush that no sync has
 /// covered yet may reach the disk in any order. One committer runs
 /// transactions of assorted sizes; each returned commit is one flush and
-/// one `fdatasync`, and the file image is kept after each. At every such
-/// boundary, images are built in which each sector of the next flush has
-/// landed or is still zeros (every subset up to 4 sectors; otherwise none,
-/// all, and each single hole), and in which the next flush is torn after
-/// every byte of its first frame. Each must recover every commit
-/// acknowledged before the boundary, none acknowledged later than the
-/// next, and replay to the reads of an undamaged run of what it recovered.
-/// Finally, a byte flipped in any frame below the offset the last
-/// watermark frame names is corruption, never a shorter state.
+/// one `fdatasync`. Crashed after each call, every image — each sector of
+/// the unsynced flush landed or still zeros, or the flush torn after every
+/// byte of its first sector — must recover every commit acknowledged
+/// before the crash, at most one more, and replay to the reads of an
+/// undamaged run of what it recovered. Finally, a byte flipped in any
+/// frame below the offset the last watermark frame names is corruption,
+/// never a shorter state.
 #[test]
 fn group_commit_crash_images_keep_every_acknowledged_commit() {
-    use lstore_wal::recovery::recover_from_bytes;
+    group_commit_crashes(false);
+}
+
+#[test]
+#[ignore = "exhaustive; run with --ignored --release"]
+fn group_commit_crash_images_at_every_call_exhaustive() {
+    group_commit_crashes(true);
+}
+
+fn group_commit_crashes(all: bool) {
     const COHORTS: usize = 14;
-    const SECTOR: usize = 512;
 
     // Cohort `c`: one transaction inserting fresh keys, updating some of
     // its own and of the previous cohort's; sizes cycle through 1 to 5
@@ -539,7 +624,7 @@ fn group_commit_crash_images_keep_every_acknowledged_commit() {
         let lo: u64 = (0..c).map(|c| 4 * (c as u64 % 6 + 1)).sum();
         lo..lo + 4 * (c as u64 % 6 + 1)
     }
-    fn apply_cohort(db: &Database, t: &Table, c: usize) -> u64 {
+    fn apply_cohort(db: &Database, t: &Table, c: usize) {
         let mut txn = db.begin();
         for k in keys_of(c) {
             t.insert(&mut txn, k, &[k, 3 * k]).unwrap();
@@ -553,128 +638,55 @@ fn group_commit_crash_images_keep_every_acknowledged_commit() {
             }
         }
         db.commit(&mut txn).unwrap();
-        txn.id
     }
-    fn fresh() -> (std::sync::Arc<Database>, std::sync::Arc<Table>) {
-        let db = Database::new(DbConfig::deterministic());
-        let t = db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        (db, t)
-    }
-    // Every key any cohort writes; one not inserted yet reads as `None`.
-    let reads = |t: &Table| -> Vec<_> {
-        (0..keys_of(COHORTS).start)
-            .map(|k| {
-                let request = ReadRequest::latest(k).with_columns(vec![0, 1]);
-                t.read_one(&request).ok().map(|r| r.values)
-            })
-            .collect()
-    };
+    let keys = keys_of(COHORTS).start;
 
-    let path = wal_path("group-commit-images");
-    // The file after creation, then after each cohort returned.
-    let mut images = Vec::new();
-    let mut acked = Vec::new();
-    {
-        let db = Database::new(
-            DbConfig::deterministic()
-                .with_wal_path(path.clone())
-                .with_durability(Durability::group_commit()),
-        );
-        let t = db
-            .create_table("r", &["a", "b"], TableConfig::small())
-            .unwrap();
-        images.push(std::fs::read(&path).unwrap());
+    // Calls made when each commit returned; the live log after the last.
+    let acks = Mutex::new(Vec::new());
+    let last = Mutex::new(Arc::default());
+    let workload = |fs: &FaultFs| {
+        let db = logging_to(fs, 1, Durability::group_commit());
+        let t = table(&db);
+        let mut calls = Vec::new();
         for c in 0..COHORTS {
-            acked.push(apply_cohort(&db, &t, c));
-            images.push(std::fs::read(&path).unwrap());
+            apply_cohort(&db, &t, c);
+            calls.push(fs.calls());
         }
         assert_eq!(db.wal_stats().unwrap().syncs, COHORTS as u64);
-    }
-    std::fs::remove_file(&path).ok();
-
-    // Reads of an undamaged run of the first `n` cohorts.
-    let oracles: Vec<_> = (0..=COHORTS)
-        .map(|n| {
-            let (db, t) = fresh();
-            for c in 0..n {
-                apply_cohort(&db, &t, c);
-            }
-            (reads(&t), t.sum_auto(0), t.scan_as_of(&[0, 1], t.now()))
-        })
-        .collect();
-
-    let mut checked = 0;
-    for k in 0..COHORTS {
-        let len = images[k].len().max(images[k + 1].len());
-        let mut before = images[k].clone();
-        let mut after = images[k + 1].clone();
-        before.resize(len, 0);
-        after.resize(len, 0);
-        // Where the next flush starts: the image ends there in zeros.
-        let start = recover_from_bytes(&before).unwrap().bytes_scanned;
-        assert!(before[start..].iter().all(|&b| b == 0), "boundary {k}");
-        let sectors: Vec<usize> = (0..len.div_ceil(SECTOR))
-            .filter(|s| {
-                let r = s * SECTOR..((s + 1) * SECTOR).min(len);
-                before[r.clone()] != after[r]
-            })
-            .collect();
-        let landed = |set: &dyn Fn(usize) -> bool| {
-            let mut image = before.clone();
-            for (i, s) in sectors.iter().enumerate() {
-                if set(i) {
-                    let r = s * SECTOR..((s + 1) * SECTOR).min(len);
-                    image[r.clone()].copy_from_slice(&after[r]);
-                }
-            }
-            image
-        };
-        let mut crash_images = Vec::new();
-        if sectors.len() <= 4 {
-            for subset in 0..1usize << sectors.len() {
-                crash_images.push(landed(&|i| subset >> i & 1 == 1));
-            }
-        } else {
-            crash_images.push(landed(&|_| false));
-            crash_images.push(landed(&|_| true));
-            for hole in 0..sectors.len() {
-                crash_images.push(landed(&|i| i != hole));
-            }
-        }
-        let first_frame =
-            8 + u32::from_be_bytes(after[start..start + 4].try_into().unwrap()) as usize;
-        for tear in 0..=first_frame {
-            let mut image = before.clone();
-            image[start..start + tear].copy_from_slice(&after[start..start + tear]);
-            crash_images.push(image);
-        }
-
-        for (i, image) in crash_images.iter().enumerate() {
-            let state = recover_from_bytes(image)
-                .unwrap_or_else(|e| panic!("boundary {k}, image {i}: {e}"));
-            let n = state.committed.len();
-            assert!(n == k || n == k + 1, "boundary {k}, image {i}: {n} commits");
-            for id in &acked[..n] {
-                assert!(state.committed.contains_key(id), "boundary {k}, image {i}");
-            }
-            let (_db, t) = fresh();
-            t.replay(&state).unwrap();
-            let (expect, sum, scan) = &oracles[n];
-            assert!(&reads(&t) == expect, "reads at boundary {k}, image {i}");
-            assert_eq!(t.sum_auto(0), *sum, "boundary {k}, image {i}");
-            assert!(
-                &t.scan_as_of(&[0, 1], t.now()) == scan,
-                "scan at boundary {k}, image {i}"
-            );
-            checked += 1;
-        }
-    }
-    assert!(checked > 20 * COHORTS, "{checked} crash images");
+        *acks.lock().unwrap() = calls;
+        *last.lock().unwrap() = log_of(fs);
+    };
+    let fs = FaultFs::new();
+    workload(&fs);
+    let oracle = |n: usize| {
+        let db = Database::new(DbConfig::deterministic());
+        let t = table(&db);
+        (0..n).for_each(|c| apply_cohort(&db, &t, c));
+        observe(&t, keys)
+    };
+    let mut images = LogImages {
+        buffered: false,
+        keys,
+        undamaged: recover_from_bytes(&log_of(&fs)).unwrap().records,
+        oracle: &oracle,
+        oracles: HashMap::new(),
+        replayed: HashSet::new(),
+    };
+    let acked_at = acks.lock().unwrap().clone();
+    let checked = every_crash_point(all, workload, |point, crash| {
+        let acked = acked_at.iter().filter(|&&at| at <= point).count();
+        let what = format!("after call {point}");
+        let state = images.check(&crash, acked, &what).unwrap();
+        assert!(
+            state.committed.len() <= acked + 1,
+            "{what}: a commit from the future"
+        );
+    });
+    eprintln!("{checked} crash images of a group-commit log checked");
+    assert!(checked > 382, "{checked} crash images");
 
     // Damage below the offset the last watermark frame names is refused.
-    let image = &images[COHORTS];
+    let image = last.lock().unwrap().clone();
     let mut frames = Vec::new();
     let mut at = 0;
     while at + 8 < image.len() && image[at..at + 8] != [0; 8] {
@@ -696,13 +708,10 @@ fn group_commit_crash_images_keep_every_acknowledged_commit() {
     );
     for &&(at, len) in &below {
         for byte in [at, at + 5, at + len / 2, at + len - 1] {
-            let mut damaged = image.clone();
+            let mut damaged = image.to_vec();
             damaged[byte] ^= 0x5A;
             assert!(
-                matches!(
-                    recover_from_bytes(&damaged),
-                    Err(lstore_wal::WalError::Corrupt(_))
-                ),
+                matches!(recover_from_bytes(&damaged), Err(WalError::Corrupt(_))),
                 "a flipped byte at {byte}, in the frame at {at}, was not refused"
             );
         }

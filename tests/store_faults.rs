@@ -1,41 +1,42 @@
-//! Page-store fault injection at the engine level.
+//! Page-store fault injection at the engine level, over an in-memory
+//! `FaultFs`.
 //!
-//! * **ENOSPC on writeback** — a store whose file is `/dev/full` (every
-//!   write fails with "no space left on device") must surface a stable
+//! * **ENOSPC on writeback** — a store on a full device (every write fails
+//!   with "no space left on device") must surface a stable
 //!   [`lstore::Error::Storage`] through `flush_store` while every read
 //!   keeps answering from the un-evictable resident frames: a writeback
 //!   failure may stall eviction, never corrupt data.
-//! * **Kill at a random offset** — truncating the store file at arbitrary
-//!   byte offsets (a crash mid-append) and reopening cold must yield
-//!   exactly the last fully published checkpoint: any torn record tail is
-//!   ignored, a half-written manifest is superseded by the previous one,
-//!   and the restored table matches an oracle restored from an undamaged
-//!   copy of the file as of that checkpoint.
+//! * **EIO on sync** — a failed `fsync` of the store fails the
+//!   `flush_store` or checkpoint that asked for it.
+//! * **A crash at every call** — every image a crash after any I/O call
+//!   of a two-checkpoint workload could leave must restore exactly the
+//!   last checkpoint published before it, or one published at the crash:
+//!   a torn record tail is ignored, a torn manifest is passed over for the
+//!   previous one, and the pages a manifest names are never missing from
+//!   an image that holds it.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
-use lstore::{Database, DbConfig, ReadRequest, Table, TableConfig};
+use lstore::{Database, DbConfig, Error, ReadRequest, Table, TableConfig};
+use lstore_storage::io::{every_crash_point, Fault, FaultFs};
+use lstore_txn::TxnManager;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lstore-store-faults");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{}.pages", std::process::id()))
+const STORE: &str = "kill.pages";
+
+fn open(fs: &FaultFs, pool: Option<usize>) -> Arc<Database> {
+    let mut config = DbConfig::deterministic().with_page_store(STORE.into());
+    config.buffer_pool_pages = pool;
+    Database::with_parts(config, fs, TxnManager::new())
 }
 
 #[test]
 fn enospc_on_writeback_surfaces_error_without_corrupting_reads() {
-    if !Path::new("/dev/full").exists() {
-        eprintln!("skipping: /dev/full not available on this platform");
-        return;
-    }
     // Budget 1 forces eviction on every second sealed page; every eviction
     // needs a dirty writeback, and every writeback hits ENOSPC.
-    let db = Database::new(
-        DbConfig::deterministic()
-            .with_page_store("/dev/full".into())
-            .with_buffer_pool_pages(1),
-    );
+    let fs = FaultFs::new();
+    fs.fail(1, Fault::Full);
+    let db = open(&fs, Some(1));
     let t = db
         .create_table("enospc", &["a", "b"], TableConfig::small())
         .unwrap();
@@ -59,12 +60,8 @@ fn enospc_on_writeback_surfaces_error_without_corrupting_reads() {
     // flush attempt reports it again.
     for _ in 0..2 {
         match db.flush_store() {
-            Err(lstore::Error::Storage(lstore_storage::StorageError::Io(e))) => {
-                assert_eq!(
-                    e.raw_os_error(),
-                    Some(libc_enospc()),
-                    "expected ENOSPC: {e}"
-                );
+            Err(Error::Storage(lstore_storage::StorageError::Io(e))) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::StorageFull, "{e}");
             }
             other => panic!("expected sticky storage error, got {other:?}"),
         }
@@ -85,10 +82,18 @@ fn enospc_on_writeback_surfaces_error_without_corrupting_reads() {
     );
 }
 
-/// `ENOSPC`'s errno without linking anything new: write to /dev/full.
-fn libc_enospc() -> i32 {
-    let err = std::fs::write("/dev/full", b"x").expect_err("/dev/full accepts no writes");
-    err.raw_os_error().expect("raw os error")
+#[test]
+fn a_failed_store_sync_fails_the_flush_and_the_checkpoint() {
+    let fs = FaultFs::new();
+    let db = open(&fs, None);
+    let t = db
+        .create_table("kill", &["a", "b"], TableConfig::small())
+        .unwrap();
+    populate(&t);
+    fs.fail(fs.calls() + 1, Fault::Eio);
+    assert!(matches!(db.flush_store(), Err(Error::Storage(_))));
+    fs.fail(fs.calls() + 1, Fault::Eio);
+    assert!(matches!(t.checkpoint_to_store(), Err(Error::Storage(_))));
 }
 
 #[derive(Debug, PartialEq)]
@@ -101,27 +106,27 @@ struct Observation {
     rows: Vec<(u64, Vec<u64>)>,
 }
 
-/// Cold-open `path` as a page store, restore the table from its manifest,
-/// and observe everything a reader could ask.
-fn observe_cold(path: &Path) -> Observation {
-    let db = Database::new(
-        DbConfig::deterministic()
-            .with_page_store(path.to_path_buf())
-            .with_buffer_pool_pages(3),
-    );
+/// Cold-open the store in `fs` under a 3-page pool, restore the table
+/// from its manifest, and observe everything a reader could ask; `None`
+/// when the store holds no checkpoint.
+fn observe_cold(fs: &FaultFs) -> Option<Observation> {
+    let db = open(fs, Some(3));
     let t = db
         .create_table("kill", &["a", "b"], TableConfig::small())
         .unwrap();
-    let restored = t.restore_from_store().unwrap();
+    let restored = match t.restore_from_store() {
+        Err(Error::Storage(lstore_storage::StorageError::MissingEntry { .. })) => return None,
+        restored => restored.unwrap(),
+    };
     let ts = t.now();
-    Observation {
+    Some(Observation {
         restored,
         sum_a: t.sum_as_of(0, ts),
         sum_b: t.sum_as_of(1, ts),
         count: t.count_as_of(ts),
         groups: t.group_by_sum(0, 1, ts),
         rows: t.scan_as_of(&[0, 1], ts),
-    }
+    })
 }
 
 fn populate(t: &Table) {
@@ -131,99 +136,94 @@ fn populate(t: &Table) {
     t.merge_all();
 }
 
-#[test]
-fn kill_at_random_offset_recovers_the_last_published_checkpoint() {
-    let live = scratch("kill-live");
-    std::fs::remove_file(&live).ok();
-
-    // Checkpoint 1, and a pristine copy of the file as of that instant.
-    let db = Database::new(DbConfig::deterministic().with_page_store(live.clone()));
+/// Populate, checkpoint, then more history and a second checkpoint — up
+/// to `checkpoints` of them — noting the calls made when each returned.
+fn two_checkpoints(fs: &FaultFs, checkpoints: usize, published: &Mutex<Vec<u64>>) {
+    published.lock().unwrap().clear();
+    let db = open(fs, None);
     let t = db
         .create_table("kill", &["a", "b"], TableConfig::small())
         .unwrap();
     populate(&t);
     t.checkpoint_to_store().unwrap();
-    let bytes_ckpt1 = std::fs::read(&live).unwrap();
-
-    // More history, then checkpoint 2: its appends (new pages + a
-    // superseding manifest) are exactly the bytes a crash can tear.
-    for k in (0..600).step_by(3) {
-        t.update_auto(k, &[(1, k + 10_000)]).unwrap();
-    }
-    for k in (0..600).step_by(90) {
-        t.delete_auto(k).unwrap();
-    }
-    t.merge_all();
-    t.checkpoint_to_store().unwrap();
-    drop(db);
-    let bytes_full = std::fs::read(&live).unwrap();
-    assert!(
-        bytes_full.len() > bytes_ckpt1.len(),
-        "checkpoint 2 appended"
-    );
-
-    // Undamaged oracles for both checkpoint states.
-    let oracle1_path = scratch("kill-oracle1");
-    std::fs::write(&oracle1_path, &bytes_ckpt1).unwrap();
-    let oracle1 = observe_cold(&oracle1_path);
-    let oracle2 = observe_cold(&live);
-    assert_ne!(
-        oracle1.rows, oracle2.rows,
-        "the two checkpoints must differ"
-    );
-
-    // Kill at pseudo-random offsets across the checkpoint-2 append span:
-    // every cut must recover checkpoint 1 exactly; an uncut file recovers
-    // checkpoint 2.
-    let span = bytes_full.len() - bytes_ckpt1.len();
-    let mut rng = 0xdead_beef_cafe_f00du64;
-    let mut cuts: Vec<usize> = (0..10)
-        .map(|_| {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            bytes_ckpt1.len() + (rng >> 33) as usize % span
-        })
-        .collect();
-    // Plus the exact boundaries: nothing of checkpoint 2, and all of it.
-    cuts.push(bytes_ckpt1.len());
-    cuts.push(bytes_full.len());
-    for (i, cut) in cuts.into_iter().enumerate() {
-        let damaged = scratch(&format!("kill-cut{i}"));
-        std::fs::write(&damaged, &bytes_full[..cut]).unwrap();
-        let observed = observe_cold(&damaged);
-        let want = if cut == bytes_full.len() {
-            &oracle2
-        } else {
-            &oracle1
-        };
-        assert_eq!(
-            &observed,
-            want,
-            "cut at byte {cut} (of {}) diverged from the oracle",
-            bytes_full.len()
-        );
-        // The torn store is fully usable going forward: new writes, a
-        // merge, and a fresh checkpoint append cleanly after the tear.
-        let db = Database::new(
-            DbConfig::deterministic()
-                .with_page_store(damaged.clone())
-                .with_buffer_pool_pages(3),
-        );
-        let t = db
-            .create_table("kill", &["a", "b"], TableConfig::small())
-            .unwrap();
-        t.restore_from_store().unwrap();
-        t.update_auto(1, &[(1, 424_242)]).unwrap();
+    published.lock().unwrap().push(fs.calls());
+    if checkpoints == 2 {
+        for k in (0..600).step_by(3) {
+            t.update_auto(k, &[(1, k + 10_000)]).unwrap();
+        }
+        for k in (0..600).step_by(90) {
+            t.delete_auto(k).unwrap();
+        }
         t.merge_all();
         t.checkpoint_to_store().unwrap();
-        assert_eq!(
-            t.read_one(&ReadRequest::latest(1)).unwrap().values.unwrap()[1],
-            424_242
-        );
-        drop(db);
-        std::fs::remove_file(&damaged).ok();
+        published.lock().unwrap().push(fs.calls());
     }
-    std::fs::remove_file(&oracle1_path).ok();
-    std::fs::remove_file(&live).ok();
+}
+
+/// Every image a crash after any call of the two-checkpoint workload could
+/// leave restores checkpoint 1 or checkpoint 2, exactly, or — before the
+/// first was published — nothing: never a manifest without its pages, a
+/// panic or an `Err`. And the store stays usable: new writes, a merge and
+/// a fresh checkpoint append cleanly after whatever the crash left.
+fn crash_anywhere_restores_a_published_checkpoint(all: bool) {
+    let published = Mutex::new(Vec::new());
+    let oracle = |checkpoints| {
+        let fs = FaultFs::new();
+        two_checkpoints(&fs, checkpoints, &published);
+        let synced = fs.crash().next().unwrap().fs;
+        observe_cold(&synced).unwrap()
+    };
+    let oracles = [oracle(1), oracle(2)];
+    assert_ne!(oracles[0].rows, oracles[1].rows, "the checkpoints differ");
+    let checked = every_crash_point(
+        all,
+        |fs| two_checkpoints(fs, 2, &published),
+        |point, crash| {
+            let done = published
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|&&at| at <= point)
+                .count();
+            // 0: no checkpoint; 1 or 2: that checkpoint, exactly.
+            let restored = match observe_cold(&crash.fs) {
+                None => Some(0),
+                Some(o) => oracles.iter().position(|w| *w == o).map(|i| i + 1),
+            };
+            assert!(
+                restored.is_some_and(|r| r == done || r == done + 1),
+                "after call {point}, with {done} checkpoints published, the \
+                 image restored checkpoint {restored:?}"
+            );
+            let db = open(&crash.fs, Some(3));
+            let t = db
+                .create_table("kill", &["a", "b"], TableConfig::small())
+                .unwrap();
+            if restored > Some(0) {
+                t.restore_from_store().unwrap();
+            } else {
+                t.insert_auto(1, &[0, 0]).unwrap();
+            }
+            t.update_auto(1, &[(1, 424_242)]).unwrap();
+            t.merge_all();
+            t.checkpoint_to_store().unwrap();
+            assert_eq!(
+                t.read_one(&ReadRequest::latest(1)).unwrap().values.unwrap()[1],
+                424_242
+            );
+        },
+    );
+    eprintln!("{checked} crash images of the page store checked");
+    assert!(checked >= 12, "{checked} crash images");
+}
+
+#[test]
+fn a_crash_at_any_call_restores_a_published_checkpoint() {
+    crash_anywhere_restores_a_published_checkpoint(false);
+}
+
+#[test]
+#[ignore = "exhaustive; run with --ignored --release"]
+fn a_crash_at_any_call_restores_a_published_checkpoint_exhaustive() {
+    crash_anywhere_restores_a_published_checkpoint(true);
 }

@@ -4,14 +4,48 @@
 //! and the transaction handle must be finalized (no second commit, no
 //! state-machine re-entry).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use lstore::{Database, DbConfig, Error, IsolationLevel, ReadRequest, TableConfig};
+use lstore_storage::io::{Fault, FaultFs};
+use lstore_txn::TxnManager;
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-commit-fault-tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{name}-{}.wal", std::process::id()))
+}
+
+/// A database logging to `log` in `fs`.
+fn logging_to(fs: &FaultFs, log: &str) -> Arc<Database> {
+    let config = DbConfig::deterministic().with_wal_path(log.into());
+    Database::with_parts(config, fs, TxnManager::new())
+}
+
+/// A database whose every log write fails from now on, as on a full
+/// device.
+fn on_a_full_device(fs: &FaultFs) -> Arc<Database> {
+    fs.fail(fs.calls() + 1, Fault::Full);
+    logging_to(fs, "full.wal")
+}
+
+/// Key 1 → `[10]`, committed under a working log, then replayed into a
+/// database whose log is on a full device.
+fn one_row_replayed_onto_a_full_device(name: &str) -> (Arc<Database>, Arc<lstore::Table>) {
+    let fs = FaultFs::new();
+    {
+        let db = logging_to(&fs, "ok.wal");
+        let t = db.create_table(name, &["a"], TableConfig::small()).unwrap();
+        t.insert_auto(1, &[10]).unwrap();
+        db.runtime().wal.as_ref().unwrap().sync().unwrap();
+    }
+    let log = fs.contents(Path::new("ok.wal")).unwrap();
+    let state = lstore_wal::recovery::recover_from_bytes(&log).unwrap();
+    let db = on_a_full_device(&fs);
+    let t = db.create_table(name, &["a"], TableConfig::small()).unwrap();
+    t.replay(&state).unwrap();
+    (db, t)
 }
 
 /// A validation failure aborts through the WAL-writing abort path: the log
@@ -57,15 +91,12 @@ fn failed_validation_logs_abort_record() {
 /// A WAL error while logging the commit record must abort the transaction
 /// and propagate the error — not leave it in pre-commit limbo (commit
 /// timestamp stamped, speculative readers building on it, recovery
-/// undecided). `/dev/full` makes every flush fail with `ENOSPC`, which
-/// surfaces exactly at the commit record (statement records are buffered).
+/// undecided). A full device makes every flush fail with `StorageFull`,
+/// which surfaces exactly at the commit record (statement records are
+/// buffered).
 #[test]
 fn wal_commit_failure_aborts_txn() {
-    if !std::path::Path::new("/dev/full").exists() {
-        eprintln!("skipping: /dev/full not available on this platform");
-        return;
-    }
-    let db = Database::new(DbConfig::deterministic().with_wal_path(PathBuf::from("/dev/full")));
+    let db = on_a_full_device(&FaultFs::new());
     let t = db.create_table("w", &["a"], TableConfig::small()).unwrap();
     let mut txn = db.begin();
     t.insert(&mut txn, 1, &[10]).unwrap();
@@ -94,11 +125,7 @@ fn wal_commit_failure_aborts_txn() {
 /// the later ones already at the insert's own record.
 #[test]
 fn wal_commit_failures_do_not_wedge_the_database() {
-    if !std::path::Path::new("/dev/full").exists() {
-        eprintln!("skipping: /dev/full not available on this platform");
-        return;
-    }
-    let db = Database::new(DbConfig::deterministic().with_wal_path(PathBuf::from("/dev/full")));
+    let db = on_a_full_device(&FaultFs::new());
     let t = db.create_table("u", &["a"], TableConfig::small()).unwrap();
     for k in 0..10 {
         let mut txn = db.begin();
@@ -125,28 +152,12 @@ fn wal_commit_failures_do_not_wedge_the_database() {
 /// indirection latch on the way out: `write_tail` returned through `?`
 /// with the latch bit still set, so the slot stayed latched forever and
 /// every later writer of the key got `WriteConflict`. The row is committed
-/// under a working log and replayed into a database logging to `/dev/full`;
-/// one transaction then updates it until the 1 MiB log buffer spills and
-/// the append fails.
+/// under a working log and replayed into a database logging to a full
+/// device; one transaction then updates it until the 1 MiB log buffer
+/// spills and the append fails.
 #[test]
 fn wal_append_failure_releases_the_latch() {
-    if !std::path::Path::new("/dev/full").exists() {
-        eprintln!("skipping: /dev/full not available on this platform");
-        return;
-    }
-    let path = wal_path("latch-leak");
-    std::fs::remove_file(&path).ok();
-    {
-        let db = Database::new(DbConfig::deterministic().with_wal_path(path.clone()));
-        let t = db.create_table("l", &["a"], TableConfig::small()).unwrap();
-        t.insert_auto(1, &[10]).unwrap();
-        db.runtime().wal.as_ref().unwrap().sync().unwrap();
-    }
-    let state = lstore_wal::recover(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let db = Database::new(DbConfig::deterministic().with_wal_path(PathBuf::from("/dev/full")));
-    let t = db.create_table("l", &["a"], TableConfig::small()).unwrap();
-    t.replay(&state).unwrap();
+    let (db, t) = one_row_replayed_onto_a_full_device("l");
 
     let mut txn = db.begin();
     let err = (0..1_000_000)
@@ -182,27 +193,11 @@ fn wal_append_failure_releases_the_latch() {
 /// transaction. (Each `*_auto` used to carry its own copy of the sequence
 /// with `let _ = wal.commit(..)`: the failed commit was acknowledged and the
 /// write stayed visible.) The row is committed under a working log and
-/// replayed into a database logging to `/dev/full`, where every commit
+/// replayed into a database logging to a full device, where every commit
 /// record fails to flush.
 #[test]
 fn auto_commit_surfaces_wal_failures() {
-    if !std::path::Path::new("/dev/full").exists() {
-        eprintln!("skipping: /dev/full not available on this platform");
-        return;
-    }
-    let path = wal_path("auto-commit");
-    std::fs::remove_file(&path).ok();
-    {
-        let db = Database::new(DbConfig::deterministic().with_wal_path(path.clone()));
-        let t = db.create_table("a", &["a"], TableConfig::small()).unwrap();
-        t.insert_auto(1, &[10]).unwrap();
-        db.runtime().wal.as_ref().unwrap().sync().unwrap();
-    }
-    let state = lstore_wal::recover(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let db = Database::new(DbConfig::deterministic().with_wal_path(PathBuf::from("/dev/full")));
-    let t = db.create_table("a", &["a"], TableConfig::small()).unwrap();
-    t.replay(&state).unwrap();
+    let (_db, t) = one_row_replayed_onto_a_full_device("a");
 
     let is_log_error = |e: &Error| matches!(e, Error::Wal(_) | Error::Storage(_));
     let err = t.update_auto(1, &[(0, 99)]).unwrap_err();
