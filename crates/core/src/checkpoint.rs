@@ -21,12 +21,13 @@
 //! blocks transactions — the same contention-free argument as the merge.
 //!
 //! A crash mid-checkpoint restores the previous checkpoint, never a
-//! manifest without its pages. Two rules see to that. The **sync
-//! barrier**: the pages are synced before the manifest is appended, so no
-//! crash image holds the manifest without them. The **manifest
-//! fallback**: the store's open passes over a manifest record whose image
-//! fails its checksum (torn before the final sync) and keeps the record
-//! before it under the same id.
+//! manifest without its pages. Two rules of the page store see to that.
+//! The **sync barrier**: a manifest record is appended only after a sync
+//! of every record before it, so no crash image holds the manifest
+//! without its pages. The **manifest fallback**: the store's open treats a
+//! last manifest record whose image does not decode as a torn tail, so
+//! the id keeps the record before it. A damaged record *before* a whole
+//! manifest was durable, so it is corruption, and the open fails.
 
 use std::sync::Arc;
 
@@ -80,9 +81,9 @@ impl Table {
 
     /// Checkpoint this table *into the page store*: persist every merged
     /// range's base pages (pages the merge already sealed are just written
-    /// back if still dirty — no second copy), fsync them, and publish one
-    /// manifest page under the table's reserved id, then flush + fsync the
-    /// store file.
+    /// back if still dirty — no second copy) and publish one manifest page
+    /// under the table's reserved id — an append the store makes only
+    /// after an fsync of the pages — then flush + fsync the store file.
     ///
     /// Manifest layout (a plain page of u64 cells):
     /// `[version, n_ranges, n_data_columns]`, then per range
@@ -136,8 +137,6 @@ impl Table {
                 }
             }
         }
-        // The pages are durable before the manifest naming them is written.
-        store.sync()?;
         store.put_page(store_manifest_id(self.id), &BasePage::plain(manifest))?;
         store.flush()?;
         Ok(report)

@@ -16,10 +16,10 @@ use std::sync::{Arc, OnceLock, Weak};
 use parking_lot::RwLock;
 
 use lstore_storage::epoch::EpochManager;
-use lstore_storage::io::{Fs, OsFs};
+use lstore_storage::io as store_io;
 use lstore_storage::store::{PageStore, PoolStatsSnapshot};
 use lstore_txn::{GlobalClock, IsolationLevel, Transaction, TxnManager};
-use lstore_wal::{CommitPolicy, LogRecord, Wal, WalStats};
+use lstore_wal::{io as log_io, CommitPolicy, LogRecord, Wal, WalStats};
 
 use crate::config::{DbConfig, Durability, TableConfig};
 use crate::error::{Error, Result};
@@ -249,27 +249,32 @@ pub struct Database {
 impl Database {
     /// Open a database with `config`.
     pub fn new(config: DbConfig) -> Arc<Database> {
-        Self::with_parts(config, &OsFs, TxnManager::new())
+        Self::with_parts(config, &log_io::OsFs, &store_io::OsFs, TxnManager::new())
     }
 
-    /// [`Database::new`] over given parts — for tests: the files of the log
-    /// and the page store live in `fs` (an in-memory `FaultFs` that fails
-    /// or crashes on cue), and `mgr` may be a transaction table with tiny
-    /// pages (`TxnManager::with_page_bits`), so that ids retire and their
-    /// pages are reused every few transactions.
+    /// [`Database::new`] over given parts — for tests: the log's file lives
+    /// in `log_fs` and the page store's in `store_fs` (either may be an
+    /// in-memory `FaultFs` that fails or crashes on cue; the two crates'
+    /// are two types of one source), and `mgr` may be a transaction table
+    /// with tiny pages (`TxnManager::with_page_bits`), so that ids retire
+    /// and their pages are reused every few transactions.
     #[doc(hidden)]
-    pub fn with_parts(config: DbConfig, fs: &dyn Fs, mgr: TxnManager) -> Arc<Database> {
+    pub fn with_parts(
+        config: DbConfig,
+        log_fs: &dyn log_io::Fs,
+        store_fs: &dyn store_io::Fs,
+        mgr: TxnManager,
+    ) -> Arc<Database> {
         let wal = config.wal_path.as_ref().map(|p| {
             let policy = match config.durability {
                 Durability::None => CommitPolicy::Buffered,
                 Durability::WalGroupCommit => CommitPolicy::GroupCommit,
             };
-            Arc::new(Wal::create(fs, p, policy).expect("create wal"))
+            Arc::new(Wal::create(log_fs, p, policy).expect("create wal"))
         });
-        let store = config
-            .page_store_path
-            .as_ref()
-            .map(|p| PageStore::open_in(fs, p, config.buffer_pool_pages).expect("open page store"));
+        let store = config.page_store_path.as_ref().map(|p| {
+            PageStore::open_in(store_fs, p, config.buffer_pool_pages).expect("open page store")
+        });
         let runtime = Arc::new(Runtime {
             clock: GlobalClock::new(),
             mgr,

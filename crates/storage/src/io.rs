@@ -6,6 +6,10 @@
 //! in-memory file system that fails the calls a script names and yields
 //! the images a crash could leave behind.
 //!
+//! This file is compiled twice: here, for the page store, and as
+//! `lstore_wal::io`, for the log, so that neither crate depends on the
+//! other. Each crate's types are its own.
+//!
 //! ## The crash model
 //!
 //! ALICE's (Pillai et al., "All File Systems Are Not Created Equal",
@@ -60,8 +64,6 @@ pub trait Fs: Send + Sync {
     fn open(&self, path: &Path) -> io::Result<Arc<dyn File>>;
     /// Remove the file at `path`.
     fn remove(&self, path: &Path) -> io::Result<()>;
-    /// Whether a file exists at `path`.
-    fn exists(&self, path: &Path) -> bool;
 }
 
 /// The operating system's files: what the engine runs on.
@@ -117,10 +119,6 @@ impl Fs for OsFs {
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         std::fs::remove_file(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
     }
 }
 
@@ -394,10 +392,6 @@ impl Fs for FaultFs {
             Some(_) => Ok(()),
             None => Err(io::ErrorKind::NotFound.into()),
         }
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.state.lock().names.contains_key(path)
     }
 }
 

@@ -8,16 +8,25 @@
 //! magic "LSPR" | u64 page id | u32 payload len | payload (one page image, `crate::disk`)
 //! ```
 //!
-//! [`StoreFile::open`] scans records from the start and stops at the first
-//! torn or unrecognizable one — one whose payload does not begin with its
-//! page's image, first block checksum included: the logical end is
-//! wherever the valid prefix ends, and the next append overwrites any torn
-//! tail. The end offset only advances after a record is completely
-//! written, so a failed append (short write, `ENOSPC`) leaves the previous
-//! contents untouched: the next append overwrites the partial record, and
-//! a reopen indexes only the records that were whole. All of it goes
-//! through one [`crate::io::File`] handle, which the store's
-//! [`crate::io::Fs`] opened.
+//! A record is *whole* when its header parses, its payload lies inside
+//! the file and begins its page's image, first block checksum included,
+//! and — for a checkpoint manifest — its whole image decodes.
+//! [`StoreFile::open`] scans records from the start and stops at the
+//! first one that is not whole. Whether that is a torn tail or damage
+//! depends on what follows it. A manifest record is appended only after
+//! everything before it is synced (the append syncs first, under the end
+//! lock, so no other record slips in between). So a whole manifest
+//! further on proves the bad record was durable, and the open fails with
+//! [`StorageError::Corrupt`]. Otherwise the bad record and what follows
+//! were never published by a manifest: a crash may have torn them, or
+//! landed their sectors out of order. The logical end is then the bad
+//! record's offset, and the next append overwrites the tail.
+//!
+//! The end offset only advances after a record is completely written, so
+//! a failed append (short write, `ENOSPC`) leaves the previous contents
+//! untouched: the next append overwrites the partial record, and a reopen
+//! indexes only the records that were whole. All of it goes through one
+//! [`crate::io::File`] handle, which the store's [`crate::io::Fs`] opened.
 //!
 //! Re-appending a record under an existing id supersedes the earlier one —
 //! the in-memory index keeps the latest offset per id; the file grows until
@@ -28,7 +37,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::disk::{starts_image, BLOCK_BYTES};
+use super::MANIFEST_ID_BASE;
+use crate::disk::{decode_image, starts_image, BLOCK_BYTES};
 use crate::error::{StorageError, StorageResult};
 use crate::io::{File, Fs};
 
@@ -51,29 +61,21 @@ pub(crate) struct StoreFile {
 impl StoreFile {
     /// Open (creating if absent) the store file at `path` in `fs` and scan
     /// its record directory: `(page id, payload offset, payload len)` in
-    /// file order, truncated at the first torn record.
+    /// file order, up to the first record that is not whole — an error
+    /// when a whole manifest follows it (see the module docs).
     pub(crate) fn open(fs: &dyn Fs, path: &Path) -> StorageResult<(StoreFile, RecordDirectory)> {
         let file = fs.open(path)?;
         let len = file.len()?;
         let mut entries = Vec::new();
         let mut off = 0u64;
-        let mut header = [0u8; HEADER_LEN as usize];
-        let mut start = [0u8; BLOCK_BYTES];
-        while off + HEADER_LEN <= len && file.read_at(&mut header, off).is_ok() {
-            let Some((id, payload_len)) = parse_header(&header) else {
-                break;
-            };
-            let payload_off = off + HEADER_LEN;
-            if payload_off + payload_len as u64 > len {
-                break; // torn tail: the payload never finished writing
-            }
-            let start = &mut start[..(payload_len as usize).min(BLOCK_BYTES)];
-            file.read_at(start, payload_off)?;
-            if !starts_image(id, payload_len as usize, start, off == 0)? {
-                break; // torn, or a header that landed half names another page
-            }
-            entries.push((id, payload_off, payload_len));
+        while let Some(entry @ (_, payload_off, payload_len)) = whole_record(&*file, off, len)? {
+            entries.push(entry);
             off = payload_off + payload_len as u64;
+        }
+        if let Some(at) = manifest_after(&*file, off, len)? {
+            return Err(StorageError::Corrupt(format!(
+                "page-store record at offset {off} is damaged, yet the manifest at {at} follows it"
+            )));
         }
         Ok((
             StoreFile {
@@ -86,11 +88,15 @@ impl StoreFile {
 
     /// Append one record; returns `(payload offset, payload len)` for the
     /// index. The end offset advances only on full success, so a partial
-    /// write is invisible to `open` and overwritten by the next append.
+    /// write is invisible to `open` and overwritten by the next append. A
+    /// manifest is appended only after a sync of everything before it.
     pub(crate) fn append(&self, id: u64, payload: &[u8]) -> StorageResult<(u64, u32)> {
         let payload_len = u32::try_from(payload.len())
             .map_err(|_| StorageError::Corrupt("page image exceeds 4 GiB record limit".into()))?;
         let mut end = self.end.lock();
+        if id & MANIFEST_ID_BASE != 0 {
+            self.file.sync_all()?;
+        }
         let off = *end;
         let mut header = [0u8; HEADER_LEN as usize];
         header[..4].copy_from_slice(RECORD_MAGIC);
@@ -120,6 +126,56 @@ impl StoreFile {
         self.file.sync_all()?;
         Ok(())
     }
+}
+
+/// The record at `off` as a directory entry, if it is whole (see the
+/// module docs). The file's first record is an error instead when its
+/// image header is neither this build's nor torn: the file is foreign.
+fn whole_record(file: &dyn File, off: u64, len: u64) -> StorageResult<Option<(u64, u64, u32)>> {
+    let mut header = [0u8; HEADER_LEN as usize];
+    if off + HEADER_LEN > len {
+        return Ok(None);
+    }
+    file.read_at(&mut header, off)?;
+    let Some((id, payload_len)) = parse_header(&header) else {
+        return Ok(None);
+    };
+    let payload_off = off + HEADER_LEN;
+    if payload_off + payload_len as u64 > len {
+        return Ok(None);
+    }
+    let (manifest, n) = (id & MANIFEST_ID_BASE != 0, payload_len as usize);
+    let mut payload = vec![0u8; if manifest { n } else { n.min(BLOCK_BYTES) }];
+    file.read_at(&mut payload, payload_off)?;
+    let start = &payload[..n.min(BLOCK_BYTES)];
+    let whole =
+        starts_image(id, n, start, off == 0)? && (!manifest || decode_image(id, &payload).is_ok());
+    Ok(whole.then_some((id, payload_off, payload_len)))
+}
+
+/// The offset of a whole manifest record starting after `from`, if any:
+/// a search for the record magic at every byte, a window at a time.
+fn manifest_after(file: &dyn File, from: u64, len: u64) -> StorageResult<Option<u64>> {
+    const WINDOW: u64 = 1 << 20;
+    let mut buf = Vec::new();
+    let mut at = from + 1;
+    while at + HEADER_LEN <= len {
+        buf.resize(WINDOW.min(len - at) as usize, 0);
+        file.read_at(&mut buf, at)?;
+        for (i, w) in buf.windows(RECORD_MAGIC.len()).enumerate() {
+            let off = at + i as u64;
+            if w == RECORD_MAGIC {
+                if let Some((id, ..)) = whole_record(file, off, len)? {
+                    if id & MANIFEST_ID_BASE != 0 {
+                        return Ok(Some(off));
+                    }
+                }
+            }
+        }
+        // The last three bytes may start a magic the next window finishes.
+        at += buf.len() as u64 - (RECORD_MAGIC.len() as u64 - 1);
+    }
+    Ok(None)
 }
 
 /// A record header's page id and payload length; `None` when it does not

@@ -89,13 +89,13 @@ impl PageStore {
     }
 
     /// Open (creating if absent) a page store at `path` in `fs`. Existing
-    /// records are indexed; a torn tail from a crash is ignored and
-    /// overwritten by the next append. A manifest record whose image fails
-    /// its checksum — torn by a crash before its sync — is passed over, so
-    /// its id keeps the record before it. A file whose first record is not
-    /// an image this build reads — one written in the old `LSPG` format,
-    /// say — is refused here with [`StorageError::Corrupt`] rather than at
-    /// the first fault, which has no way to fail.
+    /// records are indexed; a torn tail from a crash — a torn last
+    /// manifest included, so its id keeps the record before it — is
+    /// ignored and overwritten by the next append. A damaged record that a
+    /// whole manifest follows is [`StorageError::Corrupt`], and so is a
+    /// file whose first record is not an image this build reads — one
+    /// written in the old `LSPG` format, say: refused here rather than at
+    /// the first fault, which has no way to fail (see `store/file.rs`).
     pub fn open_in(
         fs: &dyn Fs,
         path: &Path,
@@ -107,8 +107,6 @@ impl PageStore {
         for (id, off, len) in entries {
             if id & MANIFEST_ID_BASE == 0 {
                 next_id = next_id.max(id + 1);
-            } else if decode_image(id, &file.read(off, len)?).is_err() {
-                continue;
             }
             // Later records supersede earlier ones under the same id.
             index.insert(id, (off, len));
@@ -803,6 +801,38 @@ mod tests {
             fell_back += usize::from(read == manifest(1).decode());
         }
         assert!(fell_back > 1, "{fell_back} images fell back");
+    }
+
+    /// A byte flipped in a record that a whole manifest follows damages
+    /// durable data: the open fails rather than cutting the file there.
+    /// Past the last manifest the same flip is a torn tail.
+    #[test]
+    fn a_damaged_record_before_a_manifest_is_an_error_not_a_tail() {
+        let (fs, path) = (FaultFs::new(), Path::new("damaged.lspr"));
+        let store = PageStore::open_in(&fs, path, None).unwrap();
+        for id in 1..=3 {
+            store.put_page(id, &page(id, 100)).unwrap();
+        }
+        let manifest = MANIFEST_ID_BASE | 1;
+        store.put_page(manifest, &page(9, 10)).unwrap();
+        store.put_page(4, &page(4, 100)).unwrap();
+        store.sync().unwrap();
+        let file = fs.open(path).unwrap();
+        let flip = |id: u64| {
+            let (off, len) = store.index.read()[&id];
+            let at = off + u64::from(len.min(BLOCK_BYTES as u32)) / 2;
+            let mut byte = [0u8];
+            file.read_at(&mut byte, at).unwrap();
+            file.write_at(&[byte[0] ^ 0x40], at).unwrap();
+        };
+        flip(2);
+        let err = PageStore::open_in(&fs, path, None).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "got {err:?}");
+        flip(2);
+        flip(4);
+        let reopened = PageStore::open_in(&fs, path, None).unwrap();
+        assert!(reopened.contains(3) && reopened.contains(manifest));
+        assert!(!reopened.contains(4));
     }
 
     /// A short write on an append leaves the end offset where it was: the

@@ -33,7 +33,15 @@
 //!   frame that does not decode is a torn tail unless a later watermark
 //!   frame names an offset above it (then it is corruption); a log without
 //!   watermark frames may only be torn in its last frame.
+//! * [`io`] — the file seam the log writes through: the page store's
+//!   (`lstore_storage::io`), compiled here from the same source file.
 
+// The log and the page store share one seam's source, not one crate:
+// neither crate depends on the other, so the crate graph (which
+// `lbench/Cargo.lock` pins) is the same as before the seam. The cost is
+// that this crate's `io::FaultFs` and the page store's are two types.
+#[path = "../../storage/src/io.rs"]
+pub mod io;
 pub mod log;
 pub mod record;
 pub mod recovery;

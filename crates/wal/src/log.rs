@@ -64,7 +64,7 @@
 //! condvar costs about half an fsync on the boxes measured (see
 //! `docs/BENCHMARKS.md`, anomaly 8).
 
-use lstore_storage::io::Fs;
+use crate::io::Fs;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -387,9 +387,9 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{Fault, FaultFs, OsFs};
     use crate::recover;
     use crate::recovery::recover_from_bytes;
-    use lstore_storage::io::{Fault, FaultFs, OsFs};
     use std::sync::{Arc, Barrier};
 
     fn temp_base(name: &str) -> PathBuf {
@@ -487,7 +487,7 @@ mod tests {
         }
         let _wal = Wal::create(&fs, base, CommitPolicy::Buffered).unwrap();
         assert!(
-            !fs.exists(&sibling(base, 1)) && !fs.exists(&sibling(base, 2)),
+            fs.contents(&sibling(base, 1)).is_none() && fs.contents(&sibling(base, 2)).is_none(),
             "re-create must not leave old-layout streams for recovery to refuse"
         );
     }

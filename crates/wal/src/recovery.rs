@@ -291,7 +291,7 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let wal = Wal::create(&lstore_storage::io::OsFs, &path, CommitPolicy::GroupCommit).unwrap();
+        let wal = Wal::create(&crate::io::OsFs, &path, CommitPolicy::GroupCommit).unwrap();
         for n in 1..=24u64 {
             let t = 1 << 63 | n;
             for seq in 0..(n % 5) as u32 * 3 {

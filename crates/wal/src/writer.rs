@@ -8,9 +8,9 @@
 //! The commit policies, and the group-commit cohorts that amortize fsyncs
 //! across concurrent committers, live on top, in [`crate::log`].
 //!
-//! The file is one [`lstore_storage::io::File`] handle from the `Fs` the
-//! log was created in: writes go through it under the buffer lock, syncs
-//! outside it, and no call needs a second handle.
+//! The file is one [`crate::io::File`] handle from the `Fs` the log was
+//! created in: writes go through it under the buffer lock, syncs outside
+//! it, and no call needs a second handle.
 //!
 //! ## Writing in place
 //!
@@ -50,7 +50,7 @@
 //! is ever reported past the last sync that succeeded. A failed zero-fill
 //! is final too: the sync before it stands, nothing after it does.
 
-use lstore_storage::io::{File, Fs};
+use crate::io::{File, Fs};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -269,7 +269,7 @@ impl Drop for LogFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lstore_storage::io::{Fault, FaultFs};
+    use crate::io::{Fault, FaultFs};
 
     const PATH: &str = "test.log";
 

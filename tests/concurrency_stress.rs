@@ -868,6 +868,7 @@ fn readers_resolve_ids_that_retire_and_recycle_underneath() {
     std::thread::spawn(move || {
         let db = Database::with_parts(
             DbConfig::new().with_pool_threads(2).with_shards(2),
+            &lstore_wal::io::OsFs,
             &lstore_storage::io::OsFs,
             lstore_txn::TxnManager::with_page_bits(2),
         );

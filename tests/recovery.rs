@@ -6,8 +6,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use lstore::{Database, DbConfig, Durability, ReadRequest, Table, TableConfig};
-use lstore_storage::io::{every_crash_point, Crash, FaultFs};
 use lstore_txn::TxnManager;
+use lstore_wal::io::{every_crash_point, Crash, FaultFs};
 use lstore_wal::recovery::recover_from_bytes;
 use lstore_wal::{LogRecord, RecoveredState, WalError};
 
@@ -401,7 +401,7 @@ fn an_old_layout_log_is_refused_until_the_log_is_created_anew() {
         ),
     }
 
-    drop(Wal::create(&lstore_storage::io::OsFs, &path, CommitPolicy::Buffered).unwrap());
+    drop(Wal::create(&lstore_wal::io::OsFs, &path, CommitPolicy::Buffered).unwrap());
     assert!(!sibling.exists());
     assert!(lstore_wal::recover(&path).unwrap().records.is_empty());
     std::fs::remove_file(&path).ok();
@@ -419,7 +419,7 @@ fn logging_to(fs: &FaultFs, shards: usize, durability: Durability) -> Arc<Databa
         .with_shards(shards)
         .with_wal_path(LOG.into())
         .with_durability(durability);
-    Database::with_parts(config, fs, TxnManager::new())
+    Database::with_parts(config, fs, &lstore_storage::io::OsFs, TxnManager::new())
 }
 
 fn table(db: &Database) -> Arc<Table> {

@@ -27,7 +27,7 @@ const STORE: &str = "kill.pages";
 fn open(fs: &FaultFs, pool: Option<usize>) -> Arc<Database> {
     let mut config = DbConfig::deterministic().with_page_store(STORE.into());
     config.buffer_pool_pages = pool;
-    Database::with_parts(config, fs, TxnManager::new())
+    Database::with_parts(config, &lstore_wal::io::OsFs, fs, TxnManager::new())
 }
 
 #[test]

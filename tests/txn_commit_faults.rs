@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use lstore::{Database, DbConfig, Error, IsolationLevel, ReadRequest, TableConfig};
-use lstore_storage::io::{Fault, FaultFs};
 use lstore_txn::TxnManager;
+use lstore_wal::io::{Fault, FaultFs};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-commit-fault-tests");
@@ -20,7 +20,7 @@ fn wal_path(name: &str) -> PathBuf {
 /// A database logging to `log` in `fs`.
 fn logging_to(fs: &FaultFs, log: &str) -> Arc<Database> {
     let config = DbConfig::deterministic().with_wal_path(log.into());
-    Database::with_parts(config, fs, TxnManager::new())
+    Database::with_parts(config, fs, &lstore_storage::io::OsFs, TxnManager::new())
 }
 
 /// A database whose every log write fails from now on, as on a full
