@@ -189,16 +189,6 @@ impl Disk {
         (0..len.div_ceil(SECTOR)).filter(differs).collect()
     }
 
-    /// The file after a crash that landed `landed` of its changed sectors
-    /// (`all`: every one of them; otherwise it keeps its durable length,
-    /// grown to cover what landed).
-    fn landed(&self, landed: &[usize], all: bool) -> Arc<Vec<u8>> {
-        if all {
-            return Arc::clone(&self.live);
-        }
-        self.overlay(landed.iter().map(|&s| (s * SECTOR, sector(&self.live, s))))
-    }
-
     /// The file after a crash that landed the first `len` bytes of the
     /// first write since the sync, and nothing else.
     fn torn(&self, len: usize) -> Arc<Vec<u8>> {
@@ -253,14 +243,6 @@ pub struct Crash {
     pub in_order: bool,
 }
 
-/// Which unsynced bytes a crash image holds.
-enum Landing {
-    /// Of the changed `(file, sector)`s, those flagged.
-    Sectors(Vec<bool>),
-    /// The first `len` bytes of the first write since file `d`'s sync.
-    Tear { d: usize, len: usize },
-}
-
 impl FaultFs {
     /// An empty file system.
     pub fn new() -> FaultFs {
@@ -290,7 +272,7 @@ impl FaultFs {
     /// for, if it came.
     pub fn crash(&self) -> impl Iterator<Item = Crash> {
         let state = self.state.lock();
-        let disks = state.crashed.clone().unwrap_or_else(|| state.disks.clone());
+        let disks = Arc::new(state.crashed.clone().unwrap_or_else(|| state.disks.clone()));
         let names = state.names.clone();
         drop(state);
         let changed: Vec<(usize, usize)> = disks
@@ -309,56 +291,62 @@ impl FaultFs {
                 .chain(holes)
                 .collect()
         };
-        let tears = disks.iter().enumerate().flat_map(|(d, disk)| {
-            let (at, bytes) = disk.first.clone().unwrap_or_default();
-            let (n, durable) = (bytes.len(), Arc::clone(&disk.durable));
-            // A prefix whose last byte the durable image already holds
-            // there is the same image as the prefix one byte shorter.
-            let new = move |&len: &usize| durable.get(at + len - 1) != Some(&bytes[len - 1]);
-            (1..=n).filter(new).map(move |len| Landing::Tear { d, len })
-        });
-        let landings: Vec<Landing> = sets
-            .into_iter()
-            .map(Landing::Sectors)
-            .chain(tears)
+        let tears: Vec<(usize, usize)> = disks
+            .iter()
+            .enumerate()
+            .flat_map(|(d, disk)| {
+                let (at, bytes) = disk.first.as_ref().map_or((0, &[][..]), |(at, b)| (*at, b));
+                // A prefix whose last byte the durable image already holds
+                // there is the same image as the prefix one byte shorter.
+                let new =
+                    move |&len: &usize| disk.durable.get(at + len - 1) != Some(&bytes[len - 1]);
+                (1..=bytes.len()).filter(new).map(move |len| (d, len))
+            })
             .collect();
-        landings.into_iter().map(move |landing| {
-            let files = disks.iter().enumerate().map(|(d, disk)| {
-                let bytes = match &landing {
-                    Landing::Sectors(set) => {
-                        let mut mine = changed.iter().zip(set).filter(|&(&(of, _), _)| of == d);
-                        let landed: Vec<usize> = mine
-                            .clone()
-                            .filter(|&(_, &l)| l)
-                            .map(|(&(_, s), _)| s)
-                            .collect();
-                        disk.landed(&landed, mine.all(|(_, &l)| l))
-                    }
-                    &Landing::Tear { d: torn, len } if torn == d => disk.torn(len),
-                    Landing::Tear { .. } => Arc::clone(&disk.durable),
+        let landed = Arc::clone(&disks);
+        let by_sector = sets.into_iter().map(move |set| {
+            let files = landed.iter().enumerate().map(|(d, disk)| {
+                let mine = || {
+                    changed
+                        .iter()
+                        .zip(&set)
+                        .filter(move |((of, _), _)| *of == d)
                 };
-                Disk {
+                if mine().all(|(_, &l)| l) {
+                    return Arc::clone(&disk.live);
+                }
+                let sectors = mine().filter(|(_, &l)| l).map(|(&(_, s), _)| s);
+                disk.overlay(sectors.map(|s| (s * SECTOR, sector(&disk.live, s))))
+            });
+            (files.collect(), set.windows(2).all(|w| w[0] || !w[1]))
+        });
+        let by_tear = tears.into_iter().map(move |(torn, len)| {
+            let files = disks.iter().enumerate().map(|(d, disk)| match d == torn {
+                true => disk.torn(len),
+                false => Arc::clone(&disk.durable),
+            });
+            (files.collect(), true)
+        });
+        by_sector
+            .chain(by_tear)
+            .map(move |(files, in_order): (Vec<_>, _)| {
+                let disks = files.into_iter().map(|bytes: Arc<Vec<u8>>| Disk {
                     durable: Arc::clone(&bytes),
                     live: bytes,
                     first: None,
+                });
+                let state = State {
+                    disks: disks.collect(),
+                    names: names.clone(),
+                    ..State::default()
+                };
+                Crash {
+                    fs: FaultFs {
+                        state: Arc::new(Mutex::new(state)),
+                    },
+                    in_order,
                 }
-            });
-            let state = State {
-                disks: files.collect(),
-                names: names.clone(),
-                ..State::default()
-            };
-            let in_order = match &landing {
-                Landing::Sectors(set) => set.windows(2).all(|w| w[0] || !w[1]),
-                Landing::Tear { .. } => true,
-            };
-            Crash {
-                fs: FaultFs {
-                    state: Arc::new(Mutex::new(state)),
-                },
-                in_order,
-            }
-        })
+            })
     }
 
     fn handle(&self, path: &Path, truncate: bool) -> Arc<dyn File> {
