@@ -321,9 +321,12 @@ impl FaultFs {
             (files.collect(), set.windows(2).all(|w| w[0] || !w[1]))
         });
         let by_tear = tears.into_iter().map(move |(torn, len)| {
-            let files = disks.iter().enumerate().map(|(d, disk)| match d == torn {
-                true => disk.torn(len),
-                false => Arc::clone(&disk.durable),
+            let files = disks.iter().enumerate().map(|(d, disk)| {
+                if d == torn {
+                    disk.torn(len)
+                } else {
+                    Arc::clone(&disk.durable)
+                }
             });
             (files.collect(), true)
         });
