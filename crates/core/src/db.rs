@@ -19,11 +19,12 @@ use lstore_storage::epoch::EpochManager;
 use lstore_storage::io as store_io;
 use lstore_storage::store::{PageStore, PoolStatsSnapshot};
 use lstore_txn::{GlobalClock, IsolationLevel, Transaction, TxnManager};
-use lstore_wal::{io as log_io, CommitPolicy, LogRecord, Wal, WalStats};
+use lstore_wal::{io as log_io, CommitPolicy, LogRecord, Wal};
 
 use crate::config::{DbConfig, Durability, TableConfig};
 use crate::error::{Error, Result};
 use crate::pool::TaskPool;
+use crate::stats::Metrics;
 use crate::table::Table;
 
 /// Shared engine runtime handed to every table.
@@ -393,11 +394,19 @@ impl Database {
         self.runtime.store.as_ref().map(|s| s.pool_stats())
     }
 
-    /// Counters of the log's commit-wait layer — commits enrolled, fsyncs
-    /// and their time, leader waits, largest cohort (`None` when the
-    /// database runs without a WAL).
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.runtime.wal.as_ref().map(|wal| wal.stats())
+    /// Every counter set of the database: each table's
+    /// [`Table::stats`], the buffer pool's [`Database::store_stats`], the
+    /// log's commit-wait counters — commits enrolled, fsyncs and their
+    /// time, leader waits, largest cohort — and epoch reclamation. The sets
+    /// are read one after another, not at one instant.
+    pub fn metrics(&self) -> Metrics {
+        let tables = self.tables.read();
+        Metrics {
+            tables: tables.iter().map(|(n, t)| (n.clone(), t.stats())).collect(),
+            store: self.store_stats(),
+            wal: self.runtime.wal.as_ref().map(|wal| wal.stats()),
+            epoch: self.runtime.epoch.counters().snapshot(),
+        }
     }
 
     /// Write back every dirty resident page and fsync the page-store file

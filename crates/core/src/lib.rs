@@ -87,8 +87,9 @@ pub use request::{ReadRequest, ReadResponse};
 pub use rid::Rid;
 pub use row::RowTable;
 pub use schema::{Schema, SchemaEncoding};
+pub use stats::Metrics;
 pub use table::Table;
 
-pub use lstore_storage::NULL_VALUE;
+pub use lstore_storage::{metric_set, metrics, NULL_VALUE};
 pub use lstore_txn::{IsolationLevel, Transaction};
 pub use lstore_wal::WalStats;

@@ -80,7 +80,6 @@ use crate::range::{BaseData, BaseVersion, UpdateRange};
 use crate::read::{ReadMode, Resolved};
 use crate::rid::Rid;
 use crate::schema::SchemaEncoding;
-use crate::stats::TableStats;
 use crate::table::Table;
 use crate::tailseg::TailSuffix;
 
@@ -495,8 +494,8 @@ impl Table {
             let current = plan.tail_pass(&self.runtime.mgr, cols, ts, lo, hi);
             let walked = plan.suffix.len() as u64;
             let stats = &self.stats;
-            TableStats::add(&stats.tail_pass_records, walked);
-            TableStats::add(&stats.tail_pass_rows, plan.rows.len() as u64);
+            stats.tail_pass_records.add(walked);
+            stats.tail_pass_rows.add(plan.rows.len() as u64);
             // Scans request the merge they keep paying for: once their
             // passes have walked as many unmerged records as the range has
             // rows. Only a current snapshot counts — a merge would save a
@@ -576,10 +575,10 @@ impl Table {
             let stats = &self.stats;
             let fast = (hi - lo) as u64 - chained;
             if fast > 0 {
-                TableStats::add(&stats.fast_path_reads, fast);
+                stats.fast_path_reads.add(fast);
             }
             if chained > 0 {
-                TableStats::add(&stats.chain_reads, chained);
+                stats.chain_reads.add(chained);
             }
         }
     }

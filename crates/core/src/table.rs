@@ -375,7 +375,7 @@ impl Table {
                 idx.insert(v, rid.0);
             }
         }
-        TableStats::bump(&self.stats.inserts);
+        self.stats.inserts.inc();
 
         // A filled insert range is a candidate for the simplified merge.
         if slot as usize + 1 == range.capacity {
@@ -428,7 +428,7 @@ impl Table {
     /// update operation, in which all data columns are implicitly set to ∅").
     pub fn delete(&self, txn: &mut Transaction, key: u64) -> Result<Rid> {
         let rid = self.write_tail(txn, key, &[], true)?;
-        TableStats::bump(&self.stats.deletes);
+        self.stats.deletes.inc();
         Ok(rid)
     }
 
@@ -453,7 +453,7 @@ impl Table {
         let prev = match range.try_latch(slot) {
             Some(p) => p,
             None => {
-                TableStats::bump(&self.stats.write_conflicts);
+                self.stats.write_conflicts.inc();
                 return Err(Error::WriteConflict {
                     base_rid: base_rid.0,
                 });
@@ -479,7 +479,7 @@ impl Table {
             };
             if mgr.resolve_start_time(head_start, reread).in_flight() {
                 range.unlatch_restore(slot, prev);
-                TableStats::bump(&self.stats.write_conflicts);
+                self.stats.write_conflicts.inc();
                 return Err(Error::WriteConflict {
                     base_rid: base_rid.0,
                 });
@@ -573,7 +573,7 @@ impl Table {
             }
             range.mark_updated(slot, fresh_bits);
             range.note_tail_append();
-            TableStats::bump(&self.stats.snapshots_taken);
+            self.stats.snapshots_taken.inc();
         }
 
         // Cumulative carry (§3.1): repeat the latest values of previously
@@ -636,7 +636,7 @@ impl Table {
         range.mark_updated(slot, upd_bits);
         range.unlatch_install(slot, tail_rid);
         txn.track_write(self.id, base_rid.0, tail_rid.0);
-        TableStats::bump(&self.stats.updates);
+        self.stats.updates.inc();
 
         // Secondary-index maintenance: add (new value, base RID); defer the
         // removal of superseded entries (§3.1 footnote 3).
@@ -830,7 +830,7 @@ impl Table {
                 self.runtime.page_store(),
                 force_seal,
             ) {
-                TableStats::bump(&stats.insert_merges);
+                stats.insert_merges.inc();
             } else {
                 return report;
             }
@@ -845,8 +845,8 @@ impl Table {
             None,
         );
         if report.swapped {
-            TableStats::bump(&stats.merges);
-            TableStats::add(&stats.merged_records, report.consumed);
+            stats.merges.inc();
+            stats.merged_records.add(report.consumed);
             if let Some(wal) = &self.runtime.wal {
                 let _ = wal.append(&LogRecord::MergeCompleted {
                     table_id: self.id,
@@ -960,7 +960,7 @@ impl Table {
             .historic
             .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr);
         if n > 0 {
-            TableStats::add(&self.stats.historic_compressed, n as u64);
+            self.stats.historic_compressed.add(n as u64);
             if let Some(wal) = &self.runtime.wal {
                 let _ = wal.append(&LogRecord::HistoricCompressed {
                     table_id: self.id,

@@ -24,7 +24,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,44 +55,29 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic service-tier counters (snapshot via [`Server::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Read/multi-read requests admitted past the budget.
-    pub admitted: u64,
-    /// Requests shed with `Overloaded`.
-    pub shed: u64,
-    /// Requests dropped with `RequestTimeout`.
-    pub timed_out: u64,
-    /// Engine batches the dispatcher executed.
-    pub batches: u64,
-    /// Requests served through those batches.
-    pub batched_requests: u64,
-    /// Requests per executed batch, log₂-bucketed: bucket `i` counts
-    /// batches of `2^i ..= 2^(i+1) - 1` requests.
-    pub batch_size_log2: [u64; HIST_BUCKETS],
-    /// Microseconds each request sat queued before the dispatcher took
-    /// it, log₂-bucketed the same way (bucket 0 also holds 0 µs, the last
-    /// bucket everything from `2^15` µs up).
-    pub queue_wait_us_log2: [u64; HIST_BUCKETS],
-}
-
-/// Buckets per [`ServerStats`] histogram.
-const HIST_BUCKETS: usize = 16;
-
-fn log2_bucket(value: u64) -> usize {
-    ((value | 1).ilog2() as usize).min(HIST_BUCKETS - 1)
-}
-
-#[derive(Default)]
-struct Counters {
-    admitted: AtomicU64,
-    shed: AtomicU64,
-    timed_out: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    batch_size_log2: [AtomicU64; HIST_BUCKETS],
-    queue_wait_us_log2: [AtomicU64; HIST_BUCKETS],
+lstore::metric_set! {
+    /// The service tier's live counters.
+    struct ServerCounters;
+    /// Monotonic service-tier counters (snapshot via [`Server::stats`]).
+    pub struct ServerStats {
+        /// Read/multi-read requests admitted past the budget.
+        admitted: Counter,
+        /// Requests shed with `Overloaded`.
+        shed: Counter,
+        /// Requests dropped with `RequestTimeout`.
+        timed_out: Counter,
+        /// Engine batches the dispatcher executed.
+        batches: Counter,
+        /// Requests served through those batches.
+        batched_requests: Counter,
+        /// Requests per executed batch, log₂-bucketed: bucket `i` counts
+        /// batches of `2^i ..= 2^(i+1) - 1` requests.
+        batch_size_log2: Histogram,
+        /// Microseconds each request sat queued before the dispatcher took
+        /// it, log₂-bucketed the same way (bucket 0 also holds 0 µs, the last
+        /// bucket everything from `2^15` µs up).
+        queue_wait_us_log2: Histogram,
+    }
 }
 
 /// One admitted request waiting for (or undergoing) execution.
@@ -143,7 +128,7 @@ struct Shared {
     inflight: AtomicUsize,
     queue: Mutex<VecDeque<Pending>>,
     queue_cv: Condvar,
-    counters: Counters,
+    counters: ServerCounters,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -173,7 +158,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            counters: Counters::default(),
+            counters: ServerCounters::default(),
             conn_threads: Mutex::new(Vec::new()),
         });
         let mut core = Vec::new();
@@ -203,17 +188,7 @@ impl Server {
 
     /// Snapshot the service-tier counters.
     pub fn stats(&self) -> ServerStats {
-        let c = &self.shared.counters;
-        let hist = |h: &[AtomicU64; HIST_BUCKETS]| h.each_ref().map(|b| b.load(Ordering::Relaxed));
-        ServerStats {
-            admitted: c.admitted.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_requests: c.batched_requests.load(Ordering::Relaxed),
-            batch_size_log2: hist(&c.batch_size_log2),
-            queue_wait_us_log2: hist(&c.queue_wait_us_log2),
-        }
+        self.shared.counters.snapshot()
     }
 
     /// Stop accepting, wake the dispatcher, and join every thread. The
@@ -380,14 +355,14 @@ fn submit(
     let prev = shared.inflight.fetch_add(1, Ordering::AcqRel);
     if prev >= shared.config.max_inflight {
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        shared.counters.shed.inc();
         writer.push(protocol::encode_response(
             request_id,
             &Response::Rejected(Error::Overloaded),
         ));
         return;
     }
-    shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
+    shared.counters.admitted.inc();
     shared.queue.lock().push_back(Pending {
         writer: Arc::clone(writer),
         request_id,
@@ -444,14 +419,15 @@ fn dispatcher_loop(shared: &Shared) {
 /// `(table, columns, as_of)` signature into one engine batch each, and
 /// scatter results back per request.
 fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
+    let counters = &shared.counters;
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for pending in batch {
         let waited = pending.arrived.elapsed();
-        shared.counters.queue_wait_us_log2[log2_bucket(waited.as_micros() as u64)]
-            .fetch_add(1, Ordering::Relaxed);
+        let micros = waited.as_micros() as u64;
+        counters.queue_wait_us_log2.record(micros);
         match shared.config.request_timeout {
             Some(deadline) if waited > deadline => {
-                shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
+                counters.timed_out.inc();
                 respond(shared, &pending, &Response::Rejected(Error::RequestTimeout));
             }
             _ => live.push(pending),
@@ -460,12 +436,9 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
     if live.is_empty() {
         return;
     }
-    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
-        .batched_requests
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
-    shared.counters.batch_size_log2[log2_bucket(live.len() as u64)].fetch_add(1, Ordering::Relaxed);
+    counters.batches.inc();
+    counters.batched_requests.add(live.len() as u64);
+    counters.batch_size_log2.record(live.len() as u64);
 
     // Group member indices by execution signature.
     type Signature<'a> = (&'a str, Option<&'a [u32]>, Option<u64>);
@@ -576,15 +549,6 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use lstore::DbConfig;
-
-    #[test]
-    fn log2_buckets_cover_zero_to_overflow() {
-        let buckets: Vec<usize> = [0, 1, 2, 3, 4, 255, 256, 32_767, 32_768, u64::MAX]
-            .into_iter()
-            .map(log2_bucket)
-            .collect();
-        assert_eq!(buckets, [0, 0, 1, 1, 2, 7, 8, 14, 15, 15]);
-    }
 
     #[test]
     fn closed_connections_are_reaped_while_live_ones_keep_serving() {

@@ -25,9 +25,19 @@ struct Inner {
     active: Mutex<BTreeMap<u64, usize>>,
     /// Retired objects awaiting reclamation, stamped with their retire epoch.
     limbo: Mutex<Vec<(u64, Box<dyn Send>)>>,
-    /// Statistics: total objects retired / reclaimed.
-    retired: AtomicU64,
-    reclaimed: AtomicU64,
+    counters: EpochCounters,
+}
+
+crate::metric_set! {
+    /// The reclamation counters of an [`EpochManager`].
+    pub struct EpochCounters;
+    /// A reading of [`EpochCounters`].
+    pub struct EpochStats {
+        /// Objects retired (queued for reclamation).
+        retired: Counter,
+        /// Retired objects dropped once no reader could reach them.
+        reclaimed: Counter,
+    }
 }
 
 /// Coordinates query epochs and deferred de-allocation of outdated pages.
@@ -50,8 +60,7 @@ impl EpochManager {
                 epoch: AtomicU64::new(0),
                 active: Mutex::new(BTreeMap::new()),
                 limbo: Mutex::new(Vec::new()),
-                retired: AtomicU64::new(0),
-                reclaimed: AtomicU64::new(0),
+                counters: EpochCounters::default(),
             }),
         }
     }
@@ -84,7 +93,7 @@ impl EpochManager {
     pub fn retire<T: Send + 'static>(&self, obj: T) {
         let stamp = self.inner.epoch.fetch_add(1, Ordering::AcqRel);
         self.inner.limbo.lock().push((stamp, Box::new(obj)));
-        self.inner.retired.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.retired.inc();
     }
 
     /// Drop every retired object whose stamp is older than all active
@@ -98,9 +107,7 @@ impl EpochManager {
         limbo.retain(|(stamp, _)| *stamp >= horizon);
         let freed = before - limbo.len();
         drop(limbo);
-        self.inner
-            .reclaimed
-            .fetch_add(freed as u64, Ordering::Relaxed);
+        self.inner.counters.reclaimed.add(freed as u64);
         freed
     }
 
@@ -109,12 +116,9 @@ impl EpochManager {
         self.inner.limbo.lock().len()
     }
 
-    /// Lifetime counters: (retired, reclaimed).
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.inner.retired.load(Ordering::Relaxed),
-            self.inner.reclaimed.load(Ordering::Relaxed),
-        )
+    /// Lifetime counters.
+    pub fn counters(&self) -> &EpochCounters {
+        &self.inner.counters
     }
 }
 
@@ -205,8 +209,13 @@ mod tests {
         assert_eq!(em.pending(), 10);
         assert_eq!(em.try_reclaim(), 10);
         assert_eq!(em.pending(), 0);
-        let (retired, reclaimed) = em.stats();
-        assert_eq!((retired, reclaimed), (10, 10));
+        assert_eq!(
+            em.counters().snapshot(),
+            EpochStats {
+                retired: 10,
+                reclaimed: 10
+            }
+        );
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!   page file behind a capacity-budgeted buffer pool with
 //!   clock/second-chance eviction, so datasets outgrow RAM while readers
 //!   stay oblivious to page residency.
+//! * **One metrics module** ([`metrics`]) — the relaxed `Counter` and the
+//!   log₂ `Histogram` every engine counter set is built from, declared
+//!   with [`metric_set!`].
 //! * **One I/O seam** ([`io`]) — the `File` and `Fs` traits every file
 //!   call of the log and the page store goes through, with the OS behind
 //!   them in production and an in-memory `FaultFs` in tests.
@@ -32,6 +35,7 @@ pub mod disk;
 pub mod epoch;
 pub mod error;
 pub mod io;
+pub mod metrics;
 pub mod page;
 pub mod store;
 pub mod tail;

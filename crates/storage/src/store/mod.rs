@@ -186,7 +186,7 @@ impl PageStore {
         let mut slot = frame.slot.write();
         if let Some(page) = slot.clone() {
             // Another reader faulted it in while we waited for the lock.
-            frame.count_hit();
+            frame.hits.inc();
             return frame.pin_with(page, streaming);
         }
         let (at, col) = self
@@ -204,7 +204,7 @@ impl PageStore {
         // exactly while the slot is full; then the gauge, as in `seal`.
         self.pool.register(frame);
         self.pool.stats().resident.fetch_add(1, Ordering::SeqCst);
-        self.pool.stats().faults.fetch_add(1, Ordering::Relaxed);
+        self.pool.stats().events.faults.inc();
         drop(slot);
         self.enforce_budget();
         pinned
@@ -238,7 +238,7 @@ impl PageStore {
         if let Some(layout) = frame.layout.get() {
             if let Some(value) = layout.constant(slot) {
                 // A one-value page: the file has nothing to add.
-                frame.count_hit();
+                frame.hits.inc();
                 return value;
             }
             if let (Some(at), Some(budget)) = (frame.image_at(), self.pool.budget()) {
@@ -246,7 +246,7 @@ impl PageStore {
                 let stamp = stats.turnover() + 1;
                 let last = frame.touched.swap(stamp, Ordering::Relaxed);
                 if last == 0 || stamp.saturating_sub(last) > budget as u64 {
-                    stats.block_reads.fetch_add(1, Ordering::Relaxed);
+                    stats.events.block_reads.inc();
                     return self
                         .read_cell(frame.id, layout, at, slot)
                         .unwrap_or_else(|e| unreadable(frame.id, e));
@@ -321,7 +321,7 @@ impl PageStore {
                     if let Some(page) = page {
                         self.write_frame(&h.frame, &page)?;
                         h.frame.dirty.store(false, Ordering::SeqCst);
-                        self.pool.stats().writebacks.fetch_add(1, Ordering::Relaxed);
+                        self.pool.stats().events.writebacks.inc();
                     }
                 }
                 Ok(h.frame.id)
@@ -346,7 +346,7 @@ impl PageStore {
             };
             self.write_frame(&frame, &page)?;
             frame.dirty.store(false, Ordering::SeqCst);
-            self.pool.stats().writebacks.fetch_add(1, Ordering::Relaxed);
+            self.pool.stats().events.writebacks.inc();
         }
         if let Some(err) = self.take_error() {
             return Err(err);

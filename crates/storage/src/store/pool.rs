@@ -34,59 +34,68 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::disk::Layout;
 use crate::error::{StorageError, StorageResult};
+use crate::metrics::Counter;
 use crate::page::BasePage;
 
-/// Shared pool counters: the `resident` gauge and monotonic event
-/// counters. Nothing here is written by a pin that finds its page
-/// resident — outstanding pins and hits are kept per frame and summed
-/// over the ring by [`BufferPool::snapshot`].
+/// Shared pool state: the `resident` gauge and the event counters.
+/// Nothing here is written by a pin that finds its page resident —
+/// outstanding pins and hits are kept per frame and summed over the ring
+/// by [`BufferPool::snapshot`].
 ///
 /// Update ordering maintains the invariant `resident ≤ budget + pinned`
-/// at every observable instant (absent writeback failures, which park a
-/// dirty frame resident): admission paths pin the frame and put it in the
-/// ring *before* they bump `resident`, and the admitting pin is only
-/// released after the budget sweep has run.
+/// (absent writeback failures, which park a dirty frame resident):
+/// admission paths pin the frame and put it in the ring *before* they bump
+/// `resident`, the admitting pin is only released after the budget sweep
+/// has run, and an eviction that writes its victim back holds a pin on it
+/// until the gauge has let it go. What is left is the moment between a
+/// reader's unpin of a page admitted over the budget and the sweep its
+/// guard runs right after (`store::Unpinned`).
 #[derive(Debug, Default)]
 pub(crate) struct PoolStats {
+    /// Frames whose slot holds a page. SeqCst, unlike the counters: the
+    /// budget sweep reads it to decide whether to evict.
     pub(crate) resident: AtomicU64,
-    /// Hits of frames that have left the ring; see [`Frame::hits`].
-    pub(crate) hits: AtomicU64,
-    pub(crate) faults: AtomicU64,
-    pub(crate) block_reads: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-    pub(crate) writebacks: AtomicU64,
+    pub(crate) events: PoolEvents,
 }
 
 impl PoolStats {
     /// Pages the pool has let go (evictions) or turned away (block reads):
     /// the clock a point read's admission window is measured on.
     pub(crate) fn turnover(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed) + self.block_reads.load(Ordering::Relaxed)
+        self.events.evictions.get() + self.events.block_reads.get()
     }
 }
 
-/// Point-in-time copy of the pool counters plus the configured budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStatsSnapshot {
-    /// Frames whose slot currently holds a page.
-    pub resident: u64,
-    /// Outstanding [`PinnedPage`] guards.
-    pub pinned: u64,
-    /// Pins and point reads satisfied without touching the page file.
-    pub hits: u64,
-    /// Pins and point reads that had to read and decode a whole page image
-    /// into the pool (misses).
-    pub faults: u64,
-    /// Point reads of a page that was not resident, answered from the
-    /// image blocks holding the cell without faulting the page in
-    /// (misses too).
-    pub block_reads: u64,
-    /// Frames whose slot was dropped by the clock sweep.
-    pub evictions: u64,
-    /// Dirty pages encoded and appended to the page file.
-    pub writebacks: u64,
-    /// Capacity budget in frames (`None` = unbounded).
-    pub budget: Option<u64>,
+crate::metric_set! {
+    /// The pool's event counters.
+    pub(crate) struct PoolEvents;
+    /// Point-in-time copy of the pool counters plus the configured budget.
+    pub struct PoolStatsSnapshot {
+        /// Pins and point reads satisfied without touching the page file.
+        /// The live counter holds only the hits of frames that have left
+        /// the ring; frames in the ring count their own.
+        hits: Counter,
+        /// Pins and point reads that had to read and decode a whole page
+        /// image into the pool (misses).
+        faults: Counter,
+        /// Point reads of a page that was not resident, answered from the
+        /// image blocks holding the cell without faulting the page in
+        /// (misses too).
+        block_reads: Counter,
+        /// Frames whose slot was dropped by the clock sweep.
+        evictions: Counter,
+        /// Dirty pages encoded and appended to the page file.
+        writebacks: Counter,
+    }
+    gauges {
+        /// Frames whose slot currently holds a page.
+        resident: u64,
+        /// Outstanding pins: [`PinnedPage`] guards, and the dirty pages
+        /// an eviction is writing back.
+        pinned: u64,
+        /// Capacity budget in frames (`None` = unbounded).
+        budget: Option<u64>,
+    }
 }
 
 impl PoolStatsSnapshot {
@@ -103,14 +112,28 @@ impl PoolStatsSnapshot {
     }
 }
 
+/// What a pin adds to a frame's pin word: one outstanding pin.
+const PIN: u64 = 1;
+/// What an unpin adds: one release, one outstanding pin fewer.
+const UNPIN: u64 = (1 << 32) - 1;
+
+/// Outstanding pins in a pin word.
+fn pins_of(word: u64) -> u64 {
+    word & u64::from(u32::MAX)
+}
+
 /// One buffer-pool frame: a stable page id plus an evictable page slot.
 pub(crate) struct Frame {
     /// Stable id of this page in the store file.
     pub(crate) id: u64,
     /// The cached page; `None` when evicted.
     pub(crate) slot: RwLock<Option<Arc<BasePage>>>,
-    /// Outstanding pins; the clock never evicts a pinned frame.
-    pub(crate) pins: AtomicU64,
+    /// The pin word: outstanding pins in the low 32 bits, releases in the
+    /// high 32. A pin adds [`PIN`] and an unpin [`UNPIN`], so each is one
+    /// RMW that raises the word: two equal reads bracket an interval in
+    /// which the count did not change. The clock never evicts a pinned
+    /// frame.
+    pins: AtomicU64,
     /// Clock reference bit (second chance).
     pub(crate) referenced: AtomicBool,
     /// True while the cached page has no up-to-date image in the file.
@@ -132,9 +155,9 @@ pub(crate) struct Frame {
     /// admission stamp (see `PageStore::get`).
     pub(crate) touched: AtomicU64,
     /// Pins that found the page resident since the frame last entered the
-    /// ring; folded into [`PoolStats::hits`] when it leaves (eviction,
+    /// ring; folded into [`PoolEvents::hits`] when it leaves (eviction,
     /// drop). Counted here because every thread shares the global's line.
-    hits: AtomicU64,
+    pub(crate) hits: Counter,
     stats: Arc<PoolStats>,
 }
 
@@ -160,7 +183,7 @@ impl Frame {
             layout,
             image_at: AtomicU64::new(Frame::NO_IMAGE),
             touched: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            hits: Counter::default(),
             stats,
         }
     }
@@ -183,7 +206,7 @@ impl Frame {
     /// `streaming` pin leaves the reference bit alone: the page will not
     /// ask the clock for a second chance on this reader's account.
     pub(crate) fn pin_with(self: &Arc<Self>, page: Arc<BasePage>, streaming: bool) -> PinnedPage {
-        self.pins.fetch_add(1, Ordering::SeqCst);
+        self.pins.fetch_add(PIN, Ordering::SeqCst);
         if !streaming {
             self.reference();
         }
@@ -202,7 +225,7 @@ impl Frame {
         // taken here is never raced away.
         let pinned = self.pin_with(page, streaming);
         drop(slot);
-        self.count_hit();
+        self.hits.inc();
         Some(pinned)
     }
 
@@ -213,7 +236,7 @@ impl Frame {
     pub(crate) fn try_get(&self, slot: usize) -> Option<u64> {
         let value = self.slot.read().as_ref()?.get(slot);
         self.reference();
-        self.count_hit();
+        self.hits.inc();
         Some(value)
     }
 
@@ -225,15 +248,14 @@ impl Frame {
         }
     }
 
-    /// Count a pin that found the page resident.
-    pub(crate) fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Move this frame's hits to the pool's counter: it is leaving the ring.
     fn fold_hits(&self) {
-        let hits = self.hits.swap(0, Ordering::Relaxed);
-        self.stats.hits.fetch_add(hits, Ordering::Relaxed);
+        self.stats.events.hits.add(self.hits.take());
+    }
+
+    /// Outstanding pins.
+    pub(crate) fn pinned(&self) -> u64 {
+        pins_of(self.pins.load(Ordering::SeqCst))
     }
 }
 
@@ -253,7 +275,7 @@ impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Frame")
             .field("id", &self.id)
-            .field("pins", &self.pins.load(Ordering::Relaxed))
+            .field("pins", &self.pinned())
             .field("dirty", &self.dirty.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -277,7 +299,7 @@ impl Deref for PinnedPage {
 
 impl Drop for PinnedPage {
     fn drop(&mut self) {
-        self.frame.pins.fetch_sub(1, Ordering::SeqCst);
+        self.frame.pins.fetch_add(UNPIN, Ordering::SeqCst);
     }
 }
 
@@ -312,6 +334,9 @@ const RING_SLACK: usize = 64;
 struct Clock {
     frames: Vec<Weak<Frame>>,
     hand: usize,
+    /// Frames ever put into the ring: a snapshot that finds it unchanged
+    /// knows no frame entered meanwhile.
+    entered: u64,
 }
 
 impl Clock {
@@ -346,6 +371,7 @@ impl BufferPool {
             clock: Mutex::new(Clock {
                 frames: Vec::new(),
                 hand: 0,
+                entered: 0,
             }),
             stats: Arc::new(PoolStats::default()),
         }
@@ -372,6 +398,7 @@ impl BufferPool {
     pub(crate) fn register(&self, frame: &Arc<Frame>) {
         let mut clock = self.clock.lock();
         clock.frames.push(Arc::downgrade(frame));
+        clock.entered += 1;
         let resident = self.stats.resident.load(Ordering::SeqCst) as usize;
         if clock.frames.len() > 2 * resident + RING_SLACK {
             clock.frames.retain(|entry| entry.strong_count() > 0);
@@ -440,7 +467,7 @@ impl BufferPool {
                 continue;
             };
             clock.hand += 1;
-            if frame.pins.load(Ordering::SeqCst) > 0 {
+            if frame.pinned() > 0 {
                 continue;
             }
             if frame.referenced.swap(false, Ordering::SeqCst) {
@@ -451,7 +478,7 @@ impl BufferPool {
             };
             // Pins are taken under the slot read lock, so holding the
             // write lock freezes the count; anything >0 pinned before us.
-            if frame.pins.load(Ordering::SeqCst) > 0 {
+            if frame.pinned() > 0 {
                 continue;
             }
             let Some(page) = slot.as_deref() else {
@@ -460,18 +487,24 @@ impl BufferPool {
                 clock.frames.swap_remove(at);
                 continue;
             };
-            if frame.dirty.load(Ordering::SeqCst) {
+            let dirty = frame.dirty.load(Ordering::SeqCst);
+            if dirty {
                 // Written with the clock released (a bulk load must not
                 // queue readers behind file writes) but from inside the
                 // ring: a flush walking it meanwhile waits on the slot
                 // lock rather than miss an unwritten page, and a failed
-                // write leaves the frame where it was, still dirty.
+                // write leaves the frame where it was, still dirty. The
+                // write holds a pin, released once the gauge has let the
+                // page go: it keeps the page in memory as a reader would,
+                // and `resident ≤ budget + pinned` counts it so.
+                frame.pins.fetch_add(PIN, Ordering::SeqCst);
                 drop(clock);
                 if let Err(e) = writeback(&frame, page) {
+                    frame.pins.fetch_add(UNPIN, Ordering::SeqCst);
                     return EvictOutcome::WritebackFailed(e);
                 }
                 frame.dirty.store(false, Ordering::SeqCst);
-                self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                self.stats.events.writebacks.inc();
                 clock = self.clock.lock(); // slot → clock, as a fault
                 clock.remove(&frame, at);
             } else {
@@ -484,36 +517,56 @@ impl BufferPool {
             drop(clock);
             *slot = None;
             self.stats.resident.fetch_sub(1, Ordering::SeqCst);
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            if dirty {
+                frame.pins.fetch_add(UNPIN, Ordering::SeqCst);
+            }
+            self.stats.events.evictions.inc();
             return EvictOutcome::Evicted;
         }
         EvictOutcome::NoVictim
     }
 
-    /// Gauges and counters at one instant of the clock: `pinned` and the
-    /// live frames' `hits` are summed over the ring, which cannot change
-    /// meanwhile. `resident` is read last and under the same hold, so a
-    /// page admitted over the budget is never counted without its pin
-    /// (admission is pin → ring → gauge, and no sweep runs while we look).
+    /// Gauges and counters at one instant. The sweeps that keep
+    /// `resident ≤ budget + pinned` take the clock, and pins move without
+    /// it, so the snapshot does not hold the clock while it reads: readers
+    /// that release their pins then would wait for their sweeps behind
+    /// it, and it would read the excess they leave. It takes the clock
+    /// only to copy the ring, then reads every frame's pin word, the
+    /// `resident` gauge, and the pin words again. When every word reads
+    /// alike twice and no frame entered the ring meanwhile, each frame
+    /// held the pins counted at the instant `resident` was read, and no
+    /// frame outside the copy had been counted in it (admission is pin →
+    /// ring → gauge). Otherwise it reads again.
     pub(crate) fn snapshot(&self) -> PoolStatsSnapshot {
-        let clock = self.clock.lock();
-        let mut pinned = 0;
-        let mut hits = self.stats.hits.load(Ordering::Relaxed);
-        for frame in clock.frames.iter().filter_map(Weak::upgrade) {
-            pinned += frame.pins.load(Ordering::SeqCst);
-            hits += frame.hits.load(Ordering::Relaxed);
-        }
-        let resident = self.stats.resident.load(Ordering::SeqCst);
-        drop(clock);
-        PoolStatsSnapshot {
-            resident,
-            pinned,
-            hits,
-            faults: self.stats.faults.load(Ordering::Relaxed),
-            block_reads: self.stats.block_reads.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            writebacks: self.stats.writebacks.load(Ordering::Relaxed),
-            budget: self.budget,
+        loop {
+            let (frames, entered, hits) = {
+                // Hits are summed here: evictions fold theirs under the clock.
+                let clock = self.clock.lock();
+                let frames: Vec<Arc<Frame>> =
+                    clock.frames.iter().filter_map(Weak::upgrade).collect();
+                let live: u64 = frames.iter().map(|frame| frame.hits.get()).sum();
+                (frames, clock.entered, live + self.stats.events.hits.get())
+            };
+            let words: Vec<u64> = frames
+                .iter()
+                .map(|frame| frame.pins.load(Ordering::SeqCst))
+                .collect();
+            let resident = self.stats.resident.load(Ordering::SeqCst);
+            let steady = frames
+                .iter()
+                .zip(&words)
+                .all(|(frame, &word)| frame.pins.load(Ordering::SeqCst) == word);
+            if !steady || self.clock.lock().entered != entered {
+                std::thread::yield_now();
+                continue;
+            }
+            return PoolStatsSnapshot {
+                resident,
+                pinned: words.iter().map(|&word| pins_of(word)).sum(),
+                hits,
+                budget: self.budget,
+                ..self.stats.events.snapshot()
+            };
         }
     }
 }

@@ -35,14 +35,19 @@
 //!   watermark frames may only be torn in its last frame.
 //! * [`io`] — the file seam the log writes through: the page store's
 //!   (`lstore_storage::io`), compiled here from the same source file.
+//! * [`metrics`] — the engine's counters (`lstore_storage::metrics`),
+//!   compiled here from the same source file too.
 
-// The log and the page store share one seam's source, not one crate:
-// neither crate depends on the other, so the crate graph (which
-// `lbench/Cargo.lock` pins) is the same as before the seam. The cost is
-// that this crate's `io::FaultFs` and the page store's are two types.
+// The log and the page store share one seam's source, and one metrics
+// module's, not one crate: neither crate depends on the other, so the
+// crate graph (which `lbench/Cargo.lock` pins) is the same as before the
+// seam. The cost is that this crate's `io::FaultFs` and the page store's
+// are two types, and so are the two crates' `Counter`s.
 #[path = "../../storage/src/io.rs"]
 pub mod io;
 pub mod log;
+#[path = "../../storage/src/metrics.rs"]
+pub mod metrics;
 pub mod record;
 pub mod recovery;
 mod writer;

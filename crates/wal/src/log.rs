@@ -67,7 +67,6 @@
 use crate::io::Fs;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::record::LogRecord;
@@ -90,41 +89,32 @@ pub enum CommitPolicy {
     GroupCommit,
 }
 
-/// Counters of the commit-wait layer since the log was created
-/// ([`Wal::stats`]). `commits_enrolled / syncs` is the mean cohort when
-/// nothing but commits syncs the log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Commit records that waited for an fsync (none under
-    /// [`CommitPolicy::Buffered`]).
-    pub commits_enrolled: u64,
-    /// `fdatasync` calls issued, by commits and by [`Wal::sync`].
-    pub syncs: u64,
-    /// Time spent in them, flush included.
-    pub sync_ns: u64,
-    /// Times a leader waited for returning committers before its fsync.
-    pub leader_waits: u64,
-    /// Time spent in those waits.
-    pub leader_wait_ns: u64,
-    /// Most committers one fsync released.
-    pub max_cohort: u64,
-    /// Zero-fills of a group-commit log: 1 MiB of zeros written ahead of
-    /// its records after a small sync that found less than 512 KiB left.
-    pub fills: u64,
-    /// Time spent in them.
-    pub fill_ns: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    commits_enrolled: AtomicU64,
-    syncs: AtomicU64,
-    sync_ns: AtomicU64,
-    leader_waits: AtomicU64,
-    leader_wait_ns: AtomicU64,
-    max_cohort: AtomicU64,
-    fills: AtomicU64,
-    fill_ns: AtomicU64,
+crate::metric_set! {
+    /// The commit-wait layer's live counters.
+    struct WalCounters;
+    /// Counters of the commit-wait layer since the log was created
+    /// ([`Wal::stats`]). `commits_enrolled / syncs` is the mean cohort when
+    /// nothing but commits syncs the log.
+    pub struct WalStats {
+        /// Commit records that waited for an fsync (none under
+        /// [`CommitPolicy::Buffered`]).
+        commits_enrolled: Counter,
+        /// `fdatasync` calls issued, by commits and by [`Wal::sync`].
+        syncs: Counter,
+        /// Time spent in them, flush included.
+        sync_ns: Counter,
+        /// Times a leader waited for returning committers before its fsync.
+        leader_waits: Counter,
+        /// Time spent in those waits.
+        leader_wait_ns: Counter,
+        /// Most committers one fsync released.
+        max_cohort: Counter,
+        /// Zero-fills of a group-commit log: 1 MiB of zeros written ahead of
+        /// its records after a small sync that found less than 512 KiB left.
+        fills: Counter,
+        /// Time spent in them.
+        fill_ns: Counter,
+    }
 }
 
 /// Group-commit state (see "The cohort rule" in the module docs).
@@ -184,7 +174,7 @@ pub struct Wal {
     cohorts: Mutex<Cohorts>,
     /// Followers park here until a leader publishes a watermark.
     published: Condvar,
-    counters: Counters,
+    counters: WalCounters,
 }
 
 /// `<path>.s<index>`: a stream file of the per-shard layout older builds
@@ -222,7 +212,7 @@ impl Wal {
                 regroup_time: Duration::ZERO,
             }),
             published: Condvar::new(),
-            counters: Counters::default(),
+            counters: WalCounters::default(),
         })
     }
 
@@ -245,9 +235,7 @@ impl Wal {
         if self.policy == CommitPolicy::Buffered || !matches!(record, LogRecord::Commit { .. }) {
             return self.log.flush();
         }
-        self.counters
-            .commits_enrolled
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.commits_enrolled.inc();
         self.wait_durable(lsn)
     }
 
@@ -283,9 +271,7 @@ impl Wal {
                 // was assigned before we enrolled.
                 Ok((watermark, took)) => {
                     cohorts.release(watermark, cohort, took);
-                    self.counters
-                        .max_cohort
-                        .fetch_max(cohort as u64, Ordering::Relaxed);
+                    self.counters.max_cohort.max(cohort as u64);
                     drop(cohorts);
                     self.fill();
                     cohorts = self.cohorts.lock();
@@ -321,10 +307,8 @@ impl Wal {
         }
         if let Some(started) = started {
             let waited = started.elapsed().as_nanos() as u64;
-            self.counters.leader_waits.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .leader_wait_ns
-                .fetch_add(waited, Ordering::Relaxed);
+            self.counters.leader_waits.inc();
+            self.counters.leader_wait_ns.add(waited);
         }
         cohorts
     }
@@ -335,10 +319,8 @@ impl Wal {
         let started = Instant::now();
         let watermark = self.log.sync_watermark()?;
         let took = started.elapsed();
-        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .sync_ns
-            .fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
+        self.counters.syncs.inc();
+        self.counters.sync_ns.add(took.as_nanos() as u64);
         Ok((watermark, took))
     }
 
@@ -348,9 +330,9 @@ impl Wal {
     fn fill(&self) {
         let started = Instant::now();
         if self.log.fill_if_due() {
-            self.counters.fills.fetch_add(1, Ordering::Relaxed);
+            self.counters.fills.inc();
             let took = started.elapsed().as_nanos() as u64;
-            self.counters.fill_ns.fetch_add(took, Ordering::Relaxed);
+            self.counters.fill_ns.add(took);
         }
     }
 
@@ -370,17 +352,7 @@ impl Wal {
 
     /// Counters of the commit-wait layer.
     pub fn stats(&self) -> WalStats {
-        let c = &self.counters;
-        WalStats {
-            commits_enrolled: c.commits_enrolled.load(Ordering::Relaxed),
-            syncs: c.syncs.load(Ordering::Relaxed),
-            sync_ns: c.sync_ns.load(Ordering::Relaxed),
-            leader_waits: c.leader_waits.load(Ordering::Relaxed),
-            leader_wait_ns: c.leader_wait_ns.load(Ordering::Relaxed),
-            max_cohort: c.max_cohort.load(Ordering::Relaxed),
-            fills: c.fills.load(Ordering::Relaxed),
-            fill_ns: c.fill_ns.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 

@@ -198,11 +198,33 @@ pub(crate) fn watermark(upto: u64) -> Vec<u8> {
 /// The offset named by an intact watermark frame at `at` in the log `data`,
 /// unless it names more than its own offset, which the writer never does
 /// (so a forged frame cannot vouch for bytes after it). Cheap on bytes that
-/// are not one, so recovery can try it at every offset.
+/// are not one.
 pub(crate) fn watermark_at(data: &[u8], at: usize) -> Option<u64> {
     let frame = data.get(at..)?.first_chunk::<WATERMARK_LEN>()?;
     let upto = u64::from_be_bytes(*frame[9..].first_chunk()?);
     (frame[8] == TAG_WATERMARK && upto <= at as u64 && frame[..] == watermark(upto)).then_some(upto)
+}
+
+/// Offsets from `from` on at which `data` could hold a watermark frame: a
+/// `0 0 0 9` length prefix with [`TAG_WATERMARK`] after the checksum. Every
+/// offset [`watermark_at`] accepts is among them, found in one pass of
+/// byte compares.
+pub(crate) fn watermark_starts(data: &[u8], from: usize) -> impl Iterator<Item = usize> + '_ {
+    let body_len = (WATERMARK_LEN - 8) as u8;
+    let mut at = from;
+    std::iter::from_fn(move || {
+        while at + 8 < data.len() {
+            let w = at;
+            at += 1;
+            if data[w + 3] == body_len
+                && data[w + 8] == TAG_WATERMARK
+                && data[w] | data[w + 1] | data[w + 2] == 0
+            {
+                return Some(w);
+            }
+        }
+        None
+    })
 }
 
 impl LogRecord {

@@ -21,9 +21,10 @@
 //!   names an offset above `o`: those bytes were synced before that frame
 //!   was written. Otherwise it is a torn tail — or, when nothing but zeros
 //!   follows, simply the end of the log. Watermark frames are found by
-//!   trying every offset after `o`, so no length field of a damaged frame
-//!   is trusted; one naming an offset above its own position, which the
-//!   writer never logs, is not believed.
+//!   trying every offset after `o` whose bytes could start one, in one
+//!   pass, so no length field of a damaged frame is trusted; one naming an
+//!   offset above its own position, which the writer never logs, is not
+//!   believed.
 //! * **A log with none** (every buffered log) is appended, so only its
 //!   last frame can be torn: a checksum failure before the end is
 //!   corruption, and so is a frame anywhere whose checksum matches but
@@ -129,11 +130,10 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
 /// merely incomplete), is a torn tail; `false` when the log just ends in
 /// zeros there. `Err` when it is corruption (see module docs).
 fn ends_torn(data: &[u8], at: usize, error: Option<WalError>) -> WalResult<bool> {
-    // A watermark frame starts `0 0 0 9`, so none starts in trailing zeros.
+    // A watermark frame's bytes 3 and 8 are not zero, so none ends in
+    // trailing zeros.
     let written = nonzero_len(data);
-    let named = (at + 1..written)
-        .filter_map(|w| record::watermark_at(data, w))
-        .max();
+    let named = named_after(data, at, written);
     let appended = named.is_none() && record::watermark_at(data, 0).is_none();
     match (named, error) {
         (Some(upto), _) if upto > at as u64 => Err(WalError::Corrupt(format!(
@@ -144,6 +144,14 @@ fn ends_torn(data: &[u8], at: usize, error: Option<WalError>) -> WalResult<bool>
         (_, Some(e)) if appended && !record::torn_at_end(&data[at..]) => Err(e),
         _ => Ok(appended || written > at),
     }
+}
+
+/// The largest offset an intact watermark frame after `at` names, trying
+/// only the offsets before `written` whose bytes could start one.
+fn named_after(data: &[u8], at: usize, written: usize) -> Option<u64> {
+    record::watermark_starts(&data[..written], at + 1)
+        .filter_map(|w| record::watermark_at(data, w))
+        .max()
 }
 
 /// The length of `data` without the zeros it ends in, compared a sector at
@@ -371,6 +379,55 @@ mod tests {
             }
         };
         (out, what)
+    }
+
+    /// What [`named_after`] finds, by its definition: a watermark frame
+    /// tried at every offset after `at`.
+    fn named_by_every_offset(data: &[u8], at: usize) -> Option<u64> {
+        (at + 1..data.len())
+            .filter_map(|w| crate::record::watermark_at(data, w))
+            .max()
+    }
+
+    #[test]
+    fn the_watermark_search_finds_what_every_offset_finds() {
+        let mut found = 0;
+        let mut agree = |data: &[u8], at: usize, what: &str| {
+            let named = named_after(data, at, nonzero_len(data));
+            assert_eq!(named, named_by_every_offset(data, at), "{what}, after {at}");
+            found += usize::from(named.is_some());
+        };
+        // Torn and damaged group-commit images.
+        let image = group_commit_image();
+        let mut seed = 0x5EED_0038;
+        for cut in (0..image.len()).step_by(7) {
+            let at = next(&mut seed) as usize % (cut + 1);
+            agree(&image[..cut], at, &format!("cut at {cut}"));
+        }
+        for _ in 0..500 {
+            let (damaged, what) = damage(&image, &mut seed);
+            let at = next(&mut seed) as usize % damaged.len();
+            agree(&damaged, at, &what);
+        }
+        // Random bytes, zero runs and frames naming offsets at, below and
+        // above their own.
+        for round in 0..300 {
+            let len = 1 + next(&mut seed) as usize % 2048;
+            let mut data: Vec<u8> = (0..len).map(|_| next(&mut seed) as u8).collect();
+            for _ in 0..next(&mut seed) % 8 {
+                let pos = next(&mut seed) as usize % len;
+                let upto = (pos as u64 + 2).saturating_sub(next(&mut seed) % 64);
+                let frame = crate::record::watermark(upto);
+                let end = (pos + frame.len()).min(len);
+                data[pos..end].copy_from_slice(&frame[..end - pos]);
+                let zeros = (end + next(&mut seed) as usize % 64).min(len);
+                data[end..zeros].fill(0);
+            }
+            for at in [0, next(&mut seed) as usize % len, len - 1] {
+                agree(&data, at, &format!("random buffer {round}"));
+            }
+        }
+        assert!(found > 500, "only {found} searches found a watermark");
     }
 
     #[test]

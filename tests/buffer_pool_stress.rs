@@ -161,6 +161,9 @@ fn scans_stay_exact_while_a_4_page_pool_thrashes() {
         .map(|k| t.read_one(&ReadRequest::latest(k)).unwrap().values.unwrap()[0])
         .sum();
     assert_eq!(final_sum, per_key, "scan equals per-key reads after drain");
+    // The scans above may have requested merges (a scan asks for the merge
+    // of a range whose unmerged records it keeps walking): let them finish.
+    db.drain_merges();
     let stats = db.store_stats().unwrap();
     assert_eq!(stats.pinned, 0, "pins returned at quiesce: {stats:?}");
     assert!(

@@ -297,7 +297,7 @@ fn nothing_logged_means_nothing_to_wait_for() {
         }
         let wal = db.runtime().wal.clone().unwrap();
         wal.sync().unwrap();
-        let stats = db.wal_stats().unwrap();
+        let stats = db.metrics().wal.unwrap();
         assert_eq!(stats.commits_enrolled, 20);
         let log_len = std::fs::metadata(&path).unwrap().len();
 
@@ -320,7 +320,7 @@ fn nothing_logged_means_nothing_to_wait_for() {
         db.abort(&mut given_up);
         unlogged.push(given_up.id);
 
-        assert_eq!(db.wal_stats().unwrap(), stats, "no enrolment, no fsync");
+        assert_eq!(db.metrics().wal.unwrap(), stats, "no enrolment, no fsync");
         wal.flush().unwrap();
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -338,7 +338,7 @@ fn nothing_logged_means_nothing_to_wait_for() {
         writer_id = writer.id;
         assert!(db.commit(&mut stale).is_err());
         unlogged.push(stale.id);
-        let after = db.wal_stats().unwrap();
+        let after = db.metrics().wal.unwrap();
         assert_eq!(after.commits_enrolled, stats.commits_enrolled + 1);
         assert_eq!(after.syncs, stats.syncs + 1);
     }

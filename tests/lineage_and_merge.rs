@@ -119,16 +119,15 @@ fn epoch_reclamation_counts_retired_versions() {
     for k in 0..500 {
         t.update_auto(k, &[(0, 1)]).unwrap();
     }
-    let (retired_before, _) = db.runtime().epoch.stats();
+    let before = db.metrics().epoch;
     t.merge_all();
-    let (retired_after, _) = db.runtime().epoch.stats();
+    let after = db.metrics().epoch;
     assert!(
-        retired_after > retired_before,
+        after.retired > before.retired,
         "merges retire outdated base versions through the epoch queue"
     );
     db.reclaim();
-    let (_, reclaimed) = db.runtime().epoch.stats();
-    assert!(reclaimed > 0);
+    assert!(db.metrics().epoch.reclaimed > 0);
 }
 
 #[test]

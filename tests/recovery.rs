@@ -652,7 +652,7 @@ fn group_commit_crashes(all: bool) {
             apply_cohort(&db, &t, c);
             calls.push(fs.calls());
         }
-        assert_eq!(db.wal_stats().unwrap().syncs, COHORTS as u64);
+        assert_eq!(db.metrics().wal.unwrap().syncs, COHORTS as u64);
         *acks.lock().unwrap() = calls;
         *last.lock().unwrap() = log_of(fs);
     };
