@@ -10,15 +10,15 @@
 //! [`Table::checkpoint_to_store`] persists the page images into the store
 //! (sealed pages are usually already there — persisting is then just a
 //! dirty-frame writeback) plus one manifest page under a reserved id, and
-//! [`Table::restore_from_store`] rebuilds the table *without loading the
-//! pages* — every restored range holds store-backed page handles that fault
-//! in on first read, so recovery consults the store before replaying the
-//! WAL suffix and a cold restart never materializes more than the pool
-//! budget. The WAL suffix after the checkpoint replays on top (tail records
-//! with sequence numbers ≤ the checkpointed TPS are already reflected in
-//! the pages and are skipped by the TPS watermark during merges). Because
-//! base pages are immutable, checkpointing reads only stable data and never
-//! blocks transactions — the same contention-free argument as the merge.
+//! [`Table::restore_from_store`] rebuilds a freshly created table *without
+//! loading the pages* — every restored range holds store-backed page
+//! handles that fault in on first read, so a restore never materializes
+//! more than the pool budget. No engine path restores a checkpoint and
+//! then replays the log after it: [`crate::Database::open`] replays the
+//! whole log and ignores the manifests, since a manifest records no log
+//! position to replay from. Because base pages are immutable,
+//! checkpointing reads only stable data and never blocks transactions —
+//! the same contention-free argument as the merge.
 //!
 //! A crash mid-checkpoint restores the previous checkpoint, never a
 //! manifest without its pages. Two rules of the page store see to that.
@@ -143,9 +143,9 @@ impl Table {
     }
 
     /// Restore base pages from the page store's manifest written by
-    /// [`Table::checkpoint_to_store`] into this freshly created table —
-    /// recovery's consult-the-store-first step, before replaying the WAL
-    /// suffix with [`Table::replay`].
+    /// [`Table::checkpoint_to_store`] into this freshly created table.
+    /// [`crate::Database::open`] does not call it: it replays the whole log
+    /// instead.
     ///
     /// Restored ranges hold store-backed page handles: no page data is
     /// read here beyond the meta columns needed to rebuild the primary

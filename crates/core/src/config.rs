@@ -74,7 +74,43 @@ impl TableConfig {
         self.codec = codec;
         self
     }
+
+    /// The configuration as the log's catalog record carries it.
+    pub(crate) fn to_words(&self) -> Vec<u64> {
+        let codec = CODECS.iter().position(|&c| c == self.codec);
+        vec![
+            self.range_size as u64,
+            self.tail_page_slots as u64,
+            self.merge_threshold as u64,
+            self.cumulative_updates as u64,
+            codec.unwrap_or_default() as u64,
+        ]
+    }
+
+    /// The configuration a catalog record carries, `None` when its words
+    /// are not ones [`TableConfig::to_words`] writes.
+    pub(crate) fn from_words(words: &[u64]) -> Option<TableConfig> {
+        let &[range_size, tail_page_slots, merge_threshold, cumulative, codec] = words else {
+            return None;
+        };
+        Some(TableConfig {
+            range_size: range_size as usize,
+            tail_page_slots: tail_page_slots as usize,
+            merge_threshold: merge_threshold as usize,
+            cumulative_updates: cumulative != 0,
+            codec: *CODECS.get(codec as usize)?,
+        })
+    }
 }
+
+/// Every codec policy, in the order the catalog record numbers them.
+const CODECS: [CodecChoice; 5] = [
+    CodecChoice::Auto,
+    CodecChoice::Dictionary,
+    CodecChoice::Rle,
+    CodecChoice::ForPack,
+    CodecChoice::None,
+];
 
 /// Commit durability policy for the write-ahead log (§5.1.3 + the §6.1
 /// group-commit remark). The WAL itself is enabled by
@@ -114,8 +150,9 @@ pub struct DbConfig {
     /// Write-ahead log path; `None` disables logging (the evaluation
     /// setting: "logging has been turned off for all systems", §6.1). One
     /// file, whatever `shards` is; `.s<i>` siblings left beside it by an
-    /// older build are removed when the log is created (recovery refuses a
-    /// log that still has them).
+    /// older build are removed by `Database::new` (`Database::open` refuses
+    /// a log that still has them). `Database::open` restarts the database
+    /// from this log.
     pub wal_path: Option<PathBuf>,
     /// What a commit waits for when the WAL is enabled.
     pub durability: Durability,

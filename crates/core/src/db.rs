@@ -248,39 +248,71 @@ pub struct Database {
 }
 
 impl Database {
-    /// Open a database with `config`.
+    /// Create a fresh database with `config`: its log, when it has one,
+    /// is emptied first and then opened like any other. Panics when the
+    /// log or the page store cannot be opened; [`Database::open`] returns
+    /// that error instead.
     pub fn new(config: DbConfig) -> Arc<Database> {
+        let emptied = match &config.wal_path {
+            Some(path) => Wal::clear(&log_io::OsFs, path).map_err(Error::from),
+            None => Ok(()),
+        };
+        emptied
+            .and_then(|()| Self::open(config))
+            .expect("create database")
+    }
+
+    /// Open the database `config` names, restarting it from its log
+    /// (§5.1.3): recovery reads the log at [`DbConfig::wal_path`] (an
+    /// absent one starts empty), the file is cut back to the end of what
+    /// recovery read and appended from there, the log's catalog records
+    /// re-create every table with the schema and configuration it was
+    /// created with, and the redo records are replayed into them, in file
+    /// order. New transactions take ids above every id in the log and
+    /// timestamps above every commit in it. A log recovery refuses fails
+    /// the open with [`Error::Wal`] and is left as it was; so does a
+    /// record that does not fit its table, which replay finds after the
+    /// log was opened — under group commit, the log then ends in one more
+    /// watermark frame, naming its old end. The page store
+    /// at [`DbConfig::page_store_path`] is opened as it is; restoring a
+    /// table's checkpoint from it is still [`Table::restore_from_store`].
+    pub fn open(config: DbConfig) -> Result<Arc<Database>> {
         Self::with_parts(config, &log_io::OsFs, &store_io::OsFs, TxnManager::new())
     }
 
-    /// [`Database::new`] over given parts — for tests: the log's file lives
-    /// in `log_fs` and the page store's in `store_fs` (either may be an
-    /// in-memory `FaultFs` that fails or crashes on cue; the two crates'
-    /// are two types of one source), and `mgr` may be a transaction table
-    /// with tiny pages (`TxnManager::with_page_bits`), so that ids retire
-    /// and their pages are reused every few transactions.
+    /// [`Database::open`] over given parts — for tests: the log's file
+    /// lives in `log_fs` and the page store's in `store_fs` (either may be
+    /// an in-memory `FaultFs` that fails or crashes on cue; the two
+    /// crates' are two types of one source), and `mgr` may be a
+    /// transaction table with tiny pages (`TxnManager::with_page_bits`), so
+    /// that ids retire and their pages are reused every few transactions.
     #[doc(hidden)]
     pub fn with_parts(
         config: DbConfig,
         log_fs: &dyn log_io::Fs,
         store_fs: &dyn store_io::Fs,
         mgr: TxnManager,
-    ) -> Arc<Database> {
-        let wal = config.wal_path.as_ref().map(|p| {
-            let policy = match config.durability {
-                Durability::None => CommitPolicy::Buffered,
-                Durability::WalGroupCommit => CommitPolicy::GroupCommit,
-            };
-            Arc::new(Wal::create(log_fs, p, policy).expect("create wal"))
-        });
-        let store = config.page_store_path.as_ref().map(|p| {
-            PageStore::open_in(store_fs, p, config.buffer_pool_pages).expect("open page store")
-        });
+    ) -> Result<Arc<Database>> {
+        let policy = match config.durability {
+            Durability::None => CommitPolicy::Buffered,
+            Durability::WalGroupCommit => CommitPolicy::GroupCommit,
+        };
+        let (wal, recovered) = config
+            .wal_path
+            .as_ref()
+            .map(|p| Wal::open(log_fs, p, policy))
+            .transpose()?
+            .unzip();
+        let store = config
+            .page_store_path
+            .as_ref()
+            .map(|p| PageStore::open_in(store_fs, p, config.buffer_pool_pages))
+            .transpose()?;
         let runtime = Arc::new(Runtime {
             clock: GlobalClock::new(),
             mgr,
             epoch: EpochManager::new(),
-            wal,
+            wal: wal.map(Arc::new),
             store,
             pool_threads: config.pool_threads.max(1),
             background_merge: config.background_merge,
@@ -290,10 +322,14 @@ impl Database {
             tables: RwLock::new(Vec::new()),
             stopped: AtomicBool::new(false),
         });
-        Arc::new(Database {
+        let db = Arc::new(Database {
             runtime,
             tables: RwLock::new(HashMap::new()),
-        })
+        });
+        if let Some(state) = recovered {
+            db.replay(&state)?;
+        }
+        Ok(db)
     }
 
     /// Block until every queued background merge has executed — after this,
@@ -308,19 +344,60 @@ impl Database {
         &self.runtime
     }
 
-    /// Create a table with the given value columns (key is implicit).
+    /// Create a table with the given value columns (key is implicit). Its
+    /// catalog record is logged before any record of the table, and is as
+    /// durable as a commit record when this returns, so
+    /// [`Database::open`] re-creates it. A name already taken is
+    /// [`Error::TableExists`], and nothing is created or logged. A log
+    /// that fails to make the record durable is poisoned: the error is
+    /// returned, and the table, registered by then, can commit nothing.
     pub fn create_table(
         &self,
         name: &str,
         value_columns: &[&str],
         config: TableConfig,
     ) -> Result<Arc<Table>> {
+        let wal = self.runtime.wal.as_deref();
+        let (table, lsn) = self.add_table(name, value_columns, config, wal)?;
+        // The wait comes after the registration locks are released: every
+        // later commit of the table waits for an LSN above this one anyway.
+        if let (Some(wal), Some(lsn)) = (wal, lsn) {
+            wal.make_durable(lsn)?;
+        }
+        Ok(table)
+    }
+
+    /// Create and register a table, appending its catalog record to `log`
+    /// under the registration locks, so that catalog order is id order;
+    /// returns the record's LSN (replay re-creates a table from its record
+    /// and logs nothing).
+    pub(crate) fn add_table(
+        &self,
+        name: &str,
+        value_columns: &[&str],
+        config: TableConfig,
+        log: Option<&Wal>,
+    ) -> Result<(Arc<Table>, Option<u64>)> {
         let mut tables = self.tables.write();
+        if tables.contains_key(name) {
+            return Err(Error::TableExists(name.to_string()));
+        }
+        let mut lsn = None;
         let table = self.runtime.register_table(|id| {
-            Table::create(id, name, value_columns, config, Arc::clone(&self.runtime))
+            let runtime = Arc::clone(&self.runtime);
+            let table = Table::create(id, name, value_columns, config.clone(), runtime)?;
+            if let Some(wal) = log {
+                lsn = Some(wal.append(&LogRecord::CreateTable {
+                    table_id: id,
+                    name: name.to_string(),
+                    columns: value_columns.iter().map(|c| c.to_string()).collect(),
+                    config: config.to_words(),
+                })?);
+            }
+            Ok(table)
         })?;
         tables.insert(name.to_string(), Arc::clone(&table));
-        Ok(table)
+        Ok((table, lsn))
     }
 
     /// Look up a table by name.
@@ -510,6 +587,25 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_taken_table_name_is_refused_and_nothing_is_registered_or_logged() {
+        let fs = log_io::FaultFs::new();
+        let log = std::path::Path::new("names.wal");
+        let config = DbConfig::deterministic().with_wal_path(log.into());
+        let db = Database::with_parts(config, &fs, &store_io::OsFs, TxnManager::new()).unwrap();
+        let first = db.create_table("t", &["a"], TableConfig::small()).unwrap();
+        first.insert_auto(1, &[10]).unwrap();
+        let logged = fs.contents(log).unwrap();
+        let again = db.create_table("t", &["a", "b"], TableConfig::small());
+        match again {
+            Err(e @ Error::TableExists(_)) => assert_eq!(e.code(), 15),
+            other => panic!("a second table \"t\": {other:?}"),
+        }
+        assert_eq!(fs.contents(log).unwrap(), logged, "nothing logged");
+        assert_eq!(db.runtime.tables.read().len(), 1, "nothing registered");
+        assert!(Arc::ptr_eq(&db.table("t").unwrap(), &first));
+    }
 
     #[test]
     fn shutdown_pins_never_spawned_pool_and_refuses_enqueues() {

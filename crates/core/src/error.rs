@@ -11,6 +11,8 @@ pub enum Error {
     KeyNotFound(u64),
     /// Database-level operation naming a table that does not exist.
     TableNotFound(String),
+    /// `create_table` with the name of a table that already exists.
+    TableExists(String),
     /// Write-write conflict detected on the indirection latch or on an
     /// uncommitted competing version (§5.1.1 `write`); the transaction must
     /// abort.
@@ -93,6 +95,7 @@ impl Error {
             Error::RequestTimeout => 12,
             Error::Protocol(_) => 13,
             Error::TxnFinalized => 14,
+            Error::TableExists(_) => 15,
             Error::Remote { code, .. } => *code,
         }
     }
@@ -101,7 +104,7 @@ impl Error {
     pub fn to_parts(&self) -> ErrorParts {
         let (a, b, detail) = match self {
             Error::DuplicateKey(k) | Error::KeyNotFound(k) => (*k, 0, String::new()),
-            Error::TableNotFound(name) => (0, 0, name.clone()),
+            Error::TableNotFound(name) | Error::TableExists(name) => (0, 0, name.clone()),
             Error::WriteConflict { base_rid } | Error::ValidationFailed { base_rid } => {
                 (*base_rid, 0, String::new())
             }
@@ -148,6 +151,7 @@ impl Error {
             12 => Error::RequestTimeout,
             13 => Error::Protocol(detail),
             14 => Error::TxnFinalized,
+            15 => Error::TableExists(detail),
             _ => Error::Remote { code, detail },
         }
     }
@@ -159,6 +163,7 @@ impl fmt::Display for Error {
             Error::DuplicateKey(k) => write!(f, "duplicate key {k}"),
             Error::KeyNotFound(k) => write!(f, "key {k} not found"),
             Error::TableNotFound(name) => write!(f, "table {name:?} not found"),
+            Error::TableExists(name) => write!(f, "table {name:?} already exists"),
             Error::WriteConflict { base_rid } => {
                 write!(f, "write-write conflict on base rid {base_rid:#x}")
             }
@@ -234,6 +239,7 @@ mod tests {
             Error::Overloaded,
             Error::RequestTimeout,
             Error::Protocol("bad magic".into()),
+            Error::TableExists("accounts".into()),
             Error::Remote {
                 code: 10,
                 detail: "wal error: torn record".into(),
@@ -244,7 +250,7 @@ mod tests {
     #[test]
     fn codes_are_stable_and_distinct() {
         let codes: Vec<u16> = samples().iter().map(Error::code).collect();
-        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 14, 11, 12, 13, 10]);
+        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 14, 11, 12, 13, 15, 10]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod multi_read;
 pub mod pool;
 pub mod range;
 pub mod read;
-pub mod replay;
+mod replay;
 pub mod request;
 pub mod rid;
 pub mod row;

@@ -959,16 +959,7 @@ impl Table {
         let n = self
             .historic
             .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr);
-        if n > 0 {
-            self.stats.historic_compressed.add(n as u64);
-            if let Some(wal) = &self.runtime.wal {
-                let _ = wal.append(&LogRecord::HistoricCompressed {
-                    table_id: self.id,
-                    range_id,
-                    below_seq: range.historic_boundary(),
-                });
-            }
-        }
+        self.stats.historic_compressed.add(n as u64);
         n
     }
 

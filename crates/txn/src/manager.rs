@@ -315,6 +315,14 @@ impl TxnManager {
         (id, begin)
     }
 
+    /// Begin only ids above `txn_id` from now on: a reopened log holds
+    /// every id up to it, and a new commit record under one of them would
+    /// resolve that transaction's records too.
+    pub fn issue_above(&self, txn_id: u64) {
+        let floor = (txn_id & !TXN_ID_FLAG) + 1;
+        self.next_id.0.fetch_max(floor, Ordering::AcqRel);
+    }
+
     /// Look up a transaction's info; `None` once it has retired.
     pub fn get(&self, txn_id: u64) -> Option<TxnInfo> {
         let (entry, _) = self.entry(txn_id)?;

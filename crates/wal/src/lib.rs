@@ -18,9 +18,10 @@
 //!   `pageLSN` honest for exactly that case, therefore has nothing to do.
 //!
 //! Modules:
-//! * [`record`] — the binary log record format (redo, commit/abort,
-//!   operational merge records, checkpoints), and the writer's own
-//!   watermark frame (tag 8), which names an offset a sync made durable.
+//! * [`record`] — the binary log record format (redo, commit/abort, the
+//!   operational merge record, the catalog record that names a table), and
+//!   the writer's own watermark frame (tag 8), which names an offset a sync
+//!   made durable.
 //! * [`log`] — the engine's log, [`Wal`]: one file for every table, two
 //!   commit policies, and group commit — concurrent committers amortize
 //!   fsyncs through a leader/follower cohort protocol that waits for
@@ -28,8 +29,11 @@
 //!   file writer assigns LSNs; a failed write or sync poisons it. A
 //!   buffered log is appended; a group-commit log is written in place over
 //!   zeros laid down ahead of it, so a sync has no size change to journal,
-//!   and logs a watermark frame after every sync.
-//! * [`recovery`] — the log scan, in file order, that replay consumes. A
+//!   and logs a watermark frame after every sync. A log once opened under
+//!   group commit stays in place when it is reopened buffered.
+//! * [`recovery`] — the log scan, in file order, that [`Wal::open`] runs
+//!   and replay consumes; the open cuts the file back to what the scan
+//!   read and appends from there. A
 //!   frame that does not decode is a torn tail unless a later watermark
 //!   frame names an offset above it (then it is corruption); a log without
 //!   watermark frames may only be torn in its last frame.
@@ -54,7 +58,7 @@ mod writer;
 
 pub use log::{CommitPolicy, Wal, WalStats};
 pub use record::LogRecord;
-pub use recovery::{recover, RecoveredState};
+pub use recovery::RecoveredState;
 
 /// Errors surfaced by the WAL.
 #[derive(Debug)]

@@ -15,8 +15,8 @@
 //! recovered commit record implies its whole transaction is recoverable.
 //! An older layout split the log into `<path>.s<i>` siblings; on one device
 //! two files cost two serial `fdatasync`s per commit and committers on
-//! different files never share a cohort. [`Wal::create`] removes such
-//! siblings and [`crate::recover`] refuses a log that still has one. Do not
+//! different files never share a cohort. [`Wal::clear`] removes such
+//! siblings and [`Wal::open`] refuses a log that still has one. Do not
 //! bring several files back by routing a transaction's records *by
 //! transaction*: an aborted transaction's first-update snapshot record is
 //! chained onto by later writers of the same row, and only the prefix
@@ -70,6 +70,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::record::LogRecord;
+use crate::recovery::{self, RecoveredState};
 use crate::writer::LogFile;
 use crate::WalResult;
 
@@ -186,19 +187,35 @@ pub(crate) fn sibling(path: &Path, index: usize) -> PathBuf {
 }
 
 impl Wal {
-    /// Create (or truncate) the log at `path` in `fs`. Sibling stream files
-    /// of the older layout are removed, so recovery of the new log never
-    /// refuses it.
-    pub fn create(fs: &dyn Fs, path: &Path, policy: CommitPolicy) -> WalResult<Self> {
-        let log = match policy {
-            CommitPolicy::Buffered => LogFile::create(fs, path, FLUSH_BYTES)?,
-            CommitPolicy::GroupCommit => LogFile::create_in_place(fs, path, FLUSH_BYTES)?,
-        };
+    /// Empty the log at `path` in `fs`, and remove the sibling stream files
+    /// of the older layout, so that opening the new log never refuses it.
+    pub fn clear(fs: &dyn Fs, path: &Path) -> WalResult<()> {
+        fs.create(path)?;
         let mut stale = 1;
         while fs.remove(&sibling(path, stale)).is_ok() {
             stale += 1;
         }
-        Ok(Wal {
+        Ok(())
+    }
+
+    /// Open the log at `path` in `fs` (an absent one is created empty) and
+    /// recover what it holds. Whatever lies past the last record recovery
+    /// read — a torn frame, zeros laid down ahead — is cut off and the cut
+    /// synced before the log appends from there. A log recovery refuses
+    /// ([`crate::WalError::Corrupt`]) is left as it was. A log that has
+    /// been written in place stays in place under either policy: recovery
+    /// reads what follows its first watermark frame by the in-place rules
+    /// (see [`crate::recovery`]).
+    pub fn open(
+        fs: &dyn Fs,
+        path: &Path,
+        policy: CommitPolicy,
+    ) -> WalResult<(Self, RecoveredState)> {
+        let (file, state) = recovery::recover(fs, path)?;
+        let end = state.bytes_scanned as u64;
+        let in_place = policy == CommitPolicy::GroupCommit || state.in_place;
+        let log = LogFile::open(file, path, end, FLUSH_BYTES, in_place)?;
+        let wal = Wal {
             log,
             policy,
             cohorts: Mutex::new(Cohorts {
@@ -213,7 +230,8 @@ impl Wal {
             }),
             published: Condvar::new(),
             counters: WalCounters::default(),
-        })
+        };
+        Ok((wal, state))
     }
 
     /// Path of the log file.
@@ -227,16 +245,30 @@ impl Wal {
         self.log.append(record)
     }
 
-    /// Log a transaction resolution (`Commit`/`Abort`), honoring the commit
-    /// policy for `Commit` records: when this returns, the record and every
-    /// record appended before it are as durable as the policy promises.
+    /// Log a transaction resolution (`Commit`/`Abort`), honoring the
+    /// commit policy for `Commit` records: when this returns, the record
+    /// and every record appended before it are as durable as the policy
+    /// promises.
     pub fn commit(&self, record: &LogRecord) -> WalResult<()> {
         let lsn = self.log.append(record)?;
-        if self.policy == CommitPolicy::Buffered || !matches!(record, LogRecord::Commit { .. }) {
-            return self.log.flush();
+        match record {
+            LogRecord::Commit { .. } if self.policy == CommitPolicy::GroupCommit => {
+                self.counters.commits_enrolled.inc();
+                self.wait_durable(lsn)
+            }
+            _ => self.log.flush(),
         }
-        self.counters.commits_enrolled.inc();
-        self.wait_durable(lsn)
+    }
+
+    /// Make every record up to `lsn` as durable as a commit record is under
+    /// the policy: flushed to the OS when buffered, synced under group
+    /// commit (the catalog record's wait, taken after the caller has let
+    /// go of its locks).
+    pub fn make_durable(&self, lsn: u64) -> WalResult<()> {
+        match self.policy {
+            CommitPolicy::Buffered => self.log.flush(),
+            CommitPolicy::GroupCommit => self.wait_durable(lsn),
+        }
     }
 
     /// Park until every LSN at or below `lsn` is durable, taking the leader
@@ -357,11 +389,10 @@ impl Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::io::{Fault, FaultFs, OsFs};
-    use crate::recover;
-    use crate::recovery::recover_from_bytes;
+    use crate::recovery::{recover_from_bytes, RecoveredState};
     use std::sync::{Arc, Barrier};
 
     fn temp_base(name: &str) -> PathBuf {
@@ -370,8 +401,19 @@ mod tests {
         dir.join(format!("{name}-{}.wal", std::process::id()))
     }
 
+    /// A new, empty log at `path` in `fs`.
+    pub(crate) fn create(fs: &dyn Fs, path: &Path, policy: CommitPolicy) -> Wal {
+        Wal::clear(fs, path).unwrap();
+        Wal::open(fs, path, policy).unwrap().0
+    }
+
+    /// What recovery reads from the log file at `path` now.
+    fn recover(path: &Path) -> RecoveredState {
+        recover_from_bytes(&std::fs::read(path).unwrap()).unwrap()
+    }
+
     fn group_commit(base: &Path) -> Wal {
-        Wal::create(&OsFs, base, CommitPolicy::GroupCommit).unwrap()
+        create(&OsFs, base, CommitPolicy::GroupCommit)
     }
 
     const LOG: &str = "test.wal";
@@ -379,7 +421,7 @@ mod tests {
     /// A group-commit log in memory, and what its file holds.
     fn in_memory() -> (FaultFs, Wal) {
         let fs = FaultFs::new();
-        let wal = Wal::create(&fs, Path::new(LOG), CommitPolicy::GroupCommit).unwrap();
+        let wal = create(&fs, Path::new(LOG), CommitPolicy::GroupCommit);
         (fs, wal)
     }
 
@@ -434,7 +476,7 @@ mod tests {
     #[test]
     fn every_range_logs_to_the_base_file() {
         let base = temp_base("onefile");
-        let wal = Wal::create(&OsFs, &base, CommitPolicy::Buffered).unwrap();
+        let wal = create(&OsFs, &base, CommitPolicy::Buffered);
         for range in 0..3 {
             wal.append(&tail_append(range, 1, txn(1))).unwrap();
         }
@@ -444,7 +486,7 @@ mod tests {
         })
         .unwrap();
         wal.sync().unwrap();
-        let state = recover(&base).unwrap();
+        let state = recover(&base);
         assert_eq!(state.records.len(), 4);
         assert_eq!(state.committed.get(&txn(1)), Some(&9));
         assert!(!sibling(&base, 1).exists());
@@ -457,7 +499,7 @@ mod tests {
         for i in 1..3 {
             fs.create(&sibling(base, i)).unwrap();
         }
-        let _wal = Wal::create(&fs, base, CommitPolicy::Buffered).unwrap();
+        let _wal = create(&fs, base, CommitPolicy::Buffered);
         assert!(
             fs.contents(&sibling(base, 1)).is_none() && fs.contents(&sibling(base, 2)).is_none(),
             "re-create must not leave old-layout streams for recovery to refuse"
@@ -481,7 +523,7 @@ mod tests {
                         // durable *now*: it must survive recovery without
                         // any further flush or sync.
                         if i % 16 == 0 {
-                            let state = recover(wal.base_path()).unwrap();
+                            let state = recover(wal.base_path());
                             assert!(
                                 state.committed.contains_key(&txn(n)),
                                 "commit {n} returned before it was durable"
@@ -494,7 +536,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let state = recover(wal.base_path()).unwrap();
+        let state = recover(wal.base_path());
         assert_eq!(state.committed.len(), (WRITERS * TXNS) as usize);
         assert!(state.in_flight.is_empty());
         let stats = wal.stats();
@@ -690,7 +732,7 @@ mod tests {
     #[test]
     fn a_buffered_log_holds_its_records_and_nothing_else() {
         let base = temp_base("buffered-bytes");
-        let wal = Wal::create(&OsFs, &base, CommitPolicy::Buffered).unwrap();
+        let wal = create(&OsFs, &base, CommitPolicy::Buffered);
         let mut expected = Vec::new();
         for n in 1..=50 {
             let append = tail_append(n as u32 % 4, n as u32, txn(n));

@@ -84,21 +84,19 @@ pub enum LogRecord {
         /// New tail-page sequence number (lineage watermark).
         tps: u64,
     },
-    /// Operational record: historic tail pages of a range were compressed up
-    /// to `seq` (§4.3). Idempotent for the same reason merges are.
-    HistoricCompressed {
-        /// Table the compression belongs to.
+    /// Catalog record: a table was created. Logged before any record of
+    /// the table, and made as durable as a commit record
+    /// ([`crate::Wal::make_durable`]), so that a reopened log names every
+    /// table its records belong to.
+    CreateTable {
+        /// Id the table's records carry.
         table_id: u32,
-        /// Affected update range.
-        range_id: u32,
-        /// Tail records strictly below this sequence were re-organized.
-        below_seq: u64,
-    },
-    /// Checkpoint marker: recovery may skip records before the previous
-    /// checkpoint pair once pages are persisted.
-    Checkpoint {
-        /// Clock value at checkpoint time.
-        ts: u64,
+        /// Table name.
+        name: String,
+        /// Value column names (the key column is implicit).
+        columns: Vec<String>,
+        /// The table's configuration, as the engine encodes it.
+        config: Vec<u64>,
     },
 }
 
@@ -107,9 +105,8 @@ const TAG_INSERT: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_MERGE: u8 = 5;
-const TAG_HISTORIC: u8 = 6;
-const TAG_CHECKPOINT: u8 = 7;
 const TAG_WATERMARK: u8 = 8;
+const TAG_CREATE_TABLE: u8 = 9;
 
 /// Bytes in a watermark frame (see module docs).
 pub(crate) const WATERMARK_LEN: usize = 17;
@@ -153,11 +150,28 @@ impl Reader<'_> {
         self.take().map(u64::from_be_bytes)
     }
 
+    /// A `u32` length, then that many bytes of UTF-8.
+    fn text(&mut self) -> WalResult<String> {
+        let n = self.u32()? as usize;
+        let (text, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| WalError::Corrupt("short record".into()))?;
+        self.0 = rest;
+        String::from_utf8(text.to_vec()).map_err(|_| WalError::Corrupt("name not UTF-8".into()))
+    }
+
     /// A `u16` count, then that many items.
     fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> WalResult<T>) -> WalResult<Vec<T>> {
         let n = self.u16()?;
         (0..n).map(|_| item(self)).collect()
     }
+}
+
+/// `text` behind its `u32` length.
+fn put_text(body: &mut BytesMut, text: &str) {
+    body.put_u32(text.len() as u32);
+    body.put_slice(text.as_bytes());
 }
 
 /// The whole frame at the front of `buf` as `(checksum, body)`, unchecked,
@@ -303,19 +317,23 @@ impl LogRecord {
                 body.put_u32(*range_id);
                 body.put_u64(*tps);
             }
-            LogRecord::HistoricCompressed {
+            LogRecord::CreateTable {
                 table_id,
-                range_id,
-                below_seq,
+                name,
+                columns,
+                config,
             } => {
-                body.put_u8(TAG_HISTORIC);
+                body.put_u8(TAG_CREATE_TABLE);
                 body.put_u32(*table_id);
-                body.put_u32(*range_id);
-                body.put_u64(*below_seq);
-            }
-            LogRecord::Checkpoint { ts } => {
-                body.put_u8(TAG_CHECKPOINT);
-                body.put_u64(*ts);
+                put_text(&mut body, name);
+                body.put_u16(columns.len() as u16);
+                for column in columns {
+                    put_text(&mut body, column);
+                }
+                body.put_u16(config.len() as u16);
+                for word in config {
+                    body.put_u64(*word);
+                }
             }
         }
         framed(&body).into()
@@ -360,12 +378,12 @@ impl LogRecord {
                 range_id: b.u32()?,
                 tps: b.u64()?,
             },
-            TAG_HISTORIC => LogRecord::HistoricCompressed {
+            TAG_CREATE_TABLE => LogRecord::CreateTable {
                 table_id: b.u32()?,
-                range_id: b.u32()?,
-                below_seq: b.u64()?,
+                name: b.text()?,
+                columns: b.list(Reader::text)?,
+                config: b.list(Reader::u64)?,
             },
-            TAG_CHECKPOINT => LogRecord::Checkpoint { ts: b.u64()? },
             other => return Err(WalError::Corrupt(format!("unknown tag {other}"))),
         };
         if !b.0.is_empty() {
@@ -410,12 +428,12 @@ pub(crate) mod tests {
                 range_id: 2,
                 tps: 4096,
             },
-            LogRecord::HistoricCompressed {
+            LogRecord::CreateTable {
                 table_id: 1,
-                range_id: 2,
-                below_seq: 2048,
+                name: "accounts".into(),
+                columns: vec!["balance".into(), "".into(), "é".into()],
+                config: vec![256, 64, 128, 1, 0],
             },
-            LogRecord::Checkpoint { ts: 999 },
         ]
     }
 

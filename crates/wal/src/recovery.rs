@@ -6,17 +6,20 @@
 //! Indirection column upon crash" using the Base RID column of tail records.
 //!
 //! Recovery is a pure scan of the one log file, in file order, producing a
-//! [`RecoveredState`]: the engine (the `lstore` crate) replays it into
-//! fresh tables. File order is enough: replay writes every tail record at
-//! its logged sequence number, so neither commit records appended out of
-//! timestamp order by concurrent committers nor interleaved merge records
-//! change the result. Watermark frames are skipped; the scan ends at the
+//! [`RecoveredState`]: [`crate::Wal::open`] runs it, and the engine (the
+//! `lstore` crate's `Database::open`) replays it into the tables the log's
+//! catalog records name. File order is enough: replay writes every tail
+//! record at its logged sequence number, so neither commit records
+//! appended out of timestamp order by concurrent committers nor
+//! interleaved merge records change the result. Watermark frames are skipped; the scan ends at the
 //! first frame that does not decode, at offset `o`, which is either a torn
 //! tail (trimmed) or [`WalError::Corrupt`]:
 //!
-//! * **A log with a watermark frame** (every group-commit log) is written
-//!   over zeros, and the pages of a flush that no sync covered may land in
-//!   any order, so valid frames after `o` say nothing. The frame at `o` is
+//! * **A log with a watermark frame** before `o` is written in place over
+//!   zeros from that frame on — every group-commit log, and every log once
+//!   opened under group commit, which [`crate::Wal::open`] keeps in place
+//!   under either policy — and the pages of a flush that no sync covered
+//!   may land in any order, so valid frames after `o` say nothing. The frame at `o` is
 //!   corruption exactly when an intact watermark frame anywhere after it
 //!   names an offset above `o`: those bytes were synced before that frame
 //!   was written. Otherwise it is a torn tail — or, when nothing but zeros
@@ -25,10 +28,14 @@
 //!   pass, so no length field of a damaged frame is trusted; one naming an
 //!   offset above its own position, which the writer never logs, is not
 //!   believed.
-//! * **A log with none** (every buffered log) is appended, so only its
+//! * **A log with none** before `o`, and none after it that names an
+//!   offset (a log only ever opened buffered), is appended, so only its
 //!   last frame can be torn: a checksum failure before the end is
 //!   corruption, and so is a frame anywhere whose checksum matches but
-//!   whose body does not decode.
+//!   whose body does not decode. One more torn tail is allowed: the first
+//!   watermark frame, which an open under group commit logs at `o` when
+//!   it switches such a log to in place, with one of the two sectors it
+//!   may straddle not landed.
 //!
 //! The limit: a damaged frame that a sync made durable, but that no later
 //! watermark frame names, reads as a torn tail. That covers at most the
@@ -36,9 +43,10 @@
 //! a buffered log has always read as.
 
 use std::collections::{HashMap, HashSet};
-use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
+use crate::io::{File, Fs};
 use crate::record::{self, LogRecord};
 use crate::{WalError, WalResult};
 
@@ -59,6 +67,9 @@ pub struct RecoveredState {
     /// True when a torn (incomplete) frame terminated the scan; false when
     /// the log ended cleanly, in zeros or at the end of the file.
     pub torn_tail: bool,
+    /// The scan read a watermark frame: the log is written in place from
+    /// there on (see module docs).
+    pub in_place: bool,
 }
 
 impl RecoveredState {
@@ -69,32 +80,40 @@ impl RecoveredState {
     }
 }
 
-/// Scan the log at `path` into a [`RecoveredState`], in file order.
+/// Open the log at `path` in `fs` and scan it into a [`RecoveredState`],
+/// in file order ([`crate::Wal::open`] appends to the file from there).
 ///
 /// A log whose `<path>.s1` sibling exists was written in the per-shard
 /// layout of an older build, and the file at `path` holds only part of it:
 /// it is refused as [`WalError::Corrupt`] rather than half-read.
-pub fn recover(path: &Path) -> WalResult<RecoveredState> {
+pub(crate) fn recover(fs: &dyn Fs, path: &Path) -> WalResult<(Arc<dyn File>, RecoveredState)> {
     let stream = crate::log::sibling(path, 1);
-    if stream.exists() {
+    if fs.exists(&stream) {
         return Err(WalError::Corrupt(format!(
             "{} is a stream of the per-shard log layout, which this build \
              does not read",
             stream.display()
         )));
     }
-    let data = fs::read(path)?;
-    recover_from_bytes(&data)
+    let file = fs.open(path)?;
+    let mut data = vec![0; file.len()? as usize];
+    file.read_at(&mut data, 0)?;
+    let state = recover_from_bytes(&data)?;
+    Ok((file, state))
 }
 
-/// Scan an in-memory log image (separated for testing).
+/// Scan an in-memory log image: what [`crate::Wal::open`] recovers from
+/// the file's bytes.
 pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
     let mut state = RecoveredState::default();
     let mut offset = 0usize;
     while offset < data.len() {
         match LogRecord::decode(&data[offset..]) {
             // Watermark frames are the writer's, not records.
-            _ if record::watermark_at(data, offset).is_some() => offset += record::WATERMARK_LEN,
+            _ if record::watermark_at(data, offset).is_some() => {
+                state.in_place = true;
+                offset += record::WATERMARK_LEN;
+            }
             Ok(Some((record, used))) => {
                 offset += used;
                 match record {
@@ -109,7 +128,7 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
                 state.records.push(record);
             }
             undecodable => {
-                state.torn_tail = ends_torn(data, offset, undecodable.err())?;
+                state.torn_tail = ends_torn(data, offset, state.in_place, undecodable.err())?;
                 break;
             }
         }
@@ -128,22 +147,35 @@ pub fn recover_from_bytes(data: &[u8]) -> WalResult<RecoveredState> {
 
 /// Whether the frame at `at`, which did not decode (`error`, if it was not
 /// merely incomplete), is a torn tail; `false` when the log just ends in
-/// zeros there. `Err` when it is corruption (see module docs).
-fn ends_torn(data: &[u8], at: usize, error: Option<WalError>) -> WalResult<bool> {
+/// zeros there. `in_place`: a watermark frame came before `at`. `Err` when
+/// it is corruption (see module docs).
+fn ends_torn(data: &[u8], at: usize, in_place: bool, error: Option<WalError>) -> WalResult<bool> {
     // A watermark frame's bytes 3 and 8 are not zero, so none ends in
     // trailing zeros.
     let written = nonzero_len(data);
     let named = named_after(data, at, written);
-    let appended = named.is_none() && record::watermark_at(data, 0).is_none();
+    let appended = named.is_none() && !in_place;
     match (named, error) {
         (Some(upto), _) if upto > at as u64 => Err(WalError::Corrupt(format!(
             "frame at byte {at} is below the synced-to offset {upto}"
         ))),
         // Appended: a checksum failure at the very tail is indistinguishable
         // from a torn write; anything else is real corruption.
-        (_, Some(e)) if appended && !record::torn_at_end(&data[at..]) => Err(e),
+        (_, Some(e)) if appended && !record::torn_at_end(&data[at..]) && !switch_torn(data, at) => {
+            Err(e)
+        }
         _ => Ok(appended || written > at),
     }
+}
+
+/// Whether all that follows `at` is what landed of the watermark frame
+/// naming `at` — the frame an open that switches an appended log to in
+/// place writes there, and which a crash before its sync may leave with
+/// either of two sectors missing.
+fn switch_torn(data: &[u8], at: usize) -> bool {
+    let frame = record::watermark(at as u64);
+    let rest = &data[at..];
+    rest.len() <= frame.len() && rest.iter().zip(&frame).all(|(&b, &f)| b == 0 || b == f)
 }
 
 /// The largest offset an intact watermark frame after `at` names, trying
@@ -274,11 +306,31 @@ mod tests {
         // torn write, so not trimmed as one.
         let abort = LogRecord::Abort { txn_id: T1 }.encode();
         stream.extend_from_slice(&crate::record::tests::reframe(&abort[8..9]));
-        let path =
-            std::env::temp_dir().join(format!("lstore-short-frame-{}.wal", std::process::id()));
-        std::fs::write(&path, &stream).unwrap();
-        let result = recover(&path);
-        std::fs::remove_file(&path).unwrap();
+        let result = recover_from_bytes(&stream);
+        assert!(matches!(result, Err(WalError::Corrupt(_))), "{result:?}");
+    }
+
+    #[test]
+    fn a_switch_to_in_place_torn_across_sectors_is_a_torn_tail() {
+        let mut stream = Vec::new();
+        append(&mut stream, &tail_append(T1, 1));
+        let commit = LogRecord::Commit {
+            txn_id: T1,
+            commit_ts: 9,
+        };
+        append(&mut stream, &commit);
+        let end = stream.len();
+        // The opening watermark frame of a switch to in place, its first
+        // sector not landed and its second landed.
+        let mut frame = crate::record::watermark(end as u64);
+        frame[..5].fill(0);
+        stream.extend_from_slice(&frame);
+        let state = recover_from_bytes(&stream).unwrap();
+        assert!(state.torn_tail && !state.in_place);
+        assert_eq!(state.bytes_scanned, end);
+        // Anything more than that frame is corruption.
+        stream.push(1);
+        let result = recover_from_bytes(&stream);
         assert!(matches!(result, Err(WalError::Corrupt(_))), "{result:?}");
     }
 
@@ -293,13 +345,13 @@ mod tests {
     /// abort, explicit syncs, and the zeros ahead of the write position —
     /// cut to one 512-byte sector of them, since the rest are alike.
     fn group_commit_image() -> Vec<u8> {
-        use crate::{CommitPolicy, Wal};
+        use crate::CommitPolicy;
         let path = std::env::temp_dir().join(format!(
             "lstore-wal-hostile-{}-{:?}.wal",
             std::process::id(),
             std::thread::current().id()
         ));
-        let wal = Wal::create(&crate::io::OsFs, &path, CommitPolicy::GroupCommit).unwrap();
+        let wal = crate::log::tests::create(&crate::io::OsFs, &path, CommitPolicy::GroupCommit);
         for n in 1..=24u64 {
             let t = 1 << 63 | n;
             for seq in 0..(n % 5) as u32 * 3 {

@@ -20,8 +20,9 @@
 //! over zeros it wrote ahead of itself, so a sync that follows a small
 //! write has no size change to commit. Such a log
 //!
-//! * opens with a watermark frame of 0, synced before the log is used, so
-//!   that every crash image of it has one;
+//! * opens with a watermark frame naming the offset it opens at (0 for a
+//!   new log), synced before the log is used, so that every crash image of
+//!   it has one;
 //! * after every sync that covered new records, buffers a watermark frame
 //!   naming the offset that sync made durable ([`crate::record`]), which
 //!   recovery needs because the pages of an unsynced flush over zeros may
@@ -38,7 +39,11 @@
 //!   log carries no zeros.
 //!
 //! A [`crate::CommitPolicy::Buffered`] log does none of this: its bytes are
-//! the records, appended, as they always were.
+//! the records, appended, as they always were — unless it was ever opened
+//! under group commit: [`crate::Wal::open`] keeps a log that has a
+//! watermark frame in place under either policy, so recovery never reads
+//! one part of a log by the appended rules after another part was written
+//! in place.
 //!
 //! ## A failed write poisons the log
 //!
@@ -50,7 +55,7 @@
 //! is ever reported past the last sync that succeeded. A failed zero-fill
 //! is final too: the sync before it stands, nothing after it does.
 
-use crate::io::{File, Fs};
+use crate::io::File;
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -156,34 +161,43 @@ pub(crate) struct LogFile {
 }
 
 impl LogFile {
-    /// Create (or truncate) a log at `path` whose buffer spills to the file
-    /// at `flush_bytes`.
-    pub(crate) fn create(fs: &dyn Fs, path: &Path, flush_bytes: usize) -> WalResult<Self> {
-        Ok(LogFile {
+    /// The log in `file`, whose records end at `end`, appended from there;
+    /// the buffer spills to the file at `flush_bytes`. Whatever the file
+    /// holds past `end` is cut off first, and the cut synced, so that no
+    /// frame is ever written in front of bytes that recovery did not read.
+    /// A log written `in_place` (see module docs) then logs a watermark
+    /// frame naming `end`, durable when this returns, so that every crash
+    /// image of the log has one.
+    pub(crate) fn open(
+        file: Arc<dyn File>,
+        path: &Path,
+        end: u64,
+        flush_bytes: usize,
+        in_place: bool,
+    ) -> WalResult<Self> {
+        if file.len()? != end {
+            file.set_len(end)?;
+            file.sync_data()?;
+        }
+        let log = LogFile {
             inner: Mutex::new(WalInner {
                 buffer: Vec::with_capacity(flush_bytes * 2),
                 next_lsn: 1,
-                pos: 0,
-                end: 0,
-                named: 0,
+                pos: end,
+                end,
+                named: end,
                 failed: None,
             }),
-            file: fs.create(path)?,
+            file,
             flush_bytes,
-            in_place: false,
+            in_place,
             fill_due: AtomicBool::new(false),
             path: path.to_path_buf(),
-        })
-    }
-
-    /// [`LogFile::create`] for a log written in place (see module docs):
-    /// its first frame, a watermark of 0, is durable when this returns, so
-    /// that every crash image of the log has one.
-    pub(crate) fn create_in_place(fs: &dyn Fs, path: &Path, flush_bytes: usize) -> WalResult<Self> {
-        let mut log = Self::create(fs, path, flush_bytes)?;
-        log.in_place = true;
-        log.inner.lock().buffer.extend(record::watermark(0));
-        log.sync_watermark()?;
+        };
+        if in_place {
+            log.inner.lock().buffer.extend(record::watermark(end));
+            log.sync_watermark()?;
+        }
         Ok(log)
     }
 
@@ -269,26 +283,38 @@ impl Drop for LogFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{Fault, FaultFs};
+    use crate::io::{Fault, FaultFs, Fs};
 
     const PATH: &str = "test.log";
+
+    /// An empty appended log in `fs`, spilling at `flush_bytes`.
+    fn create(fs: &FaultFs, flush_bytes: usize) -> LogFile {
+        let file = fs.create(Path::new(PATH)).unwrap();
+        LogFile::open(file, Path::new(PATH), 0, flush_bytes, false).unwrap()
+    }
 
     fn log_len(fs: &FaultFs) -> usize {
         fs.contents(Path::new(PATH)).unwrap().len()
     }
 
+    fn abort(n: u64) -> LogRecord {
+        LogRecord::Abort {
+            txn_id: 1 << 63 | n,
+        }
+    }
+
     #[test]
     fn lsn_is_monotone() {
-        let wal = LogFile::create(&FaultFs::new(), Path::new(PATH), 1 << 20).unwrap();
-        let a = wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
-        let b = wal.append(&LogRecord::Checkpoint { ts: 2 }).unwrap();
+        let wal = create(&FaultFs::new(), 1 << 20);
+        let a = wal.append(&abort(1)).unwrap();
+        let b = wal.append(&abort(2)).unwrap();
         assert!(b > a);
     }
 
     #[test]
     fn append_stays_buffered_until_sync() {
         let fs = FaultFs::new();
-        let wal = LogFile::create(&fs, Path::new(PATH), 1 << 20).unwrap();
+        let wal = create(&fs, 1 << 20);
         let lsn = wal
             .append(&LogRecord::Commit {
                 txn_id: 1 << 63 | 2,
@@ -305,38 +331,41 @@ mod tests {
     #[test]
     fn full_buffer_spills_to_the_file() {
         let fs = FaultFs::new();
-        let wal = LogFile::create(&fs, Path::new(PATH), 64).unwrap();
+        let wal = create(&fs, 64);
         while log_len(&fs) == 0 {
-            wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
+            wal.append(&abort(1)).unwrap();
         }
     }
 
     #[test]
     fn a_failed_write_poisons_every_later_call() {
         let fs = FaultFs::new();
-        let wal = LogFile::create(&fs, Path::new(PATH), 1 << 20).unwrap();
-        wal.append(&LogRecord::Checkpoint { ts: 1 }).unwrap();
+        let wal = create(&fs, 1 << 20);
+        wal.append(&abort(1)).unwrap();
         fs.fail(fs.calls() + 1, Fault::Full);
         assert!(wal.sync_watermark().is_err(), "the injected failure");
         // The buffer that failed is gone and its LSN with it: nothing may
         // report success from here on.
         assert!(wal.sync_watermark().is_err());
         assert!(wal.flush().is_err());
-        assert!(wal.append(&LogRecord::Checkpoint { ts: 2 }).is_err());
+        assert!(wal.append(&abort(2)).is_err());
         assert_eq!(log_len(&fs), 0);
     }
 
     #[test]
     fn concurrent_appends_assign_unique_lsns() {
-        let wal = Arc::new(LogFile::create(&FaultFs::new(), Path::new(PATH), 1 << 20).unwrap());
+        let wal = Arc::new(create(&FaultFs::new(), 1 << 20));
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
                     (0..500)
                         .map(|i| {
-                            wal.append(&LogRecord::Checkpoint { ts: t * 1000 + i })
-                                .unwrap()
+                            let commit = LogRecord::Commit {
+                                txn_id: 1 << 63 | (t * 1000 + i),
+                                commit_ts: t * 1000 + i,
+                            };
+                            wal.append(&commit).unwrap()
                         })
                         .collect::<Vec<u64>>()
                 })

@@ -871,7 +871,8 @@ fn readers_resolve_ids_that_retire_and_recycle_underneath() {
             &lstore_wal::io::OsFs,
             &lstore_storage::io::OsFs,
             lstore_txn::TxnManager::with_page_bits(2),
-        );
+        )
+        .unwrap();
         let t = db
             .create_table("recycled", &["count"], TableConfig::small())
             .unwrap();

@@ -5,14 +5,22 @@
 //! (durability, shards) cell and require byte-identical reads everywhere,
 //! plus recovery-level invariants on the logs the cells produced.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use lstore::{Database, DbConfig, Durability, IsolationLevel, ReadRequest, Table, TableConfig};
+use lstore_wal::recovery::recover_from_bytes;
+use lstore_wal::{LogRecord, RecoveredState};
 
 fn wal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lstore-durability-tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{name}-{}.wal", std::process::id()))
+}
+
+/// What recovery reads from the log file at `path`.
+fn records_at(path: &Path) -> RecoveredState {
+    recover_from_bytes(&std::fs::read(path).unwrap()).unwrap()
 }
 
 const KEYS: u64 = 400;
@@ -56,12 +64,11 @@ fn durability_modes_produce_identical_reads() {
     for (mode_name, durability) in modes {
         for shards in [1usize, 2, 4] {
             let path = wal_path(&format!("modes-{mode_name}-{shards}"));
-            let db = Database::new(
-                DbConfig::deterministic()
-                    .with_shards(shards)
-                    .with_wal_path(path.clone())
-                    .with_durability(durability),
-            );
+            let config = DbConfig::deterministic()
+                .with_shards(shards)
+                .with_wal_path(path.clone())
+                .with_durability(durability);
+            let db = Database::new(config.clone());
             let t = db
                 .create_table("r", &["a", "b"], TableConfig::small())
                 .unwrap();
@@ -86,7 +93,7 @@ fn durability_modes_produce_identical_reads() {
             // unique, and the file order never goes backwards in
             // commit timestamp — group-commit cohorts batch *fsyncs*, not
             // timestamps, so cohort boundaries must be invisible here.
-            let state = lstore_wal::recover(&path).unwrap();
+            let state = records_at(&path);
             assert!(state.in_flight.is_empty(), "{mode_name}/{shards}");
             let mut timestamps: Vec<u64> = state.committed.values().copied().collect();
             let unique_before = timestamps.len();
@@ -99,7 +106,7 @@ fn durability_modes_produce_identical_reads() {
             );
             let mut last_commit_ts = 0u64;
             for record in &state.records {
-                if let lstore_wal::LogRecord::Commit { commit_ts, .. } = record {
+                if let LogRecord::Commit { commit_ts, .. } = record {
                     assert!(
                         *commit_ts > last_commit_ts,
                         "one writer logged commits out of order: {commit_ts} after \
@@ -109,12 +116,9 @@ fn durability_modes_produce_identical_reads() {
                 }
             }
 
-            // And the recovered database reads identically too.
-            let db2 = Database::new(DbConfig::deterministic().with_shards(shards));
-            let t2 = db2
-                .create_table("r", &["a", "b"], TableConfig::small())
-                .unwrap();
-            t2.replay(&state).unwrap();
+            // And the reopened database reads identically too.
+            let db2 = Database::open(config).unwrap();
+            let t2 = db2.table("r").unwrap();
             let expect = reference.as_ref().unwrap();
             let (final_sum, final_scan) = expect.last().unwrap();
             assert_eq!(
@@ -148,13 +152,14 @@ fn reads(t: &Table, keys: &[u64]) -> Reads {
 /// group-commit database with background merges, and record the live reads
 /// of `keys` before the database drops. Recovery reads the log in file
 /// order, where concurrent committers' commit records need not be in
-/// timestamp order: the table replayed from it must read exactly the same.
+/// timestamp order: the database reopened from it must read exactly the
+/// same. Returns what recovery read, and the reopened table.
 fn concurrent_run(
     name: &str,
     keys: &[u64],
     load: impl FnOnce(&Table),
     work: impl Fn(&Table, u64) + Sync,
-) -> lstore_wal::RecoveredState {
+) -> (RecoveredState, Arc<Table>) {
     let path = wal_path(name);
     let live = {
         let db = Database::new(
@@ -176,16 +181,15 @@ fn concurrent_run(
         reads(&t, keys)
     };
 
-    let state = lstore_wal::recover(&path).unwrap();
+    let state = records_at(&path);
+    let db2 = Database::open(DbConfig::deterministic().with_wal_path(path.clone())).unwrap();
     std::fs::remove_file(&path).ok();
-    let db2 = Database::new(DbConfig::deterministic());
-    let t2 = db2.create_table("r", &["a"], TableConfig::small()).unwrap();
-    t2.replay(&state).unwrap();
+    let t2 = db2.table("r").unwrap();
     assert!(
         reads(&t2, keys) == live,
         "{name}: replay in file order diverged"
     );
-    state
+    (state, t2)
 }
 
 const WRITERS: u64 = 4;
@@ -200,7 +204,7 @@ fn group_commit_under_concurrency_recovers_every_commit() {
     let keys: Vec<u64> = (0..WRITERS)
         .flat_map(|w| (0..PER_WRITER).map(move |i| w * 10_000 + i))
         .collect();
-    let state = concurrent_run(
+    let (state, t2) = concurrent_run(
         "group-concurrent",
         &keys,
         |_| {},
@@ -220,10 +224,9 @@ fn group_commit_under_concurrency_recovers_every_commit() {
     timestamps.dedup();
     assert_eq!(timestamps.len() as u64, WRITERS * PER_WRITER);
 
-    let db2 = Database::new(DbConfig::deterministic());
-    let t2 = db2.create_table("r", &["a"], TableConfig::small()).unwrap();
-    let report = t2.replay(&state).unwrap();
-    assert_eq!(report.inserts, WRITERS * PER_WRITER);
+    let inserts = state.records.iter();
+    let inserts = inserts.filter(|r| matches!(r, LogRecord::Insert { .. }));
+    assert_eq!(inserts.count() as u64, WRITERS * PER_WRITER);
     for w in 0..WRITERS {
         for i in 0..PER_WRITER {
             assert_eq!(
@@ -243,7 +246,7 @@ fn shared_key_updates_beside_merges_replay_in_file_order() {
     const SHARED: u64 = 512;
     const PER_WRITER: u64 = 150;
     let keys: Vec<u64> = (0..SHARED).collect();
-    let state = concurrent_run(
+    let (state, _) = concurrent_run(
         "group-shared",
         &keys,
         |t| {
@@ -267,12 +270,12 @@ fn shared_key_updates_beside_merges_replay_in_file_order() {
     let merged_at = state
         .records
         .iter()
-        .position(|r| matches!(r, lstore_wal::LogRecord::MergeCompleted { .. }))
+        .position(|r| matches!(r, LogRecord::MergeCompleted { .. }))
         .expect("a merge was logged");
     assert!(
         state.records[merged_at..]
             .iter()
-            .any(|r| matches!(r, lstore_wal::LogRecord::Commit { .. })),
+            .any(|r| matches!(r, LogRecord::Commit { .. })),
         "merge records interleave with commits"
     );
 }
@@ -342,7 +345,7 @@ fn nothing_logged_means_nothing_to_wait_for() {
         assert_eq!(after.commits_enrolled, stats.commits_enrolled + 1);
         assert_eq!(after.syncs, stats.syncs + 1);
     }
-    let state = lstore_wal::recover(&path).unwrap();
+    let state = records_at(&path);
     assert!(state.in_flight.is_empty());
     assert!(state.committed.contains_key(&writer_id));
     for id in unlogged {

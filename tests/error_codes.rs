@@ -19,6 +19,7 @@ fn error_strategy() -> impl Strategy<Value = Error> {
         2 => (0u64..u64::MAX).prop_map(Error::DuplicateKey),
         2 => (0u64..u64::MAX).prop_map(Error::KeyNotFound),
         2 => any_text().prop_map(Error::TableNotFound),
+        2 => any_text().prop_map(Error::TableExists),
         2 => (0u64..u64::MAX).prop_map(|base_rid| Error::WriteConflict { base_rid }),
         2 => (0u64..u64::MAX).prop_map(|base_rid| Error::ValidationFailed { base_rid }),
         2 => (0usize..1 << 20, 0usize..1 << 20)
@@ -33,7 +34,7 @@ fn error_strategy() -> impl Strategy<Value = Error> {
         // remap structured codes out of the way so the generator cannot
         // produce an unreachable `Remote { code: <structured> }` state.
         2 => (0u16..200u16, any_text()).prop_map(|(code, detail)| Error::Remote {
-            code: if matches!(code, 1..=8 | 11..=14) {
+            code: if matches!(code, 1..=8 | 11..=15) {
                 code + 200
             } else {
                 code
@@ -98,6 +99,7 @@ fn known_codes_never_drift() {
         (12, Error::RequestTimeout),
         (13, Error::Protocol(String::new())),
         (14, Error::TxnFinalized),
+        (15, Error::TableExists(String::new())),
     ];
     for (code, err) in expect {
         assert_eq!(err.code(), *code, "{err:?}");

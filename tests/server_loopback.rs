@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lstore::{Database, DbConfig, Error, ReadRequest, Table, TableConfig};
+use lstore::{Database, DbConfig, Durability, Error, ReadRequest, Table, TableConfig};
 use lstore_server::protocol::{encode_response, Response};
 use lstore_server::{Client, ClientError, Reply, Server, ServerConfig};
 
@@ -129,6 +129,58 @@ fn remote_reads_are_byte_identical_to_embedded_reads_under_writers() {
         }
     }
     server.shutdown();
+}
+
+/// A database restarts under its server: rows written with the log on and
+/// read over the wire, then the server and the database dropped, and the
+/// database opened from the same paths and served again — the same
+/// `MULTI_READ`, the same answers, byte for byte.
+#[test]
+fn a_reopened_database_serves_the_same_answers() {
+    let dir = std::env::temp_dir().join("lstore-server-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("reopen-{}.wal", std::process::id()));
+    let config = DbConfig::new()
+        .with_shards(2)
+        .with_pool_threads(2)
+        .with_wal_path(path.clone())
+        .with_durability(Durability::group_commit());
+    let keys: Vec<u64> = (0..600).chain([5_000_001]).collect();
+    let frame = |results| encode_response(0, &Response::Results(results));
+    let served = |db: &Arc<Database>| {
+        let server = Server::start(Arc::clone(db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        frame(client.multi_read("kv", &keys, None, None).unwrap())
+    };
+
+    let before = {
+        let db = Database::new(config.clone());
+        let table = db
+            .create_table("kv", &["a", "b", "c"], TableConfig::small())
+            .unwrap();
+        for k in 0..500 {
+            table.insert_auto(k, &[k, k * 2, k * 3]).unwrap();
+        }
+        for k in (0..500).step_by(7) {
+            table.update_auto(k, &[(1, k + 1)]).unwrap();
+        }
+        for k in (0..500).step_by(50) {
+            table.delete_auto(k).unwrap();
+        }
+        let before = served(&db);
+        assert_eq!(before, frame(table.read_batch(&keys, None, None)));
+        assert_eq!(Arc::strong_count(&db), 1, "the server let the database go");
+        before
+    };
+
+    let db = Database::open(config).unwrap();
+    assert_eq!(
+        served(&db),
+        before,
+        "the reopened database answers differently"
+    );
+    drop(db);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! and the transaction handle must be finalized (no second commit, no
 //! state-machine re-entry).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use lstore::{Database, DbConfig, Error, IsolationLevel, ReadRequest, TableConfig};
@@ -17,22 +17,25 @@ fn wal_path(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.wal", std::process::id()))
 }
 
-/// A database logging to `log` in `fs`.
+/// The database logging to `log` in `fs`, opened from what the log holds.
 fn logging_to(fs: &FaultFs, log: &str) -> Arc<Database> {
     let config = DbConfig::deterministic().with_wal_path(log.into());
-    Database::with_parts(config, fs, &lstore_storage::io::OsFs, TxnManager::new())
+    Database::with_parts(config, fs, &lstore_storage::io::OsFs, TxnManager::new()).unwrap()
 }
 
-/// A database whose every log write fails from now on, as on a full
-/// device.
-fn on_a_full_device(fs: &FaultFs) -> Arc<Database> {
+/// Table `name` of a fresh database whose every log write fails from now
+/// on, as on a full device.
+fn on_a_full_device(name: &str) -> (Arc<Database>, Arc<lstore::Table>) {
+    let fs = FaultFs::new();
+    let db = logging_to(&fs, "full.wal");
+    let t = db.create_table(name, &["a"], TableConfig::small()).unwrap();
     fs.fail(fs.calls() + 1, Fault::Full);
-    logging_to(fs, "full.wal")
+    (db, t)
 }
 
-/// Key 1 → `[10]`, committed under a working log, then replayed into a
-/// database whose log is on a full device.
-fn one_row_replayed_onto_a_full_device(name: &str) -> (Arc<Database>, Arc<lstore::Table>) {
+/// Key 1 → `[10]`, committed under a working log, then the database
+/// reopened from that log, which from then on is on a full device.
+fn one_row_reopened_on_a_full_device(name: &str) -> (Arc<Database>, Arc<lstore::Table>) {
     let fs = FaultFs::new();
     {
         let db = logging_to(&fs, "ok.wal");
@@ -40,11 +43,9 @@ fn one_row_replayed_onto_a_full_device(name: &str) -> (Arc<Database>, Arc<lstore
         t.insert_auto(1, &[10]).unwrap();
         db.runtime().wal.as_ref().unwrap().sync().unwrap();
     }
-    let log = fs.contents(Path::new("ok.wal")).unwrap();
-    let state = lstore_wal::recovery::recover_from_bytes(&log).unwrap();
-    let db = on_a_full_device(&fs);
-    let t = db.create_table(name, &["a"], TableConfig::small()).unwrap();
-    t.replay(&state).unwrap();
+    let db = logging_to(&fs, "ok.wal");
+    let t = db.table(name).unwrap();
+    fs.fail(fs.calls() + 1, Fault::Full);
     (db, t)
 }
 
@@ -77,7 +78,8 @@ fn failed_validation_logs_abort_record() {
         db.runtime().wal.as_ref().unwrap().sync().unwrap();
         // db dropped here = crash: no clean-shutdown reconciliation runs.
     }
-    let state = lstore_wal::recover(&path).unwrap();
+    let log = std::fs::read(&path).unwrap();
+    let state = lstore_wal::recovery::recover_from_bytes(&log).unwrap();
     assert!(
         state.aborted.contains(&reader_id),
         "recovery must classify the validation-failed transaction as aborted, \
@@ -96,8 +98,7 @@ fn failed_validation_logs_abort_record() {
 /// buffered).
 #[test]
 fn wal_commit_failure_aborts_txn() {
-    let db = on_a_full_device(&FaultFs::new());
-    let t = db.create_table("w", &["a"], TableConfig::small()).unwrap();
+    let (db, t) = on_a_full_device("w");
     let mut txn = db.begin();
     t.insert(&mut txn, 1, &[10]).unwrap();
     let err = db.commit(&mut txn).unwrap_err();
@@ -125,8 +126,7 @@ fn wal_commit_failure_aborts_txn() {
 /// the later ones already at the insert's own record.
 #[test]
 fn wal_commit_failures_do_not_wedge_the_database() {
-    let db = on_a_full_device(&FaultFs::new());
-    let t = db.create_table("u", &["a"], TableConfig::small()).unwrap();
+    let (db, t) = on_a_full_device("u");
     for k in 0..10 {
         let mut txn = db.begin();
         let outcome = t
@@ -152,12 +152,12 @@ fn wal_commit_failures_do_not_wedge_the_database() {
 /// indirection latch on the way out: `write_tail` returned through `?`
 /// with the latch bit still set, so the slot stayed latched forever and
 /// every later writer of the key got `WriteConflict`. The row is committed
-/// under a working log and replayed into a database logging to a full
-/// device; one transaction then updates it until the 1 MiB log buffer
-/// spills and the append fails.
+/// under a working log, and the database reopened from it before the
+/// device fills; one transaction then updates it until the 1 MiB log
+/// buffer spills and the append fails.
 #[test]
 fn wal_append_failure_releases_the_latch() {
-    let (db, t) = one_row_replayed_onto_a_full_device("l");
+    let (db, t) = one_row_reopened_on_a_full_device("l");
 
     let mut txn = db.begin();
     let err = (0..1_000_000)
@@ -192,12 +192,12 @@ fn wal_append_failure_releases_the_latch() {
 /// a commit record that cannot be logged is an `Err` and an aborted
 /// transaction. (Each `*_auto` used to carry its own copy of the sequence
 /// with `let _ = wal.commit(..)`: the failed commit was acknowledged and the
-/// write stayed visible.) The row is committed under a working log and
-/// replayed into a database logging to a full device, where every commit
-/// record fails to flush.
+/// write stayed visible.) The row is committed under a working log, and
+/// the database reopened from it before the device fills, so that every
+/// commit record fails to flush.
 #[test]
 fn auto_commit_surfaces_wal_failures() {
-    let (_db, t) = one_row_replayed_onto_a_full_device("a");
+    let (_db, t) = one_row_reopened_on_a_full_device("a");
 
     let is_log_error = |e: &Error| matches!(e, Error::Wal(_) | Error::Storage(_));
     let err = t.update_auto(1, &[(0, 99)]).unwrap_err();
