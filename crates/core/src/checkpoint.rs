@@ -106,8 +106,9 @@ impl Table {
             ranges.len() as u64,
             self.schema().column_count() as u64,
         ];
+        let guard = self.runtime.epoch.pin();
         for range in &ranges {
-            let base = range.base();
+            let base = range.base(&guard);
             let persisted = !base.is_insert_phase();
             manifest.extend_from_slice(&[
                 range.id as u64,
@@ -218,7 +219,7 @@ impl Table {
                     (0..len).any(|s| crate::schema::SchemaEncoding(se.get(s)).is_delete()),
                 )
             };
-            let version = Arc::new(BaseVersion {
+            let version = BaseVersion {
                 tps,
                 column_tps: vec![tps; ncols].into_boxed_slice(),
                 len,
@@ -231,13 +232,14 @@ impl Table {
                     last_updated,
                     schema_enc: schema_enc.clone(),
                 },
-            });
+            };
             // Rebuild the primary index and the clock horizon from the
             // restored pages.
             let range = self.range_handle(range_id);
             range.reserve_slots(len as u32);
             range.tail.ensure_seq(tps as u32);
             {
+                let guard = self.runtime.epoch.pin();
                 let st = start_time.read();
                 let se = schema_enc.read();
                 for slot in 0..len as u32 {
@@ -246,7 +248,7 @@ impl Table {
                         self.runtime.clock.advance_to(start + 1);
                     }
                     let deleted = crate::schema::SchemaEncoding(se.get(slot as usize)).is_delete();
-                    let key = version.value(0, slot);
+                    let key = version.value(0, slot, &guard);
                     if !deleted && key != NULL_VALUE {
                         self.pk_insert_raw(key, crate::rid::Rid::base(range_id, slot));
                     }

@@ -171,6 +171,7 @@ impl Table {
         writes: &[WriteSetEntry],
     ) {
         let entries = || writes.iter().filter(|w| w.table_id == self.id);
+        let guard = self.runtime.epoch.pin();
         // --- 1. Eager stamping.
         for entry in entries() {
             let tail = Rid(entry.tail_rid);
@@ -180,14 +181,14 @@ impl Table {
                 // insert-phase tail; a merge may already have replaced the
                 // representation, in which case the merge consolidated the
                 // resolved timestamp and there is nothing to stamp.
-                let base = range.base();
-                if let BaseData::Insert(t) = &base.data {
-                    let _ =
-                        t.start_time
-                            .cas(Rid(entry.base_rid).slot() as usize, txn_id, commit_ts);
+                if let BaseData::Insert(t) = &range.base(&guard).data {
+                    let slot = Rid(entry.base_rid).slot() as usize;
+                    let _ = t.start_time.cas(slot, txn_id, commit_ts, &guard);
                 }
             } else {
-                range.tail.swap_start_cell(tail.seq(), txn_id, commit_ts);
+                range
+                    .tail
+                    .swap_start_cell(tail.seq(), txn_id, commit_ts, &guard);
             }
         }
 
@@ -213,7 +214,7 @@ impl Table {
                 || self
                     .range(Rid(entry.tail_rid).range())
                     .tail
-                    .encoding(Rid(entry.tail_rid).seq())
+                    .encoding(Rid(entry.tail_rid).seq(), &guard)
                     .is_snapshot()
             {
                 continue;
@@ -227,8 +228,7 @@ impl Table {
         for base_rid_raw in record_order {
             let base_rid = Rid(base_rid_raw);
             let range = self.range(base_rid.range());
-            let base = range.base();
-            let reader = self.reader(range, &base);
+            let reader = self.reader(range, range.base(&guard), &guard);
             // One batched probe recovers every indexed column's pre-image.
             let mut current: Vec<Option<u64>> =
                 match reader.read_record(base_rid.slot(), &cols, pre_mode) {
@@ -237,7 +237,7 @@ impl Table {
                 };
             for entry in &by_record[&base_rid_raw] {
                 let seq = Rid(entry.tail_rid).seq();
-                let enc = range.tail.encoding(seq);
+                let enc = range.tail.encoding(seq, &guard);
                 if enc.is_delete() {
                     for (i, (_, idx)) in indexed.iter().enumerate() {
                         if let Some(old) = current[i].take() {
@@ -250,7 +250,7 @@ impl Table {
                     if !enc.has(col) {
                         continue;
                     }
-                    let new = range.tail.value(seq, col);
+                    let new = range.tail.value(seq, col, &guard);
                     if current[i] != Some(new) {
                         if let Some(old) = current[i] {
                             idx.remove_deferred(old, base_rid_raw, commit_ts);

@@ -482,7 +482,7 @@ impl Database {
             tables: tables.iter().map(|(n, t)| (n.clone(), t.stats())).collect(),
             store: self.store_stats(),
             wal: self.runtime.wal.as_ref().map(|wal| wal.stats()),
-            epoch: self.runtime.epoch.counters().snapshot(),
+            epoch: self.runtime.epoch.stats(),
         }
     }
 
@@ -647,13 +647,15 @@ mod tests {
         let updated = || (0..ranges as u32).map(|id| table.range_handle(id));
         for range in updated() {
             assert!(range.unmerged() > threshold, "range {} updated", range.id);
-            assert_eq!(range.base().tps, 0, "range {} merged unasked", range.id);
+            let tps = range.base(&db.runtime.epoch.pin()).tps;
+            assert_eq!(tps, 0, "range {} merged unasked", range.id);
             assert!(range.claim_merge(), "range {} left claimed", range.id);
             range.merge_done();
         }
         assert!(table.merge_all() >= ranges * (threshold + 1));
         for range in updated() {
-            assert!(range.base().tps > 0, "range {} not merged", range.id);
+            let tps = range.base(&db.runtime.epoch.pin()).tps;
+            assert!(tps > 0, "range {} not merged", range.id);
         }
     }
 }

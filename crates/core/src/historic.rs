@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use lstore_storage::epoch::EpochGuard;
 use lstore_txn::TxnManager;
 
 use crate::range::UpdateRange;
@@ -135,7 +136,8 @@ impl HistoricStore {
 
     /// Compress the merged tail records of `range` with sequence numbers in
     /// `[range.historic_boundary(), upto_seq]` into the store, then advance
-    /// the boundary and release the underlying tail pages.
+    /// the boundary. The caller releases the tail pages below it once no
+    /// reader that may have read the old boundary is pinned.
     ///
     /// Preconditions enforced here (the caller picks `upto_seq`):
     /// * only records already consolidated by a merge participate
@@ -152,9 +154,9 @@ impl HistoricStore {
         upto_seq: u64,
         oldest_snapshot: u64,
         mgr: &TxnManager,
+        guard: &EpochGuard<'_>,
     ) -> usize {
-        let base = range.base();
-        let upto = upto_seq.min(base.tps);
+        let upto = upto_seq.min(range.base(guard).tps);
         let from = range.historic_boundary();
         if upto < from {
             return 0;
@@ -168,7 +170,7 @@ impl HistoricStore {
         let mut effective_upto = from.saturating_sub(1);
         for seq in from..=upto {
             let seq32 = seq as u32;
-            let ts = match range.tail.resolve_start(seq32, mgr).visible(false) {
+            let ts = match range.tail.resolve_start(seq32, mgr, guard).visible(false) {
                 Some(t) => t,
                 None => {
                     // Aborted tombstone: drop it (space reclaimed here, as
@@ -182,14 +184,14 @@ impl HistoricStore {
                 break; // still inside an active snapshot window: stop here
             }
             effective_upto = seq;
-            let base_rid = range.tail.base_rid(seq32);
+            let base_rid = range.tail.base_rid(seq32, guard);
             if base_rid.is_null() || !base_rid.is_base() {
                 continue;
             }
-            let enc = range.tail.encoding(seq32);
+            let enc = range.tail.encoding(seq32, guard);
             let cols: Vec<(u16, u64)> = enc
                 .columns()
-                .map(|c| (c as u16, range.tail.value(seq32, c)))
+                .map(|c| (c as u16, range.tail.value(seq32, c, guard)))
                 .collect();
             grouped
                 .entry(base_rid.slot())
@@ -236,9 +238,8 @@ impl HistoricStore {
         });
         self.segments.write().insert(range.id, segment);
 
-        // Foreground actions: advance the boundary, release tail pages.
+        // The foreground action: advance the boundary.
         range.set_historic_boundary(effective_upto + 1);
-        range.tail.release_below((effective_upto + 1) as u32);
         compressed
     }
 }

@@ -21,7 +21,9 @@
 //!    non-cumulative updates merge correctly too); each changed column is
 //!    then decoded, patched and re-compressed in turn, through one buffer.
 //! 4. `UpdateRange::swap_base` — the pointer swap.
-//! 5. `EpochManager::retire` — epoch-based de-allocation.
+//! 5. The swap retires the outdated version into the epoch limbo, and
+//!    `EpochManager::try_reclaim` frees it once the readers pinned before
+//!    it drain — epoch-based de-allocation.
 //!
 //! The same module implements the *simplified merge* for insert ranges
 //! (§3.2/§4.1.1 "Merging Table-level Tail-pages"): compress the aligned
@@ -30,7 +32,7 @@
 
 use std::sync::Arc;
 
-use lstore_storage::epoch::EpochManager;
+use lstore_storage::epoch::{EpochGuard, EpochManager};
 use lstore_storage::page::BasePage;
 use lstore_storage::store::{PagePtr, PageStore};
 use lstore_storage::tail::TailSpan;
@@ -59,15 +61,20 @@ pub struct MergeReport {
 /// "Select a set of consecutive fully committed tail records" (step 1).
 /// Aborted records are *resolved* (tombstones), so they do not break
 /// consecutiveness; they are skipped during application.
-pub fn committed_prefix(range: &UpdateRange, from_seq: u64, mgr: &TxnManager) -> u64 {
+pub fn committed_prefix(
+    range: &UpdateRange,
+    from_seq: u64,
+    mgr: &TxnManager,
+    guard: &EpochGuard<'_>,
+) -> u64 {
     let high = range.tail.high_seq() as u64;
     let mut upto = from_seq - 1;
     for seq in from_seq..=high {
         let seq32 = seq as u32;
-        if !range.tail.is_written(seq32) {
+        if !range.tail.is_written(seq32, guard) {
             break; // allocated but not yet fully written
         }
-        if range.tail.resolve_start(seq32, mgr).in_flight() {
+        if range.tail.resolve_start(seq32, mgr, guard).in_flight() {
             break; // active or pre-commit: stop the prefix
         }
         upto = seq;
@@ -86,11 +93,12 @@ pub fn committed_prefix_upto_time(
     from_seq: u64,
     mgr: &TxnManager,
     upto_time: u64,
+    guard: &EpochGuard<'_>,
 ) -> u64 {
-    let upto = committed_prefix(range, from_seq, mgr);
+    let upto = committed_prefix(range, from_seq, mgr, guard);
     let mut bounded = from_seq.saturating_sub(1);
     for seq in from_seq..=upto {
-        let StartTime::Committed(ts) = range.tail.resolve_start(seq as u32, mgr) else {
+        let StartTime::Committed(ts) = range.tail.resolve_start(seq as u32, mgr, guard) else {
             bounded = seq; // aborted tombstone: consumable at any time
             continue;
         };
@@ -106,16 +114,19 @@ pub fn committed_prefix_upto_time(
 /// records — the per-page *temporal lineage* of §4.1.3 ("every page also
 /// maintains its temporal lineage to remember the timestamp of the earliest
 /// committed records that have not been merged yet").
-pub fn earliest_unmerged_ts(range: &UpdateRange, mgr: &TxnManager) -> Option<u64> {
-    let base = range.base();
-    let from = base.tps + 1;
+pub fn earliest_unmerged_ts(
+    range: &UpdateRange,
+    mgr: &TxnManager,
+    guard: &EpochGuard<'_>,
+) -> Option<u64> {
+    let from = range.base(guard).tps + 1;
     let high = range.tail.high_seq() as u64;
     for seq in from..=high {
         let seq32 = seq as u32;
-        if !range.tail.is_written(seq32) {
+        if !range.tail.is_written(seq32, guard) {
             break;
         }
-        if let StartTime::Committed(ts) = range.tail.resolve_start(seq32, mgr) {
+        if let StartTime::Committed(ts) = range.tail.resolve_start(seq32, mgr, guard) {
             return Some(ts);
         }
     }
@@ -132,6 +143,9 @@ pub fn earliest_unmerged_ts(range: &UpdateRange, mgr: &TxnManager) -> Option<u64
 /// When a `store` is configured, freshly built pages are *sealed* into it
 /// (resident dirty buffer-pool frames — no merge-path I/O) so they become
 /// evictable; without one they stay plain heap residents.
+///
+/// The merge holds one pin of `epoch` while it reads, and drops it before
+/// reclaiming what it retired.
 pub fn merge_range(
     range: &UpdateRange,
     mgr: &TxnManager,
@@ -141,7 +155,24 @@ pub fn merge_range(
     limit: Option<u64>,
     columns: Option<&[usize]>,
 ) -> MergeReport {
-    let base = range.base();
+    let report = merge_pinned(range, mgr, &epoch.pin(), config, store, limit, columns);
+    if report.swapped {
+        epoch.try_reclaim();
+    }
+    report
+}
+
+/// [`merge_range`] under `guard`.
+fn merge_pinned(
+    range: &UpdateRange,
+    mgr: &TxnManager,
+    guard: &EpochGuard<'_>,
+    config: &TableConfig,
+    store: Option<&Arc<PageStore>>,
+    limit: Option<u64>,
+    columns: Option<&[usize]>,
+) -> MergeReport {
+    let base = range.base(guard);
     // Strengthened stability condition (§4.1.1): insert ranges must leave
     // the insert phase (via the simplified merge) first.
     let BaseData::Pages {
@@ -164,7 +195,7 @@ pub fn merge_range(
         .min()
         .unwrap_or(base.tps)
         + 1;
-    let mut upto = committed_prefix(range, from, mgr);
+    let mut upto = committed_prefix(range, from, mgr, guard);
     if let Some(l) = limit {
         upto = upto.min(from + l - 1);
     }
@@ -185,7 +216,7 @@ pub fn merge_range(
     // are rebuilt.
     let mut changed = vec![false; ncols];
     for seq in from..=upto {
-        let enc = SchemaEncoding(range.tail.encoding(seq as u32).0);
+        let enc = range.tail.encoding(seq as u32, guard);
         for c in enc.columns() {
             changed[c] = true;
         }
@@ -210,14 +241,14 @@ pub fn merge_range(
     let full_merge = merge_cols.len() == ncols;
     for seq in (from..=upto).rev() {
         let seq32 = seq as u32;
-        let StartTime::Committed(ts) = range.tail.resolve_start(seq32, mgr) else {
+        let StartTime::Committed(ts) = range.tail.resolve_start(seq32, mgr, guard) else {
             continue; // aborted tombstone
         };
-        let enc = range.tail.encoding(seq32);
+        let enc = range.tail.encoding(seq32, guard);
         if enc.is_snapshot() {
             continue; // old-value snapshots never win (an update follows)
         }
-        let base_rid = range.tail.base_rid(seq32);
+        let base_rid = range.tail.base_rid(seq32, guard);
         if base_rid.is_null() || !base_rid.is_base() {
             continue;
         }
@@ -252,7 +283,7 @@ pub fn merge_range(
                 }
                 seen[slot] |= bit;
                 if rebuild[c] {
-                    patches[c].push((slot, range.tail.value(seq32, c)));
+                    patches[c].push((slot, range.tail.value(seq32, c, guard)));
                     contributed = true;
                 }
             }
@@ -310,7 +341,7 @@ pub fn merge_range(
         .max()
         .unwrap_or(0);
     let has_deletes = base.has_deletes || new_enc.iter().any(|&e| SchemaEncoding(e).is_delete());
-    let new_version = Arc::new(BaseVersion {
+    let new_version = BaseVersion {
         tps,
         column_tps: column_tps.into_boxed_slice(),
         len,
@@ -324,13 +355,11 @@ pub fn merge_range(
             last_updated: PagePtr::seal(store, BasePage::from_values(&new_lu, config.codec)),
             schema_enc: PagePtr::seal(store, BasePage::from_values(&new_enc, config.codec)),
         },
-    });
+    };
 
-    // Step 4: pointer swap (the only foreground action).
-    let outdated = range.swap_base(new_version);
-    // Step 5: epoch-based de-allocation of the outdated pages.
-    epoch.retire(outdated);
-    epoch.try_reclaim();
+    // Step 4: pointer swap (the only foreground action), which hands the
+    // outdated pages to step 5, epoch-based de-allocation.
+    range.swap_base(new_version);
 
     let consumed = upto - from + 1;
     range.consume_unmerged(consumed);
@@ -362,9 +391,25 @@ pub fn merge_insert_range(
     store: Option<&Arc<PageStore>>,
     force: bool,
 ) -> bool {
-    let base = range.base();
+    let merged = merge_insert_pinned(range, mgr, &epoch.pin(), config, store, force);
+    if merged {
+        epoch.try_reclaim();
+    }
+    merged
+}
+
+/// [`merge_insert_range`] under `guard`.
+fn merge_insert_pinned(
+    range: &UpdateRange,
+    mgr: &TxnManager,
+    guard: &EpochGuard<'_>,
+    config: &TableConfig,
+    store: Option<&Arc<PageStore>>,
+    force: bool,
+) -> bool {
+    let base = range.base(guard);
     let tail = match &base.data {
-        BaseData::Insert(t) => Arc::clone(t),
+        BaseData::Insert(t) => t,
         BaseData::Pages { .. } => return false, // already merged
     };
     let used = range.used_slots() as usize;
@@ -375,23 +420,22 @@ pub fn merge_insert_range(
         return false; // only full insert ranges graduate automatically
     }
     // Every slot must be resolved (committed or aborted). Each column is
-    // read through one snapshot of its pages: one directory lock per
-    // column, not one per cell.
+    // read through one snapshot of its pages.
     let mut span = TailSpan::default();
-    tail.start_time.snapshot_pages(0..used, &mut span);
+    tail.start_time.snapshot_pages(0..used, &mut span, guard);
     let mut starts = Vec::with_capacity(used);
     for slot in 0..used {
-        let cell = span.get_or_null(slot);
+        let cell = span.get(slot);
         if cell == NULL_VALUE {
             return false; // slot allocated but not yet written
         }
-        match mgr.resolve_start_time(cell, || span.get_or_null(slot)) {
+        match mgr.resolve_start_time(cell, || span.get(slot)) {
             StartTime::Committed(ts) => {
                 // Stamp the insert tail too: a reader still holding it may
                 // resolve the id after the inserter — who finds merged
                 // pages in its place and stamps nothing — has retired.
                 if lstore_txn::is_txn_id(cell) {
-                    let _ = tail.start_time.cas(slot, cell, ts);
+                    let _ = tail.start_time.cas(slot, cell, ts, guard);
                 }
                 starts.push(ts);
             }
@@ -403,13 +447,13 @@ pub fn merge_insert_range(
     let ncols = base.column_tps.len();
     let mut data = Vec::with_capacity(ncols);
     for column in tail.data.iter() {
-        column.snapshot_pages(0..used, &mut span);
+        column.snapshot_pages(0..used, &mut span, guard);
         let values: Vec<u64> = (0..used)
             .map(|slot| {
                 if starts[slot] == NULL_VALUE {
                     NULL_VALUE // aborted insert: null slot
                 } else {
-                    span.get_or_null(slot)
+                    span.get(slot)
                 }
             })
             .collect();
@@ -435,7 +479,7 @@ pub fn merge_insert_range(
         .max()
         .unwrap_or(0);
     let has_deletes = starts.contains(&NULL_VALUE);
-    let new_version = Arc::new(BaseVersion {
+    let new_version = BaseVersion {
         tps: 0,
         column_tps: vec![0; ncols].into_boxed_slice(),
         len: used,
@@ -448,12 +492,11 @@ pub fn merge_insert_range(
             last_updated: PagePtr::seal(store, BasePage::plain(vec![NULL_VALUE; used])),
             schema_enc: PagePtr::seal(store, BasePage::from_values(&enc, config.codec)),
         },
-    });
-    let outdated = range.swap_base(new_version);
+    };
     // "the old table-level tail-pages can be discarded permanently after all
     // the active queries that started prior to the merge process are
-    // terminated" — the epoch queue provides exactly that window.
-    epoch.retire(outdated);
-    epoch.try_reclaim();
+    // terminated" — the swap retires them into the epoch queue, which
+    // provides exactly that window.
+    range.swap_base(new_version);
     true
 }

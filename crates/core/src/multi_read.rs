@@ -16,9 +16,8 @@
 //! 2. **Sort.** One key sort — no primary-index probe on the caller — buys
 //!    range locality and deduplication at once: runs of equal keys become
 //!    adjacent and resolve a single time (duplicate positions share the
-//!    outcome), and contiguous keys land on consecutive ranges so a worker
-//!    reuses each range's base-version snapshot instead of re-resolving it
-//!    per key.
+//!    outcome), and contiguous keys land on consecutive ranges, so a worker
+//!    walks each range's cells while they are warm.
 //! 3. **Cut.** The sorted run splits into fan-out units by size — but
 //!    never below `4 × batch_read_min` items per unit, because handing a
 //!    unit to a worker costs a wakeup worth many point probes. A batch
@@ -28,9 +27,8 @@
 //!    unified [`crate::pool::TaskPool`]: the caller executes units
 //!    itself alongside the workers (and steals queued ones back rather
 //!    than idle), workers interleave units with pending merge jobs, and
-//!    every worker re-pins the batch's reclamation epoch by cloning its
-//!    [`lstore_storage::epoch::EpochGuard`] before touching base pages
-//!    (§4.1.1 step 5).
+//!    every worker reads under the batch's one pin, a borrowed
+//!    [`lstore_storage::epoch::EpochGuard`] (§4.1.1 step 5).
 //!
 //! **Concurrency contract.** Key resolution is independent per key —
 //! `locate` is a lock-free primary-index probe and version resolution
@@ -43,13 +41,11 @@
 //! committed version at least as new as any commit that completed before
 //! the batch began, exactly like a loop of single reads.
 
-use std::sync::Arc;
-
+use lstore_storage::epoch::EpochGuard;
 use lstore_txn::ReadSetEntry;
 
 use crate::error::{Error, Result};
-use crate::range::BaseVersion;
-use crate::read::{ReadMode, Resolved, VersionReader};
+use crate::read::{ReadMode, Resolved};
 use crate::rid::Rid;
 use crate::table::Table;
 
@@ -59,35 +55,39 @@ use crate::table::Table;
 /// The RIDs let transactional callers join outcomes into their read set.
 pub(crate) type PointOutcome = Option<(Rid, Resolved)>;
 
-/// The last range a sorted run touched and its base-version snapshot:
-/// consecutive items of one range share a single `base()` call.
-type RangeCache = Option<(u32, Arc<BaseVersion>)>;
-
 impl Table {
     /// Resolve one key under `mode` (internal data-column indices). Every
     /// single-key read comes through here, and the batched planner's fast
     /// path too, so batched and sequential reads cannot drift apart
     /// semantically. The slot's indirection and meta cells are prefetched
     /// as soon as the index probe yields the RID.
-    pub(crate) fn resolve_point(&self, key: u64, cols: &[usize], mode: ReadMode) -> PointOutcome {
+    pub(crate) fn resolve_point(
+        &self,
+        key: u64,
+        cols: &[usize],
+        mode: ReadMode,
+        guard: &EpochGuard<'_>,
+    ) -> PointOutcome {
         let base_rid = self.locate(key).ok()?;
         let range = self.range(base_rid.range());
         range.prefetch_slot(base_rid.slot());
-        let base = range.base();
+        let base = range.base(guard);
         base.prefetch_meta(base_rid.slot());
-        let reader = self.reader(range, &base);
+        let reader = self.reader(range, base, guard);
         Some((base_rid, reader.read_record(base_rid.slot(), cols, mode)))
     }
 
-    /// A reader over range `range_id`, reusing `cache`'s base snapshot
-    /// when the previous item of a sorted run was in the same range.
-    fn cached_reader<'a>(&'a self, cache: &'a mut RangeCache, range_id: u32) -> VersionReader<'a> {
-        let range = self.range(range_id);
-        if cache.as_ref().is_some_and(|(id, _)| *id != range_id) {
-            *cache = None;
-        }
-        let (_, base) = cache.get_or_insert_with(|| (range_id, range.base()));
-        self.reader(range, base)
+    /// Resolve the record at `base_rid` under `mode`, with no index probe.
+    fn resolve_rid(
+        &self,
+        base_rid: Rid,
+        cols: &[usize],
+        mode: ReadMode,
+        guard: &EpochGuard<'_>,
+    ) -> Resolved {
+        let range = self.range(base_rid.range());
+        let reader = self.reader(range, range.base(guard), guard);
+        reader.read_record(base_rid.slot(), cols, mode)
     }
 
     /// Whether a batch of `len` items resolves in a plain loop on the
@@ -99,7 +99,8 @@ impl Table {
     /// The batch planner: sort `items` by key (a base RID, for read-set
     /// validation), cut the run into units, and fan the units out across
     /// the task pool. `fold` runs once per unit, into one accumulator per
-    /// pool chunk; the accumulators come back in chunk order.
+    /// pool chunk, under the batch's one pin; the accumulators come back in
+    /// chunk order.
     ///
     /// Units never drop below `4 × batch_read_min` items: handing a unit to
     /// a worker costs a wakeup (~10µs, many times a point probe), so a
@@ -109,7 +110,7 @@ impl Table {
     where
         P: Sync,
         A: Default + Send,
-        F: Fn(&mut A, &[(u64, P)]) + Sync,
+        F: Fn(&mut A, &[(u64, P)], &EpochGuard<'_>) + Sync,
     {
         items.sort_unstable_by_key(|&(key, _)| key);
         let target = items
@@ -127,10 +128,10 @@ impl Table {
         }
         let guard = self.runtime.epoch.pin();
         let items = &*items;
-        self.scan_fanout(&units, &guard, |chunk| {
+        self.scan_fanout(&units, |chunk| {
             let mut acc = A::default();
             for &(lo, hi) in chunk {
-                fold(&mut acc, &items[lo..hi]);
+                fold(&mut acc, &items[lo..hi], &guard);
             }
             acc
         })
@@ -172,9 +173,10 @@ impl Table {
         mode: ReadMode,
     ) -> Vec<PointOutcome> {
         if self.batch_is_small(keys.len()) {
+            let guard = self.runtime.epoch.pin();
             return keys
                 .iter()
-                .map(|&key| self.resolve_point(key, cols, mode))
+                .map(|&key| self.resolve_point(key, cols, mode, &guard))
                 .collect();
         }
         let mut plan: Vec<(u64, u32)> = keys
@@ -182,21 +184,22 @@ impl Table {
             .enumerate()
             .map(|(pos, &key)| (key, pos as u32))
             .collect();
-        let partials =
-            self.fan_out_sorted(&mut plan, |out: &mut Vec<(u32, PointOutcome)>, unit| {
-                let mut cache = None;
+        let partials = self.fan_out_sorted(
+            &mut plan,
+            |out: &mut Vec<(u32, PointOutcome)>, unit, guard| {
                 for run in unit.chunk_by(|a, b| a.0 == b.0) {
                     let Some((&(key, first), dups)) = run.split_first() else {
                         continue;
                     };
-                    let outcome = self.locate(key).ok().map(|base_rid| {
-                        let reader = self.cached_reader(&mut cache, base_rid.range());
-                        (base_rid, reader.read_record(base_rid.slot(), cols, mode))
-                    });
+                    let outcome = self
+                        .locate(key)
+                        .ok()
+                        .map(|base_rid| (base_rid, self.resolve_rid(base_rid, cols, mode, guard)));
                     out.extend(dups.iter().map(|&(_, pos)| (pos, outcome.clone())));
                     out.push((first, outcome));
                 }
-            });
+            },
+        );
         // Every input position appears in exactly one unit, so the
         // pre-filled placeholders are all overwritten.
         let mut resolved: Vec<PointOutcome> = vec![None; keys.len()];
@@ -219,26 +222,28 @@ impl Table {
         txn_id: u64,
     ) -> Option<(usize, u64)> {
         if self.batch_is_small(entries.len()) {
-            let mut cache = None;
+            let guard = self.runtime.epoch.pin();
             return entries
                 .iter()
-                .find(|(_, e)| !self.entry_still_visible(&mut cache, e, txn_id))
+                .find(|(_, e)| !self.entry_still_visible(e, txn_id, &guard))
                 .map(|&(pos, e)| (pos, e.base_rid));
         }
         let mut plan: Vec<(u64, (usize, ReadSetEntry))> = entries
             .iter()
             .map(|&(pos, e)| (e.base_rid, (pos, e)))
             .collect();
-        let partials = self.fan_out_sorted(&mut plan, |worst: &mut Option<(usize, u64)>, unit| {
-            let mut cache = None;
-            for &(base_rid, (pos, entry)) in unit {
-                if worst.is_none_or(|(p, _)| pos < p)
-                    && !self.entry_still_visible(&mut cache, &entry, txn_id)
-                {
-                    *worst = Some((pos, base_rid));
+        let partials = self.fan_out_sorted(
+            &mut plan,
+            |worst: &mut Option<(usize, u64)>, unit, guard| {
+                for &(base_rid, (pos, entry)) in unit {
+                    if worst.is_none_or(|(p, _)| pos < p)
+                        && !self.entry_still_visible(&entry, txn_id, guard)
+                    {
+                        *worst = Some((pos, base_rid));
+                    }
                 }
-            }
-        });
+            },
+        );
         partials.into_iter().flatten().min_by_key(|&(pos, _)| pos)
     }
 
@@ -246,19 +251,17 @@ impl Table {
     /// writes excluded and compare against the observed version.
     fn entry_still_visible(
         &self,
-        cache: &mut RangeCache,
         entry: &ReadSetEntry,
         txn_id: u64,
+        guard: &EpochGuard<'_>,
     ) -> bool {
-        let base_rid = Rid(entry.base_rid);
         let mode = ReadMode {
             as_of: None,
             txn_id,
             speculative: entry.speculative,
             exclude_own: true,
         };
-        let reader = self.cached_reader(cache, base_rid.range());
-        match reader.read_record(base_rid.slot(), &[0], mode) {
+        match self.resolve_rid(Rid(entry.base_rid), &[0], mode, guard) {
             Resolved::Visible { version_rid, .. } => version_rid.0 == entry.version_rid,
             Resolved::Deleted => entry.version_rid == 0,
             Resolved::NotVisible => false,
@@ -445,7 +448,7 @@ mod tests {
 
         let looped = entries
             .iter()
-            .find(|(_, e)| !t.entry_still_visible(&mut None, e, txn.id))
+            .find(|(_, e)| !t.entry_still_visible(e, txn.id, &db.runtime().epoch.pin()))
             .map(|&(pos, e)| (pos, e.base_rid));
         let batched = t.validate_reads_batch(&entries, txn.id);
         assert_eq!(batched, looped);

@@ -20,10 +20,8 @@
 //! pages. The simplified insert merge turns it into regular base pages.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::RwLock;
-
+use lstore_storage::epoch::{EpochCell, EpochGuard, EpochManager};
 use lstore_storage::store::PagePtr;
 use lstore_storage::tail::AppendVec;
 use lstore_storage::NULL_VALUE;
@@ -46,10 +44,12 @@ pub struct InsertTail {
 }
 
 impl InsertTail {
-    fn new(columns: usize, page_slots: usize) -> Self {
+    fn new(columns: usize, page_slots: usize, epoch: &EpochManager) -> Self {
         InsertTail {
-            data: (0..columns).map(|_| AppendVec::new(page_slots)).collect(),
-            start_time: AppendVec::new(page_slots),
+            data: (0..columns)
+                .map(|_| AppendVec::new(page_slots, epoch))
+                .collect(),
+            start_time: AppendVec::new(page_slots, epoch),
         }
     }
 }
@@ -76,7 +76,7 @@ pub enum BaseData {
         schema_enc: PagePtr,
     },
     /// Insert-phase storage (§3.2).
-    Insert(Arc<InsertTail>),
+    Insert(Box<InsertTail>),
 }
 
 /// An immutable snapshot of a range's base representation, with its in-page
@@ -104,8 +104,9 @@ pub struct BaseVersion {
 }
 
 impl BaseVersion {
-    /// An insert-phase version (TPS 0, nothing merged).
-    pub fn insert_phase(columns: usize, page_slots: usize) -> Self {
+    /// An insert-phase version (TPS 0, nothing merged) whose tail pages
+    /// are read under pins of `epoch`.
+    pub fn insert_phase(columns: usize, page_slots: usize, epoch: &EpochManager) -> Self {
         BaseVersion {
             tps: 0,
             column_tps: vec![0; columns].into_boxed_slice(),
@@ -113,20 +114,21 @@ impl BaseVersion {
             max_start: u64::MAX,
             max_last_updated: 0,
             has_deletes: false,
-            data: BaseData::Insert(Arc::new(InsertTail::new(columns, page_slots))),
+            data: BaseData::Insert(Box::new(InsertTail::new(columns, page_slots, epoch))),
         }
     }
 
-    /// Read the base value of `column` at `slot`. This and the three
-    /// accessors below are the point read's way into base pages:
-    /// [`PagePtr::get`], which reads a stored page that is not resident
-    /// from the image block holding the cell instead of faulting the page
-    /// in. Scans, the merge and checkpoints pin whole pages instead.
+    /// Read the base value of `column` at `slot` (an insert-phase cell is
+    /// read under `guard`). This and the three accessors below are the
+    /// point read's way into base pages: [`PagePtr::get`], which reads a
+    /// stored page that is not resident from the image block holding the
+    /// cell instead of faulting the page in. Scans, the merge and
+    /// checkpoints pin whole pages instead.
     #[inline]
-    pub fn value(&self, column: usize, slot: u32) -> u64 {
+    pub fn value(&self, column: usize, slot: u32, guard: &EpochGuard<'_>) -> u64 {
         match &self.data {
             BaseData::Pages { data, .. } => data[column].get(slot as usize),
-            BaseData::Insert(t) => t.data[column].get_or_null(slot as usize),
+            BaseData::Insert(t) => t.data[column].get(slot as usize, guard),
         }
     }
 
@@ -171,11 +173,18 @@ impl BaseVersion {
     /// before pass two decodes the first cell — the misses overlap instead
     /// of each waiting for the decode before it.
     #[inline]
-    pub fn gather(&self, columns: &[usize], slot: u32, only: u64, out: &mut [u64]) {
+    pub fn gather(
+        &self,
+        columns: &[usize],
+        slot: u32,
+        only: u64,
+        out: &mut [u64],
+        guard: &EpochGuard<'_>,
+    ) {
         self.prefetch_row(columns, slot, only);
         for (value, &c) in out.iter_mut().zip(columns) {
             if only & (1 << c) != 0 {
-                *value = self.value(c, slot);
+                *value = self.value(c, slot, guard);
             }
         }
     }
@@ -183,10 +192,10 @@ impl BaseVersion {
     /// Raw Start Time cell at `slot` (may hold a transaction id during the
     /// insert phase).
     #[inline]
-    pub fn start_cell(&self, slot: u32) -> u64 {
+    pub fn start_cell(&self, slot: u32, guard: &EpochGuard<'_>) -> u64 {
         match &self.data {
             BaseData::Pages { start_time, .. } => start_time.get(slot as usize),
-            BaseData::Insert(t) => t.start_time.get_or_null(slot as usize),
+            BaseData::Insert(t) => t.start_time.get(slot as usize, guard),
         }
     }
 
@@ -246,8 +255,9 @@ pub struct UpdateRange {
     /// Capacity in record slots.
     pub capacity: usize,
     /// Current base version; the merge swaps this pointer (the page
-    /// directory entry for the range).
-    base: RwLock<Arc<BaseVersion>>,
+    /// directory entry for the range) and the old version retires into the
+    /// table's epoch manager.
+    base: EpochCell<BaseVersion>,
     /// The Indirection column: per-slot forward pointer to the latest tail
     /// record, 0 = ⊥, bit 63 = write latch.
     indirection: Box<[AtomicU64]>,
@@ -275,18 +285,25 @@ pub struct UpdateRange {
 }
 
 impl UpdateRange {
-    /// Create a fresh insert-phase range.
-    pub fn new(id: u32, capacity: usize, columns: usize, tail_page_slots: usize) -> Self {
+    /// Create a fresh insert-phase range whose base versions and tail pages
+    /// retire into `epoch` and are read under its pins.
+    pub fn new(
+        id: u32,
+        capacity: usize,
+        columns: usize,
+        tail_page_slots: usize,
+        epoch: &EpochManager,
+    ) -> Self {
         UpdateRange {
             id,
             capacity,
-            base: RwLock::new(Arc::new(BaseVersion::insert_phase(
-                columns,
-                tail_page_slots,
-            ))),
+            base: EpochCell::new(
+                BaseVersion::insert_phase(columns, tail_page_slots, epoch),
+                epoch,
+            ),
             indirection: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             updated_cols: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            tail: TailSegment::new(id, columns, tail_page_slots),
+            tail: TailSegment::new(id, columns, tail_page_slots, epoch),
             next_slot: AtomicU32::new(0),
             unmerged: AtomicU64::new(0),
             scanned_suffix: AtomicU64::new(0),
@@ -296,17 +313,19 @@ impl UpdateRange {
         }
     }
 
-    /// Snapshot the current base version (readers hold the `Arc`, so a
-    /// concurrent merge swap never invalidates an in-flight read).
+    /// The current base version, borrowed for as long as `guard` pins: a
+    /// merge that swaps it meanwhile retires the old version, which stays
+    /// readable until every pin older than the swap is gone. One acquire
+    /// load; no lock, no reference count.
     #[inline]
-    pub fn base(&self) -> Arc<BaseVersion> {
-        Arc::clone(&self.base.read())
+    pub fn base<'g>(&'g self, guard: &'g EpochGuard<'_>) -> &'g BaseVersion {
+        self.base.load(guard)
     }
 
-    /// Swap the base version; returns the outdated one for epoch retirement.
-    pub fn swap_base(&self, new: Arc<BaseVersion>) -> Arc<BaseVersion> {
-        let mut guard = self.base.write();
-        std::mem::replace(&mut *guard, new)
+    /// Publish `new` as the base version (§4.1.1 step 4) and retire the
+    /// outdated one into the epoch limbo (step 5).
+    pub fn swap_base(&self, new: BaseVersion) {
+        self.base.swap(new);
     }
 
     /// Allocate the next insert slot, or `None` when the range is full.
@@ -464,7 +483,7 @@ mod tests {
 
     #[test]
     fn latch_protocol() {
-        let r = UpdateRange::new(0, 16, 2, 16);
+        let r = UpdateRange::new(0, 16, 2, 16, &EpochManager::new());
         let prev = r.try_latch(3).expect("unlatched slot latches");
         assert!(prev.is_null());
         // Second writer bounces off the latch → write-write conflict.
@@ -480,7 +499,7 @@ mod tests {
 
     #[test]
     fn slot_allocation_bounds() {
-        let r = UpdateRange::new(0, 2, 1, 8);
+        let r = UpdateRange::new(0, 2, 1, 8, &EpochManager::new());
         assert_eq!(r.allocate_slot(), Some(0));
         assert_eq!(r.allocate_slot(), Some(1));
         assert_eq!(r.allocate_slot(), None);
@@ -489,10 +508,12 @@ mod tests {
 
     #[test]
     fn base_swap_retires_old_snapshot() {
-        let r = UpdateRange::new(0, 4, 1, 8);
-        let old = r.base();
+        let epoch = EpochManager::new();
+        let r = UpdateRange::new(0, 4, 1, 8, &epoch);
+        let reader = epoch.pin();
+        let old = r.base(&reader);
         assert!(old.is_insert_phase());
-        let new = Arc::new(BaseVersion {
+        r.swap_base(BaseVersion {
             tps: 5,
             column_tps: vec![5].into_boxed_slice(),
             len: 4,
@@ -506,15 +527,18 @@ mod tests {
                 schema_enc: PagePtr::resident(BasePage::plain(vec![0; 4])),
             },
         });
-        let retired = r.swap_base(new);
-        assert!(Arc::ptr_eq(&retired, &old));
-        assert_eq!(r.base().tps, 5);
-        assert_eq!(r.base().value(0, 2), 3);
+        assert_eq!(epoch.try_reclaim(), 0, "the reader pinned before the swap");
+        assert!(old.is_insert_phase(), "the old version is still readable");
+        let g = epoch.pin();
+        assert_eq!(r.base(&g).tps, 5);
+        assert_eq!(r.base(&g).value(0, 2, &g), 3);
+        drop((g, reader));
+        assert_eq!(epoch.try_reclaim(), 1);
     }
 
     #[test]
     fn updated_columns_bitmap_accumulates() {
-        let r = UpdateRange::new(0, 4, 3, 8);
+        let r = UpdateRange::new(0, 4, 3, 8, &EpochManager::new());
         assert_eq!(r.updated_columns(1), 0);
         r.mark_updated(1, 0b001);
         r.mark_updated(1, 0b100);
@@ -523,7 +547,7 @@ mod tests {
 
     #[test]
     fn merge_claim_is_exclusive() {
-        let r = UpdateRange::new(0, 4, 1, 8);
+        let r = UpdateRange::new(0, 4, 1, 8, &EpochManager::new());
         assert!(r.claim_merge());
         assert!(!r.claim_merge());
         r.merge_done();

@@ -19,6 +19,7 @@
 //! * **Historic crossing** (§4.3): walks that descend below the range's
 //!   historic boundary continue in the re-organized historic store.
 
+use lstore_storage::epoch::EpochGuard;
 use lstore_txn::{StartTime, TxnManager};
 
 use crate::historic::HistoricStore;
@@ -83,8 +84,10 @@ pub enum Resolved {
 pub struct VersionReader<'a> {
     /// The range being read.
     pub range: &'a UpdateRange,
-    /// A pinned base snapshot (grab once per range per query).
+    /// The range's base version, read under `guard`.
     pub base: &'a BaseVersion,
+    /// The pin every tail cell and insert-phase cell is read under.
+    pub guard: &'a EpochGuard<'a>,
     /// Transaction table for Start Time resolution.
     pub mgr: &'a TxnManager,
     /// Historic store for walks below the historic boundary.
@@ -131,13 +134,13 @@ impl<'a> VersionReader<'a> {
     /// Resolve + lazily swap a tail record's Start Time cell when it holds a
     /// committed transaction id.
     fn resolve_tail(&self, seq: u32, mode: ReadMode) -> Option<u64> {
-        let tail = &self.range.tail;
-        let cell = tail.start_cell(seq);
+        let (tail, guard) = (&self.range.tail, self.guard);
+        let cell = tail.start_cell(seq, guard);
         self.resolve(
             cell,
-            || tail.start_cell(seq),
+            || tail.start_cell(seq, guard),
             mode,
-            |commit| tail.swap_start_cell(seq, cell, commit),
+            |commit| tail.swap_start_cell(seq, cell, commit, guard),
         )
     }
 
@@ -145,14 +148,14 @@ impl<'a> VersionReader<'a> {
     /// Start Time cell once its transaction committed (§5.1.1: "Swapping the
     /// transaction ID with commit time is done lazily by future readers").
     fn resolve_base(&self, slot: u32, mode: ReadMode) -> Option<u64> {
-        let cell = self.base.start_cell(slot);
+        let cell = self.base.start_cell(slot, self.guard);
         self.resolve(
             cell,
-            || self.base.start_cell(slot),
+            || self.base.start_cell(slot, self.guard),
             mode,
             |commit| {
                 if let crate::range::BaseData::Insert(t) = &self.base.data {
-                    let _ = t.start_time.cas(slot as usize, cell, commit);
+                    let _ = t.start_time.cas(slot as usize, cell, commit, self.guard);
                 }
             },
         )
@@ -165,7 +168,8 @@ impl<'a> VersionReader<'a> {
             return Resolved::Deleted;
         }
         let mut values = vec![0; columns.len()];
-        self.base.gather(columns, slot, u64::MAX, &mut values);
+        self.base
+            .gather(columns, slot, u64::MAX, &mut values, self.guard);
         Resolved::Visible {
             version_rid,
             values,
@@ -213,9 +217,9 @@ impl<'a> VersionReader<'a> {
                 return self.read_historic(slot, columns, mode, base_rid);
             }
             if self.resolve_tail(seq, mode).is_some() {
-                break (cursor, tail.encoding(seq));
+                break (cursor, tail.encoding(seq, self.guard));
             }
-            cursor = tail.prev(seq);
+            cursor = tail.prev(seq, self.guard);
         };
 
         if version_enc.is_delete() {
@@ -243,14 +247,14 @@ impl<'a> VersionReader<'a> {
             if carried != 0 {
                 for (value, &c) in values.iter_mut().zip(columns) {
                     if carried & (1 << c) != 0 {
-                        *value = tail.value(seq, c);
+                        *value = tail.value(seq, c, self.guard);
                     }
                 }
                 *missing &= !carried;
             }
         };
         take(version_rid.seq(), version_enc, &mut missing);
-        let mut cursor = tail.prev(version_rid.seq());
+        let mut cursor = tail.prev(version_rid.seq(), self.guard);
         while missing != 0 && !cursor.is_null() && !cursor.is_base() {
             let seq = cursor.seq();
             if (seq as u64) < boundary {
@@ -274,12 +278,13 @@ impl<'a> VersionReader<'a> {
             }
             // Older versions: must still be committed (skip tombstones).
             if self.resolve_tail(seq, mode).is_some() {
-                take(seq, tail.encoding(seq), &mut missing);
+                take(seq, tail.encoding(seq, self.guard), &mut missing);
             }
-            cursor = tail.prev(seq);
+            cursor = tail.prev(seq, self.guard);
         }
         if missing != 0 {
-            self.base.gather(columns, slot, missing, &mut values);
+            self.base
+                .gather(columns, slot, missing, &mut values, self.guard);
         }
 
         Resolved::Visible {
@@ -295,13 +300,15 @@ impl<'a> VersionReader<'a> {
     fn version_below(&self, seq: u32, mode: ReadMode, base_rid: Rid) -> Rid {
         let tail = &self.range.tail;
         let boundary = self.range.historic_boundary();
-        let mut cursor = tail.prev(seq);
+        let mut cursor = tail.prev(seq, self.guard);
         while !cursor.is_null() && !cursor.is_base() && (cursor.seq() as u64) >= boundary {
             let seq = cursor.seq();
-            if !tail.encoding(seq).is_snapshot() && self.resolve_tail(seq, mode).is_some() {
+            if !tail.encoding(seq, self.guard).is_snapshot()
+                && self.resolve_tail(seq, mode).is_some()
+            {
                 return cursor;
             }
-            cursor = tail.prev(seq);
+            cursor = tail.prev(seq, self.guard);
         }
         base_rid
     }
@@ -316,7 +323,7 @@ impl<'a> VersionReader<'a> {
             if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
                 return None;
             }
-            return Some(self.base.value(column, slot));
+            return Some(self.base.value(column, slot, self.guard));
         }
         let seq = head.seq() as u64;
         // TPS fast path; for snapshot reads additionally require that the
@@ -333,7 +340,7 @@ impl<'a> VersionReader<'a> {
                 if SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
                     return None;
                 }
-                return Some(self.base.value(column, slot));
+                return Some(self.base.value(column, slot, self.guard));
             }
         }
         // Chain walk, allocation-free: the newest visible version decides
@@ -348,7 +355,7 @@ impl<'a> VersionReader<'a> {
                 if !live && SchemaEncoding(self.base.schema_enc(slot)).is_delete() {
                     return None;
                 }
-                return Some(self.base.value(column, slot));
+                return Some(self.base.value(column, slot, self.guard));
             }
             let seq = cursor.seq();
             if (seq as u64) < boundary {
@@ -365,10 +372,10 @@ impl<'a> VersionReader<'a> {
                 let historic = self
                     .historic
                     .and_then(|hist| hist.read_column(self.range.id, slot, column, bound));
-                return Some(historic.unwrap_or_else(|| self.base.value(column, slot)));
+                return Some(historic.unwrap_or_else(|| self.base.value(column, slot, self.guard)));
             }
             if self.resolve_tail(seq, mode).is_some() {
-                let enc = self.range.tail.encoding(seq);
+                let enc = self.range.tail.encoding(seq, self.guard);
                 if !live {
                     if enc.is_delete() {
                         return None;
@@ -376,10 +383,10 @@ impl<'a> VersionReader<'a> {
                     live = true;
                 }
                 if enc.has(column) {
-                    return Some(self.range.tail.value(seq, column));
+                    return Some(self.range.tail.value(seq, column, self.guard));
                 }
             }
-            cursor = self.range.tail.prev(seq);
+            cursor = self.range.tail.prev(seq, self.guard);
         }
     }
 
@@ -403,7 +410,8 @@ impl<'a> VersionReader<'a> {
                         .filter(|&(_, has)| !has)
                         .fold(0u64, |set, (&c, _)| set | 1 << c);
                     if unfilled != 0 {
-                        self.base.gather(columns, slot, unfilled, &mut values);
+                        self.base
+                            .gather(columns, slot, unfilled, &mut values, self.guard);
                     }
                     return Resolved::Visible {
                         version_rid: base_rid,

@@ -132,12 +132,12 @@ impl Table {
                 let Some(commit_ts) = state.commit_ts_of(*txn_id) else {
                     return Ok(()); // aborted / in-flight insert: slot stays ∅
                 };
-                let base = range.base();
-                if let BaseData::Insert(tail) = &base.data {
+                let guard = self.runtime.epoch.pin();
+                if let BaseData::Insert(tail) = &range.base(&guard).data {
                     for (c, &v) in values.iter().enumerate() {
-                        tail.data[c].set(*slot as usize, v);
+                        tail.data[c].set(*slot as usize, v, &guard);
                     }
-                    tail.start_time.set(*slot as usize, commit_ts);
+                    tail.start_time.set(*slot as usize, commit_ts, &guard);
                 }
                 self.pk_insert_raw(values[0], Rid::base(*range_id, *slot));
             }
@@ -166,10 +166,11 @@ impl Table {
                 let range = self.range(*range_id);
                 range.tail.ensure_seq(*seq);
                 let enc = SchemaEncoding(*schema_encoding);
+                let guard = self.runtime.epoch.pin();
                 let start_cell = if enc.is_snapshot() {
                     // Snapshot records carry the *original* start time of
                     // the base record; recover it from the replayed base.
-                    range.base().start_cell(Rid(*base_rid).slot())
+                    range.base(&guard).start_cell(Rid(*base_rid).slot(), &guard)
                 } else {
                     match state.commit_ts_of(*txn_id) {
                         Some(ts) => ts,
@@ -185,6 +186,7 @@ impl Table {
                     Rid(*base_rid),
                     &cols,
                     start_cell,
+                    &guard,
                 );
                 let slot = Rid(*base_rid).slot();
                 range.mark_updated(slot, enc.column_bits());

@@ -127,7 +127,11 @@ impl Table {
             as_of: request.as_of,
             ..ReadMode::latest()
         };
-        response(request.key, self.resolve_point(request.key, &cols, mode))
+        let guard = self.runtime.epoch.pin();
+        response(
+            request.key,
+            self.resolve_point(request.key, &cols, mode, &guard),
+        )
     }
 
     /// Batched reads sharing one column selection and one snapshot — the

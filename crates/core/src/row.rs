@@ -21,6 +21,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use lstore_index::PrimaryIndex;
+use lstore_storage::epoch::{EpochGuard, EpochManager};
 use lstore_storage::tail::AppendVec;
 use lstore_storage::NULL_VALUE;
 
@@ -49,7 +50,7 @@ struct RowRange {
 }
 
 impl RowRange {
-    fn new(capacity: usize, width: usize, page_slots: usize) -> Self {
+    fn new(capacity: usize, width: usize, page_slots: usize, epoch: &EpochManager) -> Self {
         RowRange {
             base: RwLock::new(Arc::new(
                 (0..capacity * width)
@@ -60,9 +61,9 @@ impl RowRange {
                 (0..capacity).map(|_| AtomicU64::new(NULL_VALUE)).collect(),
             )),
             indirection: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            tail_rows: AppendVec::new(page_slots * width),
-            tail_start: AppendVec::new(page_slots),
-            tail_prev: AppendVec::new(page_slots),
+            tail_rows: AppendVec::new(page_slots * width, epoch),
+            tail_start: AppendVec::new(page_slots, epoch),
+            tail_prev: AppendVec::new(page_slots, epoch),
             next_seq: AtomicU32::new(1),
             occupied: AtomicU32::new(0),
             tps: AtomicU64::new(0),
@@ -81,6 +82,8 @@ pub struct RowTable {
     clock: AtomicU64,
     merge_threshold: u64,
     unmerged: AtomicU64,
+    /// What the ranges' tail pages are read under.
+    epoch: EpochManager,
 }
 
 const LATCH: u64 = 1 << 63;
@@ -97,6 +100,7 @@ impl RowTable {
             clock: AtomicU64::new(1),
             merge_threshold: (range_size as u64 / 2).max(1),
             unmerged: AtomicU64::new(0),
+            epoch: EpochManager::new(),
         }
     }
 
@@ -139,6 +143,7 @@ impl RowTable {
                     self.range_size,
                     self.width,
                     self.page_slots,
+                    &self.epoch,
                 )));
             }
         };
@@ -181,7 +186,8 @@ impl RowTable {
             }
         };
         // Build the new full row from the current visible row.
-        let mut row = self.current_row(&range, slot, prev as u32);
+        let guard = self.epoch.pin();
+        let mut row = self.current_row(&range, slot, prev as u32, &guard);
         for &(c, v) in updates {
             if c + 1 >= self.width {
                 cell.store(prev, Ordering::Release);
@@ -195,10 +201,12 @@ impl RowTable {
         let seq = range.next_seq.fetch_add(1, Ordering::AcqRel);
         let base_off = (seq - 1) as usize * self.width;
         for (i, &v) in row.iter().enumerate() {
-            range.tail_rows.set(base_off + i, v);
+            range.tail_rows.set(base_off + i, v, &guard);
         }
-        range.tail_prev.set((seq - 1) as usize, prev);
-        range.tail_start.set((seq - 1) as usize, self.tick());
+        range.tail_prev.set((seq - 1) as usize, prev, &guard);
+        range
+            .tail_start
+            .set((seq - 1) as usize, self.tick(), &guard);
         cell.store(seq as u64, Ordering::Release);
         if self.unmerged.fetch_add(1, Ordering::AcqRel) + 1 >= self.merge_threshold {
             // Inline merge trigger mirrors the columnar engine's threshold.
@@ -207,13 +215,19 @@ impl RowTable {
                 .compare_exchange(self.merge_threshold, 0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                self.merge_range(&range);
+                self.merge_range(&range, &guard);
             }
         }
         Ok(())
     }
 
-    fn current_row(&self, range: &RowRange, slot: u32, head_seq: u32) -> Vec<u64> {
+    fn current_row(
+        &self,
+        range: &RowRange,
+        slot: u32,
+        head_seq: u32,
+        guard: &EpochGuard<'_>,
+    ) -> Vec<u64> {
         if head_seq == 0 || (head_seq as u64) <= range.tps.load(Ordering::Acquire) {
             let base = range.base.read();
             let off = slot as usize * self.width;
@@ -223,7 +237,7 @@ impl RowTable {
         } else {
             let off = (head_seq - 1) as usize * self.width;
             (0..self.width)
-                .map(|i| range.tail_rows.get_or_null(off + i))
+                .map(|i| range.tail_rows.get(off + i, guard))
                 .collect()
         }
     }
@@ -234,7 +248,7 @@ impl RowTable {
         let (range_id, slot) = unpack_rid(rid);
         let range = Arc::clone(&self.ranges.read()[range_id as usize]);
         let head = (range.indirection[slot as usize].load(Ordering::Acquire) & !LATCH) as u32;
-        let row = self.current_row(&range, slot, head);
+        let row = self.current_row(&range, slot, head, &self.epoch.pin());
         user_cols
             .iter()
             .map(|&c| {
@@ -255,6 +269,7 @@ impl RowTable {
     pub fn sum(&self, user_col: usize) -> u64 {
         let col = user_col + 1;
         let mut sum = 0u64;
+        let guard = self.epoch.pin();
         for range in self.ranges.read().iter() {
             let base = Arc::clone(&range.base.read());
             let starts = Arc::clone(&range.base_start.read());
@@ -270,7 +285,7 @@ impl RowTable {
                 } else {
                     range
                         .tail_rows
-                        .get_or_null((head - 1) as usize * self.width + col)
+                        .get((head - 1) as usize * self.width + col, &guard)
                 };
                 if v != NULL_VALUE {
                     sum = sum.wrapping_add(v);
@@ -284,12 +299,13 @@ impl RowTable {
     /// fresh base image (contention-free: the image is built aside and the
     /// pointer swapped).
     pub fn merge_all(&self) {
+        let guard = self.epoch.pin();
         for range in self.ranges.read().iter() {
-            self.merge_range(range);
+            self.merge_range(range, &guard);
         }
     }
 
-    fn merge_range(&self, range: &RowRange) {
+    fn merge_range(&self, range: &RowRange, guard: &EpochGuard<'_>) {
         let upto = range.next_seq.load(Ordering::Acquire) as u64 - 1;
         let tps = range.tps.load(Ordering::Acquire);
         if upto <= tps {
@@ -307,7 +323,7 @@ impl RowTable {
                 let off = (head - 1) as usize * self.width;
                 for i in 0..self.width {
                     new_base[slot * self.width + i]
-                        .store(range.tail_rows.get_or_null(off + i), Ordering::Relaxed);
+                        .store(range.tail_rows.get(off + i, guard), Ordering::Relaxed);
                 }
             }
         }

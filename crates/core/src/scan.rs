@@ -55,8 +55,8 @@
 //! discipline makes the fan-out embarrassingly parallel. The same workers
 //! drain the merge queue, interleaving scan partitions with
 //! merge jobs so neither starves the other under mixed load. Each worker
-//! clones the scan's epoch guard (pinning the same window) and snapshots
-//! its ranges' `BaseVersion`s exactly as the sequential path does; with
+//! reads under the scan's one pin (a borrowed epoch guard) and loads its
+//! ranges' `BaseVersion`s exactly as the sequential path does; with
 //! `pool_threads = 1` (the `DbConfig::deterministic()` setting) every scan
 //! stays strictly sequential on the calling thread.
 //!
@@ -71,6 +71,7 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use lstore_storage::compress::{Compressed, RowMask};
+use lstore_storage::epoch::EpochGuard;
 use lstore_storage::store::{PagePtr, PageRead};
 use lstore_storage::NULL_VALUE;
 
@@ -427,6 +428,7 @@ impl Table {
         lo: u32,
         hi: u32,
         plan: &mut WindowPlan,
+        guard: &EpochGuard<'_>,
     ) -> Option<&'b [PagePtr]> {
         let BaseData::Pages {
             data,
@@ -483,9 +485,13 @@ impl Table {
                 }
             }
         } else if suffix_len > 0 {
-            range
-                .tail
-                .snapshot_suffix(min_tps as u32, high_seq as u32, cols, &mut plan.suffix);
+            range.tail.snapshot_suffix(
+                min_tps as u32,
+                high_seq as u32,
+                cols,
+                &mut plan.suffix,
+                guard,
+            );
             // Historic compression (§4.3) advances the boundary before it
             // releases pages, so a suffix that lost pages shows here.
             if range.historic_boundary() > min_tps + 1 {
@@ -526,17 +532,18 @@ impl Table {
         ts: u64,
         kernel_min: u32,
         acc: &mut A,
+        guard: &EpochGuard<'_>,
     ) {
         let mode = ReadMode::as_of(ts);
         let mut plan = WindowPlan::default();
         for (range, lo, hi) in windows {
             let range: &UpdateRange = &range;
-            let base = range.base();
-            let hi = hi.min(self.occupied_slots(range, &base));
+            let base = range.base(guard);
+            let hi = hi.min(self.occupied_slots(range, base));
             if lo >= hi {
                 continue;
             }
-            let reader = self.reader(range, &base);
+            let reader = self.reader(range, base, guard);
             // A single column resolves through `read_column`, which
             // allocates nothing.
             let row = |acc: &mut A, slot: u32| match *cols {
@@ -552,7 +559,7 @@ impl Table {
                 }
             };
             let pages = if hi - lo >= kernel_min {
-                self.plan_window(range, &base, cols, ts, lo, hi, &mut plan)
+                self.plan_window(range, base, cols, ts, lo, hi, &mut plan, guard)
             } else {
                 None
             };
@@ -594,10 +601,10 @@ impl Table {
     ) -> A {
         let guard = self.runtime.epoch.pin();
         let ranges = self.all_ranges();
-        let partials = self.scan_fanout(&ranges, &guard, |chunk| {
+        let partials = self.scan_fanout(&ranges, |chunk| {
             let mut acc = init();
             let windows = chunk.iter().map(|range| (&**range, 0, u32::MAX));
-            self.fold_windows(windows, cols, ts, 0, &mut acc);
+            self.fold_windows(windows, cols, ts, 0, &mut acc, &guard);
             acc
         });
         merged(init(), partials)
@@ -692,11 +699,11 @@ impl Table {
             }
             lo = hi + 1;
         }
-        let partials = self.scan_fanout(&bounds, &guard, |chunk| {
+        let partials = self.scan_fanout(&bounds, |chunk| {
             let mut acc = Sums(vec![0]);
             for &(lo, hi) in chunk {
                 let windows = self.key_windows(lo, hi);
-                self.fold_windows(windows, &cols, ts, KERNEL_SPAN_MIN, &mut acc);
+                self.fold_windows(windows, &cols, ts, KERNEL_SPAN_MIN, &mut acc, &guard);
             }
             acc
         });
@@ -745,7 +752,7 @@ impl Table {
                 break;
             }
             let range = self.range(range_id);
-            let slots = self.occupied_slots(range, &range.base());
+            let slots = self.occupied_slots(range, range.base(&guard));
             if slot < slots {
                 let take = remaining.min((slots - slot) as u64);
                 windows.push((Arc::clone(range), slot, slot + take as u32));
@@ -753,9 +760,9 @@ impl Table {
             }
             slot = 0;
         }
-        let partials = self.scan_fanout(&windows, &guard, |chunk| {
+        let partials = self.scan_fanout(&windows, |chunk| {
             let mut acc = Sums(vec![0]);
-            self.fold_windows(chunk.iter().cloned(), &cols, ts, 0, &mut acc);
+            self.fold_windows(chunk.iter().cloned(), &cols, ts, 0, &mut acc, &guard);
             acc
         });
         merged(Sums(vec![0]), partials).0[0]
@@ -776,14 +783,15 @@ impl Table {
         let cols: Vec<usize> = user_cols.iter().map(|&c| c + 1).collect();
         let base_rid = self.locate(key)?;
         let range = self.range(base_rid.range());
-        let base = range.base();
+        let guard = self.runtime.epoch.pin();
+        let base = range.base(&guard);
         // Lemma 3: "for a range of records, all read base pages must have an
         // identical TPS counter; otherwise, the read will be inconsistent."
         let tps0 = cols.first().map(|&c| base.column_tps[c]).unwrap_or(0);
         let consistent = cols.iter().all(|&c| base.column_tps[c] == tps0);
         // Theorem 2: reconciliation is always possible — the as-of chain
         // walk brings every column to the same snapshot independently.
-        let reader = self.reader(range, &base);
+        let reader = self.reader(range, base, &guard);
         match reader.read_record(base_rid.slot(), &cols, ReadMode::as_of(ts)) {
             Resolved::Visible { values, .. } => Ok((Some(values), consistent)),
             _ => Ok((None, consistent)),

@@ -141,7 +141,7 @@ mod tests {
     use super::*;
 
     fn mkrange(id: u32) -> UpdateRange {
-        UpdateRange::new(id, 16, 2, 16)
+        UpdateRange::new(id, 16, 2, 16, &lstore_storage::epoch::EpochManager::new())
     }
 
     #[test]

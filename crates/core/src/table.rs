@@ -33,6 +33,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use lstore_index::{PrimaryIndex, SecondaryIndex};
+use lstore_storage::epoch::EpochGuard;
 use lstore_txn::{ReadSetEntry, StartTime, Transaction};
 use lstore_wal::LogRecord;
 
@@ -165,17 +166,12 @@ impl Table {
     /// per contiguous chunk of `items` (update-range handles, per-range
     /// sub-spans, …), concurrently, and the partial results come back in
     /// item order — interleaved by the workers with any pending merge jobs.
-    /// Every worker re-pins the calling scan's epoch (by cloning its guard)
-    /// before touching any base pages, so pages retired mid-scan survive
-    /// until the last worker drains (§4.1.1 step 5). Falls back to one
-    /// inline call when the database was configured with
-    /// `pool_threads = 1` or there is nothing to split.
-    pub(crate) fn scan_fanout<T, R, F>(
-        &self,
-        items: &[T],
-        guard: &lstore_storage::epoch::EpochGuard,
-        fold: F,
-    ) -> Vec<R>
+    /// Workers read under the caller's pin (`fold` borrows its
+    /// [`EpochGuard`], which the caller holds until every chunk is done), so
+    /// pages retired mid-scan survive until the last worker drains (§4.1.1
+    /// step 5). Falls back to one inline call when the database was
+    /// configured with `pool_threads = 1` or there is nothing to split.
+    pub(crate) fn scan_fanout<T, R, F>(&self, items: &[T], fold: F) -> Vec<R>
     where
         T: Sync,
         F: Fn(&[T]) -> R + Sync,
@@ -191,13 +187,7 @@ impl Table {
         let fold = &fold;
         let tasks: Vec<_> = items
             .chunks(chunk)
-            .map(|slice| {
-                let pin = guard.clone();
-                move || {
-                    let _pin = pin;
-                    fold(slice)
-                }
-            })
+            .map(|slice| move || fold(slice))
             .collect();
         pool.run(tasks)
     }
@@ -245,10 +235,11 @@ impl Table {
         self.has_secondary.store(true, Ordering::Release);
         // Back-fill.
         let mode = ReadMode::latest();
+        let guard = self.runtime.epoch.pin();
         for range in self.all_ranges() {
-            let base = range.base();
-            let reader = self.reader(&range, &base);
-            let slots = self.occupied_slots(&range, &base);
+            let base = range.base(&guard);
+            let reader = self.reader(&range, base, &guard);
+            let slots = self.occupied_slots(&range, base);
             for slot in 0..slots {
                 if let Resolved::Visible { values, .. } = reader.read_record(slot, &[col, 0], mode)
                 {
@@ -280,10 +271,12 @@ impl Table {
         &'a self,
         range: &'a UpdateRange,
         base: &'a crate::range::BaseVersion,
+        guard: &'a EpochGuard<'a>,
     ) -> VersionReader<'a> {
         VersionReader {
             range,
             base,
+            guard,
             mgr: &self.runtime.mgr,
             historic: Some(&self.historic),
         }
@@ -340,14 +333,14 @@ impl Table {
         // tail RIDs, insert the actual record to table-level tail-pages, and
         // setting the Indirection column in the base record to null" — the
         // indirection array is pre-nulled at range creation.
-        let base = range.base();
-        if let crate::range::BaseData::Insert(tail) = &base.data {
-            tail.data[0].set(slot as usize, key);
+        let guard = self.runtime.epoch.pin();
+        if let crate::range::BaseData::Insert(tail) = &range.base(&guard).data {
+            tail.data[0].set(slot as usize, key, &guard);
             for (i, &v) in values.iter().enumerate() {
-                tail.data[i + 1].set(slot as usize, v);
+                tail.data[i + 1].set(slot as usize, v, &guard);
             }
             // Start Time last: publishes the record.
-            tail.start_time.set(slot as usize, txn.id);
+            tail.start_time.set(slot as usize, txn.id, &guard);
         } else {
             unreachable!("current insert range left insert phase prematurely");
         }
@@ -406,6 +399,7 @@ impl Table {
                 self.config.range_size,
                 self.schema.column_count(),
                 self.config.tail_page_slots,
+                &self.runtime.epoch,
             )
         })
     }
@@ -443,7 +437,8 @@ impl Table {
         let range = self.range(base_rid.range());
         let slot = base_rid.slot();
         range.prefetch_slot(slot);
-        let base = range.base();
+        let guard = self.runtime.epoch.pin();
+        let base = range.base(&guard);
         base.prefetch_meta(slot);
         let mgr = &self.runtime.mgr;
 
@@ -463,18 +458,18 @@ impl Table {
         // Write-write conflict: is the latest version's Start Time a
         // competing uncommitted transaction?
         let head_start = if prev.is_null() {
-            base.start_cell(slot)
+            base.start_cell(slot, &guard)
         } else if (prev.seq() as u64) < range.historic_boundary() {
             0 // historic versions are committed by construction
         } else {
-            range.tail.start_cell(prev.seq())
+            range.tail.start_cell(prev.seq(), &guard)
         };
         if lstore_txn::is_txn_id(head_start) && head_start != txn.id {
             let reread = || {
                 if prev.is_null() {
-                    base.start_cell(slot)
+                    base.start_cell(slot, &guard)
                 } else {
-                    range.tail.start_cell(prev.seq())
+                    range.tail.start_cell(prev.seq(), &guard)
                 }
             };
             if mgr.resolve_start_time(head_start, reread).in_flight() {
@@ -490,7 +485,7 @@ impl Table {
         // delete marker is the latest visible version, and SQL-style updates
         // of deleted rows affect nothing.
         if !is_delete {
-            let reader = self.reader(range, &base);
+            let reader = self.reader(range, base, &guard);
             let mode = ReadMode {
                 as_of: None,
                 txn_id: txn.id,
@@ -532,7 +527,7 @@ impl Table {
             let cols: InlineVec<usize, INLINE_COLS> = snap_enc.columns().collect();
             let mut originals = [0u64; MAX_COLUMNS];
             let originals = &mut originals[..cols.len()];
-            base.gather(&cols, slot, u64::MAX, originals);
+            base.gather(&cols, slot, u64::MAX, originals, &guard);
             let snap_cols: InlineVec<(usize, u64), INLINE_COLS> = cols
                 .iter()
                 .copied()
@@ -544,14 +539,15 @@ impl Table {
             // and nobody would ever stamp this copy. Only an id of this
             // very transaction (insert and update in one) is copied as is,
             // and then joins the write set so that its commit stamps it.
-            let original = base.start_cell(slot);
-            let snap_start = match mgr.resolve_start_time(original, || base.start_cell(slot)) {
-                StartTime::Committed(ts) => ts,
-                _ => original,
-            };
+            let original = base.start_cell(slot, &guard);
+            let snap_start =
+                match mgr.resolve_start_time(original, || base.start_cell(slot, &guard)) {
+                    StartTime::Committed(ts) => ts,
+                    _ => original,
+                };
             let snap_seq = range.tail.allocate_seq();
             range.tail.write_record(
-                snap_seq, chain_prev, snap_enc, base_rid, &snap_cols, snap_start,
+                snap_seq, chain_prev, snap_enc, base_rid, &snap_cols, snap_start, &guard,
             );
             if let Some(wal) = &self.runtime.wal {
                 txn.logged = true;
@@ -589,18 +585,18 @@ impl Table {
             && (prev.seq() as u64) >= range.historic_boundary()
         {
             let prev_seq = prev.seq();
-            let prev_cell = range.tail.start_cell(prev_seq);
+            let prev_cell = range.tail.start_cell(prev_seq, &guard);
             let carry_ok = prev_cell == txn.id
                 || matches!(
-                    mgr.resolve_start_time(prev_cell, || range.tail.start_cell(prev_seq)),
+                    mgr.resolve_start_time(prev_cell, || range.tail.start_cell(prev_seq, &guard)),
                     StartTime::Committed(_)
                 );
             if carry_ok {
-                let prev_enc = range.tail.encoding(prev_seq);
+                let prev_enc = range.tail.encoding(prev_seq, &guard);
                 if !prev_enc.is_delete() {
                     for c in prev_enc.columns() {
                         if upd_bits & (1 << c) == 0 {
-                            columns.push((c, range.tail.value(prev_seq, c)));
+                            columns.push((c, range.tail.value(prev_seq, c, &guard)));
                             enc.set(c);
                         }
                     }
@@ -612,7 +608,7 @@ impl Table {
         let seq = range.tail.allocate_seq();
         range
             .tail
-            .write_record(seq, chain_prev, enc, base_rid, &columns, txn.id);
+            .write_record(seq, chain_prev, enc, base_rid, &columns, txn.id, &guard);
         if let Some(wal) = &self.runtime.wal {
             txn.logged = true;
             wal.append(&LogRecord::TailAppend {
@@ -716,7 +712,7 @@ impl Table {
             .data_cols(user_cols.iter().copied())
             .map_err(column_out_of_range)?;
         let mode = self.mode_for(txn, speculative);
-        let outcome = self.resolve_point(key, &cols, mode);
+        let outcome = self.resolve_point(key, &cols, mode, &self.runtime.epoch.pin());
         self.tracked(txn, key, outcome, speculative)
     }
 
@@ -818,7 +814,7 @@ impl Table {
         let _claim = ClaimRelease(range);
         let stats = &self.stats;
         let mut report = MergeReport::default();
-        if range.base().is_insert_phase() {
+        if self.is_insert_phase(range) {
             if force_seal {
                 self.seal_insert_range(range);
             }
@@ -874,7 +870,7 @@ impl Table {
         // whatever the ids of the ranges they replace.
         for lane in self.insert_lanes.iter() {
             let range = self.range(lane.load(Ordering::Acquire));
-            if range.base().is_insert_phase() {
+            if self.is_insert_phase(range) {
                 self.seal_insert_range(range);
             }
         }
@@ -882,6 +878,11 @@ impl Table {
             .iter()
             .map(|range| self.process_merge_inner(range.id, true).consumed)
             .sum()
+    }
+
+    /// Whether `range` is still in its insert phase (a fresh pin's look).
+    fn is_insert_phase(&self, range: &UpdateRange) -> bool {
+        range.base(&self.runtime.epoch.pin()).is_insert_phase()
     }
 
     /// Stop directing inserts at `range` (a new insert range takes over its
@@ -922,11 +923,19 @@ impl Table {
     pub fn merge_upto_time(&self, ti: u64) -> u64 {
         let mut total = 0;
         for range in self.all_ranges() {
-            if range.base().is_insert_phase() {
-                continue; // graduates via the insert merge first
-            }
-            let from = range.base().tps + 1;
-            let bounded = merge::committed_prefix_upto_time(&range, from, &self.runtime.mgr, ti);
+            let (from, bounded) = {
+                let guard = self.runtime.epoch.pin();
+                let base = range.base(&guard);
+                if base.is_insert_phase() {
+                    continue; // graduates via the insert merge first
+                }
+                let from = base.tps + 1;
+                let mgr = &self.runtime.mgr;
+                (
+                    from,
+                    merge::committed_prefix_upto_time(&range, from, mgr, ti, &guard),
+                )
+            };
             if bounded < from {
                 continue;
             }
@@ -948,17 +957,31 @@ impl Table {
     /// Per-range temporal lineage (§4.1.3): the earliest commit timestamp
     /// not yet merged, or `None` when the range is fully merged.
     pub fn earliest_unmerged_ts(&self, range_id: u32) -> Option<u64> {
-        merge::earliest_unmerged_ts(self.range(range_id), &self.runtime.mgr)
+        let guard = self.runtime.epoch.pin();
+        merge::earliest_unmerged_ts(self.range(range_id), &self.runtime.mgr, &guard)
     }
 
     /// Compress merged tail records older than `oldest_snapshot` into the
     /// historic store (§4.3). Returns records compressed.
     pub fn compress_historic(&self, range_id: u32, oldest_snapshot: u64) -> usize {
         let range = self.range(range_id);
-        let tps = range.base().tps;
-        let n = self
-            .historic
-            .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr);
+        let n = {
+            let guard = self.runtime.epoch.pin();
+            let tps = range.base(&guard).tps;
+            self.historic
+                .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr, &guard)
+        };
+        // A reader pinned before the boundary moved may still walk the
+        // records below it in the tail pages: release them (into the epoch
+        // limbo) only once every such reader has unpinned.
+        let below = range.historic_boundary() as u32;
+        let range = Arc::downgrade(range);
+        self.runtime.epoch.defer(move || {
+            if let Some(range) = range.upgrade() {
+                range.tail.release_below(below);
+            }
+        });
+        self.runtime.epoch.try_reclaim();
         self.stats.historic_compressed.add(n as u64);
         n
     }
@@ -990,9 +1013,10 @@ impl Table {
 
     /// Total encoded bytes of all base pages (storage-footprint metric).
     pub fn base_bytes(&self) -> usize {
+        let guard = self.runtime.epoch.pin();
         self.all_ranges()
             .iter()
-            .map(|r| r.base().encoded_bytes())
+            .map(|r| r.base(&guard).encoded_bytes())
             .sum()
     }
 }

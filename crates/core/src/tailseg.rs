@@ -15,6 +15,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use lstore_storage::epoch::{EpochGuard, EpochManager};
 use lstore_storage::tail::{AppendVec, TailPage, TailSpan};
 use lstore_storage::NULL_VALUE;
 use lstore_txn::{StartTime, TxnManager};
@@ -44,16 +45,18 @@ pub struct TailSegment {
 }
 
 impl TailSegment {
-    /// Create an empty segment for `range_id` with `columns` data columns.
-    pub fn new(range_id: u32, columns: usize, page_slots: usize) -> Self {
+    /// Create an empty segment for `range_id` with `columns` data columns,
+    /// read under pins of `epoch` (released pages retire there).
+    pub fn new(range_id: u32, columns: usize, page_slots: usize, epoch: &EpochManager) -> Self {
+        let column = || AppendVec::new(page_slots, epoch);
         TailSegment {
             range_id,
             next_seq: AtomicU32::new(1),
-            indirection: AppendVec::new(page_slots),
-            schema_enc: AppendVec::new(page_slots),
-            start_time: AppendVec::new(page_slots),
-            base_rid: AppendVec::new(page_slots),
-            data: (0..columns).map(|_| AppendVec::new(page_slots)).collect(),
+            indirection: column(),
+            schema_enc: column(),
+            start_time: column(),
+            base_rid: column(),
+            data: (0..columns).map(|_| column()).collect(),
         }
     }
 
@@ -90,65 +93,68 @@ impl TailSegment {
         base: Rid,
         columns: &[(usize, u64)],
         start_cell: u64,
+        guard: &EpochGuard<'_>,
     ) {
         let idx = (seq - 1) as usize;
         for &(col, val) in columns {
-            self.data[col].set(idx, val);
+            self.data[col].set(idx, val, guard);
         }
-        self.base_rid.set(idx, base.0);
-        self.schema_enc.set(idx, encoding.0);
-        self.indirection.set(idx, prev.0);
-        self.start_time.set(idx, start_cell);
+        self.base_rid.set(idx, base.0, guard);
+        self.schema_enc.set(idx, encoding.0, guard);
+        self.indirection.set(idx, prev.0, guard);
+        self.start_time.set(idx, start_cell, guard);
     }
 
     /// Back-pointer of record `seq`.
     #[inline]
-    pub fn prev(&self, seq: u32) -> Rid {
-        Rid(self.indirection.get((seq - 1) as usize))
+    pub fn prev(&self, seq: u32, guard: &EpochGuard<'_>) -> Rid {
+        Rid(self.indirection.get((seq - 1) as usize, guard))
     }
 
     /// Schema Encoding of record `seq`.
     #[inline]
-    pub fn encoding(&self, seq: u32) -> SchemaEncoding {
-        SchemaEncoding(self.schema_enc.get((seq - 1) as usize))
+    pub fn encoding(&self, seq: u32, guard: &EpochGuard<'_>) -> SchemaEncoding {
+        SchemaEncoding(self.schema_enc.get((seq - 1) as usize, guard))
     }
 
     /// Raw Start Time cell of record `seq` (may be a transaction id).
     #[inline]
-    pub fn start_cell(&self, seq: u32) -> u64 {
-        self.start_time.get((seq - 1) as usize)
+    pub fn start_cell(&self, seq: u32, guard: &EpochGuard<'_>) -> u64 {
+        self.start_time.get((seq - 1) as usize, guard)
     }
 
     /// Lazily swap a Start Time cell from a transaction id to its commit
     /// timestamp ("Swapping the transaction ID with commit time is done
     /// lazily by future readers", §5.1.1).
     #[inline]
-    pub fn swap_start_cell(&self, seq: u32, txn_id: u64, commit_ts: u64) {
-        let _ = self.start_time.cas((seq - 1) as usize, txn_id, commit_ts);
+    pub fn swap_start_cell(&self, seq: u32, txn_id: u64, commit_ts: u64, guard: &EpochGuard<'_>) {
+        let _ = self
+            .start_time
+            .cas((seq - 1) as usize, txn_id, commit_ts, guard);
     }
 
     /// What the Start Time cell of record `seq` says, through the one
     /// resolver; a committed owner's id is swapped for its timestamp on the
     /// way (merges and historic compression are readers too, §5.1.1).
-    pub fn resolve_start(&self, seq: u32, mgr: &TxnManager) -> StartTime {
-        let cell = self.start_cell(seq);
-        let owner = mgr.resolve_start_time(cell, || self.start_cell(seq));
+    pub fn resolve_start(&self, seq: u32, mgr: &TxnManager, guard: &EpochGuard<'_>) -> StartTime {
+        let cell = self.start_cell(seq, guard);
+        let owner = mgr.resolve_start_time(cell, || self.start_cell(seq, guard));
         if let (StartTime::Committed(ts), true) = (owner, lstore_txn::is_txn_id(cell)) {
-            self.swap_start_cell(seq, cell, ts);
+            self.swap_start_cell(seq, cell, ts, guard);
         }
         owner
     }
 
     /// Base RID of record `seq`.
     #[inline]
-    pub fn base_rid(&self, seq: u32) -> Rid {
-        Rid(self.base_rid.get((seq - 1) as usize))
+    pub fn base_rid(&self, seq: u32, guard: &EpochGuard<'_>) -> Rid {
+        Rid(self.base_rid.get((seq - 1) as usize, guard))
     }
 
     /// Explicit value of `column` in record `seq`; ∅ when not materialized.
     #[inline]
-    pub fn value(&self, seq: u32, column: usize) -> u64 {
-        self.data[column].get_or_null((seq - 1) as usize)
+    pub fn value(&self, seq: u32, column: usize, guard: &EpochGuard<'_>) -> u64 {
+        self.data[column].get((seq - 1) as usize, guard)
     }
 
     /// Snapshot into `suffix` the pages holding records `after_seq <
@@ -156,26 +162,27 @@ impl TailSegment {
     /// columns and of the data columns `columns` (replacing what `suffix`
     /// held, reusing its allocations). Start Time is snapshotted first: a
     /// page it holds was allocated after the same page of the other meta
-    /// columns (see [`Self::write_record`]), so they hold it too. Each
-    /// directory lock is taken once and none is held on return.
+    /// columns (see [`Self::write_record`]), so they hold it too. The
+    /// suffix holds the pages themselves, so it is read without a pin.
     pub fn snapshot_suffix(
         &self,
         after_seq: u32,
         upto_seq: u32,
         columns: &[usize],
         suffix: &mut TailSuffix,
+        guard: &EpochGuard<'_>,
     ) {
         let idxs = after_seq as usize..(upto_seq as usize).max(after_seq as usize);
         suffix.page_slots = self.start_time.page_slots();
         self.start_time
-            .snapshot_pages(idxs.clone(), &mut suffix.start_time);
+            .snapshot_pages(idxs.clone(), &mut suffix.start_time, guard);
         self.base_rid
-            .snapshot_pages(idxs.clone(), &mut suffix.base_rid);
+            .snapshot_pages(idxs.clone(), &mut suffix.base_rid, guard);
         self.schema_enc
-            .snapshot_pages(idxs.clone(), &mut suffix.schema_enc);
+            .snapshot_pages(idxs.clone(), &mut suffix.schema_enc, guard);
         suffix.data.resize_with(columns.len(), TailSpan::default);
         for (span, &column) in suffix.data.iter_mut().zip(columns) {
-            self.data[column].snapshot_pages(idxs.clone(), span);
+            self.data[column].snapshot_pages(idxs.clone(), span, guard);
         }
         suffix.idxs = idxs;
     }
@@ -186,7 +193,8 @@ impl TailSegment {
     }
 
     /// Release whole tail pages whose records all have `seq < below_seq`;
-    /// called after historic compression (§4.3). Returns pages released.
+    /// called after historic compression (§4.3). The pages retire into the
+    /// epoch limbo. Returns pages released.
     pub fn release_below(&self, below_seq: u32) -> usize {
         if below_seq <= 1 {
             return 0;
@@ -205,8 +213,8 @@ impl TailSegment {
 
     /// True when record `seq` was fully written (its start cell is set);
     /// used by recovery scans.
-    pub fn is_written(&self, seq: u32) -> bool {
-        self.start_time.get_or_null((seq - 1) as usize) != NULL_VALUE
+    pub fn is_written(&self, seq: u32, guard: &EpochGuard<'_>) -> bool {
+        self.start_cell(seq, guard) != NULL_VALUE
     }
 }
 
@@ -324,9 +332,16 @@ impl SuffixRecord<'_> {
 mod tests {
     use super::*;
 
+    /// A segment over a manager of its own, and the manager.
+    fn segment(columns: usize, page_slots: usize) -> (TailSegment, EpochManager) {
+        let epoch = EpochManager::new();
+        (TailSegment::new(0, columns, page_slots, &epoch), epoch)
+    }
+
     #[test]
     fn lazy_column_materialization() {
-        let seg = TailSegment::new(0, 4, 16);
+        let (seg, epoch) = segment(4, 16);
+        let g = epoch.pin();
         assert_eq!(seg.materialized_columns(), 0);
         let seq = seg.allocate_seq();
         assert_eq!(seq, 1);
@@ -337,22 +352,23 @@ mod tests {
             Rid::base(0, 5),
             &[(1, 42)],
             77,
+            &g,
         );
         // Only column 1 materialized; others read ∅.
         assert_eq!(seg.materialized_columns(), 1);
-        assert_eq!(seg.value(seq, 1), 42);
-        assert_eq!(seg.value(seq, 0), NULL_VALUE);
-        assert_eq!(seg.value(seq, 3), NULL_VALUE);
-        assert_eq!(seg.prev(seq), Rid::base(0, 5));
-        assert_eq!(seg.start_cell(seq), 77);
-        assert!(seg.is_written(seq));
-        assert!(!seg.is_written(seg.allocate_seq()));
+        assert_eq!(seg.value(seq, 1, &g), 42);
+        assert_eq!(seg.value(seq, 0, &g), NULL_VALUE);
+        assert_eq!(seg.value(seq, 3, &g), NULL_VALUE);
+        assert_eq!(seg.prev(seq, &g), Rid::base(0, 5));
+        assert_eq!(seg.start_cell(seq, &g), 77);
+        assert!(seg.is_written(seq, &g));
+        assert!(!seg.is_written(seg.allocate_seq(), &g));
     }
 
     #[test]
     fn seq_allocation_is_dense_and_concurrent() {
         use std::sync::Arc;
-        let seg = Arc::new(TailSegment::new(0, 1, 64));
+        let seg = Arc::new(segment(1, 64).0);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let seg = Arc::clone(&seg);
@@ -372,7 +388,8 @@ mod tests {
 
     #[test]
     fn lazy_start_time_swap() {
-        let seg = TailSegment::new(0, 1, 16);
+        let (seg, epoch) = segment(1, 16);
+        let g = epoch.pin();
         let seq = seg.allocate_seq();
         let txn_id = (1 << 63) | 5u64;
         seg.write_record(
@@ -382,17 +399,19 @@ mod tests {
             Rid::NULL,
             &[],
             txn_id,
+            &g,
         );
-        seg.swap_start_cell(seq, txn_id, 1234);
-        assert_eq!(seg.start_cell(seq), 1234);
+        seg.swap_start_cell(seq, txn_id, 1234, &g);
+        assert_eq!(seg.start_cell(seq, &g), 1234);
         // Idempotent / no-op when the cell already holds the timestamp.
-        seg.swap_start_cell(seq, txn_id, 9999);
-        assert_eq!(seg.start_cell(seq), 1234);
+        seg.swap_start_cell(seq, txn_id, 9999, &g);
+        assert_eq!(seg.start_cell(seq, &g), 1234);
     }
 
     #[test]
     fn release_below_frees_full_pages() {
-        let seg = TailSegment::new(0, 1, 4);
+        let (seg, epoch) = segment(1, 4);
+        let g = epoch.pin();
         for _ in 0..12 {
             let s = seg.allocate_seq();
             seg.write_record(
@@ -402,16 +421,18 @@ mod tests {
                 Rid::NULL,
                 &[(0, s as u64)],
                 s as u64,
+                &g,
             );
         }
         let released = seg.release_below(9); // records 1..8 span two full pages
         assert!(released >= 2);
-        assert_eq!(seg.value(9, 0), 9);
+        assert_eq!(seg.value(9, 0, &g), 9);
     }
 
     #[test]
     fn suffix_view_reads_null_for_unmaterialized_columns() {
-        let seg = TailSegment::new(0, 4, 4);
+        let (seg, epoch) = segment(4, 4);
+        let g = epoch.pin();
         let txn_id = (1 << 63) | 9u64;
         // Ten records over three pages; only column 1 is ever written, and
         // record 7 is allocated but not published.
@@ -427,11 +448,12 @@ mod tests {
                 Rid::base(0, slot),
                 &[(1, 100 + seq as u64)],
                 if seq == 9 { txn_id } else { seq as u64 },
+                &g,
             );
         }
         let mut suffix = TailSuffix::default();
         // Records 3..=10, columns requested as [2, 1, 0].
-        seg.snapshot_suffix(2, seg.high_seq(), &[2, 1, 0], &mut suffix);
+        seg.snapshot_suffix(2, seg.high_seq(), &[2, 1, 0], &mut suffix, &g);
         assert_eq!(suffix.len(), 8);
         let mut seen = Vec::new();
         suffix.for_each_newest_first(|rec| {
@@ -454,10 +476,10 @@ mod tests {
             seen, expected,
             "newest first, the unpublished record skipped"
         );
-        assert_eq!(seg.start_cell(9), 1234, "the swap reaches the segment");
+        assert_eq!(seg.start_cell(9, &g), 1234, "the swap reaches the segment");
 
         // Reuse: an empty suffix visits nothing.
-        seg.snapshot_suffix(10, 10, &[1], &mut suffix);
+        seg.snapshot_suffix(10, 10, &[1], &mut suffix, &g);
         assert!(suffix.is_empty());
         suffix.for_each_newest_first(|_| panic!("nothing to visit"));
     }

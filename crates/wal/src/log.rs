@@ -391,7 +391,7 @@ impl Wal {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::io::{Fault, FaultFs, OsFs};
+    use crate::io::{Fault, FaultFs, File, OsFs};
     use crate::recovery::{recover_from_bytes, RecoveredState};
     use std::sync::{Arc, Barrier};
 
@@ -414,6 +414,55 @@ pub(crate) mod tests {
 
     fn group_commit(base: &Path) -> Wal {
         create(&OsFs, base, CommitPolicy::GroupCommit)
+    }
+
+    /// The OS's files, except that every `sync_data` takes at least
+    /// [`SlowSync::WAIT`], as a slow device's would: long enough for
+    /// closed-loop committers to queue behind one fsync and share the
+    /// next, whatever the device under the test and the load beside it.
+    struct SlowSync;
+
+    impl SlowSync {
+        const WAIT: Duration = Duration::from_millis(2);
+    }
+
+    struct SlowSyncFile(Arc<dyn File>);
+
+    impl File for SlowSyncFile {
+        fn read_at(&self, buf: &mut [u8], at: u64) -> std::io::Result<()> {
+            self.0.read_at(buf, at)
+        }
+        fn write_at(&self, bytes: &[u8], at: u64) -> std::io::Result<()> {
+            self.0.write_at(bytes, at)
+        }
+        fn sync_data(&self) -> std::io::Result<()> {
+            std::thread::sleep(SlowSync::WAIT);
+            self.0.sync_data()
+        }
+        fn sync_all(&self) -> std::io::Result<()> {
+            self.0.sync_all()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            self.0.set_len(len)
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.0.len()
+        }
+    }
+
+    impl Fs for SlowSync {
+        fn create(&self, path: &Path) -> std::io::Result<Arc<dyn File>> {
+            Ok(Arc::new(SlowSyncFile(OsFs.create(path)?)))
+        }
+        fn open(&self, path: &Path) -> std::io::Result<Arc<dyn File>> {
+            Ok(Arc::new(SlowSyncFile(OsFs.open(path)?)))
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.remove(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            OsFs.exists(path)
+        }
     }
 
     const LOG: &str = "test.wal";
@@ -509,7 +558,7 @@ pub(crate) mod tests {
     #[test]
     fn group_commit_shares_fsyncs_and_is_durable_on_return() {
         let base = temp_base("group");
-        let wal = Arc::new(group_commit(&base));
+        let wal = Arc::new(create(&SlowSync, &base, CommitPolicy::GroupCommit));
         const WRITERS: u64 = 4;
         const TXNS: u64 = 200;
         let handles: Vec<_> = (0..WRITERS)
@@ -542,15 +591,13 @@ pub(crate) mod tests {
         let stats = wal.stats();
         assert_eq!(stats.commits_enrolled, WRITERS * TXNS);
         assert!(stats.max_cohort <= WRITERS);
-        // Four closed-loop committers share fsyncs — unless the device
-        // makes an fsync nearly free (tmpfs), where there is nothing to
-        // share and the rule rightly does not wait.
-        if stats.sync_ns / stats.syncs >= 20_000 {
-            assert!(
-                stats.syncs * 10 <= stats.commits_enrolled * 6,
-                "cohorts did not form: {stats:?}"
-            );
-        }
+        // Four closed-loop committers share the fsyncs of a device that
+        // takes its time.
+        assert!(stats.sync_ns / stats.syncs >= SlowSync::WAIT.as_nanos() as u64);
+        assert!(
+            stats.syncs * 10 <= stats.commits_enrolled * 6,
+            "cohorts did not form: {stats:?}"
+        );
         std::fs::remove_file(&base).ok();
     }
 

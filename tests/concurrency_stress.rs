@@ -390,7 +390,8 @@ fn sharded_writers_agree_with_sequential_ground_truth() {
     t.merge_all();
     assert_eq!(t.sum_auto(0), final_sum, "merges change nothing");
     for r in 0..(KEYS / RANGE) as u32 {
-        assert!(t.range_handle(r).base().tps > 0, "range {r} was updated");
+        let g = db.runtime().epoch.pin();
+        assert!(t.range_handle(r).base(&g).tps > 0, "range {r} was updated");
     }
 }
 
@@ -517,7 +518,7 @@ fn merges_complete_under_saturated_scan_pool() {
     }
     db.drain_merges();
     for w in 0..SHARDS as u32 {
-        let tps = t.range_handle(w).base().tps;
+        let tps = t.range_handle(w).base(&db.runtime().epoch.pin()).tps;
         assert!(tps > 0, "range {w} merged in the background (tps={tps})");
     }
     assert!(t.stats().merged_records > 0, "merges consumed records");

@@ -227,7 +227,11 @@ fn column_merge_consolidates_deletes() {
         if merge {
             let report = t.merge_columns_now(0, &[0]).unwrap();
             assert!(report.swapped && report.consumed > 0);
-            let tps = t.range_handle(0).base().column_tps.clone();
+            let tps = t
+                .range_handle(0)
+                .base(&db.runtime().epoch.pin())
+                .column_tps
+                .clone();
             assert!(tps[1] > tps[2], "column a merged ahead of b: {tps:?}");
         }
         let mut seen = Vec::new();

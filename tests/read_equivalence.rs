@@ -20,6 +20,7 @@
 use lstore::range::{BaseData, BaseVersion};
 use lstore::{Database, DbConfig, ReadRequest, TableConfig};
 use lstore_storage::compress::CodecChoice;
+use lstore_storage::epoch::EpochManager;
 use lstore_storage::page::BasePage;
 use lstore_storage::store::{PagePtr, PageStore};
 
@@ -91,6 +92,10 @@ fn base_version(seal: impl Fn(BasePage) -> PagePtr) -> BaseVersion {
 }
 
 fn check_gather(base: &BaseVersion, step: usize) {
+    // Merged pages are read without one; the accessors take it for the
+    // insert phase's tail pages.
+    let epoch = EpochManager::new();
+    let g = epoch.pin();
     let ncols = columns().len();
     let all: Vec<usize> = (0..ncols).collect();
     let repeats = vec![2, 0, 2, 5, 5, 1, 2];
@@ -98,20 +103,20 @@ fn check_gather(base: &BaseVersion, step: usize) {
     let long: Vec<usize> = (0..67).map(|i| (i * 5 + 3) % ncols).collect();
     for slot in (0..SLOTS as u32).step_by(step).chain([SLOTS as u32 - 1]) {
         for list in [&all, &repeats, &long] {
-            let expected: Vec<u64> = list.iter().map(|&c| base.value(c, slot)).collect();
+            let expected: Vec<u64> = list.iter().map(|&c| base.value(c, slot, &g)).collect();
             let mut got = vec![0; list.len()];
-            base.gather(list, slot, u64::MAX, &mut got);
+            base.gather(list, slot, u64::MAX, &mut got, &g);
             assert_eq!(got, expected, "slot {slot}, columns {list:?}");
         }
         // Every subset: untouched places keep what they held.
         let subsets = if slot % 7 == 0 { 1u64 << ncols } else { 0 };
         for only in 0..subsets {
             let mut got = vec![7; long.len()];
-            base.gather(&long, slot, only, &mut got);
+            base.gather(&long, slot, only, &mut got, &g);
             for (value, &c) in got.iter().zip(&long) {
                 let expected = match only & (1 << c) {
                     0 => 7,
-                    _ => base.value(c, slot),
+                    _ => base.value(c, slot, &g),
                 };
                 assert_eq!(*value, expected, "slot {slot}, column {c}, only {only:b}");
             }
@@ -121,7 +126,7 @@ fn check_gather(base: &BaseVersion, step: usize) {
     for (c, (name, _, values)) in columns().iter().enumerate() {
         for slot in [0, 4, 63, 64, SLOTS - 1] {
             let mut got = [0];
-            base.gather(&[c], slot as u32, u64::MAX, &mut got);
+            base.gather(&[c], slot as u32, u64::MAX, &mut got, &g);
             assert_eq!(got[0], values[slot], "{name}, slot {slot}");
         }
     }
@@ -159,6 +164,8 @@ fn block_reads_equal_resident_reads_behind_a_two_page_pool() {
     let resident = base_version(PagePtr::resident);
     let stored = base_version(|page| PagePtr::seal(Some(&store), page));
     let ncols = columns().len();
+    let epoch = EpochManager::new();
+    let g = epoch.pin();
     // Row by row across nine pages and two frames: a page's next touch
     // comes a lap of the other eight later, so reads alternate between
     // the image blocks of evicted pages and pages faulted in on a touch
@@ -166,13 +173,13 @@ fn block_reads_equal_resident_reads_behind_a_two_page_pool() {
     for slot in 0..SLOTS as u32 {
         for c in 0..ncols {
             assert_eq!(
-                stored.value(c, slot),
-                resident.value(c, slot),
+                stored.value(c, slot, &g),
+                resident.value(c, slot, &g),
                 "{}, slot {slot}",
                 columns()[c].0
             );
         }
-        assert_eq!(stored.start_cell(slot), resident.start_cell(slot));
+        assert_eq!(stored.start_cell(slot, &g), resident.start_cell(slot, &g));
         assert_eq!(stored.last_updated(slot), resident.last_updated(slot));
         assert_eq!(stored.schema_enc(slot), resident.schema_enc(slot));
     }

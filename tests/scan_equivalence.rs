@@ -379,7 +379,11 @@ fn suffix_pass_shapes(config: TableConfig) {
     // transaction's first record), and more versions land on top.
     assert!(t.merge_columns_now(0, &[1]).unwrap().swapped);
     assert!(t.merge_columns_now(1, &[0]).unwrap().swapped);
-    let tps = t.range_handle(0).base().column_tps.clone();
+    let tps = t
+        .range_handle(0)
+        .base(&db.runtime().epoch.pin())
+        .column_tps
+        .clone();
     assert!(
         tps[2] > tps[1],
         "column 1 merged ahead of column 0: {tps:?}"
@@ -426,7 +430,8 @@ fn suffix_pass_shapes(config: TableConfig) {
                 .map(|(_, v)| v[1]),
         )
     };
-    let suffix = t.range_handle(0).tail.high_seq() as u64 - t.range_handle(0).base().tps;
+    let merged = t.range_handle(0).base(&db.runtime().epoch.pin()).tps;
+    let suffix = t.range_handle(0).tail.high_seq() as u64 - merged;
     assert!(suffix > 16 * 20, "the backlog outgrows a 20-slot window");
     let narrow = pass_split(&t, || {
         assert_eq!(t.sum_key_range(1, 100, 119, ts), keyed(100, 119));

@@ -28,13 +28,14 @@ fn merge_upto_time_stops_at_the_agreed_timestamp() {
     assert!(consumed > 0);
     for range in 0..t.range_count() as u32 {
         let handle = t.range_handle(range);
-        let base = handle.base();
+        let g = db.runtime().epoch.pin();
+        let base = handle.base(&g);
         if base.len == 0 {
             continue;
         }
         // Every merged base cell is 1 (epoch-1 value), never 2.
         for slot in 0..base.len as u32 {
-            let v = base.value(1, slot); // internal col 1 = user col 0
+            let v = base.value(1, slot, &g); // internal col 1 = user col 0
             assert!(v <= 1, "base page leaked a post-ti value: {v}");
         }
         // Temporal lineage: the earliest unmerged record is after ti.
