@@ -35,7 +35,7 @@ use std::sync::Arc;
 use lstore_storage::epoch::{EpochGuard, EpochManager};
 use lstore_storage::page::BasePage;
 use lstore_storage::store::{PagePtr, PageStore};
-use lstore_storage::tail::TailSpan;
+use lstore_storage::tail::AppendVec;
 use lstore_storage::NULL_VALUE;
 use lstore_txn::{StartTime, TxnManager};
 
@@ -420,16 +420,13 @@ fn merge_insert_pinned(
         return false; // only full insert ranges graduate automatically
     }
     // Every slot must be resolved (committed or aborted). Each column is
-    // read through one snapshot of its pages.
-    let mut span = TailSpan::default();
-    tail.start_time.snapshot_pages(0..used, &mut span, guard);
+    // read a page at a time.
     let mut starts = Vec::with_capacity(used);
-    for slot in 0..used {
-        let cell = span.get(slot);
+    for (slot, cell) in cells(&tail.start_time, used, guard).into_iter().enumerate() {
         if cell == NULL_VALUE {
             return false; // slot allocated but not yet written
         }
-        match mgr.resolve_start_time(cell, || span.get(slot)) {
+        match mgr.resolve_start_time(cell, || tail.start_time.get(slot, guard)) {
             StartTime::Committed(ts) => {
                 // Stamp the insert tail too: a reader still holding it may
                 // resolve the id after the inserter — who finds merged
@@ -447,16 +444,12 @@ fn merge_insert_pinned(
     let ncols = base.column_tps.len();
     let mut data = Vec::with_capacity(ncols);
     for column in tail.data.iter() {
-        column.snapshot_pages(0..used, &mut span, guard);
-        let values: Vec<u64> = (0..used)
-            .map(|slot| {
-                if starts[slot] == NULL_VALUE {
-                    NULL_VALUE // aborted insert: null slot
-                } else {
-                    span.get(slot)
-                }
-            })
-            .collect();
+        let mut values = cells(column, used, guard);
+        for (value, &start) in values.iter_mut().zip(&starts) {
+            if start == NULL_VALUE {
+                *value = NULL_VALUE; // aborted insert: null slot
+            }
+        }
         data.push(PagePtr::seal(
             store,
             BasePage::from_values(&values, config.codec),
@@ -499,4 +492,19 @@ fn merge_insert_pinned(
     // provides exactly that window.
     range.swap_base(new_version);
     true
+}
+
+/// Cells `0..len` of `column`, read a page at a time under `guard`; ∅
+/// where a page is missing.
+fn cells(column: &AppendVec, len: usize, guard: &EpochGuard<'_>) -> Vec<u64> {
+    let page_slots = column.page_slots();
+    let mut out = Vec::with_capacity(len);
+    for page_no in 0..len.div_ceil(page_slots) {
+        let n = page_slots.min(len - page_no * page_slots);
+        match column.page(page_no, guard) {
+            Some(page) => out.extend((0..n).map(|at| page.get(at))),
+            None => out.resize(out.len() + n, NULL_VALUE),
+        }
+    }
+    out
 }

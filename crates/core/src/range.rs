@@ -11,9 +11,10 @@
 //! * an *updated-columns* bitmap per slot (the optional base-record Schema
 //!   Encoding maintained "as part of the update process", §3.1) used to
 //!   decide when a first-update snapshot must be taken,
-//! * the range's [`TailSegment`], and
-//! * merge bookkeeping (unmerged-record counter, cumulation reset point,
-//!   historic boundary).
+//! * the range's [`TailSegment`],
+//! * the range's [`HistoricSegment`] (§4.3), whose `below_seq` is the
+//!   historic boundary, and
+//! * merge bookkeeping (unmerged-record counter, cumulation reset point).
 //!
 //! A freshly created range is an **insert range** (§3.2): its base side is
 //! the aligned *table-level tail pages* ([`InsertTail`]) rather than merged
@@ -26,6 +27,7 @@ use lstore_storage::store::PagePtr;
 use lstore_storage::tail::AppendVec;
 use lstore_storage::NULL_VALUE;
 
+use crate::historic::HistoricSegment;
 use crate::rid::{Rid, LATCH_BIT};
 use crate::tailseg::TailSegment;
 
@@ -279,9 +281,12 @@ pub struct UpdateRange {
     /// could be used as a high-water mark for resetting the cumulative
     /// updates").
     cumulation_reset: AtomicU64,
-    /// Tail records with `seq < historic_boundary` were re-organized into
-    /// the historic store (§4.3).
-    historic_boundary: AtomicU64,
+    /// The tail records re-organized by historic compression (§4.3):
+    /// those with `seq < below_seq`, the historic boundary, read under the
+    /// reader's pin. Compression publishes a new segment only over the one
+    /// it was built from (`EpochCell::compare_swap`); the replaced segment
+    /// retires into the table's epoch manager.
+    pub(crate) historic: EpochCell<HistoricSegment>,
 }
 
 impl UpdateRange {
@@ -309,7 +314,7 @@ impl UpdateRange {
             scanned_suffix: AtomicU64::new(0),
             merge_pending: AtomicBool::new(false),
             cumulation_reset: AtomicU64::new(0),
-            historic_boundary: AtomicU64::new(1),
+            historic: EpochCell::new(HistoricSegment::empty(), epoch),
         }
     }
 
@@ -462,17 +467,6 @@ impl UpdateRange {
     /// Reset cumulation at `seq` (done by the merge).
     pub fn set_cumulation_reset(&self, seq: u64) {
         self.cumulation_reset.store(seq, Ordering::Release);
-    }
-
-    /// First tail sequence still held in regular tail pages; records below
-    /// moved to the historic store.
-    pub fn historic_boundary(&self) -> u64 {
-        self.historic_boundary.load(Ordering::Acquire)
-    }
-
-    /// Advance the historic boundary (done by historic compression).
-    pub fn set_historic_boundary(&self, seq: u64) {
-        self.historic_boundary.store(seq, Ordering::Release);
     }
 }
 

@@ -17,12 +17,15 @@
 //!   the base page is only consulted for columns with no explicit value in
 //!   the visible chain, which is exactly when it is guaranteed unchanged.
 //! * **Historic crossing** (§4.3): walks that descend below the range's
-//!   historic boundary continue in the re-organized historic store.
+//!   historic boundary continue in its re-organized historic segment. The
+//!   walk reads the segment once, under its pin: the segment's `below_seq`
+//!   is the boundary, and the tail pages at or above it stay in place for
+//!   as long as the pin lasts.
 
 use lstore_storage::epoch::EpochGuard;
 use lstore_txn::{StartTime, TxnManager};
 
-use crate::historic::HistoricStore;
+use crate::historic::{HistoricRead, HistoricSegment};
 use crate::range::{BaseVersion, UpdateRange};
 use crate::rid::Rid;
 use crate::schema::SchemaEncoding;
@@ -86,12 +89,11 @@ pub struct VersionReader<'a> {
     pub range: &'a UpdateRange,
     /// The range's base version, read under `guard`.
     pub base: &'a BaseVersion,
-    /// The pin every tail cell and insert-phase cell is read under.
+    /// The pin every tail cell, insert-phase cell and historic segment is
+    /// read under.
     pub guard: &'a EpochGuard<'a>,
     /// Transaction table for Start Time resolution.
     pub mgr: &'a TxnManager,
-    /// Historic store for walks below the historic boundary.
-    pub historic: Option<&'a HistoricStore>,
 }
 
 impl<'a> VersionReader<'a> {
@@ -204,7 +206,8 @@ impl<'a> VersionReader<'a> {
         // the walk may fall back on load while it chases tail pointers.
         self.base.prefetch_row(columns, slot, u64::MAX);
         let tail = &self.range.tail;
-        let boundary = self.range.historic_boundary();
+        let historic = self.range.historic.load(self.guard);
+        let boundary = historic.below_seq;
         let mut cursor = head;
         let (version_rid, version_enc) = loop {
             if cursor.is_null() || cursor.is_base() {
@@ -213,8 +216,8 @@ impl<'a> VersionReader<'a> {
             }
             let seq = cursor.seq();
             if (seq as u64) < boundary {
-                // Crossed into the historic store.
-                return self.read_historic(slot, columns, mode, base_rid);
+                // Crossed into the historic segment.
+                return self.read_historic(historic, slot, columns, mode, base_rid);
             }
             if self.resolve_tail(seq, mode).is_some() {
                 break (cursor, tail.encoding(seq, self.guard));
@@ -231,7 +234,7 @@ impl<'a> VersionReader<'a> {
         // Otherwise a record's first update would change the version every
         // repeatable-read reader recorded, and fail their validation.
         let identity = if version_enc.is_snapshot() {
-            self.version_below(version_rid.seq(), mode, base_rid)
+            self.version_below(version_rid.seq(), boundary, mode, base_rid)
         } else {
             version_rid
         };
@@ -258,22 +261,20 @@ impl<'a> VersionReader<'a> {
         while missing != 0 && !cursor.is_null() && !cursor.is_base() {
             let seq = cursor.seq();
             if (seq as u64) < boundary {
-                // Remaining columns come from the historic store, as of the
-                // effective bound (historic data is strictly older), or
+                // Remaining columns come from the historic segment, as of
+                // the effective bound (historic data is strictly older), or
                 // from the base record where it holds nothing.
-                if let Some(hist) = self.historic {
-                    let bound = mode.as_of.unwrap_or(u64::MAX);
-                    let mut found = 0u64;
-                    for (value, &c) in values.iter_mut().zip(columns) {
-                        if missing & (1 << c) != 0 {
-                            if let Some(v) = hist.read_column(self.range.id, slot, c, bound) {
-                                *value = v;
-                                found |= 1 << c;
-                            }
+                let bound = mode.as_of.unwrap_or(u64::MAX);
+                let mut found = 0u64;
+                for (value, &c) in values.iter_mut().zip(columns) {
+                    if missing & (1 << c) != 0 {
+                        if let Some(v) = historic.read_column(slot, c, bound) {
+                            *value = v;
+                            found |= 1 << c;
                         }
                     }
-                    missing &= !found;
                 }
+                missing &= !found;
                 break;
             }
             // Older versions: must still be committed (skip tombstones).
@@ -294,12 +295,11 @@ impl<'a> VersionReader<'a> {
     }
 
     /// The version a snapshot record at `seq` copies: the newest visible
-    /// version below it that is not a snapshot record itself, or the base
-    /// record (which also stands for the historic store, as in
-    /// [`Self::read_historic`]).
-    fn version_below(&self, seq: u32, mode: ReadMode, base_rid: Rid) -> Rid {
+    /// version at or above the historic `boundary` below it that is not a
+    /// snapshot record itself, or the base record (which also stands for
+    /// the historic segment, as in [`Self::read_historic`]).
+    fn version_below(&self, seq: u32, boundary: u64, mode: ReadMode, base_rid: Rid) -> Rid {
         let tail = &self.range.tail;
-        let boundary = self.range.historic_boundary();
         let mut cursor = tail.prev(seq, self.guard);
         while !cursor.is_null() && !cursor.is_base() && (cursor.seq() as u64) >= boundary {
             let seq = cursor.seq();
@@ -347,7 +347,8 @@ impl<'a> VersionReader<'a> {
         // delete vs live, then the walk stops at the first visible version
         // carrying the column, or at the base record (what `read_record`
         // returns for `&[column]`, without its vectors).
-        let boundary = self.range.historic_boundary();
+        let historic = self.range.historic.load(self.guard);
+        let boundary = historic.below_seq;
         let mut live = false;
         let mut cursor = head;
         loop {
@@ -359,20 +360,18 @@ impl<'a> VersionReader<'a> {
             }
             let seq = cursor.seq();
             if (seq as u64) < boundary {
-                // Crossed into the historic store (rare: only snapshots
+                // Crossed into the historic segment (rare: only snapshots
                 // older than a compressed merge get here).
                 if !live {
                     let base_rid = Rid::base(self.range.id, slot);
-                    return match self.read_historic(slot, &[column], mode, base_rid) {
+                    return match self.read_historic(historic, slot, &[column], mode, base_rid) {
                         Resolved::Visible { values, .. } => Some(values[0]),
                         _ => None,
                     };
                 }
                 let bound = mode.as_of.unwrap_or(u64::MAX);
-                let historic = self
-                    .historic
-                    .and_then(|hist| hist.read_column(self.range.id, slot, column, bound));
-                return Some(historic.unwrap_or_else(|| self.base.value(column, slot, self.guard)));
+                let value = historic.read_column(slot, column, bound);
+                return Some(value.unwrap_or_else(|| self.base.value(column, slot, self.guard)));
             }
             if self.resolve_tail(seq, mode).is_some() {
                 let enc = self.range.tail.encoding(seq, self.guard);
@@ -394,35 +393,33 @@ impl<'a> VersionReader<'a> {
     /// finding a visible version in regular tail pages.
     fn read_historic(
         &self,
+        historic: &HistoricSegment,
         slot: u32,
         columns: &[usize],
         mode: ReadMode,
         base_rid: Rid,
     ) -> Resolved {
         let bound = mode.as_of.unwrap_or(u64::MAX);
-        if let Some(hist) = self.historic {
-            match hist.read_record(self.range.id, slot, columns, bound) {
-                Some(crate::historic::HistoricRead::Visible(mut values, filled)) => {
-                    // Columns without historic coverage fall back to base.
-                    let unfilled = columns
-                        .iter()
-                        .zip(filled)
-                        .filter(|&(_, has)| !has)
-                        .fold(0u64, |set, (&c, _)| set | 1 << c);
-                    if unfilled != 0 {
-                        self.base
-                            .gather(columns, slot, unfilled, &mut values, self.guard);
-                    }
-                    return Resolved::Visible {
-                        version_rid: base_rid,
-                        values,
-                    };
+        match historic.read_record(slot, columns, bound) {
+            Some(HistoricRead::Visible(mut values, filled)) => {
+                // Columns without historic coverage fall back to base.
+                let unfilled = columns
+                    .iter()
+                    .zip(filled)
+                    .filter(|&(_, has)| !has)
+                    .fold(0u64, |set, (&c, _)| set | 1 << c);
+                if unfilled != 0 {
+                    self.base
+                        .gather(columns, slot, unfilled, &mut values, self.guard);
                 }
-                Some(crate::historic::HistoricRead::Deleted) => return Resolved::Deleted,
-                None => {}
+                Resolved::Visible {
+                    version_rid: base_rid,
+                    values,
+                }
             }
+            Some(HistoricRead::Deleted) => Resolved::Deleted,
+            // No historic record: the base record as stored.
+            None => self.base_record(slot, columns, base_rid),
         }
-        // No historic record: the base record as stored.
-        self.base_record(slot, columns, base_rid)
     }
 }

@@ -21,20 +21,31 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use lstore_index::PrimaryIndex;
-use lstore_storage::epoch::{EpochGuard, EpochManager};
+use lstore_storage::epoch::{EpochCell, EpochGuard, EpochManager};
 use lstore_storage::tail::AppendVec;
 use lstore_storage::NULL_VALUE;
 
 use crate::error::{Error, Result};
 
+/// A range's base image and the tail records consolidated into it,
+/// published together: a reader never pairs one merge's image with
+/// another's TPS.
+struct RowBase {
+    /// Row-major: slot * width .. +width. Cells are atomic so insert-phase
+    /// slots can be published safely; after the insert phase a slot's
+    /// cells are read-only and the merge swaps whole images.
+    image: Box<[AtomicU64]>,
+    /// Tail seq consolidated into the image.
+    tps: u64,
+}
+
 /// One range of row-major records.
 struct RowRange {
-    /// Row-major base image: slot * width .. +width. Cells are atomic so
-    /// insert-phase slots can be published safely; after the insert phase a
-    /// slot's cells are read-only and the merge swaps whole images.
-    base: RwLock<Arc<Vec<AtomicU64>>>,
+    /// The base image; the merge swaps it, and the replaced one retires
+    /// into the table's epoch manager.
+    base: EpochCell<RowBase>,
     /// Start times of base rows.
-    base_start: RwLock<Arc<Vec<AtomicU64>>>,
+    base_start: Box<[AtomicU64]>,
     /// Per-slot indirection: tail seq (0 = ⊥), bit 63 = latch.
     indirection: Box<[AtomicU64]>,
     /// Tail rows: full row per version at (seq-1)*width.
@@ -45,28 +56,26 @@ struct RowRange {
     tail_prev: AppendVec,
     next_seq: AtomicU32,
     occupied: AtomicU32,
-    /// Tail seq consolidated into the base image.
-    tps: AtomicU64,
 }
 
 impl RowRange {
     fn new(capacity: usize, width: usize, page_slots: usize, epoch: &EpochManager) -> Self {
+        let nulls = |n| (0..n).map(|_| AtomicU64::new(NULL_VALUE)).collect();
         RowRange {
-            base: RwLock::new(Arc::new(
-                (0..capacity * width)
-                    .map(|_| AtomicU64::new(NULL_VALUE))
-                    .collect(),
-            )),
-            base_start: RwLock::new(Arc::new(
-                (0..capacity).map(|_| AtomicU64::new(NULL_VALUE)).collect(),
-            )),
+            base: EpochCell::new(
+                RowBase {
+                    image: nulls(capacity * width),
+                    tps: 0,
+                },
+                epoch,
+            ),
+            base_start: nulls(capacity),
             indirection: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             tail_rows: AppendVec::new(page_slots * width, epoch),
             tail_start: AppendVec::new(page_slots, epoch),
             tail_prev: AppendVec::new(page_slots, epoch),
             next_seq: AtomicU32::new(1),
             occupied: AtomicU32::new(0),
-            tps: AtomicU64::new(0),
         }
     }
 }
@@ -82,7 +91,7 @@ pub struct RowTable {
     clock: AtomicU64,
     merge_threshold: u64,
     unmerged: AtomicU64,
-    /// What the ranges' tail pages are read under.
+    /// What the ranges' tail pages and base images are read under.
     epoch: EpochManager,
 }
 
@@ -152,15 +161,16 @@ impl RowTable {
             // Freshly inserted rows go straight into the aligned base image
             // (the row variant's collapsed insert range); the start-time
             // store below publishes the row.
-            let base = range.base.read();
+            let guard = self.epoch.pin();
+            let image = &range.base.load(&guard).image;
             let off = slot as usize * self.width;
-            base[off].store(key, Ordering::Relaxed);
+            image[off].store(key, Ordering::Relaxed);
             for (i, &v) in values.iter().enumerate() {
-                base[off + 1 + i].store(v, Ordering::Relaxed);
+                image[off + 1 + i].store(v, Ordering::Relaxed);
             }
         }
         let ts = self.tick();
-        range.base_start.read()[slot as usize].store(ts, Ordering::Release);
+        range.base_start[slot as usize].store(ts, Ordering::Release);
         self.pk.insert(key, pack_rid(range_id, slot));
         Ok(())
     }
@@ -216,6 +226,8 @@ impl RowTable {
                 .is_ok()
             {
                 self.merge_range(&range, &guard);
+                drop(guard);
+                self.epoch.try_reclaim();
             }
         }
         Ok(())
@@ -228,11 +240,11 @@ impl RowTable {
         head_seq: u32,
         guard: &EpochGuard<'_>,
     ) -> Vec<u64> {
-        if head_seq == 0 || (head_seq as u64) <= range.tps.load(Ordering::Acquire) {
-            let base = range.base.read();
+        let base = range.base.load(guard);
+        if head_seq == 0 || (head_seq as u64) <= base.tps {
             let off = slot as usize * self.width;
             (off..off + self.width)
-                .map(|i| base[i].load(Ordering::Acquire))
+                .map(|i| base.image[i].load(Ordering::Acquire))
                 .collect()
         } else {
             let off = (head_seq - 1) as usize * self.width;
@@ -271,17 +283,15 @@ impl RowTable {
         let mut sum = 0u64;
         let guard = self.epoch.pin();
         for range in self.ranges.read().iter() {
-            let base = Arc::clone(&range.base.read());
-            let starts = Arc::clone(&range.base_start.read());
+            let base = range.base.load(&guard);
             let occupied = (range.occupied.load(Ordering::Acquire) as usize).min(self.range_size);
-            let tps = range.tps.load(Ordering::Acquire);
             for slot in 0..occupied {
-                if starts[slot].load(Ordering::Acquire) == NULL_VALUE {
+                if range.base_start[slot].load(Ordering::Acquire) == NULL_VALUE {
                     continue;
                 }
                 let head = (range.indirection[slot].load(Ordering::Acquire) & !LATCH) as u32;
-                let v = if head == 0 || (head as u64) <= tps {
-                    base[slot * self.width + col].load(Ordering::Acquire)
+                let v = if head == 0 || (head as u64) <= base.tps {
+                    base.image[slot * self.width + col].load(Ordering::Acquire)
                 } else {
                     range
                         .tail_rows
@@ -303,16 +313,19 @@ impl RowTable {
         for range in self.ranges.read().iter() {
             self.merge_range(range, &guard);
         }
+        drop(guard);
+        self.epoch.try_reclaim();
     }
 
     fn merge_range(&self, range: &RowRange, guard: &EpochGuard<'_>) {
         let upto = range.next_seq.load(Ordering::Acquire) as u64 - 1;
-        let tps = range.tps.load(Ordering::Acquire);
+        let old = range.base.load(guard);
+        let tps = old.tps;
         if upto <= tps {
             return;
         }
-        let old = Arc::clone(&range.base.read());
-        let new_base: Vec<AtomicU64> = old
+        let image: Box<[AtomicU64]> = old
+            .image
             .iter()
             .map(|c| AtomicU64::new(c.load(Ordering::Acquire)))
             .collect();
@@ -322,13 +335,12 @@ impl RowTable {
             if head as u64 > tps && head as u64 <= upto {
                 let off = (head - 1) as usize * self.width;
                 for i in 0..self.width {
-                    new_base[slot * self.width + i]
+                    image[slot * self.width + i]
                         .store(range.tail_rows.get(off + i, guard), Ordering::Relaxed);
                 }
             }
         }
-        *range.base.write() = Arc::new(new_base);
-        range.tps.store(upto, Ordering::Release);
+        range.base.swap(RowBase { image, tps: upto });
     }
 
     /// Number of ranges.

@@ -18,8 +18,9 @@
 //!   (`seq ∈ (min column TPS of the scanned columns, high_seq]`), the way
 //!   the merge itself consumes the tail (§4.1.1, Algorithm 1 step 3):
 //!   newest version wins, everything at or below the TPS is already in the
-//!   base page (§4.2). The pass reads a lock-free snapshot of the covering
-//!   tail pages ([`crate::tailseg::TailSuffix`]), excludes every base slot
+//!   base page (§4.2). The pass reads the covering tail pages in place,
+//!   under the scan's pin ([`crate::tailseg::TailSuffix`], one directory
+//!   lookup per column and page), excludes every base slot
 //!   it meets from the window's `RowMask`, lets the first version visible
 //!   at the snapshot decide delete vs live, settles each scanned column
 //!   from the newest visible version that carries it, and fills what is
@@ -40,8 +41,8 @@
 //! * **per-row** — every slot resolves through the version chain. Two
 //!   observable conditions pick it: the range is still in its insert phase
 //!   (no base pages yet), or the snapshot straddles the base records'
-//!   start times. (Also the fallback when historic compression retired
-//!   suffix pages under the scan, which takes a race to see.)
+//!   start times. (Also the fallback when historic compression moved the
+//!   range's boundary into the suffix, which takes a race to see.)
 //!
 //! Results are byte-identical on every path. Full scans,
 //! [`Table::sum_rid_span`] and [`Table::sum_key_range`] differ only in how
@@ -272,7 +273,6 @@ struct WindowPlan {
     chased: Vec<u32>,
     /// Per window slot: [`CLEAN`], [`CHASED`] or the slot's place in `rows`.
     index: Vec<u32>,
-    suffix: TailSuffix,
 }
 
 impl WindowPlan {
@@ -294,7 +294,7 @@ impl WindowPlan {
         }
     }
 
-    /// The suffix pass over `self.suffix`, for slots `lo..hi`: one walk
+    /// The suffix pass over `suffix`, for slots `lo..hi`: one walk
     /// newest → oldest, the merge's reverse scan (§4.1.1) with a snapshot
     /// bound. Every record's base slot inside the window becomes a
     /// [`PatchedRow`] (unless already chased) and leaves the mask; the
@@ -306,7 +306,15 @@ impl WindowPlan {
     ///
     /// Returns whether the snapshot is current for the records the pass
     /// resolved: none was in flight or committed after `ts`.
-    fn tail_pass(&mut self, mgr: &TxnManager, cols: &[usize], ts: u64, lo: u32, hi: u32) -> bool {
+    fn tail_pass(
+        &mut self,
+        suffix: &TailSuffix<'_>,
+        mgr: &TxnManager,
+        cols: &[usize],
+        ts: u64,
+        lo: u32,
+        hi: u32,
+    ) -> bool {
         let WindowPlan {
             mask,
             rows,
@@ -314,7 +322,6 @@ impl WindowPlan {
             settled,
             chased,
             index,
-            suffix,
         } = self;
         let n = cols.len();
         let mut current = true;
@@ -485,20 +492,22 @@ impl Table {
                 }
             }
         } else if suffix_len > 0 {
-            range.tail.snapshot_suffix(
-                min_tps as u32,
-                high_seq as u32,
-                cols,
-                &mut plan.suffix,
-                guard,
-            );
-            // Historic compression (§4.3) advances the boundary before it
-            // releases pages, so a suffix that lost pages shows here.
-            if range.historic_boundary() > min_tps + 1 {
+            // Historic compression (§4.3) publishes its boundary before it
+            // releases the pages below it, and releases them only once the
+            // readers pinned before the boundary moved are gone. So a
+            // release that runs while this scan is pinned was published
+            // before the pin, and the boundary read under the pin covers
+            // it: when that boundary is at or below the suffix, no page of
+            // the suffix goes while the pass reads it. When it is above,
+            // the suffix lost records to the historic segment: per row.
+            if range.historic.load(guard).below_seq > min_tps + 1 {
                 return None;
             }
-            let current = plan.tail_pass(&self.runtime.mgr, cols, ts, lo, hi);
-            let walked = plan.suffix.len() as u64;
+            let suffix = range
+                .tail
+                .suffix(min_tps as u32, high_seq as u32, cols, guard);
+            let current = plan.tail_pass(&suffix, &self.runtime.mgr, cols, ts, lo, hi);
+            let walked = suffix.len() as u64;
             let stats = &self.stats;
             stats.tail_pass_records.add(walked);
             stats.tail_pass_rows.add(plan.rows.len() as u64);

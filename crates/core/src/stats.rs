@@ -31,7 +31,7 @@ lstore_storage::metric_set! {
         merged_records: Counter,
         /// Insert ranges graduated to base pages.
         insert_merges: Counter,
-        /// Tail records compressed into the historic store.
+        /// Tail records compressed into historic segments.
         historic_compressed: Counter,
         /// Scan rows aggregated straight off base pages by the kernel step
         /// (counted once per scan window, never per row).

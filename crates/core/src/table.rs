@@ -1,8 +1,8 @@
 //! The L-Store table: fine-grained storage manipulation (§3) on top of the
 //! lineage-based architecture.
 //!
-//! A table owns its update ranges, primary and secondary indexes, historic
-//! store, and statistics. Writes follow §3.1/§3.2 exactly:
+//! A table owns its update ranges (each with its historic segment), primary
+//! and secondary indexes, and statistics. Writes follow §3.1/§3.2 exactly:
 //!
 //! * **Update**: latch the indirection cell (CAS on the embedded latch bit),
 //!   detect write-write conflicts on the latest version's Start Time, take a
@@ -40,7 +40,7 @@ use lstore_wal::LogRecord;
 use crate::config::TableConfig;
 use crate::db::Runtime;
 use crate::error::{Error, Result};
-use crate::historic::HistoricStore;
+use crate::historic;
 use crate::inline::{InlineVec, INLINE_COLS};
 use crate::merge::{self, MergeReport};
 use crate::multi_read::PointOutcome;
@@ -74,7 +74,6 @@ pub struct Table {
     /// Fast-path flag: skip the `secondary` lock entirely while no
     /// secondary index exists (the common OLTP case).
     has_secondary: AtomicBool,
-    pub(crate) historic: HistoricStore,
 }
 
 impl Table {
@@ -105,7 +104,6 @@ impl Table {
             stats: TableStats::default(),
             secondary: RwLock::new(Vec::new()),
             has_secondary: AtomicBool::new(false),
-            historic: HistoricStore::new(),
         };
         for _ in 0..lanes {
             table.append_range();
@@ -278,7 +276,6 @@ impl Table {
             base,
             guard,
             mgr: &self.runtime.mgr,
-            historic: Some(&self.historic),
         }
     }
 
@@ -459,7 +456,7 @@ impl Table {
         // competing uncommitted transaction?
         let head_start = if prev.is_null() {
             base.start_cell(slot, &guard)
-        } else if (prev.seq() as u64) < range.historic_boundary() {
+        } else if (prev.seq() as u64) < range.historic.load(&guard).below_seq {
             0 // historic versions are committed by construction
         } else {
             range.tail.start_cell(prev.seq(), &guard)
@@ -582,7 +579,7 @@ impl Table {
         } else if self.config.cumulative_updates
             && prev.is_tail()
             && (prev.seq() as u64) > range.cumulation_reset()
-            && (prev.seq() as u64) >= range.historic_boundary()
+            && (prev.seq() as u64) >= range.historic.load(&guard).below_seq
         {
             let prev_seq = prev.seq();
             let prev_cell = range.tail.start_cell(prev_seq, &guard);
@@ -962,19 +959,22 @@ impl Table {
     }
 
     /// Compress merged tail records older than `oldest_snapshot` into the
-    /// historic store (§4.3). Returns records compressed.
+    /// range's historic segment (§4.3). Returns records compressed.
     pub fn compress_historic(&self, range_id: u32, oldest_snapshot: u64) -> usize {
         let range = self.range(range_id);
-        let n = {
+        let published = {
             let guard = self.runtime.epoch.pin();
             let tps = range.base(&guard).tps;
-            self.historic
-                .compress_range(range, tps, oldest_snapshot, &self.runtime.mgr, &guard)
+            historic::compress_range(range, tps, oldest_snapshot, &self.runtime.mgr, &guard)
+        };
+        let Some(published) = published else {
+            return 0;
         };
         // A reader pinned before the boundary moved may still walk the
         // records below it in the tail pages: release them (into the epoch
-        // limbo) only once every such reader has unpinned.
-        let below = range.historic_boundary() as u32;
+        // limbo) only once every such reader has unpinned, and only below
+        // the boundary this pass published.
+        let below = published.below_seq as u32;
         let range = Arc::downgrade(range);
         self.runtime.epoch.defer(move || {
             if let Some(range) = range.upgrade() {
@@ -982,8 +982,8 @@ impl Table {
             }
         });
         self.runtime.epoch.try_reclaim();
-        self.stats.historic_compressed.add(n as u64);
-        n
+        self.stats.historic_compressed.add(published.records as u64);
+        published.records
     }
 
     /// Total unmerged tail records across ranges (merge-lag metric, Fig. 8).

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use lstore_storage::epoch::{EpochGuard, EpochManager};
-use lstore_storage::tail::{AppendVec, TailPage, TailSpan};
+use lstore_storage::tail::{AppendVec, TailPage};
 use lstore_storage::NULL_VALUE;
 use lstore_txn::{StartTime, TxnManager};
 
@@ -157,34 +157,22 @@ impl TailSegment {
         self.data[column].get((seq - 1) as usize, guard)
     }
 
-    /// Snapshot into `suffix` the pages holding records `after_seq <
-    /// seq ≤ upto_seq` of the Start Time, Base RID and Schema Encoding
-    /// columns and of the data columns `columns` (replacing what `suffix`
-    /// held, reusing its allocations). Start Time is snapshotted first: a
-    /// page it holds was allocated after the same page of the other meta
-    /// columns (see [`Self::write_record`]), so they hold it too. The
-    /// suffix holds the pages themselves, so it is read without a pin.
-    pub fn snapshot_suffix(
-        &self,
+    /// The records `after_seq < seq ≤ upto_seq` as a view borrowed under
+    /// `guard`, reading the Start Time, Base RID and Schema Encoding
+    /// columns and the data columns `columns`.
+    pub fn suffix<'a>(
+        &'a self,
         after_seq: u32,
         upto_seq: u32,
-        columns: &[usize],
-        suffix: &mut TailSuffix,
-        guard: &EpochGuard<'_>,
-    ) {
-        let idxs = after_seq as usize..(upto_seq as usize).max(after_seq as usize);
-        suffix.page_slots = self.start_time.page_slots();
-        self.start_time
-            .snapshot_pages(idxs.clone(), &mut suffix.start_time, guard);
-        self.base_rid
-            .snapshot_pages(idxs.clone(), &mut suffix.base_rid, guard);
-        self.schema_enc
-            .snapshot_pages(idxs.clone(), &mut suffix.schema_enc, guard);
-        suffix.data.resize_with(columns.len(), TailSpan::default);
-        for (span, &column) in suffix.data.iter_mut().zip(columns) {
-            self.data[column].snapshot_pages(idxs.clone(), span, guard);
+        columns: &'a [usize],
+        guard: &'a EpochGuard<'a>,
+    ) -> TailSuffix<'a> {
+        TailSuffix {
+            segment: self,
+            idxs: after_seq as usize..(upto_seq as usize).max(after_seq as usize),
+            columns,
+            guard,
         }
-        suffix.idxs = idxs;
     }
 
     /// Number of data columns whose tail pages have been materialized.
@@ -218,22 +206,20 @@ impl TailSegment {
     }
 }
 
-/// A lock-free view of a run of consecutive tail records — the unmerged
-/// suffix a scan window patches its dirty rows from — filled by
-/// [`TailSegment::snapshot_suffix`] and reusable across calls.
-#[derive(Debug, Default)]
-pub struct TailSuffix {
+/// A run of consecutive tail records — the unmerged suffix a scan window
+/// patches its dirty rows from — read straight from the segment's pages
+/// under the reader's pin ([`TailSegment::suffix`]).
+#[derive(Debug)]
+pub struct TailSuffix<'a> {
+    segment: &'a TailSegment,
     /// Cell indices (`seq - 1`) of the records covered.
     idxs: std::ops::Range<usize>,
-    page_slots: usize,
-    start_time: TailSpan,
-    base_rid: TailSpan,
-    schema_enc: TailSpan,
-    /// One span per requested data column, in request order.
-    data: Vec<TailSpan>,
+    /// The data columns read, in request order.
+    columns: &'a [usize],
+    guard: &'a EpochGuard<'a>,
 }
 
-impl TailSuffix {
+impl TailSuffix<'_> {
     /// Number of records covered (written or not).
     pub fn len(&self) -> usize {
         self.idxs.len()
@@ -244,28 +230,40 @@ impl TailSuffix {
         self.idxs.is_empty()
     }
 
-    /// Visit the *written* records newest → oldest. Start Time is read
-    /// first (Acquire): ∅ means the record is not published yet and it is
-    /// skipped; anything else guarantees its other cells are in place.
+    /// Visit the *written* records newest → oldest, looking each column's
+    /// page up once per page. Start Time is read first (Acquire): ∅ means
+    /// the record is not published yet and it is skipped; anything else
+    /// guarantees its other cells are in place. Its page is looked up
+    /// first too: it was allocated after the same page of the other meta
+    /// columns (see [`TailSegment::write_record`]).
     pub fn for_each_newest_first(&self, mut visit: impl FnMut(SuffixRecord<'_>)) {
         if self.idxs.is_empty() {
             return;
         }
-        let first_page = self.idxs.start / self.page_slots;
-        let last_page = (self.idxs.end - 1) / self.page_slots;
+        let (seg, guard) = (self.segment, self.guard);
+        let page_slots = seg.start_time.page_slots();
+        let first_page = self.idxs.start / page_slots;
+        let last_page = (self.idxs.end - 1) / page_slots;
+        let mut data: Vec<Option<&TailPage>> = Vec::with_capacity(self.columns.len());
         for page_no in (first_page..=last_page).rev() {
-            let Some(start_time) = self.start_time.page(page_no) else {
+            let Some(start_time) = seg.start_time.page(page_no, guard) else {
                 continue; // nothing published on this page
             };
-            // Allocated before the Start Time page, snapshotted after it.
-            let (Some(base_rid), Some(schema_enc)) =
-                (self.base_rid.page(page_no), self.schema_enc.page(page_no))
-            else {
+            let (Some(base_rid), Some(schema_enc)) = (
+                seg.base_rid.page(page_no, guard),
+                seg.schema_enc.page(page_no, guard),
+            ) else {
                 continue;
             };
-            let page_lo = page_no * self.page_slots;
+            data.clear();
+            data.extend(
+                self.columns
+                    .iter()
+                    .map(|&c| seg.data[c].page(page_no, guard)),
+            );
+            let page_lo = page_no * page_slots;
             let lo = self.idxs.start.max(page_lo) - page_lo;
-            let hi = self.idxs.end.min(page_lo + self.page_slots) - page_lo;
+            let hi = self.idxs.end.min(page_lo + page_slots) - page_lo;
             for at in (lo..hi).rev() {
                 let start_cell = start_time.get(at);
                 if start_cell == NULL_VALUE {
@@ -276,8 +274,7 @@ impl TailSuffix {
                     base_rid: Rid(base_rid.get(at)),
                     start_time,
                     schema_enc,
-                    data: &self.data,
-                    page_no,
+                    data: &data,
                     at,
                 });
             }
@@ -293,8 +290,9 @@ pub struct SuffixRecord<'a> {
     pub base_rid: Rid,
     start_time: &'a TailPage,
     schema_enc: &'a TailPage,
-    data: &'a [TailSpan],
-    page_no: usize,
+    /// The record's page of each requested data column; `None` where the
+    /// column was not materialized.
+    data: &'a [Option<&'a TailPage>],
     at: usize,
 }
 
@@ -305,13 +303,11 @@ impl SuffixRecord<'_> {
         SchemaEncoding(self.schema_enc.get(self.at))
     }
 
-    /// Explicit value of the `i`-th snapshotted data column; ∅ when the
+    /// Explicit value of the `i`-th requested data column; ∅ when the
     /// column's covering page was not materialized.
     #[inline]
     pub fn value(&self, i: usize) -> u64 {
-        self.data[i]
-            .page(self.page_no)
-            .map_or(NULL_VALUE, |page| page.get(self.at))
+        self.data[i].map_or(NULL_VALUE, |page| page.get(self.at))
     }
 
     /// The Start Time cell as it is now (Acquire), for the resolver's
@@ -451,9 +447,8 @@ mod tests {
                 &g,
             );
         }
-        let mut suffix = TailSuffix::default();
         // Records 3..=10, columns requested as [2, 1, 0].
-        seg.snapshot_suffix(2, seg.high_seq(), &[2, 1, 0], &mut suffix, &g);
+        let suffix = seg.suffix(2, seg.high_seq(), &[2, 1, 0], &g);
         assert_eq!(suffix.len(), 8);
         let mut seen = Vec::new();
         suffix.for_each_newest_first(|rec| {
@@ -478,8 +473,8 @@ mod tests {
         );
         assert_eq!(seg.start_cell(9, &g), 1234, "the swap reaches the segment");
 
-        // Reuse: an empty suffix visits nothing.
-        seg.snapshot_suffix(10, 10, &[1], &mut suffix, &g);
+        // An empty suffix visits nothing.
+        let suffix = seg.suffix(10, 10, &[1], &g);
         assert!(suffix.is_empty());
         suffix.for_each_newest_first(|_| panic!("nothing to visit"));
     }

@@ -18,7 +18,8 @@
 //!
 //! Two safe types publish through an epoch, and they hold the only
 //! `unsafe` code that relies on it: [`EpochCell`] below (a range's base
-//! version) and the tail directory [`crate::tail::AppendVec`]. Both take the
+//! version and its historic segment) and the tail directory
+//! [`crate::tail::AppendVec`]. Both take the
 //! pin as a typed argument: a reference they hand out lives no longer than
 //! the [`EpochGuard`] it was read under.
 //!
@@ -467,6 +468,34 @@ impl<T: Send + Sync + 'static> EpochCell<T> {
         unsafe { &*self.ptr.load(Ordering::Acquire) }
     }
 
+    /// Publish `value` in place of `current`, an object loaded under
+    /// `guard`, and retire `current`; hand `value` back when the cell holds
+    /// another object by now. For a writer whose new object is built from
+    /// the one it read and must not overwrite one published meanwhile.
+    /// (The pin keeps `current` from being freed, so its address cannot
+    /// come back as a newer object's.)
+    pub fn compare_swap(&self, current: &T, value: T, guard: &EpochGuard<'_>) -> Result<(), T> {
+        assert!(
+            guard.pins(&self.epoch),
+            "EpochCell swapped under another manager's pin"
+        );
+        let new = Box::into_raw(Box::new(value));
+        let current = ptr::from_ref(current).cast_mut();
+        match self
+            .ptr
+            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(old) => {
+                // SAFETY: as in `swap`: the exchange moved `old` out of the cell.
+                self.epoch.retire(unsafe { Box::from_raw(old) });
+                Ok(())
+            }
+            // SAFETY: `new` came from `Box::into_raw` above and was never
+            // published.
+            Err(_) => Err(*unsafe { Box::from_raw(new) }),
+        }
+    }
+
     /// Publish `value` and retire the object it replaces.
     pub fn swap(&self, value: T) {
         let old = self
@@ -739,6 +768,27 @@ mod tests {
             manager.upgrade().is_none(),
             "the manager and its limbo are freed"
         );
+    }
+
+    #[test]
+    fn compare_swap_publishes_only_over_the_object_it_read() {
+        let em = EpochManager::new();
+        let cell = EpochCell::new(1u64, &em);
+        let g = em.pin();
+        let read = cell.load(&g);
+        cell.swap(2); // published by someone else meanwhile
+        assert_eq!(
+            cell.compare_swap(read, 3, &g),
+            Err(3),
+            "built from a stale read"
+        );
+        assert_eq!(*cell.load(&g), 2);
+        let read = cell.load(&g);
+        assert_eq!(cell.compare_swap(read, 4, &g), Ok(()));
+        assert_eq!(*cell.load(&g), 4);
+        assert_eq!(*read, 2, "the replaced object outlives the pin's reads");
+        drop(g);
+        assert_eq!(em.try_reclaim(), 2);
     }
 
     #[test]

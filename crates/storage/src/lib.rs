@@ -7,13 +7,18 @@
 //! * **Base pages** ([`page::BasePage`]) — read-only, optionally compressed
 //!   columnar pages produced by the merge process.
 //! * **Tail pages** ([`tail::TailPage`], [`tail::AppendVec`]) — uncompressed,
-//!   strictly append-only, write-once pages holding recent updates.
+//!   strictly append-only, write-once pages holding recent updates, found
+//!   through a lock-free page directory and borrowed under an epoch pin.
 //! * **Compression codecs** ([`compress`]) — dictionary, run-length, and
 //!   frame-of-reference bit-packing with random-access decode, applied to
 //!   base pages at merge time and to historic tail data (§4.3).
 //! * **Epoch-based reclamation** ([`epoch::EpochManager`]) — contention-free
-//!   de-allocation of outdated base pages once all readers that began before
-//!   the merge have drained (§4.1.1 step 5, Fig. 6).
+//!   de-allocation of outdated base pages and released tail pages once all
+//!   readers that began before the merge or the release have drained
+//!   (§4.1.1 step 5, Fig. 6). A pin ([`epoch::EpochGuard`]) is the one way
+//!   a reader reaches a range's immutable state: tail pages through
+//!   [`tail::AppendVec::page`], a published object (a base version, a
+//!   historic segment) through [`epoch::EpochCell::load`].
 //! * **Disk persistence** ([`disk`]) — a simple page-image file format so
 //!   base and tail pages are "persisted identically" (§2.1).
 //! * **Buffer-pool page store** ([`store`]) — sealed base pages live in a

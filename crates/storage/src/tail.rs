@@ -16,10 +16,8 @@
 
 use std::fmt;
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::epoch::{EpochGuard, EpochManager, Retirer};
 use crate::NULL_VALUE;
@@ -98,11 +96,11 @@ pub struct AppendVec {
     page_slots: usize,
     epoch: Retirer,
     /// Chunk `k`: null, or `2^k` page pointers from `Box<[AtomicPtr]>`.
-    /// A non-null page pointer holds one count of an `Arc<TailPage>`.
+    /// A non-null page pointer is from `Box::into_raw`; the entry owns it.
     chunks: [AtomicPtr<AtomicPtr<TailPage>>; CHUNKS],
     /// One past the highest page ever installed.
     pages: AtomicUsize,
-    _owns: PhantomData<Arc<TailPage>>,
+    _owns: PhantomData<Box<TailPage>>,
 }
 
 /// Chunks of a directory: enough for every page number below `usize::MAX`.
@@ -156,46 +154,42 @@ impl AppendVec {
         if let Some(entry) = self.entry(page_no) {
             return Some(entry);
         }
-        let (chunk, at) = locate(page_no)?;
+        let (chunk, _) = locate(page_no)?;
         let fresh: Box<[AtomicPtr<TailPage>]> = (0..1usize << chunk)
             .map(|_| AtomicPtr::new(ptr::null_mut()))
             .collect();
         let fresh = Box::into_raw(fresh) as *mut AtomicPtr<TailPage>;
-        let entries = match self.chunks[chunk].compare_exchange(
-            ptr::null_mut(),
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => fresh,
-            Err(installed) => {
-                // SAFETY: `fresh` lost the race, was never shared, and is
-                // the `2^chunk`-entry box made above.
-                drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, 1 << chunk)) });
-                installed
-            }
-        };
-        // SAFETY: as in `entry`.
-        Some(unsafe { &*entries.add(at) })
+        if self.chunks[chunk]
+            .compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            // SAFETY: `fresh` lost the race, was never shared, and is
+            // the `2^chunk`-entry box made above.
+            drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, 1 << chunk)) });
+        }
+        // The chunk is installed now, by us or by the winner.
+        self.entry(page_no)
     }
 
     /// Page `page_no` as `guard` finds it: `None` when it was never
-    /// allocated or has been released.
+    /// allocated or has been released. The page is borrowed for as long as
+    /// `guard` pins, so a reader of many consecutive cells looks each page
+    /// up once; a page released meanwhile stays readable through the
+    /// borrow (its cells no longer change).
     ///
     /// # Panics
     ///
     /// When `guard` pins another manager than the column's: such a pin
     /// would not keep a released page alive.
     #[inline]
-    fn page<'g>(&'g self, page_no: usize, guard: &'g EpochGuard<'_>) -> Option<&'g TailPage> {
+    pub fn page<'g>(&'g self, page_no: usize, guard: &'g EpochGuard<'_>) -> Option<&'g TailPage> {
         assert!(
             guard.pins(&self.epoch),
             "tail page read under another manager's pin"
         );
         let page = self.entry(page_no)?.load(Ordering::Acquire);
-        // SAFETY: a non-null entry holds an `Arc` count of the page. A page
-        // swapped out by `release_pages_below` moves that count into the
-        // column's limbo, which keeps it until every pin older than the
+        // SAFETY: a non-null entry owns the page's box. A page swapped out
+        // by `release_pages_below` moves that box into the column's limbo, which keeps it until every pin older than the
         // release is gone; `guard` pins that manager for 'g. A page still
         // in the directory is dropped only by `drop`, which 'g excludes.
         unsafe { page.as_ref() }
@@ -203,30 +197,18 @@ impl AppendVec {
 
     /// Install a fresh page `page_no` unless another writer beat us to it;
     /// the caller found the entry null under `guard` through [`Self::page`].
-    fn install<'g>(&'g self, page_no: usize, _guard: &'g EpochGuard<'_>) -> Option<&'g TailPage> {
+    fn install<'g>(&'g self, page_no: usize, guard: &'g EpochGuard<'_>) -> Option<&'g TailPage> {
         let entry = self.entry_or_grow(page_no)?;
-        let fresh = Arc::into_raw(Arc::new(TailPage::new(self.page_slots))).cast_mut();
-        let page = match entry.compare_exchange(
-            ptr::null_mut(),
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
+        let fresh = Box::into_raw(Box::new(TailPage::new(self.page_slots)));
+        match entry.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => {
                 self.pages.fetch_max(page_no + 1, Ordering::AcqRel);
-                fresh
             }
-            Err(installed) => {
-                // SAFETY: `fresh` came from `Arc::into_raw` just above and
-                // was never published.
-                drop(unsafe { Arc::from_raw(fresh) });
-                installed
-            }
-        };
-        // SAFETY: `page` is non-null and was in the directory while `guard`
-        // pinned the column's manager (checked by the caller's `page`), so
-        // it lives for 'g exactly as in `page`.
-        Some(unsafe { &*page })
+            // SAFETY: `fresh` came from `Box::into_raw` just above and was
+            // never published.
+            Err(_) => drop(unsafe { Box::from_raw(fresh) }),
+        }
+        self.page(page_no, guard)
     }
 
     /// Read the cell at logical index `idx`; ∅ when the covering page was
@@ -267,11 +249,11 @@ impl AppendVec {
     /// straddling the watermark is kept.
     pub fn release_pages_below(&self, below_idx: usize) -> usize {
         let full_pages = (below_idx / self.page_slots).min(self.page_count());
-        let released: Vec<Arc<TailPage>> = (0..full_pages)
+        let released: Vec<Box<TailPage>> = (0..full_pages)
             .filter_map(|page_no| {
                 let page = self.entry(page_no)?.swap(ptr::null_mut(), Ordering::AcqRel);
-                // SAFETY: the swap moved the entry's `Arc` count to us.
-                (!page.is_null()).then(|| unsafe { Arc::from_raw(page) })
+                // SAFETY: the swap moved the entry's box to us.
+                (!page.is_null()).then(|| unsafe { Box::from_raw(page) })
             })
             .collect();
         let n = released.len();
@@ -279,32 +261,6 @@ impl AppendVec {
             self.epoch.retire(released);
         }
         n
-    }
-
-    /// Snapshot the pages covering logical indices `idxs` into `span`
-    /// (replacing what it held, reusing its allocation): the covering page
-    /// handles are cloned, so whoever reads the span afterwards needs no
-    /// pin. The cells stay live: a value `set` after the snapshot into a
-    /// page the span holds is readable through it; a page allocated after
-    /// the snapshot is not, and reads ∅ like every unallocated or released
-    /// page.
-    pub fn snapshot_pages(&self, idxs: Range<usize>, span: &mut TailSpan, guard: &EpochGuard<'_>) {
-        span.pages.clear();
-        span.page_slots = self.page_slots;
-        span.first_page = idxs.start / self.page_slots;
-        if idxs.is_empty() {
-            return;
-        }
-        let upto = self.page_count().min((idxs.end - 1) / self.page_slots + 1);
-        span.pages.extend((span.first_page..upto).map(|page_no| {
-            let page = self.page(page_no, guard)?;
-            // SAFETY: `page` is a live `TailPage` from `Arc::into_raw` (see
-            // `page`); the new count is owned by the span.
-            Some(unsafe {
-                Arc::increment_strong_count(page);
-                Arc::from_raw(page as *const TailPage)
-            })
-        }));
     }
 }
 
@@ -317,14 +273,14 @@ impl Drop for AppendVec {
             }
             // SAFETY: `&mut self` proves no reader borrows the column; the
             // chunk is the `2^chunk`-entry box `entry_or_grow` installed,
-            // and each non-null entry holds one `Arc` count of its page.
+            // and each non-null entry owns its page's box.
             let entries =
                 unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(entries, 1 << chunk)) };
             for entry in entries.iter() {
                 let page = entry.load(Ordering::Relaxed);
                 if !page.is_null() {
-                    // SAFETY: the entry's count, given up with the entry.
-                    drop(unsafe { Arc::from_raw(page) });
+                    // SAFETY: the entry's box, given up with the entry.
+                    drop(unsafe { Box::from_raw(page) });
                 }
             }
         }
@@ -337,42 +293,6 @@ impl fmt::Debug for AppendVec {
             .field("page_slots", &self.page_slots)
             .field("pages", &self.page_count())
             .finish_non_exhaustive()
-    }
-}
-
-/// The pages of one [`AppendVec`] covering a run of logical indices, as
-/// [`AppendVec::snapshot_pages`] found them: the batch-read primitive of
-/// scans, which walk thousands of consecutive tail cells per window and
-/// read them without a pin.
-#[derive(Debug, Default)]
-pub struct TailSpan {
-    /// Directory number of `pages[0]`.
-    first_page: usize,
-    /// `None` where the page was unallocated or released.
-    pages: Vec<Option<Arc<TailPage>>>,
-    /// Cells per page of the snapshotted column.
-    page_slots: usize,
-}
-
-impl TailSpan {
-    /// The snapshot's page number `page_no` of the column; `None` when the
-    /// page lies outside the span, was not allocated when the snapshot was
-    /// taken, or had been released — every cell of such a page reads ∅.
-    #[inline]
-    pub fn page(&self, page_no: usize) -> Option<&TailPage> {
-        self.pages
-            .get(page_no.checked_sub(self.first_page)?)?
-            .as_deref()
-    }
-
-    /// The cell at logical index `idx` of the snapshotted column, ∅ where
-    /// [`TailSpan::page`] has no page — [`AppendVec::get`] without the pin.
-    #[inline]
-    pub fn get(&self, idx: usize) -> u64 {
-        match self.page(idx / self.page_slots.max(1)) {
-            Some(page) => page.get(idx % self.page_slots),
-            None => NULL_VALUE,
-        }
     }
 }
 
@@ -537,6 +457,27 @@ mod tests {
     }
 
     #[test]
+    fn page_is_none_for_unallocated_and_released_pages() {
+        let (v, epoch) = column(4);
+        let g = epoch.pin();
+        assert!((0..3).all(|p| v.page(p, &g).is_none()), "nothing allocated");
+        for i in 0..10 {
+            v.set(i, 100 + i as u64, &g); // pages 0, 1, 2 (page 2 half full)
+        }
+        assert_eq!(v.release_pages_below(4), 1);
+        assert!(v.page(0, &g).is_none(), "released");
+        assert!(v.page(3, &g).is_none(), "never allocated");
+        assert!(v.page(usize::MAX, &g).is_none(), "has no entry");
+        let page = v.page(2, &g).unwrap();
+        assert_eq!((page.get(1), page.get(2)), (109, NULL_VALUE));
+        // The borrow shares the live cells.
+        v.set(10, 110, &g);
+        assert_eq!(page.get(2), 110);
+        assert!(v.cas(10, 110, 111, &g));
+        assert_eq!(page.get(2), 111);
+    }
+
+    #[test]
     fn a_released_page_stays_readable_on_a_pinned_thread_until_it_unpins() {
         let (v, epoch) = column(4);
         {
@@ -545,11 +486,6 @@ mod tests {
                 v.set(i, 10 + i as u64, &g);
             }
         }
-        // Watch page 0's memory through a weak handle of its own.
-        let mut span = TailSpan::default();
-        v.snapshot_pages(0..4, &mut span, &epoch.pin());
-        let page0 = Arc::downgrade(span.pages[0].as_ref().unwrap());
-        span = TailSpan::default();
         let read_after_release = AtomicBool::new(false);
         thread::scope(|s| {
             let (pinned, wait_pinned) = mpsc::channel();
@@ -567,89 +503,28 @@ mod tests {
             wait_pinned.recv().unwrap();
             assert_eq!(v.release_pages_below(4), 1);
             assert_eq!(epoch.try_reclaim(), 0, "the pinned reader holds the page");
-            assert!(page0.upgrade().is_some());
             released.send(()).unwrap();
         });
         assert!(read_after_release.load(Ordering::SeqCst));
-        assert_eq!(epoch.try_reclaim(), 1);
-        assert!(page0.upgrade().is_none(), "freed once the reader unpinned");
-        drop(span);
-    }
-
-    /// Read cell `idx` of the column through `span`, the way scans do.
-    fn span_get(v: &AppendVec, span: &TailSpan, idx: usize) -> u64 {
-        span.page(idx / v.page_slots())
-            .map_or(NULL_VALUE, |page| page.get(idx % v.page_slots()))
+        assert_eq!(epoch.try_reclaim(), 1, "freed once the reader unpinned");
+        assert_eq!(epoch.pending(), 0);
     }
 
     #[test]
-    fn page_snapshot_reads_null_for_unallocated_and_released_pages() {
-        let (v, epoch) = column(4);
-        let g = epoch.pin();
-        let mut span = TailSpan::default();
-        // Nothing allocated: every covered page is missing.
-        v.snapshot_pages(0..12, &mut span, &g);
-        assert!((0..3).all(|p| span.page(p).is_none()));
-        for i in 0..10 {
-            v.set(i, 100 + i as u64, &g); // pages 0, 1, 2 (page 2 half full)
-        }
-        assert_eq!(v.release_pages_below(4), 1);
-        // Mid-page bounds: the span covers whole pages 0..=3.
-        v.snapshot_pages(2..14, &mut span, &g);
-        assert!(span.page(0).is_none(), "released");
-        assert!(span.page(3).is_none(), "never allocated");
-        assert!(span.page(4).is_none(), "outside the span");
-        for i in 0..16 {
-            let expected = if (4..10).contains(&i) {
-                100 + i as u64
-            } else {
-                NULL_VALUE
-            };
-            assert_eq!(span_get(&v, &span, i), expected, "cell {i}");
-            assert_eq!(span.get(i), expected, "cell {i}");
-        }
-        // A span that starts past page 0 never reaches below itself.
-        v.snapshot_pages(8..10, &mut span, &g);
-        assert!(span.page(1).is_none());
-        assert_eq!(span_get(&v, &span, 9), 109);
-        // An empty run holds nothing.
-        v.snapshot_pages(5..5, &mut span, &g);
-        assert!(span.page(1).is_none());
-    }
-
-    #[test]
-    fn page_snapshot_shares_live_cells_but_not_later_pages() {
-        let (v, epoch) = column(4);
-        let g = epoch.pin();
-        v.set(1, 11, &g);
-        let mut span = TailSpan::default();
-        v.snapshot_pages(0..8, &mut span, &g);
-        assert_eq!(span_get(&v, &span, 1), 11, "set before the snapshot");
-        // Same page, written after the snapshot: the cells are shared.
-        v.set(2, 22, &g);
-        assert_eq!(span_get(&v, &span, 2), 22);
-        assert!(v.cas(2, 22, 23, &g));
-        assert_eq!(span_get(&v, &span, 2), 23);
-        // A page allocated after the snapshot is not in it.
-        v.set(5, 55, &g);
-        assert_eq!(span_get(&v, &span, 5), NULL_VALUE);
-        v.snapshot_pages(0..8, &mut span, &g);
-        assert_eq!(span_get(&v, &span, 5), 55);
-    }
-
-    #[test]
-    fn page_snapshot_stays_readable_under_growth_and_release() {
+    fn a_borrowed_page_stays_readable_under_growth_and_release() {
         const PAGE: usize = 8;
         const FILLED: usize = 64 * PAGE;
         let (v, epoch) = column(PAGE);
-        let mut span = TailSpan::default();
         {
             let g = epoch.pin();
             for i in 0..FILLED {
                 v.set(i, i as u64, &g);
             }
-            v.snapshot_pages(0..FILLED, &mut span, &g);
         }
+        let reader = epoch.pin();
+        let pages: Vec<&TailPage> = (0..FILLED / PAGE)
+            .map(|p| v.page(p, &reader).unwrap())
+            .collect();
         let released = thread::scope(|s| {
             s.spawn(|| {
                 let g = epoch.pin();
@@ -667,22 +542,22 @@ mod tests {
                     })
                     .sum::<usize>()
             });
-            // The span holds the pages themselves: neither the directory
-            // growing nor its entries being released and reclaimed changes
-            // what it reads, and reading it takes no pin.
+            // Neither the directory growing nor its entries being released
+            // (and reclaimed, were it not for the pin) changes what the
+            // borrowed pages read.
             for round in 0..200 {
                 for i in (round % 7..FILLED).step_by(7) {
-                    assert_eq!(span_get(&v, &span, i), i as u64);
+                    assert_eq!(pages[i / PAGE].get(i % PAGE), i as u64);
                 }
             }
             releaser.join().unwrap()
         });
         assert_eq!(released, FILLED / PAGE);
-        let g = epoch.pin();
-        assert_eq!(v.get(3, &g), NULL_VALUE, "released in the directory");
-        assert_eq!(span_get(&v, &span, 3), 3, "alive in the span");
-        v.snapshot_pages(0..FILLED, &mut span, &g);
-        assert!((0..FILLED / PAGE).all(|p| span.page(p).is_none()));
-        assert_eq!(v.get(FILLED + 5, &g), (FILLED + 5) as u64);
+        assert_eq!(v.get(3, &reader), NULL_VALUE, "released in the directory");
+        assert_eq!(pages[0].get(3), 3, "alive through the borrow");
+        drop(reader);
+        epoch.try_reclaim();
+        assert_eq!(epoch.pending(), 0, "freed once the reader unpinned");
+        assert_eq!(v.get(FILLED + 5, &epoch.pin()), (FILLED + 5) as u64);
     }
 }
