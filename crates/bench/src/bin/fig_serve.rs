@@ -1,10 +1,16 @@
 //! Service-tier axis: closed-loop multi-get throughput and latency through
 //! the wire protocol. The workload is hot-key multi-gets over the
 //! medium-contention active set — many connections reading one hot range,
-//! the traffic on which running requests inline on their reader threads
-//! loses to the single dispatcher (the readers bounce the range's shared
-//! lock words between cores; `docs/BENCHMARKS.md`, anomaly 9) and which
-//! lbench's scattered-key `serve_multiget` cannot show.
+//! the traffic lbench's scattered-key `serve_multiget` cannot show. On it
+//! a single dispatcher once beat running requests on the connections'
+//! threads 2–4×, while the point path took locks that bounced between
+//! cores. With the point path lock-free, the server runs each request on
+//! its connection's thread and this figure reads better for it at four
+//! connections: 23.8–26.4 k req/s against the dispatcher's 17.3–23.1 k on
+//! a 2-core box. One connection reads about 12 % lower (14.4–15.6 k
+//! against 16.5–21.7 k), because its decode, execute and write no longer
+//! overlap on three threads (`docs/BENCHMARKS.md`, "Each request on its
+//! connection's thread").
 //!
 //! Cells per connection count (1 and 4): `req_s` reports requests/s over
 //! the window, `p50`/`p95`/`p99` client-observed request latency in
@@ -25,8 +31,8 @@ use lstore_server::{Client, Server, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Client connections, swept: one connection batches only with itself,
-/// four share the dispatcher's queue.
+/// Client connections, swept: one connection's requests run one at a
+/// time on its server thread; four run side by side on one hot range.
 const CONNS: [usize; 2] = [1, 4];
 /// Point-read keys per wire request: a fan-out multi-get, the shape a
 /// service tier sees when one upstream call hydrates a page of items.
@@ -57,7 +63,7 @@ fn drive(
             .expect("send");
         (id, Instant::now())
     };
-    // Warm the connection (and the server's thread pair) off the clock.
+    // Warm the connection (and its server thread) off the clock.
     for _ in 0..3 {
         send(&mut client, &mut rng, &mut keys);
         client.recv().expect("warmup");

@@ -39,7 +39,8 @@ pub enum Error {
     /// full and queueing it unboundedly would have hidden the overload.
     Overloaded,
     /// The service tier gave up on this request before executing it: it sat
-    /// queued past the configured per-request deadline.
+    /// queued past a per-request deadline. A stable code that the current
+    /// server, which queues nothing, never sends.
     RequestTimeout,
     /// Malformed or unspeakable wire traffic (bad frame, unknown request
     /// kind, protocol version mismatch, …).

@@ -13,9 +13,8 @@
 //!
 //! The batched forms feed one planner (`crate::multi_read`: sort by key,
 //! dedup adjacent duplicates, fan out across the task pool), so a batch is byte-identical to a loop of [`Table::read_one`]
-//! calls at any fixed snapshot — the invariant the service tier's
-//! dispatcher relies on when it merges requests from many connections into
-//! one engine batch.
+//! calls at any fixed snapshot — the invariant that makes the service
+//! tier's remote reads byte-identical to embedded ones.
 
 use std::collections::HashMap;
 
@@ -136,7 +135,7 @@ impl Table {
 
     /// Batched reads sharing one column selection and one snapshot — the
     /// vectorized form of [`Table::read_one`], and the call the service
-    /// tier's dispatcher makes per `(table, columns, as_of)` group. One
+    /// tier makes for each `READ`/`MULTI_READ` request. One
     /// `Result` per key, in input order; an out-of-range column fails every
     /// key with its own [`Error::ColumnOutOfRange`], exactly as a
     /// sequential loop would.

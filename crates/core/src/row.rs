@@ -56,6 +56,10 @@ struct RowRange {
     tail_prev: AppendVec,
     next_seq: AtomicU32,
     occupied: AtomicU32,
+    /// Inserts hold this shared while they write a row into the image they
+    /// loaded; a merge holds it exclusively from copying the image to
+    /// publishing the new one, so no row lands in an image already copied.
+    image_write: RwLock<()>,
 }
 
 impl RowRange {
@@ -76,6 +80,7 @@ impl RowRange {
             tail_prev: AppendVec::new(page_slots, epoch),
             next_seq: AtomicU32::new(1),
             occupied: AtomicU32::new(0),
+            image_write: RwLock::new(()),
         }
     }
 }
@@ -161,6 +166,7 @@ impl RowTable {
             // Freshly inserted rows go straight into the aligned base image
             // (the row variant's collapsed insert range); the start-time
             // store below publishes the row.
+            let _writing = range.image_write.read();
             let guard = self.epoch.pin();
             let image = &range.base.load(&guard).image;
             let off = slot as usize * self.width;
@@ -318,6 +324,7 @@ impl RowTable {
     }
 
     fn merge_range(&self, range: &RowRange, guard: &EpochGuard<'_>) {
+        let _copying = range.image_write.write();
         let upto = range.next_seq.load(Ordering::Acquire) as u64 - 1;
         let old = range.base.load(guard);
         let tps = old.tps;
@@ -362,6 +369,7 @@ fn unpack_rid(rid: u64) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn insert_read_update_roundtrip() {
@@ -403,5 +411,46 @@ mod tests {
         t.merge_all();
         t.update(1, &[(2, 33)]).unwrap();
         assert_eq!(t.read(1, &[0, 1, 2]).unwrap(), vec![11, 20, 33]);
+    }
+    #[test]
+    fn rows_inserted_beside_inline_merges_all_read_back() {
+        // One thread fills a range while another updates a key of it fast
+        // enough to merge the range every few inserts. A merge that copied
+        // the image before an insert wrote its row would publish an image
+        // without that row, which would then read ∅ for good.
+        const KEYS: u64 = 4_000;
+        for round in 0..8 {
+            let t = RowTable::new(2, 4096);
+            t.insert(0, &[0, 0]).unwrap();
+            let inserted = AtomicBool::new(false);
+            let updating = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut v = 0;
+                    updating.store(true, Ordering::Release);
+                    while !inserted.load(Ordering::Acquire) {
+                        v += 1;
+                        t.update(0, &[(0, v)]).unwrap();
+                    }
+                });
+                while !updating.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                for k in 1..=KEYS {
+                    t.insert(k, &[k, k * 3]).unwrap();
+                    std::thread::yield_now();
+                }
+                inserted.store(true, Ordering::Release);
+            });
+            let lost: Vec<u64> = (1..=KEYS)
+                .filter(|&k| t.read(k, &[0, 1]).unwrap() != vec![k, k * 3])
+                .collect();
+            assert!(
+                lost.is_empty(),
+                "round {round}: {} rows lost, first {:?}",
+                lost.len(),
+                &lost[..lost.len().min(5)]
+            );
+        }
     }
 }

@@ -4,9 +4,8 @@
 //! calls ([`Client::read`], [`Client::multi_read`], [`Client::ping`])
 //! send one request and wait for its response; the split
 //! `send_*`/[`Client::recv`] pair pipelines — any number of requests may
-//! be in flight, and responses are matched by request id (the server
-//! completes requests batch-by-batch, so pipelined responses can arrive
-//! out of order).
+//! be in flight, and responses are matched by request id (the protocol
+//! lets a server answer them out of order).
 
 use std::fmt;
 use std::io::{self, BufReader, Write};
@@ -24,8 +23,7 @@ pub enum ClientError {
     /// The server's bytes could not be decoded.
     Protocol(String),
     /// The server rejected the request without executing it
-    /// ([`Error::Overloaded`], [`Error::RequestTimeout`], or a protocol
-    /// complaint about our request).
+    /// ([`Error::Overloaded`], or a protocol complaint about our request).
     Rejected(Error),
 }
 
@@ -61,7 +59,7 @@ impl From<io::Error> for ClientError {
 pub enum Reply {
     /// Per-key results, in the order the request named its keys.
     Results(Vec<lstore::Result<ReadResponse>>),
-    /// The request was shed or timed out before execution.
+    /// The request was rejected before execution.
     Rejected(Error),
     /// Answer to a ping.
     Pong,
@@ -88,20 +86,17 @@ impl Client {
         })
     }
 
-    fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
+    /// Send the frame `encode` builds for the next request id.
+    fn send(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64, ClientError> {
         self.next_id += 1;
         let id = self.next_id;
-        self.writer
-            .write_all(&protocol::encode_request(id, request))?;
+        self.writer.write_all(&encode(id))?;
         Ok(id)
     }
 
     /// Pipeline a single-key read; returns its request id.
     pub fn send_read(&mut self, table: &str, request: &ReadRequest) -> Result<u64, ClientError> {
-        self.send(&Request::Read {
-            table: table.to_string(),
-            request: request.clone(),
-        })
+        self.send(|id| protocol::encode_read(id, table, request))
     }
 
     /// Pipeline a batched read sharing one column selection and snapshot;
@@ -113,12 +108,7 @@ impl Client {
         columns: Option<&[u32]>,
         as_of: Option<u64>,
     ) -> Result<u64, ClientError> {
-        self.send(&Request::MultiRead {
-            table: table.to_string(),
-            keys: keys.to_vec(),
-            columns: columns.map(<[u32]>::to_vec),
-            as_of,
-        })
+        self.send(|id| protocol::encode_multi_read(id, table, keys, columns, as_of))
     }
 
     /// Receive the next reply (any pipelined request's; match by id).
@@ -197,7 +187,7 @@ impl Client {
 
     /// Blocking liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let id = self.send(&Request::Ping)?;
+        let id = self.send(|id| protocol::encode_request(id, &Request::Ping))?;
         let (got, reply) = self.recv()?;
         match reply {
             Reply::Pong if got == id => Ok(()),

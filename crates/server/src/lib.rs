@@ -6,12 +6,10 @@
 //! * [`protocol`] — the length-prefixed binary wire format
 //!   (`docs/PROTOCOL.md`): versioned frame header, client-chosen request
 //!   ids for pipelining, engine errors as stable numeric codes.
-//! * [`server`] — the TCP service: acceptor, per-connection
-//!   reader/writer threads, a bounded in-flight budget that sheds load
-//!   with `Error::Overloaded`, per-request queue deadlines, and one
-//!   dispatcher that runs whatever is queued the moment it is free, so
-//!   point reads that arrive across all connections while a batch
-//!   executes merge into the next engine batch.
+//! * [`server`] — the TCP service: an acceptor and one thread per
+//!   connection that reads a request, runs it through one
+//!   `Table::read_batch` call and writes the reply on its own socket, with
+//!   a bounded in-flight budget that sheds load with `Error::Overloaded`.
 //! * [`client`] — a synchronous client: blocking one-shot calls plus a
 //!   pipelined send/recv split.
 //!

@@ -5,9 +5,9 @@
 //! header — magic byte, protocol version, message kind, flags, and a
 //! `u64` request id — then a kind-specific body. Request ids are chosen
 //! by the client and echoed verbatim on the response, so clients may
-//! pipeline any number of requests per connection and match responses
-//! out of order (the server completes requests batch-by-batch, not
-//! arrival-by-arrival).
+//! pipeline any number of requests per connection and match responses by
+//! id. (This server answers one connection's requests in arrival order,
+//! but the protocol does not promise it.)
 //!
 //! All integers are little-endian. Strings are length-prefixed UTF-8.
 //! Engine errors travel as [`ErrorParts`] — stable code, two numeric
@@ -41,8 +41,8 @@ pub mod kind {
     pub const PONG: u8 = 0x81;
     /// Per-key results for a [`READ`] / [`MULTI_READ`].
     pub const RESULTS: u8 = 0x82;
-    /// Request-level rejection (overload shed, queue timeout, protocol
-    /// fault) — the request was not executed.
+    /// Request-level rejection (overload shed, protocol fault) — the
+    /// request was not executed.
     pub const REJECTED: u8 = 0x83;
 }
 
@@ -80,8 +80,9 @@ pub enum Response {
     /// Per-key results, in request key order. `Read` answers with exactly
     /// one entry.
     Results(Vec<lstore::Result<ReadResponse>>),
-    /// The request was rejected without executing: [`Error::Overloaded`],
-    /// [`Error::RequestTimeout`], or [`Error::Protocol`].
+    /// The request was rejected without executing: [`Error::Overloaded`]
+    /// or [`Error::Protocol`]. ([`Error::RequestTimeout`] keeps its stable
+    /// code, but this server no longer sends it.)
     Rejected(Error),
 }
 
@@ -115,6 +116,11 @@ fn put_error(buf: &mut Vec<u8>, err: &Error) {
     put_str(buf, &detail);
 }
 
+/// Encoded size of [`put_error`]'s output.
+fn error_len(err: &Error) -> usize {
+    2 + 8 + 8 + 2 + err.to_parts().detail.len()
+}
+
 /// Column-selection + snapshot spec shared by `Read` and `MultiRead`
 /// bodies: a flags byte, then the optional fields it announces.
 fn put_spec(buf: &mut Vec<u8>, columns: Option<&[u32]>, as_of: Option<u64>) {
@@ -137,69 +143,113 @@ fn put_spec(buf: &mut Vec<u8>, columns: Option<&[u32]>, as_of: Option<u64>) {
     }
 }
 
-fn frame(kind_byte: u8, request_id: u64, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u32(&mut buf, 0); // length placeholder
+/// Encoded size of [`put_spec`]'s output.
+fn spec_len(columns: Option<&[u32]>, as_of: Option<u64>) -> usize {
+    1 + as_of.map_or(0, |_| 8) + columns.map_or(0, |c| 2 + 4 * c.len())
+}
+
+/// One complete frame whose body `body` writes in exactly `body_len`
+/// bytes: the length prefix is known up front and the buffer is allocated
+/// once, never regrown.
+fn frame(
+    kind_byte: u8,
+    request_id: u64,
+    body_len: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let len = HEADER_LEN + body_len;
+    let mut buf = Vec::with_capacity(4 + len);
+    put_u32(&mut buf, len as u32);
     buf.push(MAGIC);
     buf.push(VERSION);
     buf.push(kind_byte);
     buf.push(0); // header flags, reserved
     put_u64(&mut buf, request_id);
     body(&mut buf);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
+    debug_assert_eq!(buf.len(), 4 + len, "body length miscounted");
     buf
 }
 
 /// Encode one request as a complete frame (length prefix included).
 pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
     match request {
-        Request::Ping => frame(kind::PING, request_id, |_| {}),
-        Request::Read { table, request } => frame(kind::READ, request_id, |buf| {
-            put_str(buf, table);
-            put_spec(buf, request.columns.as_deref(), request.as_of);
-            put_u64(buf, request.key);
-        }),
+        Request::Ping => frame(kind::PING, request_id, 0, |_| {}),
+        Request::Read { table, request } => encode_read(request_id, table, request),
         Request::MultiRead {
             table,
             keys,
             columns,
             as_of,
-        } => frame(kind::MULTI_READ, request_id, |buf| {
-            put_str(buf, table);
-            put_spec(buf, columns.as_deref(), *as_of);
-            put_u32(buf, keys.len() as u32);
-            for &k in keys {
-                put_u64(buf, k);
-            }
-        }),
+        } => encode_multi_read(request_id, table, keys, columns.as_deref(), *as_of),
     }
+}
+
+/// Encode a [`Request::Read`] from borrowed parts.
+pub fn encode_read(request_id: u64, table: &str, request: &ReadRequest) -> Vec<u8> {
+    let columns = request.columns.as_deref();
+    let body_len = 2 + table.len() + spec_len(columns, request.as_of) + 8;
+    frame(kind::READ, request_id, body_len, |buf| {
+        put_str(buf, table);
+        put_spec(buf, columns, request.as_of);
+        put_u64(buf, request.key);
+    })
+}
+
+/// Encode a [`Request::MultiRead`] from borrowed parts.
+pub fn encode_multi_read(
+    request_id: u64,
+    table: &str,
+    keys: &[u64],
+    columns: Option<&[u32]>,
+    as_of: Option<u64>,
+) -> Vec<u8> {
+    let body_len = 2 + table.len() + spec_len(columns, as_of) + 4 + 8 * keys.len();
+    frame(kind::MULTI_READ, request_id, body_len, |buf| {
+        put_str(buf, table);
+        put_spec(buf, columns, as_of);
+        put_u32(buf, keys.len() as u32);
+        for &k in keys {
+            put_u64(buf, k);
+        }
+    })
 }
 
 /// Encode one response as a complete frame (length prefix included).
 pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
     match response {
-        Response::Pong => frame(kind::PONG, request_id, |_| {}),
-        Response::Results(results) => frame(kind::RESULTS, request_id, |buf| {
-            put_u32(buf, results.len() as u32);
-            for result in results {
-                match result {
-                    Ok(ReadResponse { values: Some(v) }) => {
-                        buf.push(0);
-                        put_u16(buf, v.len() as u16);
-                        for &x in v {
-                            put_u64(buf, x);
+        Response::Pong => frame(kind::PONG, request_id, 0, |_| {}),
+        Response::Results(results) => {
+            let body_len = 4 + results
+                .iter()
+                .map(|result| match result {
+                    Ok(ReadResponse { values: Some(v) }) => 1 + 2 + 8 * v.len(),
+                    Ok(ReadResponse { values: None }) => 1,
+                    Err(e) => 1 + error_len(e),
+                })
+                .sum::<usize>();
+            frame(kind::RESULTS, request_id, body_len, |buf| {
+                put_u32(buf, results.len() as u32);
+                for result in results {
+                    match result {
+                        Ok(ReadResponse { values: Some(v) }) => {
+                            buf.push(0);
+                            put_u16(buf, v.len() as u16);
+                            for &x in v {
+                                put_u64(buf, x);
+                            }
+                        }
+                        Ok(ReadResponse { values: None }) => buf.push(1),
+                        Err(e) => {
+                            buf.push(2);
+                            put_error(buf, e);
                         }
                     }
-                    Ok(ReadResponse { values: None }) => buf.push(1),
-                    Err(e) => {
-                        buf.push(2);
-                        put_error(buf, e);
-                    }
                 }
-            }
+            })
+        }
+        Response::Rejected(err) => frame(kind::REJECTED, request_id, error_len(err), |buf| {
+            put_error(buf, err)
         }),
-        Response::Rejected(err) => frame(kind::REJECTED, request_id, |buf| put_error(buf, err)),
     }
 }
 

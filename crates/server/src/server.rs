@@ -1,36 +1,33 @@
-//! The service tier: a TCP acceptor, per-connection reader/writer threads,
-//! and one dispatcher.
+//! The service tier: a TCP acceptor and one thread per connection.
 //!
-//! Connection readers enqueue decoded point-read requests on one shared
-//! queue. The dispatcher thread sleeps while that queue is empty; the
-//! moment it is free it takes everything queued (at most `MAX_BATCH` = 256
-//! requests), merges requests with the same `(table, columns, as_of)`
-//! signature into one [`Table::read_batch`] call — which sorts,
-//! deduplicates, and fans out across the engine's unified task pool — and
-//! scatters the per-key results back to their originating connections. A
-//! lone request is dispatched at once; requests that arrive while a batch
-//! executes form the next batch, so batches grow exactly as fast as load
-//! outruns the executor and nothing reads a clock to decide when to run.
+//! A connection's thread reads a frame, admits it past the in-flight
+//! budget, runs its keys through one [`Table::read_batch`] call — which
+//! sorts, deduplicates and, for a large request, fans out across the
+//! engine's unified task pool — and writes the reply on its own socket
+//! before it reads the next frame. Point reads take no lock on their way
+//! to a record (they reach every range's state through the operation's
+//! epoch pin), so connections need nothing from each other: there is no
+//! shared queue, no dispatcher and no writer thread. A pipelining client's
+//! later requests wait in its own socket buffer, so one busy connection
+//! never holds another's, and a client that stops reading blocks its own
+//! thread's write, which stops it reading, which lets TCP hold the client.
 //!
 //! Backpressure is a bounded in-flight budget: a request admitted past
-//! `max_inflight` outstanding ones is answered immediately with
-//! [`Error::Overloaded`] instead of queueing unboundedly, and a request
-//! that sits queued past `request_timeout` is dropped with
-//! [`Error::RequestTimeout`] when the dispatcher reaches it — the client
-//! hears "shed, retry elsewhere/later", never silence.
+//! `max_inflight` executing ones is answered at once with
+//! [`Error::Overloaded`] — the client hears "shed, retry elsewhere/later",
+//! never silence. `PING` bypasses the budget.
 //!
 //! [`Table::read_batch`]: lstore::Table::read_batch
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lstore::{Database, Error, ReadResponse};
-use parking_lot::{Condvar, Mutex};
+use lstore::{Database, Error};
+use parking_lot::Mutex;
 
 use crate::protocol::{self, Request, Response, HEADER_LEN, MAX_FRAME_LEN};
 
@@ -38,20 +35,13 @@ use crate::protocol::{self, Request, Response, HEADER_LEN, MAX_FRAME_LEN};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bounded in-flight request budget: admissions beyond this many
-    /// outstanding requests shed with [`Error::Overloaded`].
+    /// executing requests shed with [`Error::Overloaded`].
     pub max_inflight: usize,
-    /// Per-request queue deadline: a request still unexecuted this long
-    /// after arrival is answered with [`Error::RequestTimeout`]. `None`
-    /// disables the deadline.
-    pub request_timeout: Option<Duration>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_inflight: 4096,
-            request_timeout: Some(Duration::from_secs(1)),
-        }
+        ServerConfig { max_inflight: 4096 }
     }
 }
 
@@ -64,60 +54,20 @@ lstore::metric_set! {
         admitted: Counter,
         /// Requests shed with `Overloaded`.
         shed: Counter,
-        /// Requests dropped with `RequestTimeout`.
+        /// Requests dropped with `RequestTimeout`. Always 0: a request
+        /// waits only in its own connection's socket buffer, where the
+        /// server cannot age it.
         timed_out: Counter,
-        /// Engine batches the dispatcher executed.
+        /// Engine batches executed. Every admitted request is its own
+        /// batch, so this equals `batched_requests`.
         batches: Counter,
         /// Requests served through those batches.
         batched_requests: Counter,
-        /// Requests per executed batch, log₂-bucketed: bucket `i` counts
-        /// batches of `2^i ..= 2^(i+1) - 1` requests.
-        batch_size_log2: Histogram,
-        /// Microseconds each request sat queued before the dispatcher took
-        /// it, log₂-bucketed the same way (bucket 0 also holds 0 µs, the last
+        /// Microseconds each admitted request spent in the engine and the
+        /// reply's encoding, log₂-bucketed: bucket `i` counts requests of
+        /// `2^i ..= 2^(i+1) - 1` µs (bucket 0 also holds 0 µs, the last
         /// bucket everything from `2^15` µs up).
-        queue_wait_us_log2: Histogram,
-    }
-}
-
-/// One admitted request waiting for (or undergoing) execution.
-struct Pending {
-    writer: Arc<ConnWriter>,
-    request_id: u64,
-    table: String,
-    keys: Vec<u64>,
-    columns: Option<Vec<u32>>,
-    as_of: Option<u64>,
-    arrived: Instant,
-}
-
-/// Outbound frame queue of one connection, drained by its writer thread.
-/// Readers and the dispatcher push encoded frames; the writer thread owns
-/// the socket's write half, so response order within a connection is
-/// whatever completion order was — request ids do the matching.
-struct ConnWriter {
-    frames: Mutex<Vec<Vec<u8>>>,
-    cv: Condvar,
-    done: AtomicBool,
-}
-
-impl ConnWriter {
-    fn new() -> ConnWriter {
-        ConnWriter {
-            frames: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-            done: AtomicBool::new(false),
-        }
-    }
-
-    fn push(&self, frame: Vec<u8>) {
-        self.frames.lock().push(frame);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        self.done.store(true, Ordering::Release);
-        self.cv.notify_one();
+        execute_us_log2: Histogram,
     }
 }
 
@@ -126,18 +76,16 @@ struct Shared {
     config: ServerConfig,
     stop: AtomicBool,
     inflight: AtomicUsize,
-    queue: Mutex<VecDeque<Pending>>,
-    queue_cv: Condvar,
     counters: ServerCounters,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running service tier. Dropping (or [`Server::shutdown`]) stops the
-/// acceptor and dispatcher and joins every connection thread.
+/// acceptor and joins every connection thread.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    core_threads: Mutex<Vec<JoinHandle<()>>>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -156,28 +104,17 @@ impl Server {
             config,
             stop: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             counters: ServerCounters::default(),
             conn_threads: Mutex::new(Vec::new()),
         });
-        let mut core = Vec::new();
         let s = Arc::clone(&shared);
-        core.push(
-            std::thread::Builder::new()
-                .name("lstore-dispatcher".into())
-                .spawn(move || dispatcher_loop(&s))?,
-        );
-        let s = Arc::clone(&shared);
-        core.push(
-            std::thread::Builder::new()
-                .name("lstore-acceptor".into())
-                .spawn(move || acceptor_loop(&s, listener))?,
-        );
+        let acceptor = std::thread::Builder::new()
+            .name("lstore-acceptor".into())
+            .spawn(move || acceptor_loop(&s, listener))?;
         Ok(Server {
             shared,
             addr,
-            core_threads: Mutex::new(core),
+            acceptor: Mutex::new(Some(acceptor)),
         })
     }
 
@@ -191,19 +128,14 @@ impl Server {
         self.shared.counters.snapshot()
     }
 
-    /// Stop accepting, wake the dispatcher, and join every thread. The
-    /// dispatcher finishes the batch it is executing and leaves whatever
-    /// is still queued unanswered; those clients see their connection
-    /// close. Idempotent; also runs on drop.
+    /// Stop accepting and join every thread. Each connection finishes the
+    /// request it is executing and stops within one poll tick of its next
+    /// read or blocked write, so requests still in its socket buffer go
+    /// unanswered and those clients see their connection close — also a
+    /// client that stopped reading. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        {
-            // Under the queue lock, so the dispatcher is either before its
-            // stop check or already parked — never between the two.
-            let _queue = self.shared.queue.lock();
-            self.shared.stop.store(true, Ordering::Release);
-        }
-        self.shared.queue_cv.notify_all();
-        for handle in self.core_threads.lock().drain(..) {
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(handle) = self.acceptor.lock().take() {
             let _ = handle.join();
         }
         for handle in self.shared.conn_threads.lock().drain(..) {
@@ -222,27 +154,25 @@ impl Drop for Server {
 // Acceptor + per-connection threads
 // ---------------------------------------------------------------------
 
-/// How long blocked reads (and the accept poll) sleep before re-checking
-/// the stop flag.
+/// How long blocked reads and writes (and the accept poll) sleep before
+/// re-checking the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     while !shared.stop.load(Ordering::Acquire) {
-        // Connections that closed since the last tick: both their threads
-        // have returned, so dropping the handles loses nothing.
+        // Connections that closed since the last tick: their threads have
+        // returned, so dropping the handles loses nothing.
         shared.conn_threads.lock().retain(|h| !h.is_finished());
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if let Err(e) = spawn_connection(shared, stream) {
-                    // Socket setup failed (peer already gone, fd limits);
-                    // drop the connection, keep serving.
-                    let _ = e;
-                }
+                // Socket setup failed (peer already gone, fd limits): drop
+                // the connection, keep serving.
+                let _ = spawn_connection(shared, stream);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
@@ -251,297 +181,125 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
 fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let write_half = stream.try_clone()?;
-    let writer = Arc::new(ConnWriter::new());
-    let mut handles = shared.conn_threads.lock();
-    let w = Arc::clone(&writer);
-    handles.push(
-        std::thread::Builder::new()
-            .name("lstore-conn-writer".into())
-            .spawn(move || writer_loop(&w, write_half))?,
-    );
+    stream.set_write_timeout(Some(POLL_INTERVAL))?;
     let s = Arc::clone(shared);
-    handles.push(
-        std::thread::Builder::new()
-            .name("lstore-conn-reader".into())
-            .spawn(move || {
-                reader_loop(&s, stream, &writer);
-                writer.close();
-            })?,
-    );
+    let handle = std::thread::Builder::new()
+        .name("lstore-conn".into())
+        .spawn(move || connection_loop(&s, stream))?;
+    shared.conn_threads.lock().push(handle);
     Ok(())
 }
 
-fn writer_loop(writer: &ConnWriter, mut stream: TcpStream) {
-    use std::io::Write;
-    loop {
-        let batch = {
-            let mut frames = writer.frames.lock();
-            while frames.is_empty() {
-                if writer.done.load(Ordering::Acquire) {
-                    return;
-                }
-                writer.cv.wait(&mut frames);
-            }
-            std::mem::take(&mut *frames)
+/// Read a frame, answer it, write the answer; repeat until the peer
+/// closes, misbehaves or stops reading past shutdown.
+fn connection_loop(shared: &Shared, mut stream: TcpStream) {
+    let stop = &shared.stop;
+    while !stop.load(Ordering::Acquire) {
+        let Some(payload) = read_frame_polled(&mut stream, stop) else {
+            return;
         };
-        for frame in batch {
-            if stream.write_all(&frame).is_err() {
-                // Peer gone: drain silently until the reader notices EOF
-                // and closes us.
-                writer.done.store(true, Ordering::Release);
-                return;
-            }
+        let (frame, keep_open) = answer(shared, &payload);
+        if !transfer(stop, frame.len(), |at| stream.write(&frame[at..])) || !keep_open {
+            return;
         }
     }
 }
 
-fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, writer: &Arc<ConnWriter>) {
-    loop {
-        let payload = match read_frame_interruptible(&mut stream, &shared.stop) {
-            Ok(Some(payload)) => payload,
-            Ok(None) | Err(_) => return,
-        };
-        match protocol::decode_request(&payload) {
-            Ok((id, Request::Ping)) => {
-                writer.push(protocol::encode_response(id, &Response::Pong));
-            }
-            Ok((id, Request::Read { table, request })) => {
-                let keys = vec![request.key];
-                submit(
-                    shared,
-                    writer,
-                    id,
-                    table,
-                    keys,
-                    request.columns,
-                    request.as_of,
-                );
-            }
-            Ok((
-                id,
-                Request::MultiRead {
-                    table,
-                    keys,
-                    columns,
-                    as_of,
-                },
-            )) => {
-                submit(shared, writer, id, table, keys, columns, as_of);
-            }
-            Err(e) => {
-                // The frame was well-delimited but unspeakable. Framing is
-                // still sound, yet the peer is confused (or hostile):
-                // answer with the protocol error and drop the connection.
-                writer.push(protocol::encode_response(0, &Response::Rejected(e)));
-                return;
-            }
+/// The reply frame to one request payload, and whether the connection
+/// stays open after it.
+fn answer(shared: &Shared, payload: &[u8]) -> (Vec<u8>, bool) {
+    let (id, table, keys, columns, as_of) = match protocol::decode_request(payload) {
+        Ok((id, Request::Ping)) => return (protocol::encode_response(id, &Response::Pong), true),
+        Ok((id, Request::Read { table, request })) => {
+            (id, table, vec![request.key], request.columns, request.as_of)
         }
-    }
-}
-
-/// Admit one read request past the in-flight budget, then hand it to the
-/// dispatcher's queue.
-#[allow(clippy::too_many_arguments)]
-fn submit(
-    shared: &Arc<Shared>,
-    writer: &Arc<ConnWriter>,
-    request_id: u64,
-    table: String,
-    keys: Vec<u64>,
-    columns: Option<Vec<u32>>,
-    as_of: Option<u64>,
-) {
-    let prev = shared.inflight.fetch_add(1, Ordering::AcqRel);
-    if prev >= shared.config.max_inflight {
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared.counters.shed.inc();
-        writer.push(protocol::encode_response(
-            request_id,
-            &Response::Rejected(Error::Overloaded),
-        ));
-        return;
-    }
-    shared.counters.admitted.inc();
-    shared.queue.lock().push_back(Pending {
-        writer: Arc::clone(writer),
-        request_id,
-        table,
-        keys,
-        columns,
-        as_of,
-        arrived: Instant::now(),
-    });
-    shared.queue_cv.notify_one();
-}
-
-/// Encode + enqueue a response and release the request's budget slot.
-fn respond(shared: &Shared, pending: &Pending, response: &Response) {
-    pending
-        .writer
-        .push(protocol::encode_response(pending.request_id, response));
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-}
-
-// ---------------------------------------------------------------------
-// The dispatcher
-// ---------------------------------------------------------------------
-
-/// Most requests one batch takes off the queue.
-const MAX_BATCH: usize = 256;
-
-/// Sleep while the queue is empty; take everything queued (at most
-/// [`MAX_BATCH`]); execute; repeat. Whatever arrives while a batch
-/// executes is the next batch, so closed-loop clients batch exactly as
-/// deeply as they outrun the executor and an idle server answers a lone
-/// request at once.
-fn dispatcher_loop(shared: &Shared) {
-    loop {
-        let batch: Vec<Pending> = {
-            let mut queue = shared.queue.lock();
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if !queue.is_empty() {
-                    break;
-                }
-                shared.queue_cv.wait(&mut queue);
-            }
-            let n = queue.len().min(MAX_BATCH);
-            queue.drain(..n).collect()
-        };
-        execute_batch(shared, batch);
-    }
-}
-
-/// Execute one batch: drop timed-out requests, merge the rest by
-/// `(table, columns, as_of)` signature into one engine batch each, and
-/// scatter results back per request.
-fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
+        Ok((
+            id,
+            Request::MultiRead {
+                table,
+                keys,
+                columns,
+                as_of,
+            },
+        )) => (id, table, keys, columns, as_of),
+        // The frame was well-delimited but unspeakable. Framing is still
+        // sound, yet the peer is confused (or hostile): answer with the
+        // protocol error and drop the connection.
+        Err(e) => return (protocol::encode_response(0, &Response::Rejected(e)), false),
+    };
     let counters = &shared.counters;
-    let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-    for pending in batch {
-        let waited = pending.arrived.elapsed();
-        let micros = waited.as_micros() as u64;
-        counters.queue_wait_us_log2.record(micros);
-        match shared.config.request_timeout {
-            Some(deadline) if waited > deadline => {
-                counters.timed_out.inc();
-                respond(shared, &pending, &Response::Rejected(Error::RequestTimeout));
-            }
-            _ => live.push(pending),
-        }
+    if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.config.max_inflight {
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        counters.shed.inc();
+        let shed = Response::Rejected(Error::Overloaded);
+        return (protocol::encode_response(id, &shed), true);
     }
-    if live.is_empty() {
-        return;
-    }
-    counters.batches.inc();
-    counters.batched_requests.add(live.len() as u64);
-    counters.batch_size_log2.record(live.len() as u64);
-
-    // Group member indices by execution signature.
-    type Signature<'a> = (&'a str, Option<&'a [u32]>, Option<u64>);
-    let mut index: HashMap<Signature<'_>, usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, p) in live.iter().enumerate() {
-        let sig = (p.table.as_str(), p.columns.as_deref(), p.as_of);
-        let g = *index.entry(sig).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(i);
-    }
-
-    // One engine batch per signature; results split back per member.
-    let mut results: Vec<Vec<lstore::Result<ReadResponse>>> =
-        live.iter().map(|_| Vec::new()).collect();
-    for members in &groups {
-        let first = &live[members[0]];
-        let keys: Vec<u64> = members
+    counters.admitted.inc();
+    let started = Instant::now();
+    let results = match shared.db.table_or_err(&table) {
+        Ok(t) => t.read_batch(&keys, columns.as_deref(), as_of),
+        Err(_) => keys
             .iter()
-            .flat_map(|&i| live[i].keys.iter().copied())
-            .collect();
-        let outs = match shared.db.table_or_err(&first.table) {
-            Ok(t) => t.read_batch(&keys, first.columns.as_deref(), first.as_of),
-            Err(_) => keys
-                .iter()
-                .map(|_| Err(Error::TableNotFound(first.table.clone())))
-                .collect(),
-        };
-        let mut iter = outs.into_iter();
-        for &i in members {
-            let n = live[i].keys.len();
-            results[i] = iter.by_ref().take(n).collect();
-        }
-    }
-    for (pending, result) in live.iter().zip(results) {
-        respond(shared, pending, &Response::Results(result));
-    }
+            .map(|_| Err(Error::TableNotFound(table.clone())))
+            .collect(),
+    };
+    let frame = protocol::encode_response(id, &Response::Results(results));
+    counters
+        .execute_us_log2
+        .record(started.elapsed().as_micros() as u64);
+    counters.batches.inc();
+    counters.batched_requests.inc();
+    shared.inflight.fetch_sub(1, Ordering::AcqRel);
+    (frame, true)
 }
 
 // ---------------------------------------------------------------------
-// Interruptible frame reads
+// Interruptible socket I/O
 // ---------------------------------------------------------------------
 
-fn is_poll_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// [`protocol::read_frame`] with stop-flag polling: the socket has a read
-/// timeout, and partial reads accumulate in our buffer across timeouts —
-/// a poll tick can never lose frame sync.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
+/// Move `len` bytes through `call`, which is handed the offset reached so
+/// far, across poll ticks: the offset lives here, so a timeout never loses
+/// partial progress (as `read_exact`/`write_all` would). False when the
+/// peer closes, the socket fails or `stop` is raised first.
+fn transfer(
     stop: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match stream.read(&mut len_bytes[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
+    len: usize,
+    mut call: impl FnMut(usize) -> io::Result<usize>,
+) -> bool {
+    let mut done = 0;
+    while done < len {
+        match call(done) {
+            Ok(0) => return false,
+            Ok(n) => done += n,
+            Err(e) => {
+                // A poll tick (or a signal): check the stop flag and retry.
+                let tick = matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                );
+                if !tick || stop.load(Ordering::Acquire) {
+                    return false;
                 }
             }
-            Ok(n) => filled += n,
-            Err(e) if is_poll_timeout(&e) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
+    }
+    true
+}
+
+/// [`protocol::read_frame`] with stop-flag polling. `None` ends the
+/// connection: end of stream, a cut frame, a length prefix outside
+/// `[HEADER_LEN, MAX_FRAME_LEN]`, a socket error or shutdown.
+fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8>> {
+    let mut len_bytes = [0u8; 4];
+    if !transfer(stop, 4, |at| stream.read(&mut len_bytes[at..])) {
+        return None;
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if !(HEADER_LEN..=MAX_FRAME_LEN).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} outside [{HEADER_LEN}, {MAX_FRAME_LEN}]"),
-        ));
+        return None;
     }
     let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if is_poll_timeout(&e) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
+    transfer(stop, len, |at| stream.read(&mut payload[at..])).then_some(payload)
 }
 
 #[cfg(test)]
@@ -564,17 +322,17 @@ mod tests {
             let mut c = Client::connect(server.local_addr()).unwrap();
             c.ping().unwrap();
         }
-        // The acceptor reaps on its next poll tick after the last pair of
-        // threads returns; only `live`'s reader and writer stay tracked.
+        // The acceptor reaps on its next poll tick after the last closed
+        // connection's thread returns; only `live`'s thread stays tracked.
         let tracked = || server.shared.conn_threads.lock().len();
         for _ in 0..500 {
-            if tracked() <= 2 {
+            if tracked() <= 1 {
                 break;
             }
             std::thread::sleep(POLL_INTERVAL);
         }
         assert!(
-            tracked() <= 2,
+            tracked() <= 1,
             "{} connection threads still tracked after 200 closed connections",
             tracked()
         );

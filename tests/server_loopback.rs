@@ -1,18 +1,21 @@
 //! Loopback client/server integration: the service tier must be a
 //! transparent window onto the embedded engine — remote reads
 //! byte-identical to embedded batched reads even under concurrent
-//! writers — its backpressure behaviors (load shed, queue timeout) must
-//! surface as the explicit wire errors, never as silence, and its one
-//! dispatch rule (run whatever is queued the moment the dispatcher is
-//! free) must hold: a lone request is never held for company, batches
-//! form exactly while the executor is busy.
+//! writers — its backpressure (load shed) must surface as the explicit
+//! wire error, never as silence, and its one execution rule (each
+//! connection runs its own requests, one at a time) must hold: a lone
+//! request is never held for company, a busy connection never holds
+//! another, a client that stops reading is held by TCP, and no byte a
+//! client sends makes a server thread panic.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
+use std::time::{Duration, Instant};
 
 use lstore::{Database, DbConfig, Durability, Error, ReadRequest, Table, TableConfig};
-use lstore_server::protocol::{encode_response, Response};
+use lstore_server::protocol::{self, encode_response, Response};
 use lstore_server::{Client, ClientError, Reply, Server, ServerConfig};
 
 const COLS: usize = 3;
@@ -100,20 +103,17 @@ fn remote_reads_are_byte_identical_to_embedded_reads_under_writers() {
         w.join().unwrap();
     }
 
-    // Every admitted request ran in exactly one batch, and both
-    // histograms saw exactly what the counters saw.
+    // Every admitted request ran as its own batch, and the execution
+    // histogram saw exactly what the counters saw.
     let stats = server.stats();
     assert_eq!(stats.batched_requests, stats.admitted, "{stats:?}");
+    assert_eq!(stats.batches, stats.admitted, "{stats:?}");
     assert_eq!(
-        stats.batch_size_log2.iter().sum::<u64>(),
-        stats.batches,
-        "{stats:?}"
-    );
-    assert_eq!(
-        stats.queue_wait_us_log2.iter().sum::<u64>(),
+        stats.execute_us_log2.iter().sum::<u64>(),
         stats.admitted,
         "{stats:?}"
     );
+    assert_eq!(stats.timed_out, 0, "{stats:?}");
 
     // With writers quiesced, latest-mode remote reads equal the embedded
     // batched reads exactly.
@@ -220,29 +220,29 @@ fn a_lone_request_is_never_held_for_company() {
         let response = client.read("kv", &ReadRequest::latest(k)).unwrap().unwrap();
         assert_eq!(response.values, Some(vec![k, k * 2, k * 3]));
     }
-    // Depth 1 on one connection: the queue never holds two requests, so
-    // every request is its own batch.
+    // Every request is its own batch, executed once.
     let stats = server.stats();
     assert_eq!(stats.admitted, 200, "{stats:?}");
     assert_eq!(stats.batches, stats.admitted, "{stats:?}");
-    assert_eq!(stats.batch_size_log2[0], 200, "{stats:?}");
+    assert_eq!(stats.execute_us_log2.iter().sum::<u64>(), 200, "{stats:?}");
 }
 
 /// Send one 100 000-key `MULTI_READ` over `rows` keys on `client` and
-/// return (its id, its keys) once the dispatcher has taken it — `batches`
-/// is bumped before the engine runs — so whatever is sent next queues
-/// behind it. The server must not have executed anything yet.
-fn occupy_dispatcher(server: &Server, client: &mut Client, rows: u64) -> (u64, Vec<u64>) {
+/// return (its id, its keys) once the server has admitted it — `admitted`
+/// is bumped before the engine runs — so `client`'s connection is busy
+/// executing it.
+fn occupy_connection(server: &Server, client: &mut Client, rows: u64) -> (u64, Vec<u64>) {
+    let before = server.stats().admitted;
     let keys: Vec<u64> = (0..100_000u64).map(|i| i % rows).collect();
     let id = client.send_multi_read("kv", &keys, None, None).unwrap();
-    while server.stats().batches == 0 {
+    while server.stats().admitted == before {
         std::thread::yield_now();
     }
     (id, keys)
 }
 
 #[test]
-fn batches_form_exactly_while_the_executor_is_busy() {
+fn a_busy_connection_never_holds_another() {
     const ROWS: u64 = 1_000;
     let (db, _table) = populated_db(ROWS);
     let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -251,9 +251,13 @@ fn batches_form_exactly_while_the_executor_is_busy() {
     let mut a = Client::connect(addr).unwrap();
     let mut b = Client::connect(addr).unwrap();
     b.ping().unwrap();
-    // Connection A occupies the dispatcher with one very large request,
-    // and only then does B pipeline 50 small ones behind it.
-    let (big_id, big) = occupy_dispatcher(&server, &mut a, ROWS);
+    // Connection A is busy with one very large request, and only then does
+    // B pipeline 50 small ones; A's reply is awaited on a thread of its own.
+    let (big_id, big) = occupy_connection(&server, &mut a, ROWS);
+    let a_reply = std::thread::spawn(move || {
+        let reply = a.recv().unwrap();
+        (reply, Instant::now())
+    });
     let mut expected = std::collections::HashMap::new();
     for k in 0..50u64 {
         expected.insert(b.send_read("kv", &ReadRequest::latest(k)).unwrap(), k);
@@ -269,7 +273,13 @@ fn batches_form_exactly_while_the_executor_is_busy() {
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    let (id, reply) = a.recv().unwrap();
+    let b_done = Instant::now();
+    let ((id, reply), a_done) = a_reply.join().unwrap();
+    assert!(
+        b_done < a_done,
+        "B's 50 replies waited for A's reply ({:?} after it)",
+        b_done - a_done
+    );
     assert_eq!(id, big_id);
     match reply {
         Reply::Results(results) => {
@@ -282,10 +292,7 @@ fn batches_form_exactly_while_the_executor_is_busy() {
     }
     let stats = server.stats();
     assert_eq!(stats.batched_requests, 51, "{stats:?}");
-    assert!(
-        stats.batched_requests - stats.batches >= 2,
-        "nothing batched behind a busy executor: {stats:?}"
-    );
+    assert_eq!(stats.batches, 51, "{stats:?}");
 }
 
 #[test]
@@ -295,13 +302,13 @@ fn shutdown_with_requests_queued_never_hangs() {
     let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
-    // One large request keeps the dispatcher busy while 200 more queue up
+    // One large request keeps one connection busy while 200 more queue up
     // on four other connections; then the server goes away under them.
     let mut clients: Vec<Client> = (0..5).map(|_| Client::connect(addr).unwrap()).collect();
     for c in &mut clients {
         c.ping().unwrap();
     }
-    occupy_dispatcher(&server, &mut clients[0], ROWS);
+    occupy_connection(&server, &mut clients[0], ROWS);
     let mut sent = vec![1usize];
     for c in &mut clients[1..] {
         for k in 0..50u64 {
@@ -334,7 +341,6 @@ fn exhausted_budget_sheds_with_overloaded() {
         "127.0.0.1:0",
         ServerConfig {
             max_inflight: 0, // every admission is over budget
-            request_timeout: None,
         },
     )
     .unwrap();
@@ -347,28 +353,6 @@ fn exhausted_budget_sheds_with_overloaded() {
     // drowning server still answers liveness probes.
     client.ping().unwrap();
     assert!(server.stats().shed >= 1);
-}
-
-#[test]
-fn queued_requests_past_deadline_time_out() {
-    let (db, _table) = populated_db(10);
-    let server = Server::start(
-        Arc::clone(&db),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_inflight: 4096,
-            // Zero deadline: by the time the dispatcher takes any request,
-            // it has aged past the limit — deterministic timeout.
-            request_timeout: Some(Duration::ZERO),
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    match client.read("kv", &ReadRequest::latest(1)) {
-        Err(ClientError::Rejected(Error::RequestTimeout)) => {}
-        other => panic!("expected RequestTimeout, got {other:?}"),
-    }
-    assert!(server.stats().timed_out >= 1);
 }
 
 #[test]
@@ -395,4 +379,147 @@ fn engine_errors_cross_the_wire_with_stable_codes() {
         }) => assert_eq!(columns, COLS),
         other => panic!("expected ColumnOutOfRange, got {other:?}"),
     }
+}
+
+/// A client that pipelines requests and never reads its replies is held by
+/// TCP: its connection's thread blocks writing a reply, so it stops reading
+/// requests, so the client's `send` blocks long before its 20 000 requests
+/// (about 80 MiB) are queued. Meanwhile another connection is served, and
+/// `shutdown` does not wait for the stuck one to read.
+#[test]
+fn a_client_that_never_reads_is_held_by_tcp() {
+    const ROWS: u64 = 1_000;
+    const REQUESTS: u64 = 20_000;
+    const QUEUED_LIMIT: usize = 64 << 20;
+    let (db, table) = populated_db(ROWS);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // 512 keys a request: about 4 KiB out, about 14 KiB back.
+    let keys: Vec<u64> = (0..512).map(|i| i % ROWS).collect();
+    let mut stuck = TcpStream::connect(addr).unwrap();
+    stuck.set_nonblocking(true).unwrap();
+    let mut queued = 0usize;
+    let mut blocked = false;
+    'send: for id in 1..=REQUESTS {
+        let frame = protocol::encode_multi_read(id, "kv", &keys, None, None);
+        let mut at = 0;
+        let mut last_progress = Instant::now();
+        while at < frame.len() {
+            match stuck.write(&frame[at..]) {
+                Ok(n) => {
+                    at += n;
+                    queued += n;
+                    last_progress = Instant::now();
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    // Full for now; held once nothing moves for a while.
+                    if last_progress.elapsed() > Duration::from_millis(500) {
+                        blocked = true;
+                        break 'send;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("send failed after {queued} bytes: {e}"),
+            }
+        }
+    }
+    assert!(
+        blocked,
+        "all {REQUESTS} requests ({queued} bytes) were taken"
+    );
+    assert!(
+        queued < QUEUED_LIMIT,
+        "{queued} bytes queued before send blocked"
+    );
+
+    let mut other = Client::connect(addr).unwrap();
+    for round in 0..20u64 {
+        let keys: Vec<u64> = (0..64).map(|i| (i * 7 + round) % ROWS).collect();
+        let remote = other.multi_read("kv", &keys, None, None).unwrap();
+        assert_eq!(
+            encode_response(0, &Response::Results(remote)),
+            encode_response(0, &Response::Results(table.read_batch(&keys, None, None))),
+        );
+    }
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+/// Panics raised on the server's (and the engine's) own threads.
+static SERVER_PANICS: AtomicUsize = AtomicUsize::new(0);
+
+fn count_server_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let name = std::thread::current().name().map(str::to_owned);
+            if name.is_some_and(|n| n.starts_with("lstore-")) {
+                SERVER_PANICS.fetch_add(1, Ordering::SeqCst);
+            }
+            previous(info);
+        }));
+    });
+}
+
+/// Every single-byte corruption of a valid `MULTI_READ` frame, each on a
+/// connection of its own: the server answers with well-formed frames and
+/// closes the connection, no server thread panics, and a second
+/// connection's answers stay byte-identical to embedded reads throughout.
+#[test]
+fn every_byte_flip_of_a_multi_read_is_answered_or_closed() {
+    count_server_panics();
+    let (db, table) = populated_db(100);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let ts = table.now();
+    let valid = protocol::encode_multi_read(9, "kv", &[3, 1, 99, 4], Some(&[0, 2]), Some(ts));
+    let mut witness = Client::connect(addr).unwrap();
+    let witness_keys: Vec<u64> = (0..16).chain([5_000_001]).collect();
+
+    for at in 0..valid.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut frame = valid.clone();
+            frame[at] ^= mask;
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            // Ignore a send error: the server may already have closed a
+            // connection whose length prefix it refused.
+            let _ = conn.write_all(&frame);
+            // End of stream: a frame whose length now claims more bytes than
+            // were sent is cut, and the server must close on it.
+            let _ = conn.shutdown(Shutdown::Write);
+            let mut replies = Vec::new();
+            match conn.read_to_end(&mut replies) {
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+                Err(e) => panic!("byte {at} ^ {mask:#x}: no answer and no close: {e}"),
+            }
+            let mut rest = replies.as_slice();
+            while let Some(payload) = protocol::read_frame(&mut rest).unwrap() {
+                if let Err(e) = protocol::decode_response(&payload) {
+                    panic!("byte {at} ^ {mask:#x}: undecodable reply: {e}");
+                }
+            }
+
+            let remote = witness.multi_read("kv", &witness_keys, None, None).unwrap();
+            let embedded = table.read_batch(&witness_keys, None, None);
+            assert_eq!(
+                encode_response(0, &Response::Results(remote)),
+                encode_response(0, &Response::Results(embedded)),
+                "byte {at} ^ {mask:#x}: the witness connection diverged"
+            );
+        }
+    }
+    assert_eq!(
+        SERVER_PANICS.load(Ordering::SeqCst),
+        0,
+        "a server thread panicked"
+    );
+    server.shutdown();
 }
