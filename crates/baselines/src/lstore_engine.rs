@@ -151,9 +151,8 @@ impl Engine for LStoreEngine {
     }
 
     fn multi_point_read(&self, keys: &[u64], cols: &[usize]) -> Vec<Option<Vec<u64>>> {
-        // The batched read path: key sort + dedup + task-pool
-        // fan-out (a per-key sequential loop when the batch is below
-        // `DbConfig::batch_read_min` or the pool is 1 wide).
+        // The batched read path: one key sort on the caller, each
+        // distinct key resolved once.
         self.table()
             .read_batch(keys, Some(&column_selection(cols)), None)
             .into_iter()

@@ -17,7 +17,7 @@
 //! microseconds. Every request reads 64 keys and each connection keeps 4
 //! requests outstanding.
 //!
-//! Env: `BENCH_ROWS`/`BENCH_SECONDS`/`BENCH_POOL_THREADS` as everywhere.
+//! Env: `BENCH_ROWS`/`BENCH_SECONDS` as everywhere.
 //! The table runs with background merge off so the pre-update pass pins a
 //! deterministic tail-chain depth for the whole measurement.
 
@@ -138,8 +138,7 @@ fn percentile_us(sorted_ns: &[u64], pct: f64) -> f64 {
 
 fn main() {
     let config = setup::workload(Contention::Medium);
-    let pool_threads = setup::pool_thread_sweep().into_iter().max().unwrap_or(1);
-    let engine = setup::lstore_serving_engine(&config, pool_threads);
+    let engine = setup::lstore_chain_engine(&config);
     let active_set = config.contention.active_set(config.rows);
 
     // Give the hot set real version chains: remote reads should walk tails
@@ -153,17 +152,13 @@ fn main() {
                 .expect("pre-update");
         }
     }
-    // Let the pool drain any queued work so every row measures the same
-    // steady state (background work bleeding into the first measurement
-    // window is the dominant run-to-run noise at smoke scale).
-    std::thread::sleep(Duration::from_millis(50));
 
     report::header(
         "Serving",
         &format!(
             "closed-loop multi-get ({KEYS_PER_REQUEST} keys/req, depth {DEPTH}) over the wire; \
-             rows={} active={} pool={}",
-            config.rows, active_set, pool_threads
+             rows={} active={}",
+            config.rows, active_set
         ),
     );
     for conns in CONNS {

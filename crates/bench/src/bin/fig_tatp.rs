@@ -1,6 +1,6 @@
 //! TATP-style contention figure: committed throughput **and abort rate**
-//! of short point transactions over zipfian hot keys, per (worker threads
-//! × task-pool width) combination — the contention face of the §1
+//! of short point transactions over zipfian hot keys, per worker-thread
+//! count — the contention face of the §1
 //! motivating scenarios, where the §5.1.1 commit path (batched validation,
 //! batched write application) earns its keep.
 //!
@@ -18,18 +18,18 @@
 //!   the batched read join visible.
 //! * **multi_read_64 / per_key_64** — the tentpole criterion: one
 //!   read-only transaction per iteration touching 64 zipfian keys, once
-//!   through `Transaction::multi_read` (planner + pool fan-out + read-set
-//!   join) and once as a per-key `Table::read` loop. `batched_speedup`
-//!   is their ratio; above 1 at pool ≥ 2 means transactional batching
-//!   pays for its planning.
+//!   through `Transaction::multi_read` (key sort + one resolution per
+//!   distinct key + read-set join) and once as a per-key `Table::read`
+//!   loop. `batched_speedup` is their ratio; above 1 means the sort pays
+//!   for itself (zipfian batches repeat hot keys).
 //!
 //! The `*_commit_ratio` cells are committed / attempted transactions
 //! (higher is better): the share of each workload's attempts that
 //! survives conflicts and commit-time validation. Raw abort rates ride
 //! along as `…/s` cells.
 //!
-//! Env: `BENCH_THREADS` × `BENCH_POOL_THREADS` pick the axes, `BENCH_ROWS`
-//! the table size, `BENCH_SECONDS` the window per workload cell.
+//! Env: `BENCH_THREADS` picks the axis, `BENCH_ROWS` the table size,
+//! `BENCH_SECONDS` the window per workload cell.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -200,43 +200,21 @@ fn main() {
     let all_cols: Vec<usize> = (0..config.cols).collect();
 
     for threads in setup::thread_sweep() {
-        for pool in setup::pool_thread_sweep() {
-            let engine = setup::lstore_contention_engine(&config, pool);
-            let db: Arc<Database> = engine.database().clone();
-            let table = engine.table();
-            // Pre-update a fifth of the table so point reads walk real tail
-            // chains instead of resolving on merged base pages.
-            for key in (0..config.rows).step_by(5) {
-                table
-                    .update_auto(key, &[(0, key + 1), (3, 7)])
-                    .expect("pre-update");
-            }
+        let engine = setup::lstore_chain_engine(&config);
+        let db: Arc<Database> = engine.database().clone();
+        let table = engine.table();
+        // Pre-update a fifth of the table so point reads walk real tail
+        // chains instead of resolving on merged base pages.
+        for key in (0..config.rows).step_by(5) {
+            table
+                .update_auto(key, &[(0, key + 1), (3, 7)])
+                .expect("pre-update");
+        }
 
-            // --- TATP mix: 80% 4-key read txns, 20% single-key RMW txns.
-            let (tatp, tatp_secs) = run_window(threads, window, 0x7A7, |rng, counts| {
-                if rng.random_bool(0.8) {
-                    let keys: Vec<u64> = (0..TATP_READ_KEYS).map(|_| zipf.sample(rng)).collect();
-                    let mut txn = db.begin_with(IsolationLevel::Snapshot);
-                    let ok = txn.multi_read(&table, &keys).into_iter().all(|r| r.is_ok());
-                    if ok && db.commit(&mut txn).is_ok() {
-                        counts.commits += 1;
-                    } else {
-                        db.abort(&mut txn);
-                        counts.aborts += 1;
-                    }
-                } else {
-                    rmw(&db, &table, zipf.sample(rng), counts);
-                }
-            });
-
-            // --- Scaled fraud_detection: ring check + card RMW.
-            let (fraud, fraud_secs) = run_window(threads, window, 0xF4A0D, |rng, counts| {
-                fraud_txn(&db, &table, &zipf, rng, counts);
-            });
-
-            // --- Tentpole criterion: 64-key read txns, batched vs per-key.
-            let (multi, multi_secs) = run_window(threads, window, 0xBA7C4, |rng, counts| {
-                let keys: Vec<u64> = (0..BATCH_KEYS).map(|_| zipf.sample(rng)).collect();
+        // --- TATP mix: 80% 4-key read txns, 20% single-key RMW txns.
+        let (tatp, tatp_secs) = run_window(threads, window, 0x7A7, |rng, counts| {
+            if rng.random_bool(0.8) {
+                let keys: Vec<u64> = (0..TATP_READ_KEYS).map(|_| zipf.sample(rng)).collect();
                 let mut txn = db.begin_with(IsolationLevel::Snapshot);
                 let ok = txn.multi_read(&table, &keys).into_iter().all(|r| r.is_ok());
                 if ok && db.commit(&mut txn).is_ok() {
@@ -245,47 +223,67 @@ fn main() {
                     db.abort(&mut txn);
                     counts.aborts += 1;
                 }
-            });
-            let (per_key, per_key_secs) = run_window(threads, window, 0x9E44, |rng, counts| {
-                let keys: Vec<u64> = (0..BATCH_KEYS).map(|_| zipf.sample(rng)).collect();
-                let mut txn = db.begin_with(IsolationLevel::Snapshot);
-                let mut ok = true;
-                for &key in &keys {
-                    if table.read(&mut txn, key, &all_cols).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok && db.commit(&mut txn).is_ok() {
-                    counts.commits += 1;
-                } else {
-                    db.abort(&mut txn);
-                    counts.aborts += 1;
-                }
-            });
+            } else {
+                rmw(&db, &table, zipf.sample(rng), counts);
+            }
+        });
 
-            let multi_tps = multi.commits as f64 / multi_secs;
-            let per_key_tps = per_key.commits as f64 / per_key_secs;
-            report::row(
-                &format!("threads={threads} pool={pool}"),
-                &[
-                    ("tatp", report::tps(tatp.commits as f64 / tatp_secs)),
-                    ("tatp_commit_ratio", format!("{:.3}", tatp.ratio())),
-                    (
-                        "tatp_aborts",
-                        format!("{:.0}/s", tatp.aborts as f64 / tatp_secs),
-                    ),
-                    ("fraud_rmw", report::tps(fraud.commits as f64 / fraud_secs)),
-                    ("fraud_commit_ratio", format!("{:.3}", fraud.ratio())),
-                    (
-                        "fraud_aborts",
-                        format!("{:.0}/s", fraud.aborts as f64 / fraud_secs),
-                    ),
-                    ("multi_read_64", report::tps(multi_tps)),
-                    ("per_key_64", report::tps(per_key_tps)),
-                    ("batched_speedup", report::speedup(multi_tps, per_key_tps)),
-                ],
-            );
-        }
+        // --- Scaled fraud_detection: ring check + card RMW.
+        let (fraud, fraud_secs) = run_window(threads, window, 0xF4A0D, |rng, counts| {
+            fraud_txn(&db, &table, &zipf, rng, counts);
+        });
+
+        // --- Tentpole criterion: 64-key read txns, batched vs per-key.
+        let (multi, multi_secs) = run_window(threads, window, 0xBA7C4, |rng, counts| {
+            let keys: Vec<u64> = (0..BATCH_KEYS).map(|_| zipf.sample(rng)).collect();
+            let mut txn = db.begin_with(IsolationLevel::Snapshot);
+            let ok = txn.multi_read(&table, &keys).into_iter().all(|r| r.is_ok());
+            if ok && db.commit(&mut txn).is_ok() {
+                counts.commits += 1;
+            } else {
+                db.abort(&mut txn);
+                counts.aborts += 1;
+            }
+        });
+        let (per_key, per_key_secs) = run_window(threads, window, 0x9E44, |rng, counts| {
+            let keys: Vec<u64> = (0..BATCH_KEYS).map(|_| zipf.sample(rng)).collect();
+            let mut txn = db.begin_with(IsolationLevel::Snapshot);
+            let mut ok = true;
+            for &key in &keys {
+                if table.read(&mut txn, key, &all_cols).is_err() {
+                    ok = false;
+                    break;
+                }
+            }
+            if ok && db.commit(&mut txn).is_ok() {
+                counts.commits += 1;
+            } else {
+                db.abort(&mut txn);
+                counts.aborts += 1;
+            }
+        });
+
+        let multi_tps = multi.commits as f64 / multi_secs;
+        let per_key_tps = per_key.commits as f64 / per_key_secs;
+        report::row(
+            &format!("threads={threads}"),
+            &[
+                ("tatp", report::tps(tatp.commits as f64 / tatp_secs)),
+                ("tatp_commit_ratio", format!("{:.3}", tatp.ratio())),
+                (
+                    "tatp_aborts",
+                    format!("{:.0}/s", tatp.aborts as f64 / tatp_secs),
+                ),
+                ("fraud_rmw", report::tps(fraud.commits as f64 / fraud_secs)),
+                ("fraud_commit_ratio", format!("{:.3}", fraud.ratio())),
+                (
+                    "fraud_aborts",
+                    format!("{:.0}/s", fraud.aborts as f64 / fraud_secs),
+                ),
+                ("multi_read_64", report::tps(multi_tps)),
+                ("per_key_64", report::tps(per_key_tps)),
+                ("batched_speedup", report::speedup(multi_tps, per_key_tps)),
+            ],
+        );
     }
 }

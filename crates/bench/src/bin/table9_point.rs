@@ -2,12 +2,10 @@
 //! fetched, L-Store (Column) vs L-Store (Row). Each transaction issues 10
 //! point reads.
 //!
-//! A second section sweeps the **batched** point-read path
-//! (`Table::read_batch` behind `Engine::multi_point_read`): batch sizes
-//! 1 and 64 × unified-pool widths from `BENCH_POOL_THREADS`, at 100% of
-//! columns. Batch size 1 stays on the caller (the sequential baseline), so
-//! within one pool width the rows read directly as "what does handing a
-//! 64-key batch to the pool buy".
+//! A second section measures the **batched** point-read path
+//! (`Table::read_batch` behind `Engine::multi_point_read`) at batch sizes
+//! 1 and 64, at 100% of columns: the rows read directly as "what does
+//! sorting a 64-key batch buy over one key at a time".
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,8 +20,7 @@ use lstore_bench::workload::Contention;
 /// Point reads per measured cell.
 const POINT_ITERS: u64 = 20_000;
 
-/// Keys per batched read: the sequential per-key baseline vs a pool-fanned
-/// 64-key batch.
+/// Keys per batched read: the per-key baseline vs a 64-key batch.
 const BATCH_SIZES: [usize; 2] = [1, 64];
 
 fn main() {
@@ -68,35 +65,29 @@ fn main() {
         );
     }
 
-    // Batched multi-key point reads on the unified task pool: same keys,
-    // same access pattern, grouped `batch` keys at a time.
+    // Batched multi-key point reads: same keys, same access pattern,
+    // grouped `batch` keys at a time.
     report::header(
         "Table 9 (batched)",
         &format!(
-            "batched point-read throughput (M txns/s, 10 reads/txn) vs batch size and pool width; rows={}",
+            "batched point-read throughput (M txns/s, 10 reads/txn) vs batch size; rows={}",
             config.rows
         ),
     );
     let cols: Vec<usize> = (0..config.cols).collect();
-    for &pool in &setup::pool_thread_sweep() {
-        let engine = setup::lstore_pooled_engine(&config, pool);
-        for batch in BATCH_SIZES {
-            let mut keys = Vec::with_capacity(batch);
-            let mut done = 0u64;
-            let start = Instant::now();
-            while done < POINT_ITERS {
-                keys.clear();
-                for i in 0..batch as u64 {
-                    keys.push(((done + i) * 7919) % config.rows);
-                }
-                std::hint::black_box(engine.multi_point_read(&keys, &cols));
-                done += batch as u64;
+    for batch in BATCH_SIZES {
+        let mut keys = Vec::with_capacity(batch);
+        let mut done = 0u64;
+        let start = Instant::now();
+        while done < POINT_ITERS {
+            keys.clear();
+            for i in 0..batch as u64 {
+                keys.push(((done + i) * 7919) % config.rows);
             }
-            let tps = (done as f64 / 10.0) / start.elapsed().as_secs_f64();
-            report::row(
-                &format!("batch={batch} pool={pool}"),
-                &[("column", mtxns(tps))],
-            );
+            std::hint::black_box(col_engine.multi_point_read(&keys, &cols));
+            done += batch as u64;
         }
+        let tps = (done as f64 / 10.0) / start.elapsed().as_secs_f64();
+        report::row(&format!("batch={batch}"), &[("column", mtxns(tps))]);
     }
 }

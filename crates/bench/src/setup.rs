@@ -129,59 +129,18 @@ pub fn lstore_store_engine(
     e
 }
 
-/// Build one populated L-Store engine for the fig_serve runner: a
-/// `pool_threads`-wide task pool, one insert lane, background merge and
-/// cumulative updates off. The serving figure pre-updates its hot set and
-/// needs the resulting tail chains to *stay* — a cross-connection batch
-/// resolves each expensive chain-walking read once, and a background merge
-/// consolidating mid-run would turn the axis into a race against the
-/// merge queue.
-pub fn lstore_serving_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
+/// Build one populated L-Store engine whose tail chains stay: one insert
+/// lane, background merge and cumulative updates off. `fig_serve` and
+/// `fig_tatp` pre-update rows and measure reads that walk the resulting
+/// chains; a background merge consolidating them mid-run would turn the
+/// measurement into a race against the merge queue.
+pub fn lstore_chain_engine(config: &WorkloadConfig) -> Arc<LStoreEngine> {
     let e = Arc::new(LStoreEngine::with_configs(
         DbConfig {
             background_merge: false,
-            ..DbConfig::new()
-                .with_pool_threads(pool_threads)
-                .with_shards(1)
+            ..DbConfig::new().with_shards(1)
         },
         TableConfig::default().with_cumulative(false),
-    ));
-    e.populate(config.rows, config.cols);
-    e
-}
-
-/// Build one populated L-Store engine for the fig_tatp contention runner:
-/// a `pool_threads`-wide task pool, one insert lane, background merge and
-/// cumulative updates off (the runner pre-updates its rows and measures
-/// reads that walk the resulting tail chains, like the serving figure),
-/// and a lowered `batch_read_min` of 4 so the runner's 64-key
-/// transactional batches cut into several parallel units even at modest
-/// pool widths (the default floor of 16 would keep a 64-key batch in one
-/// inline unit and hide the fan-out entirely).
-pub fn lstore_contention_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
-    let e = Arc::new(LStoreEngine::with_configs(
-        DbConfig {
-            background_merge: false,
-            ..DbConfig::new()
-                .with_pool_threads(pool_threads)
-                .with_shards(1)
-                .with_batch_read_min(4)
-        },
-        TableConfig::default().with_cumulative(false),
-    ));
-    e.populate(config.rows, config.cols);
-    e
-}
-
-/// Build one populated L-Store engine with a `pool_threads`-wide unified
-/// task pool and one insert lane: the Table 9 batched-read axis varies
-/// only read-side fan-out.
-pub fn lstore_pooled_engine(config: &WorkloadConfig, pool_threads: usize) -> Arc<LStoreEngine> {
-    let e = Arc::new(LStoreEngine::with_configs(
-        DbConfig::new()
-            .with_pool_threads(pool_threads)
-            .with_shards(1),
-        TableConfig::default(),
     ));
     e.populate(config.rows, config.cols);
     e

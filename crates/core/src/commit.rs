@@ -1,19 +1,17 @@
 //! Commit-path batching and transactional batched reads.
 //!
-//! The detached batched reader ([`Table::read_batch`]) plans its probes
-//! with the batch planner of `crate::multi_read`; this module extends the
-//! same machinery into the §5.1.1 transaction lifecycle, in three pieces:
+//! The detached batched reader ([`Table::read_batch`]) resolves its keys
+//! through the one batched read of `crate::multi_read`; this module
+//! extends it into the §5.1.1 transaction lifecycle, in three pieces:
 //!
 //! * [`TransactionReads`] — `Transaction::multi_read` /
 //!   `multi_read_cols`: batched point reads that join every probed record
 //!   into the transaction's read set, byte-identical to a loop of
 //!   [`Table::read`] calls (isolation rules, duplicate tracking,
 //!   read-your-own-writes included).
-//! * `Runtime::validate_read_set` — the batched commit-time validator:
-//!   the read set is grouped per table, and each table's slice runs through
-//!   the same planner as the probes — sorted by base RID, cut into
-//!   floor-gated units, fanned out over the unified task pool (see
-//!   `Table::validate_reads_batch`).
+//! * `Runtime::validate_read_set` — the commit-time validator: one
+//!   front-to-back pass over the read set under one pin, so the entry it
+//!   blames is the lowest failing position.
 //! * `Runtime::apply_committed_writes` — batched write application at
 //!   commit: each table the write set names takes its entries in write
 //!   order, eagerly stamping commit timestamps into the
@@ -23,7 +21,9 @@
 //!   pre-image probe per updated record instead of one per index entry.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use lstore_storage::epoch::EpochGuard;
 use lstore_txn::{ReadSetEntry, Transaction, WriteSetEntry};
 
 use crate::db::Runtime;
@@ -60,9 +60,8 @@ pub trait TransactionReads {
     /// `Ok(Some(values))` for a visible record, `Ok(None)` for a deleted
     /// or not-yet-visible one, [`crate::Error::KeyNotFound`] for an
     /// unindexed key. Semantically a loop of [`Table::read`] calls
-    /// (read-set joining and own-write visibility included); batches of
-    /// at least `DbConfig::batch_read_min` keys fan out across the
-    /// unified task pool.
+    /// (read-set joining and own-write visibility included); the batch
+    /// sorts its keys and resolves each distinct key once, on the caller.
     fn multi_read(&mut self, table: &Table, keys: &[u64]) -> Vec<Result<Option<Vec<u64>>>>;
 
     /// Batched point reads of **selected value columns** within this
@@ -94,29 +93,26 @@ impl TransactionReads for Transaction {
 }
 
 impl Runtime {
-    /// Batched §5.1.1 validate-reads over a committing transaction's whole
-    /// read set. Entries group per table (keeping their read-set
-    /// positions), each table's slice validates through
-    /// `Table::validate_reads_batch` — sequentially when small, fanned out
-    /// over the task pool when large — and the overall verdict is the
-    /// **lowest-position** failing entry's base RID, i.e. exactly the
-    /// entry the old front-to-back loop would have tripped on first.
-    /// `None` means every read validated.
+    /// §5.1.1 validate-reads over a committing transaction's whole read
+    /// set, front to back under one pin: the verdict is the base RID of
+    /// the **lowest-position** entry whose observed version is no longer
+    /// the visible one. The table is looked up again only when the entry's
+    /// `table_id` changes; an entry whose table is gone fails. `None`
+    /// means every read validated.
     pub(crate) fn validate_read_set(&self, read_set: &[ReadSetEntry], txn_id: u64) -> Option<u64> {
-        let mut groups: HashMap<u32, Vec<(usize, ReadSetEntry)>> = HashMap::new();
-        for (pos, &entry) in read_set.iter().enumerate() {
-            groups.entry(entry.table_id).or_default().push((pos, entry));
-        }
-        let mut worst: Option<(usize, u64)> = None;
-        for (table_id, entries) in groups {
-            let table = self.table(table_id).expect("read-set table exists");
-            if let Some((pos, base_rid)) = table.validate_reads_batch(&entries, txn_id) {
-                if worst.is_none_or(|(p, _)| pos < p) {
-                    worst = Some((pos, base_rid));
+        let guard = self.epoch.pin();
+        let mut table: Option<Arc<Table>> = None;
+        read_set
+            .iter()
+            .find(|entry| {
+                if table.as_ref().map(|t| t.id) != Some(entry.table_id) {
+                    table = self.table(entry.table_id);
                 }
-            }
-        }
-        worst.map(|(_, base_rid)| base_rid)
+                !table
+                    .as_ref()
+                    .is_some_and(|t| t.entry_still_visible(entry, txn_id, &guard))
+            })
+            .map(|entry| entry.base_rid)
     }
 
     /// Batched write application after a successful commit: every table
@@ -141,6 +137,30 @@ impl Runtime {
 }
 
 impl Table {
+    /// The §5.1.1 validate-reads kernel: re-resolve `entry`'s base record
+    /// with own writes excluded and compare against the observed version.
+    fn entry_still_visible(
+        &self,
+        entry: &ReadSetEntry,
+        txn_id: u64,
+        guard: &EpochGuard<'_>,
+    ) -> bool {
+        let mode = ReadMode {
+            as_of: None,
+            txn_id,
+            speculative: entry.speculative,
+            exclude_own: true,
+        };
+        let base_rid = Rid(entry.base_rid);
+        let range = self.range(base_rid.range());
+        let reader = self.reader(range, range.base(guard), guard);
+        match reader.read_record(base_rid.slot(), &[0], mode) {
+            Resolved::Visible { version_rid, .. } => version_rid.0 == entry.version_rid,
+            Resolved::Deleted => entry.version_rid == 0,
+            Resolved::NotVisible => false,
+        }
+    }
+
     /// Apply this table's share of a committed transaction's write set
     /// (`writes` in write order; entries of other tables are skipped):
     ///
@@ -260,5 +280,60 @@ impl Table {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{DbConfig, TableConfig};
+    use crate::db::Database;
+    use crate::error::Error;
+    use lstore_txn::{IsolationLevel, ReadSetEntry};
+
+    #[test]
+    fn validation_blames_the_first_failing_read_across_interleaved_tables() {
+        // Reads alternate between two tables (a:k at position 2k, b:k at
+        // 2k + 1); b:5 (position 11) and a:7 (position 14) go stale. Both
+        // tables hold keys 0..10 at the same RIDs, so validating b's
+        // entries against a would pass b:5 and blame a:7 instead.
+        let db = Database::new(DbConfig::deterministic());
+        let a = db.create_table("a", &["v"], TableConfig::small()).unwrap();
+        let b = db.create_table("b", &["v"], TableConfig::small()).unwrap();
+        for k in 0..10 {
+            a.insert_auto(k, &[k]).unwrap();
+            b.insert_auto(k, &[k]).unwrap();
+        }
+        let mut txn = db.begin_with(IsolationLevel::RepeatableRead);
+        for k in 0..10 {
+            a.read(&mut txn, k, &[0]).unwrap();
+            b.read(&mut txn, k, &[0]).unwrap();
+        }
+        a.update_auto(7, &[(0, 70)]).unwrap();
+        b.update_auto(5, &[(0, 50)]).unwrap();
+        let stale = b.locate(5).unwrap().0;
+        assert_ne!(stale, a.locate(7).unwrap().0);
+        assert!(matches!(
+            db.commit(&mut txn),
+            Err(Error::ValidationFailed { base_rid }) if base_rid == stale
+        ));
+    }
+
+    #[test]
+    fn a_read_of_an_unknown_table_fails_validation() {
+        let db = Database::new(DbConfig::deterministic());
+        let t = db.create_table("t", &["v"], TableConfig::small()).unwrap();
+        t.insert_auto(1, &[10]).unwrap();
+        let mut txn = db.begin_with(IsolationLevel::RepeatableRead);
+        t.read(&mut txn, 1, &[0]).unwrap();
+        txn.read_set.push(ReadSetEntry {
+            table_id: 999,
+            base_rid: 42,
+            version_rid: 42,
+            speculative: false,
+        });
+        assert!(matches!(
+            db.commit(&mut txn),
+            Err(Error::ValidationFailed { base_rid: 42 })
+        ));
     }
 }

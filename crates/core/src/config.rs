@@ -177,14 +177,6 @@ pub struct DbConfig {
     /// identical for every value. Whether the knob stays is decided with
     /// the benchmark re-cut (ROADMAP.md, item 4).
     pub shards: usize,
-    /// Minimum batch size before a batched read (`Table::read_batch`,
-    /// `Transaction::multi_read`) or a commit's read-set validation
-    /// dispatches across the task pool: smaller batches resolve in a plain
-    /// sequential loop on the caller (no deduplication, no pool hand-off —
-    /// per-key index probes are far cheaper than waking workers for them).
-    /// Purely an execution knob, like `pool_threads`: results are identical
-    /// on both sides of the threshold.
-    pub batch_read_min: usize,
     /// Page-store file path; `None` (the default) keeps every sealed base
     /// page resident in memory, exactly the pre-store behavior. When set,
     /// the merge seals base pages into this file behind the buffer pool,
@@ -209,10 +201,6 @@ impl Default for DbConfig {
 }
 
 impl DbConfig {
-    /// Default [`DbConfig::batch_read_min`]: below this many keys, a
-    /// batched read is a plain sequential loop.
-    pub const DEFAULT_BATCH_READ_MIN: usize = 16;
-
     /// In-memory database with live background merging (the common case).
     /// Scans fan out across all available cores, and tables fill as many
     /// insert ranges at once.
@@ -226,7 +214,6 @@ impl DbConfig {
             background_merge: true,
             pool_threads: cores,
             shards: cores,
-            batch_read_min: DbConfig::DEFAULT_BATCH_READ_MIN,
             page_store_path: None,
             buffer_pool_pages: None,
         }
@@ -243,7 +230,6 @@ impl DbConfig {
             background_merge: false,
             pool_threads: 1,
             shards: 1,
-            batch_read_min: DbConfig::DEFAULT_BATCH_READ_MIN,
             page_store_path: None,
             buffer_pool_pages: None,
         }
@@ -273,14 +259,6 @@ impl DbConfig {
     /// Set the per-table insert-lane count (clamped to ≥ 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Set the minimum batch size at which a batched read fans out across
-    /// the task pool (clamped to ≥ 2 — a single-key batch never has
-    /// anything to fan out).
-    pub fn with_batch_read_min(mut self, batch_read_min: usize) -> Self {
-        self.batch_read_min = batch_read_min.max(2);
         self
     }
 
@@ -347,18 +325,5 @@ mod tests {
         assert_eq!(config.page_store_path, Some(PathBuf::from("/tmp/x.pages")));
         // A zero-page pool could never admit a frame: clamp to 1.
         assert_eq!(config.buffer_pool_pages, Some(1));
-    }
-
-    #[test]
-    fn batch_read_min_defaults_and_clamps() {
-        assert_eq!(
-            DbConfig::new().batch_read_min,
-            DbConfig::DEFAULT_BATCH_READ_MIN
-        );
-        assert_eq!(DbConfig::new().with_batch_read_min(64).batch_read_min, 64);
-        // A threshold below 2 is meaningless (a 1-key batch has nothing to
-        // fan out): the builder clamps instead of producing a config whose
-        // "batched" path degenerates per key.
-        assert_eq!(DbConfig::new().with_batch_read_min(0).batch_read_min, 2);
     }
 }

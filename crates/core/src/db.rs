@@ -47,9 +47,6 @@ pub struct Runtime {
     pub(crate) background_merge: bool,
     /// Insert ranges each table fills at once (`DbConfig::shards`).
     insert_lanes: usize,
-    /// Minimum batch size before a batched read fans out across the pool
-    /// (`DbConfig::batch_read_min`).
-    batch_read_min: usize,
     /// The unified merge/scan worker pool, spawned lazily on the first
     /// parallel scan or merge enqueue so purely transactional databases
     /// with merging disabled never pay for idle threads.
@@ -200,11 +197,6 @@ impl Runtime {
         self.insert_lanes
     }
 
-    /// Minimum batch size before batched point reads dispatch on the pool.
-    pub(crate) fn batch_read_min(&self) -> usize {
-        self.batch_read_min
-    }
-
     /// The buffer-pool page store, when configured — the merge seals new
     /// base pages through it instead of keeping them pinned in memory.
     pub(crate) fn page_store(&self) -> Option<&Arc<PageStore>> {
@@ -276,6 +268,9 @@ impl Database {
     /// watermark frame, naming its old end. The page store
     /// at [`DbConfig::page_store_path`] is opened as it is; restoring a
     /// table's checkpoint from it is still [`Table::restore_from_store`].
+    /// Secondary indexes are not in the log, so a reopened table has none
+    /// until [`Table::create_secondary_index`] re-creates (and back-fills)
+    /// each one.
     pub fn open(config: DbConfig) -> Result<Arc<Database>> {
         Self::with_parts(config, &log_io::OsFs, &store_io::OsFs, TxnManager::new())
     }
@@ -317,7 +312,6 @@ impl Database {
             pool_threads: config.pool_threads.max(1),
             background_merge: config.background_merge,
             insert_lanes: config.shards.max(1),
-            batch_read_min: config.batch_read_min.max(2),
             pool: OnceLock::new(),
             tables: RwLock::new(Vec::new()),
             stopped: AtomicBool::new(false),

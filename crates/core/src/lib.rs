@@ -24,10 +24,9 @@
 //! * A point read is one [`ReadRequest`] (key, columns, snapshot) through
 //!   **`Table::read_one`**; multi-key lookups batch through
 //!   **`Table::read_batch`** (and the multi-table `Database::multi_read`):
-//!   one key sort dedups a batch and clusters range-neighbors, then the
-//!   units fan out across the unified task pool
-//!   — byte-identical to the per-key loop, with per-key `Result`s in input
-//!   order. Inside a transaction, `Table::read` and
+//!   one key sort on the caller dedups a batch and clusters
+//!   range-neighbors, and each distinct key resolves once — byte-identical
+//!   to the per-key loop, with per-key `Result`s in input order. Inside a transaction, `Table::read` and
 //!   [`TransactionReads::multi_read`] join the read set.
 //!
 //! ## Quick start

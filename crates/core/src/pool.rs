@@ -10,8 +10,9 @@
 //! that drain two kinds of work:
 //!
 //! * **Scan tasks**: type-erased closures fanned out by [`TaskPool::run`] —
-//!   analytical scan partitions and the units of batched point reads
-//!   ([`crate::multi_read`]) alike. The caller is a core too: it executes
+//!   the partitions of analytical scans. Point reads, batched or not, and
+//!   commit-time validation never come here: they run on their caller
+//!   ([`crate::multi_read`]). The caller is a core too: it executes
 //!   the first task itself, steals queued tasks back while its fan-out
 //!   drains (never idling on work it could run), and blocks until every
 //!   task finished — which is what makes handing non-`'static` borrows to

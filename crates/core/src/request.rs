@@ -11,10 +11,11 @@
 //! inserted at the requested snapshot). A key absent from the primary index
 //! is an [`Error::KeyNotFound`], never a response.
 //!
-//! The batched forms feed one planner (`crate::multi_read`: sort by key,
-//! dedup adjacent duplicates, fan out across the task pool), so a batch is byte-identical to a loop of [`Table::read_one`]
-//! calls at any fixed snapshot — the invariant that makes the service
-//! tier's remote reads byte-identical to embedded ones.
+//! The batched forms feed the one batched read (`crate::multi_read`: sort
+//! by key on the caller, resolve each distinct key once), so a batch is
+//! byte-identical to a loop of [`Table::read_one`] calls at any fixed
+//! snapshot — the invariant that makes the service tier's remote reads
+//! byte-identical to embedded ones.
 
 use std::collections::HashMap;
 
@@ -116,8 +117,8 @@ impl Table {
     }
 
     /// Execute one [`ReadRequest`] against this table: the single-key
-    /// spine, resolving through the same `resolve_point` path as the
-    /// batched planner's fast path.
+    /// spine, resolving through the same `resolve_point` path as every
+    /// key of a batch.
     pub fn read_one(&self, request: &ReadRequest) -> Result<ReadResponse> {
         let cols: InlineVec<usize, INLINE_COLS> = self
             .request_cols(request.columns.as_deref())
@@ -140,10 +141,9 @@ impl Table {
     /// key with its own [`Error::ColumnOutOfRange`], exactly as a
     /// sequential loop would.
     ///
-    /// Batches of at least `DbConfig::batch_read_min` keys sort by key,
-    /// deduplicate, and fan out across the unified task pool;
-    /// smaller batches resolve sequentially on the caller. Either way the
-    /// results are byte-identical.
+    /// The batch runs on the caller: its keys sort, and each distinct key
+    /// resolves once under one pin, its outcome shared by every position
+    /// that names it.
     pub fn read_batch(
         &self,
         keys: &[u64],
@@ -301,11 +301,8 @@ mod tests {
     #[test]
     fn database_multi_read_equals_a_read_loop() {
         // Two tables × two signatures × a duplicate key × a missing table,
-        // with groups wide enough to take the planned path.
-        let (db, t) = setup_with(
-            DbConfig::new().with_pool_threads(4).with_batch_read_min(2),
-            80,
-        );
+        // with groups of many keys.
+        let (db, t) = setup_with(DbConfig::new().with_pool_threads(4), 80);
         let other = db
             .create_table("other", &["x"], TableConfig::small())
             .unwrap();

@@ -222,6 +222,11 @@ impl Table {
 
     /// Register an ordered secondary index on a value column. Existing rows
     /// are back-filled from their latest committed versions.
+    ///
+    /// The log records a table's schema but not its secondary indexes, so
+    /// a table reopened by [`crate::Database::open`] has none: call this
+    /// again after the open, and it back-fills the index from the
+    /// recovered rows.
     pub fn create_secondary_index(&self, user_col: usize) -> Result<Arc<SecondaryIndex>> {
         let col = self.internal_col(user_col)?;
         let idx = Arc::new(SecondaryIndex::new());
@@ -714,7 +719,7 @@ impl Table {
     }
 
     /// Batched transactional point reads: the read-set-joining twin of
-    /// [`Table::read`], resolving every key through the batched planner
+    /// [`Table::read`], resolving every key through the one batched read
     /// under the transaction's isolation mode. One `Result` per key, in
     /// input order, each byte-identical to a [`Table::read`] call at the
     /// same point in the transaction — including read-set tracking

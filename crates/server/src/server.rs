@@ -2,8 +2,8 @@
 //!
 //! A connection's thread reads a frame, admits it past the in-flight
 //! budget, runs its keys through one [`Table::read_batch`] call — which
-//! sorts, deduplicates and, for a large request, fans out across the
-//! engine's unified task pool — and writes the reply on its own socket
+//! sorts the keys and resolves each distinct one once, on this same
+//! thread — and writes the reply on its own socket
 //! before it reads the next frame. Point reads take no lock on their way
 //! to a record (they reach every range's state through the operation's
 //! epoch pin), so connections need nothing from each other: there is no

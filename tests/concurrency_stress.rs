@@ -152,7 +152,7 @@ fn parallel_scans_agree_with_sequential_under_load() {
     let t = db
         .create_table("parscan", &["count", "bucket"], TableConfig::small())
         .unwrap();
-    const KEYS: u64 = 768; // several small ranges => real fan-out
+    const KEYS: u64 = 768; // several small ranges
     const WRITERS: u64 = 3;
     for k in 0..KEYS {
         t.insert_auto(k, &[1, k % 7]).unwrap();
@@ -541,21 +541,16 @@ fn merges_complete_under_saturated_scan_pool() {
 /// timestamp frozen at a writer quiesce point, `read_batch` — with
 /// duplicates and missing keys mixed into the batch — must return exactly
 /// what per-key `read_one` returns at the same snapshot, stably across
-/// repeats, while the same pool workers keep draining the merge queue
-/// underneath (the batch's epoch re-pinning is what keeps
-/// merged-away base pages alive for the slower units).
+/// repeats, while the pool workers keep draining the merge queue
+/// underneath (the batch's epoch pin is what keeps merged-away base
+/// pages alive while it reads).
 #[test]
 fn batched_reads_agree_under_live_writers_and_merges() {
-    let db = Database::new(
-        DbConfig::new()
-            .with_pool_threads(4)
-            .with_shards(2)
-            .with_batch_read_min(2), // small batches still take the pooled path
-    );
+    let db = Database::new(DbConfig::new().with_pool_threads(4).with_shards(2));
     let t = db
         .create_table("batchstress", &["count", "bucket"], TableConfig::small())
         .unwrap();
-    const KEYS: u64 = 768; // several small ranges => real fan-out
+    const KEYS: u64 = 768; // several small ranges
     const WRITERS: u64 = 3;
     for k in 0..KEYS {
         t.insert_auto(k, &[1, k % 7]).unwrap();

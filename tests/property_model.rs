@@ -428,8 +428,7 @@ proptest! {
     /// selection) produces, per key and in input order, exactly what the
     /// sequential single-key reader `read_one` returns on the same
     /// database, and byte-identical
-    /// answers across all nine configurations. `batch_read_min` is pinned
-    /// low so the batch genuinely plans, splits, and fans out.
+    /// answers across all nine configurations.
     #[test]
     fn multi_read_agrees_with_sequential_reads(
         ops in prop::collection::vec(
@@ -455,8 +454,7 @@ proptest! {
                 let db = Database::new(
                     DbConfig::deterministic()
                         .with_pool_threads(w)
-                        .with_shards(s)
-                        .with_batch_read_min(2),
+                        .with_shards(s),
                 );
                 let t = db
                     .create_table("batch", &["c0", "c1", "c2"], TableConfig::small())

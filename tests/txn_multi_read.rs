@@ -15,15 +15,9 @@ use lstore::{Database, DbConfig, Error, IsolationLevel, Table, TableConfig, Tran
 const ROWS: u64 = 120;
 
 /// A table with history: every third row updated (tail chains), every
-/// seventeenth deleted, `batch_read_min` lowered to 4 so even small key
-/// vectors exercise the batched planner.
+/// seventeenth deleted.
 fn build(pool: usize, shards: usize) -> (Arc<Database>, Arc<Table>) {
-    let db = Database::new(
-        DbConfig::new()
-            .with_pool_threads(pool)
-            .with_shards(shards)
-            .with_batch_read_min(4),
-    );
+    let db = Database::new(DbConfig::new().with_pool_threads(pool).with_shards(shards));
     let t = db
         .create_table("mr", &["a", "b", "c"], TableConfig::small())
         .unwrap();
@@ -142,8 +136,8 @@ proptest! {
 
 /// Under a conflicting committed writer, a per-key reader and a batched
 /// reader must reach the same validation verdict — failure, blaming the
-/// same record — whether validation itself runs sequentially (pool 1) or
-/// fanned out (pool 4).
+/// same record — at every pool width (validation runs on the committer
+/// whatever the width).
 #[test]
 fn batched_and_per_key_readers_fail_validation_identically() {
     for &pool in &[1usize, 4] {
